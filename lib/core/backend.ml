@@ -17,6 +17,9 @@
 module Q = Moq_numeric.Rat
 
 module type S = sig
+  val name : string
+  (** The backend's name as [moq explain] reports it. *)
+
   module P : Moq_poly.Poly_intf.S
   module PW : Moq_poly.Piecewise_intf.S with type P.t = P.t and type P.F.t = P.F.t
 
@@ -62,6 +65,8 @@ module Exact :
      and type PW.t = Moq_poly.Piecewise.Qpiece.t
      and type instant = Moq_poly.Algnum.t =
 struct
+  let name = "exact"
+
   module P = Moq_poly.Qpoly
   module PW = Moq_poly.Piecewise.Qpiece
   module A = Moq_poly.Algnum
@@ -109,6 +114,8 @@ module Approx :
      and type PW.t = Moq_poly.Piecewise.Fpiece.t
      and type instant = float =
 struct
+  let name = "approx"
+
   module P = Moq_poly.Fpoly
   module PW = Moq_poly.Piecewise.Fpiece
 
@@ -205,6 +212,8 @@ module Filtered : sig
 
   val of_algnum : Moq_poly.Algnum.t -> instant
 end = struct
+  let name = "filtered"
+
   module P = Moq_poly.Qpoly
   module PW = Moq_poly.Piecewise.Qpiece
   module A = Moq_poly.Algnum
@@ -480,5 +489,14 @@ end = struct
   let scalar_of_rat q = q
   let curve_of_qpiece c = c
   let instant_to_float i = A.to_float i.ex
-  let pp_instant fmt i = A.pp fmt i.ex
+
+  (* Print the bytes [Exact] prints for the same number.  A linear
+     crossing is held here as its [Rational] value, but Exact holds the
+     element of [A.roots p], whose canonical form is a refined [root(...)]
+     unless a bisection lands on it exactly.  Every other instant already
+     prints canonically: [A.pp] re-isolates a root from its polynomial. *)
+  let pp_instant fmt i =
+    match i.zero_of with
+    | Some p when P.degree p = 1 -> A.pp fmt (List.hd (A.roots p))
+    | _ -> A.pp fmt i.ex
 end

@@ -156,10 +156,36 @@ let rec refine_until_width (x : t) (w : Q.t) : t =
       | None -> refine_until_width x w
     end
 
+(* The float nearest the number, ties to even ([Q.to_float] rounds once).
+   It depends only on the number, not on how far comparisons have refined
+   the interval, so two backends holding the same number in different
+   representations agree on it bit for bit.  Refine until both ends round
+   to the same float: rounding is monotone, so everything between them
+   rounds there too.  A root exactly on the boundary between two adjacent
+   floats (or at zero, between -0. and 0.) would keep the ends apart
+   forever, so that one boundary is tested exactly. *)
 let to_float x =
-  match refine_until_width x (Q.of_string "1/1000000000000000") with
+  match x with
   | Rational q -> Q.to_float q
-  | Root r -> Q.to_float (midpoint r.lo r.hi)
+  | Root r ->
+    let rec go () =
+      let fl = Q.to_float r.lo and fh = Q.to_float r.hi in
+      if Int64.equal (Int64.bits_of_float fl) (Int64.bits_of_float fh) then fl
+      else begin
+        let boundary =
+          if fl = fh || Float.succ fl = fh then
+            Some (midpoint (Q.of_float fl) (Q.of_float fh))
+          else None
+        in
+        match boundary with
+        | Some b when P.sign_at r.p b = 0 -> Q.to_float b
+        | _ ->
+          (match step r with
+           | Some m -> Q.to_float m
+           | None -> go ())
+      end
+    in
+    go ()
 
 let rational_between x y =
   let c = compare x y in
@@ -226,8 +252,11 @@ let root_of_isolating_exn p ~lo ~hi =
 (* The live isolating interval is comparison-history-dependent, but the
    printed form is a wire token peers byte-compare (resumed subscription
    streams, replica audits).  Re-isolate from the polynomial and refine
-   to a fixed width, so equal numbers print equal bytes no matter how
-   much in-place refinement either copy has seen. *)
+   to a fixed width, so two [Root]s of the same polynomial print equal
+   bytes no matter how much in-place refinement either copy has seen.
+   The bytes depend on the representation, not only on the value: a
+   [Rational q] prints as [q], while a [Root] of [t - q] prints in the
+   [root(...)] form unless a bisection step lands on [q] exactly. *)
 let canonical_width = Q.of_ints 1 1_099_511_627_776 (* 2^-40 *)
 
 let pp fmt x =

@@ -47,7 +47,8 @@ val rational_below : t -> Q.t
 val rational_above : t -> Q.t
 
 val to_float : t -> float
-(** Approximation after refining the isolating interval to width [< 1e-12]. *)
+(** The nearest float (ties to even).  It depends only on the number, not
+    on its representation or refinement history. *)
 
 val bounds : t -> Q.t * Q.t
 (** Current rational enclosure [(lo, hi)] of the number: the isolating

@@ -19,12 +19,16 @@ module Explain = Moq_core.Explain
 module Frame = Moq_proto.Frame
 module Proto = Moq_proto.Proto
 
-module BX = Moq_core.Backend.Exact
+(* The one backend every server sweep runs on.  Filtered makes Exact's
+   decisions, prints Exact's canonical instants and rounds them to the
+   same floats, so the wire bytes, aggregation densities included, are
+   Exact's; the tests check them against in-process Exact runs. *)
+module B = Moq_core.Backend.Filtered
 module Agg = Moq_agg.Agg
-module AggX = Moq_agg.Agg.Make (BX)
-module Mon = Moq_core.Monitor.Make (BX)
-module Knn = Moq_core.Knn.Make (BX)
-module Range = Moq_core.Range_query.Make (BX)
+module AggB = Moq_agg.Agg.Make (B)
+module Mon = Moq_core.Monitor.Make (B)
+module Knn = Moq_core.Knn.Make (B)
+module Range = Moq_core.Range_query.Make (B)
 module Fof = Moq_core.Fof
 module Gdist = Moq_core.Gdist
 module TL = Mon.TL
@@ -117,7 +121,7 @@ type out_item =
    pieces, or a continuous POI aggregation streaming finalized window
    rows.  Both ride the same EVENT sequence numbering and backpressure
    machinery. *)
-type sub_body = S_mon of Mon.t | S_agg of AggX.Cont.t
+type sub_body = S_mon of Mon.t | S_agg of AggB.Cont.t
 
 type sub = {
   sub_id : int;
@@ -195,6 +199,9 @@ type t = {
   mutable repl_divergence : int;
   mutable repl_fd : Unix.file_descr option;
   mutable repl_thread : Thread.t option;
+  (* t.lock held: when the commit in progress last handed a traced item
+     to a writer (see {!commit_traced}) *)
+  mutable handoff : float option;
 }
 
 let with_lock m f =
@@ -328,11 +335,27 @@ let enqueue_msg t sess msg = enqueue t sess (O_msg (Proto.render_server_msg msg)
 (* ---------------------------------------------------------------- *)
 (* Timeline pieces -> wire                                           *)
 
-let wire_instant i = Format.asprintf "%a" BX.pp_instant i
-
-let wire_piece = function
-  | TL.At (i, s) -> Proto.P_at (wire_instant i, Oid.Set.elements s)
-  | TL.Span (a, b, s) -> Proto.P_span (wire_instant a, wire_instant b, Oid.Set.elements s)
+(* Printing an instant re-isolates its root, and a timeline names each
+   event instant up to three times in a row: as a span's end, as the [At]
+   at it, and as the next span's start.  So remember the last instant
+   printed and print each physically distinct one once per call. *)
+let wire_pieces pieces =
+  let last = ref None in
+  let wire i =
+    match !last with
+    | Some (j, w) when j == i -> w
+    | _ ->
+      let w = Format.asprintf "%a" B.pp_instant i in
+      last := Some (i, w);
+      w
+  in
+  List.map
+    (function
+      | TL.At (i, s) -> Proto.P_at (wire i, Oid.Set.elements s)
+      | TL.Span (a, b, s) ->
+        let a = wire a in (* before [b]: arguments evaluate right to left *)
+        Proto.P_span (a, wire b, Oid.Set.elements s))
+    pieces
 
 (* ---------------------------------------------------------------- *)
 (* Subscriptions                                                     *)
@@ -418,6 +441,7 @@ let push_wire ?trace t sess sub wire =
     let n = List.length wire in
     Sink.count t.sink "moq_server_pushed_events_total" n;
     let t0 = Unix.gettimeofday () in
+    if trace <> None then t.handoff <- Some t0;
     enqueue t sess
       (O_event { sub = sub.sub_id; first_seq = sub.next_seq; count = n;
                  pieces_rev = List.rev wire; trace; enq = t0 });
@@ -452,10 +476,10 @@ let push_agg_rows ?trace t sess sub (rows : Agg.row list) =
    interval is valid. *)
 let push_fresh ?trace t sess sub =
   (match sub.body with
-   | S_mon mon -> push_wire ?trace t sess sub (List.map wire_piece (Mon.drain_valid mon))
-   | S_agg agg -> push_agg_rows ?trace t sess sub (AggX.Cont.drain_rows agg));
+   | S_mon mon -> push_wire ?trace t sess sub (wire_pieces (Mon.drain_valid mon))
+   | S_agg agg -> push_agg_rows ?trace t sess sub (AggB.Cont.drain_rows agg));
   let clk =
-    match sub.body with S_mon mon -> Mon.clock mon | S_agg agg -> AggX.Cont.clock agg
+    match sub.body with S_mon mon -> Mon.clock mon | S_agg agg -> AggB.Cont.clock agg
   in
   if Q.compare clk sub.sub_hi >= 0 then begin
     (match sub.body with
@@ -464,8 +488,8 @@ let push_fresh ?trace t sess sub =
        (* the per-POI monitors never close their trailing spans on their
           own; finalize them so the last windows' rows flush before the
           completion marker *)
-       ignore (AggX.Cont.finalize agg);
-       push_agg_rows ?trace t sess sub (AggX.Cont.drain_rows agg));
+       ignore (AggB.Cont.finalize agg);
+       push_agg_rows ?trace t sess sub (AggB.Cont.drain_rows agg));
     Sink.count t.sink "moq_server_completed_subscriptions_total" 1;
     record t "sub_complete" [ ("sub", Json.Int sub.sub_id) ];
     enqueue_msg t sess (Proto.E_complete { sub = sub.sub_id });
@@ -488,7 +512,7 @@ let fanout ?trace t u =
           (match
              match sub.body with
              | S_mon mon -> Mon.apply_update mon u
-             | S_agg agg -> AggX.Cont.apply_update agg u
+             | S_agg agg -> AggB.Cont.apply_update agg u
            with
            | Ok () -> ()
            | Error _ -> Sink.count t.sink "moq_server_fanout_errors_total" 1);
@@ -554,6 +578,7 @@ let committed ?trace t u =
     in
     Sink.count t.sink "moq_repl_streamed_updates_total" (List.length followers);
     let enq = Unix.gettimeofday () in
+    if trace <> None then t.handoff <- Some enq;
     List.iter
       (fun sess -> enqueue_repl t sess (O_frame { msg; trace; wm = true; enq }))
       followers;
@@ -623,6 +648,16 @@ let ingest_and_fanout ?trace t u =
        [ ("oid", Json.Int (U.oid u));
          ("reason", Json.Str (Format.asprintf "%a" Sanitize.pp_reason r)) ]);
   verdict
+
+(* t.lock held.  Run one commit and return its result with the time it
+   last handed a traced item to a writer.  The traced stage span around a
+   commit ends there, not when the commit returns: the item's queue span
+   starts at its enqueue, so the two tile even when this thread is
+   descheduled between the hand-off and the end of the commit. *)
+let commit_traced t f =
+  t.handoff <- None;
+  let r = f () in
+  (r, t.handoff)
 
 let verdict_wire = function
   | Sanitize.Accepted _ -> Proto.V_accepted
@@ -765,14 +800,18 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
     else begin
       let trace = req_trace t attrs in
       record_link t attrs ~arrival;
-      let verdict = with_lock t.lock (fun () -> ingest_and_fanout ?trace t u) in
+      let verdict, handoff =
+        with_lock t.lock (fun () ->
+            commit_traced t (fun () -> ingest_and_fanout ?trace t u))
+      in
       let t_done = Unix.gettimeofday () in
       Sink.observe t.sink "moq_stage_ingest_ns" ((t_done -. arrival) *. 1e9);
       (match trace with
        | Some c ->
+         let stop = Option.value handoff ~default:t_done in
          ignore
            (Trace.record ~ctx:(tctx c) t.tracer ~name:"dispatch" ~start:arrival
-              ~dur:(t_done -. arrival) ())
+              ~dur:(stop -. arrival) ())
        | None -> ());
       enqueue_msg t sess (Proto.R_update (verdict_wire verdict));
       true
@@ -791,7 +830,7 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
             | Proto.Sub_agg { d; window; pois } ->
               let pois = List.map Qvec.of_list pois in
               let agg =
-                AggX.Cont.create ~sink:t.sink ~db:(Store.db t.store) ~pois ~d
+                AggB.Cont.create ~sink:t.sink ~db:(Store.db t.store) ~pois ~d
                   ~window ~lo ~hi ()
               in
               Sink.count t.sink "moq_agg_subscriptions_total" 1;
@@ -843,8 +882,8 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
           sess.subs <- List.filter (fun s -> s.sub_id <> sub_id) sess.subs;
           let pieces =
             match sub.body with
-            | S_mon mon -> List.map wire_piece (Mon.valid_timeline mon)
-            | S_agg agg -> List.map wire_row (AggX.Cont.rows agg)
+            | S_mon mon -> wire_pieces (Mon.valid_timeline mon)
+            | S_agg agg -> List.map wire_row (AggB.Cont.rows agg)
           in
           enqueue_msg t sess (Proto.R_unsubscribe { sub = sub_id; pieces }));
     true
@@ -858,7 +897,9 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
     let cmp0 = cval "moq_sweep_comparisons_total" in
     let t0 = Unix.gettimeofday () in
     (* the explain report is only assembled when the run turns out slow;
-       each arm returns the timeline plus a thunk that builds it *)
+       each arm returns the timeline plus a thunk that builds it.  It has
+       no filter block: Filtered's hit and miss counters are process-wide,
+       shared with concurrent queries and the commit thread *)
     let timeline, mk_explain =
       match kind with
       | Proto.Qk_knn k ->
@@ -884,7 +925,7 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
             in
             Explain.make ~kind:"knn"
               ~query:(Printf.sprintf "server query knn k=%d" k)
-              ~backend:"exact" ~n_objects:(List.length (DB.objects db))
+              ~backend:B.name ~n_objects:(List.length (DB.objects db))
               ~lo:(Q.to_float lo) ~hi:(Q.to_float hi)
               ~timeline_pieces:(List.length r.Knn.timeline) ~sweep ~hot
               ~phases ~counters () )
@@ -903,7 +944,7 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
             in
             Explain.make ~kind:"range"
               ~query:(Printf.sprintf "server query range bound=%s" (Q.to_string b))
-              ~backend:"exact" ~n_objects:(List.length (DB.objects db))
+              ~backend:B.name ~n_objects:(List.length (DB.objects db))
               ~lo:(Q.to_float lo) ~hi:(Q.to_float hi)
               ~timeline_pieces:(List.length r.Range.timeline) ~sweep
               ~phases ~counters () )
@@ -938,7 +979,7 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
          (Trace.record ~ctx:(tctx c) t.tracer ~name:"query" ~start:arrival
             ~dur:(t_done -. arrival) ())
      | None -> ());
-    enqueue_msg t sess (Proto.R_query (List.map wire_piece timeline));
+    enqueue_msg t sess (Proto.R_query (wire_pieces timeline));
     true
   | Proto.Stats fmt ->
     with_lock t.lock (fun () ->
@@ -1375,8 +1416,9 @@ let repl_tail t fd =
                   let arrival = Unix.gettimeofday () in
                   record_link t attrs ~arrival;
                   let trace = req_trace t attrs in
-                  let contiguous =
-                    with_lock t.lock (fun () ->
+                  let contiguous, handoff =
+                    with_lock t.lock @@ fun () ->
+                    commit_traced t (fun () ->
                         let last =
                           match t.repl_pos with Some (_, s) -> s | None -> -1
                         in
@@ -1419,9 +1461,10 @@ let repl_tail t fd =
                     ((t_done -. arrival) *. 1e9);
                   (match trace with
                    | Some c ->
+                     let stop = Option.value handoff ~default:t_done in
                      ignore
                        (Trace.record ~ctx:(tctx c) t.tracer ~name:"apply"
-                          ~start:arrival ~dur:(t_done -. arrival) ())
+                          ~start:arrival ~dur:(stop -. arrival) ())
                    | None -> ());
                   if contiguous then pump ()
                 | Ok (Proto.E_repl_digest { clock; bytes; crc }, attrs) ->
@@ -1557,7 +1600,7 @@ let start ?registry cfg =
            repl_backlog_q = Queue.create (); repl_since_digest = 0;
            repl_pos = None; repl_connected = false; repl_divergence = 0;
            lag_target = 0; lag_anchor = 0.;
-           repl_fd = None; repl_thread = None }
+           repl_fd = None; repl_thread = None; handoff = None }
        in
        update_gauges t;
        (* register the load-bearing counters at zero so a scrape (or `moq

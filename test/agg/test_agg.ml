@@ -20,6 +20,7 @@ module Ingest = Moq_ingest.Ingest
 module BX = Moq_core.Backend.Exact
 module BFl = Moq_core.Backend.Filtered
 module AggX = Moq_agg.Agg.Make (BX)
+module AggF = Moq_agg.Agg.Make (BFl)
 module AlibiX = Moq_agg.Alibi.Make (BX)
 module AlibiF = Moq_agg.Alibi.Make (BFl)
 
@@ -63,6 +64,29 @@ let check_cont_vs_rescan ~seed ~n ~k ~d ~window ~lo ~hi ~updates () =
   let st = AggX.Cont.stats cont in
   Alcotest.(check int) "row count" (k * st.Moq_agg.Agg.windows)
     (List.length inc_rows)
+
+(* The server aggregates on the Filtered backend; its rows, float
+   densities included, must be bit-identical to Exact's. *)
+let test_cont_filtered_equals_exact () =
+  for seed = 1 to 30 do
+    let lo = q 0 and hi = q 30 and updates = 10 in
+    let db = Gen.uniform_db ~seed ~n:15 ~extent:100 ~speed:5 () in
+    let stream =
+      Gen.mixed_stream ~seed:(seed + 1) ~db ~start:lo
+        ~gap:(Q.div (Q.sub hi lo) (q (updates + 1)))
+        ~count:updates ~extent:100 ()
+    in
+    let pois = pois_near ~seed ~k:2 db in
+    let d = q 25 and window = q 8 in
+    let cx = AggX.Cont.create ~cell:32.0 ~db ~pois ~d ~window ~lo ~hi () in
+    let cf = AggF.Cont.create ~cell:32.0 ~db ~pois ~d ~window ~lo ~hi () in
+    List.iter (AggX.Cont.apply_update_exn cx) stream;
+    List.iter (AggF.Cont.apply_update_exn cf) stream;
+    let rx = AggX.Cont.finalize cx and rf = AggF.Cont.finalize cf in
+    if rx <> rf then
+      Alcotest.failf "seed %d: rows diverge@.exact:@.%s@.filtered:@.%s" seed
+        (pp_rows rx) (pp_rows rf)
+  done
 
 let test_cont_small () =
   check_cont_vs_rescan ~seed:3 ~n:20 ~k:3 ~d:(q 30) ~window:(q 10) ~lo:(q 0)
@@ -256,6 +280,8 @@ let () =
           Alcotest.test_case "no updates" `Quick test_cont_no_updates;
           Alcotest.test_case "ingested trace" `Quick test_cont_ingested_trace;
           Alcotest.test_case "grid pruning" `Quick test_cont_prunes;
+          Alcotest.test_case "filtered rows equal exact" `Quick
+            test_cont_filtered_equals_exact;
         ] );
       ( "alibi",
         [

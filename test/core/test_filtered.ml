@@ -171,6 +171,59 @@ let test_tangency_forces_fallback () =
   let s = BFl.filter_stats () in
   Alcotest.(check bool) "tangencies fell back" true (s.BFl.misses > 0)
 
+(* Both backends print the same number as the same bytes, and round it
+   to the same float: the server evaluates on Filtered but must put
+   Exact's instants and aggregation rows on the wire. *)
+let test_pp_instant_bytes () =
+  let poly cs = Moq_poly.Qpoly.of_list cs in
+  let qs a b = Q.of_ints a b in
+  let show pp i = Format.asprintf "%a" pp i in
+  let check what ex fl =
+    Alcotest.(check string) what (show BX.pp_instant ex) (show BFl.pp_instant fl);
+    (* aggregation densities are sums of these floats *)
+    Alcotest.(check int64) (what ^ " float bits")
+      (Int64.bits_of_float (BX.instant_to_float ex))
+      (Int64.bits_of_float (BFl.instant_to_float fl))
+  in
+  (* every root of [p] from each start, via both root entry points; the
+     Filtered copy is compared against its neighbours first, so its
+     enclosure has been refined before it prints *)
+  let roots what p starts =
+    List.iter
+      (fun s ->
+        let ex = BX.first_root_after p (BX.instant_of_scalar s)
+        and fl = BFl.first_root_after p (BFl.instant_of_scalar s) in
+        let ex' = BX.first_root_at_or_after p s
+        and fl' = BFl.first_root_at_or_after p s in
+        match ex, fl, ex', fl' with
+        | Some ex, Some fl, Some ex', Some fl' ->
+          ignore (BFl.compare_instant fl (BFl.instant_of_scalar s));
+          ignore (BFl.compare_instant fl fl');
+          check (what ^ " after") ex fl;
+          check (what ^ " at or after") ex' fl'
+        | None, None, None, None -> ()
+        | _ -> Alcotest.failf "%s: backends disagree on a root" what)
+      starts
+  in
+  let linear = poly [ qs (-133) 300; Q.one ] in
+  roots "linear crossing" linear [ q 0 ];
+  roots "negated linear crossing" (Moq_poly.Qpoly.neg linear) [ q 0 ];
+  roots "linear crossing, scaled" (poly [ q (-7); qs 3 2 ]) [ q 0 ];
+  roots "irrational quadratic" (poly [ q (-2); q 0; q 1 ]) [ q (-10); q 0 ];
+  roots "irrational distance curve" (poly [ q (-11); q 3; q 2 ]) [ q (-10); q 0 ];
+  (* (t - 1/3)(t - 5) *)
+  roots "rational quadratic" (poly [ qs 5 3; qs (-16) 3; q 1 ]) [ q (-10); q 0; q 1 ];
+  (* roots a bisection step lands on exactly, which print as rationals:
+     1/3 and +-1 in the canonical refinement from the Cauchy-bound
+     interval, 0 already during root isolation *)
+  roots "linear root on a bisection midpoint" (poly [ qs (-1) 3; q 1 ]) [ q 0 ];
+  roots "quadratic roots on bisection midpoints" (poly [ q (-1); q 0; q 1 ]) [ q (-10); q 0 ];
+  roots "quadratic root isolated at a midpoint" (poly [ q 0; q (-1); q 1 ]) [ q (-10); q 0 ];
+  List.iter
+    (fun s ->
+      check ("scalar " ^ Q.to_string s) (BX.instant_of_scalar s) (BFl.instant_of_scalar s))
+    [ q 0; q (-3); qs 133 300; qs 1 2; qs (-7) 1024 ]
+
 let () =
   Alcotest.run "filtered-backend"
     [
@@ -181,5 +234,7 @@ let () =
           Alcotest.test_case "publish counter names" `Quick test_publish;
           Alcotest.test_case "tangency forces exact fallback" `Quick
             test_tangency_forces_fallback;
+          Alcotest.test_case "pp_instant bytes equal Exact's" `Quick
+            test_pp_instant_bytes;
         ] );
     ]

@@ -116,8 +116,9 @@ let hello c =
   | Proto.R_hello _ -> ()
   | m -> Alcotest.failf "unexpected hello response: %s" (Proto.render_server_msg m)
 
-(* Mirror the server's timeline->wire conversion (as in the server suite)
-   so streams compare as plain values. *)
+(* The server's timeline->wire conversion (as in the server suite), run
+   on the Exact backend: the server sweeps on Filtered, so comparing its
+   streams with these pieces checks it against Exact across backends. *)
 let wire_instant i = Format.asprintf "%a" BX.pp_instant i
 
 let wire_piece = function

@@ -14,6 +14,39 @@ let prop ?(count = 300) name arb f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb f)
 
 (* ------------------------------------------------------------------ *)
+(* Interval shadows                                                     *)
+(* ------------------------------------------------------------------ *)
+
+module Shadow = Moq_poly.Shadow
+module IV = Moq_numeric.Fintval
+
+(* Ten times the memo's bound of distinct polynomials, with coefficients
+   no float represents exactly: the memo keeps at most its bound, and
+   whatever a lookup returns (fresh, memoized, or after its slot was
+   taken over) encloses that polynomial's own coefficients. *)
+let test_shadow_memo_bound () =
+  let n = 10 * Shadow.bound in
+  let ps =
+    List.init n (fun i ->
+        QP.of_list
+          [ Q.of_ints (i + 1) 7; Q.of_ints (-(i * i) - 1) 13; Q.add (q i) (Q.of_ints 1 3) ])
+  in
+  let encloses p =
+    let s = Array.init (QP.degree p + 1) (Shadow.coeff p) in
+    List.for_all2
+      (fun c iv ->
+        Q.compare (Q.of_float (IV.lo iv)) c <= 0 && Q.compare c (Q.of_float (IV.hi iv)) <= 0)
+      (QP.to_list p) (Array.to_list s)
+  in
+  List.iteri
+    (fun i p ->
+      if not (encloses p) then Alcotest.failf "shadow %d does not enclose its polynomial" i;
+      Alcotest.(check bool) "retained within the bound" true (Shadow.retained () <= Shadow.bound))
+    ps;
+  Alcotest.(check bool) "every earlier shadow still encloses" true (List.for_all encloses ps);
+  Alcotest.(check bool) "the memo is in use" true (Shadow.retained () > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Polynomial ring                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -372,6 +405,9 @@ let () =
         Alcotest.test_case "to_rat" `Quick test_alg_to_rat;
       ]);
       ("algnum-props", alg_props);
+      ("shadow", [
+        Alcotest.test_case "memo bound" `Quick test_shadow_memo_bound;
+      ]);
       ("froots", [
         Alcotest.test_case "quadratic" `Quick test_froots_quadratic;
         Alcotest.test_case "cancellation-stable" `Quick test_froots_cancellation;

@@ -1,7 +1,8 @@
 (* Server integration suite, all over real sockets on 127.0.0.1:
    handshake discipline, wire-level rejection of out-of-order and
    duplicate updates, quarantine graduation, subscription push streams
-   checked against a reference in-process Monitor, admission control,
+   and query answers checked against reference in-process Exact runs,
+   admission control,
    backpressure drops with exact sequence accounting, idle timeout,
    SIGKILL-equivalent crash + WAL recovery bit-identity, and graceful
    drain with checkpoint. *)
@@ -19,6 +20,8 @@ module Fof = Moq_core.Fof
 module Gdist = Moq_core.Gdist
 module BX = Moq_core.Backend.Exact
 module MonX = Moq_core.Monitor.Make (BX)
+module KnnX = Moq_core.Knn.Make (BX)
+module RangeX = Moq_core.Range_query.Make (BX)
 module Agg = Moq_agg.Agg
 module AggX = Moq_agg.Agg.Make (BX)
 module Frame = Moq_proto.Frame
@@ -55,9 +58,8 @@ let mk_db () = Gen.uniform_db ~seed:3 ~n:4 ~extent:20 ~speed:4 ()
 
 (* Start a fresh server on an ephemeral port, run [f], always stop and
    clean up.  [tweak] adjusts the config (queue sizes, timeouts, ...). *)
-let with_server ?(tweak = fun c -> c) f =
+let with_server ?(tweak = fun c -> c) ?(db = mk_db ()) f =
   let dir = tmp_dir () in
-  let db = mk_db () in
   let cfg =
     tweak
       { (Server.default_config ~listen:(Server.Tcp ("127.0.0.1", 0)) ~store_dir:dir)
@@ -190,8 +192,9 @@ let test_quarantine_graduates () =
 (* Subscriptions vs a reference monitor                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirror the server's timeline->wire conversion so streams compare as
-   plain values. *)
+(* The server's timeline->wire conversion, run on the Exact backend: the
+   server sweeps on Filtered, so comparing its streams and answers with
+   these pieces checks it against Exact across backends. *)
 let wire_instant i = Format.asprintf "%a" BX.pp_instant i
 
 let wire_piece = function
@@ -266,6 +269,54 @@ let test_subscription_matches_monitor () =
          Alcotest.(check bool) "validated timeline matches" true
            (pieces = List.map wire_piece (MonX.valid_timeline mon))
        | m -> Alcotest.failf "unsubscribe failed: %s" (Proto.render_server_msg m));
+      Client.close c)
+
+(* QUERY answers equal in-process Exact runs byte for byte.  The server
+   sweeps on the Filtered backend; equal-speed objects give difference
+   curves of degree 1, the linear crossings Filtered holds as rationals
+   but must print as Exact does. *)
+let test_queries_match_exact () =
+  let db =
+    List.fold_left
+      (fun db (oid, a, b) -> DB.add_initial db oid (T.linear ~start:(q 0) ~a:(vec a) ~b:(vec b)))
+      (DB.empty ~dim:2 ~tau:(q 0))
+      [ (1, [ 1; 0 ], [ -10; 1 ]); (2, [ 0; 1 ], [ 2; -8 ]); (3, [ -1; 0 ], [ 7; 3 ]);
+        (4, [ 0; -1 ], [ -3; 9 ]); (5, [ 1; 1 ], [ -6; -5 ]); (6, [ -1; -1 ], [ 5; 6 ]);
+        (7, [ 0; 0 ], [ 4; 4 ]) ]
+  in
+  with_server ~db (fun srv _dir db ->
+      let c = connect srv in
+      ignore (hello c);
+      let updates =
+        [ U.Chdir { oid = 2; tau = q 3; a = vec [ 1; 0 ] };
+          U.Chdir { oid = 5; tau = q 6; a = vec [ 0; -1 ] } ]
+      in
+      List.iter
+        (fun u ->
+          match req c (Proto.Update u) with
+          | Proto.R_update Proto.V_accepted -> ()
+          | m -> Alcotest.failf "update not accepted: %s" (Proto.render_server_msg m))
+        updates;
+      let db = DB.apply_all_exn db updates in
+      let gdist = Gdist.euclidean_sq ~gamma:(origin_gamma (DB.dim db)) in
+      let lo = q 0 and hi = q 20 and bound = q 50 in
+      let query kind =
+        match req c (Proto.Query { kind; lo; hi }) with
+        | Proto.R_query pieces -> pieces
+        | m -> Alcotest.failf "query: %s" (Proto.render_server_msg m)
+      in
+      let knn = query (Proto.Qk_knn 2) and range = query (Proto.Qk_range bound) in
+      Alcotest.(check bool) "knn 2 answer equals Exact" true
+        (knn = List.map wire_piece (KnnX.run ~db ~gdist ~k:2 ~lo ~hi).KnnX.timeline);
+      Alcotest.(check bool) "range answer equals Exact" true
+        (range = List.map wire_piece (RangeX.run ~db ~gdist ~bound ~lo ~hi).RangeX.timeline);
+      let linear_root = function
+        | Proto.P_at (i, _) | Proto.P_span (_, i, _) ->
+          String.length i > 9 && String.sub i 0 9 = "root(t + "
+        | Proto.P_agg _ -> false
+      in
+      Alcotest.(check bool) "the knn answer has a linear crossing" true
+        (List.exists linear_root knn);
       Client.close c)
 
 (* SUBSCRIBE agg end to end: the pushed P_agg rows equal a reference
@@ -848,6 +899,8 @@ let () =
       ("subscriptions",
        [ Alcotest.test_case "stream matches reference monitor" `Quick
            test_subscription_matches_monitor;
+         Alcotest.test_case "query answers match Exact" `Quick
+           test_queries_match_exact;
          Alcotest.test_case "agg stream end to end" `Quick
            test_agg_subscription_end_to_end ]);
       ("limits",
