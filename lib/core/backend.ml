@@ -372,37 +372,57 @@ end = struct
       else None
     end
 
+  (* The real roots of a quadratic, as far as float intervals can tell. *)
+  type quad_roots =
+    | No_real  (** discriminant certainly negative *)
+    | Two of IV.t * IV.t  (** disjoint enclosures of the two roots, ascending *)
+    | Unsure  (** a double root, near-tangency, or an inconclusive discriminant *)
+
+  let quad_roots p =
+    let a2 = Shadow.coeff p 2 and a1 = Shadow.coeff p 1 and a0 = Shadow.coeff p 0 in
+    let disc = IV.sub (IV.mul a1 a1) (IV.mul (IV.of_int 4) (IV.mul a2 a0)) in
+    match IV.sign disc with
+    | Some s when s < 0 -> No_real
+    | Some s when s > 0 ->
+      let sq = IV.sqrt disc in
+      let two_a2 = IV.mul (IV.of_int 2) a2 in
+      let r1 = IV.div (IV.sub (IV.neg a1) sq) two_a2 in
+      let r2 = IV.div (IV.add (IV.neg a1) sq) two_a2 in
+      if IV.hi r1 < IV.lo r2 then Two (r1, r2)
+      else if IV.hi r2 < IV.lo r1 then Two (r2, r1)
+      else Unsure
+    | _ -> Unsure
+
   (* Interval prefilter for the first root of a quadratic at-or-beyond a
      threshold enclosed by [tv].  Outer [None] = inconclusive (exact
      fallback); [Some ans] = certain answer.  A root exactly at the
      threshold is never certified, so the same filter serves both the
      strict ("after") and weak ("at or after") variants — they only differ
      on that always-fallback case. *)
-  let quad_first_root p (tv : IV.t) : instant option option =
-    let a2 = Shadow.coeff p 2 and a1 = Shadow.coeff p 1 and a0 = Shadow.coeff p 0 in
-    let disc = IV.sub (IV.mul a1 a1) (IV.mul (IV.of_int 4) (IV.mul a2 a0)) in
-    match IV.sign disc with
-    | Some s when s < 0 -> Some None (* certainly no real roots *)
-    | Some s when s > 0 ->
-      let sq = IV.sqrt disc in
-      let two_a2 = IV.mul (IV.of_int 2) a2 in
-      let r1 = IV.div (IV.sub (IV.neg a1) sq) two_a2 in
-      let r2 = IV.div (IV.add (IV.neg a1) sq) two_a2 in
-      let ordered =
-        if IV.hi r1 < IV.lo r2 then Some (r1, r2)
-        else if IV.hi r2 < IV.lo r1 then Some (r2, r1)
-        else None (* enclosures overlap: near-tangency, fall back *)
-      in
-      (match ordered with
-       | None -> None
-       | Some (rmin, rmax) ->
-         if IV.hi rmax < IV.lo tv then Some None (* both roots certainly before *)
-         else if IV.lo rmin > IV.hi tv then
-           (match certify_root p rmin with Some i -> Some (Some i) | None -> None)
-         else if IV.hi rmin < IV.lo tv && IV.lo rmax > IV.hi tv then
-           (match certify_root p rmax with Some i -> Some (Some i) | None -> None)
-         else None)
-    | _ -> None (* double root or inconclusive discriminant *)
+  let quad_first_root p roots (tv : IV.t) : instant option option =
+    match roots with
+    | No_real -> Some None
+    | Unsure -> None
+    | Two (rmin, rmax) ->
+      if IV.hi rmax < IV.lo tv then Some None (* both roots certainly before *)
+      else if IV.lo rmin > IV.hi tv then Option.map Option.some (certify_root p rmin)
+      else if IV.hi rmin < IV.lo tv && IV.lo rmax > IV.hi tv then
+        Option.map Option.some (certify_root p rmax)
+      else None
+
+  (* The next crossing of two curves that have just crossed: [i] is itself
+     a root of the quadratic [p], so its enclosure meets one of the two
+     root enclosures and the threshold filter above cannot decide.  Being
+     a root, [i] is the smaller one when it lies wholly below the larger
+     one's enclosure (the answer is the larger root), and the larger one
+     when it lies wholly above the smaller one's (no root follows). *)
+  let own_root_successor p roots i : instant option option =
+    match roots with
+    | Two (rmin, rmax) when is_zero_of i p ->
+      if IV.hi i.iv < IV.lo rmax then Option.map Option.some (certify_root p rmax)
+      else if IV.lo i.iv > IV.hi rmin then Some None
+      else None
+    | _ -> None
 
   let first_root_after p i =
     let d = P.degree p in
@@ -423,9 +443,14 @@ end = struct
               if A.compare (A.of_rat r) i.ex > 0 then root () else None)
       end
       else if d = 2 then begin
-        match quad_first_root p i.iv with
+        let roots = quad_roots p in
+        match quad_first_root p roots i.iv with
         | Some ans -> hit ans
-        | None -> miss ~at:i.iv (fun () -> Option.map of_algnum (A.first_root_after p i.ex))
+        | None ->
+          (match own_root_successor p roots i with
+           | Some ans -> hit ans
+           | None ->
+             miss ~at:i.iv (fun () -> Option.map of_algnum (A.first_root_after p i.ex)))
       end
       else miss ~at:i.iv (fun () -> Option.map of_algnum (A.first_root_after p i.ex))
     end
@@ -446,7 +471,7 @@ end = struct
             if Q.compare r s >= 0 then root () else None)
       end
       else if d = 2 then begin
-        match quad_first_root p (IV.of_rat s) with
+        match quad_first_root p (quad_roots p) (IV.of_rat s) with
         | Some ans -> hit ans
         | None ->
           miss ~at:(IV.of_rat s)
@@ -490,11 +515,16 @@ end = struct
   let curve_of_qpiece c = c
   let instant_to_float i = A.to_float i.ex
 
-  (* Print the bytes [Exact] prints for the same number.  A linear
-     crossing is held here as its [Rational] value, but Exact holds the
-     element of [A.roots p], whose canonical form is a refined [root(...)]
-     unless a bisection lands on it exactly.  Every other instant already
-     prints canonically: [A.pp] re-isolates a root from its polynomial. *)
+  (* Print the bytes [Exact] prints for the same number.  [A.pp]'s bytes
+     depend only on the representation: a rational prints as itself, and
+     a root as the 2^-40-wide canonical cell of its polynomial's fresh
+     isolation, whatever refinement its own interval has seen.  Every
+     instant here holds the representation Exact holds — a certified
+     root keeps the squarefree polynomial Exact's [A.roots] would — except
+     a linear crossing: it is held as its [Rational] value, while Exact
+     holds the element of [A.roots p], which prints as [root(...)] unless
+     a bisection midpoint is the value itself.  So that one prints as
+     Exact's element. *)
   let pp_instant fmt i =
     match i.zero_of with
     | Some p when P.degree p = 1 -> A.pp fmt (List.hd (A.roots p))

@@ -36,6 +36,7 @@ module Make (B : Backend.S) = struct
             support only — the object Theorem 5 bounds — and leaves the
             timeline empty *)
     mutable valid : TL.piece list;  (** reversed; answers that can no longer change *)
+    mutable n_valid : int;  (** [List.length valid] *)
     mutable drained : int;  (** prefix of [valid] already handed to {!drain_valid} *)
     mutable clock : Q.t;  (** no update can arrive at or before this time *)
   }
@@ -45,6 +46,10 @@ module Make (B : Backend.S) = struct
     | Some lo, Some hi -> (lo, hi)
     | _ -> invalid_arg "Monitor: queries need a bounded interval"
 
+  let record m piece =
+    m.valid <- piece :: m.valid;
+    m.n_valid <- m.n_valid + 1
+
   let advance_engine m (upto : Q.t) =
     if not m.materialize then E.advance m.engine ~upto:(B.scalar_of_rat upto) ~emit:(fun _ -> ())
     else begin
@@ -53,8 +58,8 @@ module Make (B : Backend.S) = struct
       let emit = function
         | E.Span (a, b) ->
           let sample = B.instant_of_scalar (B.between a b) in
-          m.valid <- TL.Span (a, b, answer sample) :: m.valid
-        | E.Point i -> m.valid <- TL.At (i, answer i) :: m.valid
+          record m (TL.Span (a, b, answer sample))
+        | E.Point i -> record m (TL.At (i, answer i))
       in
       E.advance m.engine ~upto:(B.scalar_of_rat upto) ~emit
     end
@@ -80,12 +85,12 @@ module Make (B : Backend.S) = struct
     end;
     let m =
       { db; problem = p; engine = eng; sink; query; hi; materialize;
-        valid = []; drained = 0; clock = lo }
+        valid = []; n_valid = 0; drained = 0; clock = lo }
     in
     if materialize then begin
       let lo_i = B.instant_of_scalar (B.scalar_of_rat lo) in
       let ctx = P.snapshot_ctx p in
-      m.valid <- [ TL.At (lo_i, S.answer_at ctx query lo_i) ]
+      record m (TL.At (lo_i, S.answer_at ctx query lo_i))
     end;
     (* the part of the interval already in the past is valid immediately *)
     let tau0 = DB.last_update db in
@@ -104,7 +109,7 @@ module Make (B : Backend.S) = struct
     if B.compare_instant now tau_i < 0 then begin
       let ctx = P.snapshot_ctx m.problem in
       let sample = B.instant_of_scalar (B.between now tau_i) in
-      m.valid <- TL.Span (now, tau_i, S.answer_at ctx m.query sample) :: m.valid
+      record m (TL.Span (now, tau_i, S.answer_at ctx m.query sample))
     end
 
   let emit_at m (tau : Q.t) =
@@ -112,7 +117,7 @@ module Make (B : Backend.S) = struct
     else
     let ctx = P.snapshot_ctx m.problem in
     let tau_i = B.instant_of_scalar (B.scalar_of_rat tau) in
-    m.valid <- TL.At (tau_i, S.answer_at ctx m.query tau_i) :: m.valid
+    record m (TL.At (tau_i, S.answer_at ctx m.query tau_i))
 
   (* Close the validated timeline up to [upto] (trailing span + endpoint). *)
   let close_until m (upto : Q.t) =
@@ -249,16 +254,13 @@ module Make (B : Backend.S) = struct
      closing span — so consecutive drains concatenate into exactly the
      monitor's validated piece stream. *)
   let drain_valid m : TL.piece list =
-    let n = List.length m.valid in
-    let fresh = n - m.drained in
-    if fresh <= 0 then []
-    else begin
-      m.drained <- n;
-      let rec take k l =
-        if k = 0 then [] else match l with [] -> [] | x :: tl -> x :: take (k - 1) tl
-      in
-      List.rev (take fresh m.valid)
-    end
+    let fresh = m.n_valid - m.drained in
+    m.drained <- m.n_valid;
+    (* the newest [fresh] pieces head [valid]; reversing them costs O(fresh) *)
+    let rec take k l acc =
+      match l with x :: tl when k > 0 -> take (k - 1) tl (x :: acc) | _ -> acc
+    in
+    take fresh m.valid []
 
   (* The validated prefix of the answer (everything up to the clock). *)
   let valid_timeline m : TL.t =

@@ -1,4 +1,5 @@
 module Q = Moq_numeric.Rat
+module Z = Moq_numeric.Bigint
 module P = Qpoly
 
 (* A [Root] value holds a squarefree polynomial [p], nonzero at [lo] and
@@ -145,15 +146,55 @@ let to_rat = function
   | Rational q -> Some q
   | Root _ -> None
 
-let rec refine_until_width (x : t) (w : Q.t) : t =
+(* The root bisected until its interval is narrower than [w]: either that
+   interval (set on the root in place) or, when a bisection midpoint is
+   the root itself, that rational.  The answer depends only on the
+   starting interval (lo, hi).  With k the least integer such that
+   c = (hi - lo) / 2^k < w, the loop returns the grid point lo + j·c
+   (0 < j < 2^k) when the root is one, and otherwise the level-k cell
+   (lo + j·c, lo + (j+1)·c) containing the root.  So a float estimate
+   names the cell and two exact signs at its ends confirm it (a zero at
+   an end is the root itself); only when the estimate misses does the
+   loop run. *)
+let refine_until_width (x : t) (w : Q.t) : t =
   match x with
   | Rational _ -> x
   | Root r ->
-    if Q.compare (Q.sub r.hi r.lo) w < 0 then x
+    let rec bisect () =
+      if Q.compare (Q.sub r.hi r.lo) w < 0 then x
+      else begin
+        match step r with
+        | Some m -> Rational m
+        | None -> bisect ()
+      end
+    in
+    let width = Q.sub r.hi r.lo in
+    if Q.compare width w < 0 then x
     else begin
-      match step r with
-      | Some m -> Rational m
-      | None -> refine_until_width x w
+      (* w <= width / 2^(k-1) and width / 2^k < w *)
+      let k = Z.num_bits (Q.floor (Q.div width w)) in
+      let c = Q.div width (Q.of_bigint (Z.shift_left Z.one k)) in
+      (* a float near the root: only a guess, since the float image of
+         [r.p] can put it a few ulps off, so the cell's signs check it *)
+      let est = Froots.bisect (Fpoly.of_qpoly r.p) (Q.to_float r.lo) (Q.to_float r.hi) in
+      let j = Float.floor ((est -. Q.to_float r.lo) /. Q.to_float c) in
+      if not (Float.is_finite j && j >= 0.0) then bisect ()
+      else begin
+        let cl = Q.add r.lo (Q.mul (Q.of_float j) c) in
+        let ch = Q.add cl c in
+        if Q.compare ch r.hi > 0 then bisect ()
+        else begin
+          let sl = P.sign_at r.p cl and sh = P.sign_at r.p ch in
+          if sl = 0 then Rational cl (* j > 0: p is nonzero at lo *)
+          else if sh = 0 then Rational ch (* ch < hi: p is nonzero at hi *)
+          else if sl * sh < 0 then begin
+            r.lo <- cl;
+            r.hi <- ch;
+            x
+          end
+          else bisect ()
+        end
+      end
     end
 
 (* The float nearest the number, ties to even ([Q.to_float] rounds once).
@@ -249,24 +290,38 @@ let root_of_isolating_exn p ~lo ~hi =
     invalid_arg "Algnum.root_of_isolating_exn: no sign change"
   else Root { p = sf; lo; hi }
 
-(* The live isolating interval is comparison-history-dependent, but the
-   printed form is a wire token peers byte-compare (resumed subscription
-   streams, replica audits).  Re-isolate from the polynomial and refine
-   to a fixed width, so two [Root]s of the same polynomial print equal
-   bytes no matter how much in-place refinement either copy has seen.
-   The bytes depend on the representation, not only on the value: a
-   [Rational q] prints as [q], while a [Root] of [t - q] prints in the
-   [root(...)] form unless a bisection step lands on [q] exactly. *)
+(* The printed form of a number is a wire token that peers byte-compare
+   (resumed subscription streams, replica audits, the server against
+   in-process Exact), but a [Root]'s live interval depends on the
+   comparisons it has been through.  So [pp] prints a canonical interval
+   that depends only on the polynomial and on which of its roots the
+   number is: it re-isolates the roots of [r.p], picks the one whose
+   isolating interval (or rational point) meets the number's interval —
+   the exact [compare] runs only when several do — and bisects that
+   starting interval to width below [canonical_width]
+   ({!refine_until_width} takes O(1) exact sign tests for this unless
+   its float estimate misses).  The result prints as [root(...)] with
+   that interval, or as the rational a bisection midpoint hit.  The bytes
+   depend on the representation, not only on the value: a [Rational q]
+   prints as [q], while a [Root] of [t - q] prints in the [root(...)]
+   form unless a bisection midpoint is [q] itself. *)
 let canonical_width = Q.of_ints 1 1_099_511_627_776 (* 2^-40 *)
 
 let pp fmt x =
   match x with
   | Rational q -> Q.pp fmt q
   | Root r ->
+    let meets = function
+      | Rational q -> Q.compare r.lo q < 0 && Q.compare q r.hi < 0
+      | Root c -> Q.compare c.lo r.hi < 0 && Q.compare r.lo c.hi < 0
+    in
     let fresh =
-      match List.find_opt (fun c -> compare c x = 0) (roots r.p) with
-      | Some c -> c
-      | None -> Root { r with lo = r.lo } (* defensive: print our own copy *)
+      match List.filter meets (roots r.p) with
+      | [ c ] -> c
+      | several ->
+        (match List.find_opt (fun c -> compare c x = 0) several with
+         | Some c -> c
+         | None -> Root { r with lo = r.lo } (* defensive: print our own copy *))
     in
     (match refine_until_width fresh canonical_width with
      | Rational q -> Q.pp fmt q

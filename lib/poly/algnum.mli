@@ -68,4 +68,15 @@ val root_of_isolating_exn : Qpoly.t -> lo:Q.t -> hi:Q.t -> t
     Invalid_argument when the check fails.  Used by the filtered backend,
     which certifies its float-interval root candidates this way. *)
 
+val refine_until_width : t -> Q.t -> t
+(** [refine_until_width x w] bisects a root's isolating interval until it
+    is narrower than [w] (narrowing it in place) and returns the root, or
+    returns the rational a bisection midpoint found the root to be.  The
+    answer depends only on the interval [x] starts from; rationals are
+    returned unchanged.  Costs two exact sign tests unless a float
+    estimate of the root misses, when the bisection runs step by step. *)
+
 val pp : Format.formatter -> t -> unit
+(** Canonical bytes: they depend only on the number's representation (its
+    polynomial and which root of it, or the rational), never on how far
+    comparisons have refined its interval. *)

@@ -5,6 +5,10 @@
     g-distances are piecewise quadratics), recursive critical-point
     subdivision plus bisection for higher degree. *)
 
+val bisect : Fpoly.t -> float -> float -> float
+(** [bisect p a b]: a root of [p] in [[a, b]] by float bisection, given
+    that [p a] and [p b] have opposite signs. *)
+
 val real_roots : Fpoly.t -> float list
 (** Distinct real roots in ascending order (within float tolerance). *)
 

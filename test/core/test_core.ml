@@ -551,6 +551,36 @@ let test_monitor_theorem10_vs_sweep () =
       | _ -> Alcotest.failf "timeline gap at %d/2" i)
     (List.init 33 (fun i -> i))
 
+(* A live subscription drains its monitor after every update.  The drains,
+   concatenated, must be exactly the validated stream one drain at the end
+   returns, and a drain right after a drain is empty. *)
+let test_monitor_drains_concatenate () =
+  let module Gen = Moq_workload.Gen in
+  let db = Gen.uniform_db ~seed:17 ~n:10 ~dim:2 ~extent:100 ~speed:5 () in
+  let updates = Gen.chdir_stream ~seed:18 ~db ~start:(q 0) ~gap:(qs "1/4") ~count:240 ~speed:5 () in
+  Alcotest.(check bool) "at least 200 updates" true (List.length updates >= 200);
+  let query = Fof.knn_q ~k:2 ~interval:(Fof.Interval.closed (q 0) (q 80)) in
+  let gdist = Gdist.distance_sq_to_point (vec [ 0; 0 ]) in
+  let show piece =
+    let s = String.concat "," (List.map string_of_int (Oid.Set.elements (MonX.TL.set_of piece))) in
+    match piece with
+    | MonX.TL.Span (a, b, _) -> Format.asprintf "(%a, %a): %s" BX.pp_instant a BX.pp_instant b s
+    | MonX.TL.At (a, _) -> Format.asprintf "[%a]: %s" BX.pp_instant a s
+  in
+  let live = MonX.create ~db ~gdist ~query () and once = MonX.create ~db ~gdist ~query () in
+  let drained = ref (MonX.drain_valid live) in
+  List.iter
+    (fun u ->
+      MonX.apply_update_exn live u;
+      MonX.apply_update_exn once u;
+      drained := List.rev_append (MonX.drain_valid live) !drained;
+      Alcotest.(check int) "drain after drain" 0 (List.length (MonX.drain_valid live)))
+    updates;
+  let stream = List.map show (MonX.drain_valid once) in
+  Alcotest.(check bool) "the updates validated pieces" true (List.length stream > List.length updates);
+  Alcotest.(check (list string)) "drains concatenate to the stream" stream
+    (List.rev_map show !drained)
+
 (* ------------------------------------------------------------------ *)
 (* Classification                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -606,6 +636,7 @@ let () =
         Alcotest.test_case "insert and remove" `Quick test_monitor_insert_and_remove;
         Alcotest.test_case "theorem 10 chdir query" `Quick test_monitor_theorem10_chdir_query;
         Alcotest.test_case "theorem 10 vs lazy sweep" `Quick test_monitor_theorem10_vs_sweep;
+        Alcotest.test_case "drains concatenate to the stream" `Quick test_monitor_drains_concatenate;
       ]);
       ("classify", [ Alcotest.test_case "past/future/continuing" `Quick test_classify ]);
     ]

@@ -224,6 +224,79 @@ let test_pp_instant_bytes () =
       check ("scalar " ^ Q.to_string s) (BX.instant_of_scalar s) (BFl.instant_of_scalar s))
     [ q 0; q (-3); qs 133 300; qs 1 2; qs (-7) 1024 ]
 
+(* The next crossing of two curves that have just crossed: [first_root_after]
+   of a quadratic at one of its own roots.  With the two roots' float
+   enclosures apart, the filter names the successor (the larger root, or
+   none after it) without exact arithmetic, for [p] and for [-p] — the
+   engine forms difference curves both ways round. *)
+let test_own_root_successor () =
+  let poly cs = Moq_poly.Qpoly.of_list cs in
+  let neg = Moq_poly.Qpoly.neg in
+  let qs a b = Q.of_ints a b in
+  let show pp i = Format.asprintf "%a" pp i in
+  let agree what ex fl =
+    match ex, fl with
+    | None, None -> ()
+    | Some ex, Some fl ->
+      Alcotest.(check int) (what ^ ": value") 0 (A.compare ex (BFl.to_algnum fl));
+      Alcotest.(check string) (what ^ ": bytes") (show BX.pp_instant ex) (show BFl.pp_instant fl)
+    | _ -> Alcotest.failf "%s: backends disagree on whether a root follows" what
+  in
+  (* [first_root_after p i] on Filtered beside Exact, with the filter's
+     verdict: [true] when it was a hit *)
+  let successor what p (fl_i : BFl.instant) =
+    BFl.reset_filter_stats ();
+    let fl = BFl.first_root_after p fl_i in
+    let s = BFl.filter_stats () in
+    Alcotest.(check int) (what ^ ": one decision") 1 s.BFl.decisions;
+    agree what (BX.first_root_after p (BFl.to_algnum fl_i)) fl;
+    s.BFl.hits = 1
+  in
+  let separated =
+    [ ("irrational", poly [ q (-2); q 0; q 1 ], q (-10), q 0);
+      ("irrational distance curve", poly [ q (-11); q 3; q 2 ], q (-10), q 0);
+      ("rational", poly [ qs 5 3; qs (-16) 3; q 1 ], q (-10), q 1) (* (t - 1/3)(t - 5) *);
+      ("far from the origin", poly [ q 1_000_001; q (-2001); q 1 ], q 0, q 1001);
+      ("close roots", poly [ qs 1 100; q (-1); q 1 ], q (-1), qs 1 2) ]
+  in
+  List.iter
+    (fun (name, p, below, between) ->
+      List.iter
+        (fun (made, asked) ->
+          let what = Printf.sprintf "%s (%s, asked of %s)" name made asked in
+          let p_made = if made = "p" then p else neg p in
+          let p_asked = if asked = "p" then p else neg p in
+          (* the roots as the sweep gets them: certified by the filter,
+             each knowing the polynomial it is a root of *)
+          let smaller = Option.get (BFl.first_root_after p_made (BFl.instant_of_scalar below)) in
+          let larger = Option.get (BFl.first_root_at_or_after p_made between) in
+          Alcotest.(check bool) (what ^ ": smaller -> larger is a hit") true
+            (successor (what ^ " at the smaller root") p_asked smaller);
+          (match BFl.first_root_after p_asked smaller with
+           | Some r -> Alcotest.(check int) (what ^ ": successor") 0 (BFl.compare_instant r larger)
+           | None -> Alcotest.failf "%s: no successor of the smaller root" what);
+          Alcotest.(check bool) (what ^ ": larger -> none is a hit") true
+            (successor (what ^ " at the larger root") p_asked larger);
+          Alcotest.(check bool) (what ^ ": none after the larger root") true
+            (BFl.first_root_after p_asked larger = None))
+        [ ("p", "p"); ("p", "-p"); ("-p", "p"); ("-p", "-p") ])
+    separated;
+  (* (t - 1/3)(t - 1/3 - 2^-70): float intervals cannot tell the two
+     roots apart, so both successors fall back to exact arithmetic, and
+     still agree with Exact *)
+  let a = qs 1 3 in
+  let b = Q.add a (Q.div Q.one (Q.of_bigint (Moq_numeric.Bigint.shift_left Moq_numeric.Bigint.one 70))) in
+  let near_double = poly [ Q.mul a b; Q.neg (Q.add a b); q 1 ] in
+  List.iter
+    (fun p ->
+      let r0 = Option.get (BFl.first_root_after p (BFl.instant_of_scalar (q 0))) in
+      Alcotest.(check bool) "near-double: smaller -> larger falls back" false
+        (successor "near-double at the smaller root" p r0);
+      let r1 = Option.get (BFl.first_root_after p r0) in
+      Alcotest.(check bool) "near-double: larger -> none falls back" false
+        (successor "near-double at the larger root" p r1))
+    [ near_double; neg near_double ]
+
 let () =
   Alcotest.run "filtered-backend"
     [
@@ -236,5 +309,7 @@ let () =
             test_tangency_forces_fallback;
           Alcotest.test_case "pp_instant bytes equal Exact's" `Quick
             test_pp_instant_bytes;
+          Alcotest.test_case "own-root successor of a quadratic" `Quick
+            test_own_root_successor;
         ] );
     ]

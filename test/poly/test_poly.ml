@@ -373,6 +373,172 @@ let test_piecewise_clip () =
   Alcotest.check_raises "clipped out" (Invalid_argument "Piecewise: out of domain") (fun () ->
       ignore (Qpiece.eval d (q 1)))
 
+(* ------------------------------------------------------------------ *)
+(* Canonical refinement and printing against the step-by-step loop      *)
+(* ------------------------------------------------------------------ *)
+
+(* The bisection [Alg.refine_until_width] is defined by, one exact step
+   at a time: halve the isolating interval (lo, hi) of a simple root of
+   [p] until it is narrower than [w], stopping at a midpoint that is the
+   root itself. *)
+let rec reference_refine p lo hi w =
+  if Q.compare (Q.sub hi lo) w < 0 then `Cell (lo, hi)
+  else begin
+    let m = Q.mul (Q.of_ints 1 2) (Q.add lo hi) in
+    match QP.sign_at p m with
+    | 0 -> `Point m
+    | sm ->
+      if sm * QP.sign_at p lo < 0 then reference_refine p lo m w
+      else reference_refine p m hi w
+  end
+
+let refined x w =
+  match Alg.to_rat (Alg.refine_until_width x w) with
+  | Some q -> `Point q
+  | None ->
+    let lo, hi = Alg.bounds x in
+    `Cell (lo, hi)
+
+let show_refined = function
+  | `Point q -> Q.to_string q
+  | `Cell (lo, hi) -> Printf.sprintf "(%s, %s)" (Q.to_string lo) (Q.to_string hi)
+
+let w40 = Q.of_ints 1 1_099_511_627_776
+
+(* What [Alg.pp] printed when it picked the canonical root by exact
+   [compare] and refined it with the loop above.  [p] is the polynomial
+   [x] was made from. *)
+let reference_pp p x =
+  let sf = QP.squarefree p in
+  let fresh = List.map (fun c -> (c, Alg.bounds c)) (Alg.roots p) in
+  match List.find_opt (fun (c, _) -> Alg.compare c x = 0) fresh with
+  | None -> Alcotest.fail "reference_pp: not a root of p"
+  | Some (_, (lo, hi)) when Q.equal lo hi -> Q.to_string lo
+  | Some (_, (lo, hi)) ->
+    (match reference_refine sf lo hi w40 with
+     | `Point q -> Q.to_string q
+     | `Cell (l, h) ->
+       Format.asprintf "root(%a) in (%a,%a) ~ %.6g" QP.pp sf Q.pp l Q.pp h
+         (Q.to_float (Q.mul (Q.of_ints 1 2) (Q.add l h))))
+
+(* (t - a)(t - b) *)
+let quad_of_roots a b = QP.of_list [ Q.mul a b; Q.neg (Q.add a b); Q.one ]
+
+(* A seeded corpus of (p, x) with x a root of p, in the shapes the
+   canonical printer meets: fresh Sturm roots of linear and quadratic
+   polynomials (negative and large ones too), roots on grid points of
+   their own interval at several levels, roots within far less than an
+   ulp of a level-41 grid point (the float estimate cannot tell the side,
+   so the fallback loop runs), and roots whose interval is wider than an
+   isolation would give, up to meeting other roots' isolating intervals. *)
+let refine_corpus () =
+  let st = Random.State.make [| 20261017 |] in
+  (* a rational of magnitude up to [scale] *)
+  let rand_q scale den =
+    Q.mul (Q.of_int scale)
+      (Q.of_ints (Random.State.int st 2001 - 1000) (1000 * (1 + Random.State.int st den)))
+  in
+  let fresh p = List.map (fun x -> (p, x)) (Alg.roots p) in
+  let linear =
+    List.concat_map
+      (fun q -> fresh (QP.of_list [ Q.neg q; Q.one ]))
+      [ Q.of_ints 133 300; Q.of_ints (-7) 3; Q.of_int 1_000_003; Q.of_ints (-123_456_789) 7;
+        Q.of_ints 1 3; Q.zero ]
+  in
+  let quadratics =
+    List.concat
+      (List.init 150 (fun i ->
+           let scale = if i mod 5 = 0 then 1_000_000 else if i mod 5 = 1 then 1000 else 40 in
+           let a2 = Q.of_ints (1 + Random.State.int st 9) (1 + Random.State.int st 5) in
+           let p =
+             QP.of_list [ rand_q (scale * scale) 97; rand_q (2 * scale) 19; a2 ]
+           in
+           fresh p))
+  in
+  let unit_root p = Alg.root_of_isolating_exn p ~lo:Q.zero ~hi:Q.one in
+  let pow2 n = Q.of_bigint (Moq_numeric.Bigint.shift_left Moq_numeric.Bigint.one n) in
+  (* grid points j / 2^l of the unit interval, l up to 41 (the last level
+     of a 2^-40 refinement of (0, 1)), and points next to them *)
+  let grid =
+    List.concat_map
+      (fun l ->
+        (* j odd, so g lies on level l and on no coarser one *)
+        let j = 1 + (2 * Random.State.int st (1 lsl (min l 29 - 1))) in
+        let g = Q.div (Q.of_int j) (pow2 l) in
+        let near d = Q.add g (Q.div (Q.of_int d) (pow2 (l + 60))) in
+        List.map
+          (fun r ->
+            let p = quad_of_roots r (Q.of_int 5) in
+            (p, unit_root p))
+          [ g; near 1; near (-1) ])
+      [ 1; 2; 3; 7; 20; 33; 40; 41 ]
+  in
+  (* wider than isolation: (lo, hi) around one of two roots *)
+  let wide =
+    List.init 40 (fun _ ->
+        let r = rand_q 50 7 and s = Q.add (Q.of_int 60) (rand_q 20 3) in
+        let p = quad_of_roots r s in
+        let lo = Q.sub r (Q.of_ints (1 + Random.State.int st 100) (1 + Random.State.int st 9)) in
+        let hi = Q.add r (Q.of_ints 1 (1 + Random.State.int st 30)) in
+        (p, Alg.root_of_isolating_exn p ~lo ~hi))
+  in
+  (* an interval reaching almost to both neighbouring roots, so that
+     several fresh isolating intervals meet it and [pp] needs [compare] *)
+  let crowded =
+    List.map
+      (fun (lo, hi) ->
+        let p = QP.mul (quad_of_roots (Q.of_ints 1 3) (Q.of_ints 10 3)) (poly [ -2; 0; 1 ]) in
+        (p, Alg.root_of_isolating_exn p ~lo ~hi))
+      [ (Q.of_ints 3334 10000, Q.of_ints 33333 10000); (Q.of_ints 1 2, Q.of_int 3) ]
+  in
+  linear @ quadratics @ grid @ wide @ crowded
+
+let test_refine_matches_loop () =
+  List.iter
+    (fun w ->
+      List.iter
+        (fun (p, x) ->
+          let lo, hi = Alg.bounds x in
+          let want =
+            if Q.equal lo hi then `Point lo else reference_refine (QP.squarefree p) lo hi w
+          in
+          let got = refined x w in
+          if want <> got then
+            Alcotest.failf "refine_until_width from (%s, %s): want %s, got %s" (Q.to_string lo)
+              (Q.to_string hi) (show_refined want) (show_refined got))
+        (refine_corpus ()))
+    [ w40; Q.of_ints 1 1000; Q.of_ints 1 3; Q.of_int 7 ]
+
+(* Narrowed below 2^-40 by comparisons: the interval is already final. *)
+let test_refine_already_narrow () =
+  let p = poly [ -2; 0; 1 ] in
+  let x = List.nth (Alg.roots p) 1 in
+  ignore (Alg.compare x (Alg.of_rat (Q.of_ints 141421356237 100000000000)));
+  for _ = 1 to 45 do Alg.refine_step x done;
+  let lo, hi = Alg.bounds x in
+  Alcotest.(check bool) "narrower than 2^-40" true (Q.compare (Q.sub hi lo) w40 < 0);
+  Alcotest.(check bool) "returned as is" true (refined x w40 = `Cell (lo, hi));
+  (* a bisection that landed on a rational root leaves a Root centred on
+     it; refining again names the rational *)
+  let p = quad_of_roots (Q.of_ints 1 2) (Q.of_int 7) in
+  let x = Alg.root_of_isolating_exn p ~lo:Q.zero ~hi:Q.one in
+  Alg.refine_step x;
+  Alcotest.(check bool) "rational found" true (refined x w40 = `Point (Q.of_ints 1 2))
+
+let test_pp_matches_reference () =
+  let st = Random.State.make [| 7 |] in
+  List.iter
+    (fun (p, x) ->
+      (* print before [reference_pp]'s comparisons narrow [x], and after
+         a further history of refinement *)
+      let got_fresh = Format.asprintf "%a" Alg.pp x in
+      let want = reference_pp p x in
+      for _ = 1 to Random.State.int st 60 do Alg.refine_step x done;
+      let got_refined = Format.asprintf "%a" Alg.pp x in
+      Alcotest.(check string) "fresh" want got_fresh;
+      Alcotest.(check string) "after refinement" want got_refined)
+    (refine_corpus ())
+
 let () =
   Alcotest.run "poly"
     [ ("ring", [
@@ -403,6 +569,11 @@ let () =
         Alcotest.test_case "sign_of_poly_at" `Quick test_alg_sign_of_poly;
         Alcotest.test_case "rational_between" `Quick test_rational_between;
         Alcotest.test_case "to_rat" `Quick test_alg_to_rat;
+      ]);
+      ("canonical", [
+        Alcotest.test_case "refine_until_width = bisection loop" `Quick test_refine_matches_loop;
+        Alcotest.test_case "refine narrowed or rational roots" `Quick test_refine_already_narrow;
+        Alcotest.test_case "pp = compare-picked bisection" `Quick test_pp_matches_reference;
       ]);
       ("algnum-props", alg_props);
       ("shadow", [
