@@ -610,12 +610,27 @@ let a3 () =
 
 module DStore = Moq_durable.Store
 
+(* An experiment's scratch directory [moq_bench_<name>_<pid>], emptied if a
+   previous run left files in it; and its removal. *)
+let clear_dir d =
+  if Sys.file_exists d then
+    Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d)
+
+let fresh_dir name =
+  let d =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "moq_bench_%s_%d" name (Unix.getpid ()))
+  in
+  clear_dir d;
+  d
+
+let rm_dir d =
+  clear_dir d;
+  try Unix.rmdir d with Unix.Unix_error _ -> ()
+
 let r1 () =
   header "R1" "Durable store: WAL ingest and crash-recovery throughput (fsync off)";
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "moq_bench_r1_%d" (Unix.getpid ()))
-  in
+  let dir = fresh_dir "r1" in
   row "%8s %8s %16s %20s %10s\n" "N" "updates" "ingest (us/upd)" "recover (us/replay)" "replayed";
   List.iter
     (fun n ->
@@ -646,8 +661,7 @@ let r1 () =
         (t_rec /. float_of_int (max 1 r.DStore.replayed) *. 1e6)
         r.DStore.replayed)
     [ 64; 256; 1024 ];
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
+  rm_dir dir;
   row "replay re-validates every record (CRC + Mobdb.apply); the checkpoint cadence bounds\n";
   row "how much log a crash can leave -- recovery cost tracks records since the snapshot\n"
 
@@ -694,12 +708,7 @@ let s1 () =
   let connections = 32 and n = 12 and updates_per_client = 10 in
   bench_n := n;
   bench_seed := 7;
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "moq_bench_s1_%d" (Unix.getpid ()))
-  in
-  if Sys.file_exists dir then
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  let dir = fresh_dir "s1" in
   let db = Gen.uniform_db ~seed:7 ~n ~extent:100 ~speed:6 () in
   let hi = q (connections * updates_per_client + 20) in
   let cfg =
@@ -809,8 +818,7 @@ let s1 () =
     && String.equal knn_pre (knn_timeline r.DStore.db)
   in
   if not identical then failwith "s1: recovered MOD diverged from the served one";
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
+  rm_dir dir;
   let requests = connections * updates_per_client in
   let rps = float_of_int requests /. wall in
   let sorted = Array.copy latencies in
@@ -854,21 +862,6 @@ let s2 () =
   in
   bench_n := n;
   bench_seed := base_seed;
-  let fresh_dir tag =
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "moq_bench_s2_%s_%d" tag (Unix.getpid ()))
-    in
-    if Sys.file_exists d then
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-    d
-  in
-  let rm_dir d =
-    if Sys.file_exists d then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-      try Unix.rmdir d with Unix.Unix_error _ -> ()
-    end
-  in
   let wait_until ?(deadline = 30.) what pred =
     let t0 = Unix.gettimeofday () in
     let rec go () =
@@ -989,8 +982,8 @@ let s2 () =
   List.iter
     (fun r ->
       let db = Gen.uniform_db ~seed:11 ~n ~extent:100 ~speed:6 () in
-      let pdir = fresh_dir (Printf.sprintf "p%d" r) in
-      let fdirs = List.init r (fun i -> fresh_dir (Printf.sprintf "f%d_%d" r i)) in
+      let pdir = fresh_dir (Printf.sprintf "s2_p%d" r) in
+      let fdirs = List.init r (fun i -> fresh_dir (Printf.sprintf "s2_f%d_%d" r i)) in
       let proxy_ports = List.init r (fun _ -> reserve_port ()) in
       (* children first (the parent is still single-threaded: forking with
          live proxy threads could leave the child a locked runtime) *)
@@ -1152,21 +1145,6 @@ let o1 () =
   let n = 16 and updates = 400 and reps = 5 in
   bench_n := n;
   bench_seed := 5;
-  let fresh_dir tag =
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "moq_bench_o1_%s_%d" tag (Unix.getpid ()))
-    in
-    if Sys.file_exists d then
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-    d
-  in
-  let rm_dir d =
-    if Sys.file_exists d then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-      try Unix.rmdir d with Unix.Unix_error _ -> ()
-    end
-  in
   let wait_until ?(deadline = 30.) what pred =
     let t0 = Unix.gettimeofday () in
     while (not (pred ())) && Unix.gettimeofday () -. t0 < deadline do
@@ -1179,7 +1157,7 @@ let o1 () =
      (rps, e2e samples [traced runs only], lag gauge samples, final lag). *)
   let run_mode ~trace rep =
     let tag = Printf.sprintf "%s%d" (if trace then "on" else "off") rep in
-    let pdir = fresh_dir ("p" ^ tag) and fdir = fresh_dir ("f" ^ tag) in
+    let pdir = fresh_dir ("o1_p" ^ tag) and fdir = fresh_dir ("o1_f" ^ tag) in
     let db = Gen.uniform_db ~seed:5 ~n ~extent:100 ~speed:6 () in
     let cfg ~dir ~init_db ~follow reg =
       ignore reg;
@@ -1387,21 +1365,6 @@ let o2 () =
   let n = 16 and updates = 400 and reps = 5 in
   bench_n := n;
   bench_seed := 6;
-  let fresh_dir tag =
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "moq_bench_o2_%s_%d" tag (Unix.getpid ()))
-    in
-    if Sys.file_exists d then
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-    d
-  in
-  let rm_dir d =
-    if Sys.file_exists d then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-      try Unix.rmdir d with Unix.Unix_error _ -> ()
-    end
-  in
   (* One rep: a primary with one subscribed client; the writer pushes
      [updates] chronological chdirs with a k-NN query every 64.  The two
      modes run the identical request sequence; only the observability
@@ -1410,7 +1373,7 @@ let o2 () =
      capture path is actually exercised), off = all three disabled. *)
   let slowq_captured = ref 0 and flight_recorded = ref 0 in
   let run_mode ~obs rep =
-    let dir = fresh_dir (Printf.sprintf "%s%d" (if obs then "on" else "off") rep) in
+    let dir = fresh_dir (Printf.sprintf "o2_%s%d" (if obs then "on" else "off") rep) in
     let db = Gen.uniform_db ~seed:6 ~n ~extent:100 ~speed:6 () in
     let reg = if obs then !bench_reg else Registry.create () in
     let cfg =
@@ -1550,33 +1513,23 @@ let o2 () =
          { oid; tau = q (j + 1);
            a = Qvec.of_list [ q (s * (1 + (j mod 3))); q 0 ] })
   done;
-  let hot =
-    List.map
-      (fun (h : MonX.E.hot) ->
-        { Explain.oid = h.MonX.E.h_oid; comparisons = h.MonX.E.h_comparisons;
-          swaps = h.MonX.E.h_swaps })
-      (MonX.hot_objects m)
-  in
+  let hot = MonX.hot_objects m in
   let report =
     Explain.make ~kind:"past" ~query:"o2 skewed nearest" ~backend:"exact"
       ~n_objects:(movers + cold) ~lo:0. ~hi:(float_of_int (hot_updates + 10))
-      ~timeline_pieces:0
-      ~sweep:
-        { Explain.batches = 0; crossings = 0; births = 0; deaths = 0; jumps = 0;
-          swaps = 0; comparisons = 0; support_changes = 0 }
-      ~hot ~counters:(Registry.flatten !bench_reg) ()
+      ~timeline_pieces:0 ~sweep:Explain.zero_sweep ~hot
+      ~counters:(Registry.flatten !bench_reg) ()
   in
   let coverage = 100. *. Explain.hot_coverage report in
-  let total_cmp = List.fold_left (fun a h -> a + h.Explain.comparisons) 0 hot in
-  let top5_cmp =
-    List.fold_left (fun a h -> a + h.Explain.comparisons) 0 (Explain.top_hot report)
-  in
+  let comparisons = List.fold_left (fun a h -> a + h.MonX.E.h_comparisons) 0 in
+  let total_cmp = comparisons hot in
+  let top5_cmp = comparisons (Explain.top_hot report) in
   row "hot-object attribution (skewed: %d movers / %d bystanders, %d updates):\n"
     movers cold hot_updates;
   List.iter
     (fun h ->
-      row "  oid %-4d %7d comparisons %6d swaps\n" h.Explain.oid
-        h.Explain.comparisons h.Explain.swaps)
+      row "  oid %-4d %7d comparisons %6d swaps\n" h.MonX.E.h_oid
+        h.MonX.E.h_comparisons h.MonX.E.h_swaps)
     (Explain.top_hot report);
   row "top-5 cover %.1f%% of %d attributed comparisons\n" coverage total_cmp;
   if total_cmp = 0 then failwith "o2: no comparisons were attributed";

@@ -35,6 +35,7 @@ module J = Moq_obs.Json
 module Log = Moq_obs.Log
 module Recorder = Moq_obs.Recorder
 module Explain = Moq_core.Explain
+module Sweep_cost = Moq_core.Sweep_cost
 module Agg = Moq_agg.Agg
 module AggX = Moq_agg.Agg.Make (BX)
 module AlibiX = Moq_agg.Alibi.Make (BX)
@@ -395,17 +396,32 @@ let show_cmd =
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   Cmd.v (Cmd.info "show" ~doc:"Pretty-print a saved MOD") Term.(const show_run $ path)
 
-(* Backend selection: the sweep, monitor and k-NN pipelines are functors
-   over Backend.S, so one flag picks exact, filtered or approx. *)
+(* Backend selection: one table.  [m] is the numeric backend the sweep,
+   monitor and k-NN functors run on; [sharded] runs k-NN on the spatially
+   sharded, index-pruned driver; [filtered] says Filtered's hit and miss
+   counters describe the run. *)
 module BFl = Moq_core.Backend.Filtered
+
+type backend = {
+  id : string;
+  m : (module Moq_core.Backend.S);
+  sharded : bool;
+  filtered : bool;
+}
+
+let backends =
+  [ { id = "exact"; m = (module BX); sharded = false; filtered = false };
+    { id = "filtered"; m = (module BFl); sharded = false; filtered = true };
+    { id = "approx"; m = (module Moq_core.Backend.Approx); sharded = false;
+      filtered = false };
+    { id = "sharded-filtered"; m = (module BFl); sharded = true;
+      filtered = true } ]
+
+let exact_backend = List.hd backends
 
 let backend_arg =
   Arg.(value
-       & opt
-           (enum
-              [ ("exact", `Exact); ("filtered", `Filtered);
-                ("approx", `Approx); ("sharded-filtered", `ShardedFl) ])
-           `Exact
+       & opt (enum (List.map (fun b -> (b.id, b)) backends)) exact_backend
        & info [ "backend" ]
            ~doc:"Numeric backend: $(b,exact) (rational/algebraic), $(b,filtered) \
                  (float-interval fast path with exact fallback, same answers as exact), \
@@ -413,55 +429,58 @@ let backend_arg =
                  (filtered arithmetic under the spatially sharded, \
                  index-pruned sweep driver — same answers as exact)")
 
-let backend_module = function
-  | `Exact -> (module BX : Moq_core.Backend.S)
-  | `Filtered | `ShardedFl -> (module BFl : Moq_core.Backend.S)
-  | `Approx -> (module Moq_core.Backend.Approx : Moq_core.Backend.S)
+(* One k-NN run to the origin, whichever driver swept it. *)
+type knn_out = {
+  pp_timeline : Format.formatter -> unit;
+  pieces : int;
+  cost : Sweep_cost.stats;
+  hot : Sweep_cost.hot list;
+  shards : Explain.shards option;  (* sharded runs only *)
+}
 
-let print_filter_stats = function
-  | `Filtered | `ShardedFl ->
-    let s = BFl.filter_stats () in
-    Format.printf "filter: %d hits, %d misses (%.1f%% hit rate)@." s.BFl.hits s.BFl.misses
-      (100.0 *. float_of_int s.BFl.hits /. float_of_int (max 1 s.BFl.decisions))
-  | `Exact | `Approx -> ()
-
-module Knn_pipeline (B : Moq_core.Backend.S) = struct
+module Pipeline (B : Moq_core.Backend.S) = struct
   module K = Moq_core.Knn.Make (B)
-
-  let run ~db ~gdist ~k ~lo ~hi ~hi_int =
-    let r = K.run ~db ~gdist ~k ~lo ~hi in
-    Format.printf "%d-NN to the origin over [0, %d] (%d objects):@.%a@." k hi_int
-      (DB.cardinal db) K.TL.pp r.K.timeline;
-    Format.printf "%d support changes@." r.K.stats.K.E.crossings
-end
-
-module Sharded_knn_pipeline (B : Moq_core.Backend.S) = struct
   module Sh = Moq_core.Shard.Make (B)
+  module Sw = Moq_core.Sweep.Make (B)
+  module Mon = Moq_core.Monitor.Make (B)
 
-  let run ~db ~gamma ~k ~lo ~hi ~hi_int =
-    let r = Sh.run ~db ~gamma ~k ~lo ~hi () in
-    Format.printf "%d-NN to the origin over [0, %d] (%d objects):@.%a@." k hi_int
-      (DB.cardinal db) Sh.TL.pp r.Sh.timeline;
-    Format.printf "%d support changes@." r.Sh.stats.Sh.E.crossings;
-    let s = r.Sh.shard in
-    Format.printf "shards: %d/%d touched, %d admitted, %d pruned@."
-      s.Sh.shards_touched s.Sh.shards_total s.Sh.admitted s.Sh.pruned
+  let knn ~sink ~sharded ~db ~gamma ~k ~lo ~hi =
+    if sharded then
+      let r = Sh.run_obs ~sink ~db ~gamma ~k ~lo ~hi () in
+      { pp_timeline = (fun ppf -> Sh.TL.pp ppf r.Sh.timeline);
+        pieces = List.length r.Sh.timeline; cost = r.Sh.stats; hot = r.Sh.hot;
+        shards = Some (Sh.shards_block r.Sh.shard) }
+    else
+      let gdist = Gdist.euclidean_sq ~gamma in
+      let r = K.run_obs ~sink ~db ~gdist ~k ~lo ~hi in
+      { pp_timeline = (fun ppf -> K.TL.pp ppf r.K.timeline);
+        pieces = List.length r.K.timeline; cost = r.K.stats; hot = r.K.hot;
+        shards = None }
 end
 
 let knn_run seed n k hi dbfile backend =
   let db = load_or_gen dbfile seed n in
   let gamma = T.stationary ~start:(q 0) (Qvec.zero 2) in
-  let gdist = Gdist.euclidean_sq ~gamma in
   BFl.reset_filter_stats ();
-  let module B = (val backend_module backend) in
-  (match backend with
-   | `ShardedFl ->
-     let module P = Sharded_knn_pipeline (B) in
-     P.run ~db ~gamma ~k ~lo:(q 0) ~hi:(q hi) ~hi_int:hi
-   | `Exact | `Filtered | `Approx ->
-     let module P = Knn_pipeline (B) in
-     P.run ~db ~gdist ~k ~lo:(q 0) ~hi:(q hi) ~hi_int:hi);
-  print_filter_stats backend
+  let module B = (val backend.m) in
+  let module P = Pipeline (B) in
+  let r =
+    P.knn ~sink:Sink.noop ~sharded:backend.sharded ~db ~gamma ~k ~lo:(q 0)
+      ~hi:(q hi)
+  in
+  Format.printf "%d-NN to the origin over [0, %d] (%d objects):@.%t@." k hi
+    (DB.cardinal db) r.pp_timeline;
+  Format.printf "%d support changes@." r.cost.crossings;
+  Option.iter
+    (fun (s : Explain.shards) ->
+      Format.printf "shards: %d/%d touched, %d admitted, %d pruned@."
+        s.s_touched s.s_total s.s_admitted s.s_pruned)
+    r.shards;
+  if backend.filtered then begin
+    let s = BFl.filter_stats () in
+    Format.printf "filter: %d hits, %d misses (%.1f%% hit rate)@." s.BFl.hits s.BFl.misses
+      (100.0 *. float_of_int s.BFl.hits /. float_of_int (max 1 s.BFl.decisions))
+  end
 
 let knn_cmd =
   let k = Arg.(value & opt int 1 & info [ "k"; "neighbours" ] ~doc:"Number of neighbours") in
@@ -787,85 +806,6 @@ let ingest_cmd =
 (* moq explain: plan + cost report for one query run                   *)
 (* ------------------------------------------------------------------ *)
 
-let backend_name = function
-  | `Exact -> "exact"
-  | `Filtered -> "filtered"
-  | `Approx -> "approx"
-  | `ShardedFl -> "sharded-filtered"
-
-(* Runs one query under an instrumented sink and flattens the functorized
-   engine stats / hot lists into Explain's plain data. *)
-module Explain_pipeline (B : Moq_core.Backend.S) = struct
-  module Sw = Moq_core.Sweep.Make (B)
-  module K = Moq_core.Knn.Make (B)
-  module Sh = Moq_core.Shard.Make (B)
-
-  let run_knn ~sink ~db ~gdist ~k ~lo ~hi =
-    let r = K.run_obs ~sink ~db ~gdist ~k ~lo ~hi in
-    let s = r.K.stats in
-    let sweep =
-      { Explain.batches = s.K.E.batches; crossings = s.K.E.crossings;
-        births = s.K.E.births; deaths = s.K.E.deaths; jumps = s.K.E.jumps;
-        swaps = s.K.E.swaps; comparisons = s.K.E.comparisons;
-        support_changes = s.K.E.crossings + s.K.E.births + s.K.E.deaths }
-    in
-    let hot =
-      List.map
-        (fun (h : K.E.hot) ->
-          { Explain.oid = h.K.E.h_oid; comparisons = h.K.E.h_comparisons;
-            swaps = h.K.E.h_swaps })
-        r.K.hot
-    in
-    (sweep, hot, List.length r.K.timeline, None)
-
-  let run_knn_sharded ~sink ~db ~gamma ~k ~lo ~hi =
-    let r = Sh.run_obs ~sink ~db ~gamma ~k ~lo ~hi () in
-    let s = r.Sh.stats in
-    let sweep =
-      { Explain.batches = s.Sh.E.batches; crossings = s.Sh.E.crossings;
-        births = s.Sh.E.births; deaths = s.Sh.E.deaths; jumps = s.Sh.E.jumps;
-        swaps = s.Sh.E.swaps; comparisons = s.Sh.E.comparisons;
-        support_changes = s.Sh.E.crossings + s.Sh.E.births + s.Sh.E.deaths }
-    in
-    let hot =
-      List.map
-        (fun (h : Sh.E.hot) ->
-          { Explain.oid = h.Sh.E.h_oid; comparisons = h.Sh.E.h_comparisons;
-            swaps = h.Sh.E.h_swaps })
-        r.Sh.hot
-    in
-    let sb = r.Sh.shard in
-    let shards =
-      { Explain.s_total = sb.Sh.shards_total; s_touched = sb.Sh.shards_touched;
-        s_admitted = sb.Sh.admitted; s_pruned = sb.Sh.pruned;
-        s_merge_ops = sb.Sh.frontier_merge_ops; s_events = sb.Sh.shard_events;
-        s_band = sb.Sh.band }
-    in
-    (sweep, hot, List.length r.Sh.timeline, Some shards)
-
-  let run_past ~sink ~db ~gdist ~query =
-    let r = Sw.run_obs ~sink ~db ~gdist ~query in
-    let s = r.Sw.stats in
-    let sweep =
-      { Explain.batches = s.Sw.E.batches; crossings = s.Sw.E.crossings;
-        births = s.Sw.E.births; deaths = s.Sw.E.deaths; jumps = s.Sw.E.jumps;
-        swaps = s.Sw.E.swaps; comparisons = s.Sw.E.comparisons;
-        support_changes = r.Sw.support_changes }
-    in
-    let hot =
-      List.map
-        (fun (h : Sw.E.hot) ->
-          { Explain.oid = h.Sw.E.h_oid; comparisons = h.Sw.E.h_comparisons;
-            swaps = h.Sw.E.h_swaps })
-        r.Sw.hot
-    in
-    (sweep, hot, List.length r.Sw.timeline, None)
-end
-
-let zero_sweep =
-  { Explain.batches = 0; crossings = 0; births = 0; deaths = 0; jumps = 0;
-    swaps = 0; comparisons = 0; support_changes = 0 }
-
 let explain_report kind seed n k lo hi dbfile backend =
   if hi < lo then die "explain: empty window [%d, %d]" lo hi;
   let reg = Registry.create () in
@@ -879,9 +819,16 @@ let explain_report kind seed n k lo hi dbfile backend =
   let classification =
     Format.asprintf "%a" Classify.pp (Classify.classify db query)
   in
+  (* agg always evaluates on the exact backend *)
+  let backend = if kind = `Agg then exact_backend else backend in
   BFl.reset_filter_stats ();
-  let module B = (val backend_module backend) in
-  let module P = Explain_pipeline (B) in
+  let module B = (val backend.m) in
+  let module P = Pipeline (B) in
+  let run_past () =
+    let r = P.Sw.run_obs ~sink ~db ~gdist ~query in
+    (Explain.sweep_of r.P.Sw.stats, r.P.Sw.hot, List.length r.P.Sw.timeline,
+     None)
+  in
   let t1 = Unix.gettimeofday () in
   let agg_block = ref None in
   let kind_s, qdesc, classification, (sweep, hot, pieces, shards) =
@@ -889,7 +836,7 @@ let explain_report kind seed n k lo hi dbfile backend =
     | `Agg ->
       (* continuous POI aggregation over the generated workload: k POIs on
          the extent diagonal, the monitor/harvest path under a short mixed
-         update stream; always evaluated on the exact backend *)
+         update stream *)
       let pois = resolve_pois [] (max 1 k) in
       let cont =
         try
@@ -917,28 +864,28 @@ let explain_report kind seed n k lo hi dbfile backend =
           "%d POI(s), radius 25, window 10, aggregated over [%d, %d]"
           (List.length pois) lo hi,
         "continuing",
-        (zero_sweep, [], List.length rows, None) )
+        (Explain.zero_sweep, [], List.length rows, None) )
     | `Knn ->
       ( "knn",
         Printf.sprintf "%d-NN to the origin over [%d, %d]" k lo hi,
         "n/a",
-        match backend with
-        | `ShardedFl ->
-          P.run_knn_sharded ~sink ~db ~gamma ~k ~lo:(q lo) ~hi:(q hi)
-        | `Exact | `Filtered | `Approx ->
-          P.run_knn ~sink ~db ~gdist ~k ~lo:(q lo) ~hi:(q hi) )
+        let r =
+          P.knn ~sink ~sharded:backend.sharded ~db ~gamma ~k ~lo:(q lo)
+            ~hi:(q hi)
+        in
+        (Explain.sweep_of r.cost, r.hot, r.pieces, r.shards) )
     | `Past ->
       ( "past",
         Printf.sprintf "nearest-neighbour query swept over [%d, %d]" lo hi,
         classification,
-        P.run_past ~sink ~db ~gdist ~query )
+        run_past () )
     | `Cql ->
       (* the Definition 5 classification is the plan: a past query is
          frozen and swept in full; otherwise the sweep belongs to the
          monitor's semi-evaluation and nothing runs here *)
       let run =
-        if classification = "past" then P.run_past ~sink ~db ~gdist ~query
-        else (zero_sweep, [], 0, None)
+        if classification = "past" then run_past ()
+        else (Explain.zero_sweep, [], 0, None)
       in
       ( "cql",
         Printf.sprintf "FO(f) nearest query over [%d, %d] — %s" lo hi
@@ -948,23 +895,18 @@ let explain_report kind seed n k lo hi dbfile backend =
         run )
   in
   let t_run = Unix.gettimeofday () -. t1 in
-  (match backend with
-   | `Filtered | `ShardedFl -> BFl.publish sink
-   | `Exact | `Approx -> ());
   let filter =
-    match backend with
-    | `Filtered | `ShardedFl ->
+    if not backend.filtered then None
+    else begin
+      BFl.publish sink;
       let s = BFl.filter_stats () in
       Some
         { Explain.f_hits = s.BFl.hits; f_misses = s.BFl.misses;
           f_decisions = s.BFl.decisions; f_fallback_ns = s.BFl.fallback_ns;
           f_straddles = s.BFl.straddles }
-    | `Exact | `Approx -> None
+    end
   in
-  let backend_str =
-    match kind with `Agg -> "exact" | _ -> backend_name backend
-  in
-  Explain.make ~kind:kind_s ~query:qdesc ~backend:backend_str
+  Explain.make ~kind:kind_s ~query:qdesc ~backend:backend.id
     ~classification ~n_objects:(DB.cardinal db) ~lo:(float_of_int lo)
     ~hi:(float_of_int hi) ~timeline_pieces:pieces ~sweep ?filter ?shards
     ?agg:!agg_block ~hot
@@ -1239,54 +1181,6 @@ let recover_cmd =
 (* registry.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-module Stats_pipeline (B : Moq_core.Backend.S) = struct
-  module Mon = Moq_core.Monitor.Make (B)
-  module K = Moq_core.Knn.Make (B)
-  module Sh = Moq_core.Shard.Make (B)
-
-  (* Top-5 hottest objects (per-object sweep-cost attribution) as flat
-     gauges: rank-indexed names keep the registry's flat namespace, and the
-     coverage gauge says how concentrated the cost is. *)
-  let publish_hot ~sink hots =
-    let total =
-      List.fold_left (fun a (h : Mon.E.hot) -> a + h.Mon.E.h_comparisons) 0 hots
-    in
-    let top = ref 0 in
-    List.iteri
-      (fun i (h : Mon.E.hot) ->
-        if i < 5 then begin
-          top := !top + h.Mon.E.h_comparisons;
-          Sink.set sink (Printf.sprintf "moq_hot_oid_%d" i)
-            (float_of_int h.Mon.E.h_oid);
-          Sink.set sink (Printf.sprintf "moq_hot_comparisons_%d" i)
-            (float_of_int h.Mon.E.h_comparisons);
-          Sink.set sink (Printf.sprintf "moq_hot_swaps_%d" i)
-            (float_of_int h.Mon.E.h_swaps)
-        end)
-      hots;
-    if total > 0 then
-      Sink.set sink "moq_hot_coverage_pct"
-        (100. *. float_of_int !top /. float_of_int total)
-
-  let run ~sink ~store ~san ~db ~gamma ~gdist ~query ~updates ~hi ~sharded =
-    let m = Mon.create ~sink ~db ~gdist ~query () in
-    List.iter
-      (fun u ->
-        match Store.ingest store san u with
-        | Sanitize.Accepted _ ->
-          (match Mon.apply_update m u with Ok () -> () | Error _ -> ())
-        | Sanitize.Rejected _ | Sanitize.Quarantined _ -> ())
-      updates;
-    ignore (Mon.audit_and_heal m);
-    publish_hot ~sink (Mon.hot_objects m);
-    ignore (Mon.finalize m);
-    Store.close store;
-    (* past-query path, so the sweep metrics are populated too *)
-    if sharded then
-      ignore (Sh.run_obs ~sink ~db:(Store.db store) ~gamma ~k:2 ~lo:(q 0) ~hi ())
-    else ignore (K.run_obs ~sink ~db:(Store.db store) ~gdist ~k:2 ~lo:(q 0) ~hi)
-end
-
 let stats_run seed n count gap dbfile updates_file store_dir every format backend
     log_level log_json =
   setup_logging log_level log_json;
@@ -1312,14 +1206,26 @@ let stats_run seed n count gap dbfile updates_file store_dir every format backen
     | None -> Gen.mixed_stream ~seed:(seed + 1) ~db ~start:(q 0) ~gap:(q gap) ~count ()
   in
   BFl.reset_filter_stats ();
-  let module B = (val backend_module backend) in
-  let module P = Stats_pipeline (B) in
-  P.run ~sink ~store ~san ~db ~gamma ~gdist ~query ~updates ~hi
-    ~sharded:(backend = `ShardedFl);
+  let module B = (val backend.m) in
+  let module P = Pipeline (B) in
+  let m = P.Mon.create ~sink ~db ~gdist ~query () in
+  List.iter
+    (fun u ->
+      match Store.ingest store san u with
+      | Sanitize.Accepted _ ->
+        (match P.Mon.apply_update m u with Ok () -> () | Error _ -> ())
+      | Sanitize.Rejected _ | Sanitize.Quarantined _ -> ())
+    updates;
+  ignore (P.Mon.audit_and_heal m);
+  Sweep_cost.publish_hot sink (P.Mon.hot_objects m);
+  ignore (P.Mon.finalize m);
+  Store.close store;
+  (* past-query path, so the sweep metrics are populated too *)
+  ignore
+    (P.knn ~sink ~sharded:backend.sharded ~db:(Store.db store) ~gamma ~k:2
+       ~lo:(q 0) ~hi);
   (* filtered backend: surface moq_filter_* alongside the engine metrics *)
-  (match backend with
-   | `Filtered | `ShardedFl -> BFl.publish sink
-   | `Exact | `Approx -> ());
+  if backend.filtered then BFl.publish sink;
   (match Store.recover_obs ~sink ~dir with Ok _ -> () | Error _ -> ());
   match format with
   | `Json -> print_endline (Export.json_string reg)

@@ -38,27 +38,7 @@ module Make (B : Backend.S) = struct
   let label e = e.lbl
   let curve e = e.curve
 
-  type stats = {
-    mutable crossings : int;
-    mutable swaps : int;
-    mutable births : int;
-    mutable deaths : int;
-    mutable batches : int;
-    mutable jumps : int;
-        (* discontinuity repositionings: the paper's Section 5 remark allows
-           g-distances with finitely many continuous pieces *)
-    mutable comparisons : int;
-        (* curve-order comparisons: the cost unit of the paper's analysis,
-           which excludes intersection computation *)
-    mutable audit_failures : int; (* audits that found a violated invariant *)
-    mutable rebuilds : int;       (* full O(N log N) self-healing rebuilds *)
-    (* audit violations by invariant kind (see [violation_kind]) *)
-    mutable audit_structure : int;
-    mutable audit_order : int;
-    mutable audit_event : int;
-    mutable audit_dead : int;
-    mutable audit_clock : int;
-  }
+  include Sweep_cost
 
   type violation_kind = V_structure | V_order | V_event | V_dead | V_clock
 
@@ -75,12 +55,6 @@ module Make (B : Backend.S) = struct
      cost is a hashtable probe — [None] (attribution off) skips even
      that. *)
   type attr_cell = { mutable a_cmp : int; mutable a_swap : int }
-
-  type hot = {
-    h_oid : Moq_mod.Oid.t;
-    h_comparisons : int;
-    h_swaps : int;
-  }
 
   type t = {
     order : entry OL.t;
@@ -147,13 +121,7 @@ module Make (B : Backend.S) = struct
       Hashtbl.fold
         (fun oid c acc -> { h_oid = oid; h_comparisons = c.a_cmp; h_swaps = c.a_swap } :: acc)
         h []
-      |> List.sort (fun a b ->
-             match compare b.h_comparisons a.h_comparisons with
-             | 0 ->
-               (match compare b.h_swaps a.h_swaps with
-                | 0 -> Moq_mod.Oid.compare a.h_oid b.h_oid
-                | c -> c)
-             | c -> c)
+      |> rank_hot
 
   let cmp_entries_at t i e1 e2 =
     t.stats.comparisons <- t.stats.comparisons + 1;

@@ -35,29 +35,9 @@ module Make (B : Backend.S) : sig
 
   type t
 
-  type stats = {
-    mutable crossings : int;  (** crossing events processed *)
-    mutable swaps : int;      (** adjacent transpositions performed *)
-    mutable births : int;
-    mutable deaths : int;
-    mutable batches : int;    (** distinct event instants processed *)
-    mutable jumps : int;
-        (** discontinuity repositionings (Section 5's piecewise-continuous
-            g-distance relaxation) *)
-    mutable comparisons : int;
-        (** curve-order comparisons — the cost unit of the paper's analysis,
-            which explicitly excludes intersection computation *)
-    mutable audit_failures : int;
-        (** {!audit_and_heal} passes that found a violated invariant *)
-    mutable rebuilds : int;  (** self-healing {!rebuild} passes performed *)
-    mutable audit_structure : int;
-        (** order-list structural violations (AVL balance, sizes) found *)
-    mutable audit_order : int;  (** sweep-order inversions found *)
-    mutable audit_event : int;
-        (** event-queue/adjacency violations (stale or mistargeted) found *)
-    mutable audit_dead : int;   (** dead entries found still mounted *)
-    mutable audit_clock : int;  (** events found preceding the clock *)
-  }
+  include module type of struct include Sweep_cost end
+  (** The cost records ({!Sweep_cost.stats}, {!Sweep_cost.hot}) and their
+      ranking, merge and publishing, shared by every backend. *)
 
   (** Audit violations, typed by the invariant they break — the per-kind
       counters in {!stats} and the [moq_engine_audit_violation_*_total]
@@ -77,19 +57,8 @@ module Make (B : Backend.S) : sig
       attribution ({!hot_objects}); pass [false] to shave the per-comparison
       table probe off the hot path. *)
 
-  (** Per-object attribution of the sweep's cost units: how many
-      curve-order comparisons and adjacent transpositions each object
-      participated in (a comparison bumps both participants, so the sum
-      over objects is up to 2× {!stats}.comparisons — constant curves from
-      query terms carry the rest). *)
-  type hot = {
-    h_oid : Moq_mod.Oid.t;
-    h_comparisons : int;
-    h_swaps : int;
-  }
-
   val hot_objects : t -> hot list
-  (** Every attributed object, hottest (most comparisons) first; [[]] when
+  (** Every attributed object, ranked by {!Sweep_cost.rank_hot}; [[]] when
       attribution is off. *)
 
   val now : t -> B.instant

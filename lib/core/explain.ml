@@ -1,7 +1,7 @@
 (* Plan + cost report assembly and rendering.  Deliberately functor-free:
-   every field is already a plain int/float/string by the time a report is
-   built, so one module serves all three backends and the CLI can print a
-   report without knowing which functor instantiation produced it. *)
+   every field is plain data (the engine's cost records are Sweep_cost's,
+   outside any functor), so one module serves every backend and the CLI can
+   print a report without knowing which functor instantiation produced it. *)
 
 module Json = Moq_obs.Json
 
@@ -52,12 +52,6 @@ type agg = {
   a_forwarded : int;
 }
 
-type hot = {
-  oid : int;
-  comparisons : int;
-  swaps : int;
-}
-
 type phase = {
   name : string;
   ns : float;
@@ -77,10 +71,18 @@ type t = {
   filter : filter option;
   shards : shards option;
   agg : agg option;
-  hot : hot list;
+  hot : Sweep_cost.hot list;
   phases : phase list;
   counters : (string * float) list;
 }
+
+let sweep_of (s : Sweep_cost.stats) =
+  { batches = s.batches; crossings = s.crossings; births = s.births;
+    deaths = s.deaths; jumps = s.jumps; swaps = s.swaps;
+    comparisons = s.comparisons;
+    support_changes = Sweep_cost.support_changes s }
+
+let zero_sweep = sweep_of (Sweep_cost.zero_stats ())
 
 let lemma9_bound ~n_objects =
   8. +. (4. *. (log (float_of_int (n_objects + 1)) /. log 2.))
@@ -115,16 +117,12 @@ let top_hot ?(k = 5) t =
   take (max 0 k) t.hot
 
 let hot_coverage t =
-  let total =
-    List.fold_left (fun a h -> a + h.comparisons) 0 t.hot
+  let sum =
+    List.fold_left (fun a (h : Sweep_cost.hot) -> a + h.h_comparisons) 0
   in
+  let total = sum t.hot in
   if total = 0 then 0.
-  else begin
-    let top =
-      List.fold_left (fun a h -> a + h.comparisons) 0 (top_hot ~k:5 t)
-    in
-    float_of_int top /. float_of_int total
-  end
+  else float_of_int (sum (top_hot ~k:5 t)) /. float_of_int total
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -183,11 +181,11 @@ let agg_to_json a =
       ("forwarded", Json.Int a.a_forwarded);
     ]
 
-let hot_to_json h =
+let hot_to_json (h : Sweep_cost.hot) =
   Json.Obj
-    [ ("oid", Json.Int h.oid);
-      ("comparisons", Json.Int h.comparisons);
-      ("swaps", Json.Int h.swaps);
+    [ ("oid", Json.Int h.h_oid);
+      ("comparisons", Json.Int h.h_comparisons);
+      ("swaps", Json.Int h.h_swaps);
     ]
 
 let phase_to_json p =
@@ -300,9 +298,9 @@ let to_text t =
      line "hot objects (top %d of %d, %.0f%% of attributed comparisons)"
        (List.length hs) (List.length t.hot) (100. *. hot_coverage t);
      List.iter
-       (fun h ->
-         line "  oid %-6d    %d comparisons, %d swaps" h.oid h.comparisons
-           h.swaps)
+       (fun (h : Sweep_cost.hot) ->
+         line "  oid %-6d    %d comparisons, %d swaps" h.h_oid h.h_comparisons
+           h.h_swaps)
        hs);
   (match t.phases with
    | [] -> ()

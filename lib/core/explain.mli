@@ -1,7 +1,7 @@
 (** Query plan + cost reports ([moq explain]).
 
     A report is plain data (ints, floats, strings — no functor types) built
-    after a query run from three sources: the engine's {!Engine.Make.stats},
+    after a query run from three sources: the engine's {!Sweep_cost.stats},
     the backend's filter statistics (when the interval-filtered backend ran),
     and the observability registry the run counted into.  It answers, for one
     concrete query: which backend evaluated it, how much sweep work it did
@@ -14,7 +14,7 @@
     tooling; the JSON schema is golden-tested and versioned by
     [moq_explain]. *)
 
-(** Engine counters for the run (from {!Engine.Make.stats}). *)
+(** Engine counters for the run (from {!Sweep_cost.stats}). *)
 type sweep = {
   batches : int;       (** distinct event instants processed *)
   crossings : int;
@@ -70,13 +70,6 @@ type agg = {
   a_forwarded : int; (** update deliveries into per-POI monitors *)
 }
 
-(** Per-object attribution, hottest first. *)
-type hot = {
-  oid : int;
-  comparisons : int;
-  swaps : int;
-}
-
 (** A named wall-clock phase of the run. *)
 type phase = {
   name : string;
@@ -84,9 +77,12 @@ type phase = {
 }
 
 type t = {
-  kind : string;     (** ["past"] | ["knn"] | ["cql"] *)
+  kind : string;
+      (** ["past"] | ["knn"] | ["cql"] | ["agg"] from [moq explain];
+          ["knn"] | ["range"] from the server's slow-query capture *)
   query : string;    (** human-readable description of what ran *)
-  backend : string;  (** ["exact"] | ["filtered"] | ["approx"] *)
+  backend : string;
+      (** ["exact"] | ["filtered"] | ["approx"] | ["sharded-filtered"] *)
   classification : string;
       (** Definition 5 classification of the query against the MOD clock:
           ["past"] | ["continuing"] | ["future"]; ["n/a"] when the run is
@@ -100,12 +96,18 @@ type t = {
   filter : filter option;
   shards : shards option;
   agg : agg option;
-  hot : hot list;
+  hot : Sweep_cost.hot list;  (** hottest first ({!Sweep_cost.rank_hot}) *)
   phases : phase list;
   counters : (string * float) list;
       (** the run's registry, flattened — lets a reader reconcile the
           report against the exported metrics *)
 }
+
+val sweep_of : Sweep_cost.stats -> sweep
+(** A run's sweep block; [support_changes] is {!Sweep_cost.support_changes}. *)
+
+val zero_sweep : sweep
+(** The sweep block of a run that swept nothing. *)
 
 val lemma9_bound : n_objects:int -> float
 (** The reference line [8 + 4·log2 (N+1)] comparisons per event.  The
@@ -115,7 +117,8 @@ val lemma9_bound : n_objects:int -> float
 val make :
   kind:string -> query:string -> backend:string -> ?classification:string ->
   n_objects:int -> lo:float -> hi:float -> timeline_pieces:int ->
-  sweep:sweep -> ?filter:filter -> ?shards:shards -> ?agg:agg -> ?hot:hot list ->
+  sweep:sweep -> ?filter:filter -> ?shards:shards -> ?agg:agg ->
+  ?hot:Sweep_cost.hot list ->
   ?phases:phase list ->
   counters:(string * float) list -> unit -> t
 (** Assemble a report.  The {!lemma9} block is derived here: events and
@@ -123,7 +126,7 @@ val make :
     [moq_sweep_comparisons_total] counters (falling back to zero when the
     run was unobserved), the bound from {!lemma9_bound}. *)
 
-val top_hot : ?k:int -> t -> hot list
+val top_hot : ?k:int -> t -> Sweep_cost.hot list
 (** First [k] (default 5) hot objects. *)
 
 val hot_coverage : t -> float

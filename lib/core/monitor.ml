@@ -184,18 +184,16 @@ module Make (B : Backend.S) = struct
       if Q.compare m.clock tau_eff < 0 then m.clock <- tau_eff;
       Ok ()
 
+  let hot_objects m = E.hot_objects m.engine
+
   (* Corollary 6 check: per-update latency and the support-change count m
      this update triggered (events processed while advancing to the update
      time, plus the update's own births/deaths). *)
-  let support_of (s : E.stats) = s.E.crossings + s.E.births + s.E.deaths
-
-  let hot_objects m = E.hot_objects m.engine
-
   let apply_update m (u : U.t) : (unit, DB.error) result =
     if not (Sink.active m.sink) then apply_update_raw m u
     else begin
       Sink.count m.sink "moq_monitor_updates_total" 1;
-      let s0 = support_of (E.stats m.engine) in
+      let s0 = E.support_changes (E.stats m.engine) in
       let r =
         Sink.time m.sink "moq_monitor_update_seconds" (fun () ->
             apply_update_raw m u)
@@ -203,7 +201,7 @@ module Make (B : Backend.S) = struct
       (match r with
        | Ok () ->
          Sink.observe m.sink "moq_monitor_support_delta"
-           (float_of_int (support_of (E.stats m.engine) - s0))
+           (float_of_int (E.support_changes (E.stats m.engine) - s0))
        | Error _ -> Sink.count m.sink "moq_monitor_update_errors_total" 1);
       r
     end

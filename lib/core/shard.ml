@@ -158,35 +158,8 @@ module Make (B : Backend.S) = struct
   (* The driver                                                        *)
   (* ---------------------------------------------------------------- *)
 
-  let zero_stats () =
-    { E.crossings = 0; swaps = 0; births = 0; deaths = 0; batches = 0;
-      jumps = 0; comparisons = 0; audit_failures = 0; rebuilds = 0;
-      audit_structure = 0; audit_order = 0; audit_event = 0; audit_dead = 0;
-      audit_clock = 0 }
-
-  let accumulate acc (s : E.stats) =
-    acc.E.crossings <- acc.E.crossings + s.E.crossings;
-    acc.E.swaps <- acc.E.swaps + s.E.swaps;
-    acc.E.births <- acc.E.births + s.E.births;
-    acc.E.deaths <- acc.E.deaths + s.E.deaths;
-    acc.E.batches <- acc.E.batches + s.E.batches;
-    acc.E.jumps <- acc.E.jumps + s.E.jumps;
-    acc.E.comparisons <- acc.E.comparisons + s.E.comparisons;
-    acc.E.audit_failures <- acc.E.audit_failures + s.E.audit_failures;
-    acc.E.rebuilds <- acc.E.rebuilds + s.E.rebuilds
-
   let events_of (s : E.stats) =
     s.E.crossings + s.E.births + s.E.deaths + s.E.jumps
-
-  let merge_hot tbl hots =
-    List.iter
-      (fun (h : E.hot) ->
-        let c, s =
-          Option.value ~default:(0, 0) (Hashtbl.find_opt tbl h.E.h_oid)
-        in
-        Hashtbl.replace tbl h.E.h_oid
-          (c + h.E.h_comparisons, s + h.E.h_swaps))
-      hots
 
   let run_obs ~(sink : Sink.t) ~(db : DB.t) ~(gamma : T.t) ~(k : int)
       ~(lo : Q.t) ~(hi : Q.t) ?(cell = default_cell) () : result =
@@ -216,8 +189,8 @@ module Make (B : Backend.S) = struct
             (DB.find db o))
         oids
     in
-    let stats = zero_stats () in
-    let hot_tbl = Hashtbl.create 64 in
+    let stats = E.zero_stats () in
+    let hots = ref [] in
     let touched = ref 0 in
     let shard_events = ref 0 in
     (Sink.time sink "moq_shard_sweep_seconds" @@ fun () ->
@@ -237,8 +210,8 @@ module Make (B : Backend.S) = struct
            let eng = sweep_shard ~sink ~admit ~k ~lo ~hi (entries_of members) in
            let s = E.stats eng in
            shard_events := !shard_events + events_of s;
-           accumulate stats s;
-           merge_hot hot_tbl (E.hot_objects eng)
+           E.accumulate stats s;
+           hots := E.hot_objects eng :: !hots
          end)
        shards);
     (* Merge sweep over the admitted union: the same emit protocol as the
@@ -290,9 +263,7 @@ module Make (B : Backend.S) = struct
           :: TL.Span (last, hi_i, answer_span ())
           :: !pieces
     end;
-    let merge_stats = E.stats eng in
-    accumulate stats merge_stats;
-    merge_hot hot_tbl (E.hot_objects eng);
+    E.accumulate stats (E.stats eng);
     let n_admitted = List.length admitted_oids in
     let shard =
       { shards_total = List.length shards;
@@ -309,17 +280,14 @@ module Make (B : Backend.S) = struct
     Sink.count sink "moq_shard_prunes_total" shard.pruned;
     Sink.count sink "moq_shard_frontier_merge_ops_total" shard.frontier_merge_ops;
     Sink.count sink "moq_shard_events_total" shard.shard_events;
-    let hot =
-      Hashtbl.fold
-        (fun o (c, s) acc ->
-          { E.h_oid = o; h_comparisons = c; h_swaps = s } :: acc)
-        hot_tbl []
-      |> List.sort (fun (a : E.hot) b ->
-             match compare b.E.h_comparisons a.E.h_comparisons with
-             | 0 -> Oid.compare a.E.h_oid b.E.h_oid
-             | c -> c)
-    in
+    let hot = E.merge_hot (E.hot_objects eng :: !hots) in
     { timeline = TL.simplify (List.rev !pieces); stats; shard; hot }
+
+  let shards_block s =
+    { Explain.s_total = s.shards_total; s_touched = s.shards_touched;
+      s_admitted = s.admitted; s_pruned = s.pruned;
+      s_merge_ops = s.frontier_merge_ops; s_events = s.shard_events;
+      s_band = s.band }
 
   let run ~db ~gamma ~k ~lo ~hi ?cell () =
     run_obs ~sink:Sink.noop ~db ~gamma ~k ~lo ~hi ?cell ()

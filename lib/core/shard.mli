@@ -67,7 +67,9 @@ module Make (B : Backend.S) : sig
     timeline : TL.t;  (** bit-identical to {!Knn.run_obs} on the full DB *)
     stats : E.stats;  (** aggregate over shard sweeps + merge sweep *)
     shard : shard_stats;
-    hot : E.hot list;  (** aggregate per-object attribution, hottest first *)
+    hot : E.hot list;
+        (** per-object attribution summed over every sweep
+            ({!Sweep_cost.merge_hot}) *)
   }
 
   val run_obs :
@@ -88,6 +90,9 @@ module Make (B : Backend.S) : sig
       than k objects live throughout it, every shard is swept (frontier
       pruning still applies) and answers are unaffected.
       @raise Invalid_argument if [k <= 0]. *)
+
+  val shards_block : shard_stats -> Explain.shards
+  (** The [moq explain] shards block of a run. *)
 
   val run :
     db:Moq_mod.Mobdb.t -> gamma:Moq_mod.Trajectory.t -> k:int -> lo:Q.t ->

@@ -63,8 +63,7 @@ module Make (B : Backend.S) = struct
     end;
     let timeline = TL.simplify (List.rev !pieces) in
     let stats = E.stats eng in
-    { timeline; stats;
-      support_changes = stats.E.crossings + stats.E.births + stats.E.deaths;
+    { timeline; stats; support_changes = E.support_changes stats;
       hot = E.hot_objects eng }
 
   let run ~db ~gdist ~query = run_obs ~sink:Sink.noop ~db ~gdist ~query

@@ -16,6 +16,7 @@ module Log = Moq_obs.Log
 module Json = Moq_obs.Json
 module Recorder = Moq_obs.Recorder
 module Explain = Moq_core.Explain
+module Sweep_cost = Moq_core.Sweep_cost
 module Frame = Moq_proto.Frame
 module Proto = Moq_proto.Proto
 
@@ -682,43 +683,16 @@ let update_gauges t =
    publish simply go stale at their old values — readers key on the
    current ranks 0..4 only. *)
 let publish_hot t =
-  let tbl = Hashtbl.create 64 in
-  List.iter
+  List.concat_map
     (fun sess ->
-      List.iter
+      List.filter_map
         (fun sub ->
           match sub.body with
-          | S_agg _ -> ()
-          | S_mon mon ->
-            List.iter
-              (fun (h : Mon.E.hot) ->
-                let c, s =
-                  match Hashtbl.find_opt tbl h.Mon.E.h_oid with
-                  | Some cs -> cs
-                  | None -> (0, 0)
-                in
-                Hashtbl.replace tbl h.Mon.E.h_oid
-                  (c + h.Mon.E.h_comparisons, s + h.Mon.E.h_swaps))
-              (Mon.hot_objects mon))
+          | S_agg _ -> None
+          | S_mon mon -> Some (Mon.hot_objects mon))
         sess.subs)
-    t.sessions;
-  let rows = Hashtbl.fold (fun oid (c, s) acc -> (oid, c, s) :: acc) tbl [] in
-  let rows = List.sort (fun (_, c1, _) (_, c2, _) -> compare c2 c1) rows in
-  let total = List.fold_left (fun a (_, c, _) -> a + c) 0 rows in
-  let top = ref 0 in
-  List.iteri
-    (fun i (oid, c, s) ->
-      if i < 5 then begin
-        top := !top + c;
-        Sink.set t.sink (Printf.sprintf "moq_hot_oid_%d" i) (float_of_int oid);
-        Sink.set t.sink (Printf.sprintf "moq_hot_comparisons_%d" i)
-          (float_of_int c);
-        Sink.set t.sink (Printf.sprintf "moq_hot_swaps_%d" i) (float_of_int s)
-      end)
-    rows;
-  if total > 0 then
-    Sink.set t.sink "moq_hot_coverage_pct"
-      (100. *. float_of_int !top /. float_of_int total);
+    t.sessions
+  |> Sweep_cost.merge_hot |> Sweep_cost.publish_hot t.sink;
   let subs =
     with_lock t.acct_m (fun () ->
         Hashtbl.fold
@@ -904,50 +878,25 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
       match kind with
       | Proto.Qk_knn k ->
         let r = Knn.run_obs ~sink:t.sink ~db ~gdist ~k ~lo ~hi in
-        let s = r.Knn.stats in
         ( r.Knn.timeline,
           fun ~counters ~phases ->
-            let sweep =
-              { Explain.batches = s.Knn.E.batches; crossings = s.Knn.E.crossings;
-                births = s.Knn.E.births; deaths = s.Knn.E.deaths;
-                jumps = s.Knn.E.jumps; swaps = s.Knn.E.swaps;
-                comparisons = s.Knn.E.comparisons;
-                support_changes =
-                  s.Knn.E.crossings + s.Knn.E.births + s.Knn.E.deaths }
-            in
-            let hot =
-              List.map
-                (fun (h : Knn.E.hot) ->
-                  { Explain.oid = h.Knn.E.h_oid;
-                    comparisons = h.Knn.E.h_comparisons;
-                    swaps = h.Knn.E.h_swaps })
-                r.Knn.hot
-            in
             Explain.make ~kind:"knn"
               ~query:(Printf.sprintf "server query knn k=%d" k)
               ~backend:B.name ~n_objects:(List.length (DB.objects db))
               ~lo:(Q.to_float lo) ~hi:(Q.to_float hi)
-              ~timeline_pieces:(List.length r.Knn.timeline) ~sweep ~hot
+              ~timeline_pieces:(List.length r.Knn.timeline)
+              ~sweep:(Explain.sweep_of r.Knn.stats) ~hot:r.Knn.hot
               ~phases ~counters () )
       | Proto.Qk_range b ->
         let r = Range.run ~db ~gdist ~bound:b ~lo ~hi in
-        let s = r.Range.stats in
         ( r.Range.timeline,
           fun ~counters ~phases ->
-            let sweep =
-              { Explain.batches = s.Range.E.batches;
-                crossings = s.Range.E.crossings; births = s.Range.E.births;
-                deaths = s.Range.E.deaths; jumps = s.Range.E.jumps;
-                swaps = s.Range.E.swaps; comparisons = s.Range.E.comparisons;
-                support_changes =
-                  s.Range.E.crossings + s.Range.E.births + s.Range.E.deaths }
-            in
             Explain.make ~kind:"range"
               ~query:(Printf.sprintf "server query range bound=%s" (Q.to_string b))
               ~backend:B.name ~n_objects:(List.length (DB.objects db))
               ~lo:(Q.to_float lo) ~hi:(Q.to_float hi)
-              ~timeline_pieces:(List.length r.Range.timeline) ~sweep
-              ~phases ~counters () )
+              ~timeline_pieces:(List.length r.Range.timeline)
+              ~sweep:(Explain.sweep_of r.Range.stats) ~phases ~counters () )
     in
     let dur_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
     if t.cfg.slow_query_ms > 0. && dur_ms > t.cfg.slow_query_ms then begin

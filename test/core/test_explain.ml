@@ -12,6 +12,7 @@ module Sink = Moq_obs.Sink
 module Json = Moq_obs.Json
 module Gdist = Moq_core.Gdist
 module Explain = Moq_core.Explain
+module Cost = Moq_core.Sweep_cost
 module Gen = Moq_workload.Gen
 module BX = Moq_core.Backend.Exact
 module KnnX = Moq_core.Knn.Make (BX)
@@ -27,25 +28,11 @@ let run_report ?(seed = 11) ?(n = 16) ?(k = 2) ?(lo = 0) ?(hi = 40) () =
   let gamma = T.stationary ~start:(q 0) (Qvec.zero 2) in
   let gdist = Gdist.euclidean_sq ~gamma in
   let r = KnnX.run_obs ~sink ~db ~gdist ~k ~lo:(q lo) ~hi:(q hi) in
-  let s = r.KnnX.stats in
-  let sweep =
-    { Explain.batches = s.KnnX.E.batches; crossings = s.KnnX.E.crossings;
-      births = s.KnnX.E.births; deaths = s.KnnX.E.deaths;
-      jumps = s.KnnX.E.jumps; swaps = s.KnnX.E.swaps;
-      comparisons = s.KnnX.E.comparisons;
-      support_changes = s.KnnX.E.crossings + s.KnnX.E.births + s.KnnX.E.deaths }
-  in
-  let hot =
-    List.map
-      (fun (h : KnnX.E.hot) ->
-        { Explain.oid = h.KnnX.E.h_oid; comparisons = h.KnnX.E.h_comparisons;
-          swaps = h.KnnX.E.h_swaps })
-      r.KnnX.hot
-  in
   let report =
     Explain.make ~kind:"knn" ~query:"test knn" ~backend:"exact" ~n_objects:n
       ~lo:(float_of_int lo) ~hi:(float_of_int hi)
-      ~timeline_pieces:(List.length r.KnnX.timeline) ~sweep ~hot
+      ~timeline_pieces:(List.length r.KnnX.timeline)
+      ~sweep:(Explain.sweep_of r.KnnX.stats) ~hot:r.KnnX.hot
       ~phases:[ { Explain.name = "run"; ns = 1e6 } ]
       ~counters:(Registry.flatten reg) ()
   in
@@ -126,24 +113,12 @@ let test_sharded_report () =
   in
   let gamma = T.stationary ~start:(q 0) (Qvec.zero 2) in
   let r = Sh.run_obs ~sink ~db ~gamma ~k:2 ~lo:(q 0) ~hi:(q 20) ~cell:64.0 () in
-  let s = r.Sh.stats in
-  let sweep =
-    { Explain.batches = s.Sh.E.batches; crossings = s.Sh.E.crossings;
-      births = s.Sh.E.births; deaths = s.Sh.E.deaths; jumps = s.Sh.E.jumps;
-      swaps = s.Sh.E.swaps; comparisons = s.Sh.E.comparisons;
-      support_changes = s.Sh.E.crossings + s.Sh.E.births + s.Sh.E.deaths }
-  in
-  let sb = r.Sh.shard in
-  let shards =
-    { Explain.s_total = sb.Sh.shards_total; s_touched = sb.Sh.shards_touched;
-      s_admitted = sb.Sh.admitted; s_pruned = sb.Sh.pruned;
-      s_merge_ops = sb.Sh.frontier_merge_ops; s_events = sb.Sh.shard_events;
-      s_band = sb.Sh.band }
-  in
   let report =
     Explain.make ~kind:"knn" ~query:"test sharded knn"
       ~backend:"sharded-filtered" ~n_objects:n ~lo:0. ~hi:20.
-      ~timeline_pieces:(List.length r.Sh.timeline) ~sweep ~shards
+      ~timeline_pieces:(List.length r.Sh.timeline)
+      ~sweep:(Explain.sweep_of r.Sh.stats)
+      ~shards:(Sh.shards_block r.Sh.shard)
       ~counters:(Registry.flatten reg) ()
   in
   let j = Explain.to_json report in
@@ -177,17 +152,14 @@ let test_sharded_report () =
 (* An aggregation run populates the agg block under the same golden key
    order; prune accounting is self-consistent. *)
 let test_agg_report () =
-  let sweep =
-    { Explain.batches = 0; crossings = 0; births = 0; deaths = 0; jumps = 0;
-      swaps = 0; comparisons = 0; support_changes = 0 }
-  in
   let agg =
     { Explain.a_pois = 3; a_windows = 5; a_rows = 15; a_admitted = 9;
       a_pruned = 21; a_updates = 40; a_forwarded = 24 }
   in
   let report =
     Explain.make ~kind:"agg" ~query:"test agg" ~backend:"exact" ~n_objects:10
-      ~lo:0. ~hi:50. ~timeline_pieces:0 ~sweep ~agg ~counters:[] ()
+      ~lo:0. ~hi:50. ~timeline_pieces:0 ~sweep:Explain.zero_sweep ~agg
+      ~counters:[] ()
   in
   let j = Explain.to_json report in
   Alcotest.(check (list string)) "top-level keys" golden_keys (obj_keys j);
@@ -254,7 +226,7 @@ let test_hot_ranked_and_covering () =
   Alcotest.(check bool) "attribution on" true (hot <> []);
   let rec sorted = function
     | a :: (b :: _ as tl) ->
-      a.Explain.comparisons >= b.Explain.comparisons && sorted tl
+      a.Cost.h_comparisons >= b.Cost.h_comparisons && sorted tl
     | _ -> true
   in
   Alcotest.(check bool) "hottest first" true (sorted hot);
@@ -263,6 +235,74 @@ let test_hot_ranked_and_covering () =
   (* top_hot truncates without reordering *)
   Alcotest.(check int) "top_hot caps at k" (min 3 (List.length hot))
     (List.length (Explain.top_hot ~k:3 report))
+
+let hot oid c s = { Cost.h_oid = oid; h_comparisons = c; h_swaps = s }
+
+let check_hot msg expected hots =
+  Alcotest.(check (list (triple int int int))) msg expected
+    (List.map (fun (h : Cost.hot) -> (h.h_oid, h.h_comparisons, h.h_swaps)) hots)
+
+(* The one hot ranking: comparisons, then swaps (both descending), then oid
+   ascending. *)
+let test_rank_ties () =
+  check_hot "comparisons, then swaps, then oid"
+    [ (9, 7, 0); (4, 5, 3); (2, 5, 1); (6, 5, 1); (1, 2, 8) ]
+    (Cost.rank_hot [ hot 6 5 1; hot 1 2 8; hot 2 5 1; hot 4 5 3; hot 9 7 0 ])
+
+let test_merge_sums () =
+  check_hot "each oid summed across lists, then ranked"
+    [ (3, 10, 4); (1, 6, 1); (2, 6, 0); (5, 1, 1) ]
+    (Cost.merge_hot
+       [ [ hot 1 4 1; hot 3 2 2 ]; []; [ hot 3 8 2; hot 2 6 0 ];
+         [ hot 5 1 1; hot 1 2 0 ] ])
+
+let test_publish_hot () =
+  let published hots =
+    let reg = Registry.create () in
+    Cost.publish_hot (Sink.of_registry reg) hots;
+    Registry.flatten reg
+  in
+  let flat = published (List.init 7 (fun i -> hot (i + 1) (10 - i) i)) in
+  List.iter
+    (fun prefix ->
+      Alcotest.(check int) (prefix ^ " ranks") 5
+        (List.length
+           (List.filter (fun (k, _) -> String.starts_with ~prefix k) flat)))
+    [ "moq_hot_oid_"; "moq_hot_comparisons_"; "moq_hot_swaps_" ];
+  Alcotest.(check (option (float 0.))) "rank 0 is the hottest" (Some 1.)
+    (List.assoc_opt "moq_hot_oid_0" flat);
+  Alcotest.(check (option (float 1e-9))) "coverage of the top five"
+    (Some (100. *. 40. /. 49.))
+    (List.assoc_opt "moq_hot_coverage_pct" flat);
+  let zero = published [ hot 1 0 0; hot 2 0 0 ] in
+  Alcotest.(check bool) "no coverage when nothing was attributed" false
+    (List.mem_assoc "moq_hot_coverage_pct" zero);
+  Alcotest.(check bool) "nothing at all for an empty list" true
+    (published [] = [])
+
+(* [moq explain agg] always evaluates on Exact, so a Filtered [--backend]
+   must not attach (or publish) the interval filter's block. *)
+let test_cli_agg_has_no_filter () =
+  let out = Filename.temp_file "explain_agg" ".json" in
+  let cmd =
+    Printf.sprintf
+      "../../bin/moq.exe explain agg --backend filtered --seed 11 -n 24 -k 3 \
+       --lo 0 --hi 40 --json > %s"
+      (Filename.quote out)
+  in
+  Alcotest.(check int) "moq explain exits 0" 0 (Sys.command cmd);
+  let j =
+    match Json.of_string (In_channel.with_open_bin out In_channel.input_all) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "explain JSON: %s" e
+  in
+  Sys.remove out;
+  Alcotest.(check bool) "backend is exact" true
+    (field j "backend" = Json.Str "exact");
+  Alcotest.(check bool) "filter is null" true (field j "filter" = Json.Null);
+  Alcotest.(check bool) "no moq_filter_* counters" false
+    (List.exists (String.starts_with ~prefix:"moq_filter_")
+       (obj_keys (field j "counters")))
 
 let test_bound_monotone () =
   Alcotest.(check bool) "bound grows with N" true
@@ -284,4 +324,10 @@ let () =
          Alcotest.test_case "bound monotone" `Quick test_bound_monotone ]);
       ("hot",
        [ Alcotest.test_case "ranked attribution" `Quick
-           test_hot_ranked_and_covering ]) ]
+           test_hot_ranked_and_covering;
+         Alcotest.test_case "rank ties" `Quick test_rank_ties;
+         Alcotest.test_case "merge sums" `Quick test_merge_sums;
+         Alcotest.test_case "publish top five" `Quick test_publish_hot ]);
+      ("cli",
+       [ Alcotest.test_case "agg has no filter block" `Quick
+           test_cli_agg_has_no_filter ]) ]
