@@ -703,6 +703,86 @@ let quantile sorted p =
   if Array.length sorted = 0 then 0.0
   else sorted.(min (Array.length sorted - 1) (int_of_float (p *. float_of_int (Array.length sorted))))
 
+(* The server fixture of s1, s2, o1 and o2.  [server_cfg] is a loopback
+   server on an ephemeral port over [dir], seeded with [init_db], without
+   fsync or idle timeout; experiments override further fields with
+   [with]. *)
+let server_cfg ~dir ~init_db =
+  { (Server.default_config ~listen:(Server.Tcp ("127.0.0.1", 0)) ~store_dir:dir) with
+    Server.init_db = Some init_db; fsync = false; idle_timeout = 0. }
+
+let start_server ?registry what cfg =
+  match Server.start ?registry cfg with Ok s -> s | Error e -> failwith (what ^ ": " ^ e)
+
+(* Connect and HELLO, retrying every 50 ms until [deadline]: a node just
+   spawned, or a follower still bootstrapping, may not answer yet. *)
+let connect_ready ?(deadline = 20.) what addr =
+  let t0 = Unix.gettimeofday () in
+  let rec go () =
+    match SClient.connect ~connect_timeout:1. addr with
+    | Ok c ->
+      (match SClient.hello c with
+       | Ok (Proto.R_hello _) -> c
+       | Ok _ | Error _ ->
+         SClient.close c;
+         retry ())
+    | Error _ -> retry ()
+  and retry () =
+    if Unix.gettimeofday () -. t0 > deadline then failwith (what ^ " not ready")
+    else begin
+      Thread.delay 0.05;
+      go ()
+    end
+  in
+  go ()
+
+let subscribe_range what c ~radius ~hi =
+  match
+    SClient.request c
+      (Proto.Subscribe { kind = Proto.Sub_range (q radius); lo = q 0; hi = q hi })
+  with
+  | Ok (Proto.R_subscribe _) -> ()
+  | Ok _ | Error _ -> failwith (what ^ ": subscribe failed")
+
+(* A chdir of object 1..n to a velocity in [-6, 6]^2.  The draws go oid,
+   then vy, then vx: the order every committed baseline was made with. *)
+let random_chdir st ~n ~tau =
+  let oid = 1 + Random.State.int st n in
+  let vy = Random.State.int st 13 - 6 in
+  let vx = Random.State.int st 13 - 6 in
+  U.Chdir { oid; tau; a = Qvec.of_list [ q vx; q vy ] }
+
+(* false when the server rejects or quarantines [u]; a wire error fails *)
+let update_accepted ?(attrs = Proto.no_attrs) what c u =
+  match SClient.request_attrs c attrs (Proto.Update u) with
+  | Ok (Proto.R_update Proto.V_accepted) -> true
+  | Ok (Proto.R_update (Proto.V_rejected _ | Proto.V_quarantined _)) -> false
+  | Ok _ | Error _ -> failwith (what ^ ": update failed")
+
+(* p50 and p99, in ms, of latency samples in seconds *)
+let p50_p99 samples =
+  let sorted = Array.copy samples in
+  Array.sort compare sorted;
+  (quantile sorted 0.5 *. 1e3, quantile sorted 0.99 *. 1e3)
+
+(* One discarded warmup run (page cache, allocator growth), then [reps]
+   runs per mode interleaved off, on, off, on, ... so slow drift in the
+   host's load hits both modes equally.  Returns (off runs, on runs). *)
+let interleaved ~reps run_mode =
+  ignore (run_mode false 99);
+  let runs =
+    List.init (2 * reps) (fun i -> (i mod 2 = 1, run_mode (i mod 2 = 1) (i / 2)))
+  in
+  let mode on = List.filter_map (fun (o, r) -> if o = on then Some r else None) runs in
+  (mode false, mode true)
+
+(* One throughput over runs of [updates] each: total updates over total
+   wall, where run i took updates / rps_i.  The max or median of a
+   handful of short runs is itself a noisy statistic. *)
+let pooled_rps ~updates rpss =
+  let wall = List.fold_left (fun acc rps -> acc +. (float_of_int updates /. rps)) 0. rpss in
+  float_of_int (List.length rpss * updates) /. wall
+
 let s1 () =
   header "S1" "moq serve: 32 concurrent sessions, live subscriptions, kill + recover";
   let connections = 32 and n = 12 and updates_per_client = 10 in
@@ -710,34 +790,18 @@ let s1 () =
   bench_seed := 7;
   let dir = fresh_dir "s1" in
   let db = Gen.uniform_db ~seed:7 ~n ~extent:100 ~speed:6 () in
-  let hi = q (connections * updates_per_client + 20) in
-  let cfg =
-    { (Server.default_config ~listen:(Server.Tcp ("127.0.0.1", 0)) ~store_dir:dir) with
-      Server.init_db = Some db; fsync = false; max_sessions = connections + 4;
-      idle_timeout = 0. }
-  in
-  let srv = match Server.start ~registry:!bench_reg cfg with
-    | Ok s -> s
-    | Error e -> failwith e
+  let hi = connections * updates_per_client + 20 in
+  let srv =
+    start_server ~registry:!bench_reg "s1"
+      { (server_cfg ~dir ~init_db:db) with Server.max_sessions = connections + 4 }
   in
   let addr = Server.bound_addr srv in
   (* every session opens one range subscription it holds for the whole run *)
   let clients =
     Array.init connections (fun i ->
-        let c =
-          match SClient.connect addr with
-          | Ok c -> c
-          | Error e -> failwith (SClient.error_to_string e)
-        in
-        (match SClient.hello c with
-         | Ok (Proto.R_hello _) -> ()
-         | Ok _ | Error _ -> failwith "s1: handshake failed");
-        (match
-           SClient.request c
-             (Proto.Subscribe { kind = Proto.Sub_range (q 10000); lo = q 0; hi })
-         with
-         | Ok (Proto.R_subscribe _) -> ()
-         | Ok _ | Error _ -> failwith (Printf.sprintf "s1: subscribe %d failed" i));
+        let what = Printf.sprintf "s1 session %d" i in
+        let c = connect_ready what addr in
+        subscribe_range what c ~radius:10000 ~hi;
         c)
   in
   (* chronological discipline over concurrent writers: a shared counter
@@ -760,22 +824,13 @@ let s1 () =
     let c = clients.(i) in
     let st = Random.State.make [| 1000 + i |] in
     for j = 0 to updates_per_client - 1 do
-      let oid = 1 + Random.State.int st n in
-      let vel =
-        Qvec.of_list
-          [ q (Random.State.int st 13 - 6); q (Random.State.int st 13 - 6) ]
-      in
-      let u = U.Chdir { oid; tau = next_tau (); a = vel } in
+      let u = random_chdir st ~n ~tau:(next_tau ()) in
       let t0 = Unix.gettimeofday () in
-      (match SClient.request c (Proto.Update u) with
-       | Ok (Proto.R_update v) ->
-         Mutex.lock acc_m;
-         (match v with
-          | Proto.V_accepted -> incr accepted
-          | Proto.V_rejected _ | Proto.V_quarantined _ -> incr stale);
-         Mutex.unlock acc_m
-       | Ok _ | Error _ -> failwith "s1: update failed");
-      latencies.(i * updates_per_client + j) <- Unix.gettimeofday () -. t0
+      let ok = update_accepted "s1" c u in
+      latencies.(i * updates_per_client + j) <- Unix.gettimeofday () -. t0;
+      Mutex.lock acc_m;
+      incr (if ok then accepted else stale);
+      Mutex.unlock acc_m
     done
   in
   let threads = Array.init connections (fun i -> Thread.create worker i) in
@@ -821,9 +876,7 @@ let s1 () =
   rm_dir dir;
   let requests = connections * updates_per_client in
   let rps = float_of_int requests /. wall in
-  let sorted = Array.copy latencies in
-  Array.sort compare sorted;
-  let p50 = quantile sorted 0.5 *. 1e3 and p99 = quantile sorted 0.99 *. 1e3 in
+  let p50, p99 = p50_p99 latencies in
   row "%12s %9s %9s %9s %10s %8s %8s %6s\n" "connections" "rps" "p50(ms)" "p99(ms)"
     "accepted" "stale" "pushed" "drop";
   row "%12d %9.0f %9.2f %9.2f %10d %8d %8d %6d\n" connections rps p50 p99 !accepted
@@ -854,11 +907,18 @@ let s2 () =
   let n = 24 and updates = 48 in
   let base_seed =
     match Sys.getenv_opt "MOQ_FAULT_SEEDS" with
+    | None | Some "" -> 40
     | Some s ->
-      (match String.split_on_char ',' s with
-       | x :: _ -> (try int_of_string (String.trim x) with Failure _ -> 40)
-       | [] -> 40)
-    | None -> 40
+      let seeds =
+        List.map
+          (fun w ->
+            match int_of_string_opt (String.trim w) with
+            | Some seed -> seed
+            | None ->
+              failwith (Printf.sprintf "s2: MOQ_FAULT_SEEDS=%S: %S is not an integer" s w))
+          (String.split_on_char ',' s)
+      in
+      List.hd seeds
   in
   bench_n := n;
   bench_seed := base_seed;
@@ -889,7 +949,7 @@ let s2 () =
      shape, and on a small box the only honest measurement: in-process
      "nodes" would share one OCaml runtime lock and the bench would
      measure its own interference.  The parent stays a pure wire client. *)
-  let spawn_server mk_cfg =
+  let spawn_server cfg =
     flush stdout;
     flush stderr;
     let rp, wp = Unix.pipe () in
@@ -897,13 +957,7 @@ let s2 () =
     | 0 ->
       (try
          Unix.close rp;
-         let srv =
-           match Server.start ~registry:(Registry.create ()) (mk_cfg ()) with
-           | Ok s -> s
-           | Error e ->
-             prerr_endline ("s2 child: " ^ e);
-             Stdlib.exit 1
-         in
+         let srv = start_server "s2 child" cfg in
          let port =
            match Server.bound_addr srv with
            | Server.Tcp (_, p) -> p
@@ -913,7 +967,9 @@ let s2 () =
          Printf.fprintf oc "%d\n%!" port;
          Server.run srv;
          Stdlib.exit 0
-       with _ -> Stdlib.exit 1)
+       with e ->
+         prerr_endline (Printexc.to_string e);
+         Stdlib.exit 1)
     | pid ->
       Unix.close wp;
       let ic = Unix.in_channel_of_descr rp in
@@ -928,27 +984,6 @@ let s2 () =
   let kill_server pid =
     (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
     try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-  in
-  let connect_ready ?(deadline = 20.) what addr =
-    let t0 = Unix.gettimeofday () in
-    let rec go () =
-      match SClient.connect ~connect_timeout:1. addr with
-      | Ok c ->
-        (match SClient.hello c with
-         | Ok (Proto.R_hello _) -> c
-         | Ok _ | Error _ ->
-           SClient.close c;
-           retry ())
-      | Error _ -> retry ()
-    and retry () =
-      if Unix.gettimeofday () -. t0 > deadline then
-        failwith (Printf.sprintf "s2: %s not ready" what)
-      else begin
-        Thread.delay 0.05;
-        go ()
-      end
-    in
-    go ()
   in
   (* counters over the wire: the prometheus exposition is `name value` *)
   let counter_of_stats body name =
@@ -988,24 +1023,17 @@ let s2 () =
       (* children first (the parent is still single-threaded: forking with
          live proxy threads could leave the child a locked runtime) *)
       let ppid, paddr =
-        spawn_server (fun () ->
-            { (Server.default_config ~listen:(Server.Tcp ("127.0.0.1", 0))
-                 ~store_dir:pdir)
-              with
-              Server.init_db = Some db; fsync = false; idle_timeout = 0.;
-              repl_digest_every = 8; max_sessions = 16 + (2 * r) })
+        spawn_server
+          { (server_cfg ~dir:pdir ~init_db:db) with
+            Server.repl_digest_every = 8; max_sessions = 16 + (2 * r) }
       in
       let fpids, faddrs =
         List.split
           (List.map2
              (fun dir pport ->
-               spawn_server (fun () ->
-                   { (Server.default_config ~listen:(Server.Tcp ("127.0.0.1", 0))
-                        ~store_dir:dir)
-                     with
-                     Server.init_db = Some (DB.empty ~dim:2 ~tau:(q 0));
-                     fsync = false; idle_timeout = 0.;
-                     follow = Some (Server.Tcp ("127.0.0.1", pport)) }))
+               spawn_server
+                 { (server_cfg ~dir ~init_db:(DB.empty ~dim:2 ~tau:(q 0))) with
+                   Server.follow = Some (Server.Tcp ("127.0.0.1", pport)) })
              fdirs proxy_ports)
       in
       (* now the repl links: one seeded chaos proxy per follower *)
@@ -1017,25 +1045,19 @@ let s2 () =
               ~upstream ())
           proxy_ports
       in
-      SClient.close (connect_ready "primary" paddr);
-      List.iter (fun a -> SClient.close (connect_ready "follower" a)) faddrs;
+      SClient.close (connect_ready "s2 primary" paddr);
+      List.iter (fun a -> SClient.close (connect_ready "s2 follower" a)) faddrs;
       let latencies = Array.make updates 0.0 in
       let stop = ref false in
       let writer () =
-        let wc = connect_ready "primary (writer)" paddr in
+        let wc = connect_ready "s2 writer" paddr in
         let st = Random.State.make [| 77 |] in
         for j = 0 to updates - 1 do
-          let oid = 1 + Random.State.int st n in
-          let vel =
-            Qvec.of_list [ q (Random.State.int st 13 - 6); q (Random.State.int st 13 - 6) ]
-          in
           (* taus start at 2: the queried window [0,1] stays untouched, so
              query cost is constant across the run *)
-          let u = U.Chdir { oid; tau = q (j + 2); a = vel } in
+          let u = random_chdir st ~n ~tau:(q (j + 2)) in
           let t0 = Unix.gettimeofday () in
-          (match SClient.request wc (Proto.Update u) with
-           | Ok (Proto.R_update Proto.V_accepted) -> ()
-           | Ok _ | Error _ -> failwith "s2: update failed");
+          if not (update_accepted "s2" wc u) then failwith "s2: update rejected";
           latencies.(j) <- Unix.gettimeofday () -. t0;
           Thread.delay 0.002
         done;
@@ -1046,7 +1068,7 @@ let s2 () =
       let addrs = paddr :: faddrs in
       let counts = Array.make (List.length addrs) 0 in
       let query_worker i addr =
-        let c = connect_ready "query node" addr in
+        let c = connect_ready "s2 query node" addr in
         while not !stop do
           (match
              SClient.request c
@@ -1073,13 +1095,13 @@ let s2 () =
       (* convergence: every follower reaches the primary's exact clock, and
          its digest audits (byte-compares of the serialized MOD against the
          primary's shipped CRC) all matched *)
-      let pc = connect_ready "primary (audit)" paddr in
+      let pc = connect_ready "s2 primary audit" paddr in
       let pclock = wire_clock pc in
       SClient.close pc;
       let divergence = ref 0 and audits = ref 0 and apply_errors = ref 0 in
       List.iter
         (fun a ->
-          let fc = connect_ready "follower (audit)" a in
+          let fc = connect_ready "s2 follower audit" a in
           wait_until "follower convergence" (fun () ->
               Q.compare (wire_clock fc) pclock = 0);
           wait_until "a digest audit" (fun () ->
@@ -1094,9 +1116,7 @@ let s2 () =
       in
       let total_queries = Array.fold_left ( + ) 0 counts in
       let qps = float_of_int total_queries /. window in
-      let sorted = Array.copy latencies in
-      Array.sort compare sorted;
-      let p50 = quantile sorted 0.5 *. 1e3 and p99 = quantile sorted 0.99 *. 1e3 in
+      let p50, p99 = p50_p99 latencies in
       row "%9d %14.0f %12.2f %12.2f %11d %6d %7d %6d\n" r qps p50 p99 !divergence
         tears !audits !apply_errors;
       results := (r, qps, p50, p99, !divergence) :: !results;
@@ -1155,56 +1175,27 @@ let o1 () =
   let flag v = List.assoc_opt "moq_repl_lag_updates" (Registry.flatten v) in
   (* One rep: fresh primary + follower + subscribed client; returns
      (rps, e2e samples [traced runs only], lag gauge samples, final lag). *)
-  let run_mode ~trace rep =
+  let run_mode trace rep =
     let tag = Printf.sprintf "%s%d" (if trace then "on" else "off") rep in
     let pdir = fresh_dir ("o1_p" ^ tag) and fdir = fresh_dir ("o1_f" ^ tag) in
     let db = Gen.uniform_db ~seed:5 ~n ~extent:100 ~speed:6 () in
-    let cfg ~dir ~init_db ~follow reg =
-      ignore reg;
-      { (Server.default_config ~listen:(Server.Tcp ("127.0.0.1", 0)) ~store_dir:dir)
-        with
-        Server.init_db; fsync = false; idle_timeout = 0.; follow; trace }
-    in
     (* traced runs land their counters in the bench registry, so the
        stage histograms ship inside BENCH_o1.json *)
-    let preg = if trace then !bench_reg else Registry.create () in
     let primary =
-      match
-        Server.start ~registry:preg (cfg ~dir:pdir ~init_db:(Some db) ~follow:None preg)
-      with
-      | Ok s -> s
-      | Error e -> failwith ("o1 primary: " ^ e)
+      start_server "o1 primary"
+        ~registry:(if trace then !bench_reg else Registry.create ())
+        { (server_cfg ~dir:pdir ~init_db:db) with Server.trace }
     in
     let freg = Registry.create () in
     let follower =
-      match
-        Server.start ~registry:freg
-          (cfg ~dir:fdir
-             ~init_db:(Some (DB.empty ~dim:2 ~tau:(q 0)))
-             ~follow:(Some (Server.bound_addr primary))
-             freg)
-      with
-      | Ok s -> s
-      | Error e -> failwith ("o1 follower: " ^ e)
+      start_server "o1 follower" ~registry:freg
+        { (server_cfg ~dir:fdir ~init_db:(DB.empty ~dim:2 ~tau:(q 0))) with
+          Server.follow = Some (Server.bound_addr primary); trace }
     in
     wait_until "replication link" (fun () -> Server.repl_connected follower);
-    let conn what addr =
-      match SClient.connect ~timeout:15. addr with
-      | Ok c ->
-        (match SClient.hello c with
-         | Ok (Proto.R_hello _) -> c
-         | Ok _ | Error _ -> failwith ("o1: handshake failed: " ^ what))
-      | Error e -> failwith ("o1 " ^ what ^ ": " ^ SClient.error_to_string e)
-    in
-    let sc = conn "subscriber" (Server.bound_addr follower) in
-    (match
-       SClient.request sc
-         (Proto.Subscribe
-            { kind = Proto.Sub_range (q 100000); lo = q 0; hi = q (updates + 50) })
-     with
-     | Ok (Proto.R_subscribe _) -> ()
-     | Ok _ | Error _ -> failwith "o1: subscribe failed");
-    let wc = conn "writer" (Server.bound_addr primary) in
+    let sc = connect_ready "o1 subscriber" (Server.bound_addr follower) in
+    subscribe_range "o1" sc ~radius:100000 ~hi:(updates + 50);
+    let wc = connect_ready "o1 writer" (Server.bound_addr primary) in
     let send_m = Mutex.create () in
     let send_times : (int, float) Hashtbl.t = Hashtbl.create 512 in
     let e2e = ref [] in
@@ -1247,12 +1238,7 @@ let o1 () =
     let st = Random.State.make [| 99; rep |] in
     let t0 = Unix.gettimeofday () in
     for j = 0 to updates - 1 do
-      let oid = 1 + Random.State.int st n in
-      let vel =
-        Qvec.of_list
-          [ q (Random.State.int st 13 - 6); q (Random.State.int st 13 - 6) ]
-      in
-      let u = U.Chdir { oid; tau = q (j + 2); a = vel } in
+      let u = random_chdir st ~n ~tau:(q (j + 2)) in
       let attrs =
         if trace then begin
           let ctx = Tr.new_ctx () in
@@ -1264,9 +1250,7 @@ let o1 () =
         end
         else Proto.no_attrs
       in
-      match SClient.request_attrs wc attrs (Proto.Update u) with
-      | Ok (Proto.R_update Proto.V_accepted) -> ()
-      | Ok _ | Error _ -> failwith "o1: update failed"
+      if not (update_accepted ~attrs "o1" wc u) then failwith "o1: update rejected"
     done;
     let wall = Unix.gettimeofday () -. t0 in
     (* freshness: the follower catches all the way up, and its lag gauge
@@ -1291,37 +1275,16 @@ let o1 () =
     rm_dir fdir;
     (float_of_int updates /. wall, !e2e, !lag_samples, final_lag)
   in
-  (* one discarded warmup (page cache, allocator growth), then the modes
-     interleaved (off,on,off,on,...) so slow drift in the host's load hits
-     both equally; per mode, pool all runs into one throughput estimate
-     (total updates over total wall) — the max or median of a handful of
-     short runs is itself a noisy statistic *)
-  ignore (run_mode ~trace:false 99);
-  let runs =
-    List.init (2 * reps) (fun i -> (i mod 2 = 1, run_mode ~trace:(i mod 2 = 1) (i / 2)))
-  in
-  let summarize traced =
-    let mine = List.filter_map (fun (t, r) -> if t = traced then Some r else None) runs in
-    let rps =
-      (* pooled: rps_i = updates/wall_i, so total wall = Σ updates/rps_i *)
-      let wall = List.fold_left (fun acc (rps, _, _, _) -> acc +. (float_of_int updates /. rps)) 0. mine in
-      float_of_int (List.length mine * updates) /. wall
-    in
-    let e2e = List.concat_map (fun (_, e, _, _) -> e) mine in
-    let lags = List.concat_map (fun (_, _, l, _) -> l) mine in
-    let final = match List.rev mine with (_, _, _, f) :: _ -> f | [] -> nan in
-    (rps, e2e, lags, final)
-  in
-  let rps_off, _, _, _ = summarize false in
-  let rps_on, e2e, lags, final_lag = summarize true in
+  let off, on = interleaved ~reps run_mode in
+  let rps_of runs = pooled_rps ~updates (List.map (fun (rps, _, _, _) -> rps) runs) in
+  let rps_off = rps_of off and rps_on = rps_of on in
+  let e2e = List.concat_map (fun (_, e, _, _) -> e) on in
+  let lags = Array.of_list (List.concat_map (fun (_, _, l, _) -> l) on) in
+  let final_lag = match List.rev on with (_, _, _, f) :: _ -> f | [] -> nan in
   let overhead = 100. *. (rps_off -. rps_on) /. rps_off in
-  let pct l p =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    quantile a p
-  in
-  let e2e_p50 = pct e2e 0.5 *. 1e3 and e2e_p99 = pct e2e 0.99 *. 1e3 in
-  let lag_p99 = pct lags 0.99 in
+  let e2e_p50, e2e_p99 = p50_p99 (Array.of_list e2e) in
+  Array.sort compare lags;
+  let lag_p99 = quantile lags 0.99 in
   row "%10s %12s %12s\n" "tracing" "updates" "pooled rps";
   row "%10s %12d %12.0f\n" "off" updates rps_off;
   row "%10s %12d %12.0f\n" "on" updates rps_on;
@@ -1372,39 +1335,19 @@ let o2 () =
      attribution, slow-query capture at an epsilon threshold so the
      capture path is actually exercised), off = all three disabled. *)
   let slowq_captured = ref 0 and flight_recorded = ref 0 in
-  let run_mode ~obs rep =
+  let run_mode obs rep =
     let dir = fresh_dir (Printf.sprintf "o2_%s%d" (if obs then "on" else "off") rep) in
     let db = Gen.uniform_db ~seed:6 ~n ~extent:100 ~speed:6 () in
-    let reg = if obs then !bench_reg else Registry.create () in
-    let cfg =
-      { (Server.default_config ~listen:(Server.Tcp ("127.0.0.1", 0)) ~store_dir:dir)
-        with
-        Server.init_db = Some db; fsync = false; idle_timeout = 0.;
-        slow_query_ms = (if obs then 0.05 else 0.);
-        hot_objects = obs;
-        flight_capacity = (if obs then 2048 else 0) }
-    in
     let srv =
-      match Server.start ~registry:reg cfg with
-      | Ok s -> s
-      | Error e -> failwith ("o2 server: " ^ e)
+      start_server "o2 server"
+        ~registry:(if obs then !bench_reg else Registry.create ())
+        { (server_cfg ~dir ~init_db:db) with
+          Server.slow_query_ms = (if obs then 0.05 else 0.);
+          hot_objects = obs;
+          flight_capacity = (if obs then 2048 else 0) }
     in
-    let conn what =
-      match SClient.connect ~timeout:15. (Server.bound_addr srv) with
-      | Ok c ->
-        (match SClient.hello c with
-         | Ok (Proto.R_hello _) -> c
-         | Ok _ | Error _ -> failwith ("o2: handshake failed: " ^ what))
-      | Error e -> failwith ("o2 " ^ what ^ ": " ^ SClient.error_to_string e)
-    in
-    let sc = conn "subscriber" in
-    (match
-       SClient.request sc
-         (Proto.Subscribe
-            { kind = Proto.Sub_range (q 100000); lo = q 0; hi = q (updates + 50) })
-     with
-     | Ok (Proto.R_subscribe _) -> ()
-     | Ok _ | Error _ -> failwith "o2: subscribe failed");
+    let sc = connect_ready "o2 subscriber" (Server.bound_addr srv) in
+    subscribe_range "o2" sc ~radius:100000 ~hi:(updates + 50);
     let stop_sub = ref false in
     let sub_thread =
       Thread.create
@@ -1414,20 +1357,12 @@ let o2 () =
           done)
         ()
     in
-    let wc = conn "writer" in
+    let wc = connect_ready "o2 writer" (Server.bound_addr srv) in
     let st = Random.State.make [| 42; rep |] in
     let t0 = Unix.gettimeofday () in
     for j = 0 to updates - 1 do
-      let oid = 1 + Random.State.int st n in
-      let vel =
-        Qvec.of_list
-          [ q (Random.State.int st 13 - 6); q (Random.State.int st 13 - 6) ]
-      in
-      (match
-         SClient.request wc (Proto.Update (U.Chdir { oid; tau = q (j + 2); a = vel }))
-       with
-       | Ok (Proto.R_update Proto.V_accepted) -> ()
-       | Ok _ | Error _ -> failwith "o2: update failed");
+      if not (update_accepted "o2" wc (random_chdir st ~n ~tau:(q (j + 2)))) then
+        failwith "o2: update rejected";
       if j mod 64 = 63 then
         match
           SClient.request wc
@@ -1458,20 +1393,8 @@ let o2 () =
     rm_dir dir;
     float_of_int updates /. wall
   in
-  (* one discarded warmup, then the modes interleaved and pooled, exactly
-     as in o1: rps = total updates / total wall per mode *)
-  ignore (run_mode ~obs:false 99);
-  let runs =
-    List.init (2 * reps) (fun i -> (i mod 2 = 1, run_mode ~obs:(i mod 2 = 1) (i / 2)))
-  in
-  let pooled obs =
-    let mine = List.filter_map (fun (o, r) -> if o = obs then Some r else None) runs in
-    let wall =
-      List.fold_left (fun acc rps -> acc +. (float_of_int updates /. rps)) 0. mine
-    in
-    float_of_int (List.length mine * updates) /. wall
-  in
-  let rps_off = pooled false and rps_on = pooled true in
+  let off, on = interleaved ~reps run_mode in
+  let rps_off = pooled_rps ~updates off and rps_on = pooled_rps ~updates on in
   let overhead = 100. *. (rps_off -. rps_on) /. rps_off in
   row "%14s %12s %12s\n" "observability" "updates" "pooled rps";
   row "%14s %12d %12.0f\n" "off" updates rps_off;

@@ -4,23 +4,16 @@
 The repo tracks a bench trajectory under bench/baselines/: one
 BENCH_<id>.json per experiment, produced by `bench/main.exe -- <id>`.
 This script diffs a fresh record against the baseline of the same name
-and fails on a regression beyond the threshold in either direction of
-merit:
+and fails when an extra with a direction of merit (the `better` column of
+EXTRAS in validate_bench.py) regresses by more than THRESHOLD.
 
-  - throughput-like extras (higher is better): rps, agg_query_rps,
-    rps_trace_off, rps_trace_on, rps_obs_off, rps_obs_on,
-    speedup_vs_exact, hot_coverage_pct, prune_rate
-  - latency-like extras (lower is better): p50_ms, p99_ms,
-    primary_p99_ms, e2e_p50_ms, e2e_p99_ms, per_event_growth
-
-A key present in only one of the two files is reported as an error —
-the trajectory must stay comparable release over release.  Latency
-comparisons are skipped when both sides sit under --min-latency-ms
-(sub-millisecond quantiles are scheduler noise, not signal).
+A merit key present in only one of the two files is reported as an error
+— the trajectory must stay comparable release over release.  Millisecond
+(`_ms`) comparisons are skipped when both sides sit under MIN_LATENCY_MS:
+sub-millisecond quantiles are scheduler noise, not signal.
 
 Usage:
-    bench_compare.py [--baseline-dir DIR] [--threshold F]
-                     [--latency-threshold F] [--min-latency-ms MS] FILE...
+    bench_compare.py [--baseline-dir DIR] FILE...
 
 Exits non-zero with one `file: message` line per regression.
 """
@@ -29,16 +22,11 @@ import json
 import os
 import sys
 
-HIGHER_IS_BETTER = ("rps", "agg_query_rps", "rps_trace_off", "rps_trace_on",
-                    "rps_obs_off", "rps_obs_on", "speedup_vs_exact",
-                    "hot_coverage_pct", "prune_rate",
-                    "agg_speedup_vs_rescan")
-LOWER_IS_BETTER = ("p50_ms", "p99_ms", "primary_p99_ms", "e2e_p50_ms",
-                   "e2e_p99_ms", "per_event_growth")
+from validate_bench import EXTRAS, is_number
 
-
-def is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+THRESHOLD = 0.20  # allowed relative regression, either direction of merit
+MIN_LATENCY_MS = 1.0
+MERIT = {key: extra.better for key, extra in EXTRAS.items() if extra.better}
 
 
 def load(path):
@@ -49,8 +37,8 @@ def load(path):
     return doc
 
 
-def compare(fresh, base, threshold, lat_threshold, min_latency_ms):
-    for key in HIGHER_IS_BETTER:
+def compare(fresh, base):
+    for key, better in MERIT.items():
         in_f, in_b = key in fresh, key in base
         if in_f != in_b:
             yield "'%s' present in %s only" % (
@@ -62,29 +50,20 @@ def compare(fresh, base, threshold, lat_threshold, min_latency_ms):
         if not (is_number(f) and is_number(b)):
             yield "'%s' is not numeric on both sides" % key
             continue
-        if b > 0 and f < b * (1.0 - threshold):
-            yield ("%s regressed: %.3f vs baseline %.3f (-%.1f%%, "
-                   "allowed -%.0f%%)"
-                   % (key, f, b, 100.0 * (1.0 - f / b), 100.0 * threshold))
-    for key in LOWER_IS_BETTER:
-        in_f, in_b = key in fresh, key in base
-        if in_f != in_b:
-            yield "'%s' present in %s only" % (
-                key, "fresh record" if in_f else "baseline")
+        unit = " ms" if key.endswith("_ms") else ""
+        if better == "higher":
+            if b > 0 and f < b * (1.0 - THRESHOLD):
+                yield ("%s regressed: %.3f vs baseline %.3f (-%.1f%%, "
+                       "allowed -%.0f%%)"
+                       % (key, f, b, 100.0 * (1.0 - f / b),
+                          100.0 * THRESHOLD))
+        elif unit and f < MIN_LATENCY_MS and b < MIN_LATENCY_MS:
             continue
-        if not in_f:
-            continue
-        f, b = fresh[key], base[key]
-        if not (is_number(f) and is_number(b)):
-            yield "'%s' is not numeric on both sides" % key
-            continue
-        if f < min_latency_ms and b < min_latency_ms:
-            continue
-        if b > 0 and f > b * (1.0 + lat_threshold):
-            yield ("%s regressed: %.3f ms vs baseline %.3f ms (+%.1f%%, "
+        elif b > 0 and f > b * (1.0 + THRESHOLD):
+            yield ("%s regressed: %.3f%s vs baseline %.3f%s (+%.1f%%, "
                    "allowed +%.0f%%)"
-                   % (key, f, b, 100.0 * (f / b - 1.0),
-                      100.0 * lat_threshold))
+                   % (key, f, unit, b, unit, 100.0 * (f / b - 1.0),
+                      100.0 * THRESHOLD))
 
 
 def main(argv):
@@ -94,20 +73,8 @@ def main(argv):
     parser.add_argument("--baseline-dir", default="bench/baselines",
                         metavar="DIR",
                         help="directory of committed BENCH_<id>.json records")
-    parser.add_argument("--threshold", type=float, default=0.20, metavar="F",
-                        help="allowed relative throughput drop (default 0.20)")
-    parser.add_argument("--latency-threshold", type=float, default=None,
-                        metavar="F",
-                        help="allowed relative latency growth "
-                             "(default: same as --threshold)")
-    parser.add_argument("--min-latency-ms", type=float, default=1.0,
-                        metavar="MS",
-                        help="skip latency keys when both sides are below "
-                             "this (default 1.0)")
     parser.add_argument("files", nargs="+", metavar="FILE")
     args = parser.parse_args(argv)
-    lat_threshold = (args.threshold if args.latency_threshold is None
-                     else args.latency_threshold)
     bad = 0
     for path in args.files:
         base_path = os.path.join(args.baseline_dir, os.path.basename(path))
@@ -124,15 +91,13 @@ def main(argv):
                   file=sys.stderr)
             bad += 1
             continue
-        msgs = list(compare(fresh, base, args.threshold, lat_threshold,
-                            args.min_latency_ms))
+        msgs = list(compare(fresh, base))
         for msg in msgs:
             print("%s: %s" % (path, msg), file=sys.stderr)
         if msgs:
             bad += 1
         else:
-            keys = sorted(
-                k for k in (HIGHER_IS_BETTER + LOWER_IS_BETTER) if k in fresh)
+            keys = sorted(k for k in MERIT if k in fresh)
             print("%s: ok vs %s (%s)" % (path, base_path,
                                          ", ".join(keys) or "counters only"))
     return 1 if bad else 0

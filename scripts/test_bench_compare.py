@@ -4,7 +4,8 @@
 The gate guards every bench trajectory in CI, so it gets its own tests:
 a synthetic baseline against a regressed record (must fail), an improved
 record (must pass), a record missing an extra the baseline carries (must
-fail — the trajectory stays comparable), and the latency noise floor.
+fail — the trajectory stays comparable), and the latency noise floor,
+which covers millisecond keys only.
 
 Run: python3 scripts/test_bench_compare.py  (stdlib only, no deps)
 """
@@ -26,12 +27,8 @@ BASE = {
 }
 
 
-def diffs(fresh, base, threshold=0.20, lat_threshold=None,
-          min_latency_ms=1.0):
-    if lat_threshold is None:
-        lat_threshold = threshold
-    return list(bench_compare.compare(fresh, base, threshold, lat_threshold,
-                                      min_latency_ms))
+def diffs(fresh, base):
+    return list(bench_compare.compare(fresh, base))
 
 
 class CompareTest(unittest.TestCase):
@@ -69,6 +66,27 @@ class CompareTest(unittest.TestCase):
         base = dict(BASE, p99_ms=0.2)
         fresh = dict(base, p99_ms=0.9)  # 4.5x, but both sub-millisecond
         self.assertEqual(diffs(fresh, base), [])
+
+    def test_ratio_below_one_not_under_noise_floor(self):
+        # per_event_growth is a unitless ratio, not a latency: a regression
+        # from 0.5 to 0.9 must fail although both sides read below 1.0
+        base = {"exp": "s3", "per_event_growth": 0.5, "prune_rate": 0.99}
+        msgs = diffs(dict(base, per_event_growth=0.9), base)
+        self.assertEqual(len(msgs), 1)
+        self.assertIn("per_event_growth regressed", msgs[0])
+
+    def test_merit_keys_match_extras_table(self):
+        higher = sorted(k for k, v in bench_compare.MERIT.items()
+                        if v == "higher")
+        lower = sorted(k for k, v in bench_compare.MERIT.items()
+                       if v == "lower")
+        self.assertEqual(higher, sorted([
+            "rps", "agg_query_rps", "rps_trace_off", "rps_trace_on",
+            "rps_obs_off", "rps_obs_on", "speedup_vs_exact",
+            "hot_coverage_pct", "prune_rate", "agg_speedup_vs_rescan"]))
+        self.assertEqual(lower, sorted([
+            "p50_ms", "p99_ms", "primary_p99_ms", "e2e_p50_ms",
+            "e2e_p99_ms", "per_event_growth"]))
 
     def test_missing_extra_in_fresh_fails(self):
         fresh = dict(BASE)

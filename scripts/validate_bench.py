@@ -1,80 +1,97 @@
 #!/usr/bin/env python3
 """Validate BENCH_<id>.json files emitted by bench/main.exe.
 
-Schema (see EXPERIMENTS.md):
+Every record is (see EXPERIMENTS.md)
 
     { "exp": str, "n": int, "seed": int, "wall_s": float,
-      "counters": { "<metric>": float, ... } }
+      "counters": { "moq_<metric>": float, ... } }
 
-plus optional per-experiment extras:
+plus its experiment's extras.  EXTRAS declares each extra once: the
+experiment(s) that emit it, its JSON type and range, the value it must
+equal, its CI gate, and its direction of merit (bench_compare.py reads
+that).  A gate applies to its owners' records only, and a gated key
+missing from an owner's record fails.  The "exp" id must come from the
+experiment registry in bench/main.ml; duplicate keys anywhere in the
+document are rejected.
 
-    "backend": str             # numeric backend the experiment ran on
-    "filter_hit_rate": float   # in [0, 1]; filtered backend only
-    "speedup_vs_exact": float  # > 0; filtered backend only
-    "connections": int         # > 0; server experiments (s1) only
-    "rps": float               # >= 0; server experiments only
-    "p50_ms": float            # >= 0; server experiments only
-    "p99_ms": float            # >= 0 and >= p50_ms; server experiments only
-    "pushed_events": int       # >= 0; server experiments only
-    "dropped": int             # >= 0; server experiments only
-    "recover_identical": bool  # must be true when present
-    "followers": int           # >= 0; replication experiments (s2) only
-    "agg_query_rps": float     # >= 0; replication experiments only
-    "primary_p99_ms": float    # >= 0; replication experiments only
-    "divergence_detected": bool  # must be false — replicas stayed exact
-    "trace_overhead_pct": float  # tracing cost in % throughput (o1); may be < 0
-    "rps_trace_off": float     # >= 0; o1 only
-    "rps_trace_on": float      # >= 0; o1 only
-    "e2e_p50_ms": float        # >= 0; o1 only
-    "e2e_p99_ms": float        # > 0 and >= e2e_p50_ms; o1 only
-    "e2e_samples": int         # > 0; o1 only
-    "repl_lag_p99": float      # >= 0; o1 only
-    "final_lag_updates": int   # must be 0 — the follower caught up
-    "explain_overhead_pct": float  # explain/recorder cost in % (o2); may be < 0
-    "rps_obs_off": float       # >= 0; o2 only
-    "rps_obs_on": float        # >= 0; o2 only
-    "hot_coverage_pct": float  # in [0, 100]; o2 only
-    "hot_top5_comparisons": int    # >= 0, <= hot_total_comparisons; o2 only
-    "hot_total_comparisons": int   # > 0; o2 only
-    "hot_attributed_objects": int  # > 0; o2 only
-    "slowq_captured": int      # > 0 — the slow-query log actually fired
-    "flight_recorded": int     # > 0 — the flight recorder actually recorded
-    "per_event_ns_by_n": {str: float}  # N -> ns/event; sharded experiments (s3)
-    "per_event_growth": float  # > 0; per-event cost ratio largest/second N
-    "prune_rate": float        # in [0, 1]; fraction of objects index-pruned
-    "identical_to_exact": bool # must be true — sharded output is bit-exact
-    "agg_speedup_vs_rescan": float  # > 0; aggregation experiments (w1) only
-    "agg_identical": bool      # must be true — incremental rows == rescan rows
-    "agg_rows": int            # > 0; w1 only
-    "agg_pois": int            # > 0; w1 only
-    "agg_windows": int         # > 0; w1 only
-    "watch_admitted": int      # >= 0; w1 only
-    "watch_pruned": int        # >= 0; w1 only
-    "ingest_updates": int      # > 0; w1 only
-    "alibi_cases": int         # > 0; w1 only
-    "alibi_meets": int         # >= 0, <= alibi_cases; w1 only
-    "alibi_identical": bool    # must be true — exact == filtered verdicts
-
-The "exp" id must come from the known experiment registry (bench/main.ml);
-duplicate keys anywhere in the JSON document are rejected.
-
-Usage: validate_bench.py [--min-hit-rate X] [--max-trace-overhead X]
-                         [--max-explain-overhead X] [--min-hot-coverage X]
-                         [--min-prune-rate X] [--max-per-event-growth X]
-                         [--min-agg-speedup X]
-                         FILE...
-With --min-hit-rate, files carrying "filter_hit_rate" below X fail.
-With --max-trace-overhead, files carrying "trace_overhead_pct" above X fail.
-With --max-explain-overhead, files carrying "explain_overhead_pct" above X fail.
-With --min-hot-coverage, files carrying "hot_coverage_pct" below X fail.
-With --min-prune-rate, files carrying "prune_rate" below X fail.
-With --max-per-event-growth, files carrying "per_event_growth" above X fail.
-With --min-agg-speedup, files carrying "agg_speedup_vs_rescan" below X fail.
+Usage: validate_bench.py FILE...
 Exits non-zero with one `file: message` line per problem.
 """
 import argparse
+import collections
 import json
 import sys
+
+# owners: space-separated exp ids; kind: JSON type (None = any); range: a
+# RANGES key; required: the one accepted value; gate: ("min"|"max", X);
+# better: "higher"|"lower" for bench_compare.py
+Extra = collections.namedtuple(
+    "Extra", "owners kind range required gate better",
+    defaults=(None, None, None, None))
+
+EXTRAS = {
+    # a3: filtered vs exact backend
+    "backend": Extra("a3 s3", "str"),
+    "filter_hit_rate": Extra("a3", "num", "in [0, 1]", gate=("min", 0.9)),
+    "speedup_vs_exact": Extra("a3", "num", "> 0", better="higher"),
+    # s1: moq serve under load, kill + recover
+    "connections": Extra("s1", "int", "> 0"),
+    "rps": Extra("s1", "num", ">= 0", better="higher"),
+    "p50_ms": Extra("s1", "num", ">= 0", better="lower"),
+    "p99_ms": Extra("s1", "num", ">= 0", better="lower"),
+    "pushed_events": Extra("s1", "int", ">= 0"),
+    "dropped": Extra("s1", "int", ">= 0"),
+    "recover_identical": Extra("s1", "bool", required=True),
+    # s2: replication under chaos
+    "followers": Extra("s2", "int", ">= 0"),
+    "agg_query_rps": Extra("s2", "num", ">= 0", better="higher"),
+    "primary_p99_ms": Extra("s2", "num", ">= 0", better="lower"),
+    "divergence_detected": Extra("s2", "bool", required=False),
+    # o1: tracing overhead, e2e delivery, replication lag
+    "trace_overhead_pct": Extra("o1", "num", gate=("max", 5)),
+    "rps_trace_off": Extra("o1", "num", ">= 0", better="higher"),
+    "rps_trace_on": Extra("o1", "num", ">= 0", better="higher"),
+    "e2e_p50_ms": Extra("o1", "num", ">= 0", better="lower"),
+    "e2e_p99_ms": Extra("o1", "num", "> 0", better="lower"),
+    "e2e_samples": Extra("o1", "int", "> 0"),
+    "repl_lag_p99": Extra("o1", "num", ">= 0"),
+    "final_lag_updates": Extra("o1", None, required=0),  # follower caught up
+    # o2: explain/flight-recorder overhead, hot-object coverage
+    "explain_overhead_pct": Extra("o2", "num", gate=("max", 5)),
+    "rps_obs_off": Extra("o2", "num", ">= 0", better="higher"),
+    "rps_obs_on": Extra("o2", "num", ">= 0", better="higher"),
+    "hot_coverage_pct": Extra("o2", "num", "in [0, 100]", gate=("min", 80),
+                              better="higher"),
+    "hot_top5_comparisons": Extra("o2", "int", ">= 0"),
+    "hot_total_comparisons": Extra("o2", "int", "> 0"),
+    "hot_attributed_objects": Extra("o2", "int", "> 0"),
+    "slowq_captured": Extra("o2", "int", "> 0"),  # the capture path fired
+    "flight_recorded": Extra("o2", "int", "> 0"),  # the recorder fired
+    # s3: sharded index-pruned sweeps (Lemma 9 / Theorem 10 locality)
+    "per_event_ns_by_n": Extra("s3", "table"),
+    "per_event_growth": Extra("s3", "num", "> 0", gate=("max", 2.0),
+                              better="lower"),
+    "prune_rate": Extra("s3", "num", "in [0, 1]", gate=("min", 0.9),
+                        better="higher"),
+    "identical_to_exact": Extra("s3", "bool", required=True),
+    # w1: continuous POI aggregation and alibi
+    "agg_speedup_vs_rescan": Extra("w1", "num", "> 0", gate=("min", 5),
+                                   better="higher"),
+    "agg_identical": Extra("w1", "bool", required=True),
+    "agg_rows": Extra("w1", "int", "> 0"),
+    "agg_pois": Extra("w1", "int", "> 0"),
+    "agg_windows": Extra("w1", "int", "> 0"),
+    "watch_admitted": Extra("w1", "int", ">= 0"),
+    "watch_pruned": Extra("w1", "int", ">= 0"),
+    "ingest_updates": Extra("w1", "int", "> 0"),
+    "alibi_cases": Extra("w1", "int", "> 0"),
+    "alibi_meets": Extra("w1", "int", ">= 0"),
+    "alibi_identical": Extra("w1", "bool", required=True),
+}
+# (a, b): a <= b whenever both are numbers
+ORDERED = [("p50_ms", "p99_ms"), ("e2e_p50_ms", "e2e_p99_ms"),
+           ("hot_top5_comparisons", "hot_total_comparisons"),
+           ("alibi_meets", "alibi_cases")]
 
 METRIC_OK = set("abcdefghijklmnopqrstuvwxyz0123456789_")
 # the experiment registry in bench/main.ml — an id not listed here is a typo
@@ -83,24 +100,26 @@ KNOWN_EXPS = {"f1", "f2", "f3", "p1", "t2", "t4", "t5a", "t5b", "t10",
               "b1", "b2", "b3", "a1", "a2", "a3", "r1", "s1", "s2", "s3",
               "o1", "o2", "w1"}
 REQUIRED = {"exp", "n", "seed", "wall_s", "counters"}
-OPTIONAL = {"backend", "filter_hit_rate", "speedup_vs_exact",
-            "connections", "rps", "p50_ms", "p99_ms", "pushed_events",
-            "dropped", "recover_identical",
-            "followers", "agg_query_rps", "primary_p99_ms",
-            "divergence_detected",
-            "trace_overhead_pct", "rps_trace_off", "rps_trace_on",
-            "e2e_p50_ms", "e2e_p99_ms", "e2e_samples", "repl_lag_p99",
-            "final_lag_updates",
-            "explain_overhead_pct", "rps_obs_off", "rps_obs_on",
-            "hot_coverage_pct", "hot_top5_comparisons",
-            "hot_total_comparisons", "hot_attributed_objects",
-            "slowq_captured", "flight_recorded",
-            "per_event_ns_by_n", "per_event_growth", "prune_rate",
-            "identical_to_exact",
-            "agg_speedup_vs_rescan", "agg_identical", "agg_rows",
-            "agg_pois", "agg_windows", "watch_admitted", "watch_pruned",
-            "ingest_updates", "alibi_cases", "alibi_meets",
-            "alibi_identical"}
+
+
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+KINDS = {
+    "str": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "num": ("a number", is_number),
+    "int": ("an integer",
+            lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "table": ("a non-empty object", lambda v: isinstance(v, dict) and bool(v)),
+}
+RANGES = {
+    ">= 0": lambda v: not v < 0,
+    "> 0": lambda v: not v <= 0,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in [0, 100]": lambda v: 0 <= v <= 100,
+}
 
 
 def reject_duplicate_keys(pairs):
@@ -114,14 +133,29 @@ def reject_duplicate_keys(pairs):
     return dict(pairs)
 
 
-def is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def extra_problems(key, extra, v, owned):
+    if extra.kind is not None and not KINDS[extra.kind][1](v):
+        yield "'%s' must be %s" % (key, KINDS[extra.kind][0])
+        return
+    if extra.range is not None and not RANGES[extra.range](v):
+        yield "'%s' must be %s" % (key, extra.range)
+    if extra.required is not None and v != extra.required:
+        yield "'%s' must be %s" % (key, json.dumps(extra.required))
+    if extra.kind == "table":
+        for size, ns in v.items():
+            if not size.isdigit() or int(size) <= 0:
+                yield "'%s' key %r is not a positive integer N" % (key, size)
+            if not is_number(ns) or ns <= 0:
+                yield "'%s'[%r] must be a positive number" % (key, size)
+    if owned and extra.gate is not None:
+        bound, x = extra.gate
+        if (v < x) if bound == "min" else (v > x):
+            yield "%s %g %s allowed %s %g" % (
+                key, v, "below" if bound == "min" else "above",
+                "minimum" if bound == "min" else "maximum", x)
 
 
-def problems(path, min_hit_rate=None, max_trace_overhead=None,
-             max_explain_overhead=None, min_hot_coverage=None,
-             min_prune_rate=None, max_per_event_growth=None,
-             min_agg_speedup=None):
+def problems(path):
     try:
         with open(path) as fh:
             doc = json.load(fh, object_pairs_hook=reject_duplicate_keys)
@@ -131,197 +165,31 @@ def problems(path, min_hit_rate=None, max_trace_overhead=None,
     if not isinstance(doc, dict):
         yield "top level is not an object"
         return
-    extra = sorted(set(doc) - REQUIRED - OPTIONAL)
+    extra = sorted(set(doc) - REQUIRED - set(EXTRAS))
     if extra:
         yield "unexpected keys: %s" % ", ".join(extra)
-    if not isinstance(doc.get("exp"), str) or not doc.get("exp"):
+    exp = doc.get("exp")
+    if not isinstance(exp, str) or not exp:
         yield "'exp' must be a non-empty string"
-    elif doc["exp"] not in KNOWN_EXPS:
+    elif exp not in KNOWN_EXPS:
         yield "'exp' %r is not a known experiment id (%s)" % (
-            doc["exp"], ", ".join(sorted(KNOWN_EXPS)))
+            exp, ", ".join(sorted(KNOWN_EXPS)))
     for key in ("n", "seed"):
         if not isinstance(doc.get(key), int) or isinstance(doc.get(key), bool):
             yield "'%s' must be an integer" % key
     wall = doc.get("wall_s")
     if not is_number(wall) or wall < 0:
         yield "'wall_s' must be a non-negative number"
-    if "backend" in doc and (
-        not isinstance(doc["backend"], str) or not doc["backend"]
-    ):
-        yield "'backend' must be a non-empty string"
-    if "filter_hit_rate" in doc:
-        rate = doc["filter_hit_rate"]
-        if not is_number(rate) or not 0.0 <= rate <= 1.0:
-            yield "'filter_hit_rate' must be a number in [0, 1]"
-        elif min_hit_rate is not None and rate < min_hit_rate:
-            yield "filter_hit_rate %.4f below required minimum %.4f" % (
-                rate, min_hit_rate)
-    elif min_hit_rate is not None:
-        yield "--min-hit-rate given but file has no 'filter_hit_rate'"
-    if "speedup_vs_exact" in doc:
-        speedup = doc["speedup_vs_exact"]
-        if not is_number(speedup) or speedup <= 0:
-            yield "'speedup_vs_exact' must be a positive number"
-    for key in ("connections", "pushed_events", "dropped"):
-        if key in doc and (
-            not isinstance(doc[key], int) or isinstance(doc[key], bool)
-            or doc[key] < 0 or (key == "connections" and doc[key] == 0)
-        ):
-            yield "'%s' must be a %s integer" % (
-                key, "positive" if key == "connections" else "non-negative")
-    for key in ("rps", "p50_ms", "p99_ms"):
-        if key in doc and (not is_number(doc[key]) or doc[key] < 0):
-            yield "'%s' must be a non-negative number" % key
-    if (is_number(doc.get("p50_ms")) and is_number(doc.get("p99_ms"))
-            and doc["p99_ms"] < doc["p50_ms"]):
-        yield "'p99_ms' must be >= 'p50_ms'"
-    if "recover_identical" in doc and doc["recover_identical"] is not True:
-        yield "'recover_identical' must be true — recovery diverged"
-    if "followers" in doc and (
-        not isinstance(doc["followers"], int) or isinstance(doc["followers"], bool)
-        or doc["followers"] < 0
-    ):
-        yield "'followers' must be a non-negative integer"
-    for key in ("agg_query_rps", "primary_p99_ms"):
-        if key in doc and (not is_number(doc[key]) or doc[key] < 0):
-            yield "'%s' must be a non-negative number" % key
-    if "divergence_detected" in doc and doc["divergence_detected"] is not False:
-        yield ("'divergence_detected' must be false — a replica diverged "
-               "from the primary")
-    if "trace_overhead_pct" in doc:
-        overhead = doc["trace_overhead_pct"]
-        if not is_number(overhead):
-            yield "'trace_overhead_pct' must be a number"
-        elif max_trace_overhead is not None and overhead > max_trace_overhead:
-            yield "trace_overhead_pct %.2f above allowed maximum %.2f" % (
-                overhead, max_trace_overhead)
-    elif max_trace_overhead is not None:
-        yield "--max-trace-overhead given but file has no 'trace_overhead_pct'"
-    for key in ("rps_trace_off", "rps_trace_on", "e2e_p50_ms", "repl_lag_p99"):
-        if key in doc and (not is_number(doc[key]) or doc[key] < 0):
-            yield "'%s' must be a non-negative number" % key
-    if "e2e_p99_ms" in doc and (
-        not is_number(doc["e2e_p99_ms"]) or doc["e2e_p99_ms"] <= 0
-    ):
-        yield "'e2e_p99_ms' must be a positive number"
-    if (is_number(doc.get("e2e_p50_ms")) and is_number(doc.get("e2e_p99_ms"))
-            and doc["e2e_p99_ms"] < doc["e2e_p50_ms"]):
-        yield "'e2e_p99_ms' must be >= 'e2e_p50_ms'"
-    if "e2e_samples" in doc and (
-        not isinstance(doc["e2e_samples"], int)
-        or isinstance(doc["e2e_samples"], bool) or doc["e2e_samples"] <= 0
-    ):
-        yield "'e2e_samples' must be a positive integer"
-    if "final_lag_updates" in doc and doc["final_lag_updates"] != 0:
-        yield ("'final_lag_updates' must be 0 — the follower never caught "
-               "up with the primary")
-    if "explain_overhead_pct" in doc:
-        overhead = doc["explain_overhead_pct"]
-        if not is_number(overhead):
-            yield "'explain_overhead_pct' must be a number"
-        elif max_explain_overhead is not None and overhead > max_explain_overhead:
-            yield "explain_overhead_pct %.2f above allowed maximum %.2f" % (
-                overhead, max_explain_overhead)
-    elif max_explain_overhead is not None:
-        yield "--max-explain-overhead given but file has no 'explain_overhead_pct'"
-    for key in ("rps_obs_off", "rps_obs_on"):
-        if key in doc and (not is_number(doc[key]) or doc[key] < 0):
-            yield "'%s' must be a non-negative number" % key
-    if "hot_coverage_pct" in doc:
-        cov = doc["hot_coverage_pct"]
-        if not is_number(cov) or not 0.0 <= cov <= 100.0:
-            yield "'hot_coverage_pct' must be a number in [0, 100]"
-        elif min_hot_coverage is not None and cov < min_hot_coverage:
-            yield "hot_coverage_pct %.2f below required minimum %.2f" % (
-                cov, min_hot_coverage)
-    elif min_hot_coverage is not None:
-        yield "--min-hot-coverage given but file has no 'hot_coverage_pct'"
-    for key in ("hot_top5_comparisons", "hot_total_comparisons",
-                "hot_attributed_objects", "slowq_captured",
-                "flight_recorded"):
-        if key in doc and (
-            not isinstance(doc[key], int) or isinstance(doc[key], bool)
-            or doc[key] < 0
-        ):
-            yield "'%s' must be a non-negative integer" % key
-    if (isinstance(doc.get("hot_top5_comparisons"), int)
-            and isinstance(doc.get("hot_total_comparisons"), int)
-            and doc["hot_top5_comparisons"] > doc["hot_total_comparisons"]):
-        yield ("'hot_top5_comparisons' must be <= 'hot_total_comparisons' — "
-               "attribution over-counted")
-    for key in ("hot_total_comparisons", "hot_attributed_objects",
-                "slowq_captured", "flight_recorded"):
-        if key in doc and doc[key] == 0:
-            yield ("'%s' must be positive — the instrumentation never fired"
-                   % key)
-    if "per_event_ns_by_n" in doc:
-        table = doc["per_event_ns_by_n"]
-        if not isinstance(table, dict) or not table:
-            yield "'per_event_ns_by_n' must be a non-empty object"
-        else:
-            for size, ns in table.items():
-                if not size.isdigit() or int(size) <= 0:
-                    yield ("'per_event_ns_by_n' key %r is not a positive "
-                           "integer N" % size)
-                if not is_number(ns) or ns <= 0:
-                    yield ("'per_event_ns_by_n'[%r] must be a positive "
-                           "number" % size)
-    if "per_event_growth" in doc:
-        growth = doc["per_event_growth"]
-        if not is_number(growth) or growth <= 0:
-            yield "'per_event_growth' must be a positive number"
-        elif (max_per_event_growth is not None
-              and growth > max_per_event_growth):
-            yield ("per_event_growth %.2f above allowed maximum %.2f — "
-                   "per-event cost is no longer local" % (
-                       growth, max_per_event_growth))
-    elif max_per_event_growth is not None:
-        yield "--max-per-event-growth given but file has no 'per_event_growth'"
-    if "prune_rate" in doc:
-        rate = doc["prune_rate"]
-        if not is_number(rate) or not 0.0 <= rate <= 1.0:
-            yield "'prune_rate' must be a number in [0, 1]"
-        elif min_prune_rate is not None and rate < min_prune_rate:
-            yield "prune_rate %.4f below required minimum %.4f" % (
-                rate, min_prune_rate)
-    elif min_prune_rate is not None:
-        yield "--min-prune-rate given but file has no 'prune_rate'"
-    if "identical_to_exact" in doc and doc["identical_to_exact"] is not True:
-        yield ("'identical_to_exact' must be true — the sharded timeline "
-               "diverged from the exact backend")
-    if "agg_speedup_vs_rescan" in doc:
-        speedup = doc["agg_speedup_vs_rescan"]
-        if not is_number(speedup) or speedup <= 0:
-            yield "'agg_speedup_vs_rescan' must be a positive number"
-        elif min_agg_speedup is not None and speedup < min_agg_speedup:
-            yield ("agg_speedup_vs_rescan %.2f below required minimum %.2f — "
-                   "incremental maintenance lost its edge over rescans" % (
-                       speedup, min_agg_speedup))
-    elif min_agg_speedup is not None:
-        yield "--min-agg-speedup given but file has no 'agg_speedup_vs_rescan'"
-    if "agg_identical" in doc and doc["agg_identical"] is not True:
-        yield ("'agg_identical' must be true — incremental aggregation rows "
-               "diverged from the rescan baseline")
-    if "alibi_identical" in doc and doc["alibi_identical"] is not True:
-        yield ("'alibi_identical' must be true — alibi verdicts diverged "
-               "between the exact and filtered backends")
-    for key in ("agg_rows", "agg_pois", "agg_windows", "ingest_updates",
-                "alibi_cases"):
-        if key in doc and (
-            not isinstance(doc[key], int) or isinstance(doc[key], bool)
-            or doc[key] <= 0
-        ):
-            yield "'%s' must be a positive integer" % key
-    for key in ("watch_admitted", "watch_pruned", "alibi_meets"):
-        if key in doc and (
-            not isinstance(doc[key], int) or isinstance(doc[key], bool)
-            or doc[key] < 0
-        ):
-            yield "'%s' must be a non-negative integer" % key
-    if (isinstance(doc.get("alibi_meets"), int)
-            and isinstance(doc.get("alibi_cases"), int)
-            and doc["alibi_meets"] > doc["alibi_cases"]):
-        yield "'alibi_meets' must be <= 'alibi_cases'"
+    for key, row in EXTRAS.items():
+        owned = isinstance(exp, str) and exp in row.owners.split()
+        if key in doc:
+            yield from extra_problems(key, row, doc[key], owned)
+        elif owned and row.gate is not None:
+            yield "'%s' missing — %s records are gated on it" % (key, exp)
+    for lo, hi in ORDERED:
+        if (is_number(doc.get(lo)) and is_number(doc.get(hi))
+                and doc[lo] > doc[hi]):
+            yield "'%s' must be <= '%s'" % (lo, hi)
     counters = doc.get("counters")
     if not isinstance(counters, dict):
         yield "'counters' must be an object"
@@ -336,38 +204,12 @@ def problems(path, min_hit_rate=None, max_trace_overhead=None,
 def main(argv):
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--min-hit-rate", type=float, default=None, metavar="X",
-                        help="fail files whose filter_hit_rate is below X")
-    parser.add_argument("--max-trace-overhead", type=float, default=None,
-                        metavar="X",
-                        help="fail files whose trace_overhead_pct is above X")
-    parser.add_argument("--max-explain-overhead", type=float, default=None,
-                        metavar="X",
-                        help="fail files whose explain_overhead_pct is above X")
-    parser.add_argument("--min-hot-coverage", type=float, default=None,
-                        metavar="X",
-                        help="fail files whose hot_coverage_pct is below X")
-    parser.add_argument("--min-prune-rate", type=float, default=None,
-                        metavar="X",
-                        help="fail files whose prune_rate is below X")
-    parser.add_argument("--max-per-event-growth", type=float, default=None,
-                        metavar="X",
-                        help="fail files whose per_event_growth is above X")
-    parser.add_argument("--min-agg-speedup", type=float, default=None,
-                        metavar="X",
-                        help="fail files whose agg_speedup_vs_rescan is below X")
     parser.add_argument("files", nargs="+", metavar="FILE")
     args = parser.parse_args(argv)
     bad = 0
     for path in args.files:
         found = False
-        for msg in problems(path, min_hit_rate=args.min_hit_rate,
-                            max_trace_overhead=args.max_trace_overhead,
-                            max_explain_overhead=args.max_explain_overhead,
-                            min_hot_coverage=args.min_hot_coverage,
-                            min_prune_rate=args.min_prune_rate,
-                            max_per_event_growth=args.max_per_event_growth,
-                            min_agg_speedup=args.min_agg_speedup):
+        for msg in problems(path):
             print("%s: %s" % (path, msg), file=sys.stderr)
             found = True
         if found:
@@ -376,7 +218,7 @@ def main(argv):
             with open(path) as fh:
                 doc = json.load(fh)
             extras = "".join(
-                " %s=%s" % (k, doc[k]) for k in sorted(OPTIONAL & set(doc)))
+                " %s=%s" % (k, doc[k]) for k in sorted(set(EXTRAS) & set(doc)))
             print(
                 "%s: ok (exp=%s n=%d seed=%d wall_s=%.3f, %d counters%s)"
                 % (path, doc["exp"], doc["n"], doc["seed"], doc["wall_s"],

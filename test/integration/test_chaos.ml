@@ -31,8 +31,12 @@ let seeds =
   match Sys.getenv_opt "MOQ_FAULT_SEEDS" with
   | None | Some "" -> [ 7; 19 ]
   | Some s ->
+    (* a typo must fail loudly, not quietly shrink the seed sweep *)
     String.split_on_char ',' s
-    |> List.filter_map (fun w -> int_of_string_opt (String.trim w))
+    |> List.map (fun w ->
+           match int_of_string_opt (String.trim w) with
+           | Some seed -> seed
+           | None -> failwith (Printf.sprintf "MOQ_FAULT_SEEDS=%S: %S is not an integer" s w))
 
 let tmp_ctr = ref 0
 
