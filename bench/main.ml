@@ -180,9 +180,11 @@ let f3 () =
     String.concat " < "
       (List.map (fun e -> Format.asprintf "%a" EX.pp_label (EX.label e)) (EX.order eng))
   in
+  (* the 2-NN just after the current instant: the order's first two *)
   let twonn () =
+    let oid e = match EX.label e with EX.Obj (o, _) -> o | EX.Cst _ -> assert false in
     String.concat ","
-      (List.map (Printf.sprintf "o%d") (Oid.Set.elements (KnnX.answer_span eng 2)))
+      (List.map (Printf.sprintf "o%d") (List.sort compare (List.map oid (EX.first_n eng 2))))
   in
   row "t = 0 : order %s; 2-NN = {%s}   (paper: o4 < o3 < o2 < o1, answer {o3,o4})\n"
     (order ()) (twonn ());

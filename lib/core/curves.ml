@@ -50,6 +50,19 @@ module Make (B : Backend.S) = struct
     let p1, _ = piece_at c1 i and p2, _ = piece_at c2 i in
     B.sign_after_instant (P.sub p1 p2) i
 
+  (* Do the curves have a polynomial in common anywhere?  Compares
+     pieces only: no instant is looked at. *)
+  let share_piece c1 c2 =
+    List.exists
+      (fun (_, p1) -> List.exists (fun (_, p2) -> P.equal p1 p2) (PW.pieces c2))
+      (PW.pieces c1)
+
+  (* Do the curves run on one polynomial at [i]?  Compares the pieces in
+     force there; no evaluation. *)
+  let same_piece_at c1 c2 i =
+    let p1, _ = piece_at c1 i and p2, _ = piece_at c2 i in
+    P.is_zero (P.sub p1 p2)
+
   (* Merged piece boundaries of two curves restricted to their common
      domain: returns [(start, poly_diff, stop_opt)] segments in order. *)
   let diff_segments (c1 : PW.t) (c2 : PW.t) : (F.t * P.t * F.t option) list =

@@ -198,9 +198,12 @@ module Make (B : Backend.S) = struct
     in
     scan (PW.pieces e.curve)
 
+  (* Lifetimes are closed: a curve whose stop is the current instant is
+     still on the line there, and its death, due now, removes it at the
+     next advance. *)
   let schedule_death t e =
     match PW.stop e.curve with
-    | Some s when B.compare_instant_scalar t.now s < 0 ->
+    | Some s when B.compare_instant_scalar t.now s <= 0 ->
       (match t.horizon with
        | Some h when F.compare s h > 0 -> ()
        | _ -> ignore (LH.insert t.queue (B.instant_of_scalar s) (Death e)))
@@ -479,11 +482,15 @@ module Make (B : Backend.S) = struct
       | Some (i, _) when B.compare_instant_scalar i upto < 0 ->
         (match pop_batch t with
          | Some (i, events) ->
-           if B.compare_instant t.now i < 0 then emit (Span (t.now, i));
+           let later = B.compare_instant t.now i < 0 in
+           if later then emit (Span (t.now, i));
            (* move the clock first so rescheduling searches strictly after
               this batch and never re-finds its own events *)
            t.now <- i;
-           process_batch t i events emit
+           (* deaths due at the clock close lifetimes at an instant the
+              caller has already read: they emit no second Point *)
+           let closing = (not later) && List.for_all (function Death _ -> true | _ -> false) events in
+           process_batch t i events (if closing then ignore else emit)
          | None -> continue_ := false)
       | _ -> continue_ := false
     done
@@ -567,7 +574,7 @@ module Make (B : Backend.S) = struct
     List.iter
       (fun e ->
         (match PW.stop e.curve with
-         | Some s when B.compare_instant_scalar t.now s < 0 ->
+         | Some s when B.compare_instant_scalar t.now s <= 0 ->
            (match t.horizon with
             | Some h when F.compare s h > 0 -> ()
             | _ -> events := (`Plain, B.instant_of_scalar s, Death e) :: !events)

@@ -94,7 +94,11 @@ module Make (B : Backend.S) : sig
   (** Process all events with instant strictly before [upto].  [emit] is
       called per the [step] protocol; the final span up to [upto] is {e not}
       emitted (callers close it — they know whether [upto] is an update time
-      or the query horizon). *)
+      or the query horizon).  Lifetimes are closed: an entry whose curve
+      stops at the clock (at {!create}'s start, or at a {!replace_curve}
+      that ends it there) stays on the line for the caller's read of that
+      instant, and the first advance removes it without emitting a second
+      [Point]. *)
 
   (* Update-time mutations (the paper's three cases).  Each runs in
      O(log N) plus rescheduling, per Lemma 9. *)
@@ -118,7 +122,7 @@ module Make (B : Backend.S) : sig
   (** [chdir]: substitute the entry's curve (which must agree with the old
       one at [at], by trajectory continuity); the order does not change, but
       the entry's pending intersections are recomputed — exactly the paper's
-      chdir case. *)
+      chdir case.  A [terminate] substitutes the curve cut at [at]. *)
 
   val replace_all_curves : t -> at:B.P.F.t -> (entry -> B.PW.t) -> unit
   (** Theorem 10: a direction update on the {e query} trajectory changes

@@ -1,53 +1,26 @@
 (** The k-NN operator (paper, Examples 6, 10, 12): the answer at each
     instant is the set of the k lowest g-distance curves — read directly off
-    the sweep's order structure instead of re-evaluating a formula, so each
-    support change costs O(log N + k).
+    the sweep's order structure ({!Reader}) instead of re-evaluating a
+    formula, so each support change costs O(log N + k).
 
-    At event instants, objects tied with the k-th curve are all reported
-    (the crossing pair is momentarily equal — the paper's step 1 where
-    [o ≡_τ' o']). *)
+    Objects tied with the k-th curve are all reported: at event instants
+    the crossing pair is momentarily equal (the paper's step 1 where
+    [o ≡_τ' o']), and on spans identical curves stay tied throughout. *)
 
-module Oid = Moq_mod.Oid
 module Q = Moq_numeric.Rat
 module DB = Moq_mod.Mobdb
 module Sink = Moq_obs.Sink
 
 module Make (B : Backend.S) = struct
   module E = Engine.Make (B)
-  module C = E.C
-  module TL = Timeline.Make (B)
+  module R = Reader.Make (B)
+  module TL = R.TL
 
   type result = {
     timeline : TL.t;
     stats : E.stats;
     hot : E.hot list;  (** per-object cost attribution, hottest first *)
   }
-
-  let oid_of e = match E.label e with E.Obj (o, _) -> Some o | E.Cst _ -> None
-
-  let set_of_entries es =
-    List.fold_left
-      (fun acc e -> match oid_of e with Some o -> Oid.Set.add o acc | None -> acc)
-      Oid.Set.empty es
-
-  (* first k entries; at an instant, extend with the run of entries tied
-     with the k-th *)
-  let answer_span eng k = set_of_entries (E.first_n eng k)
-
-  let answer_at eng k i =
-    let firsts = E.first_n eng k in
-    let n = List.length firsts in
-    if n < k then set_of_entries firsts
-    else begin
-      let kth = List.nth firsts (k - 1) in
-      let rec extend j acc =
-        match E.nth_entry eng j with
-        | Some e when C.diff_sign_at (E.curve e) (E.curve kth) i = 0 ->
-          extend (j + 1) (e :: acc)
-        | _ -> acc
-      in
-      set_of_entries (extend k firsts)
-    end
 
   let entries ~(db : DB.t) ~(gdist : Gdist.t) =
     List.map
@@ -64,27 +37,8 @@ module Make (B : Backend.S) = struct
     Sink.count sink "moq_query_knn_total" 1;
     Sink.time sink "moq_query_knn_seconds" @@ fun () ->
     let eng = engine ~sink ~db ~gdist ~lo ~hi () in
-    let pieces = ref [] in
-    let emit = function
-      | E.Span (a, b) -> pieces := TL.Span (a, b, answer_span eng k) :: !pieces
-      | E.Point i -> pieces := TL.At (i, answer_at eng k i) :: !pieces
-    in
-    let lo_i = B.instant_of_scalar (B.scalar_of_rat lo) in
-    let hi_s = B.scalar_of_rat hi in
-    let hi_i = B.instant_of_scalar hi_s in
-    pieces := [ TL.At (lo_i, answer_at eng k lo_i) ];
-    if Q.compare lo hi < 0 then begin
-      E.advance eng ~upto:hi_s ~emit;
-      let last = E.now eng in
-      if B.compare_instant last hi_i < 0 then begin
-        pieces :=
-          TL.At (hi_i, answer_at eng k hi_i)
-          :: TL.Span (last, hi_i, answer_span eng k)
-          :: !pieces
-      end
-    end;
-    { timeline = TL.simplify (List.rev !pieces); stats = E.stats eng;
-      hot = E.hot_objects eng }
+    let timeline = R.timeline eng ~lo ~hi (R.answer eng (Reader.Knn k)) in
+    { timeline; stats = E.stats eng; hot = E.hot_objects eng }
 
   let run ~db ~gdist ~k ~lo ~hi = run_obs ~sink:Sink.noop ~db ~gdist ~k ~lo ~hi
 end

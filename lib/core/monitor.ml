@@ -20,8 +20,8 @@ module Sink = Moq_obs.Sink
 module Make (B : Backend.S) = struct
   module E = Engine.Make (B)
   module P = Problem.Make (B)
-  module S = P.S
-  module TL = Timeline.Make (B)
+  module R = Reader.Make (B)
+  module TL = R.TL
   module Sw = Sweep.Make (B)
 
   type t = {
@@ -30,6 +30,7 @@ module Make (B : Backend.S) = struct
     engine : E.t;
     sink : Sink.t;
     query : Fof.query;
+    read : E.step -> Oid.Set.t;  (** the answer on one piece ({!Sweep.reader}) *)
     hi : Q.t;  (** interval end *)
     materialize : bool;
         (** evaluate and record answers (default); [false] maintains the
@@ -50,19 +51,11 @@ module Make (B : Backend.S) = struct
     m.valid <- piece :: m.valid;
     m.n_valid <- m.n_valid + 1
 
+  let record_step m step = record m (R.piece step (m.read step))
+
   let advance_engine m (upto : Q.t) =
-    if not m.materialize then E.advance m.engine ~upto:(B.scalar_of_rat upto) ~emit:(fun _ -> ())
-    else begin
-      let ctx = P.snapshot_ctx m.problem in
-      let answer i = S.answer_at ctx m.query i in
-      let emit = function
-        | E.Span (a, b) ->
-          let sample = B.instant_of_scalar (B.between a b) in
-          record m (TL.Span (a, b, answer sample))
-        | E.Point i -> record m (TL.At (i, answer i))
-      in
-      E.advance m.engine ~upto:(B.scalar_of_rat upto) ~emit
-    end
+    let emit = if m.materialize then record_step m else fun _ -> () in
+    E.advance m.engine ~upto:(B.scalar_of_rat upto) ~emit
 
   (* Theorem 5(1): initialization, O(N log N). *)
   let create ?(sink = Sink.noop) ?(attr = true) ?(materialize = true) ~(db : DB.t)
@@ -84,14 +77,10 @@ module Make (B : Backend.S) = struct
       Sink.count sink (Printf.sprintf "moq_query_kind_%s_total" kind) 1
     end;
     let m =
-      { db; problem = p; engine = eng; sink; query; hi; materialize;
-        valid = []; n_valid = 0; drained = 0; clock = lo }
+      { db; problem = p; engine = eng; sink; query; read = Sw.reader p query eng; hi;
+        materialize; valid = []; n_valid = 0; drained = 0; clock = lo }
     in
-    if materialize then begin
-      let lo_i = B.instant_of_scalar (B.scalar_of_rat lo) in
-      let ctx = P.snapshot_ctx p in
-      record m (TL.At (lo_i, S.answer_at ctx query lo_i))
-    end;
+    if materialize then record_step m (E.Point (B.instant_of_scalar (B.scalar_of_rat lo)));
     (* the part of the interval already in the past is valid immediately *)
     let tau0 = DB.last_update db in
     if Q.compare lo tau0 < 0 then advance_engine m (Q.min tau0 hi);
@@ -106,18 +95,12 @@ module Make (B : Backend.S) = struct
     else
     let now = E.now m.engine in
     let tau_i = B.instant_of_scalar (B.scalar_of_rat tau) in
-    if B.compare_instant now tau_i < 0 then begin
-      let ctx = P.snapshot_ctx m.problem in
-      let sample = B.instant_of_scalar (B.between now tau_i) in
-      record m (TL.Span (now, tau_i, S.answer_at ctx m.query sample))
-    end
+    if B.compare_instant now tau_i < 0 then record_step m (E.Span (now, tau_i))
 
   let emit_at m (tau : Q.t) =
     if not m.materialize then ()
     else
-    let ctx = P.snapshot_ctx m.problem in
-    let tau_i = B.instant_of_scalar (B.scalar_of_rat tau) in
-    record m (TL.At (tau_i, S.answer_at ctx m.query tau_i))
+    record_step m (E.Point (B.instant_of_scalar (B.scalar_of_rat tau)))
 
   (* Close the validated timeline up to [upto] (trailing span + endpoint). *)
   let close_until m (upto : Q.t) =
@@ -162,20 +145,17 @@ module Make (B : Backend.S) = struct
                     a birth event when the problem curves are rebuilt *)
                  ())
              arr
-         | U.Terminate _ ->
-           Array.iteri
-             (fun k _ ->
-               match E.find m.engine (E.Obj (o, k)) with
-               | Some _ -> E.remove m.engine ~at:tau_s (E.Obj (o, k))
-               | None -> ())
-             arr
-         | U.Chdir _ ->
+         | U.Chdir _ | U.Terminate _ ->
+           (* a terminated curve stops at [tau]: lifetimes are closed, so
+              the entry stays for the answer at [tau] and its death, due
+              now, removes it at the next advance *)
            Array.iteri
              (fun k c ->
                match c, E.find m.engine (E.Obj (o, k)) with
                | Some c, Some _ -> E.replace_curve m.engine ~at:tau_s (E.Obj (o, k)) c
                | Some c, None when B.PW.defined_at c tau_s ->
                  E.insert m.engine ~at:tau_s (E.Obj (o, k)) c
+               | None, Some _ -> E.remove m.engine ~at:tau_s (E.Obj (o, k))
                | _ -> ())
              arr)
       end;

@@ -1,34 +1,22 @@
 (** The within-distance operator ("all flights within 50 km", Example 11):
     the query constant is swept as a constant curve; the answer at any
-    instant is the set of object curves ranked below it, read off the order
-    structure in O(log N) per support change. *)
+    instant is the set of object curves ranked below it, plus those tied
+    with it, read off the order structure ({!Reader}) in O(log N) per
+    support change. *)
 
-module Oid = Moq_mod.Oid
 module Q = Moq_numeric.Rat
 module DB = Moq_mod.Mobdb
 
 module Make (B : Backend.S) = struct
   module E = Engine.Make (B)
-  module C = E.C
-  module TL = Timeline.Make (B)
+  module R = Reader.Make (B)
+  module TL = R.TL
 
   type result = {
     timeline : TL.t;
     stats : E.stats;
   }
 
-  let oid_of e = match E.label e with E.Obj (o, _) -> Some o | E.Cst _ -> None
-
-  let set_of_entries es =
-    List.fold_left
-      (fun acc e -> match oid_of e with Some o -> Oid.Set.add o acc | None -> acc)
-      Oid.Set.empty es
-
-  (* Objects at or below the bound.  On open spans the rank of the bound
-     entry suffices: an object curve identically equal to the bound ties and
-     is ordered before the constant (Obj < Cst in the stable label order),
-     so <=-semantics still include it.  At instants we additionally take the
-     run of entries tied with the bound. *)
   let run ~(db : DB.t) ~(gdist : Gdist.t) ~(bound : Q.t) ~(lo : Q.t) ~(hi : Q.t) : result =
     let entries =
       (E.Cst bound, B.PW.constant ~start:(B.scalar_of_rat lo) (B.scalar_of_rat bound))
@@ -37,45 +25,6 @@ module Make (B : Backend.S) = struct
            (DB.objects db)
     in
     let eng = E.create ~start:(B.scalar_of_rat lo) ~horizon:(B.scalar_of_rat hi) entries in
-    let bound_entry () =
-      match E.find eng (E.Cst bound) with
-      | Some e -> e
-      | None -> invalid_arg "Range_query: bound curve missing"
-    in
-    let answer_span () =
-      let be = bound_entry () in
-      set_of_entries (E.first_n eng (E.rank_of eng be))
-    in
-    let answer_at i =
-      let be = bound_entry () in
-      let r = E.rank_of eng be in
-      let below = E.first_n eng r in
-      (* entries tied with the bound at [i] sit just after it in the order *)
-      let rec extend j acc =
-        match E.nth_entry eng j with
-        | Some e when C.diff_sign_at (E.curve e) (E.curve be) i = 0 -> extend (j + 1) (e :: acc)
-        | _ -> acc
-      in
-      (* also those just before the bound and equal to it at i are already in
-         [below]; collect ties after the bound *)
-      set_of_entries (extend (r + 1) below)
-    in
-    let pieces = ref [] in
-    let emit = function
-      | E.Span (a, b) -> pieces := TL.Span (a, b, answer_span ()) :: !pieces
-      | E.Point i -> pieces := TL.At (i, answer_at i) :: !pieces
-    in
-    let lo_i = B.instant_of_scalar (B.scalar_of_rat lo) in
-    let hi_s = B.scalar_of_rat hi in
-    let hi_i = B.instant_of_scalar hi_s in
-    pieces := [ TL.At (lo_i, answer_at lo_i) ];
-    if Q.compare lo hi < 0 then begin
-      E.advance eng ~upto:hi_s ~emit;
-      let last = E.now eng in
-      if B.compare_instant last hi_i < 0 then begin
-        pieces :=
-          TL.At (hi_i, answer_at hi_i) :: TL.Span (last, hi_i, answer_span ()) :: !pieces
-      end
-    end;
-    { timeline = TL.simplify (List.rev !pieces); stats = E.stats eng }
+    let timeline = R.timeline eng ~lo ~hi (R.answer eng (Reader.Within bound)) in
+    { timeline; stats = E.stats eng }
 end

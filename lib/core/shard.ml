@@ -14,8 +14,8 @@ module Sink = Moq_obs.Sink
 
 module Make (B : Backend.S) = struct
   module E = Engine.Make (B)
-  module C = E.C
-  module TL = Timeline.Make (B)
+  module R = Reader.Make (B)
+  module TL = R.TL
 
   type shard_stats = {
     shards_total : int;
@@ -115,43 +115,16 @@ module Make (B : Backend.S) = struct
   (* Frontier extraction                                               *)
   (* ---------------------------------------------------------------- *)
 
-  (* A shard sweep admits its local top-k on every span, extended with
-     local k-th ties at event instants — the smallest set guaranteed to
-     contain every shard member that can ever appear in the global
-     answer. *)
+  (* A shard sweep admits its local k-NN answer entries on every span and
+     at every event instant, ties with the k-th included — the smallest set
+     guaranteed to contain every shard member that can ever appear in the
+     global answer. *)
   let sweep_shard ~sink ~admit ~k ~lo ~hi entries =
     let eng = E.create ~sink ~start:(B.scalar_of_rat lo)
         ~horizon:(B.scalar_of_rat hi) entries
     in
-    let admit_entry e = admit (E.label e) in
-    let frontier_span () = List.iter admit_entry (E.first_n eng k) in
-    let frontier_at i =
-      let firsts = E.first_n eng k in
-      List.iter admit_entry firsts;
-      if List.length firsts >= k then begin
-        let kth = List.nth firsts (k - 1) in
-        let rec extend j =
-          match E.nth_entry eng j with
-          | Some e when C.diff_sign_at (E.curve e) (E.curve kth) i = 0 ->
-            admit_entry e;
-            extend (j + 1)
-          | _ -> ()
-        in
-        extend k
-      end
-    in
-    let lo_i = B.instant_of_scalar (B.scalar_of_rat lo) in
-    frontier_at lo_i;
-    if Q.compare lo hi < 0 then begin
-      let emit = function
-        | E.Span (_, _) -> frontier_span ()
-        | E.Point i -> frontier_at i
-      in
-      E.advance eng ~upto:(B.scalar_of_rat hi) ~emit;
-      (* the final span up to the horizon, and the horizon instant *)
-      frontier_span ();
-      frontier_at (B.instant_of_scalar (B.scalar_of_rat hi))
-    end;
+    R.iter_steps eng ~lo ~hi (fun step ->
+        List.iter (fun e -> admit (E.label e)) (R.entries eng (Reader.Knn k) step));
     eng
 
   (* ---------------------------------------------------------------- *)
@@ -222,47 +195,7 @@ module Make (B : Backend.S) = struct
     let eng = E.create ~sink ~start:(B.scalar_of_rat lo)
         ~horizon:(B.scalar_of_rat hi) (entries_of admitted_oids)
     in
-    let oid_of e = match E.label e with E.Obj (o, _) -> Some o | E.Cst _ -> None in
-    let set_of_entries es =
-      List.fold_left
-        (fun acc e ->
-          match oid_of e with Some o -> Oid.Set.add o acc | None -> acc)
-        Oid.Set.empty es
-    in
-    let answer_span () = set_of_entries (E.first_n eng k) in
-    let answer_at i =
-      let firsts = E.first_n eng k in
-      let n = List.length firsts in
-      if n < k then set_of_entries firsts
-      else begin
-        let kth = List.nth firsts (k - 1) in
-        let rec extend j acc =
-          match E.nth_entry eng j with
-          | Some e when C.diff_sign_at (E.curve e) (E.curve kth) i = 0 ->
-            extend (j + 1) (e :: acc)
-          | _ -> acc
-        in
-        set_of_entries (extend k firsts)
-      end
-    in
-    let pieces = ref [] in
-    let emit = function
-      | E.Span (a, b) -> pieces := TL.Span (a, b, answer_span ()) :: !pieces
-      | E.Point i -> pieces := TL.At (i, answer_at i) :: !pieces
-    in
-    let lo_i = B.instant_of_scalar (B.scalar_of_rat lo) in
-    let hi_s = B.scalar_of_rat hi in
-    let hi_i = B.instant_of_scalar hi_s in
-    pieces := [ TL.At (lo_i, answer_at lo_i) ];
-    if Q.compare lo hi < 0 then begin
-      E.advance eng ~upto:hi_s ~emit;
-      let last = E.now eng in
-      if B.compare_instant last hi_i < 0 then
-        pieces :=
-          TL.At (hi_i, answer_at hi_i)
-          :: TL.Span (last, hi_i, answer_span ())
-          :: !pieces
-    end;
+    let timeline = R.timeline eng ~lo ~hi (R.answer eng (Reader.Knn k)) in
     E.accumulate stats (E.stats eng);
     let n_admitted = List.length admitted_oids in
     let shard =
@@ -281,7 +214,7 @@ module Make (B : Backend.S) = struct
     Sink.count sink "moq_shard_frontier_merge_ops_total" shard.frontier_merge_ops;
     Sink.count sink "moq_shard_events_total" shard.shard_events;
     let hot = E.merge_hot (E.hot_objects eng :: !hots) in
-    { timeline = TL.simplify (List.rev !pieces); stats; shard; hot }
+    { timeline; stats; shard; hot }
 
   let shards_block s =
     { Explain.s_total = s.shards_total; s_touched = s.shards_touched;

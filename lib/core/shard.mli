@@ -19,15 +19,17 @@
       shard; its members' curves are never constructed.
     + {b Shard sweeps}: each surviving shard runs its own independent
       order-list/event-queue ({!Engine.Make}) over only its members, and
-      emits its {e candidate frontier}: the shard-local top-k on every
-      span, extended with shard-local k-th ties at event instants.
+      emits its {e candidate frontier}: the shard-local k-NN answer of
+      every span and event instant, ties with the shard-local k-th
+      included ({!Reader}).
     + {b Merge}: an object enters the final order list only if some shard's
       frontier admitted it.  One small merge sweep over the admitted union
       produces the global timeline.
 
     Soundness of the frontier (why the result is bit-identical to
     {!Knn.run_obs} over the full database): an object in the global answer
-    at instant t has global rank <= k, hence shard-local rank <= k; an
+    at instant t (an event instant, or a span's read instant) has global
+    rank <= k, hence shard-local rank <= k; an
     object tied with the global k-th at t either has shard-local rank <= k
     or — because at most k-1 objects anywhere are strictly closer than the
     global k-th — ties its shard's local k-th, and is admitted by the tie

@@ -3,8 +3,10 @@
     over the objects alive at the instant.
 
     This is deliberately the slow-but-obviously-correct path (O(N^q) per
-    instant): the sweep only calls it once per support change (Lemma 8), and
-    the tests cross-validate the specialized operators against it. *)
+    instant).  The sweep and the monitor call it once per support change
+    (Lemma 8), and only for formulas {!Reader} does not read off the order
+    (anything but [nearest_q], [knn_q] and [within_q]); the tests check the
+    readers against it. *)
 
 module Oid = Moq_mod.Oid
 module Q = Moq_numeric.Rat

@@ -4,10 +4,9 @@
     then process the O(m) support-change events, evaluating the answer only
     on the spans and instants between them (Lemma 8).  Total
     O((m + N) log N) object-list work plus one answer evaluation per
-    support change. *)
+    support change: read off the order for k-NN and within queries
+    ({!Reader}), by {!Snapshot} for any other formula. *)
 
-module Oid = Moq_mod.Oid
-module Q = Moq_numeric.Rat
 module DB = Moq_mod.Mobdb
 module Sink = Moq_obs.Sink
 
@@ -15,7 +14,8 @@ module Make (B : Backend.S) = struct
   module E = Engine.Make (B)
   module P = Problem.Make (B)
   module S = P.S
-  module TL = Timeline.Make (B)
+  module R = Reader.Make (B)
+  module TL = R.TL
 
   type result = {
     timeline : TL.t;
@@ -29,6 +29,14 @@ module Make (B : Backend.S) = struct
     | Some lo, Some hi -> (lo, hi)
     | _ -> invalid_arg "Sweep: past queries need a bounded interval"
 
+  (* The answer on one piece of [eng]'s sweep: read off the order for
+     k-NN and within queries ({!Reader}), evaluated by {!Snapshot} over
+     [p]'s current objects for any other formula. *)
+  let reader p query eng : E.step -> Moq_mod.Oid.Set.t =
+    match Reader.of_query query with
+    | Some kind -> R.answer eng kind
+    | None -> fun step -> S.answer_at (P.snapshot_ctx p) query (R.sample step)
+
   let run_obs ~(sink : Sink.t) ~(db : DB.t) ~(gdist : Gdist.t)
       ~(query : Fof.query) : result =
     Sink.count sink "moq_query_past_total" 1;
@@ -39,29 +47,7 @@ module Make (B : Backend.S) = struct
       E.create ~sink ~start:(B.scalar_of_rat lo)
         ~horizon:(B.scalar_of_rat hi) (P.entry_list p)
     in
-    let ctx = P.snapshot_ctx p in
-    let answer i = S.answer_at ctx query i in
-    let pieces = ref [] in
-    let emit = function
-      | E.Span (a, b) ->
-        let sample = B.instant_of_scalar (B.between a b) in
-        pieces := TL.Span (a, b, answer sample) :: !pieces
-      | E.Point i -> pieces := TL.At (i, answer i) :: !pieces
-    in
-    let lo_i = B.instant_of_scalar (B.scalar_of_rat lo) in
-    let hi_s = B.scalar_of_rat hi in
-    let hi_i = B.instant_of_scalar hi_s in
-    pieces := [ TL.At (lo_i, answer lo_i) ];
-    if Q.compare lo hi < 0 then begin
-      E.advance eng ~upto:hi_s ~emit;
-      (* close the final span *)
-      let last = E.now eng in
-      if B.compare_instant last hi_i < 0 then begin
-        let sample = B.instant_of_scalar (B.between last hi_i) in
-        pieces := TL.At (hi_i, answer hi_i) :: TL.Span (last, hi_i, answer sample) :: !pieces
-      end
-    end;
-    let timeline = TL.simplify (List.rev !pieces) in
+    let timeline = R.timeline eng ~lo ~hi (reader p query eng) in
     let stats = E.stats eng in
     { timeline; stats; support_changes = E.support_changes stats;
       hot = E.hot_objects eng }

@@ -217,8 +217,8 @@ let test_example12_trace () =
   in
   (* paper: "the ordering is o4 < o3 < o2 < o1" *)
   Alcotest.(check (list int)) "initial order" [ 4; 3; 2; 1 ] (labels ());
-  let twonn () = KnnX.answer_span eng 2 in
-  check_set "answer up to current time 3 is {o3, o4}" [ 3; 4 ] (twonn ());
+  let twonn t = KnnX.R.answer eng (Core.Reader.Knn 2) (EX.Point (BX.instant_of_scalar (q t))) in
+  check_set "answer up to current time 3 is {o3, o4}" [ 3; 4 ] (twonn 3);
   let points = ref [] in
   let emit = function
     | EX.Point i -> points := BX.instant_to_float i :: !points
@@ -228,7 +228,7 @@ let test_example12_trace () =
   EX.advance eng ~upto:(q 20) ~emit;
   Alcotest.(check (list (float 1e-9))) "events 8, 10, 17" [ 8.0; 10.0; 17.0 ] (List.rev !points);
   Alcotest.(check (list int)) "order after 17" [ 4; 3; 1; 2 ] (labels ());
-  check_set "2-NN after 17" [ 3; 4 ] (twonn ());
+  check_set "2-NN after 17" [ 3; 4 ] (twonn 20);
   (* update: chdir on o1; the crossing expected at 24 moves earlier, to 22 *)
   EX.replace_curve eng ~at:(q 20) (EX.Obj (1, 0)) (o1_after_chdir o1);
   points := [];
@@ -236,7 +236,7 @@ let test_example12_trace () =
   Alcotest.(check (list (float 1e-9))) "then 22 (moved from 24), 31" [ 22.0; 31.0 ]
     (List.rev !points);
   Alcotest.(check (list int)) "final order" [ 4; 1; 2; 3 ] (labels ());
-  check_set "final 2-NN is {o4, o1}" [ 1; 4 ] (twonn ());
+  check_set "final 2-NN is {o4, o1}" [ 1; 4 ] (twonn 35);
   EX.check_invariants eng
 
 let test_example12_without_update () =

@@ -103,6 +103,21 @@ let test_identical_objects () =
   check_set "both tied objects always nearest" [ 1; 2 ] (TLX.universal r.SwX.timeline);
   Alcotest.(check int) "no support changes" 0 r.SwX.support_changes
 
+let test_knn_identical_ties_on_spans () =
+  (* objects 1 and 2 stand still together at x = 3; object 3 comes in from
+     x = 10 and passes them at t = 7 *)
+  let db = line_db [ (1, 3, 0); (2, 3, 0); (3, 10, -1) ] in
+  let r = KnnX.run ~db ~gdist:origin ~k:1 ~lo:(q 0) ~hi:(q 10) in
+  let at t = Option.get (TLX.find_at r.KnnX.timeline (BX.instant_of_scalar t)) in
+  check_set "co-located pair on the open span" [ 1; 2 ] (at (q 3));
+  check_set "all three as 3 passes" [ 1; 2; 3 ] (at (q 7));
+  check_set "3 alone after" [ 3 ] (at (q 9));
+  let query = Fof.nearest_q ~interval:(Fof.Interval.closed (q 0) (q 10)) in
+  let s = SwX.run ~db ~gdist:origin ~query in
+  let pp tl = Format.asprintf "%a" TLX.pp tl in
+  Alcotest.(check string) "Knn.run = Sweep over nearest_q" (pp s.SwX.timeline)
+    (pp r.KnnX.timeline)
+
 let test_tangent_curves_knn () =
   (* curves touch without crossing: 1-NN answer includes both at the touch *)
   let c1 = Qpiece.of_poly ~start:(q 0) (QP.of_list [ q 26; q (-10); q 1 ]) in
@@ -113,12 +128,13 @@ let test_tangent_curves_knn () =
   Alcotest.(check int) "no crossings yet" 0 (EX.stats eng).EX.crossings;
   let touch = ref None in
   EX.advance eng ~upto:(q 10) ~emit:(function
-    | EX.Point i -> touch := Some (KnnX.answer_at eng 1 i)
+    | EX.Point _ as p -> touch := Some (KnnX.R.answer eng (Moq_core.Reader.Knn 1) p)
     | EX.Span _ -> ());
   (match !touch with
    | Some s -> check_set "tie at tangency" [ 1; 2 ] s
    | None -> Alcotest.fail "expected the touch event");
-  check_set "separate after" [ 2 ] (KnnX.answer_span eng 1)
+  check_set "separate after" [ 2 ]
+    (KnnX.R.answer eng (Moq_core.Reader.Knn 1) (EX.Point (BX.instant_of_scalar (q 7))))
 
 (* ------------------------------------------------------------------ *)
 (* FO(f) formula corners                                                *)
@@ -483,6 +499,8 @@ let () =
       ("ties", [
         Alcotest.test_case "identical objects" `Quick test_identical_objects;
         Alcotest.test_case "tangent curves" `Quick test_tangent_curves_knn;
+        Alcotest.test_case "k-NN keeps identical ties on spans" `Quick
+          test_knn_identical_ties_on_spans;
       ]);
       ("formulas", [
         Alcotest.test_case "Same atom" `Quick test_same_atom;

@@ -177,6 +177,28 @@ let test_sharded_equals_exact () =
   done;
   Alcotest.(check bool) "clustered family pruned objects" true !pruned_somewhere
 
+(* Identical curves can hold the top k without a tie at any event
+   instant: object 4 dies at 5 and leaves the co-located pair 1, 2 in
+   front, until object 6 is born ahead of them at 6.  Only the span
+   between sees the pair. *)
+let test_frontier_admits_span_ties () =
+  let still ?(start = 0) x = T.stationary ~start:(q start) (Qvec.of_list [ q x; q 0 ]) in
+  let db =
+    List.fold_left
+      (fun db (o, tr) -> DB.add_initial db o tr)
+      (DB.empty ~dim:2 ~tau:(q 0))
+      [ (1, still 3); (2, still 3); (4, T.terminate (still 1) (q 5)); (6, still ~start:6 2) ]
+  in
+  ignore
+    (check_workload "death uncovers a co-located pair" ~db ~gamma:(origin 2) ~k:1
+       ~lo:(q 0) ~hi:(q 10) ~cell:64.0);
+  let r = ShF.run ~db ~gamma:(origin 2) ~k:1 ~lo:(q 0) ~hi:(q 10) () in
+  let at t =
+    Oid.Set.elements (Option.get (ShF.TL.find_at r.ShF.timeline (BFl.instant_of_scalar t)))
+  in
+  Alcotest.(check (list int)) "pair between the death and the birth" [ 1; 2 ]
+    (at (Q.of_ints 11 2))
+
 (* The shard counters reach the sink under their documented names. *)
 let test_shard_counters () =
   let reg = Moq_obs.Registry.create () in
@@ -216,5 +238,7 @@ let () =
           Alcotest.test_case "shard counters reach the sink" `Quick
             test_shard_counters;
           Alcotest.test_case "k <= 0 rejected" `Quick test_invalid_k;
+          Alcotest.test_case "frontier admits span ties" `Quick
+            test_frontier_admits_span_ties;
         ] );
     ]
