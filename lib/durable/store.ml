@@ -14,14 +14,44 @@ let wal_file dir = Filename.concat dir "wal.log"
 let checkpoint_prev_file dir = checkpoint_file dir ^ ".prev"
 let wal_prev_file dir = wal_file dir ^ ".prev"
 
+(* The render cache: each object's [IO.object_lines] beside the trajectory
+   they render.  A checkpoint, digest or snapshot is the header line
+   followed by every object's lines in OID order, i.e. [IO.db_to_string
+   db].  [Mobdb] is a persistent map: an update replaces one binding and
+   every other one still holds the physically same trajectory, so an entry
+   whose trajectory is [==] to the database's renders it exactly.  The
+   check is physical equality, never the OID alone: [chdir] and
+   [terminate] keep the OID and bind a new trajectory. *)
+module Cache = Hashtbl.Make (struct
+  type t = Moq_mod.Oid.t
+
+  let equal = Int.equal
+
+  (* OIDs are mostly dense, so the identity spreads them over the buckets
+     in order, and a checkpoint's in-order walk reads the table in order *)
+  let hash (o : t) = o
+end)
+
+type rendered = { tr : Moq_mod.Trajectory.t; lines : string }
+
+(* Per store, never shared: several stores run under systhreads in one
+   process (server, follower, tests). *)
+type render = {
+  cache : rendered Cache.t;
+  out : Bytes.t;  (* the one buffer a checkpoint streams through *)
+}
+
+let new_render () = { cache = Cache.create 1024; out = Bytes.create 65536 }
+
 type t = {
   dir : string;
   fsync : bool;
   checkpoint_every : int;
   sink : Sink.t;
+  render : render;
   mutable db : DB.t;
   mutable wal : Wal.writer;
-  mutable pending : int;  (* accepts since the last checkpoint *)
+  mutable pending : int;  (* records in the live log *)
 }
 
 type recovery = {
@@ -42,20 +72,58 @@ let pp_recovery fmt r =
     (if r.fallback then " (via previous checkpoint)" else "")
 
 (* ---------------------------------------------------------------- *)
-(* Checkpoint: db_to_string + "# crc <hex>" trailer, tmp + rename.   *)
+(* Snapshot bytes, through the render cache.                         *)
 
-let write_checkpoint ?(sink = Sink.noop) ?(keep_prev = false) ~fsync dir db =
+let cached_lines r o tr =
+  match Cache.find r.cache o with
+  | e when e.tr == tr -> e.lines
+  | _ | (exception Not_found) ->
+    let lines = IO.object_lines o tr in
+    Cache.replace r.cache o { tr; lines };
+    lines
+
+(* Hand [f] the pieces of [IO.db_to_string db] in order; return the
+   snapshot's length and CRC. *)
+let fold_snapshot r db f =
+  let crc = ref Crc32.init and bytes = ref 0 in
+  let piece s =
+    crc := Crc32.update !crc s 0 (String.length s);
+    bytes := !bytes + String.length s;
+    f s
+  in
+  piece (IO.header_line db);
+  DB.iter (fun o tr -> piece (cached_lines r o tr)) db;
+  (!bytes, Crc32.finish !crc)
+
+(* Checkpoint: the snapshot + "# crc <hex>" trailer, tmp + rename.  The
+   pieces are copied into [r.out] and handed to [Fsutil.write_all] a
+   buffer at a time, CRC'd on the way; no whole-payload string is built. *)
+let write_checkpoint ?(sink = Sink.noop) ?(keep_prev = false) ~fsync r dir db =
   Sink.count sink "moq_checkpoints_total" 1;
   Sink.time sink "moq_checkpoint_seconds" @@ fun () ->
-  let payload = IO.db_to_string db in
-  let trailer = Printf.sprintf "# crc %s\n" (Crc32.to_hex (Crc32.string payload)) in
-  Sink.observe sink "moq_checkpoint_bytes"
-    (float_of_int (String.length payload + String.length trailer));
   let tmp = checkpoint_file dir ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   (try
-     Fsutil.write_string fd payload;
-     Fsutil.write_string fd trailer;
+     let buf = r.out and fill = ref 0 in
+     let flush () =
+       Fsutil.write_all fd buf 0 !fill;
+       fill := 0
+     in
+     let put s =
+       let n = String.length s in
+       if !fill + n > Bytes.length buf then flush ();
+       if n > Bytes.length buf then Fsutil.write_string fd s
+       else begin
+         Bytes.blit_string s 0 buf !fill n;
+         fill := !fill + n
+       end
+     in
+     let bytes, crc = fold_snapshot r db put in
+     let trailer = "# crc " ^ Crc32.to_hex crc ^ "\n" in
+     put trailer;
+     flush ();
+     Sink.observe sink "moq_checkpoint_bytes"
+       (float_of_int (bytes + String.length trailer));
      if fsync then Fsutil.fsync fd;
      Unix.close fd
    with e ->
@@ -99,9 +167,10 @@ let init ?(fsync = true) ?(checkpoint_every = 256) ?(sink = Sink.noop) ~dir db =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
     [ checkpoint_prev_file dir; wal_prev_file dir ];
-  write_checkpoint ~sink ~fsync dir db;
+  let render = new_render () in
+  write_checkpoint ~sink ~fsync render dir db;
   let wal = Wal.create ~fsync ~sink ~path:(wal_file dir) ~dim:(DB.dim db) () in
-  { dir; fsync; checkpoint_every; sink; db; wal; pending = 0 }
+  { dir; fsync; checkpoint_every; sink; render; db; wal; pending = 0 }
 
 (* Replay each existing log over [db] in order; missing files are
    skipped (a log that was never started).  Returns the tail verdict of
@@ -179,17 +248,22 @@ let open_ ?(fsync = true) ?(checkpoint_every = 256) ?(sink = Sink.noop) ~dir () 
   | Error e -> Error e
   | Ok r ->
     let wal_path = wal_file dir in
-    let wal =
+    let fresh () = (Wal.create ~fsync ~sink ~path:wal_path ~dim:(DB.dim r.db) (), 0) in
+    (* the log keeps its good records, and they count towards the next
+       rotation: that is what bounds the log at [checkpoint_every - 1] *)
+    let wal, pending =
       if Sys.file_exists wal_path then begin
         match Wal.read wal_path with
-        | Ok { Wal.good_bytes; _ } when good_bytes > 0 ->
-          Wal.open_append ~fsync ~sink ~path:wal_path ~good_bytes ()
-        | Ok _ (* torn header: rewrite from scratch *) | Error _ ->
-          Wal.create ~fsync ~sink ~path:wal_path ~dim:(DB.dim r.db) ()
+        | Ok { Wal.good_bytes; updates; _ } when good_bytes > 0 ->
+          (Wal.open_append ~fsync ~sink ~path:wal_path ~good_bytes (), List.length updates)
+        | Ok _ (* torn header: rewrite from scratch *) | Error _ -> fresh ()
       end
-      else Wal.create ~fsync ~sink ~path:wal_path ~dim:(DB.dim r.db) ()
+      else fresh ()
     in
-    Ok ({ dir; fsync; checkpoint_every; sink; db = r.db; wal; pending = 0 }, r)
+    Ok
+      ( { dir; fsync; checkpoint_every; sink; render = new_render (); db = r.db;
+          wal; pending },
+        r )
 
 let db (t : t) = t.db
 let clock (t : t) = DB.last_update t.db
@@ -204,7 +278,7 @@ let checkpoint_now (t : t) =
      [t.db]; after it the new checkpoint is authoritative and any
      leftover records replay as stale no-ops. *)
   Wal.close t.wal;
-  write_checkpoint ~sink:t.sink ~keep_prev:true ~fsync:t.fsync t.dir t.db;
+  write_checkpoint ~sink:t.sink ~keep_prev:true ~fsync:t.fsync t.render t.dir t.db;
   let wal_path = wal_file t.dir in
   if Sys.file_exists wal_path then Sys.rename wal_path (wal_prev_file t.dir);
   t.wal <-
@@ -252,5 +326,12 @@ let ingest (t : t) san u =
      drain ()
    | Sanitize.Rejected _ | Sanitize.Quarantined _ -> ());
   v
+
+let digest (t : t) = fold_snapshot t.render t.db ignore
+
+let snapshot (t : t) =
+  let b = Buffer.create 4096 in
+  ignore (fold_snapshot t.render t.db (Buffer.add_string b));
+  Buffer.contents b
 
 let close (t : t) = Wal.close t.wal

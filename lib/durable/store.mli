@@ -17,7 +17,30 @@
     reported — never raised.  When the current checkpoint itself is
     unreadable — a torn rotation or bit rot — recovery falls back to the
     previous checkpoint and replays both logs over it, reaching the same
-    state. *)
+    state.
+
+    {b Log bound.}  After any {!append} or {!ingest} returns (an ingest's
+    quarantine drain included), [wal.log] holds at most
+    [checkpoint_every - 1] records: the accept that would make it
+    [checkpoint_every] rotates it.  A store reopened by {!open_} counts the
+    records its log already holds towards that rotation.  Recovery
+    therefore replays at most [checkpoint_every - 1] records over the
+    current checkpoint.
+
+    {b Render cache.}  A checkpoint is written from a per-store cache of
+    each object's rendered lines ({!Moq_mod.Mod_io.object_lines}), keyed
+    by OID and holding the trajectory it rendered.  An entry is reused
+    only while the database still binds that OID to the physically same
+    ([==]) trajectory.  {!Moq_mod.Mobdb} is a persistent map, so an update
+    rebinds one OID and leaves every other trajectory shared; a
+    checkpoint then renders only the objects changed since the last one
+    and copies the rest.  The bytes are exactly
+    {!Moq_mod.Mod_io.db_to_string}'s.  The cache costs one rendered
+    string per object (about the checkpoint's size) plus a table entry,
+    and keeps at most one superseded trajectory per object alive until
+    the next render.  It starts cold in {!init} and {!open_}.  The
+    checkpoint streams the pieces through one 64 KiB buffer per store
+    into {!Fsutil.write_all}, computing the CRC on the way. *)
 
 module DB := Moq_mod.Mobdb
 module Q := Moq_numeric.Rat
@@ -88,5 +111,12 @@ val dim : t -> int
 
 val checkpoint_now : t -> unit
 (** Force a snapshot + log reset. *)
+
+val digest : t -> int * int
+(** [(bytes, crc)] of [Mod_io.db_to_string (db t)], rendered through the
+    cache without building the string. *)
+
+val snapshot : t -> string
+(** [Mod_io.db_to_string (db t)], rendered through the cache. *)
 
 val close : t -> unit

@@ -17,9 +17,11 @@ type replay = {
 
 let header_line dim = Printf.sprintf "wal 1 %d" dim
 
+(* One record, newline included: the per-update append path, so it is
+   assembled with one [String.concat] rather than through [Printf]. *)
 let record_line u =
   let payload = IO.update_to_line u in
-  Printf.sprintf "u %s %s" (Crc32.to_hex (Crc32.string payload)) payload
+  String.concat "" [ "u "; Crc32.to_hex (Crc32.string payload); " "; payload; "\n" ]
 
 (* ---------------------------------------------------------------- *)
 
@@ -131,7 +133,7 @@ let open_append ?(fsync = true) ?(sink = Sink.noop) ~path ~good_bytes () =
 let append w u =
   if Sink.active w.sink then begin
     Sink.count w.sink "moq_wal_appends_total" 1;
-    let line = record_line u ^ "\n" in
+    let line = record_line u in
     Sink.count w.sink "moq_wal_bytes_written_total" (String.length line);
     let t0 = Unix.gettimeofday () in
     Fsutil.write_string w.fd line;
@@ -140,7 +142,7 @@ let append w u =
     Sink.observe w.sink "moq_wal_append_seconds" (Unix.gettimeofday () -. t0)
   end
   else begin
-    Fsutil.write_string w.fd (record_line u ^ "\n");
+    Fsutil.write_string w.fd (record_line u);
     sync w
   end
 

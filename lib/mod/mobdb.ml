@@ -36,6 +36,7 @@ let mem db o = Oid.Map.mem o db.objects
 let find db o = Oid.Map.find_opt o db.objects
 
 let objects db = Oid.Map.bindings db.objects
+let iter f db = Oid.Map.iter f db.objects
 let oids db = List.map fst (objects db)
 
 let live db t =

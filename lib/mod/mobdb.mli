@@ -45,6 +45,9 @@ val live : t -> Q.t -> (Oid.t * Trajectory.t) list
 val objects : t -> (Oid.t * Trajectory.t) list
 (** All objects, sorted by OID. *)
 
+val iter : (Oid.t -> Trajectory.t -> unit) -> t -> unit
+(** Every object in OID order, without building {!objects}' list. *)
+
 val oids : t -> Oid.t list
 
 val add_initial : t -> Oid.t -> Trajectory.t -> t

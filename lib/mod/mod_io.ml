@@ -1,41 +1,100 @@
 module Q = Moq_numeric.Rat
+module B = Moq_numeric.Bigint
 module Qvec = Moq_geom.Vec.Qvec
 
-let buf_vec b v = List.iter (fun c -> Buffer.add_char b ' '; Buffer.add_string b (Q.to_string c)) (Qvec.to_list v)
+(* ---------------------------------------------------------------- *)
+(* Rendering.  Every writer appends to a [Buffer.t]; integers go through
+   [add_int], which writes the digits itself: [string_of_int] and
+   [Printf] interpret a format string on every call, and a checkpoint of
+   10^4 objects prints about 10^5 integers. *)
+
+(* The digits of [-n], for [n <= 0]: staying on the negative side covers
+   [min_int], whose magnitude is not an [int]. *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_neg_digits b n
+  end
+  else add_neg_digits b (-n)
+
+let add_bigint b x =
+  match B.to_int x with
+  | Some n -> add_int b n
+  | None -> Buffer.add_string b (B.to_string x)
+
+(* The text of [Q.to_string]: "p", or "p/q" when q <> 1. *)
+let add_q b x =
+  add_bigint b (Q.num x);
+  if not (B.equal (Q.den x) B.one) then begin
+    Buffer.add_char b '/';
+    add_bigint b (Q.den x)
+  end
+
+let add_vec b v =
+  for i = 0 to Qvec.dim v - 1 do
+    Buffer.add_char b ' ';
+    add_q b (Qvec.get v i)
+  done
+
+let add_header b db =
+  Buffer.add_string b "moddb 1 ";
+  add_int b (Mobdb.dim db);
+  Buffer.add_char b ' ';
+  add_q b (Mobdb.last_update db);
+  Buffer.add_char b '\n'
+
+let add_object b o tr =
+  Buffer.add_string b "object ";
+  add_int b o;
+  (match Trajectory.death tr with
+   | Some d ->
+     Buffer.add_string b " death ";
+     add_q b d
+   | None -> ());
+  Buffer.add_char b '\n';
+  List.iter
+    (fun (p : Trajectory.piece) ->
+      Buffer.add_string b "piece ";
+      add_q b p.Trajectory.start;
+      add_vec b p.Trajectory.a;
+      add_vec b p.Trajectory.b;
+      Buffer.add_char b '\n')
+    (Trajectory.pieces tr)
+
+let render size add =
+  let b = Buffer.create size in
+  add b;
+  Buffer.contents b
+
+let header_line db = render 32 (fun b -> add_header b db)
+let object_lines o tr = render 128 (fun b -> add_object b o tr)
 
 let db_to_string db =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "moddb 1 %d %s\n" (Mobdb.dim db) (Q.to_string (Mobdb.last_update db)));
-  List.iter
-    (fun (o, tr) ->
-      (match Trajectory.death tr with
-       | Some d -> Buffer.add_string b (Printf.sprintf "object %d death %s\n" o (Q.to_string d))
-       | None -> Buffer.add_string b (Printf.sprintf "object %d\n" o));
-      List.iter
-        (fun (p : Trajectory.piece) ->
-          Buffer.add_string b "piece ";
-          Buffer.add_string b (Q.to_string p.Trajectory.start);
-          buf_vec b p.Trajectory.a;
-          buf_vec b p.Trajectory.b;
-          Buffer.add_char b '\n')
-        (Trajectory.pieces tr))
-    (Mobdb.objects db);
-  Buffer.contents b
+  render 1024 (fun b ->
+      add_header b db;
+      Mobdb.iter (add_object b) db)
 
 let update_to_line u =
-  let b = Buffer.create 64 in
-  (match u with
-   | Update.New { oid; tau; a; b = pos } ->
-     Buffer.add_string b (Printf.sprintf "new %d %s" oid (Q.to_string tau));
-     buf_vec b a;
-     buf_vec b pos
-   | Update.Chdir { oid; tau; a } ->
-     Buffer.add_string b (Printf.sprintf "chdir %d %s" oid (Q.to_string tau));
-     buf_vec b a
-   | Update.Terminate { oid; tau } ->
-     Buffer.add_string b (Printf.sprintf "terminate %d %s" oid (Q.to_string tau)));
-  Buffer.contents b
+  render 64 (fun b ->
+      let head verb oid tau =
+        Buffer.add_string b verb;
+        add_int b oid;
+        Buffer.add_char b ' ';
+        add_q b tau
+      in
+      match u with
+      | Update.New { oid; tau; a; b = pos } ->
+        head "new " oid tau;
+        add_vec b a;
+        add_vec b pos
+      | Update.Chdir { oid; tau; a } ->
+        head "chdir " oid tau;
+        add_vec b a
+      | Update.Terminate { oid; tau } -> head "terminate " oid tau)
 
 let updates_to_string ~dim us =
   let b = Buffer.create 1024 in

@@ -25,6 +25,17 @@ exception Parse of int * string
     consumers (the write-ahead log, the CLI) can report precise positions. *)
 
 val db_to_string : Mobdb.t -> string
+(** [header_line db] followed by [object_lines] of every object in OID
+    order. *)
+
+val header_line : Mobdb.t -> string
+(** The [moddb] line, newline included. *)
+
+val object_lines : Oid.t -> Trajectory.t -> string
+(** One object's [object] line and its [piece] lines, each
+    newline-terminated: the unit a durable store caches between
+    checkpoints, so that a checkpoint re-renders only the objects that
+    changed. *)
 
 val db_of_string : string -> (Mobdb.t, string) result
 (** Parse; the error carries a line number and reason.  Rejects non-positive

@@ -588,12 +588,11 @@ let committed ?trace t u =
        && t.repl_since_digest >= t.cfg.repl_digest_every
     then begin
       t.repl_since_digest <- 0;
-      let payload = IO.db_to_string (Store.db t.store) in
+      let bytes, crc = Store.digest t.store in
       let dmsg =
         Proto.render_server_msg
           (Proto.E_repl_digest
-             { clock = Store.clock t.store; bytes = String.length payload;
-               crc = Crc32.to_hex (Crc32.string payload) })
+             { clock = Store.clock t.store; bytes; crc = Crc32.to_hex crc })
       in
       Sink.count t.sink "moq_repl_digests_total" 1;
       record t "repl_digest_sent"
@@ -971,7 +970,7 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
               None
             | None ->
               Sink.count t.sink "moq_repl_snapshots_total" 1;
-              Some (IO.db_to_string (Store.db t.store))
+              Some (Store.snapshot t.store)
           in
           sess.repl <- true;
           enqueue_msg t sess
@@ -1425,9 +1424,8 @@ let repl_tail t fd =
                          state must serialize to the primary's exact bytes *)
                       if Q.compare (Store.clock t.store) clock = 0 then begin
                         Sink.count t.sink "moq_repl_digest_checks_total" 1;
-                        let payload = IO.db_to_string (Store.db t.store) in
-                        if String.length payload <> bytes
-                           || Crc32.to_hex (Crc32.string payload) <> crc
+                        let got_bytes, got_crc = Store.digest t.store in
+                        if got_bytes <> bytes || Crc32.to_hex got_crc <> crc
                         then begin
                           t.repl_divergence <- t.repl_divergence + 1;
                           Sink.count t.sink "moq_repl_divergence_total" 1;
@@ -1435,7 +1433,7 @@ let repl_tail t fd =
                             ~fields:
                               [ ("clock", Json.Str (Q.to_string clock));
                                 ("expected_bytes", Json.Int bytes);
-                                ("got_bytes", Json.Int (String.length payload)) ]
+                                ("got_bytes", Json.Int got_bytes) ]
                             "replica state diverges from primary digest";
                           (* the audit-violation analogue of a crash: the
                              evidence is the recent event history, so dump

@@ -79,6 +79,61 @@ let test_crc32 () =
   Alcotest.(check (option int)) "bad hex" None (Crc32.of_hex "xyzw1234");
   Alcotest.(check (option int)) "wrong width" None (Crc32.of_hex "12345")
 
+(* The reference: one bit at a time, no table. *)
+let crc_bitwise s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+let random_string st n = String.init n (fun _ -> Char.chr (Random.State.int st 256))
+
+let test_crc32_slicing () =
+  let st = Random.State.make [| 32 |] in
+  (* every length around the 8-byte step, at every alignment *)
+  for len = 0 to 64 do
+    let s = random_string st (len + 8) in
+    for pos = 0 to 7 do
+      let sub = String.sub s pos len in
+      Alcotest.(check string)
+        (Printf.sprintf "length %d at offset %d" len pos)
+        (Crc32.to_hex (crc_bitwise sub))
+        (Crc32.to_hex (Crc32.finish (Crc32.update Crc32.init s pos len)))
+    done
+  done;
+  for _ = 1 to 200 do
+    let s = random_string st (Random.State.int st 4096) in
+    Alcotest.(check string)
+      (Printf.sprintf "random string of %d bytes" (String.length s))
+      (Crc32.to_hex (crc_bitwise s)) (Crc32.to_hex (Crc32.string s))
+  done
+
+let test_crc32_pieces () =
+  let st = Random.State.make [| 33 |] in
+  for _ = 1 to 200 do
+    let s = random_string st (Random.State.int st 2048) in
+    let n = String.length s in
+    let cuts =
+      List.sort_uniq compare (List.init (Random.State.int st 12) (fun _ -> Random.State.int st (n + 1)))
+    in
+    let crc, last =
+      List.fold_left
+        (fun (crc, from) cut -> (Crc32.update crc s from (cut - from), cut))
+        (Crc32.init, 0) cuts
+    in
+    let crc = Crc32.update crc s last (n - last) in
+    Alcotest.(check string)
+      (Printf.sprintf "%d bytes in %d pieces" n (List.length cuts + 1))
+      (Crc32.to_hex (Crc32.string s)) (Crc32.to_hex (Crc32.finish crc))
+  done;
+  Alcotest.check_raises "range past the end" (Invalid_argument "Crc32.update") (fun () ->
+      ignore (Crc32.update Crc32.init "abc" 2 2))
+
 (* ------------------------------------------------------------------ *)
 (* WAL                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -300,6 +355,162 @@ let test_store_both_generations_corrupt () =
   | Ok _ -> Alcotest.fail "expected recovery to fail with both generations corrupt"
 
 (* ------------------------------------------------------------------ *)
+(* Checkpoint identity: the render cache writes db_to_string's bytes    *)
+(* ------------------------------------------------------------------ *)
+
+(* A random rational: small integers, fractions, and numerators past 2^62
+   (Bigint's [Big] form), either sign. *)
+let random_rat st =
+  let n = Random.State.int st 2001 - 1000 and d = 1 + Random.State.int st 12 in
+  match Random.State.int st 4 with
+  | 0 -> q n
+  | 1 -> Q.of_ints n d
+  | 2 -> Q.of_string (Printf.sprintf "%d000000000000000000000/%d" n d)
+  | _ -> Q.of_ints (n * 1_000_003) (d * 7919)
+
+let random_vec st = Qvec.of_list [ random_rat st; random_rat st ]
+
+let alive db =
+  List.filter_map
+    (fun (o, tr) -> if T.death tr = None then Some o else None)
+    (DB.objects db)
+
+(* [count] valid updates after [db]'s clock, each step 1/1..1/5 to 5/1
+   after the last: [new] with a fresh OID, [chdir] or [terminate] of a
+   live object. *)
+let random_stream st db count =
+  let rec go db tau acc k =
+    if k = 0 then List.rev acc
+    else begin
+      let tau = Q.add tau (Q.of_ints (1 + Random.State.int st 5) (1 + Random.State.int st 5)) in
+      let live = alive db in
+      let pick () = List.nth live (Random.State.int st (List.length live)) in
+      let u =
+        match Random.State.int st 10 with
+        | r when r < 3 || live = [] ->
+          U.New { oid = 1 + List.fold_left max 0 (DB.oids db); tau; a = random_vec st;
+                  b = random_vec st }
+        | r when r < 8 -> U.Chdir { oid = pick (); tau; a = random_vec st }
+        | _ -> U.Terminate { oid = pick (); tau }
+      in
+      go (DB.apply_exn db u) tau (u :: acc) (k - 1)
+    end
+  in
+  go db (DB.last_update db) [] count
+
+let checkpoint_text db =
+  let payload = IO.db_to_string db in
+  payload ^ "# crc " ^ Crc32.to_hex (Crc32.string payload) ^ "\n"
+
+let wal_records dir =
+  match Wal.read (Store.wal_file dir) with
+  | Ok r -> List.length r.Wal.updates
+  | Error e -> Alcotest.failf "wal unreadable: %s" e
+
+(* Append [us]; after every rotation (the live log is empty again) the
+   checkpoint file must be exactly [db_to_string] of the store's database
+   plus its CRC trailer.  Returns how many rotations it saw. *)
+let append_checking_rotations store dir us =
+  List.fold_left
+    (fun rotations u ->
+      (match Store.append store u with
+       | Ok () -> ()
+       | Error e -> Alcotest.failf "append refused: %a" DB.pp_error e);
+      if wal_records dir = 0 then begin
+        let expected = checkpoint_text (Store.db store) in
+        if IO.read_file (Store.checkpoint_file dir) <> expected then
+          QCheck.Test.fail_reportf "checkpoint after %d rotations differs from db_to_string"
+            rotations;
+        rotations + 1
+      end
+      else rotations)
+    0 us
+
+let prop_checkpoint_identity =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:40 ~name:"every checkpoint equals db_to_string + trailer"
+       QCheck.(pair small_nat (int_range 2 6))
+       (fun (seed, every) ->
+         let st = Random.State.make [| seed |] in
+         let db0 =
+           List.fold_left
+             (fun db o ->
+               DB.add_initial db o
+                 (T.linear ~start:(q 0) ~a:(random_vec st) ~b:(random_vec st)))
+             (DB.empty ~dim:2 ~tau:(q 0)) [ 1; 2; 3; 4; 5 ]
+         in
+         let dir = tmp_dir () in
+         let store = Store.init ~fsync:false ~checkpoint_every:every ~dir db0 in
+         let first = random_stream st db0 30 in
+         let r1 = append_checking_rotations store dir first in
+         Store.close store;
+         (* reopened: the cache starts cold; then terminate an object the
+            first store had cached, and carry on *)
+         match Store.open_ ~fsync:false ~checkpoint_every:every ~dir () with
+         | Error e -> QCheck.Test.fail_reportf "reopen failed: %s" e
+         | Ok (store, _) ->
+           let kill =
+             match alive (Store.db store) with
+             | victim :: _ ->
+               [ U.Terminate { oid = victim; tau = Q.add (Store.clock store) Q.one } ]
+             | [] -> []
+           in
+           let rest = random_stream st (DB.apply_all_exn (Store.db store) kill) 30 in
+           let r2 = append_checking_rotations store dir (kill @ rest) in
+           Store.checkpoint_now store;
+           let forced = IO.read_file (Store.checkpoint_file dir) in
+           Store.close store;
+           r1 > 1 && r2 > 1 && forced = checkpoint_text (Store.db store)))
+
+(* The WAL bound of store.mli: after any append or ingest (quarantine
+   drain included) the live log holds at most [checkpoint_every - 1]
+   records, also across a reopen that finds records already logged. *)
+let test_wal_bound () =
+  List.iter
+    (fun seed ->
+      let db, us = workload seed in
+      let dirty = Faults.mangle (Faults.create ~seed:(seed + 200)) us in
+      let every = 4 in
+      let dir = tmp_dir () in
+      let check what =
+        let n = wal_records dir in
+        if n > every - 1 then
+          Alcotest.failf "seed %d %s: wal.log holds %d records, bound %d" seed what n
+            (every - 1)
+      in
+      let san = Sanitize.create () in
+      let store = Store.init ~fsync:false ~checkpoint_every:every ~dir db in
+      (* stop the first run past half-way, with records in the log *)
+      let rec first i = function
+        | u :: rest when i < List.length dirty / 2 || wal_records dir = 0 ->
+          ignore (Store.ingest store san u);
+          check "ingest";
+          first (i + 1) rest
+        | rest -> rest
+      in
+      let rest = first 0 dirty in
+      Store.close store;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: the reopened log has records" seed) true
+        (rest = [] || wal_records dir > 0);
+      match Store.open_ ~fsync:false ~checkpoint_every:every ~dir () with
+      | Error e -> Alcotest.failf "seed %d: reopen failed: %s" seed e
+      | Ok (store, _) ->
+        List.iter
+          (fun u ->
+            ignore (Store.ingest store san u);
+            check "ingest after reopen")
+          rest;
+        List.iter
+          (fun u ->
+            ignore (Store.append store u);
+            check "append")
+          (Gen.mixed_stream ~seed:(seed + 3) ~db:(Store.db store)
+             ~start:(Store.clock store) ~gap:(q 1) ~count:10 ());
+        Store.close store)
+    seeds
+
+(* ------------------------------------------------------------------ *)
 (* Kill-and-recover: recovery + resumed monitor equals the             *)
 (* uninterrupted run (the acceptance criterion)                        *)
 (* ------------------------------------------------------------------ *)
@@ -485,7 +696,11 @@ let test_monitor_audit () =
 
 let () =
   Alcotest.run "durable"
-    [ ("crc32", [ Alcotest.test_case "known vectors" `Quick test_crc32 ]);
+    [ ("crc32",
+       [ Alcotest.test_case "known vectors" `Quick test_crc32;
+         Alcotest.test_case "slicing-by-8 equals the bitwise reference" `Quick
+           test_crc32_slicing;
+         Alcotest.test_case "update over pieces equals string" `Quick test_crc32_pieces ]);
       ("wal",
        [ Alcotest.test_case "roundtrip" `Quick test_wal_roundtrip;
          Alcotest.test_case "truncated tail tolerated" `Quick test_wal_truncated_tail;
@@ -506,6 +721,8 @@ let () =
            test_kill_and_recover;
          Alcotest.test_case "checkpoint under short writes" `Quick
            test_checkpoint_short_writes;
+         prop_checkpoint_identity;
+         Alcotest.test_case "wal.log stays under checkpoint_every" `Quick test_wal_bound;
        ]);
       ("sanitize",
        [ Alcotest.test_case "fault storm" `Quick test_sanitizer_fault_storm;

@@ -284,6 +284,61 @@ let prop_updates_roundtrip =
                 | Error e -> QCheck.Test.fail_reportf "line parse failed: %s" e)
               us))
 
+(* Update lines as the [Printf]/[string_of_int] renderer printed them
+   before the decimal writer replaced it: small, past-2^62, negative,
+   fractional and [min_int] values, in every field.  A write-ahead log is
+   read back by CRC, so these bytes must not move. *)
+let golden_update_lines =
+  let qs = Q.of_string in
+  let v l = Qvec.of_list l in
+  [ ( U.New { oid = 0; tau = Q.zero; a = v [ Q.zero; Q.zero ]; b = v [ Q.zero; Q.zero ] },
+      "new 0 0 0 0 0 0" );
+    ( U.New
+        { oid = 42; tau = qs "7/3"; a = v [ qs "-1/2"; q 5 ];
+          b = v [ q (-17); q 1000000007 ] },
+      "new 42 7/3 -1/2 5 -17 1000000007" );
+    ( U.New
+        { oid = max_int; tau = qs "4611686018427387904";
+          a = v [ q min_int; q max_int ];
+          b = v [ qs "123456789012345678901234567890/7"; qs "-1/18446744073709551616" ] },
+      "new 4611686018427387903 4611686018427387904 -4611686018427387904 \
+       4611686018427387903 17636684144620811271604938270 -1/18446744073709551616" );
+    ( U.Chdir { oid = 3; tau = qs "-9/4"; a = v [ Q.of_ints min_int 3; Q.of_ints 1 min_int ] },
+      "chdir 3 -9/4 -4611686018427387904/3 -1/4611686018427387904" );
+    ( U.Chdir
+        { oid = min_int; tau = q min_int;
+          a = v [ qs "-10"; qs "99/100"; qs "1000000000000000000000" ] },
+      "chdir -4611686018427387904 -4611686018427387904 -10 99/100 1000000000000000000000" );
+    ( U.Chdir { oid = 7; tau = qs "12.75"; a = v [ qs "-4611686018427387905"; q 9 ] },
+      "chdir 7 51/4 -4611686018427387905 9" );
+    ( U.Terminate { oid = 9; tau = qs "-123456789012345678901234567890/11" },
+      "terminate 9 -123456789012345678901234567890/11" );
+    (U.Terminate { oid = -1; tau = q max_int }, "terminate -1 4611686018427387903");
+    (U.Terminate { oid = 10; tau = qs "1/3" }, "terminate 10 1/3") ]
+
+let test_update_lines_golden () =
+  List.iter
+    (fun (u, line) -> Alcotest.(check string) line line (IO.update_to_line u))
+    golden_update_lines
+
+(* The decimal writer against [string_of_int] / [Q.to_string] on random
+   values, Small and Big, through the one public entry point. *)
+let prop_decimal_writer =
+  let arb =
+    QCheck.(
+      quad int int
+        (oneofl [ 1; 2; 3; 7; 10; 1000000007; max_int; min_int ])
+        (int_range 0 3))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"decimal writer = string_of_int / Q.to_string" arb
+       (fun (oid, n, d, scale) ->
+         (* [scale] pushes the numerator past 2^62 into [Big] *)
+         let num = Q.mul (q n) (Q.of_string ("1" ^ String.make (9 * scale) '0')) in
+         let tau = Q.div num (q d) in
+         IO.update_to_line (U.Terminate { oid; tau })
+         = "terminate " ^ string_of_int oid ^ " " ^ Q.to_string tau))
+
 let () =
   Alcotest.run "mod"
     [ ("trajectory", [
@@ -305,6 +360,8 @@ let () =
         Alcotest.test_case "db roundtrip" `Quick test_io_roundtrip;
         Alcotest.test_case "updates roundtrip" `Quick test_io_updates_roundtrip;
         Alcotest.test_case "parse errors" `Quick test_io_errors;
+        Alcotest.test_case "update lines pinned" `Quick test_update_lines_golden;
+        prop_decimal_writer;
         prop_db_roundtrip;
         prop_updates_roundtrip;
       ]);
