@@ -515,18 +515,7 @@ end = struct
   let curve_of_qpiece c = c
   let instant_to_float i = A.to_float i.ex
 
-  (* Print the bytes [Exact] prints for the same number.  [A.pp]'s bytes
-     depend only on the representation: a rational prints as itself, and
-     a root as the 2^-40-wide canonical cell of its polynomial's fresh
-     isolation, whatever refinement its own interval has seen.  Every
-     instant here holds the representation Exact holds — a certified
-     root keeps the squarefree polynomial Exact's [A.roots] would — except
-     a linear crossing: it is held as its [Rational] value, while Exact
-     holds the element of [A.roots p], which prints as [root(...)] unless
-     a bisection midpoint is the value itself.  So that one prints as
-     Exact's element. *)
-  let pp_instant fmt i =
-    match i.zero_of with
-    | Some p when P.degree p = 1 -> A.pp fmt (List.hd (A.roots p))
-    | _ -> A.pp fmt i.ex
+  (* [A.pp]'s bytes depend only on the value, so a linear crossing held
+     as its [Rational] prints as Exact's root of the same line does. *)
+  let pp_instant fmt i = A.pp fmt i.ex
 end

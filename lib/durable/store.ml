@@ -285,43 +285,55 @@ let checkpoint_now (t : t) =
     Wal.create ~fsync:t.fsync ~sink:t.sink ~path:wal_path ~dim:(DB.dim t.db) ();
   t.pending <- 0
 
+(* Log [u] and advance to [db'], the database [u] leads to. *)
+let commit (t : t) u db' =
+  Sink.count t.sink "moq_store_appends_total" 1;
+  (* log before advancing: the record is on disk before anyone can see
+     the new state *)
+  Wal.append t.wal u;
+  t.db <- db';
+  t.pending <- t.pending + 1;
+  if t.pending >= t.checkpoint_every then checkpoint_now t
+
 let append (t : t) u =
   match DB.apply t.db u with
   | Error e ->
     Sink.count t.sink "moq_store_append_rejected_total" 1;
     Error e
   | Ok db' ->
-    Sink.count t.sink "moq_store_appends_total" 1;
-    (* log before advancing: the record is on disk before anyone can see
-       the new state *)
-    Wal.append t.wal u;
-    t.db <- db';
-    t.pending <- t.pending + 1;
-    if t.pending >= t.checkpoint_every then checkpoint_now t;
+    commit t u db';
     Ok ()
 
-let ingest (t : t) san u =
-  let v = Sanitize.classify san t.db u in
+type hooks = {
+  stage : 'a. held:bool -> [ `Sanitize | `Append ] -> (unit -> 'a) -> 'a;
+  committed : held:bool -> U.t -> unit;
+}
+
+let no_hooks = { stage = (fun ~held:_ _ f -> f ()); committed = (fun ~held:_ _ -> ()) }
+
+let ingest ?(hooks = no_hooks) (t : t) san u =
+  (* an accept commits the database the sanitizer validated: one apply *)
+  let admit ~held u =
+    match hooks.stage ~held `Sanitize (fun () -> Sanitize.classify san t.db u) with
+    | Sanitize.Accepted db' as v ->
+      hooks.stage ~held `Append (fun () -> commit t u db');
+      hooks.committed ~held u;
+      v
+    | v -> v
+  in
+  let v = admit ~held:false u in
   (match v with
    | Sanitize.Accepted _ ->
-     (match append t u with
-      | Ok () -> ()
-      | Error _ -> () (* unreachable: classify just accepted against t.db *));
      (* an accept can unblock quarantined updates (e.g. the [new] a
         quarantined [chdir] was waiting for); drain until a fixpoint *)
      let rec drain () =
-       let held = Sanitize.take_quarantine san in
-       if held <> [] then begin
-         let progress = ref false in
-         List.iter
-           (fun (hu, _) ->
-             match Sanitize.classify san t.db hu with
-             | Sanitize.Accepted _ ->
-               (match append t hu with Ok () -> progress := true | Error _ -> ())
-             | Sanitize.Rejected _ | Sanitize.Quarantined _ -> ())
-           held;
-         if !progress then drain ()
-       end
+       let progress =
+         List.fold_left
+           (fun acc (hu, _) ->
+             match admit ~held:true hu with Sanitize.Accepted _ -> true | _ -> acc)
+           false (Sanitize.take_quarantine san)
+       in
+       if progress then drain ()
      in
      drain ()
    | Sanitize.Rejected _ | Sanitize.Quarantined _ -> ());

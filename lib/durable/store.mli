@@ -99,11 +99,21 @@ val append : t -> U.t -> (unit, DB.error) result
     advance.  A rejected update leaves both the log and the database
     untouched. *)
 
-val ingest : t -> Sanitize.t -> U.t -> Sanitize.verdict
+type hooks = {
+  stage : 'a. held:bool -> [ `Sanitize | `Append ] -> (unit -> 'a) -> 'a;
+      (** wraps each update's classification and, on an accept, its log
+          append; [held] is [true] for an update the quarantine released *)
+  committed : held:bool -> U.t -> unit;
+      (** called once per logged update, in log order *)
+}
+
+val ingest : ?hooks:hooks -> t -> Sanitize.t -> U.t -> Sanitize.verdict
 (** Run one update through the sanitizer against the store's database.
-    Accepts are logged via {!append}; an accept then drains the sanitizer's
-    quarantine, logging any updates it releases.  Rejects and quarantines
-    leave the store untouched.  Never raises. *)
+    An accept is logged like an {!append}, advancing to the database the
+    sanitizer already built (each accepted update is applied once); it
+    then drains the sanitizer's quarantine, logging any updates it
+    releases.  Rejects and quarantines leave the store untouched.  Never
+    raises unless a hook does. *)
 
 val db : t -> DB.t
 val clock : t -> Q.t

@@ -301,11 +301,28 @@ let root_of_isolating_exn p ~lo ~hi =
    starting interval to width below [canonical_width]
    ({!refine_until_width} takes O(1) exact sign tests for this unless
    its float estimate misses).  The result prints as [root(...)] with
-   that interval, or as the rational a bisection midpoint hit.  The bytes
-   depend on the representation, not only on the value: a [Rational q]
-   prints as [q], while a [Root] of [t - q] prints in the [root(...)]
-   form unless a bisection midpoint is [q] itself. *)
+   that interval, or as a rational when the number is one: a [Root] whose
+   value is [q] prints exactly as [Rational q] does, so the bytes depend
+   only on the value.  An incremental monitor holds an update instant as a
+   rational and a crossing at that same instant as a root of a
+   g-distance difference; both must print alike for a resumed or replayed
+   stream to merge with what a subscriber already has. *)
 let canonical_width = Q.of_ints 1 1_099_511_627_776 (* 2^-40 *)
+
+(* The value of a root when it is rational.  Scaled to integer
+   coefficients with leading coefficient [a], [c.p] has each rational root
+   at some [m/a] with [m] an integer (the rational root theorem), and an
+   open interval narrower than [1/|a|] holds at most one such point.
+   Refines a copy: [c] is the canonical cell, printed as it is. *)
+let rational_value (c : root) =
+  let lcm x y = Z.mul (Z.div x (Z.gcd x y)) y in
+  let den = List.fold_left (fun l k -> lcm l (Q.den k)) Z.one (P.to_list c.p) in
+  let a = Q.abs (Q.mul (P.leading c.p) (Q.of_bigint den)) in
+  match refine_until_width (Root { c with lo = c.lo }) (Q.inv a) with
+  | Rational q -> Some q
+  | Root n ->
+    let q = Q.div (Q.of_bigint (Z.add (Q.floor (Q.mul a n.lo)) Z.one)) a in
+    if Q.compare q n.hi < 0 && P.sign_at n.p q = 0 then Some q else None
 
 let pp fmt x =
   match x with
@@ -326,6 +343,9 @@ let pp fmt x =
     (match refine_until_width fresh canonical_width with
      | Rational q -> Q.pp fmt q
      | Root c ->
-       Format.fprintf fmt "root(%a) in (%a,%a) ~ %.6g" P.pp c.p Q.pp c.lo
-         Q.pp c.hi
-         (Q.to_float (midpoint c.lo c.hi)))
+       (match rational_value c with
+        | Some q -> Q.pp fmt q
+        | None ->
+          Format.fprintf fmt "root(%a) in (%a,%a) ~ %.6g" P.pp c.p Q.pp c.lo
+            Q.pp c.hi
+            (Q.to_float (midpoint c.lo c.hi))))

@@ -77,6 +77,8 @@ val refine_until_width : t -> Q.t -> t
     estimate of the root misses, when the bisection runs step by step. *)
 
 val pp : Format.formatter -> t -> unit
-(** Canonical bytes: they depend only on the number's representation (its
-    polynomial and which root of it, or the rational), never on how far
-    comparisons have refined its interval. *)
+(** Canonical bytes: they depend only on the number's value, never on its
+    representation or on how far comparisons have refined its interval.
+    A rational value prints as that rational, whether it is held as
+    [of_rat q] or as a root of some polynomial; an irrational root prints
+    as a canonical isolating cell of its defining polynomial. *)

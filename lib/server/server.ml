@@ -1,13 +1,4 @@
-module Q = Moq_numeric.Rat
-module Qvec = Moq_geom.Vec.Qvec
-module T = Moq_mod.Trajectory
 module DB = Moq_mod.Mobdb
-module U = Moq_mod.Update
-module IO = Moq_mod.Mod_io
-module Oid = Moq_mod.Oid
-module Store = Moq_durable.Store
-module Sanitize = Moq_durable.Sanitize
-module Crc32 = Moq_durable.Crc32
 module Registry = Moq_obs.Registry
 module Sink = Moq_obs.Sink
 module Export = Moq_obs.Export
@@ -15,24 +6,8 @@ module Trace = Moq_obs.Trace
 module Log = Moq_obs.Log
 module Json = Moq_obs.Json
 module Recorder = Moq_obs.Recorder
-module Explain = Moq_core.Explain
-module Sweep_cost = Moq_core.Sweep_cost
 module Frame = Moq_proto.Frame
 module Proto = Moq_proto.Proto
-
-(* The one backend every server sweep runs on.  Filtered makes Exact's
-   decisions, prints Exact's canonical instants and rounds them to the
-   same floats, so the wire bytes, aggregation densities included, are
-   Exact's; the tests check them against in-process Exact runs. *)
-module B = Moq_core.Backend.Filtered
-module Agg = Moq_agg.Agg
-module AggB = Moq_agg.Agg.Make (B)
-module Mon = Moq_core.Monitor.Make (B)
-module Knn = Moq_core.Knn.Make (B)
-module Range = Moq_core.Range_query.Make (B)
-module Fof = Moq_core.Fof
-module Gdist = Moq_core.Gdist
-module TL = Mon.TL
 
 (* ---------------------------------------------------------------- *)
 (* Addresses                                                         *)
@@ -82,7 +57,6 @@ type config = {
   writer_delay : float;
   follow : addr option;  (* replicate from this primary: run as a follower *)
   repl_digest_every : int;  (* digest cadence in streamed updates; 0 = never *)
-  repl_backlog : int;  (* in-memory update ring for delta resumes *)
   trace : bool;  (* propagate trace contexts across moqp + record spans *)
   slow_query_ms : float;  (* queries/monitor steps over this auto-capture
                              their explain record into the log; 0 disables *)
@@ -94,11 +68,11 @@ let default_config ~listen ~store_dir =
   { listen; store_dir; init_db = None; fsync = true; checkpoint_every = 256;
     max_sessions = 64; max_subs_per_session = 8; queue_soft = 64;
     queue_hwm = 256; idle_timeout = 300.; writer_delay = 0.; follow = None;
-    repl_digest_every = 64; repl_backlog = 4096; trace = false;
-    slow_query_ms = 250.; hot_objects = true; flight_capacity = 2048 }
+    repl_digest_every = 64; trace = false; slow_query_ms = 250.;
+    hot_objects = true; flight_capacity = 2048 }
 
 (* ---------------------------------------------------------------- *)
-(* Sessions and subscriptions                                        *)
+(* Sessions                                                          *)
 
 type out_item =
   | O_msg of string  (* rendered response or notice; never dropped *)
@@ -111,33 +85,16 @@ type out_item =
       enq : float;  (* queue-entry wall time: the queue-wait span start *)
     }
   | O_frame of {
-      msg : string;  (* rendered single-line repl head; never dropped *)
+      msg : string;  (* rendered single-line repl head, stamped with the
+                        commit watermark at pop time; never dropped *)
       trace : (int * int) option;
-      wm : bool;  (* stamp the commit watermark at pop time *)
       enq : float;
     }
   | O_dropped of { sub : int; mutable from_seq : int; to_seq : int }
 
-(* What a subscription evaluates: a monitor streaming validated timeline
-   pieces, or a continuous POI aggregation streaming finalized window
-   rows.  Both ride the same EVENT sequence numbering and backpressure
-   machinery. *)
-type sub_body = S_mon of Mon.t | S_agg of AggB.Cont.t
-
-type sub = {
-  sub_id : int;
-  sub_hi : Q.t;
-  sub_shard : int * int;
-      (* home cell of the subscription's reference trajectory under the
-         affinity grid — the routing key a shard-affine worker pool
-         (ROADMAP item 2) partitions subscriptions by *)
-  body : sub_body;
-  mutable next_seq : int;
-}
-
 (* Per-subscription fanout accounting: who costs the output path the most.
-   Kept outside [sub] (in a table keyed by sub id) because writer threads
-   attribute bytes after the subscription may already be retired. *)
+   Kept in a table keyed by sub id because writer threads attribute bytes
+   after the subscription may already be retired. *)
 type subacct = {
   mutable sa_bytes : int;   (* event payload bytes written for this sub *)
   mutable sa_events : int;  (* event frames written *)
@@ -146,7 +103,7 @@ type subacct = {
 }
 
 type session = {
-  sid : int;
+  sid : int;  (* the owner id of its subscriptions and follow stream in the core *)
   fd : Unix.file_descr;
   qm : Mutex.t;
   qc : Condition.t;
@@ -154,8 +111,6 @@ type session = {
   mutable qlen : int;
   mutable closing : bool;  (* writer drains the queue, then shuts down *)
   mutable dead : bool;  (* abrupt teardown: writer exits immediately *)
-  mutable repl : bool;  (* a follower tailing us via REPL-HELLO *)
-  mutable subs : sub list;
   mutable writer : Thread.t option;
 }
 
@@ -167,14 +122,10 @@ type t = {
   recorder : Recorder.t;
   acct_m : Mutex.t;  (* leaf lock guarding [subacct]; never held across others *)
   subacct : (int, subacct) Hashtbl.t;
-  mutable store : Store.t;  (* replaced wholesale on a follower snapshot reset *)
-  mutable san : Sanitize.t;
-  dim : int;
-  lock : Mutex.t;  (* guards store, sanitizer, sessions list, subscriptions,
-                      and all repl_* state *)
+  core : Commit.t;
+  lock : Mutex.t;  (* guards the core and the sessions list *)
   mutable sessions : session list;
   mutable next_sid : int;
-  mutable next_sub : int;
   mutable stopping : bool;
   mutable crashed : bool;
   listen_fd : Unix.file_descr;
@@ -182,27 +133,10 @@ type t = {
   wake_w : Unix.file_descr;
   mutable accept_thread : Thread.t option;
   mutable readers : Thread.t list;
-  (* Replication.  [epoch] names one incarnation of this server's update
-     history; [repl_seq] counts commits within it.  The backlog ring keeps
-     the last [cfg.repl_backlog] commits for delta resumes. *)
-  mutable epoch : int;
-  mutable repl_seq : int;
-  repl_backlog_q : (int * U.t) Queue.t;
-  mutable repl_since_digest : int;
-  (* Follower side *)
-  mutable repl_pos : (int * int) option;  (* last applied primary (epoch, seq) *)
-  (* Freshness: the highest primary head seq seen on a watermark, and the
-     receiver-local wall time at which we first fell behind it.  Lag is
-     never a cross-host clock comparison — [lag_anchor] is our own clock. *)
-  mutable lag_target : int;
-  mutable lag_anchor : float;
+  (* Follower side: the tail link to the primary *)
   mutable repl_connected : bool;
-  mutable repl_divergence : int;
   mutable repl_fd : Unix.file_descr option;
   mutable repl_thread : Thread.t option;
-  (* t.lock held: when the commit in progress last handed a traced item
-     to a writer (see {!commit_traced}) *)
-  mutable handoff : float option;
 }
 
 let with_lock m f =
@@ -241,32 +175,8 @@ let flight_dump t ~reason =
        "flight recorder dump failed");
   r
 
-(* Time [f], observe the duration under [ns_metric], and — when a trace
-   context is being propagated — record it as a depth-1 stage span. *)
-let stage_obs t ?trace ~name ~ns_metric f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  let dt = Unix.gettimeofday () -. t0 in
-  Sink.observe t.sink ns_metric (dt *. 1e9);
-  (match trace with
-   | Some c when t.cfg.trace ->
-     ignore (Trace.record ~depth:1 ~ctx:(tctx c) t.tracer ~name ~start:t0 ~dur:dt ())
-   | _ -> ());
-  r
-
 (* ---------------------------------------------------------------- *)
 (* Output queue: enqueue, coalesce, drop                             *)
-
-let render_item = function
-  | O_msg s -> s
-  | O_frame f -> f.msg
-  | O_event e ->
-    Proto.render_server_msg
-      (Proto.E_pieces
-         { sub = e.sub; first_seq = e.first_seq; pieces = List.rev e.pieces_rev })
-  | O_dropped d ->
-    Proto.render_server_msg
-      (Proto.E_dropped { sub = d.sub; from_seq = d.from_seq; to_seq = d.to_seq })
 
 (* Merge adjacent EVENT-DROPPED markers for the same subscription.  The
    queue holds each subscription's sequence numbers in order with nothing
@@ -333,209 +243,9 @@ let enqueue_item t sess item =
 let enqueue t sess item = with_lock sess.qm (fun () -> enqueue_item t sess item)
 let enqueue_msg t sess msg = enqueue t sess (O_msg (Proto.render_server_msg msg))
 
-(* ---------------------------------------------------------------- *)
-(* Timeline pieces -> wire                                           *)
-
-(* Printing an instant re-isolates its root, and a timeline names each
-   event instant up to three times in a row: as a span's end, as the [At]
-   at it, and as the next span's start.  So remember the last instant
-   printed and print each physically distinct one once per call. *)
-let wire_pieces pieces =
-  let last = ref None in
-  let wire i =
-    match !last with
-    | Some (j, w) when j == i -> w
-    | _ ->
-      let w = Format.asprintf "%a" B.pp_instant i in
-      last := Some (i, w);
-      w
-  in
-  List.map
-    (function
-      | TL.At (i, s) -> Proto.P_at (wire i, Oid.Set.elements s)
-      | TL.Span (a, b, s) ->
-        let a = wire a in (* before [b]: arguments evaluate right to left *)
-        Proto.P_span (a, wire b, Oid.Set.elements s))
-    pieces
-
-(* ---------------------------------------------------------------- *)
-(* Subscriptions                                                     *)
-
-(* The reference trajectory for origin-relative distances must be alive
-   before any queried interval; a very early start covers every sane use. *)
-let gamma_start = Q.of_int (-1_000_000_000)
-
-let origin_gamma dim = T.stationary ~start:gamma_start (Qvec.zero dim)
-
-let gdist_of_kind t = function
-  | Proto.Sub_knn _ | Proto.Sub_range _ | Proto.Sub_gdist (Proto.Euclidean_sq, _) ->
-    Gdist.euclidean_sq ~gamma:(origin_gamma t.dim)
-  | Proto.Sub_gdist (Proto.Speed_sq, _) -> Gdist.speed_sq
-  | Proto.Sub_agg _ ->
-    (* never monitored through a single g-distance: the subscribe path
-       builds one monitor per POI inside Agg.Cont instead *)
-    invalid_arg "agg subscriptions have no single g-distance"
-
-(* Shard affinity.  Subscriptions and updates both hash to a cell of one
-   coarse affinity grid; an update whose object moves in (or next to) a
-   subscription's cell is shard-local to it.  Today this only drives the
-   moq_server_shard_{local,remote}_updates_total counters — the measured
-   case for the shard-affine worker pool of ROADMAP item 2, which will
-   route each update to the worker owning its cell. *)
-let affinity_cell = 256.0
-
-let affinity_shard_of_pos pos =
-  let x = Q.to_float (Qvec.get pos 0) in
-  let y = if Qvec.dim pos >= 2 then Q.to_float (Qvec.get pos 1) else 0.0 in
-  Moq_index.Grid.cell_of ~cell:affinity_cell (x, y)
-
-(* The cell of the subscription's reference trajectory when the
-   subscription starts.  Speed-relative subscriptions have no spatial
-   anchor; they share the origin cell. *)
-let affinity_shard_of_sub t kind ~lo =
-  match kind with
-  | Proto.Sub_gdist (Proto.Speed_sq, _) -> affinity_shard_of_pos (Qvec.zero t.dim)
-  | Proto.Sub_agg { pois; _ } ->
-    (* anchored at the first POI; a multi-POI subscription has no single
-       home cell, but the first is as good a routing key as any *)
-    (match pois with
-     | (x :: rest) :: _ ->
-       let y = match rest with y :: _ -> y | [] -> Q.zero in
-       Moq_index.Grid.cell_of ~cell:affinity_cell (Q.to_float x, Q.to_float y)
-     | _ -> affinity_shard_of_pos (Qvec.zero t.dim))
-  | Proto.Sub_knn _ | Proto.Sub_range _ | Proto.Sub_gdist (Proto.Euclidean_sq, _) ->
-    let gamma = origin_gamma t.dim in
-    let at = Q.max lo gamma_start in
-    if T.defined_at gamma at then affinity_shard_of_pos (T.position_exn gamma at)
-    else affinity_shard_of_pos (Qvec.zero t.dim)
-
-(* The cell the updated object lands in, from the post-commit MOD.  None
-   when the update leaves the object undefined at its own timestamp (a
-   deletion). *)
-let affinity_shard_of_update t u =
-  match DB.find (Store.db t.store) (U.oid u) with
-  | None -> None
-  | Some tr ->
-    let at = U.time u in
-    if T.defined_at tr at then Some (affinity_shard_of_pos (T.position_exn tr at))
-    else None
-
-let shard_local (ai, aj) (bi, bj) = abs (ai - bi) <= 1 && abs (aj - bj) <= 1
-
-let query_of_kind kind ~lo ~hi =
-  let interval = Fof.Interval.closed lo hi in
-  match kind with
-  | Proto.Sub_knn k -> if k = 1 then Fof.nearest_q ~interval else Fof.knn_q ~k ~interval
-  | Proto.Sub_range b | Proto.Sub_gdist (_, b) -> Fof.within_q ~bound:b ~interval
-  | Proto.Sub_agg _ -> invalid_arg "agg subscriptions have no single query"
-
-let wire_row (r : Agg.row) =
-  Proto.P_agg
-    { poi = r.Agg.r_poi; widx = r.Agg.r_widx; w_lo = Q.to_string r.Agg.r_lo;
-      w_hi = Q.to_string r.Agg.r_hi; count = r.Agg.r_count;
-      density = r.Agg.r_density; distinct = r.Agg.r_distinct }
-
-(* t.lock held.  Enqueue wire pieces for [sub] with consecutive sequence
-   numbers. *)
-let push_wire ?trace t sess sub wire =
-  if wire <> [] then begin
-    let n = List.length wire in
-    Sink.count t.sink "moq_server_pushed_events_total" n;
-    let t0 = Unix.gettimeofday () in
-    if trace <> None then t.handoff <- Some t0;
-    enqueue t sess
-      (O_event { sub = sub.sub_id; first_seq = sub.next_seq; count = n;
-                 pieces_rev = List.rev wire; trace; enq = t0 });
-    Sink.observe t.sink "moq_stage_enqueue_ns" ((Unix.gettimeofday () -. t0) *. 1e9);
-    record t "sub_pieces" [ ("sub", Json.Int sub.sub_id); ("n", Json.Int n) ];
-    sub.next_seq <- sub.next_seq + n
-  end
-
-(* t.lock held.  Push finalized aggregation rows, accounting the fanout
-   per POI: each POI's row count lands in the flight recorder, the total
-   in moq_agg_rows_pushed_total. *)
-let push_agg_rows ?trace t sess sub (rows : Agg.row list) =
-  if rows <> [] then begin
-    Sink.count t.sink "moq_agg_rows_pushed_total" (List.length rows);
-    let per_poi = Hashtbl.create 8 in
-    List.iter
-      (fun (r : Agg.row) ->
-        let c = Option.value ~default:0 (Hashtbl.find_opt per_poi r.Agg.r_poi) in
-        Hashtbl.replace per_poi r.Agg.r_poi (c + 1))
-      rows;
-    Hashtbl.iter
-      (fun poi n ->
-        record t "agg_rows"
-          [ ("sub", Json.Int sub.sub_id); ("poi", Json.Int poi);
-            ("n", Json.Int n) ])
-      per_poi;
-    push_wire ?trace t sess sub (List.map wire_row rows)
-  end
-
-(* t.lock held.  Push freshly validated pieces (or finalized aggregation
-   rows) of [sub] to its session; retire the subscription once its whole
-   interval is valid. *)
-let push_fresh ?trace t sess sub =
-  (match sub.body with
-   | S_mon mon -> push_wire ?trace t sess sub (wire_pieces (Mon.drain_valid mon))
-   | S_agg agg -> push_agg_rows ?trace t sess sub (AggB.Cont.drain_rows agg));
-  let clk =
-    match sub.body with S_mon mon -> Mon.clock mon | S_agg agg -> AggB.Cont.clock agg
-  in
-  if Q.compare clk sub.sub_hi >= 0 then begin
-    (match sub.body with
-     | S_mon _ -> ()
-     | S_agg agg ->
-       (* the per-POI monitors never close their trailing spans on their
-          own; finalize them so the last windows' rows flush before the
-          completion marker *)
-       ignore (AggB.Cont.finalize agg);
-       push_agg_rows ?trace t sess sub (AggB.Cont.drain_rows agg));
-    Sink.count t.sink "moq_server_completed_subscriptions_total" 1;
-    record t "sub_complete" [ ("sub", Json.Int sub.sub_id) ];
-    enqueue_msg t sess (Proto.E_complete { sub = sub.sub_id });
-    sess.subs <- List.filter (fun s -> s.sub_id <> sub.sub_id) sess.subs
-  end
-
-(* t.lock held: apply one accepted update to every live subscription. *)
-let fanout ?trace t u =
-  let ushard = affinity_shard_of_update t u in
-  List.iter
-    (fun sess ->
-      List.iter
-        (fun sub ->
-          (match ushard with
-           | Some c when shard_local c sub.sub_shard ->
-             Sink.count t.sink "moq_server_shard_local_updates_total" 1
-           | Some _ | None ->
-             Sink.count t.sink "moq_server_shard_remote_updates_total" 1);
-          let t0 = Unix.gettimeofday () in
-          (match
-             match sub.body with
-             | S_mon mon -> Mon.apply_update mon u
-             | S_agg agg -> AggB.Cont.apply_update agg u
-           with
-           | Ok () -> ()
-           | Error _ -> Sink.count t.sink "moq_server_fanout_errors_total" 1);
-          let dt_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-          Sink.observe t.sink "moq_stage_monitor_ns" (dt_ms *. 1e6);
-          if t.cfg.slow_query_ms > 0. && dt_ms > t.cfg.slow_query_ms then begin
-            Sink.count t.sink "moq_slowq_total" 1;
-            Sink.count t.sink "moq_slowq_monitor_total" 1;
-            let fields =
-              [ ("source", Json.Str "monitor"); ("sub", Json.Int sub.sub_id);
-                ("ms", Json.Float dt_ms); ("oid", Json.Int (U.oid u)) ]
-            in
-            record t "slow_monitor_step" fields;
-            Log.warn ~fields "slow monitor step"
-          end;
-          push_fresh ?trace t sess sub)
-        sess.subs)
-    t.sessions
-
-(* qm must NOT be held.  Replication frames are O_msg (never dropped), so
-   a follower that stops draining would grow the queue without bound —
-   kick it instead; it resumes from its last applied position. *)
+(* qm must NOT be held.  Replication frames are never dropped, so a
+   follower that stops draining would grow the queue without bound: kick
+   it instead; it resumes from its last applied position. *)
 let enqueue_repl t sess item =
   let kick =
     with_lock sess.qm (fun () ->
@@ -555,116 +265,47 @@ let enqueue_repl t sess item =
     try Unix.shutdown sess.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
   end
 
-(* t.lock held: one update has been appended to the store.  Fan it out to
-   the live subscriptions, remember it in the delta-resume backlog, and
-   ship it — plus a periodic state digest — to tailing followers. *)
-let committed ?trace t u =
-  (* exactly one record per store append, in WAL order (quarantine
-     graduates included) — the invariant `moq blackbox` correlates on *)
-  record t "update_admitted"
-    [ ("oid", Json.Int (U.oid u)); ("tau", Json.Str (Q.to_string (U.time u))) ];
-  stage_obs t ?trace ~name:"fanout" ~ns_metric:"moq_stage_fanout_ns" (fun () ->
-      fanout ?trace t u);
-  t.repl_seq <- t.repl_seq + 1;
-  Queue.push (t.repl_seq, u) t.repl_backlog_q;
-  while Queue.length t.repl_backlog_q > t.cfg.repl_backlog do
-    ignore (Queue.pop t.repl_backlog_q)
-  done;
-  match List.filter (fun s -> s.repl) t.sessions with
-  | [] -> ()
-  | followers ->
-    let msg =
-      Proto.render_server_msg
-        (Proto.E_repl_update { seq = t.repl_seq; dim = t.dim; u })
-    in
-    Sink.count t.sink "moq_repl_streamed_updates_total" (List.length followers);
-    let enq = Unix.gettimeofday () in
-    if trace <> None then t.handoff <- Some enq;
-    List.iter
-      (fun sess -> enqueue_repl t sess (O_frame { msg; trace; wm = true; enq }))
-      followers;
-    t.repl_since_digest <- t.repl_since_digest + 1;
-    if t.cfg.repl_digest_every > 0
-       && t.repl_since_digest >= t.cfg.repl_digest_every
-    then begin
-      t.repl_since_digest <- 0;
-      let bytes, crc = Store.digest t.store in
-      let dmsg =
-        Proto.render_server_msg
-          (Proto.E_repl_digest
-             { clock = Store.clock t.store; bytes; crc = Crc32.to_hex crc })
-      in
-      Sink.count t.sink "moq_repl_digests_total" 1;
-      record t "repl_digest_sent"
-        [ ("clock", Json.Str (Q.to_string (Store.clock t.store))) ];
-      let enq = Unix.gettimeofday () in
-      List.iter
-        (fun sess ->
-          enqueue_repl t sess (O_frame { msg = dmsg; trace = None; wm = true; enq }))
-        followers
-    end
+(* Tell the session to go away: its writer flushes the notice and shuts
+   down, and its reader stops waiting for the next request. *)
+let shut_session t sess ~reason =
+  enqueue t sess (O_msg (Proto.render_server_msg (Proto.E_shutdown { reason })));
+  with_lock sess.qm (fun () ->
+      sess.closing <- true;
+      Condition.broadcast sess.qc);
+  try Unix.shutdown sess.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()
 
-(* t.lock held.  The sanitizer → WAL pipeline: like {!Store.ingest}, but
-   every applied update — including quarantine graduates — is fanned out to
-   the live subscriptions. *)
-let ingest_and_fanout ?trace t u =
-  let try_apply ?trace u =
-    match
-      stage_obs t ?trace ~name:"sanitize" ~ns_metric:"moq_stage_sanitize_ns"
-        (fun () -> Sanitize.classify t.san (Store.db t.store) u)
-    with
-    | Sanitize.Accepted _ as v ->
-      (match
-         stage_obs t ?trace ~name:"append" ~ns_metric:"moq_stage_store_append_ns"
-           (fun () -> Store.append t.store u)
-       with
-       | Ok () -> committed ?trace t u
-       | Error _ -> () (* unreachable: classified against this very db *));
-      v
-    | v -> v
+(* t.lock held.  Enqueue what the core emits on the owning session's
+   queue.  [trace] is the commit's context: its events and update frames
+   carry it, and [handoff] keeps the time the last of them went to a
+   writer.  The traced span around a commit ends there, not when the
+   commit returns: the item's queue span starts at its enqueue, so the two
+   tile even when this thread is descheduled between the hand-off and the
+   end of the commit. *)
+let emit ?trace ?(handoff = ref None) t out =
+  let traced enq =
+    if trace <> None then handoff := Some enq;
+    trace
   in
-  let verdict = try_apply ?trace u in
-  (match verdict with
-   | Sanitize.Accepted _ ->
-     let rec drain () =
-       let held = Sanitize.take_quarantine t.san in
-       if held <> [] then begin
-         let progress =
-           List.fold_left
-             (fun acc (hu, _) ->
-               match try_apply hu with Sanitize.Accepted _ -> true | _ -> acc)
-             false held
-         in
-         if progress then drain ()
-       end
-     in
-     drain ()
-   | Sanitize.Rejected (r, _) ->
-     record t "update_rejected"
-       [ ("oid", Json.Int (U.oid u));
-         ("reason", Json.Str (Format.asprintf "%a" Sanitize.pp_reason r)) ]
-   | Sanitize.Quarantined (r, _) ->
-     record t "update_quarantined"
-       [ ("oid", Json.Int (U.oid u));
-         ("reason", Json.Str (Format.asprintf "%a" Sanitize.pp_reason r)) ]);
-  verdict
-
-(* t.lock held.  Run one commit and return its result with the time it
-   last handed a traced item to a writer.  The traced stage span around a
-   commit ends there, not when the commit returns: the item's queue span
-   starts at its enqueue, so the two tile even when this thread is
-   descheduled between the hand-off and the end of the commit. *)
-let commit_traced t f =
-  t.handoff <- None;
-  let r = f () in
-  (r, t.handoff)
-
-let verdict_wire = function
-  | Sanitize.Accepted _ -> Proto.V_accepted
-  | Sanitize.Rejected (r, _) ->
-    Proto.V_rejected (Format.asprintf "%a" Sanitize.pp_reason r)
-  | Sanitize.Quarantined (r, _) ->
-    Proto.V_quarantined (Format.asprintf "%a" Sanitize.pp_reason r)
+  let owner =
+    match out with
+    | Commit.Pieces { owner; _ } | Commit.Complete { owner; _ } | Commit.Repl { owner; _ }
+    | Commit.Reset owner -> owner
+  in
+  match List.find_opt (fun s -> s.sid = owner) t.sessions, out with
+  | None, _ -> ()
+  | Some sess, Commit.Pieces { sub; first_seq; pieces; _ } ->
+    let enq = Unix.gettimeofday () in
+    enqueue t sess
+      (O_event { sub; first_seq; count = List.length pieces; pieces_rev = List.rev pieces;
+                 trace = traced enq; enq });
+    Sink.observe t.sink "moq_stage_enqueue_ns" ((Unix.gettimeofday () -. enq) *. 1e9)
+  | Some sess, Commit.Complete { sub; _ } -> enqueue_msg t sess (Proto.E_complete { sub })
+  | Some sess, Commit.Repl { msg; digest; _ } ->
+    let enq = Unix.gettimeofday () in
+    enqueue_repl t sess (O_frame { msg; trace = (if digest then None else traced enq); enq })
+  | Some sess, Commit.Reset _ ->
+    (* its subscriptions were built over the replaced history *)
+    shut_session t sess ~reason:"repl-reset"
 
 (* ---------------------------------------------------------------- *)
 (* Request dispatch                                                  *)
@@ -673,25 +314,14 @@ let update_gauges t =
   Registry.set (Registry.gauge t.reg "moq_server_connections")
     (float_of_int (List.length t.sessions));
   Registry.set (Registry.gauge t.reg "moq_server_subscriptions")
-    (float_of_int (List.fold_left (fun a s -> a + List.length s.subs) 0 t.sessions))
+    (float_of_int (Commit.n_subs t.core))
 
-(* t.lock held.  Merge per-object sweep-cost attribution across every live
-   subscription monitor and export the top-5 (plus their share of all
-   attributed comparisons) as rank-indexed gauges; likewise the costliest
-   subscriptions by fanout bytes.  Rank gauges left over from a previous
-   publish simply go stale at their old values — readers key on the
-   current ranks 0..4 only. *)
+(* t.lock held.  Export the core's per-object sweep-cost gauges and the
+   costliest subscriptions by fanout bytes as rank-indexed gauges.  Rank
+   gauges left over from a previous publish simply go stale at their old
+   values; readers key on the current ranks 0..4 only. *)
 let publish_hot t =
-  List.concat_map
-    (fun sess ->
-      List.filter_map
-        (fun sub ->
-          match sub.body with
-          | S_agg _ -> None
-          | S_mon mon -> Some (Mon.hot_objects mon))
-        sess.subs)
-    t.sessions
-  |> Sweep_cost.merge_hot |> Sweep_cost.publish_hot t.sink;
+  Commit.publish_hot t.core;
   let subs =
     with_lock t.acct_m (fun () ->
         Hashtbl.fold
@@ -737,197 +367,96 @@ let record_link t ?(name = "link") (attrs : Proto.attrs) ~arrival =
       (Trace.record ~ctx:(tctx c) t.tracer ~name ~start ~dur:(arrival -. start) ())
   | _ -> ()
 
+(* Run one commit of the core under the lock, handing its outputs to the
+   sessions, and record [name]'s span from [arrival] to the hand-off. *)
+let commit t ?trace ~name ~ns_metric ~arrival f =
+  let handoff = ref None in
+  let r = with_lock t.lock (fun () -> f (emit ?trace ~handoff t)) in
+  let t_done = Unix.gettimeofday () in
+  Sink.observe t.sink ns_metric ((t_done -. arrival) *. 1e9);
+  (match trace with
+   | Some c ->
+     let stop = Option.value !handoff ~default:t_done in
+     ignore (Trace.record ~ctx:(tctx c) t.tracer ~name ~start:arrival ~dur:(stop -. arrival) ())
+   | None -> ());
+  r
+
+let bad_version t sess =
+  enqueue_msg t sess
+    (Proto.R_err { code = "bad-version";
+                   msg = Printf.sprintf "server speaks moqp %d" Proto.version });
+  false
+
 (* Returns [false] when the session should close. *)
 let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
   Sink.count t.sink "moq_server_rpcs_total" 1;
   Sink.time t.sink (Printf.sprintf "moq_server_rpc_%s_seconds" (rpc_name req))
   @@ fun () ->
   match req with
-  | Proto.Hello v ->
-    if v <> Proto.version then begin
-      enqueue_msg t sess
-        (Proto.R_err { code = "bad-version";
-                       msg = Printf.sprintf "server speaks moqp %d" Proto.version });
-      false
-    end
-    else begin
-      let clock = with_lock t.lock (fun () -> Store.clock t.store) in
-      enqueue_msg t sess (Proto.R_hello { session = sess.sid; dim = t.dim; clock });
-      true
-    end
+  | Proto.Hello v when v <> Proto.version -> bad_version t sess
+  | Proto.Hello _ ->
+    let clock = with_lock t.lock (fun () -> Commit.clock t.core) in
+    enqueue_msg t sess
+      (Proto.R_hello { session = sess.sid; dim = Commit.dim t.core; clock });
+    true
   | Proto.Ping ->
-    let clock = with_lock t.lock (fun () -> Store.clock t.store) in
+    let clock = with_lock t.lock (fun () -> Commit.clock t.core) in
     enqueue_msg t sess (Proto.R_pong { clock });
     true
   | Proto.Bye ->
     enqueue_msg t sess Proto.R_bye;
     false
+  | Proto.Update _ when t.cfg.follow <> None ->
+    (* a follower's state is the primary's; local writes would fork it *)
+    enqueue_msg t sess
+      (Proto.R_err { code = "read-only";
+                     msg = "this server is a follower; send updates to the primary" });
+    true
   | Proto.Update u ->
-    if t.cfg.follow <> None then begin
-      (* a follower's state is the primary's; local writes would fork it *)
-      enqueue_msg t sess
-        (Proto.R_err { code = "read-only";
-                       msg = "this server is a follower; send updates to the primary" });
-      true
-    end
-    else begin
-      let trace = req_trace t attrs in
-      record_link t attrs ~arrival;
-      let verdict, handoff =
-        with_lock t.lock (fun () ->
-            commit_traced t (fun () -> ingest_and_fanout ?trace t u))
-      in
-      let t_done = Unix.gettimeofday () in
-      Sink.observe t.sink "moq_stage_ingest_ns" ((t_done -. arrival) *. 1e9);
-      (match trace with
-       | Some c ->
-         let stop = Option.value handoff ~default:t_done in
-         ignore
-           (Trace.record ~ctx:(tctx c) t.tracer ~name:"dispatch" ~start:arrival
-              ~dur:(stop -. arrival) ())
-       | None -> ());
-      enqueue_msg t sess (Proto.R_update (verdict_wire verdict));
-      true
-    end
+    let trace = req_trace t attrs in
+    record_link t attrs ~arrival;
+    let verdict =
+      commit t ?trace ~name:"dispatch" ~ns_metric:"moq_stage_ingest_ns" ~arrival
+        (fun emit -> Commit.ingest t.core ?trace ~emit u)
+    in
+    enqueue_msg t sess (Proto.R_update verdict);
+    true
   | Proto.Subscribe { kind; lo; hi } ->
     with_lock t.lock (fun () ->
-        if List.length sess.subs >= t.cfg.max_subs_per_session then
+        if Commit.owned t.core sess.sid >= t.cfg.max_subs_per_session then
           enqueue_msg t sess
             (Proto.R_err
                { code = "limit";
                  msg = Printf.sprintf "at most %d subscriptions per session"
                          t.cfg.max_subs_per_session })
-        else begin
-          let mk_body () =
-            match kind with
-            | Proto.Sub_agg { d; window; pois } ->
-              let pois = List.map Qvec.of_list pois in
-              let agg =
-                AggB.Cont.create ~sink:t.sink ~db:(Store.db t.store) ~pois ~d
-                  ~window ~lo ~hi ()
-              in
-              Sink.count t.sink "moq_agg_subscriptions_total" 1;
-              S_agg agg
-            | _ ->
-              let gdist = gdist_of_kind t kind in
-              let query = query_of_kind kind ~lo ~hi in
-              S_mon
-                (Mon.create ~sink:t.sink ~attr:t.cfg.hot_objects
-                   ~db:(Store.db t.store) ~gdist ~query ())
-          in
-          match mk_body () with
-          | body ->
-            let sub_id = t.next_sub in
-            t.next_sub <- t.next_sub + 1;
-            let sub_shard = affinity_shard_of_sub t kind ~lo in
-            let sub = { sub_id; sub_hi = hi; sub_shard; body; next_seq = 0 } in
-            sess.subs <- sub :: sess.subs;
-            Sink.count t.sink "moq_server_subscriptions_total" 1;
-            let si, sj = sub_shard in
-            (* distinct shards with a live subscription: the worker-pool
-               size a shard-affine fanout would need right now *)
-            let shards =
-              List.sort_uniq compare
-                (List.concat_map
-                   (fun s -> List.map (fun su -> su.sub_shard) s.subs)
-                   t.sessions)
-            in
-            Sink.set t.sink "moq_server_sub_shards"
-              (float_of_int (List.length shards));
-            record t "subscribe"
-              [ ("sub", Json.Int sub_id); ("session", Json.Int sess.sid);
-                ("shard_i", Json.Int si); ("shard_j", Json.Int sj) ];
-            (* response first, then any already-valid prefix as events —
+        else
+          match Commit.subscribe t.core ~owner:sess.sid kind ~lo ~hi with
+          | Error m -> enqueue_msg t sess (Proto.R_err { code = "proto"; msg = m })
+          | Ok sub ->
+            (* response first, then any already-valid prefix as events:
                same lock scope, so no update can interleave *)
-            enqueue_msg t sess (Proto.R_subscribe { sub = sub_id });
-            push_fresh t sess sub
-          | exception (Invalid_argument m | Failure m) ->
-            enqueue_msg t sess (Proto.R_err { code = "proto"; msg = m })
-        end);
+            enqueue_msg t sess (Proto.R_subscribe { sub });
+            Commit.flush t.core ~emit:(emit t) sub);
     true
-  | Proto.Unsubscribe sub_id ->
+  | Proto.Unsubscribe sub ->
     with_lock t.lock (fun () ->
-        match List.find_opt (fun s -> s.sub_id = sub_id) sess.subs with
+        match Commit.unsubscribe t.core ~owner:sess.sid sub with
         | None ->
-          enqueue_msg t sess
-            (Proto.R_err { code = "unknown-sub"; msg = string_of_int sub_id })
-        | Some sub ->
-          sess.subs <- List.filter (fun s -> s.sub_id <> sub_id) sess.subs;
-          let pieces =
-            match sub.body with
-            | S_mon mon -> wire_pieces (Mon.valid_timeline mon)
-            | S_agg agg -> List.map wire_row (AggB.Cont.rows agg)
-          in
-          enqueue_msg t sess (Proto.R_unsubscribe { sub = sub_id; pieces }));
+          enqueue_msg t sess (Proto.R_err { code = "unknown-sub"; msg = string_of_int sub })
+        | Some pieces -> enqueue_msg t sess (Proto.R_unsubscribe { sub; pieces }));
     true
   | Proto.Query { kind; lo; hi } ->
     record_link t attrs ~arrival;
     (* snapshot under the lock, sweep outside it: the MOD is persistent *)
-    let db = with_lock t.lock (fun () -> Store.db t.store) in
-    let gdist = Gdist.euclidean_sq ~gamma:(origin_gamma t.dim) in
-    let cval name = Option.value ~default:0 (Registry.counter_value t.reg name) in
-    let ev0 = cval "moq_sweep_events_total" in
-    let cmp0 = cval "moq_sweep_comparisons_total" in
-    let t0 = Unix.gettimeofday () in
-    (* the explain report is only assembled when the run turns out slow;
-       each arm returns the timeline plus a thunk that builds it.  It has
-       no filter block: Filtered's hit and miss counters are process-wide,
-       shared with concurrent queries and the commit thread *)
-    let timeline, mk_explain =
-      match kind with
-      | Proto.Qk_knn k ->
-        let r = Knn.run_obs ~sink:t.sink ~db ~gdist ~k ~lo ~hi in
-        ( r.Knn.timeline,
-          fun ~counters ~phases ->
-            Explain.make ~kind:"knn"
-              ~query:(Printf.sprintf "server query knn k=%d" k)
-              ~backend:B.name ~n_objects:(List.length (DB.objects db))
-              ~lo:(Q.to_float lo) ~hi:(Q.to_float hi)
-              ~timeline_pieces:(List.length r.Knn.timeline)
-              ~sweep:(Explain.sweep_of r.Knn.stats) ~hot:r.Knn.hot
-              ~phases ~counters () )
-      | Proto.Qk_range b ->
-        let r = Range.run ~db ~gdist ~bound:b ~lo ~hi in
-        ( r.Range.timeline,
-          fun ~counters ~phases ->
-            Explain.make ~kind:"range"
-              ~query:(Printf.sprintf "server query range bound=%s" (Q.to_string b))
-              ~backend:B.name ~n_objects:(List.length (DB.objects db))
-              ~lo:(Q.to_float lo) ~hi:(Q.to_float hi)
-              ~timeline_pieces:(List.length r.Range.timeline)
-              ~sweep:(Explain.sweep_of r.Range.stats) ~phases ~counters () )
-    in
-    let dur_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-    if t.cfg.slow_query_ms > 0. && dur_ms > t.cfg.slow_query_ms then begin
-      Sink.count t.sink "moq_slowq_total" 1;
-      Sink.count t.sink "moq_slowq_query_total" 1;
-      (* counter deltas around the run stand in for a private registry:
-         exact when this query ran alone, approximate under concurrency *)
-      let counters =
-        [ ("moq_sweep_events_total",
-           float_of_int (cval "moq_sweep_events_total" - ev0));
-          ("moq_sweep_comparisons_total",
-           float_of_int (cval "moq_sweep_comparisons_total" - cmp0)) ]
-      in
-      let ex =
-        mk_explain ~counters
-          ~phases:[ { Explain.name = "run"; ns = dur_ms *. 1e6 } ]
-      in
-      let fields =
-        [ ("source", Json.Str "query"); ("session", Json.Int sess.sid);
-          ("ms", Json.Float dur_ms); ("explain", Explain.to_json ex) ]
-      in
-      record t "slow_query" fields;
-      Log.warn ~fields "slow query"
-    end;
+    let db = with_lock t.lock (fun () -> Commit.db t.core) in
+    let pieces = Commit.query t.core db ~session:sess.sid kind ~lo ~hi in
     (match req_trace t attrs with
      | Some c ->
-       let t_done = Unix.gettimeofday () in
        ignore
          (Trace.record ~ctx:(tctx c) t.tracer ~name:"query" ~start:arrival
-            ~dur:(t_done -. arrival) ())
+            ~dur:(Unix.gettimeofday () -. arrival) ())
      | None -> ());
-    enqueue_msg t sess (Proto.R_query (wire_pieces timeline));
+    enqueue_msg t sess (Proto.R_query pieces);
     true
   | Proto.Stats fmt ->
     with_lock t.lock (fun () ->
@@ -940,60 +469,17 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
     in
     enqueue_msg t sess (Proto.R_stats body);
     true
-  | Proto.Repl_hello { version = v; since } ->
-    if v <> Proto.version then begin
-      enqueue_msg t sess
-        (Proto.R_err { code = "bad-version";
-                       msg = Printf.sprintf "server speaks moqp %d" Proto.version });
-      false
-    end
-    else begin
-      with_lock t.lock (fun () ->
-          let seq = t.repl_seq in
-          let clock = Store.clock t.store in
-          (* a delta resume is honest only within our own epoch and while
-             the backlog ring still covers the follower's gap *)
-          let delta_from =
-            match since with
-            | Some (e, s) when e = t.epoch && s <= seq ->
-              if s = seq then Some s
-              else (
-                match Queue.peek_opt t.repl_backlog_q with
-                | Some (first, _) when first <= s + 1 -> Some s
-                | Some _ | None -> None)
-            | Some _ | None -> None
-          in
-          let snapshot =
-            match delta_from with
-            | Some _ ->
-              Sink.count t.sink "moq_repl_delta_resumes_total" 1;
-              None
-            | None ->
-              Sink.count t.sink "moq_repl_snapshots_total" 1;
-              Some (Store.snapshot t.store)
-          in
-          sess.repl <- true;
-          enqueue_msg t sess
-            (Proto.R_repl_hello
-               { dim = t.dim; clock; epoch = t.epoch; seq; snapshot });
-          (* replay the backlog gap now, in the same lock scope, so no
-             commit can interleave between the handshake and the stream *)
-          match delta_from with
-          | Some s ->
-            let enq = Unix.gettimeofday () in
-            Queue.iter
-              (fun (q, u) ->
-                if q > s then
-                  enqueue_repl t sess
-                    (O_frame
-                       { msg =
-                           Proto.render_server_msg
-                             (Proto.E_repl_update { seq = q; dim = t.dim; u });
-                         trace = None; wm = true; enq }))
-              t.repl_backlog_q
-          | None -> ());
-      true
-    end
+  | Proto.Repl_hello { version; _ } when version <> Proto.version -> bad_version t sess
+  | Proto.Repl_hello { since; _ } ->
+    with_lock t.lock (fun () ->
+        let reply, delta = Commit.follow t.core ~owner:sess.sid ~since in
+        enqueue_msg t sess reply;
+        (* replay the backlog gap now, in the same lock scope, so no
+           commit can interleave between the handshake and the stream *)
+        Option.iter
+          (fun after -> Commit.replay t.core ~emit:(emit t) ~owner:sess.sid ~after)
+          delta);
+    true
 
 (* ---------------------------------------------------------------- *)
 (* Per-session threads                                               *)
@@ -1042,16 +528,18 @@ let writer_loop t sess =
                  (Trace.record ~ctx:(tctx c) t.tracer ~name:"queue" ~start:f.enq
                     ~dur:(now -. f.enq) ())
              | None -> ());
-            (* unsynchronized read of epoch/repl_seq: both advance
-               monotonically, so a momentarily stale watermark can only
-               understate the follower's lag *)
-            let wm = if f.wm then Some (t.epoch, t.repl_seq) else None in
+            (* unsynchronized read of the core's epoch and seq: both
+               advance monotonically, so a momentarily stale watermark can
+               only understate the follower's lag *)
             f.msg
             ^ Proto.render_attrs
                 { Proto.a_trace = trace;
                   a_ts = (if trace <> None then Some now else None);
-                  a_wm = wm }
-          | item -> render_item item
+                  a_wm = Some (Commit.watermark t.core) }
+          | O_msg s -> s
+          | O_dropped d ->
+            Proto.render_server_msg
+              (Proto.E_dropped { sub = d.sub; from_seq = d.from_seq; to_seq = d.to_seq })
         in
         (match item with
          | O_event e ->
@@ -1098,6 +586,7 @@ let teardown t sess =
   if not t.crashed then
     with_lock t.lock (fun () ->
         t.sessions <- List.filter (fun s -> s.sid <> sess.sid) t.sessions;
+        Commit.retire t.core sess.sid;
         update_gauges t)
 
 let reader_loop t sess =
@@ -1116,7 +605,7 @@ let reader_loop t sess =
       enqueue_msg t sess
         (Proto.R_err { code = "proto"; msg = Frame.error_to_string g })
     | `Frame payload ->
-      (match Proto.parse_request_attrs ~dim:t.dim payload with
+      (match Proto.parse_request_attrs ~dim:(Commit.dim t.core) payload with
        | Error e ->
          Sink.count t.sink "moq_server_protocol_errors_total" 1;
          enqueue_msg t sess (Proto.R_err { code = "proto"; msg = e });
@@ -1148,8 +637,7 @@ let handle_accept t fd =
           t.next_sid <- t.next_sid + 1;
           let sess =
             { sid; fd; qm = Mutex.create (); qc = Condition.create (); outq = [];
-              qlen = 0; closing = false; dead = false; repl = false; subs = [];
-              writer = None }
+              qlen = 0; closing = false; dead = false; writer = None }
           in
           t.sessions <- sess :: t.sessions;
           Sink.count t.sink "moq_server_sessions_total" 1;
@@ -1206,21 +694,10 @@ let accept_loop t =
   (* graceful drain — skipped entirely on crash *)
   if not t.crashed then begin
     let sessions = with_lock t.lock (fun () -> t.sessions) in
-    List.iter
-      (fun sess ->
-        enqueue t sess
-          (O_msg (Proto.render_server_msg (Proto.E_shutdown { reason = "draining" })));
-        with_lock sess.qm (fun () ->
-            sess.closing <- true;
-            Condition.broadcast sess.qc);
-        (* unblock a reader waiting for the next request *)
-        try Unix.shutdown sess.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      sessions;
+    List.iter (fun sess -> shut_session t sess ~reason:"draining") sessions;
     let readers = with_lock t.lock (fun () -> t.readers) in
     List.iter (fun th -> try Thread.join th with _ -> ()) readers;
-    with_lock t.lock (fun () ->
-        Store.checkpoint_now t.store;
-        Store.close t.store);
+    with_lock t.lock (fun () -> Commit.close t.core ~checkpoint:true);
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     (match t.cfg.listen with
      | Unix_sock path -> (try Sys.remove path with Sys_error _ -> ())
@@ -1230,70 +707,12 @@ let accept_loop t =
 (* ---------------------------------------------------------------- *)
 (* Follower: bootstrap from the primary and tail its commit stream.  *)
 
-let fresh_epoch () = int_of_float (Unix.gettimeofday () *. 1e6) land max_int
-
-(* t.lock held.  Replace local state with the primary's shipped image.
-   Local subscriptions were built over the old history, so their sessions
-   are told to go away ([SHUTDOWN repl-reset]) and re-subscribe against
-   the new one; chained followers are cut the same way and re-handshake,
-   landing on a snapshot of our new epoch. *)
-let snapshot_reset t db =
-  Store.close t.store;
-  t.store <-
-    Store.init ~fsync:t.cfg.fsync ~checkpoint_every:t.cfg.checkpoint_every
-      ~sink:t.sink ~dir:t.cfg.store_dir db;
-  t.san <- Sanitize.create ~sink:t.sink ();
-  t.epoch <- fresh_epoch ();
-  t.repl_seq <- 0;
-  Queue.clear t.repl_backlog_q;
-  t.repl_since_digest <- 0;
-  Sink.count t.sink "moq_repl_resets_total" 1;
-  Log.info ~fields:[ ("epoch", Json.Int t.epoch) ]
-    "snapshot reset: state replaced from primary image";
-  List.iter
-    (fun sess ->
-      if sess.repl || sess.subs <> [] then begin
-        sess.subs <- [];
-        enqueue t sess
-          (O_msg
-             (Proto.render_server_msg (Proto.E_shutdown { reason = "repl-reset" })));
-        with_lock sess.qm (fun () ->
-            sess.closing <- true;
-            Condition.broadcast sess.qc);
-        try Unix.shutdown sess.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()
-      end)
-    t.sessions
-
-(* t.lock held.  Refresh the freshness gauges from a commit watermark:
-   [head] is the primary's head seq as carried on the last repl frame.
-   Lag-in-updates is the watermark/applied delta; lag-in-ms is measured
-   against the receiver-local instant we first fell behind — no cross-host
-   clock comparison is ever involved. *)
-let note_lag t ~head =
-  let applied = match t.repl_pos with Some (_, s) -> s | None -> 0 in
-  let now = Unix.gettimeofday () in
-  if head > applied then begin
-    if head > t.lag_target then begin
-      if t.lag_target <= applied then t.lag_anchor <- now;
-      t.lag_target <- head
-    end;
-    Sink.set t.sink "moq_repl_lag_updates" (float_of_int (head - applied));
-    Sink.set t.sink "moq_repl_lag_ms" ((now -. t.lag_anchor) *. 1000.)
-  end
-  else begin
-    t.lag_target <- applied;
-    Sink.set t.sink "moq_repl_lag_updates" 0.;
-    Sink.set t.sink "moq_repl_lag_ms" 0.
-  end
-
 (* One replication session over [fd]: handshake, apply the bootstrap
    snapshot or resume as a delta, then pump the commit stream.  Returns
    [true] when the handshake succeeded (resets the reconnect backoff). *)
 let repl_tail t fd =
-  let hello =
-    Proto.render_request
-      (Proto.Repl_hello { version = Proto.version; since = t.repl_pos })
-  in
+  let since = with_lock t.lock (fun () -> Commit.position t.core) in
+  let hello = Proto.render_request (Proto.Repl_hello { version = Proto.version; since }) in
   match Frame.write fd hello with
   | Error _ -> false
   | exception Unix.Unix_error _ -> false
@@ -1317,139 +736,53 @@ let repl_tail t fd =
     in
     (match await_hello () with
      | None | Some (Error _) -> false
-     | Some (Ok (dim, epoch, seq, snapshot)) ->
-       if dim <> t.dim then begin
-         Sink.count t.sink "moq_repl_dim_mismatch_total" 1;
-         false
-       end
-       else begin
-         let bootstrapped =
-           with_lock t.lock (fun () ->
-               match snapshot with
-               | None -> true
-               | Some image ->
-                 (match IO.db_of_string image with
-                  | Error _ -> false
-                  | Ok db when DB.dim db <> t.dim -> false
-                  | Ok db ->
-                    snapshot_reset t db;
-                    true))
-         in
-         if not bootstrapped then false
-         else begin
-           with_lock t.lock (fun () ->
-               (* on a snapshot the image embodies state through [seq]; on a
-                  delta our own position stands — the head seq in the reply
-                  may be ahead of us, and the backlog replay covers the gap *)
-               (match snapshot, t.repl_pos with
-                | Some _, _ | None, None -> t.repl_pos <- Some (epoch, seq)
-                | None, Some (_, s) ->
-                  (* a delta is only granted within our epoch *)
-                  t.repl_pos <- Some (epoch, s));
-               t.repl_connected <- true;
-               (* the handshake names the primary's head: seed the lag
-                  gauges so a resume shows its backlog immediately *)
-               note_lag t ~head:seq);
-           Log.info
-             ~fields:
-               [ ("epoch", Json.Int epoch); ("seq", Json.Int seq);
-                 ("mode", Json.Str (if snapshot = None then "delta" else "snapshot")) ]
-             "replication stream connected";
-           let rec pump () =
-             match read_frame () with
-             | None -> ()
-             | Some p ->
-               (match Proto.parse_server_msg_attrs p with
-                | Ok (Proto.E_repl_update { seq = useq; dim = _; u }, attrs) ->
-                  let arrival = Unix.gettimeofday () in
-                  record_link t attrs ~arrival;
-                  let trace = req_trace t attrs in
-                  let contiguous, handoff =
-                    with_lock t.lock @@ fun () ->
-                    commit_traced t (fun () ->
-                        let last =
-                          match t.repl_pos with Some (_, s) -> s | None -> -1
-                        in
-                        let r =
-                          if useq <= last then true (* resume replay overlap *)
-                          else if useq = last + 1 then begin
-                            (match Store.append t.store u with
-                             | Ok () -> committed ?trace t u
-                             | Error _ ->
-                               (* the primary accepted it; refusing it here is
-                                  itself a divergence signal *)
-                               Sink.count t.sink "moq_repl_apply_errors_total" 1);
-                            t.repl_pos <- Some (epoch, useq);
-                            true
-                          end
-                          else begin
-                            (* a hole in the commit stream: the link delivered
-                               frames out of order (a scrambling network, not
-                               the primary).  Applying past the hole would lose
-                               an update forever; drop the session instead and
-                               delta-resume from our last applied position *)
-                            Sink.count t.sink "moq_repl_stream_gaps_total" 1;
-                            Log.warn
-                              ~fields:
-                                [ ("expected", Json.Int (last + 1));
-                                  ("got", Json.Int useq) ]
-                              "replication stream gap; dropping session to resume";
-                            false
-                          end
-                        in
-                        (* the frame's watermark names the primary's head at
-                           send time — the freshness reference *)
-                        (match attrs.Proto.a_wm with
-                         | Some (we, head) when we = epoch -> note_lag t ~head
-                         | _ -> note_lag t ~head:useq);
-                        r)
-                  in
-                  let t_done = Unix.gettimeofday () in
-                  Sink.observe t.sink "moq_stage_follower_apply_ns"
-                    ((t_done -. arrival) *. 1e9);
-                  (match trace with
-                   | Some c ->
-                     let stop = Option.value handoff ~default:t_done in
-                     ignore
-                       (Trace.record ~ctx:(tctx c) t.tracer ~name:"apply"
-                          ~start:arrival ~dur:(stop -. arrival) ())
-                   | None -> ());
-                  if contiguous then pump ()
-                | Ok (Proto.E_repl_digest { clock; bytes; crc }, attrs) ->
+     | Some (Ok (dim, _, _, _)) when dim <> Commit.dim t.core ->
+       Sink.count t.sink "moq_repl_dim_mismatch_total" 1;
+       false
+     | Some (Ok (_, epoch, seq, snapshot)) ->
+       let bootstrapped =
+         with_lock t.lock (fun () ->
+             let ok = Commit.bootstrap t.core ~emit:(emit t) ~epoch ~seq snapshot in
+             if ok then t.repl_connected <- true;
+             ok)
+       in
+       bootstrapped
+       && begin
+         Log.info
+           ~fields:
+             [ ("epoch", Json.Int epoch); ("seq", Json.Int seq);
+               ("mode", Json.Str (if snapshot = None then "delta" else "snapshot")) ]
+           "replication stream connected";
+         let rec pump () =
+           match read_frame () with
+           | None -> ()
+           | Some p ->
+             (match Proto.parse_server_msg_attrs p with
+              | Ok (Proto.E_repl_update { seq; dim = _; u }, attrs) ->
+                let arrival = Unix.gettimeofday () in
+                record_link t attrs ~arrival;
+                let trace = req_trace t attrs in
+                if
+                  commit t ?trace ~name:"apply" ~ns_metric:"moq_stage_follower_apply_ns"
+                    ~arrival (fun emit ->
+                      Commit.apply t.core ?trace ~emit ~epoch ~wm:attrs.Proto.a_wm ~seq u)
+                then pump ()
+              | Ok (Proto.E_repl_digest { clock; bytes; crc }, attrs) ->
+                let diverged =
                   with_lock t.lock (fun () ->
-                      (match attrs.Proto.a_wm with
-                       | Some (we, head) when we = epoch -> note_lag t ~head
-                       | _ -> ());
-                      (* the stream is ordered, so at the digest's clock our
-                         state must serialize to the primary's exact bytes *)
-                      if Q.compare (Store.clock t.store) clock = 0 then begin
-                        Sink.count t.sink "moq_repl_digest_checks_total" 1;
-                        let got_bytes, got_crc = Store.digest t.store in
-                        if got_bytes <> bytes || Crc32.to_hex got_crc <> crc
-                        then begin
-                          t.repl_divergence <- t.repl_divergence + 1;
-                          Sink.count t.sink "moq_repl_divergence_total" 1;
-                          Log.error
-                            ~fields:
-                              [ ("clock", Json.Str (Q.to_string clock));
-                                ("expected_bytes", Json.Int bytes);
-                                ("got_bytes", Json.Int got_bytes) ]
-                            "replica state diverges from primary digest";
-                          (* the audit-violation analogue of a crash: the
-                             evidence is the recent event history, so dump
-                             it while it is still in the ring *)
-                          record t "repl_divergence"
-                            [ ("clock", Json.Str (Q.to_string clock)) ];
-                          ignore (flight_dump t ~reason:"repl-divergence")
-                        end
-                      end);
-                  pump ()
-                | Ok (Proto.E_shutdown _, _) -> ()
-                | Ok _ | Error _ -> pump ())
-           in
-           pump ();
-           true
-         end
+                      Commit.digest_check t.core ~epoch ~wm:attrs.Proto.a_wm ~clock ~bytes
+                        ~crc)
+                in
+                (* the audit-violation analogue of a crash: the evidence is
+                   the recent event history, so dump it while it is still
+                   in the ring *)
+                if diverged then ignore (flight_dump t ~reason:"repl-divergence");
+                pump ()
+              | Ok (Proto.E_shutdown _, _) -> ()
+              | Ok _ | Error _ -> pump ())
+         in
+         pump ();
+         true
        end)
 
 let repl_loop t paddr =
@@ -1492,6 +825,7 @@ let repl_loop t paddr =
   in
   session ()
 
+
 (* ---------------------------------------------------------------- *)
 
 let start ?registry cfg =
@@ -1499,22 +833,20 @@ let start ?registry cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let reg = match registry with Some r -> r | None -> Registry.create () in
   let sink = Sink.of_registry reg in
-  let store_r =
-    if Sys.file_exists (Filename.concat cfg.store_dir "checkpoint.mod") then
-      match Store.open_ ~fsync:cfg.fsync ~checkpoint_every:cfg.checkpoint_every ~sink
-              ~dir:cfg.store_dir () with
-      | Ok (store, _) -> Ok store
-      | Error e -> Error e
-    else
-      match cfg.init_db with
-      | Some db ->
-        Ok (Store.init ~fsync:cfg.fsync ~checkpoint_every:cfg.checkpoint_every ~sink
-              ~dir:cfg.store_dir db)
-      | None -> Error (cfg.store_dir ^ ": no checkpoint and no initial database")
+  let tracer =
+    Trace.create ~capacity:1024
+      ~host:(match cfg.follow with Some _ -> "follower" | None -> "primary")
+      ()
   in
-  match store_r with
+  let recorder = Recorder.create ~capacity:cfg.flight_capacity () in
+  match
+    Commit.create ~reg ~sink ~tracer ~recorder ~fsync:cfg.fsync
+      ~checkpoint_every:cfg.checkpoint_every ~dir:cfg.store_dir ~init_db:cfg.init_db
+      ~digest_every:cfg.repl_digest_every ~slow_query_ms:cfg.slow_query_ms
+      ~hot_objects:cfg.hot_objects
+  with
   | Error e -> Error e
-  | Ok store ->
+  | Ok core ->
     (match
        let domain =
          match cfg.listen with Tcp _ -> Unix.PF_INET | Unix_sock _ -> Unix.PF_UNIX
@@ -1530,24 +862,12 @@ let start ?registry cfg =
      with
      | listen_fd ->
        let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-       let san = Sanitize.create ~sink () in
-       let tracer =
-         Trace.create ~capacity:1024
-           ~host:(match cfg.follow with Some _ -> "follower" | None -> "primary")
-           ()
-       in
        let t =
-         { cfg; reg; sink; store; san; tracer; dim = Store.dim store;
-           recorder = Recorder.create ~capacity:cfg.flight_capacity ();
-           acct_m = Mutex.create (); subacct = Hashtbl.create 64;
-           lock = Mutex.create ();
-           sessions = []; next_sid = 1; next_sub = 1; stopping = false;
-           crashed = false; listen_fd; wake_r; wake_w; accept_thread = None;
-           readers = []; epoch = fresh_epoch (); repl_seq = 0;
-           repl_backlog_q = Queue.create (); repl_since_digest = 0;
-           repl_pos = None; repl_connected = false; repl_divergence = 0;
-           lag_target = 0; lag_anchor = 0.;
-           repl_fd = None; repl_thread = None; handoff = None }
+         { cfg; reg; sink; tracer; recorder; acct_m = Mutex.create ();
+           subacct = Hashtbl.create 64; core; lock = Mutex.create (); sessions = [];
+           next_sid = 1; stopping = false; crashed = false; listen_fd; wake_r; wake_w;
+           accept_thread = None; readers = []; repl_connected = false; repl_fd = None;
+           repl_thread = None }
        in
        update_gauges t;
        (* register the load-bearing counters at zero so a scrape (or `moq
@@ -1569,7 +889,7 @@ let start ?registry cfg =
         | None -> ());
        Ok t
      | exception Unix.Unix_error (err, fn, arg) ->
-       Store.close store;
+       Commit.close core ~checkpoint:false;
        Error (Printf.sprintf "%s: %s (%s)" fn (Unix.error_message err) arg))
 
 let run t =
@@ -1587,13 +907,13 @@ let bound_addr t =
 let registry t = t.reg
 let tracer t = t.tracer
 let recorder t = t.recorder
-let db_snapshot t = with_lock t.lock (fun () -> Store.db t.store)
-let clock t = with_lock t.lock (fun () -> Store.clock t.store)
+let db_snapshot t = with_lock t.lock (fun () -> Commit.db t.core)
+let clock t = with_lock t.lock (fun () -> Commit.clock t.core)
 let is_follower t = t.cfg.follow <> None
 let repl_connected t = with_lock t.lock (fun () -> t.repl_connected)
-let repl_position t = with_lock t.lock (fun () -> t.repl_pos)
-let repl_divergence t = with_lock t.lock (fun () -> t.repl_divergence)
-let repl_seq t = with_lock t.lock (fun () -> t.repl_seq)
+let repl_position t = with_lock t.lock (fun () -> Commit.position t.core)
+let repl_divergence t = with_lock t.lock (fun () -> Commit.divergence t.core)
+let repl_seq t = with_lock t.lock (fun () -> Commit.seq t.core)
 
 let shutdown_repl_link t =
   match t.repl_fd with

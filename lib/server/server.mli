@@ -10,6 +10,14 @@
     {e valid} in the sense of Definition 4 (no future update can change
     them), with per-subscription sequence numbers.
 
+    Core and shell: the commit step itself — admit, log, fan out, render,
+    and both roles of replication — is {!Commit}, which has no sockets and
+    no threads and reports its outputs through one callback.  This module
+    is the IO shell around it: addresses, sessions and their output
+    queues, the reader, writer and accept threads, the follower's socket
+    loop, and start, stop and crash.  Each request is one call into the
+    core under the server lock, followed by enqueueing what it emitted.
+
     Flow control: each session has a bounded output queue.  Above the soft
     limit, consecutive event frames for the same subscription are coalesced
     into one frame; above the hard limit, the oldest event frame is dropped
@@ -31,10 +39,12 @@
     queries and subscriptions locally, and byte-compares its serialized
     state against the primary's periodic digests ([moq_repl_divergence_total]
     stays zero iff replication is exact).  Followers reject [UPDATE] with
-    [read-only], and can themselves be followed (chaining).  When a
-    follower must re-bootstrap from a fresh snapshot, local subscription
-    sessions are closed with [SHUTDOWN repl-reset] — their timelines were
-    built over the replaced history. *)
+    [read-only], and can themselves be followed (chaining).  A primary
+    keeps its last {!Commit.backlog_bound} (4096) commits for delta
+    resumes; a follower further behind gets a snapshot.  When a follower
+    must re-bootstrap from a fresh snapshot, local subscription sessions
+    are closed with [SHUTDOWN repl-reset] — their timelines were built
+    over the replaced history. *)
 
 module DB := Moq_mod.Mobdb
 
@@ -66,8 +76,6 @@ type config = {
   repl_digest_every : int;
       (** ship a state digest to followers every this many streamed
           updates; 0 disables (default 64) *)
-  repl_backlog : int;
-      (** commits kept in memory for delta resumes (default 4096) *)
   trace : bool;
       (** propagate [trace=] contexts and record pipeline spans; stage
           histograms are always collected regardless (default false) *)

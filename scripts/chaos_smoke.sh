@@ -22,7 +22,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MOQ=${MOQ:-"dune exec --no-print-directory bin/moq.exe --"}
-SEED=${1:-${MOQ_FAULT_SEEDS%%,*}}
+SEED=${1:-${MOQ_FAULT_SEEDS:-7}}
+SEED=${SEED%%,*}
 SEED=${SEED:-7}
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/moq_chaos_smoke.XXXXXX")
 PRI_PID="" FOL_PID="" PROXY_PID=""
@@ -62,12 +63,26 @@ PADDR=$(wait_for_line "$WORK/primary.log" '/^listening on /{print $3; exit}')
 # a fixed port so the restarted proxy is reachable at the same address
 CPORT=$(python3 -c 'import socket; s = socket.socket(); s.bind(("127.0.0.1", 0)); print(s.getsockname()[1]); s.close()')
 
-start_proxy() {
-  $MOQ chaos --upstream "$PADDR" --seed "$SEED" --profile flaky \
-    --port "$CPORT" >"$1" 2>&1 &
-  PROXY_PID=$!
-  disown "$PROXY_PID"
-  wait_for_line "$1" '/^chaos proxy on /{print $4; exit}' >/dev/null
+# A proxy restarted right after a SIGKILL can find the port still held by
+# the dying one (its bind fails with EADDRINUSE and it exits), and a
+# disowned process cannot be waited for: retry until one logs its port.
+start_proxy() { # $1 = log file
+  for _ in $(seq 1 20); do
+    $MOQ chaos --upstream "$PADDR" --seed "$SEED" --profile flaky \
+      --port "$CPORT" >"$1" 2>&1 &
+    PROXY_PID=$!
+    disown "$PROXY_PID"
+    for _ in $(seq 1 100); do
+      grep -q '^chaos proxy on ' "$1" && return 0
+      kill -0 "$PROXY_PID" 2>/dev/null || break
+      sleep 0.1
+    done
+    kill -KILL "$PROXY_PID" 2>/dev/null || true
+    sleep 0.2
+  done
+  echo "chaos proxy never came up on port $CPORT" >&2
+  cat "$1" >&2
+  return 1
 }
 start_proxy "$WORK/proxy1.log"
 
@@ -98,9 +113,22 @@ printf 'UPDATE chdir 1 1 2 0\nUPDATE new 9 2 1 1 3 3\nUPDATE chdir 2 3 0 1\n' \
   | $MOQ client --connect "$PADDR" >/dev/null
 wait_for_clock 3
 
+# REPL-HELLOs the primary has answered: each one starts a follow stream
+primary_handshakes() {
+  echo 'STATS prometheus' | $MOQ client --connect "$PADDR" 2>/dev/null \
+    | awk '/^moq_repl_(delta_resumes|snapshots)_total /{n += $2} END {print n + 0}'
+}
+
 kill -KILL "$PROXY_PID"
 PROXY_PID=""
+HANDSHAKES=$(primary_handshakes)
 start_proxy "$WORK/proxy2.log"
+# the digest is streamed to connected followers only: resume before the
+# second half, or the digest audit below has nothing to check
+for _ in $(seq 1 150); do
+  [ "$(primary_handshakes)" -gt "$HANDSHAKES" ] && break
+  sleep 0.1
+done
 
 printf 'UPDATE terminate 3 4\nUPDATE chdir 9 5 0 0\nUPDATE chdir 1 6 -1 2\n' \
   | $MOQ client --connect "$PADDR" >/dev/null

@@ -130,7 +130,7 @@ let wire_piece = function
   | MonX.TL.Span (a, b, s) ->
     Proto.P_span (wire_instant a, wire_instant b, Oid.Set.elements s)
 
-let origin_gamma dim = T.stationary ~start:(q (-1_000_000_000)) (Qvec.zero dim)
+let origin_gamma = Moq_server.Commit.origin_gamma
 
 (* Keep only updates the database accepts, so the wire run and the
    reference monitor see the identical committed stream. *)

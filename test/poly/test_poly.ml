@@ -405,12 +405,56 @@ let show_refined = function
 
 let w40 = Q.of_ints 1 1_099_511_627_776
 
-(* What [Alg.pp] printed when it picked the canonical root by exact
-   [compare] and refined it with the loop above.  [p] is the polynomial
-   [x] was made from. *)
+module Z = Moq_numeric.Bigint
+
+(* floor (sqrt n) for n >= 0, by Newton's iteration from above *)
+let isqrt n =
+  let rec go x =
+    let y = Z.div (Z.add x (Z.div n x)) (Z.of_int 2) in
+    if Z.compare y x >= 0 then x else go y
+  in
+  if Z.sign n = 0 then n else go n
+
+let rat_sqrt d =
+  let sq n = let r = isqrt n in if Z.equal (Z.mul r r) n then Some r else None in
+  if Q.sign d < 0 then None
+  else
+    match sq (Q.num d), sq (Q.den d) with
+    | Some a, Some b -> Some (Q.make a b)
+    | _ -> None
+
+(* The rational roots of [p], found independently of [Alg]: closed forms
+   for degrees 1 and 2, and for higher degrees the rational root theorem's
+   candidates ±(divisor of the constant)/(divisor of the leading
+   coefficient), which the corpus keeps small. *)
+let rational_roots p =
+  match QP.to_list p with
+  | [ c; b ] -> [ Q.neg (Q.div c b) ]
+  | [ c; b; a ] ->
+    (match rat_sqrt (Q.sub (Q.mul b b) (Q.mul (Q.of_int 4) (Q.mul a c))) with
+     | Some s ->
+       List.map (fun s -> Q.div (Q.add (Q.neg b) s) (Q.mul (Q.of_int 2) a)) [ s; Q.neg s ]
+     | None -> [])
+  | cs ->
+    let den = List.fold_left (fun l k -> Z.mul l (Q.den k)) Z.one cs in
+    let ints = List.map (fun k -> Z.to_int_exn (Q.num (Q.mul k (Q.of_bigint den)))) cs in
+    let divisors n = List.filter (fun d -> n mod d = 0) (List.init (abs n) (fun i -> i + 1)) in
+    let c0 = List.hd ints and cn = List.nth ints (List.length ints - 1) in
+    assert (c0 <> 0);
+    List.concat_map
+      (fun a -> List.concat_map (fun b -> [ Q.of_ints a b; Q.of_ints (-a) b ]) (divisors cn))
+      (divisors c0)
+    |> List.filter (fun r -> QP.sign_at p r = 0)
+
+(* What [Alg.pp] prints: the value when it is rational, and otherwise the
+   canonical root picked by exact [compare] and refined with the loop
+   above.  [p] is the polynomial [x] was made from. *)
 let reference_pp p x =
   let sf = QP.squarefree p in
   let fresh = List.map (fun c -> (c, Alg.bounds c)) (Alg.roots p) in
+  match List.find_opt (fun r -> Alg.compare (Alg.of_rat r) x = 0) (rational_roots p) with
+  | Some r -> Q.to_string r
+  | None ->
   match List.find_opt (fun (c, _) -> Alg.compare c x = 0) fresh with
   | None -> Alcotest.fail "reference_pp: not a root of p"
   | Some (_, (lo, hi)) when Q.equal lo hi -> Q.to_string lo
@@ -525,6 +569,14 @@ let test_refine_already_narrow () =
   Alg.refine_step x;
   Alcotest.(check bool) "rational found" true (refined x w40 = `Point (Q.of_ints 1 2))
 
+(* A root of a reducible quadratic is rational and prints as its value,
+   as the update instant it coincides with does. *)
+let test_pp_rational_roots () =
+  Alcotest.(check (list string)) "roots of t^2 + 3t - 28" [ "-7"; "4" ]
+    (List.map (Format.asprintf "%a" Alg.pp) (Alg.roots (poly [ -28; 3; 1 ])));
+  Alcotest.(check (list string)) "roots of 6t^2 - 7t + 2" [ "1/2"; "2/3" ]
+    (List.map (Format.asprintf "%a" Alg.pp) (Alg.roots (poly [ 2; -7; 6 ])))
+
 let test_pp_matches_reference () =
   let st = Random.State.make [| 7 |] in
   List.iter
@@ -574,6 +626,7 @@ let () =
         Alcotest.test_case "refine_until_width = bisection loop" `Quick test_refine_matches_loop;
         Alcotest.test_case "refine narrowed or rational roots" `Quick test_refine_already_narrow;
         Alcotest.test_case "pp = compare-picked bisection" `Quick test_pp_matches_reference;
+        Alcotest.test_case "pp prints rational roots as values" `Quick test_pp_rational_roots;
       ]);
       ("algnum-props", alg_props);
       ("shadow", [

@@ -1,0 +1,268 @@
+(* The commit core driven directly, without sockets or threads: every
+   subscription's emitted pieces against in-process Exact monitors fed
+   the same committed stream, a follower core fed the primary's emitted
+   repl frames against the primary's state at every digest, and the
+   delta-resume backlog against its stated bound. *)
+
+module Q = Moq_numeric.Rat
+module Qvec = Moq_geom.Vec.Qvec
+module U = Moq_mod.Update
+module DB = Moq_mod.Mobdb
+module Oid = Moq_mod.Oid
+module Gen = Moq_workload.Gen
+module BX = Moq_core.Backend.Exact
+module MonX = Moq_core.Monitor.Make (BX)
+module AggX = Moq_agg.Agg.Make (BX)
+module Proto = Moq_proto.Proto
+module Commit = Moq_server.Commit
+
+let q = Q.of_int
+
+let tmp_ctr = ref 0
+
+let tmp_dir () =
+  incr tmp_ctr;
+  let d =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "moq_commit_%d_%d" (Unix.getpid ()) !tmp_ctr)
+  in
+  if Sys.file_exists d then
+    Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d)
+  else Unix.mkdir d 0o700;
+  d
+
+let core ?(digest_every = 64) db =
+  let reg = Moq_obs.Registry.create () in
+  match
+    Commit.create ~reg ~sink:(Moq_obs.Sink.of_registry reg) ~tracer:(Moq_obs.Trace.create ())
+      ~recorder:(Moq_obs.Recorder.create ()) ~fsync:false ~checkpoint_every:16
+      ~dir:(tmp_dir ()) ~init_db:(Some db) ~digest_every ~slow_query_ms:0.
+      ~hot_objects:true
+  with
+  | Ok c -> c
+  | Error e -> Alcotest.fail e
+
+(* Exact's wire bytes for a timeline *)
+let wire_piece = function
+  | MonX.TL.At (i, s) -> Proto.P_at (Format.asprintf "%a" BX.pp_instant i, Oid.Set.elements s)
+  | MonX.TL.Span (a, b, s) ->
+    Proto.P_span
+      ( Format.asprintf "%a" BX.pp_instant a,
+        Format.asprintf "%a" BX.pp_instant b,
+        Oid.Set.elements s )
+
+(* Move the first later update of each created object ahead of its
+   [new]: it arrives for an unknown OID, is quarantined, and graduates
+   when the [new] is accepted. *)
+let rec with_graduates = function
+  | [] -> []
+  | (U.New { oid; _ } as n) :: rest ->
+    (match List.find_opt (fun u -> U.oid u = oid) rest with
+     | Some x -> x :: n :: with_graduates (List.filter (fun u -> u != x) rest)
+     | None -> n :: with_graduates rest)
+  | u :: rest -> u :: with_graduates rest
+
+let stream ~seed db =
+  with_graduates (Gen.mixed_stream ~seed ~db ~start:(q 1) ~gap:(q 1) ~count:40 ())
+
+let repl_update msg =
+  match Proto.parse_server_msg msg with
+  | Ok (Proto.E_repl_update { seq; u; _ }) -> `Update (seq, u)
+  | Ok (Proto.E_repl_digest { clock; bytes; crc }) -> `Digest (clock, bytes, crc)
+  | _ -> Alcotest.failf "not a repl frame: %s" msg
+
+(* A reference for one subscription: the same query over the same MOD on
+   the Exact backend, fed the committed stream. *)
+type reference = {
+  kind : Proto.sub_kind;
+  hi : Q.t;
+  feed : U.t -> unit;
+  drain : unit -> Proto.piece list;
+  finish : unit -> Proto.piece list;  (* the rows a completion flushes *)
+  clock : unit -> Q.t;
+}
+
+let reference db kind ~lo ~hi =
+  let ok = function Ok () -> () | Error e -> Alcotest.failf "reference: %a" DB.pp_error e in
+  match kind with
+  | Proto.Sub_agg { d; window; pois } ->
+    let c = AggX.Cont.create ~db ~pois:(List.map Qvec.of_list pois) ~d ~window ~lo ~hi () in
+    let drain () = List.map Commit.wire_row (AggX.Cont.drain_rows c) in
+    { kind; hi; feed = (fun u -> ok (AggX.Cont.apply_update c u)); drain;
+      finish = (fun () -> ignore (AggX.Cont.finalize c); drain ());
+      clock = (fun () -> AggX.Cont.clock c) }
+  | _ ->
+    let m =
+      MonX.create ~db ~gdist:(Commit.gdist_of_kind ~dim:(DB.dim db) kind)
+        ~query:(Commit.query_of_kind kind ~lo ~hi) ()
+    in
+    { kind; hi; feed = (fun u -> ok (MonX.apply_update m u));
+      drain = (fun () -> List.map wire_piece (MonX.drain_valid m));
+      finish = (fun () -> []); clock = (fun () -> MonX.clock m) }
+
+let kinds =
+  [ (Proto.Sub_knn 1, q 1000); (Proto.Sub_knn 2, q 1000); (Proto.Sub_knn 1, q 12);
+    (Proto.Sub_range (q 400), q 1000); (Proto.Sub_gdist (Proto.Speed_sq, q 20), q 1000);
+    (Proto.Sub_agg { d = q 20; window = q 4; pois = [ [ q 0; q 0 ]; [ q 10; q (-10) ] ] }, q 1000);
+    (Proto.Sub_agg { d = q 30; window = q 5; pois = [ [ q 5; q 5 ] ] }, q 15) ]
+
+let test_subscriptions_match_exact (family, db) () =
+  let c = core db in
+  let emitted = Hashtbl.create 8 and completed = ref [] and order = ref [] in
+  let emit = function
+    | Commit.Pieces { owner; sub; first_seq; pieces } ->
+      Alcotest.(check int) "owner" 1 owner;
+      let got = Option.value ~default:[] (Hashtbl.find_opt emitted sub) in
+      Alcotest.(check int) "contiguous sequence" (List.length got) first_seq;
+      Hashtbl.replace emitted sub (got @ pieces);
+      order := !order @ [ sub ]
+    | Commit.Complete { sub; _ } -> completed := sub :: !completed
+    | Commit.Repl _ | Commit.Reset _ -> ()
+  in
+  let subs =
+    List.map
+      (fun (kind, hi) ->
+        match Commit.subscribe c ~owner:1 kind ~lo:(q 0) ~hi with
+        | Ok id ->
+          Commit.flush c ~emit id;
+          let r = reference db kind ~lo:(q 0) ~hi in
+          (id, r, ref (r.drain ()))
+        | Error e -> Alcotest.fail e)
+      kinds
+  in
+  (* the committed stream, in WAL order, from a follower's frames *)
+  ignore (Commit.follow c ~owner:0 ~since:None);
+  order := [];
+  let committed = ref [] in
+  let graduated = ref 0 in
+  let emit out =
+    (match out with
+     | Commit.Repl { msg; digest = false; _ } ->
+       (match repl_update msg with
+        | `Update (_, cu) -> committed := cu :: !committed
+        | `Digest _ -> ());
+       (* a commit's events reach a session newest subscription first *)
+       Alcotest.(check (list int)) "newest subscription first"
+         (List.sort (fun a b -> compare b a) !order) !order;
+       order := []
+     | _ -> ());
+    emit out
+  in
+  List.iter
+    (fun u ->
+      let n = List.length !committed in
+      ignore (Commit.ingest c ~emit u);
+      graduated := !graduated + max 0 (List.length !committed - n - 1))
+    (stream ~seed:7 db);
+  Alcotest.(check bool) (family ^ ": some updates graduated from quarantine") true
+    (!graduated > 0);
+  List.iter
+    (fun cu ->
+      List.iter
+        (fun (_, r, want) ->
+          if Q.compare (r.clock ()) r.hi < 0 then begin
+            r.feed cu;
+            want := !want @ r.drain ();
+            if Q.compare (r.clock ()) r.hi >= 0 then want := !want @ r.finish ()
+          end)
+        subs)
+    (List.rev !committed);
+  List.iter
+    (fun (id, r, want) ->
+      let got = Option.value ~default:[] (Hashtbl.find_opt emitted id) in
+      let name = Printf.sprintf "%s sub %d" family id in
+      Alcotest.(check bool) (name ^ " streams something") true (got <> []);
+      Alcotest.(check bool) (name ^ " = Exact") true (got = !want);
+      Alcotest.(check bool) (name ^ " completes iff its interval is valid")
+        (Q.compare (r.clock ()) r.hi >= 0) (List.mem id !completed))
+    subs;
+  Alcotest.(check int) "completed subscriptions are retired"
+    (List.length kinds - List.length !completed) (Commit.n_subs c)
+
+(* A follower core fed the primary's frames holds the primary's bytes at
+   every digest. *)
+let test_follower_tracks_primary () =
+  let db = Gen.uniform_db ~seed:4 ~n:10 ~extent:40 ~speed:4 () in
+  let p = core ~digest_every:3 db in
+  let frames = ref [] in
+  let emit = function
+    | Commit.Repl { owner = 0; msg; digest } ->
+      frames := (msg, if digest then Some (Commit.snapshot p) else None) :: !frames
+    | _ -> ()
+  in
+  let reply, delta = Commit.follow p ~owner:0 ~since:None in
+  Alcotest.(check bool) "a new follower gets a snapshot" true (delta = None);
+  List.iter (fun u -> ignore (Commit.ingest p ~emit u)) (stream ~seed:5 db);
+  let f = core (Gen.uniform_db ~seed:99 ~n:3 ()) in
+  (match reply with
+   | Proto.R_repl_hello { epoch; seq; snapshot; _ } ->
+     Alcotest.(check bool) "bootstrap" true
+       (Commit.bootstrap f ~emit:ignore ~epoch ~seq snapshot);
+     let digests = ref 0 in
+     List.iter
+       (fun (msg, at_digest) ->
+         match repl_update msg, at_digest with
+         | `Update (seq, u), _ ->
+           Alcotest.(check bool) "contiguous" true
+             (Commit.apply f ~emit:ignore ~epoch ~wm:None ~seq u)
+         | `Digest (clock, bytes, crc), Some want ->
+           incr digests;
+           Alcotest.(check bool) "digest check passes" false
+             (Commit.digest_check f ~epoch ~wm:None ~clock ~bytes ~crc);
+           Alcotest.(check bool) "byte-identical snapshot at the digest" true
+             (Commit.snapshot f = want)
+         | `Digest _, None -> Alcotest.fail "digest without a primary snapshot")
+       (List.rev !frames);
+     Alcotest.(check bool) "several digests" true (!digests >= 3);
+     Alcotest.(check int) "no divergence" 0 (Commit.divergence f);
+     Alcotest.(check (option (pair int int))) "position" (Some (epoch, Commit.seq p))
+       (Commit.position f);
+     Alcotest.(check string) "final state" (Commit.snapshot p) (Commit.snapshot f)
+   | m -> Alcotest.failf "unexpected reply %s" (Proto.render_server_msg m))
+
+(* The backlog holds the last [backlog_bound] commits: a follower exactly
+   that far behind resumes as a delta of that many frames, one further
+   behind gets a snapshot. *)
+let test_backlog_bound () =
+  let db = Gen.uniform_db ~seed:2 ~n:4 ~extent:40 ~speed:4 () in
+  let c = core db in
+  let n = Commit.backlog_bound + 10 in
+  List.iter
+    (fun u ->
+      Alcotest.(check bool) "accepted" true
+        (Commit.ingest c ~emit:(fun _ -> ()) u = Proto.V_accepted))
+    (Gen.chdir_stream ~seed:2 ~db ~start:(q 0) ~gap:(q 1) ~count:n ());
+  let epoch, seq = Commit.watermark c in
+  Alcotest.(check int) "every update committed" n seq;
+  let resume s =
+    let reply, delta = Commit.follow c ~owner:3 ~since:(Some (epoch, s)) in
+    let frames = ref 0 in
+    Option.iter
+      (fun after -> Commit.replay c ~emit:(fun _ -> incr frames) ~owner:3 ~after)
+      delta;
+    let snap = match reply with Proto.R_repl_hello { snapshot; _ } -> snapshot <> None | _ -> false in
+    (snap, !frames)
+  in
+  Alcotest.(check (pair bool int)) "delta from the oldest covered position"
+    (false, Commit.backlog_bound) (resume (seq - Commit.backlog_bound));
+  Alcotest.(check (pair bool int)) "snapshot from beyond the backlog" (true, 0)
+    (resume (seq - Commit.backlog_bound - 1));
+  Alcotest.(check (pair bool int)) "up to date" (false, 0) (resume seq);
+  let reply, _ = Commit.follow c ~owner:3 ~since:(Some (epoch + 1, seq)) in
+  Alcotest.(check bool) "another epoch gets a snapshot" true
+    (match reply with Proto.R_repl_hello { snapshot = Some _; _ } -> true | _ -> false)
+
+let () =
+  let families =
+    [ ("uniform", Gen.uniform_db ~seed:7 ~n:12 ~extent:30 ~speed:4 ());
+      ("clustered", Gen.clustered_db ~seed:8 ~n:12 ~clusters:1 ~spread:30 ~speed:4 ()) ]
+  in
+  Alcotest.run "commit"
+    [ ( "core",
+        List.map
+          (fun (name, db) ->
+            Alcotest.test_case ("subscriptions = Exact, " ^ name) `Quick
+              (test_subscriptions_match_exact (name, db)))
+          families
+        @ [ Alcotest.test_case "follower tracks primary" `Quick test_follower_tracks_primary;
+            Alcotest.test_case "backlog bound" `Quick test_backlog_bound ] ) ]

@@ -27,6 +27,7 @@ module AggX = Moq_agg.Agg.Make (BX)
 module Frame = Moq_proto.Frame
 module Proto = Moq_proto.Proto
 module Server = Moq_server.Server
+module Commit = Moq_server.Commit
 module Client = Moq_server.Client
 module Recorder = Moq_obs.Recorder
 module Json = Moq_obs.Json
@@ -202,13 +203,9 @@ let wire_piece = function
   | MonX.TL.Span (a, b, s) ->
     Proto.P_span (wire_instant a, wire_instant b, Oid.Set.elements s)
 
-let origin_gamma dim = T.stationary ~start:(q (-1_000_000_000)) (Qvec.zero dim)
-
-let wire_row (r : Agg.row) =
-  Proto.P_agg
-    { poi = r.Agg.r_poi; widx = r.Agg.r_widx; w_lo = Q.to_string r.Agg.r_lo;
-      w_hi = Q.to_string r.Agg.r_hi; count = r.Agg.r_count;
-      density = r.Agg.r_density; distinct = r.Agg.r_distinct }
+(* the server's own g-distance anchor and agg row rendering *)
+let origin_gamma = Commit.origin_gamma
+let wire_row = Commit.wire_row
 
 let test_subscription_matches_monitor () =
   with_server (fun srv _dir db ->
@@ -271,6 +268,40 @@ let test_subscription_matches_monitor () =
        | m -> Alcotest.failf "unsubscribe failed: %s" (Proto.render_server_msg m));
       Client.close c)
 
+(* An incremental nearest monitor puts the same canonical stream on the
+   wire as one built over the final MOD, up to the last two pieces, which
+   later updates may still extend.  An update instant and a crossing at
+   that same instant print alike, so [simplify_pieces] merges them. *)
+let take n l = List.filteri (fun i _ -> i < n) l
+
+let test_incremental_stream_canonical seed () =
+  let db = Gen.uniform_db ~seed ~n:6 ~extent:20 ~speed:4 () in
+  let final, updates =
+    List.fold_left
+      (fun (db, acc) u ->
+        match DB.apply db u with Ok db' -> (db', acc @ [ u ]) | Error _ -> (db, acc))
+      (db, [])
+      (Gen.mixed_stream ~seed:(seed + 1) ~db ~start:(q 1) ~gap:(q 1) ~count:24 ())
+  in
+  let gdist = Gdist.euclidean_sq ~gamma:(origin_gamma (DB.dim db)) in
+  let query = Fof.nearest_q ~interval:(Fof.Interval.closed (q 0) (q 1000)) in
+  let mon = MonX.create ~db ~gdist ~query () in
+  let streamed = ref (List.map wire_piece (MonX.drain_valid mon)) in
+  List.iter
+    (fun u ->
+      (match MonX.apply_update mon u with
+       | Ok () -> ()
+       | Error e -> Alcotest.failf "monitor: %a" DB.pp_error e);
+      streamed := !streamed @ List.map wire_piece (MonX.drain_valid mon))
+    updates;
+  let whole =
+    Proto.simplify_pieces (List.map wire_piece (MonX.drain_valid (MonX.create ~db:final ~gdist ~query ())))
+  in
+  let n = List.length whole - 2 in
+  Alcotest.(check bool) "stream is substantial" true (n >= 5);
+  Alcotest.(check bool) "incremental stream = final-MOD stream" true
+    (take n (Proto.simplify_pieces !streamed) = take n whole)
+
 (* QUERY answers equal in-process Exact runs byte for byte.  The server
    sweeps on the Filtered backend; equal-speed objects give difference
    curves of degree 1, the linear crossings Filtered holds as rationals
@@ -310,13 +341,20 @@ let test_queries_match_exact () =
         (knn = List.map wire_piece (KnnX.run ~db ~gdist ~k:2 ~lo ~hi).KnnX.timeline);
       Alcotest.(check bool) "range answer equals Exact" true
         (range = List.map wire_piece (RangeX.run ~db ~gdist ~bound ~lo ~hi).RangeX.timeline);
-      let linear_root = function
-        | Proto.P_at (i, _) | Proto.P_span (_, i, _) ->
-          String.length i > 9 && String.sub i 0 9 = "root(t + "
-        | Proto.P_agg _ -> false
+      (* the crossing at 41/4 is linear: Filtered holds it as a rational
+         and Exact as the root of a line, and both print its value *)
+      let instants =
+        List.concat_map
+          (function
+            | Proto.P_at (i, _) -> [ i ]
+            | Proto.P_span (a, b, _) -> [ a; b ]
+            | Proto.P_agg _ -> [])
+          knn
       in
       Alcotest.(check bool) "the knn answer has a linear crossing" true
-        (List.exists linear_root knn);
+        (List.mem "41/4" instants);
+      Alcotest.(check bool) "no instant prints as the root of a line" false
+        (List.exists (fun i -> String.length i > 9 && String.sub i 0 9 = "root(t + ") instants);
       Client.close c)
 
 (* SUBSCRIBE agg end to end: the pushed P_agg rows equal a reference
@@ -899,6 +937,10 @@ let () =
       ("subscriptions",
        [ Alcotest.test_case "stream matches reference monitor" `Quick
            test_subscription_matches_monitor;
+         Alcotest.test_case "incremental stream canonical, seed 1" `Quick
+           (test_incremental_stream_canonical 1);
+         Alcotest.test_case "incremental stream canonical, seed 9" `Quick
+           (test_incremental_stream_canonical 9);
          Alcotest.test_case "query answers match Exact" `Quick
            test_queries_match_exact;
          Alcotest.test_case "agg stream end to end" `Quick
