@@ -1635,6 +1635,22 @@ let bechamel_suite () =
   let t2_reduction () =
     ignore (Reduction.is_past_up_to (Turing.busy_beaver_3 ()) ~max_steps:30)
   in
+  (* Kernel layer: one exact sign test at a float-derived dyadic, one
+     Filtered root certification of a quadratic, one canonical print of
+     an irrational instant (memo warm, as for the server's repeats). *)
+  let quad = QP.of_list [ Q.of_ints (-1234567) 89; Q.of_ints 311 3; Q.of_ints 5 2 ] in
+  let k1_sign_at =
+    let x = Q.of_float 3.7416573867739413 in
+    fun () -> ignore (QP.sign_at quad x)
+  in
+  let k2_certify =
+    let before = BFl.instant_of_scalar (q 0) in
+    fun () -> ignore (BFl.first_root_after quad before)
+  in
+  let k3_pp =
+    let x = List.nth (A.roots quad) 1 in
+    fun () -> ignore (Format.asprintf "%a" A.pp x)
+  in
   let tests =
     Test.make_grouped ~name:"moq" ~fmt:"%s:%s"
       [ Test.make ~name:"f3-example12-sweep" (Staged.stage knn_f3);
@@ -1645,6 +1661,9 @@ let bechamel_suite () =
         Test.make ~name:"b1-naive-knn-n32" (Staged.stage b1_naive);
         Test.make ~name:"p1-cql-entering-n16" (Staged.stage p1_cql);
         Test.make ~name:"t2-reduction-bb3" (Staged.stage t2_reduction);
+        Test.make ~name:"k1-qpoly-sign-at-dyadic" (Staged.stage k1_sign_at);
+        Test.make ~name:"k2-filtered-certify-quadratic" (Staged.stage k2_certify);
+        Test.make ~name:"k3-algnum-pp-instant" (Staged.stage k3_pp);
       ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
@@ -1652,13 +1671,13 @@ let bechamel_suite () =
   let cfg = Benchmark.cfg ~limit:30 ~quota:(Time.second 0.5) ~kde:None ~stabilize:false () in
   let raw = Benchmark.all cfg instances tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "\n%-30s %16s\n" "benchmark" "ns/run";
+  Printf.printf "\n%-36s %16s\n" "benchmark" "ns/run";
   let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
   List.iter
     (fun (name, ols_result) ->
       match Analyze.OLS.estimates ols_result with
-      | Some (est :: _) -> Printf.printf "%-30s %16.0f\n" name est
-      | _ -> Printf.printf "%-30s %16s\n" name "n/a")
+      | Some (est :: _) -> Printf.printf "%-36s %16.0f\n" name est
+      | _ -> Printf.printf "%-36s %16s\n" name "n/a")
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)

@@ -273,9 +273,9 @@ end = struct
   let miss ?at f =
     incr misses;
     (match at with Some iv -> note_straddle iv | None -> ());
-    let t0 = Sink.wall () in
+    let t0 = Sink.monotonic () in
     let r = f () in
-    fallback_ns := !fallback_ns +. ((Sink.wall () -. t0) *. 1e9);
+    fallback_ns := !fallback_ns +. ((Sink.monotonic () -. t0) *. 1e9);
     r
 
   (* Re-pull the (possibly refined-in-place) exact enclosure into the float
@@ -361,15 +361,20 @@ end = struct
      root of [p] strictly beyond the threshold, into an exact instant.  The
      endpoint signs are checked exactly (cheap dyadic rationals); a zero or
      same-sign endpoint means the float certificate was too optimistic and
-     the caller must fall back. *)
+     the caller must fall back.  Called only on [Two]'s enclosures, so [p]
+     is a squarefree quadratic and the checks here complete the proof
+     {!A.root_of_certified} asks for. *)
   let certify_root p (rc : IV.t) : instant option =
     if not (IV.is_finite rc) then None
     else begin
       let ql = Q.of_float (IV.lo rc) and qh = Q.of_float (IV.hi rc) in
       if Q.compare ql qh >= 0 then None
-      else if P.sign_at p ql * P.sign_at p qh < 0 then
-        Some { ex = A.root_of_isolating_exn p ~lo:ql ~hi:qh; iv = rc; zero_of = Some p }
-      else None
+      else begin
+        let sl = P.sign_at p ql in
+        if sl * P.sign_at p qh < 0 then
+          Some { ex = A.root_of_certified p ~lo:ql ~hi:qh ~sign_lo:sl; iv = rc; zero_of = Some p }
+        else None
+      end
     end
 
   (* The real roots of a quadratic, as far as float intervals can tell. *)

@@ -177,7 +177,8 @@ let shards t =
     (fun key members acc ->
       (key, members, Hashtbl.find_opt t.shard_box key) :: acc)
     t.shard_members []
-  |> List.sort (fun ((a, b), _, _) ((c, d), _, _) -> compare (a, b) (c, d))
+  |> List.sort (fun ((a, b), _, _) ((c, d), _, _) ->
+         match Int.compare a c with 0 -> Int.compare b d | o -> o)
 
 let shard_of t o = Hashtbl.find_opt t.home o
 

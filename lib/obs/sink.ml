@@ -21,13 +21,17 @@ let set t name v = t.set name v
 
 let wall = Unix.gettimeofday
 
-(* Time [f] and observe the wall-clock duration under [name]; free on the
-   no-op sink. *)
+(* Durations are differences of this clock: unlike [wall], it never
+   steps back or jumps when the system time is set. *)
+let monotonic () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+(* Time [f] and observe its duration under [name]; free on the no-op
+   sink. *)
 let time t name f =
   if t == noop then f ()
   else begin
-    let t0 = wall () in
-    Fun.protect ~finally:(fun () -> t.observe name (wall () -. t0)) f
+    let t0 = monotonic () in
+    Fun.protect ~finally:(fun () -> t.observe name (monotonic () -. t0)) f
   end
 
 let of_registry reg =

@@ -22,12 +22,17 @@ val observe : t -> string -> float -> unit
 val set : t -> string -> float -> unit
 
 val wall : unit -> float
-(** Wall-clock seconds ([Unix.gettimeofday]); exposed so instrumented
-    libraries need no direct unix dependency. *)
+(** Wall-clock seconds ([Unix.gettimeofday]), for instants that other
+    clocks' readings are set beside (trace span starts); exposed so
+    instrumented libraries need no direct unix dependency. *)
+
+val monotonic : unit -> float
+(** Seconds on a monotonic clock with an arbitrary origin: time
+    durations with it, as the difference of two readings. *)
 
 val time : t -> string -> (unit -> 'a) -> 'a
-(** Run [f], observing its wall-clock duration under [name]; calls [f]
-    directly on the no-op sink. *)
+(** Run [f], observing its duration on the {!monotonic} clock under
+    [name]; calls [f] directly on the no-op sink. *)
 
 val of_registry : Registry.t -> t
 (** Live sink: metric names resolve to registry handles once and are

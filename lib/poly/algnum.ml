@@ -3,14 +3,16 @@ module Z = Moq_numeric.Bigint
 module P = Qpoly
 
 (* A [Root] value holds a squarefree polynomial [p], nonzero at [lo] and
-   [hi], with exactly one real root in the open interval (lo, hi).  The
-   interval is mutable: comparisons refine it in place (the interface is
-   pure — the represented number never changes). *)
+   [hi], with exactly one real root in the open interval (lo, hi), and
+   [slo], the sign of [p] at [lo].  The interval is mutable: comparisons
+   refine it in place (the interface is pure — the represented number
+   never changes).  Every move of [lo] lands left of the root it isolates
+   and right of every other root, so [slo] never changes. *)
 type t =
   | Rational of Q.t
   | Root of root
 
-and root = { p : P.t; mutable lo : Q.t; mutable hi : Q.t }
+and root = { p : P.t; mutable lo : Q.t; mutable hi : Q.t; slo : int }
 
 let of_rat q = Rational q
 let of_int n = Rational (Q.of_int n)
@@ -29,17 +31,22 @@ let step r : Q.t option =
     r.hi <- midpoint m r.hi;
     Some m
   | sm ->
-    if sm * P.sign_at r.p r.lo < 0 then r.hi <- m else r.lo <- m;
+    if sm * r.slo < 0 then r.hi <- m else r.lo <- m;
     None
 
+(* [sf] has simple roots only, so it changes sign at each of them: left
+   of the i-th root (and right of all the others before it) its sign is
+   its sign at minus infinity times (-1)^i. *)
 let roots p =
   if P.degree p <= 0 then []
   else begin
     let sf = P.squarefree p in
-    List.map
-      (function
+    let s0 = P.sign_at_neg_infinity sf in
+    List.mapi
+      (fun i -> function
         | Sturm.Point q -> Rational q
-        | Sturm.Open_interval (lo, hi) -> Root { p = sf; lo; hi })
+        | Sturm.Open_interval (lo, hi) ->
+          Root { p = sf; lo; hi; slo = (if i land 1 = 0 then s0 else - s0) })
       (Sturm.isolate p)
   end
 
@@ -62,9 +69,12 @@ let sign = function
 let compare_rat_root q (r : root) =
   if Q.compare q r.lo <= 0 then -1
   else if Q.compare q r.hi >= 0 then 1
-  else if P.sign_at r.p q = 0 then 0
-  else if P.sign_at r.p q * P.sign_at r.p r.lo < 0 then 1 (* root in (lo, q): q greater *)
-  else -1
+  else begin
+    let s = P.sign_at r.p q in
+    if s = 0 then 0
+    else if s * r.slo < 0 then 1 (* root in (lo, q): q greater *)
+    else -1
+  end
 
 (* Does [g] (nonzero) have a root in the open interval (lo, hi)?  Assumes
    nothing about the endpoints. *)
@@ -279,28 +289,37 @@ let refine_step = function
   | Rational _ -> ()
   | Root r -> ignore (step r)
 
-(* Entry point for the filtered backend: it proves (with exact endpoint
-   signs, see the check below) that an interval isolates a root it found by
-   float means, then builds the [Root] without a full Sturm isolation. *)
+(* The checked way to name a root by an interval the caller knows
+   isolates it: the squarefree part must change sign across it. *)
 let root_of_isolating_exn p ~lo ~hi =
   if Q.compare lo hi >= 0 then invalid_arg "Algnum.root_of_isolating_exn: empty interval";
   let sf = P.squarefree p in
   let slo = P.sign_at sf lo and shi = P.sign_at sf hi in
   if slo = 0 || shi = 0 || slo * shi > 0 then
     invalid_arg "Algnum.root_of_isolating_exn: no sign change"
-  else Root { p = sf; lo; hi }
+  else Root { p = sf; lo; hi; slo }
+
+(* The filtered backend's entry point.  Its proof already covers every
+   check above: [p] is squarefree (a positive discriminant), so
+   [P.squarefree p] would return [P.monic p], and [sign_lo] is its own
+   exact test at [lo].  Monic scaling multiplies signs by the sign of the
+   leading coefficient. *)
+let root_of_certified p ~lo ~hi ~sign_lo =
+  Root { p = P.monic p; lo; hi; slo = sign_lo * Q.sign (P.leading p) }
 
 (* The printed form of a number is a wire token that peers byte-compare
    (resumed subscription streams, replica audits, the server against
    in-process Exact), but a [Root]'s live interval depends on the
    comparisons it has been through.  So [pp] prints a canonical interval
    that depends only on the polynomial and on which of its roots the
-   number is: it re-isolates the roots of [r.p], picks the one whose
+   number is: it takes the Sturm cells of [r.p], picks the one whose
    isolating interval (or rational point) meets the number's interval —
    the exact [compare] runs only when several do — and bisects that
    starting interval to width below [canonical_width]
    ({!refine_until_width} takes O(1) exact sign tests for this unless
-   its float estimate misses).  The result prints as [root(...)] with
+   its float estimate misses).  Cells and their texts are memoised per
+   polynomial (the text memo below), since many numbers of a sweep are
+   roots of one curve difference.  The result prints as [root(...)] with
    that interval, or as a rational when the number is one: a [Root] whose
    value is [q] prints exactly as [Rational q] does, so the bytes depend
    only on the value.  An incremental monitor holds an update instant as a
@@ -308,6 +327,10 @@ let root_of_isolating_exn p ~lo ~hi =
    g-distance difference; both must print alike for a resumed or replayed
    stream to merge with what a subscriber already has. *)
 let canonical_width = Q.of_ints 1 1_099_511_627_776 (* 2^-40 *)
+
+let copy = function
+  | Rational _ as x -> x
+  | Root r -> Root { r with lo = r.lo }
 
 (* The value of a root when it is rational.  Scaled to integer
    coefficients with leading coefficient [a], [c.p] has each rational root
@@ -318,34 +341,78 @@ let rational_value (c : root) =
   let lcm x y = Z.mul (Z.div x (Z.gcd x y)) y in
   let den = List.fold_left (fun l k -> lcm l (Q.den k)) Z.one (P.to_list c.p) in
   let a = Q.abs (Q.mul (P.leading c.p) (Q.of_bigint den)) in
-  match refine_until_width (Root { c with lo = c.lo }) (Q.inv a) with
+  match refine_until_width (copy (Root c)) (Q.inv a) with
   | Rational q -> Some q
   | Root n ->
     let q = Q.div (Q.of_bigint (Z.add (Q.floor (Q.mul a n.lo)) Z.one)) a in
     if Q.compare q n.hi < 0 && P.sign_at n.p q = 0 then Some q else None
 
+let well_formed = function
+  | Rational _ -> true
+  | Root r ->
+    Q.compare r.lo r.hi < 0 && r.slo <> 0
+    && P.sign_at r.p r.lo = r.slo
+    && P.sign_at r.p r.hi = - r.slo
+
+(* The canonical text of a Sturm cell, computed on a copy so the cell
+   itself is never refined. *)
+let canonical_text cell =
+  match refine_until_width (copy cell) canonical_width with
+  | Rational q -> Q.to_string q
+  | Root c ->
+    (match rational_value c with
+     | Some q -> Q.to_string q
+     | None ->
+       Format.asprintf "root(%a) in (%a,%a) ~ %.6g" P.pp c.p Q.pp c.lo Q.pp c.hi
+         (Q.to_float (midpoint c.lo c.hi)))
+
+(* The text memo: a squarefree polynomial's Sturm cells, each with its
+   canonical text once some number has printed as it.  Direct-mapped and
+   lock-free like [Shadow]'s: a slot write is one pointer store of a
+   complete entry, and so is a text write, so a racing reader sees an
+   entry either whole or not at all and a text either [None] or final
+   (two threads may both compute a text; they compute the same one).  No
+   [Lazy]: forcing one lazy value from two threads raises on OCaml 5. *)
+type cell = { iso : t; mutable text : string option }
+type entry = { key : P.t; cells : cell array }
+
+let text_memo_bound = 64
+let no_entry = { key = P.zero; cells = [||] }
+let text_memo = Array.make text_memo_bound no_entry
+
+let cells_of (p : P.t) =
+  let i = Hashtbl.hash p land (text_memo_bound - 1) in
+  let e = text_memo.(i) in
+  if e.key == p || P.equal e.key p then e.cells
+  else begin
+    let cells = Array.of_list (List.map (fun iso -> { iso; text = None }) (roots p)) in
+    text_memo.(i) <- { key = p; cells };
+    cells
+  end
+
+let cell_text c =
+  match c.text with
+  | Some s -> s
+  | None ->
+    let s = canonical_text c.iso in
+    c.text <- Some s;
+    s
+
 let pp fmt x =
   match x with
   | Rational q -> Q.pp fmt q
   | Root r ->
-    let meets = function
+    let meets c =
+      match c.iso with
       | Rational q -> Q.compare r.lo q < 0 && Q.compare q r.hi < 0
       | Root c -> Q.compare c.lo r.hi < 0 && Q.compare r.lo c.hi < 0
     in
-    let fresh =
-      match List.filter meets (roots r.p) with
-      | [ c ] -> c
+    let text =
+      match List.filter meets (Array.to_list (cells_of r.p)) with
+      | [ c ] -> cell_text c
       | several ->
-        (match List.find_opt (fun c -> compare c x = 0) several with
-         | Some c -> c
-         | None -> Root { r with lo = r.lo } (* defensive: print our own copy *))
+        (match List.find_opt (fun c -> compare (copy c.iso) x = 0) several with
+         | Some c -> cell_text c
+         | None -> canonical_text (copy x) (* defensive: print our own copy *))
     in
-    (match refine_until_width fresh canonical_width with
-     | Rational q -> Q.pp fmt q
-     | Root c ->
-       (match rational_value c with
-        | Some q -> Q.pp fmt q
-        | None ->
-          Format.fprintf fmt "root(%a) in (%a,%a) ~ %.6g" P.pp c.p Q.pp c.lo
-            Q.pp c.hi
-            (Q.to_float (midpoint c.lo c.hi))))
+    Format.pp_print_string fmt text

@@ -65,8 +65,27 @@ val root_of_isolating_exn : Qpoly.t -> lo:Q.t -> hi:Q.t -> t
     isolation.  Checks that the squarefree part of the polynomial changes
     sign between the endpoints (and is nonzero at both); the CALLER must
     guarantee the interval contains exactly one root.  @raise
-    Invalid_argument when the check fails.  Used by the filtered backend,
-    which certifies its float-interval root candidates this way. *)
+    Invalid_argument when the check fails. *)
+
+val root_of_certified : Qpoly.t -> lo:Q.t -> hi:Q.t -> sign_lo:int -> t
+(** The unchecked form of {!root_of_isolating_exn}, for a caller that has
+    already proved all of it: [p] is squarefree, [lo < hi], [sign_lo] is
+    the exact sign of [p] at [lo], [p] has the opposite nonzero sign at
+    [hi], and [(lo, hi)] holds exactly one root.  Builds the same number
+    as the checked form with no gcd and no sign test.  Used by the
+    filtered backend, whose float certificate (a positive discriminant and
+    disjoint root enclosures) plus its two exact endpoint signs is that
+    proof. *)
+
+val well_formed : t -> bool
+(** The representation invariant of a root, checked with fresh exact
+    sign tests: its polynomial has opposite nonzero signs at the two ends
+    of its interval, and the sign the root stores for its left end (the
+    one every bisection step reads) is the sign there.  [true] for a
+    rational.  For tests. *)
+
+val text_memo_bound : int
+(** Polynomials whose Sturm cells and canonical texts {!pp} retains. *)
 
 val refine_until_width : t -> Q.t -> t
 (** [refine_until_width x w] bisects a root's isolating interval until it

@@ -115,16 +115,18 @@ let create ~reg ~sink ~tracer ~recorder ~fsync ~checkpoint_every ~dir ~init_db
 let record t kind fields = Recorder.record t.recorder ~kind ~fields ()
 
 (* Time [f], observe the duration under [ns_metric], and, when a trace
-   context is being propagated, record it as a depth-1 stage span. *)
+   context is being propagated, record it as a depth-1 stage span.  The
+   span starts at a wall-clock instant, like every span it tiles with;
+   its duration comes from the monotonic clock. *)
 let stage_obs t ?trace ~name ~ns_metric f =
-  let t0 = Unix.gettimeofday () in
+  let start = Sink.wall () and t0 = Sink.monotonic () in
   let r = f () in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Sink.monotonic () -. t0 in
   Sink.observe t.sink ns_metric (dt *. 1e9);
   (match trace with
    | Some (trace_id, span_id) ->
      ignore
-       (Trace.record ~depth:1 ~ctx:{ Trace.trace_id; span_id } t.tracer ~name ~start:t0
+       (Trace.record ~depth:1 ~ctx:{ Trace.trace_id; span_id } t.tracer ~name ~start
           ~dur:dt ())
    | None -> ());
   r
@@ -294,7 +296,7 @@ let fanout t ~emit u =
        | Some c when shard_local c sub.shard ->
          Sink.count t.sink "moq_server_shard_local_updates_total" 1
        | Some _ | None -> Sink.count t.sink "moq_server_shard_remote_updates_total" 1);
-      let t0 = Unix.gettimeofday () in
+      let t0 = Sink.monotonic () in
       (match
          match sub.body with
          | S_mon mon -> Mon.apply_update mon u
@@ -302,7 +304,7 @@ let fanout t ~emit u =
        with
        | Ok () -> ()
        | Error _ -> Sink.count t.sink "moq_server_fanout_errors_total" 1);
-      let dt_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+      let dt_ms = (Sink.monotonic () -. t0) *. 1e3 in
       Sink.observe t.sink "moq_stage_monitor_ns" (dt_ms *. 1e6);
       if t.slow_query_ms > 0. && dt_ms > t.slow_query_ms then begin
         Sink.count t.sink "moq_slowq_total" 1;
@@ -446,7 +448,7 @@ let query t db ~session kind ~lo ~hi =
   let cval name = Option.value ~default:0 (Registry.counter_value t.reg name) in
   let ev0 = cval "moq_sweep_events_total" in
   let cmp0 = cval "moq_sweep_comparisons_total" in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sink.monotonic () in
   (* the explain report is only assembled when the run turns out slow.
      It has no filter block: Filtered's hit and miss counters are
      process-wide, shared with concurrent queries and the commit path *)
@@ -459,7 +461,7 @@ let query t db ~session kind ~lo ~hi =
       let r = Range.run ~db ~gdist ~bound:b ~lo ~hi in
       (r.Range.timeline, r.Range.stats, None, ("range", "range bound=" ^ Q.to_string b))
   in
-  let dur_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  let dur_ms = (Sink.monotonic () -. t0) *. 1e3 in
   if t.slow_query_ms > 0. && dur_ms > t.slow_query_ms then begin
     Sink.count t.sink "moq_slowq_total" 1;
     Sink.count t.sink "moq_slowq_query_total" 1;

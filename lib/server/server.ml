@@ -74,24 +74,6 @@ let default_config ~listen ~store_dir =
 (* ---------------------------------------------------------------- *)
 (* Sessions                                                          *)
 
-type out_item =
-  | O_msg of string  (* rendered response or notice; never dropped *)
-  | O_event of {
-      sub : int;
-      first_seq : int;
-      mutable count : int;
-      mutable pieces_rev : Proto.piece list;  (* newest first *)
-      mutable trace : (int * int) option;  (* latest contributing trace ctx *)
-      enq : float;  (* queue-entry wall time: the queue-wait span start *)
-    }
-  | O_frame of {
-      msg : string;  (* rendered single-line repl head, stamped with the
-                        commit watermark at pop time; never dropped *)
-      trace : (int * int) option;
-      enq : float;
-    }
-  | O_dropped of { sub : int; mutable from_seq : int; to_seq : int }
-
 (* Per-subscription fanout accounting: who costs the output path the most.
    Kept in a table keyed by sub id because writer threads attribute bytes
    after the subscription may already be retired. *)
@@ -107,8 +89,7 @@ type session = {
   fd : Unix.file_descr;
   qm : Mutex.t;
   qc : Condition.t;
-  mutable outq : out_item list;  (* oldest first *)
-  mutable qlen : int;
+  outq : Outq.t;
   mutable closing : bool;  (* writer drains the queue, then shuts down *)
   mutable dead : bool;  (* abrupt teardown: writer exits immediately *)
   mutable writer : Thread.t option;
@@ -178,70 +159,26 @@ let flight_dump t ~reason =
 (* ---------------------------------------------------------------- *)
 (* Output queue: enqueue, coalesce, drop                             *)
 
-(* Merge adjacent EVENT-DROPPED markers for the same subscription.  The
-   queue holds each subscription's sequence numbers in order with nothing
-   between adjacent items, so adjacent markers are always contiguous. *)
-let rec compact = function
-  | O_dropped a :: O_dropped b :: rest when a.sub = b.sub && b.from_seq = a.to_seq + 1 ->
-    b.from_seq <- a.from_seq;
-    compact (O_dropped b :: rest)
-  | x :: rest -> x :: compact rest
-  | [] -> []
-
-(* qm held.  Replace the oldest event frame with a drop marker; [compact]
-   then merges it into a neighbouring marker where possible.  Returns
-   [false] when the queue holds no event frame left to drop. *)
-let drop_oldest_event t sess =
-  let rec go = function
-    | [] -> None
-    | O_event e :: rest ->
-      Sink.count t.sink "moq_server_dropped_events_total" e.count;
-      acct t e.sub (fun a -> a.sa_drops <- a.sa_drops + e.count);
-      record t "backpressure_drop"
-        [ ("sub", Json.Int e.sub); ("count", Json.Int e.count) ];
-      Some
-        (O_dropped
-           { sub = e.sub; from_seq = e.first_seq; to_seq = e.first_seq + e.count - 1 }
-        :: rest)
-    | x :: rest -> Option.map (fun rest' -> x :: rest') (go rest)
-  in
-  match go sess.outq with
-  | None -> false
-  | Some q ->
-    let q = compact q in
-    sess.outq <- q;
-    sess.qlen <- List.length q;
-    true
-
 (* qm held. *)
 let enqueue_item t sess item =
   if not (sess.closing || sess.dead) then begin
-    let coalesced =
-      match item, (if sess.qlen >= t.cfg.queue_soft then List.rev sess.outq else []) with
-      | O_event e, O_event last :: _
-        when last.sub = e.sub && last.first_seq + last.count = e.first_seq ->
-        last.pieces_rev <- e.pieces_rev @ last.pieces_rev;
-        last.count <- last.count + e.count;
-        (match e.trace with Some _ as tr -> last.trace <- tr | None -> ());
-        Sink.count t.sink "moq_server_coalesced_events_total" 1;
-        true
-      | _ -> false
-    in
-    if not coalesced then begin
-      sess.outq <- sess.outq @ [ item ];
-      sess.qlen <- sess.qlen + 1
-    end;
-    while sess.qlen > t.cfg.queue_hwm && drop_oldest_event t sess do () done;
+    Outq.push sess.outq ~soft:t.cfg.queue_soft ~hwm:t.cfg.queue_hwm
+      ~on_coalesce:(fun () -> Sink.count t.sink "moq_server_coalesced_events_total" 1)
+      ~on_drop:(fun ~sub ~count ->
+        Sink.count t.sink "moq_server_dropped_events_total" count;
+        acct t sub (fun a -> a.sa_drops <- a.sa_drops + count);
+        record t "backpressure_drop" [ ("sub", Json.Int sub); ("count", Json.Int count) ])
+      item;
+    let qlen = Outq.length sess.outq in
     (match item with
-     | O_event e ->
-       acct t e.sub (fun a -> if sess.qlen > a.sa_qpeak then a.sa_qpeak <- sess.qlen)
+     | Outq.Event e -> acct t e.sub (fun a -> if qlen > a.sa_qpeak then a.sa_qpeak <- qlen)
      | _ -> ());
-    Sink.observe t.sink "moq_server_push_queue_depth" (float_of_int sess.qlen);
+    Sink.observe t.sink "moq_server_push_queue_depth" (float_of_int qlen);
     Condition.signal sess.qc
   end
 
 let enqueue t sess item = with_lock sess.qm (fun () -> enqueue_item t sess item)
-let enqueue_msg t sess msg = enqueue t sess (O_msg (Proto.render_server_msg msg))
+let enqueue_msg t sess msg = enqueue t sess (Outq.Msg (Proto.render_server_msg msg))
 
 (* qm must NOT be held.  Replication frames are never dropped, so a
    follower that stops draining would grow the queue without bound: kick
@@ -250,7 +187,7 @@ let enqueue_repl t sess item =
   let kick =
     with_lock sess.qm (fun () ->
         enqueue_item t sess item;
-        if sess.qlen > 2 * t.cfg.queue_hwm then begin
+        if Outq.length sess.outq > 2 * t.cfg.queue_hwm then begin
           sess.dead <- true;
           Condition.broadcast sess.qc;
           true
@@ -268,7 +205,7 @@ let enqueue_repl t sess item =
 (* Tell the session to go away: its writer flushes the notice and shuts
    down, and its reader stops waiting for the next request. *)
 let shut_session t sess ~reason =
-  enqueue t sess (O_msg (Proto.render_server_msg (Proto.E_shutdown { reason })));
+  enqueue t sess (Outq.Msg (Proto.render_server_msg (Proto.E_shutdown { reason })));
   with_lock sess.qm (fun () ->
       sess.closing <- true;
       Condition.broadcast sess.qc);
@@ -296,13 +233,13 @@ let emit ?trace ?(handoff = ref None) t out =
   | Some sess, Commit.Pieces { sub; first_seq; pieces; _ } ->
     let enq = Unix.gettimeofday () in
     enqueue t sess
-      (O_event { sub; first_seq; count = List.length pieces; pieces_rev = List.rev pieces;
+      (Outq.Event { sub; first_seq; count = List.length pieces; pieces_rev = List.rev pieces;
                  trace = traced enq; enq });
     Sink.observe t.sink "moq_stage_enqueue_ns" ((Unix.gettimeofday () -. enq) *. 1e9)
   | Some sess, Commit.Complete { sub; _ } -> enqueue_msg t sess (Proto.E_complete { sub })
   | Some sess, Commit.Repl { msg; digest; _ } ->
     let enq = Unix.gettimeofday () in
-    enqueue_repl t sess (O_frame { msg; trace = (if digest then None else traced enq); enq })
+    enqueue_repl t sess (Outq.Frame { msg; trace = (if digest then None else traced enq); enq })
   | Some sess, Commit.Reset _ ->
     (* its subscriptions were built over the replaced history *)
     shut_session t sess ~reason:"repl-reset"
@@ -487,24 +424,22 @@ let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
 let writer_loop t sess =
   let rec go () =
     Mutex.lock sess.qm;
-    while sess.outq = [] && not sess.closing && not sess.dead do
+    while Outq.is_empty sess.outq && not sess.closing && not sess.dead do
       Condition.wait sess.qc sess.qm
     done;
     if sess.dead then Mutex.unlock sess.qm
     else
-      match sess.outq with
-      | [] ->
+      match Outq.pop sess.outq with
+      | None ->
         (* closing with an empty queue: flush complete *)
         Mutex.unlock sess.qm;
         (try Unix.shutdown sess.fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
-      | item :: rest ->
-        sess.outq <- rest;
-        sess.qlen <- sess.qlen - 1;
+      | Some item ->
         Mutex.unlock sess.qm;
         let now = Unix.gettimeofday () in
         let payload : string =
           match item with
-          | O_event e ->
+          | Outq.Event e ->
             Sink.observe t.sink "moq_stage_queue_ns" ((now -. e.enq) *. 1e9);
             let msg =
               Proto.E_pieces
@@ -519,7 +454,7 @@ let writer_loop t sess =
                  { Proto.no_attrs with Proto.a_trace = Some c; a_ts = Some now }
                  msg
              | _ -> Proto.render_server_msg msg)
-          | O_frame f ->
+          | Outq.Frame f ->
             Sink.observe t.sink "moq_stage_queue_ns" ((now -. f.enq) *. 1e9);
             let trace = if t.cfg.trace then f.trace else None in
             (match trace with
@@ -536,13 +471,13 @@ let writer_loop t sess =
                 { Proto.a_trace = trace;
                   a_ts = (if trace <> None then Some now else None);
                   a_wm = Some (Commit.watermark t.core) }
-          | O_msg s -> s
-          | O_dropped d ->
+          | Outq.Msg s -> s
+          | Outq.Dropped d ->
             Proto.render_server_msg
               (Proto.E_dropped { sub = d.sub; from_seq = d.from_seq; to_seq = d.to_seq })
         in
         (match item with
-         | O_event e ->
+         | Outq.Event e ->
            acct t e.sub (fun a ->
                a.sa_bytes <- a.sa_bytes + String.length payload;
                a.sa_events <- a.sa_events + 1)
@@ -636,8 +571,8 @@ let handle_accept t fd =
           let sid = t.next_sid in
           t.next_sid <- t.next_sid + 1;
           let sess =
-            { sid; fd; qm = Mutex.create (); qc = Condition.create (); outq = [];
-              qlen = 0; closing = false; dead = false; writer = None }
+            { sid; fd; qm = Mutex.create (); qc = Condition.create (); outq = Outq.create ();
+              closing = false; dead = false; writer = None }
           in
           t.sessions <- sess :: t.sessions;
           Sink.count t.sink "moq_server_sessions_total" 1;

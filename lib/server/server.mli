@@ -23,7 +23,10 @@
     into one frame; above the hard limit, the oldest event frame is dropped
     and replaced by an [EVENT-DROPPED] marker covering its sequence range —
     subscribers always see a complete accounting, never silent loss.
-    Responses are never dropped.
+    Responses are never dropped.  Bound: after every enqueue a session's
+    queue holds at most [queue_hwm] items, unless no event frame is left
+    in it to drop; a follower's, which carries only never-dropped repl
+    frames, is kicked once it passes [2 * queue_hwm] ({!Outq}).
 
     Crash safety: every accepted update is on the WAL before its effects
     are observable, so a SIGKILL'd server recovers to the exact same MOD
@@ -68,7 +71,9 @@ type config = {
   max_sessions : int;
   max_subs_per_session : int;
   queue_soft : int;  (** coalesce event frames above this queue length *)
-  queue_hwm : int;  (** drop oldest event frames above this length *)
+  queue_hwm : int;
+      (** drop oldest event frames above this length: the queue's bound
+          while it holds an event frame *)
   idle_timeout : float;  (** seconds without a request; 0 disables *)
   writer_delay : float;  (** test knob: sleep per written frame; 0 in production *)
   follow : addr option;

@@ -229,6 +229,18 @@ let arb_rat_wide =
           (QCheck.int_range 0 1200))
        QCheck.bool)
 
+(* Numerators and denominators around float precision: 48 to 58 bits. *)
+let arb_rat_53 =
+  let gen_bits =
+    QCheck.Gen.(
+      map2
+        (fun k lo -> B.add (B.shift_left B.one k) (B.of_int lo))
+        (int_range 47 57) (int_range 0 (1 lsl 46)))
+  in
+  QCheck.make ~print:Q.to_string
+    QCheck.Gen.(
+      map3 (fun neg n d -> let x = Q.make n d in if neg then Q.neg x else x) bool gen_bits gen_bits)
+
 let rat_props =
   [ prop "add assoc" (QCheck.triple arb_rat arb_rat arb_rat) (fun (a, b, c) ->
         Q.equal (Q.add a (Q.add b c)) (Q.add (Q.add a b) c));
@@ -262,6 +274,15 @@ let rat_props =
           Q.of_float (Float.max (Float.succ f -. f) (f -. Float.pred f))
         in
         Q.compare err ulp_gap <= 0);
+    prop "to_float nearest, ties to even (num/den of 48-58 bits)" arb_rat_53 (fun a ->
+        (* both sides of the 53-bit line: the single-division path and
+           the scaled-quotient path *)
+        let f = Q.to_float a in
+        let dist g = Q.abs (Q.sub a (Q.of_float g)) in
+        let d = dist f and dp = dist (Float.pred f) and ds = dist (Float.succ f) in
+        Q.compare d dp <= 0 && Q.compare d ds <= 0
+        && ((Q.compare d dp <> 0 && Q.compare d ds <> 0)
+            || Int64.logand (Int64.bits_of_float f) 1L = 0L));
     prop "roundtrip exact on all floats" (QCheck.float_range (-1e300) 1e300) (fun f ->
         Q.to_float (Q.of_float f) = f);
     prop "string roundtrip" arb_rat (fun a -> Q.equal a (Q.of_string (Q.to_string a)));

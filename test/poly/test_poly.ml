@@ -591,6 +591,146 @@ let test_pp_matches_reference () =
       Alcotest.(check string) "after refinement" want got_refined)
     (refine_corpus ())
 
+(* ------------------------------------------------------------------ *)
+(* Exact kernel: fraction-free signs, certified roots, the text memo    *)
+(* ------------------------------------------------------------------ *)
+
+(* Rationals in the shapes the sweep meets: small, big (past one limb),
+   fractional, and float dyadics with large power-of-two denominators. *)
+let gen_q =
+  let open QCheck.Gen in
+  (* 27 decimal digits: three limbs *)
+  let big =
+    map (fun ds -> Q.of_string (String.concat "" (List.map string_of_int ds)))
+      (list_repeat 3 (int_range 100_000_000 999_999_999))
+  in
+  let signed = map2 (fun neg b -> if neg then Q.neg b else b) bool big in
+  frequency
+    [ (3, map2 Q.of_ints (int_range (-50) 50) (int_range 1 12));
+      (2, map2 Q.div signed (oneof [ return Q.one; big ]));
+      (3, map2 Q.of_ints (int_range (-1_000_000) 1_000_000) (int_range 1 1_000_000));
+      (3, map (fun f -> Q.of_float f) (float_range (-1e6) 1e6));
+      (1, map (fun f -> Q.of_float (f *. 1e-12)) (float_range (-1.) 1.)) ]
+
+let arb_poly_point =
+  let open QCheck.Gen in
+  let gen = pair (map QP.of_list (int_range 0 6 >>= fun n -> list_repeat n gen_q)) gen_q in
+  QCheck.make ~print:(fun (p, x) -> QP.to_string p ^ " at " ^ Q.to_string x) gen
+
+let test_sign_at_prop =
+  prop ~count:1000 "fraction-free sign_at = sign of rational Horner" arb_poly_point
+    (fun (p, x) -> QP.sign_at p x = Q.sign (QP.eval p x))
+
+(* A point where p vanishes exactly, with a big denominator. *)
+let test_sign_at_zero () =
+  let r = Q.of_float 0.1 in
+  let p = QP.mul (QP.of_list [ Q.neg r; Q.one ]) (QP.of_list [ Q.of_ints 1 3; Q.of_ints (-5) 7; Q.of_ints 2 9 ]) in
+  Alcotest.(check int) "root" 0 (QP.sign_at p r);
+  Alcotest.(check int) "zero polynomial" 0 (QP.sign_at QP.zero r);
+  Alcotest.(check int) "constant" (-1) (QP.sign_at (QP.constant (Q.of_ints (-1) 3)) r)
+
+(* What [Backend.Filtered.certify_root] does with a float root
+   enclosure: dyadic ends, two exact signs, then the unchecked
+   constructor.  [None] where the filter would fall back. *)
+let certify p lo hi =
+  let ql = Q.of_float lo and qh = Q.of_float hi in
+  let sl = QP.sign_at p ql in
+  if Q.compare ql qh < 0 && sl * QP.sign_at p qh < 0 then
+    Some (Alg.root_of_certified p ~lo:ql ~hi:qh ~sign_lo:sl, ql, qh)
+  else None
+
+let test_certified_quadratics () =
+  let st = Random.State.make [| 20261018 |] in
+  let certified = ref 0 in
+  for i = 1 to 400 do
+    let rq scale = Q.of_ints (Random.State.int st (2 * scale + 1) - scale) (1 + Random.State.int st 60) in
+    let a2 = if i mod 2 = 0 then rq 9 else Q.neg (Q.of_ints (1 + Random.State.int st 9) 7) in
+    let a2 = if Q.is_zero a2 then Q.one else a2 in
+    (* two real roots: rational ones from a product, irrational ones from
+       a negative constant term over a positive leading coefficient *)
+    let c0 = Q.neg (Q.abs (rq 1000)) in
+    let c0 = if Q.is_zero c0 then Q.minus_one else c0 in
+    let p =
+      if i mod 3 = 0 then QP.scale a2 (quad_of_roots (rq 500) (Q.add (rq 500) (Q.of_ints 1 7)))
+      else QP.of_list [ c0; rq 40; Q.abs a2 ]
+    in
+    let f k = Q.to_float (QP.coeff p k) in
+    let a = f 2 and b = f 1 and c = f 0 in
+    let sq = Float.sqrt ((b *. b) -. (4. *. a *. c)) in
+    List.iter
+      (fun r ->
+        let w = 1e-9 *. (1. +. Float.abs r) in
+        match certify p (r -. w) (r +. w) with
+        | None -> ()
+        | Some (x, ql, qh) ->
+          incr certified;
+          let checked = Alg.root_of_isolating_exn p ~lo:ql ~hi:qh in
+          Alcotest.(check int) "compare = 0" 0 (Alg.compare x checked);
+          Alcotest.(check bool) "well formed" true (Alg.well_formed x);
+          Alcotest.(check string) "same text" (Format.asprintf "%a" Alg.pp checked)
+            (Format.asprintf "%a" Alg.pp x);
+          Alcotest.(check bool) "one of p's roots" true
+            (List.exists (fun y -> Alg.compare x y = 0) (Alg.roots p)))
+      [ (-.b -. sq) /. (2. *. a); (-.b +. sq) /. (2. *. a) ]
+  done;
+  Alcotest.(check bool) "most roots certified" true (!certified > 600)
+
+(* The sign a root stores for its left end stays the sign there through
+   every way its interval moves: comparisons, float rounding and
+   canonical printing. *)
+let test_stored_sign_invariant () =
+  let st = Random.State.make [| 11 |] in
+  let xs = List.map snd (refine_corpus ()) in
+  let arr = Array.of_list xs in
+  for _ = 1 to 3000 do
+    let x = arr.(Random.State.int st (Array.length arr)) in
+    (match Random.State.int st 4 with
+     | 0 -> ignore (Alg.compare x arr.(Random.State.int st (Array.length arr)))
+     | 1 -> ignore (Alg.to_float x)
+     | 2 -> ignore (Format.asprintf "%a" Alg.pp x)
+     | _ ->
+       let lo, hi = Alg.bounds x in
+       let r = Q.add lo (Q.mul (Q.sub hi lo) (Q.of_ints (Random.State.int st 1000) 1000)) in
+       ignore (Alg.compare x (Alg.of_rat r)));
+    if not (Alg.well_formed x) then
+      Alcotest.failf "stored sign went stale at %a" Alg.pp x
+  done;
+  List.iter (fun x -> Alcotest.(check bool) "well formed" true (Alg.well_formed x)) xs
+
+(* Printing through the memo, from cold and after other polynomials
+   took its slots over, matches the memo-free reference: the corpus has
+   more distinct polynomials than the memo keeps, roots whose interval
+   meets several cells, and rational roots. *)
+let test_pp_memo_evicts () =
+  let corpus = refine_corpus () in
+  let distinct = List.sort_uniq compare (List.map (fun (p, _) -> QP.to_string p) corpus) in
+  Alcotest.(check bool) "more polynomials than slots" true
+    (List.length distinct > 2 * Alg.text_memo_bound);
+  let want = List.map (fun (p, x) -> reference_pp p x) corpus in
+  let print () = List.map (fun (_, x) -> Format.asprintf "%a" Alg.pp x) corpus in
+  Alcotest.(check (list string)) "first pass" want (print ());
+  Alcotest.(check (list string)) "second pass, after eviction" want (print ());
+  Alcotest.(check (list string)) "reversed, warm slots first" (List.rev want)
+    (List.rev_map (fun (_, x) -> Format.asprintf "%a" Alg.pp x) corpus)
+
+(* Two systhreads print the same roots at once: no exception (a shared
+   [Lazy] would raise here on OCaml 5) and both see the canonical text. *)
+let test_pp_two_threads () =
+  let corpus = refine_corpus () in
+  let want = List.map (fun (p, x) -> reference_pp p x) corpus in
+  let failure = ref None in
+  let worker () =
+    try
+      for _ = 1 to 5 do
+        let got = List.map (fun (_, x) -> Format.asprintf "%a" Alg.pp x) corpus in
+        if got <> want then failure := Some "text differs"
+      done
+    with e -> failure := Some (Printexc.to_string e)
+  in
+  let ts = List.init 2 (fun _ -> Thread.create worker ()) in
+  List.iter Thread.join ts;
+  Alcotest.(check (option string)) "no failure" None !failure
+
 let () =
   Alcotest.run "poly"
     [ ("ring", [
@@ -627,6 +767,14 @@ let () =
         Alcotest.test_case "refine narrowed or rational roots" `Quick test_refine_already_narrow;
         Alcotest.test_case "pp = compare-picked bisection" `Quick test_pp_matches_reference;
         Alcotest.test_case "pp prints rational roots as values" `Quick test_pp_rational_roots;
+      ]);
+      ("kernel", [
+        test_sign_at_prop;
+        Alcotest.test_case "sign_at at a root, zero, constant" `Quick test_sign_at_zero;
+        Alcotest.test_case "certified root = checked root" `Quick test_certified_quadratics;
+        Alcotest.test_case "stored sign at lo stays true" `Quick test_stored_sign_invariant;
+        Alcotest.test_case "pp memo = reference across eviction" `Quick test_pp_memo_evicts;
+        Alcotest.test_case "pp from two threads" `Quick test_pp_two_threads;
       ]);
       ("algnum-props", alg_props);
       ("shadow", [
