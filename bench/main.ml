@@ -1636,20 +1636,26 @@ let bechamel_suite () =
     ignore (Reduction.is_past_up_to (Turing.busy_beaver_3 ()) ~max_steps:30)
   in
   (* Kernel layer: one exact sign test at a float-derived dyadic, one
-     Filtered root certification of a quadratic, one canonical print of
-     an irrational instant (memo warm, as for the server's repeats). *)
+     Filtered root certification of a quadratic (scheduled and then read
+     exactly), one canonical print of an irrational instant (memo warm, as
+     for the server's repeats), one Filtered crossing scheduled and never
+     read (the sweep's common case), one small-rational float
+     conversion. *)
   let quad = QP.of_list [ Q.of_ints (-1234567) 89; Q.of_ints 311 3; Q.of_ints 5 2 ] in
   let k1_sign_at =
     let x = Q.of_float 3.7416573867739413 in
     fun () -> ignore (QP.sign_at quad x)
   in
-  let k2_certify =
-    let before = BFl.instant_of_scalar (q 0) in
-    fun () -> ignore (BFl.first_root_after quad before)
-  in
+  let before = BFl.instant_of_scalar (q 0) in
+  let k2_certify () = Option.iter (fun i -> ignore (BFl.to_algnum i)) (BFl.first_root_after quad before) in
   let k3_pp =
     let x = List.nth (A.roots quad) 1 in
     fun () -> ignore (Format.asprintf "%a" A.pp x)
+  in
+  let k4_schedule () = ignore (BFl.first_root_after quad before) in
+  let k5_to_float =
+    let x = Q.of_ints (-1234567) 89 in
+    fun () -> ignore (Q.to_float x)
   in
   let tests =
     Test.make_grouped ~name:"moq" ~fmt:"%s:%s"
@@ -1664,6 +1670,8 @@ let bechamel_suite () =
         Test.make ~name:"k1-qpoly-sign-at-dyadic" (Staged.stage k1_sign_at);
         Test.make ~name:"k2-filtered-certify-quadratic" (Staged.stage k2_certify);
         Test.make ~name:"k3-algnum-pp-instant" (Staged.stage k3_pp);
+        Test.make ~name:"k4-filtered-schedule-crossing" (Staged.stage k4_schedule);
+        Test.make ~name:"k5-rat-to-float-small" (Staged.stage k5_to_float);
       ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in

@@ -170,8 +170,10 @@ end
 (** Filtered exact backend.
 
     Every [instant] is an exact algebraic number shadowed by an
-    outward-rounded float interval ({!Moq_numeric.Fintval}); polynomial
-    coefficients get memoized interval shadows ({!Moq_poly.Shadow}).  Each
+    outward-rounded float interval ({!Moq_numeric.Fintval}); a crossing
+    the intervals alone proved builds its exact number only when first
+    read.  Polynomial coefficients get memoized interval shadows
+    ({!Moq_poly.Shadow}).  Each
     predicate first tries to decide from the intervals — a {e hit} — and
     only when the interval answer is inconclusive runs the exact
     Sturm/Algnum machinery — a {e miss}, whose wall time is accumulated so
@@ -221,11 +223,35 @@ end = struct
   module Shadow = Moq_poly.Shadow
   module Sink = Moq_obs.Sink
 
+  (* The exact value, built on first exact read.  A crossing the float
+     filter proved ([Two]'s disjoint enclosures) is scheduled as
+     [Deferred]: its polynomial, its enclosure and which root it is.  Most
+     are discarded when their pair stops being adjacent, so the exact
+     certificate ({!A.root_of_enclosure}) runs only for the few that a
+     decision or an output reads. *)
+  type exact =
+    | Known of A.t
+    | Deferred of { p : P.t; enc : IV.t; index : int }
+
   (* [zero_of]: a polynomial this instant is known to be an exact root of
      (set when the instant was produced as a root).  Lets [sign_at_instant]
      certify the zero sign structurally — intervals alone can never prove a
      sign of exactly zero at a non-dyadic point. *)
-  type instant = { ex : A.t; mutable iv : IV.t; zero_of : P.t option }
+  type instant = { mutable ex : exact; mutable iv : IV.t; zero_of : P.t option }
+
+  (* Force the exact value.  The write is idempotent rather than [Lazy]:
+     query threads and the commit thread print the same instants, and two
+     threads that race here each build an equal number from the same
+     enclosure; whichever write lands, later reads agree. *)
+  let exact i =
+    match i.ex with
+    | Known x -> x
+    | Deferred { p; enc; index } ->
+      let x =
+        A.root_of_enclosure p ~lo:(Q.of_float (IV.lo enc)) ~hi:(Q.of_float (IV.hi enc)) ~index
+      in
+      i.ex <- Known x;
+      x
 
   type filter_stats = {
     hits : int;
@@ -281,15 +307,15 @@ end = struct
   (* Re-pull the (possibly refined-in-place) exact enclosure into the float
      shadow after an exact fallback, so later decisions hit. *)
   let refresh i =
-    let lo, hi = A.bounds i.ex in
+    let lo, hi = A.bounds (exact i) in
     i.iv <- IV.of_rat_bounds lo hi
 
   let of_algnum x =
     let lo, hi = A.bounds x in
-    { ex = x; iv = IV.of_rat_bounds lo hi; zero_of = None }
+    { ex = Known x; iv = IV.of_rat_bounds lo hi; zero_of = None }
 
-  let to_algnum i = i.ex
-  let instant_of_scalar s = { ex = A.of_rat s; iv = IV.of_rat s; zero_of = None }
+  let to_algnum = exact
+  let instant_of_scalar s = { ex = Known (A.of_rat s); iv = IV.of_rat s; zero_of = None }
 
   (* Is [p] the stored root polynomial, up to sign?  (The engine recomputes
      difference polynomials on the fly, so [p1 - p2] and [p2 - p1] both
@@ -313,7 +339,7 @@ end = struct
         hit 0 (* both are the unique root of the same linear polynomial *)
       | None ->
         miss ~at:a.iv (fun () ->
-          let c = A.compare a.ex b.ex in
+          let c = A.compare (exact a) (exact b) in
           refresh a;
           refresh b;
           c)
@@ -325,7 +351,7 @@ end = struct
     | Some c -> hit c
     | None ->
       miss ~at:i.iv (fun () ->
-        let c = A.compare i.ex (A.of_rat s) in
+        let c = A.compare (exact i) (A.of_rat s) in
         refresh i;
         c)
 
@@ -338,7 +364,7 @@ end = struct
       | None when is_zero_of i p -> hit 0
       | None ->
         miss ~at:i.iv (fun () ->
-          let s = A.sign_of_poly_at p i.ex in
+          let s = A.sign_of_poly_at p (exact i) in
           refresh i;
           s)
     end
@@ -357,25 +383,15 @@ end = struct
 
   let linear_root p = Q.neg (Q.div (P.coeff p 0) (P.coeff p 1))
 
-  (* Promote a finite interval [rc], already proved to contain exactly one
-     root of [p] strictly beyond the threshold, into an exact instant.  The
-     endpoint signs are checked exactly (cheap dyadic rationals); a zero or
-     same-sign endpoint means the float certificate was too optimistic and
-     the caller must fall back.  Called only on [Two]'s enclosures, so [p]
-     is a squarefree quadratic and the checks here complete the proof
-     {!A.root_of_certified} asks for. *)
-  let certify_root p (rc : IV.t) : instant option =
-    if not (IV.is_finite rc) then None
-    else begin
-      let ql = Q.of_float (IV.lo rc) and qh = Q.of_float (IV.hi rc) in
-      if Q.compare ql qh >= 0 then None
-      else begin
-        let sl = P.sign_at p ql in
-        if sl * P.sign_at p qh < 0 then
-          Some { ex = A.root_of_certified p ~lo:ql ~hi:qh ~sign_lo:sl; iv = rc; zero_of = Some p }
-        else None
-      end
-    end
+  (* Schedule root [index] of [p] from [rc], one of [Two]'s enclosures:
+     [p] is a squarefree quadratic and [rc] holds that root and no other.
+     Nothing exact runs here; {!exact} finishes the certificate when the
+     instant is first read.  An infinite or single-point enclosure is left
+     to the caller's exact fallback. *)
+  let deferred_root p (rc : IV.t) index : instant option =
+    if IV.is_finite rc && IV.lo rc < IV.hi rc then
+      Some { ex = Deferred { p; enc = rc; index }; iv = rc; zero_of = Some p }
+    else None
 
   (* The real roots of a quadratic, as far as float intervals can tell. *)
   type quad_roots =
@@ -410,9 +426,9 @@ end = struct
     | Unsure -> None
     | Two (rmin, rmax) ->
       if IV.hi rmax < IV.lo tv then Some None (* both roots certainly before *)
-      else if IV.lo rmin > IV.hi tv then Option.map Option.some (certify_root p rmin)
+      else if IV.lo rmin > IV.hi tv then Option.map Option.some (deferred_root p rmin 0)
       else if IV.hi rmin < IV.lo tv && IV.lo rmax > IV.hi tv then
-        Option.map Option.some (certify_root p rmax)
+        Option.map Option.some (deferred_root p rmax 1)
       else None
 
   (* The next crossing of two curves that have just crossed: [i] is itself
@@ -424,7 +440,7 @@ end = struct
   let own_root_successor p roots i : instant option option =
     match roots with
     | Two (rmin, rmax) when is_zero_of i p ->
-      if IV.hi i.iv < IV.lo rmax then Option.map Option.some (certify_root p rmax)
+      if IV.hi i.iv < IV.lo rmax then Option.map Option.some (deferred_root p rmax 1)
       else if IV.lo i.iv > IV.hi rmin then Some None
       else None
     | _ -> None
@@ -437,7 +453,7 @@ end = struct
       if d = 1 then begin
         let r = linear_root p in
         let rv = IV.of_rat r in
-        let root () = Some { ex = A.of_rat r; iv = rv; zero_of = Some p } in
+        let root () = Some { ex = Known (A.of_rat r); iv = rv; zero_of = Some p } in
         match IV.compare_certain rv i.iv with
         | Some c -> hit (if c > 0 then root () else None)
         | None ->
@@ -445,7 +461,7 @@ end = struct
           if is_zero_of i p then hit None
           else
             miss ~at:rv (fun () ->
-              if A.compare (A.of_rat r) i.ex > 0 then root () else None)
+              if A.compare (A.of_rat r) (exact i) > 0 then root () else None)
       end
       else if d = 2 then begin
         let roots = quad_roots p in
@@ -455,9 +471,9 @@ end = struct
           (match own_root_successor p roots i with
            | Some ans -> hit ans
            | None ->
-             miss ~at:i.iv (fun () -> Option.map of_algnum (A.first_root_after p i.ex)))
+             miss ~at:i.iv (fun () -> Option.map of_algnum (A.first_root_after p (exact i))))
       end
-      else miss ~at:i.iv (fun () -> Option.map of_algnum (A.first_root_after p i.ex))
+      else miss ~at:i.iv (fun () -> Option.map of_algnum (A.first_root_after p (exact i)))
     end
 
   let first_root_at_or_after p s =
@@ -468,7 +484,7 @@ end = struct
       if d = 1 then begin
         let r = linear_root p in
         let rv = IV.of_rat r in
-        let root () = Some { ex = A.of_rat r; iv = rv; zero_of = Some p } in
+        let root () = Some { ex = Known (A.of_rat r); iv = rv; zero_of = Some p } in
         match IV.compare_certain rv (IV.of_rat s) with
         | Some c -> hit (if c >= 0 then root () else None)
         | None ->
@@ -503,24 +519,24 @@ end = struct
     in
     match fast with
     | Some m -> hit (Q.of_float m) (* exact dyadic, strictly between *)
-    | None -> miss ~at:a.iv (fun () -> A.rational_between a.ex b.ex)
+    | None -> miss ~at:a.iv (fun () -> A.rational_between (exact a) (exact b))
 
   let scalar_after i ~upto =
     match upto with
-    | None -> A.rational_above i.ex
+    | None -> A.rational_above (exact i)
     | Some u ->
       incr decisions;
       let uv = IV.of_rat u in
       let fast = if IV.hi i.iv < IV.lo uv then gap_mid (IV.hi i.iv) (IV.lo uv) else None in
       (match fast with
        | Some m -> hit (Q.of_float m)
-       | None -> miss ~at:i.iv (fun () -> A.rational_between i.ex (A.of_rat u)))
+       | None -> miss ~at:i.iv (fun () -> A.rational_between (exact i) (A.of_rat u)))
 
   let scalar_of_rat q = q
   let curve_of_qpiece c = c
-  let instant_to_float i = A.to_float i.ex
+  let instant_to_float i = A.to_float (exact i)
 
   (* [A.pp]'s bytes depend only on the value, so a linear crossing held
      as its [Rational] prints as Exact's root of the same line does. *)
-  let pp_instant fmt i = A.pp fmt i.ex
+  let pp_instant fmt i = A.pp fmt (exact i)
 end

@@ -144,7 +144,15 @@ module Make (B : Backend.S) = struct
       Grid.build ~cell ~lo ~hi db
     in
     let band = band_bound grid db gamma ~k ~lo ~hi in
-    let gamma_box = Grid.trajectory_box gamma ~lo ~hi in
+    (* the separation test reads float enclosures first; a shard they
+       cannot place is tested exactly, so every skip is the exact one *)
+    let prune =
+      match band, Grid.trajectory_box gamma ~lo ~hi with
+      | Some band, Some gbox ->
+        let genc = Grid.enclose gbox and band_enc = Moq_numeric.Fintval.of_rat band in
+        fun sbox enc -> Grid.separation_exceeds sbox enc gbox genc ~band ~band_enc
+      | _ -> fun _ _ -> false
+    in
     let shards = Grid.shards grid in
     let admitted = Hashtbl.create 64 in
     let merge_ops = ref 0 in
@@ -167,16 +175,12 @@ module Make (B : Backend.S) = struct
     let touched = ref 0 in
     let shard_events = ref 0 in
     (Sink.time sink "moq_shard_sweep_seconds" @@ fun () ->
-     List.iter
-       (fun ((_key : int * int), members, box) ->
+     Array.iter
+       (fun { Grid.members; box; enc; _ } ->
          let skip =
            match box with
            | None -> true  (* no window presence: never in any answer *)
-           | Some sbox ->
-             (match band, gamma_box with
-              | Some b, Some gbox ->
-                Q.compare (Grid.box_separation_sq sbox gbox) b > 0
-              | _ -> false)
+           | Some sbox -> prune sbox enc
          in
          if not skip then begin
            incr touched;
@@ -199,7 +203,7 @@ module Make (B : Backend.S) = struct
     E.accumulate stats (E.stats eng);
     let n_admitted = List.length admitted_oids in
     let shard =
-      { shards_total = List.length shards;
+      { shards_total = Array.length shards;
         shards_touched = !touched;
         admitted = n_admitted;
         pruned = Grid.population grid - n_admitted;

@@ -109,9 +109,9 @@ let sync w =
   if w.fsync then begin
     if Sink.active w.sink then begin
       Sink.count w.sink "moq_wal_fsyncs_total" 1;
-      let t0 = Unix.gettimeofday () in
+      let t0 = Sink.monotonic () in
       Fsutil.fsync w.fd;
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Sink.monotonic () -. t0 in
       Sink.observe w.sink "moq_wal_fsync_seconds" dt;
       Sink.observe w.sink "moq_stage_fsync_ns" (dt *. 1e9)
     end
@@ -135,11 +135,11 @@ let append w u =
     Sink.count w.sink "moq_wal_appends_total" 1;
     let line = record_line u in
     Sink.count w.sink "moq_wal_bytes_written_total" (String.length line);
-    let t0 = Unix.gettimeofday () in
+    let t0 = Sink.monotonic () in
     Fsutil.write_string w.fd line;
-    Sink.observe w.sink "moq_stage_wal_append_ns" ((Unix.gettimeofday () -. t0) *. 1e9);
+    Sink.observe w.sink "moq_stage_wal_append_ns" ((Sink.monotonic () -. t0) *. 1e9);
     sync w;
-    Sink.observe w.sink "moq_wal_append_seconds" (Unix.gettimeofday () -. t0)
+    Sink.observe w.sink "moq_wal_append_seconds" (Sink.monotonic () -. t0)
   end
   else begin
     Fsutil.write_string w.fd (record_line u);

@@ -7,6 +7,7 @@ module Qvec = Moq_geom.Vec.Qvec
 module T = Moq_mod.Trajectory
 module DB = Moq_mod.Mobdb
 module Oid = Moq_mod.Oid
+module IV = Moq_numeric.Fintval
 
 type box = {
   x0 : Q.t;
@@ -22,12 +23,23 @@ type entry = {
   e_box : box;
 }
 
+type enclosure = {
+  x0l : float; x0h : float; x1l : float; x1h : float;
+  y0l : float; y0h : float; y1l : float; y1h : float;
+}
+
+type shard = {
+  key : int * int;
+  members : Oid.t list;
+  box : box option;
+  enc : enclosure;
+}
+
 type t = {
   cell : float;
   cells : (int * int, entry list) Hashtbl.t;  (* time-sorted after build *)
   home : (Oid.t, int * int) Hashtbl.t;
-  shard_members : (int * int, Oid.t list) Hashtbl.t;  (* ascending OID *)
-  shard_box : (int * int, box) Hashtbl.t;
+  shards : shard array;  (* ascending key *)
   key_lo : int * int;  (* bounds of occupied piece cells *)
   key_hi : int * int;
   population : int;
@@ -51,6 +63,40 @@ let box_separation_sq a b =
   let gx = axis_gap a.x0 a.x1 b.x0 b.x1 in
   let gy = axis_gap a.y0 a.y1 b.y0 b.y1 in
   Q.add (Q.mul gx gx) (Q.mul gy gy)
+
+(* The enclosure of a shard with no box: NaN bounds, which decide
+   nothing. *)
+let nowhere = { x0l = nan; x0h = nan; x1l = nan; x1h = nan; y0l = nan; y0h = nan; y1l = nan; y1h = nan }
+
+let enclose b =
+  let iv = IV.of_rat in
+  let x0 = iv b.x0 and x1 = iv b.x1 and y0 = iv b.y0 and y1 = iv b.y1 in
+  { x0l = IV.lo x0; x0h = IV.hi x0; x1l = IV.lo x1; x1h = IV.hi x1;
+    y0l = IV.lo y0; y0h = IV.hi y0; y1l = IV.lo y1; y1h = IV.hi y1 }
+
+(* Float bounds on [box_separation_sq] from the coordinate enclosures:
+   each operation rounds to nearest and its result moves one ulp outward,
+   as in {!Moq_numeric.Fintval}, so [sep_lo <= sep <= sep_hi].  The
+   differences are [max (0, lo' - hi, lo - hi')] per axis ([axis_gap]).
+   An enclosure's lower end is never [+inf] and its upper end never
+   [-inf], so no difference is [inf - inf]; only [nowhere] makes a NaN,
+   which fails both comparisons in [separation_exceeds]. *)
+let fmax (a : float) b = if a > b then a else b
+
+let sep_lo a b =
+  let gx = fmax 0.0 (Float.pred (fmax (b.x0l -. a.x1h) (a.x0l -. b.x1h))) in
+  let gy = fmax 0.0 (Float.pred (fmax (b.y0l -. a.y1h) (a.y0l -. b.y1h))) in
+  Float.pred (Float.pred (gx *. gx) +. Float.pred (gy *. gy))
+
+let sep_hi a b =
+  let gx = fmax 0.0 (Float.succ (fmax (b.x0h -. a.x1l) (a.x0h -. b.x1l))) in
+  let gy = fmax 0.0 (Float.succ (fmax (b.y0h -. a.y1l) (a.y0h -. b.y1l))) in
+  Float.succ (Float.succ (gx *. gx) +. Float.succ (gy *. gy))
+
+let separation_exceeds a ea b eb ~band ~band_enc =
+  if sep_lo ea eb > IV.hi band_enc then true
+  else if sep_hi ea eb <= IV.lo band_enc then false
+  else Q.compare (box_separation_sq a b) band > 0
 
 (* Coordinate i of [a·t + b] evaluated at [t]; dimensions beyond the
    trajectory's are flat zero (1-d databases index as y = 0). *)
@@ -157,28 +203,31 @@ let build ~cell ~lo ~hi db =
              | c -> c)
            (Hashtbl.find cells k)))
     (keys cells);
-  List.iter
-    (fun k ->
-      Hashtbl.replace shard_members k
-        (List.sort Oid.compare (Hashtbl.find shard_members k)))
-    (keys shard_members);
+  let shards =
+    Array.of_list
+      (Hashtbl.fold
+         (fun key members acc ->
+           let box = Hashtbl.find_opt shard_box key in
+           { key; members = List.sort Oid.compare members; box;
+             enc = Option.fold ~none:nowhere ~some:enclose box }
+           :: acc)
+         shard_members [])
+  in
+  Array.sort
+    (fun a b ->
+      let (i, j) = a.key and (i', j') = b.key in
+      match Int.compare i i' with 0 -> Int.compare j j' | c -> c)
+    shards;
   let key_lo = if !population = 0 || !key_lo = (max_int, max_int) then (0, 0) else !key_lo in
   let key_hi = if !population = 0 || !key_hi = (min_int, min_int) then (0, 0) else !key_hi in
-  { cell; cells; home; shard_members; shard_box; key_lo; key_hi;
-    population = !population }
+  { cell; cells; home; shards; key_lo; key_hi; population = !population }
 
 let cell_size t = t.cell
 let population t = t.population
 
 let entries t key = Option.value ~default:[] (Hashtbl.find_opt t.cells key)
 
-let shards t =
-  Hashtbl.fold
-    (fun key members acc ->
-      (key, members, Hashtbl.find_opt t.shard_box key) :: acc)
-    t.shard_members []
-  |> List.sort (fun ((a, b), _, _) ((c, d), _, _) ->
-         match Int.compare a c with 0 -> Int.compare b d | o -> o)
+let shards t = t.shards
 
 let shard_of t o = Hashtbl.find_opt t.home o
 

@@ -12,16 +12,18 @@
     - {e home shards}: each object is assigned to exactly one shard — the
       cell under its position when it enters the window — and each shard
       carries the exact rational bounding box of all its members' motion
-      over the window.  A shard whose box provably stays farther from the
-      query trajectory than the current k-NN band can be skipped without
-      touching any of its members' curves.
+      over the window, with a float enclosure of it.  A shard whose box
+      provably stays farther from the query trajectory than the current
+      k-NN band can be skipped without touching any of its members'
+      curves.
     - {e ring search}: cells are enumerated outward from a center cell in
       Chebyshev rings, the grid flavour of the classic R-tree / R*-tree
       expanding-search protocol over (x, y, t) boxes.
 
     Cell {e keying} uses floats (which cell a box lands in only affects
     performance); all {e bounds} are exact rationals (what pruning decides
-    on affects answers, so it never rounds). *)
+    on affects answers, so it never rounds: a float enclosure settles a
+    separation test only when it proves the exact answer). *)
 
 module Q = Moq_numeric.Rat
 module Oid = Moq_mod.Oid
@@ -63,10 +65,24 @@ val population : t -> int
 val entries : t -> int * int -> entry list
 (** The cell's piece list, ascending by [e_t0]; [[]] for an empty cell. *)
 
-val shards : t -> ((int * int) * Oid.t list * box option) list
-(** Every home shard: its key, its members (ascending OID), and the exact
-    union box of its members' window motion ([None] when no member has any
-    presence in the window). *)
+type enclosure
+(** Outward-rounded float enclosures of a box's four coordinates. *)
+
+val enclose : box -> enclosure
+
+type shard = {
+  key : int * int;
+  members : Oid.t list;  (** ascending OID *)
+  box : box option;
+      (** the exact union box of the members' window motion; [None] when
+          no member has any presence in the window *)
+  enc : enclosure;
+      (** encloses [box]; when that is [None], bounds that decide nothing *)
+}
+
+val shards : t -> shard array
+(** Every home shard, ascending by key; built once by {!build}, so a
+    reader pays nothing per call.  Do not mutate. *)
 
 val shard_of : t -> Oid.t -> (int * int) option
 (** The home shard an object was assigned to. *)
@@ -92,3 +108,10 @@ val box_separation_sq : box -> box -> Q.t
 (** Exact squared distance between two boxes: 0 when they overlap, else the
     sum of squared per-axis gaps.  [d²(p, q) >= box_separation_sq a b] for
     any [p] in [a] and [q] in [b] — the lower bound pruning decides on. *)
+
+val separation_exceeds :
+  box -> enclosure -> box -> enclosure -> band:Q.t -> band_enc:Moq_numeric.Fintval.t -> bool
+(** [Q.compare (box_separation_sq a b) band > 0], decided from the float
+    enclosures ([band_enc] must enclose [band]) when they are conclusive
+    and in exact arithmetic otherwise, so the answer is always the exact
+    one. *)

@@ -90,12 +90,19 @@ let to_int_exn x =
   | Some n -> n
   | None -> invalid_arg "Bigint.to_int_exn: overflow"
 
-(* Bit length of |n| for n <> 0 ([min_int] included). *)
+(* Bit length of |n| ([min_int] included; 0 for 0): a fixed binary
+   search over the 62 magnitude bits, no loop per bit. *)
 let bits_of_int_abs n =
   if n = min_int then 63
   else begin
-    let rec go v k = if v = 0 then k else go (v lsr 1) (k + 1) in
-    go (abs n) 0
+    let v = ref (abs n) and k = ref 0 in
+    if !v lsr 32 <> 0 then (v := !v lsr 32; k := 32);
+    if !v lsr 16 <> 0 then (v := !v lsr 16; k := !k + 16);
+    if !v lsr 8 <> 0 then (v := !v lsr 8; k := !k + 8);
+    if !v lsr 4 <> 0 then (v := !v lsr 4; k := !k + 4);
+    if !v lsr 2 <> 0 then (v := !v lsr 2; k := !k + 2);
+    if !v lsr 1 <> 0 then (v := !v lsr 1; k := !k + 1);
+    !k + !v
   end
 
 (* Magnitude comparison. *)
@@ -296,16 +303,24 @@ let shift_right x k =
       let s, m = repr x in
       normalize s (shr_mag m k)
 
-let bits_of_limb v =
-  let rec go v k = if v = 0 then k else go (v lsr 1) (k + 1) in
-  go v 0
-
 let num_bits = function
-  | Small 0 -> 0
   | Small n -> bits_of_int_abs n
   | Big b ->
     let n = Array.length b.mag in
-    (n - 1) * base_bits + bits_of_limb b.mag.(n - 1)
+    (n - 1) * base_bits + bits_of_int_abs b.mag.(n - 1)
+
+let two53 = 1 lsl 53
+
+(* A [Big] never fits an [int], let alone 53 bits. *)
+let fits_mantissa = function Small n -> n > - two53 && n < two53 | Big _ -> false
+
+let is_power_of_two = function
+  | Small n -> n > 0 && n land (n - 1) = 0
+  | Big { sign; mag } ->
+    let top = Array.length mag - 1 in
+    sign > 0
+    && mag.(top) land (mag.(top) - 1) = 0
+    && (let rec low_zero i = i >= top || (mag.(i) = 0 && low_zero (i + 1)) in low_zero 0)
 
 (* Divide magnitude by a single limb; returns (quotient, remainder). *)
 let divmod_mag_limb a d =
@@ -324,7 +339,7 @@ let divmod_mag_limb a d =
 let divmod_mag a b =
   let lb = Array.length b in
   (* Normalize so the top limb of b has its high bit set. *)
-  let shift = base_bits - bits_of_limb b.(lb - 1) in
+  let shift = base_bits - bits_of_int_abs b.(lb - 1) in
   let u = shl_mag a shift in
   (* keep an explicit extra top limb on u *)
   let v = shl_mag b shift in
@@ -456,7 +471,7 @@ let to_float = function
        ldexp by a power of two is exact (or overflows to infinity). *)
     let mag = b.mag in
     let n = Array.length mag in
-    let nb = (n - 1) * base_bits + bits_of_limb mag.(n - 1) in
+    let nb = (n - 1) * base_bits + bits_of_int_abs mag.(n - 1) in
     let e = nb - 60 in
     (* Big implies nb >= 63, so e > 0 and h has exactly 60 bits. *)
     let top = shr_mag mag e in

@@ -59,5 +59,12 @@ val to_float : t -> float
 val num_bits : t -> int
 (** Bits in the magnitude; [num_bits zero = 0]. *)
 
+val fits_mantissa : t -> bool
+(** [|x| < 2{^53}]: the value fits a double's significand, so {!to_float}
+    converts it exactly.  The same test as [num_bits x <= 53], in O(1). *)
+
+val is_power_of_two : t -> bool
+(** [x = 2{^k}] for some [k >= 0]; O(1) for int-sized values. *)
+
 val hash : t -> int
 val pp : Format.formatter -> t -> unit

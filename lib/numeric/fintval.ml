@@ -42,11 +42,10 @@ let of_int n =
    between instants and the integer/dyadic scalars the engine compares
    against (curve starts, horizons, sample points from [between]). *)
 let exactly_representable q =
-  Bigint.num_bits (Rat.num q) <= 53
+  Bigint.fits_mantissa (Rat.num q)
   &&
   let d = Rat.den q in
-  let bd = Bigint.num_bits d in
-  bd <= 1075 && Bigint.equal d (Bigint.shift_left Bigint.one (bd - 1))
+  Bigint.is_power_of_two d && Bigint.num_bits d <= 1075
 
 (* Rat.to_float is correctly rounded, so the exact rational lies within
    1/2 ulp of the conversion — strictly inside [pred f, succ f].  (In the

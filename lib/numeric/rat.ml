@@ -56,33 +56,30 @@ let ceil x =
 let mediant a b = make (B.add a.n b.n) (B.add a.d b.d)
 
 let to_float x =
-  if is_zero x then 0.0
+  if B.fits_mantissa x.n && B.fits_mantissa x.d then
+    (* Both exact as floats, so the one IEEE division rounds correctly
+       (and cannot underflow: |n/d| > 2^-53, or n = 0). *)
+    B.to_float x.n /. B.to_float x.d
   else begin
     let bn = B.num_bits x.n and bd = B.num_bits x.d in
-    if bn <= 53 && bd <= 53 then
-      (* Both exact as floats, so the one IEEE division rounds correctly
-         (and cannot underflow: |n/d| > 2^-53). *)
-      B.to_float x.n /. B.to_float x.d
-    else begin
-      (* Past 53 bits, [to_float num /. to_float den] rounds twice, or
-         overflows when the denominator exceeds the float range (e.g.
-         subnormal reconstructions), and scaling to an ~80-bit quotient
-         still rounded twice.  Instead scale so the truncated quotient
-         q = trunc(n * 2^k / d) has 60-61 significant bits (fits an int),
-         OR the divides-inexactly sticky bit below the rounding position,
-         and let the single float_of_int conversion round; ldexp by 2^-k is
-         then exact away from the subnormal range. *)
-      let k = 60 - (bn - bd) in
-      let q, r =
-        if k >= 0 then B.divmod (B.shift_left x.n k) x.d
-        else B.divmod x.n (B.shift_left x.d (- k))
-      in
-      (* |n/d| is in [2^(bn-bd-1), 2^(bn-bd+1)), so |q| is in [2^59, 2^61]. *)
-      let m = Stdlib.abs (B.to_int_exn q) in
-      let m = if not (B.is_zero r) && m land 1 = 0 then m lor 1 else m in
-      let f = Float.ldexp (float_of_int m) (- k) in
-      if sign x < 0 then -.f else f
-    end
+    (* Past 53 bits, [to_float num /. to_float den] rounds twice, or
+       overflows when the denominator exceeds the float range (e.g.
+       subnormal reconstructions), and scaling to an ~80-bit quotient
+       still rounded twice.  Instead scale so the truncated quotient
+       q = trunc(n * 2^k / d) has 60-61 significant bits (fits an int),
+       OR the divides-inexactly sticky bit below the rounding position,
+       and let the single float_of_int conversion round; ldexp by 2^-k is
+       then exact away from the subnormal range. *)
+    let k = 60 - (bn - bd) in
+    let q, r =
+      if k >= 0 then B.divmod (B.shift_left x.n k) x.d
+      else B.divmod x.n (B.shift_left x.d (- k))
+    in
+    (* |n/d| is in [2^(bn-bd-1), 2^(bn-bd+1)), so |q| is in [2^59, 2^61]. *)
+    let m = Stdlib.abs (B.to_int_exn q) in
+    let m = if not (B.is_zero r) && m land 1 = 0 then m lor 1 else m in
+    let f = Float.ldexp (float_of_int m) (- k) in
+    if sign x < 0 then -.f else f
   end
 
 let of_float f =

@@ -307,6 +307,17 @@ let root_of_isolating_exn p ~lo ~hi =
 let root_of_certified p ~lo ~hi ~sign_lo =
   Root { p = P.monic p; lo; hi; slo = sign_lo * Q.sign (P.leading p) }
 
+(* The filtered backend's deferred form: it proved with floats alone that
+   [lo, hi] holds root [index] and no other root of [p], and builds the
+   number only when something reads it exactly.  The two endpoint signs
+   complete the certificate above; a zero or repeated sign means an
+   endpoint is the root itself (or the float proof was wrong), and root
+   isolation names the root instead. *)
+let root_of_enclosure p ~lo ~hi ~index =
+  let sl = P.sign_at p lo in
+  if Q.compare lo hi < 0 && sl * P.sign_at p hi < 0 then root_of_certified p ~lo ~hi ~sign_lo:sl
+  else List.nth (roots p) index
+
 (* The printed form of a number is a wire token that peers byte-compare
    (resumed subscription streams, replica audits, the server against
    in-process Exact), but a [Root]'s live interval depends on the

@@ -77,6 +77,14 @@ val root_of_certified : Qpoly.t -> lo:Q.t -> hi:Q.t -> sign_lo:int -> t
     disjoint root enclosures) plus its two exact endpoint signs is that
     proof. *)
 
+val root_of_enclosure : Qpoly.t -> lo:Q.t -> hi:Q.t -> index:int -> t
+(** Root number [index] (0 for the least) of the squarefree polynomial
+    [p], for a caller that knows the closed interval [[lo, hi]] holds it
+    and no other root of [p].  Built by {!root_of_certified} from the two
+    endpoint signs; when they do not change sign (an endpoint is the root
+    itself) it is [List.nth (roots p) index].  The filtered backend builds
+    its crossing instants this way on their first exact read. *)
+
 val well_formed : t -> bool
 (** The representation invariant of a root, checked with fresh exact
     sign tests: its polynomial has opposite nonzero signs at the two ends

@@ -4,8 +4,10 @@
    after them.  A drop takes [tail]'s first event frame and moves each
    item before it into [head], once, so appends, pops and drops are O(1)
    amortised.  Drop markers are made only from the oldest event frame,
-   so they all sit in [head], and a new marker can merge only with
-   [head]'s newest item. *)
+   so they all sit in [head].  [markers] maps a subscription to its
+   marker while that is queued: a later drop for the subscription widens
+   it instead of queueing another, so a stalled session holds at most
+   one marker per subscription. *)
 
 type item =
   | Msg of string
@@ -23,17 +25,15 @@ type item =
 type t = {
   head : item Queue.t;
   tail : item Queue.t;
-  mutable head_last : item option;
   mutable tail_last : item option;
+  markers : (int, item) Hashtbl.t;
 }
 
 let create () =
-  { head = Queue.create (); tail = Queue.create (); head_last = None; tail_last = None }
+  { head = Queue.create (); tail = Queue.create (); tail_last = None; markers = Hashtbl.create 4 }
 
 let length q = Queue.length q.head + Queue.length q.tail
 let is_empty q = Queue.is_empty q.head && Queue.is_empty q.tail
-
-let last q = match q.tail_last with Some _ as l -> l | None -> q.head_last
 
 let take_tail q =
   let x = Queue.take_opt q.tail in
@@ -42,24 +42,22 @@ let take_tail q =
 
 let pop q =
   match Queue.take_opt q.head with
-  | Some _ as x ->
-    if Queue.is_empty q.head then q.head_last <- None;
+  | Some (Dropped d) as x ->
+    Hashtbl.remove q.markers d.sub;
     x
+  | Some _ as x -> x
   | None -> take_tail q
 
-let to_head q x =
-  Queue.push x q.head;
-  q.head_last <- Some x
-
 (* Replace the oldest event frame with a drop marker covering its
-   sequence range, merged into an adjacent marker for the same
-   subscription.  [false] when no event frame is left to drop. *)
+   sequence range, or widen the subscription's queued marker to cover it.
+   Drops go oldest event first, so the marker's range and the frame's
+   are consecutive.  [false] when no event frame is left to drop. *)
 let drop_oldest q ~on_drop =
   let rec skip () =
     match Queue.peek_opt q.tail with
     | Some (Event _) | None -> ()
     | Some _ ->
-      Option.iter (to_head q) (take_tail q);
+      Option.iter (fun x -> Queue.push x q.head) (take_tail q);
       skip ()
   in
   skip ();
@@ -67,15 +65,19 @@ let drop_oldest q ~on_drop =
   | Some (Event e) ->
     on_drop ~sub:e.sub ~count:e.count;
     let to_seq = e.first_seq + e.count - 1 in
-    (match q.head_last with
-     | Some (Dropped a) when a.sub = e.sub && e.first_seq = a.to_seq + 1 -> a.to_seq <- to_seq
-     | _ -> to_head q (Dropped { sub = e.sub; from_seq = e.first_seq; to_seq }));
+    (match Hashtbl.find_opt q.markers e.sub with
+     | Some (Dropped a) -> a.to_seq <- to_seq
+     | _ ->
+       let m = Dropped { sub = e.sub; from_seq = e.first_seq; to_seq } in
+       Hashtbl.replace q.markers e.sub m;
+       Queue.push m q.head);
     true
   | Some _ | None -> (* [skip] left the tail empty *) false
 
 let push q ~soft ~hwm ~on_coalesce ~on_drop item =
   let coalesced =
-    match item, (if length q >= soft then last q else None) with
+    (* the newest item: [head] never holds an event frame *)
+    match item, (if length q >= soft then q.tail_last else None) with
     | Event e, Some (Event l) when l.sub = e.sub && l.first_seq + l.count = e.first_seq ->
       l.pieces_rev <- e.pieces_rev @ l.pieces_rev;
       l.count <- l.count + e.count;

@@ -3,10 +3,13 @@
     a hard one.
 
     Bound: after every {!push} the queue holds at most [hwm] items, unless
-    it holds no event frame left to drop.  Responses, repl frames and drop
-    markers are never dropped, so a session's response stream stays
-    complete; the server bounds those separately (it kicks a follower
-    whose queue passes twice its [hwm]). *)
+    it holds no event frame left to drop.  It holds at most one drop
+    marker per subscription, so a session that receives only events stays
+    within [hwm] plus its number of subscriptions however long its writer
+    stalls.  Responses, repl frames and drop markers are never dropped, so
+    a session's response stream stays complete; the server bounds those
+    separately (it kicks a follower whose queue passes twice its
+    [hwm]). *)
 
 type item =
   | Msg of string  (** rendered response or notice; never dropped *)
@@ -50,7 +53,7 @@ val push :
     and the newest one is an event frame of the same subscription that
     ends just before this event frame, the two merge into one
     ([on_coalesce] is called).  Then, while the queue holds more than
-    [hwm] items, the oldest event frame is replaced by a drop marker
-    covering its sequence range ([on_drop] gets its subscription and
-    event count), and a marker that directly continues the one before it
-    for the same subscription merges into it. *)
+    [hwm] items, the oldest event frame is dropped ([on_drop] gets its
+    subscription and event count): the subscription's queued drop marker
+    is widened to cover its sequence range, or, when it has none, a new
+    marker covering that range takes the frame's place. *)

@@ -231,14 +231,14 @@ let emit ?trace ?(handoff = ref None) t out =
   match List.find_opt (fun s -> s.sid = owner) t.sessions, out with
   | None, _ -> ()
   | Some sess, Commit.Pieces { sub; first_seq; pieces; _ } ->
-    let enq = Unix.gettimeofday () in
+    let enq = Sink.wall () and t0 = Sink.monotonic () in
     enqueue t sess
       (Outq.Event { sub; first_seq; count = List.length pieces; pieces_rev = List.rev pieces;
                  trace = traced enq; enq });
-    Sink.observe t.sink "moq_stage_enqueue_ns" ((Unix.gettimeofday () -. enq) *. 1e9)
+    Sink.observe t.sink "moq_stage_enqueue_ns" ((Sink.monotonic () -. t0) *. 1e9)
   | Some sess, Commit.Complete { sub; _ } -> enqueue_msg t sess (Proto.E_complete { sub })
   | Some sess, Commit.Repl { msg; digest; _ } ->
-    let enq = Unix.gettimeofday () in
+    let enq = Sink.wall () in
     enqueue_repl t sess (Outq.Frame { msg; trace = (if digest then None else traced enq); enq })
   | Some sess, Commit.Reset _ ->
     (* its subscriptions were built over the replaced history *)

@@ -21,8 +21,9 @@
     Flow control: each session has a bounded output queue.  Above the soft
     limit, consecutive event frames for the same subscription are coalesced
     into one frame; above the hard limit, the oldest event frame is dropped
-    and replaced by an [EVENT-DROPPED] marker covering its sequence range —
-    subscribers always see a complete accounting, never silent loss.
+    and replaced by an [EVENT-DROPPED] marker covering its sequence range,
+    or covered by widening its subscription's marker if one is still queued
+    — subscribers always see a complete accounting, never silent loss.
     Responses are never dropped.  Bound: after every enqueue a session's
     queue holds at most [queue_hwm] items, unless no event frame is left
     in it to drop; a follower's, which carries only never-dropped repl

@@ -297,6 +297,65 @@ let test_own_root_successor () =
         (successor "near-double at the larger root" p r1))
     [ near_double; neg near_double ]
 
+(* A crossing the filter proves is scheduled without exact arithmetic and
+   certified on its first exact read, whichever read that is.  Against
+   Exact's root: the same value, the same bytes, the same nearest float,
+   over quadratics with irrational roots and with dyadic ones (an
+   enclosure may end on a dyadic root), both signs, from thresholds below
+   both roots and between them. *)
+let test_deferred_crossing_prop =
+  let gen =
+    let open QCheck.Gen in
+    let irrational =
+      map3
+        (fun c0 c1 c2 -> Moq_poly.Qpoly.of_list [ Q.of_ints (- c0) 7; Q.of_ints c1 3; Q.of_ints c2 11 ])
+        (int_range 1 100_000) (int_range (-400) 400) (int_range 1 90)
+    in
+    let dyadic =
+      map3
+        (fun k0 gap j ->
+          let r k = Q.div (q k) (Q.of_bigint (Moq_numeric.Bigint.shift_left Moq_numeric.Bigint.one j)) in
+          let r0 = r k0 and r1 = r (k0 + gap) in
+          Moq_poly.Qpoly.of_list [ Q.mul r0 r1; Q.neg (Q.add r0 r1); Q.one ])
+        (int_range (-5000) 5000) (int_range 1 300) (int_range 0 30)
+    in
+    quad (frequency [ (1, irrational); (1, dyadic) ]) bool (int_range (-2) 1) (int_bound 2)
+  in
+  let print (p, neg, _, _) = (if neg then "-" else "") ^ Moq_poly.Qpoly.to_string p in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"deferred crossing = Exact's root"
+       (QCheck.make ~print gen)
+       (fun (p, neg, shift, first_read) ->
+         let p = if neg then Moq_poly.Qpoly.neg p else p in
+         let ex_roots = A.roots p in
+         (* below both roots, or between them *)
+         let s =
+           match ex_roots with
+           | [ a; b ] when shift >= 0 -> A.rational_between a b
+           | a :: _ -> Q.add (A.rational_below a) (q shift)
+           | [] -> q 0
+         in
+         let agree ex fl =
+           match ex, fl with
+           | None, None -> true
+           | Some ex, Some fl ->
+             let reads =
+               [ (fun () -> A.compare ex (BFl.to_algnum fl) = 0);
+                 (fun () ->
+                   Format.asprintf "%a" BX.pp_instant ex = Format.asprintf "%a" BFl.pp_instant fl);
+                 (fun () ->
+                   Int64.equal (Int64.bits_of_float (BX.instant_to_float ex))
+                     (Int64.bits_of_float (BFl.instant_to_float fl))) ]
+             in
+             (* start with a different read each time: each one forces *)
+             let rot = List.filteri (fun i _ -> i >= first_read) reads
+                       @ List.filteri (fun i _ -> i < first_read) reads in
+             List.for_all (fun r -> r ()) rot
+           | _ -> false
+         in
+         agree (BX.first_root_after p (A.of_rat s)) (BFl.first_root_after p (BFl.instant_of_scalar s))
+         && agree (BX.first_root_at_or_after p s) (BFl.first_root_at_or_after p s)))
+
 let () =
   Alcotest.run "filtered-backend"
     [
@@ -311,5 +370,6 @@ let () =
             test_pp_instant_bytes;
           Alcotest.test_case "own-root successor of a quadratic" `Quick
             test_own_root_successor;
+          test_deferred_crossing_prop;
         ] );
     ]

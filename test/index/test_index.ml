@@ -14,6 +14,10 @@ let qs = Q.to_string
 
 let vec2 x y = Qvec.of_list [ q x; q y ]
 
+(* Every home shard as (key, members, exact box). *)
+let shard_list g =
+  Array.to_list (Array.map (fun s -> (s.Grid.key, s.Grid.members, s.Grid.box)) (Grid.shards g))
+
 let db_of specs =
   List.fold_left
     (fun db (o, ax, ay, bx, by) ->
@@ -31,7 +35,7 @@ let test_exact_boxes () =
   (* one object moving (5,5) -> (25,-15) over [0,10]: box from endpoints *)
   let db = db_of [ (1, 2, -2, 5, 5) ] in
   let g = Grid.build ~cell:10.0 ~lo:(q 0) ~hi:(q 10) db in
-  (match Grid.shards g with
+  (match shard_list g with
    | [ (_, [ 1 ], Some b) ] ->
      Alcotest.(check string) "x0" "5" (qs b.Grid.x0);
      Alcotest.(check string) "x1" "25" (qs b.Grid.x1);
@@ -44,7 +48,7 @@ let test_window_clipping () =
   (* the window cuts the motion: box must cover only [2, 4] *)
   let db = db_of [ (1, 10, 0, 0, 0) ] in
   let g = Grid.build ~cell:10.0 ~lo:(q 2) ~hi:(q 4) db in
-  (match Grid.shards g with
+  (match shard_list g with
    | [ (_, _, Some b) ] ->
      Alcotest.(check string) "x0 clipped" "20" (qs b.Grid.x0);
      Alcotest.(check string) "x1 clipped" "40" (qs b.Grid.x1)
@@ -58,7 +62,7 @@ let test_window_clipping () =
          ~death:(q 1))
   in
   let g' = Grid.build ~cell:10.0 ~lo:(q 5) ~hi:(q 9) dead in
-  match Grid.shards g' with
+  match shard_list g' with
   | [ (_, [ 7 ], None) ] -> ()
   | _ -> Alcotest.fail "dead-before-window object should have no box"
 
@@ -79,7 +83,7 @@ let test_entries_time_sorted () =
           Alcotest.(check bool) "t0 <= t1" true
             (Q.compare e.Grid.e_t0 e.Grid.e_t1 <= 0))
         es)
-    (Grid.shards g)
+    (shard_list g)
 
 let test_boundary_assignment () =
   (* position exactly on the (0,0)/(1,0) cell boundary: home shard is the
@@ -111,6 +115,43 @@ let test_box_separation () =
   Alcotest.(check string) "x gap" "25" (sep (box 0 10 0 10) (box 15 20 0 10));
   Alcotest.(check string) "diagonal" "25" (sep (box 0 10 0 10) (box 13 20 14 20))
 
+(* The pruning test reads float enclosures first; its answer must be the
+   exact one, including bands equal to the separation or a hair from it
+   and coordinates no float holds (thirds, sevenths). *)
+let test_separation_exceeds () =
+  let st = Random.State.make [| 33 |] in
+  let coord () = Q.of_ints (Random.State.int st 4001 - 2000) (1 + Random.State.int st 7) in
+  let box () =
+    let x = coord () and x' = coord () and y = coord () and y' = coord () in
+    { Grid.x0 = Q.min x x'; x1 = Q.max x x'; y0 = Q.min y y'; y1 = Q.max y y' }
+  in
+  let hair = Q.of_ints 1 1_000_000_000_000 in
+  for _ = 1 to 2000 do
+    let a = box () and b = box () in
+    let sep = Grid.box_separation_sq a b in
+    List.iter
+      (fun band ->
+        let want = Q.compare sep band > 0 in
+        let got =
+          Grid.separation_exceeds a (Grid.enclose a) b (Grid.enclose b) ~band
+            ~band_enc:(Moq_numeric.Fintval.of_rat band)
+        in
+        if got <> want then
+          Alcotest.failf "separation %s against band %s: got %b" (qs sep) (qs band) got)
+      [ sep; Q.add sep hair; Q.sub sep hair; Q.abs (Q.add sep (coord ())); Q.zero ]
+  done
+
+(* The shard array comes out of the build ascending by key, with every
+   object in exactly one shard. *)
+let test_shard_array () =
+  let db = Gen.clustered_db ~seed:7 ~n:400 () in
+  let g = Grid.build ~cell:64.0 ~lo:(q 0) ~hi:(q 20) db in
+  let keys = List.map (fun (k, _, _) -> k) (shard_list g) in
+  Alcotest.(check bool) "ascending keys" true (List.sort_uniq compare keys = keys);
+  Alcotest.(check (list int)) "every object in one shard"
+    (List.sort compare (List.map fst (DB.objects db)))
+    (List.sort compare (List.concat_map (fun (_, m, _) -> m) (shard_list g)))
+
 let test_trajectory_box () =
   let tr = T.linear ~start:(q 0) ~a:(vec2 (-3) 1) ~b:(vec2 10 0) in
   (match Grid.trajectory_box tr ~lo:(q 0) ~hi:(q 10) with
@@ -134,6 +175,8 @@ let () =
         Alcotest.test_case "boundary cell assignment" `Quick test_boundary_assignment;
         Alcotest.test_case "ring search" `Quick test_ring_search;
         Alcotest.test_case "box separation lower bound" `Quick test_box_separation;
+        Alcotest.test_case "separation test on enclosures = exact" `Quick test_separation_exceeds;
+        Alcotest.test_case "shard array sorted by key" `Quick test_shard_array;
         Alcotest.test_case "trajectory window box" `Quick test_trajectory_box;
       ]);
     ]

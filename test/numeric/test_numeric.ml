@@ -291,6 +291,91 @@ let rat_props =
         Q.compare f a <= 0 && Q.compare a (Q.add f Q.one) < 0);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Small-integer fast paths against the bit-length paths they replace  *)
+(* ------------------------------------------------------------------ *)
+
+(* Bit length by shifting one bit at a time. *)
+let ref_num_bits x =
+  let rec go x k = if B.is_zero x then k else go (B.shift_right x 1) (k + 1) in
+  go (B.abs x) 0
+
+(* [Rat.to_float] as it was before the [fits_mantissa] test: one division
+   when both parts have at most 53 bits, else the scaled quotient. *)
+let ref_to_float x =
+  if Q.is_zero x then 0.0
+  else begin
+    let n = Q.num x and d = Q.den x in
+    let bn = ref_num_bits n and bd = ref_num_bits d in
+    if bn <= 53 && bd <= 53 then B.to_float n /. B.to_float d
+    else begin
+      let k = 60 - (bn - bd) in
+      let q, r =
+        if k >= 0 then B.divmod (B.shift_left n k) d else B.divmod n (B.shift_left d (- k))
+      in
+      let m = Stdlib.abs (B.to_int_exn q) in
+      let m = if not (B.is_zero r) && m land 1 = 0 then m lor 1 else m in
+      let f = Float.ldexp (float_of_int m) (- k) in
+      if Q.sign x < 0 then -.f else f
+    end
+  end
+
+(* [Fintval.of_rat] as it was: a point exactly when the numerator has at
+   most 53 bits and the denominator is 2^k with k <= 1074. *)
+let ref_of_rat x =
+  let f = ref_to_float x in
+  let d = Q.den x in
+  let bd = ref_num_bits d in
+  if Float.is_finite f && ref_num_bits (Q.num x) <= 53 && bd <= 1075
+     && B.equal d (B.shift_left B.one (bd - 1))
+  then (f, f)
+  else if Float.is_finite f then (Float.pred f, Float.succ f)
+  else (Float.neg_infinity, Float.infinity)
+
+(* Integers at the edges the fast paths test: +-(2^53 +- 1), powers of
+   two, one and two limbs, [max_int], [min_int], and past an [int]. *)
+let gen_edge_int =
+  let open QCheck.Gen in
+  let pow2 k = B.shift_left B.one k in
+  let near k = map (fun e -> B.add (pow2 k) (B.of_int e)) (int_range (-1) 1) in
+  let signed g = map2 (fun neg x -> if neg then B.neg x else x) bool g in
+  signed
+    (frequency
+       [ (3, near 53);
+         (2, int_range 0 62 >>= near);
+         (2, map B.of_int (int_range 0 1_000_000));
+         (1, map B.of_int (oneofl [ max_int; min_int; 1 lsl 30; (1 lsl 30) - 1 ]));
+         (2, int_range 63 1100 >>= near);
+         (1, map2 (fun k r -> B.add (pow2 k) (B.of_int r)) (int_range 63 200) (int_range 0 max_int)) ])
+
+(* Denominators: powers of two (small and [Big]), 2^53 +- 1, and others. *)
+let arb_fast_rat =
+  let open QCheck.Gen in
+  let den =
+    frequency
+      [ (3, map (fun k -> B.shift_left B.one k) (int_range 0 62));
+        (2, map (fun k -> B.shift_left B.one k) (int_range 63 1100));
+        (2, map B.abs gen_edge_int);
+        (2, map B.of_int (int_range 1 1_000_000)) ]
+  in
+  QCheck.make ~print:Q.to_string
+    (map2 (fun n d -> Q.make n (if B.is_zero d then B.one else d)) gen_edge_int den)
+
+let fast_path_props =
+  [ prop "num_bits, fits_mantissa, is_power_of_two = bit loop"
+      (QCheck.make ~print:B.to_string gen_edge_int) (fun x ->
+        let nb = ref_num_bits x in
+        B.num_bits x = nb
+        && B.fits_mantissa x = (nb <= 53)
+        && B.is_power_of_two x = (B.sign x > 0 && B.equal x (B.shift_left B.one (nb - 1))));
+    prop "to_float and Fintval.of_rat = the bit-length paths" arb_fast_rat (fun x ->
+        let bits = Int64.bits_of_float in
+        let iv = Moq_numeric.Fintval.of_rat x and lo, hi = ref_of_rat x in
+        bits (Q.to_float x) = bits (ref_to_float x)
+        && bits (Moq_numeric.Fintval.lo iv) = bits lo
+        && bits (Moq_numeric.Fintval.hi iv) = bits hi);
+  ]
+
 let () =
   Alcotest.run "numeric"
     [ ("bigint", [
@@ -322,4 +407,5 @@ let () =
           test_rat_to_float_correctly_rounded;
       ]);
       ("rat-props", rat_props);
+      ("fast-paths", fast_path_props);
     ]

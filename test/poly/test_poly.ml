@@ -629,9 +629,9 @@ let test_sign_at_zero () =
   Alcotest.(check int) "zero polynomial" 0 (QP.sign_at QP.zero r);
   Alcotest.(check int) "constant" (-1) (QP.sign_at (QP.constant (Q.of_ints (-1) 3)) r)
 
-(* What [Backend.Filtered.certify_root] does with a float root
-   enclosure: dyadic ends, two exact signs, then the unchecked
-   constructor.  [None] where the filter would fall back. *)
+(* The eager endpoint certificate of a float root enclosure: dyadic
+   ends, two exact signs, then the unchecked constructor.  [None] where
+   it fails. *)
 let certify p lo hi =
   let ql = Q.of_float lo and qh = Q.of_float hi in
   let sl = QP.sign_at p ql in
@@ -639,10 +639,12 @@ let certify p lo hi =
     Some (Alg.root_of_certified p ~lo:ql ~hi:qh ~sign_lo:sl, ql, qh)
   else None
 
-let test_certified_quadratics () =
+(* 400 seeded quadratics with two real roots each, and float estimates
+   of the two roots, ascending. *)
+let certified_corpus () =
   let st = Random.State.make [| 20261018 |] in
-  let certified = ref 0 in
-  for i = 1 to 400 do
+  List.init 400 (fun i ->
+    let i = i + 1 in
     let rq scale = Q.of_ints (Random.State.int st (2 * scale + 1) - scale) (1 + Random.State.int st 60) in
     let a2 = if i mod 2 = 0 then rq 9 else Q.neg (Q.of_ints (1 + Random.State.int st 9) 7) in
     let a2 = if Q.is_zero a2 then Q.one else a2 in
@@ -657,23 +659,97 @@ let test_certified_quadratics () =
     let f k = Q.to_float (QP.coeff p k) in
     let a = f 2 and b = f 1 and c = f 0 in
     let sq = Float.sqrt ((b *. b) -. (4. *. a *. c)) in
-    List.iter
-      (fun r ->
-        let w = 1e-9 *. (1. +. Float.abs r) in
-        match certify p (r -. w) (r +. w) with
-        | None -> ()
-        | Some (x, ql, qh) ->
-          incr certified;
-          let checked = Alg.root_of_isolating_exn p ~lo:ql ~hi:qh in
-          Alcotest.(check int) "compare = 0" 0 (Alg.compare x checked);
-          Alcotest.(check bool) "well formed" true (Alg.well_formed x);
-          Alcotest.(check string) "same text" (Format.asprintf "%a" Alg.pp checked)
-            (Format.asprintf "%a" Alg.pp x);
-          Alcotest.(check bool) "one of p's roots" true
-            (List.exists (fun y -> Alg.compare x y = 0) (Alg.roots p)))
-      [ (-.b -. sq) /. (2. *. a); (-.b +. sq) /. (2. *. a) ]
-  done;
+    let r1 = (-.b -. sq) /. (2. *. a) and r2 = (-.b +. sq) /. (2. *. a) in
+    (p, [ Float.min r1 r2; Float.max r1 r2 ]))
+
+let test_certified_quadratics () =
+  let certified = ref 0 in
+  List.iter
+    (fun (p, estimates) ->
+      List.iter
+        (fun r ->
+          let w = 1e-9 *. (1. +. Float.abs r) in
+          match certify p (r -. w) (r +. w) with
+          | None -> ()
+          | Some (x, ql, qh) ->
+            incr certified;
+            let checked = Alg.root_of_isolating_exn p ~lo:ql ~hi:qh in
+            Alcotest.(check int) "compare = 0" 0 (Alg.compare x checked);
+            Alcotest.(check bool) "well formed" true (Alg.well_formed x);
+            Alcotest.(check string) "same text" (Format.asprintf "%a" Alg.pp checked)
+              (Format.asprintf "%a" Alg.pp x);
+            Alcotest.(check bool) "one of p's roots" true
+              (List.exists (fun y -> Alg.compare x y = 0) (Alg.roots p)))
+        estimates)
+    (certified_corpus ());
   Alcotest.(check bool) "most roots certified" true (!certified > 600)
+
+(* A root named by a float enclosure: root [index] of [p], inside
+   [lo, hi] with no other root of [p] there. *)
+type enclosed = { e_p : QP.t; e_lo : float; e_hi : float; e_index : int }
+
+let show_enclosed e =
+  Printf.sprintf "root %d of %s in [%h, %h]" e.e_index (QP.to_string e.e_p) e.e_lo e.e_hi
+
+(* The certified corpus's roots in enclosures of relative width 1e-9,
+   and quadratics with dyadic roots whose enclosure has the root as an
+   endpoint or as its midpoint (every value here is an exact float). *)
+let gen_enclosed =
+  let open QCheck.Gen in
+  let corpus = Array.of_list (certified_corpus ()) in
+  let from_corpus =
+    map2
+      (fun k index ->
+        let p, estimates = corpus.(k) in
+        let r = List.nth estimates index in
+        let w = 1e-9 *. (1. +. Float.abs r) in
+        { e_p = p; e_lo = r -. w; e_hi = r +. w; e_index = index })
+      (int_bound (Array.length corpus - 1)) (int_bound 1)
+  in
+  let dyadic =
+    map3
+      (fun (k0, gap, j) (a_num, a_den, index) shape ->
+        let scale = Float.ldexp 1.0 (- j) in
+        let r0 = float_of_int k0 *. scale and r1 = float_of_int (k0 + gap) *. scale in
+        let p = QP.scale (Q.of_ints a_num a_den) (quad_of_roots (Q.of_float r0) (Q.of_float r1)) in
+        let r = if index = 0 then r0 else r1 and w = float_of_int gap *. scale /. 4. in
+        let lo, hi = match shape with 0 -> (r, r +. w) | 1 -> (r -. w, r) | _ -> (r -. w, r +. w) in
+        { e_p = p; e_lo = lo; e_hi = hi; e_index = index })
+      (triple (int_range (-5000) 5000) (int_range 1 300) (int_range 0 30))
+      (triple (oneofl [ -7; -1; 1; 3; 12 ]) (int_range 1 9) (int_bound 1))
+      (int_bound 2)
+  in
+  QCheck.make ~print:show_enclosed (frequency [ (1, from_corpus); (1, dyadic) ])
+
+(* Built on demand, a root equals the one built eagerly by the endpoint
+   certificate (or, when that fails, by root isolation): same value, same
+   canonical bytes, same nearest float. *)
+let test_deferred_root_prop =
+  prop ~count:1000 "deferred root = eagerly certified root" gen_enclosed (fun e ->
+      let x = Alg.root_of_enclosure e.e_p ~lo:(Q.of_float e.e_lo) ~hi:(Q.of_float e.e_hi) ~index:e.e_index in
+      let eager =
+        match certify e.e_p e.e_lo e.e_hi with
+        | Some (y, _, _) -> y
+        | None -> List.nth (Alg.roots e.e_p) e.e_index
+      in
+      let text v = Format.asprintf "%a" Alg.pp v in
+      Alg.compare x eager = 0
+      && Alg.compare x (List.nth (Alg.roots e.e_p) e.e_index) = 0
+      && text x = text eager
+      && Int64.equal (Int64.bits_of_float (Alg.to_float x)) (Int64.bits_of_float (Alg.to_float eager))
+      && Alg.well_formed x)
+
+(* An endpoint that is the root itself fails the sign certificate, and
+   root isolation names it: (t - 1)(t - 3) in [1, 3/2] and [5/2, 3]. *)
+let test_deferred_root_at_endpoint () =
+  let p = quad_of_roots (q 1) (q 3) in
+  let at lo hi index = Alg.root_of_enclosure p ~lo ~hi ~index in
+  List.iter
+    (fun (what, x, v) ->
+      Alcotest.(check int) (what ^ ": value") 0 (Alg.compare x (Alg.of_int v));
+      Alcotest.(check string) (what ^ ": bytes") (string_of_int v) (Format.asprintf "%a" Alg.pp x);
+      Alcotest.(check bool) (what ^ ": well formed") true (Alg.well_formed x))
+    [ ("left end", at (q 1) (Q.of_ints 3 2) 0, 1); ("right end", at (Q.of_ints 5 2) (q 3) 1, 3) ]
 
 (* The sign a root stores for its left end stays the sign there through
    every way its interval moves: comparisons, float rounding and
@@ -772,6 +848,9 @@ let () =
         test_sign_at_prop;
         Alcotest.test_case "sign_at at a root, zero, constant" `Quick test_sign_at_zero;
         Alcotest.test_case "certified root = checked root" `Quick test_certified_quadratics;
+        test_deferred_root_prop;
+        Alcotest.test_case "deferred root at an enclosure endpoint" `Quick
+          test_deferred_root_at_endpoint;
         Alcotest.test_case "stored sign at lo stays true" `Quick test_stored_sign_invariant;
         Alcotest.test_case "pp memo = reference across eviction" `Quick test_pp_memo_evicts;
         Alcotest.test_case "pp from two threads" `Quick test_pp_two_threads;

@@ -1,34 +1,33 @@
-(* A session's output queue against the list it replaced: the same
-   items come out in the same order under random pushes and pops, the
-   stated bound holds after every push, and every subscription's
-   sequence numbers are accounted for exactly once, delivered or
-   dropped. *)
+(* A session's output queue against a list reference: the same items
+   come out in the same order under random pushes and pops, the stated
+   bound holds after every push, and every subscription's sequence
+   numbers are accounted for exactly once, delivered or dropped. *)
 
 module Outq = Moq_server.Outq
 module Proto = Moq_proto.Proto
 
 (* The reference: an oldest-first list, reversed to find the newest item
-   above the soft limit and rescanned for the oldest event frame. *)
+   above the soft limit and rescanned for the oldest event frame and for
+   a queued drop marker of its subscription. *)
 type m =
   | M_msg of string
   | M_event of { sub : int; first : int; mutable count : int; mutable pieces : int list }
-  | M_dropped of { sub : int; mutable from : int; upto : int }
-
-let rec compact = function
-  | M_dropped a :: M_dropped b :: rest when a.sub = b.sub && b.from = a.upto + 1 ->
-    b.from <- a.from;
-    compact (M_dropped b :: rest)
-  | x :: rest -> x :: compact rest
-  | [] -> []
+  | M_dropped of { sub : int; from : int; mutable upto : int }
 
 let model_drop q =
   let rec go = function
     | [] -> None
     | M_event e :: rest ->
-      Some (M_dropped { sub = e.sub; from = e.first; upto = e.first + e.count - 1 } :: rest)
+      let upto = e.first + e.count - 1 in
+      let queued = function M_dropped d -> d.sub = e.sub | _ -> false in
+      (match List.find_opt queued q with
+       | Some (M_dropped d) ->
+         d.upto <- upto;
+         Some rest
+       | _ -> Some (M_dropped { sub = e.sub; from = e.first; upto } :: rest))
     | x :: rest -> Option.map (fun r -> x :: r) (go rest)
   in
-  Option.map compact (go q)
+  go q
 
 let model_push ~soft ~hwm q item =
   let coalesced =
@@ -131,8 +130,8 @@ let test_against_reference () =
       for seed = 1 to 40 do run ~seed ~soft ~hwm ~steps:600 done)
     [ (2, 4); (3, 8); (64, 256); (0, 1) ]
 
-(* Pushes only, one subscription with coalescing off: its drop markers
-   merge, so the queue stays at its bound, and a flood of responses
+(* Pushes only, one subscription with coalescing off: its drop marker
+   widens, so the queue stays at its bound, and a flood of responses
    (never dropped) is the one way past it. *)
 let test_bound_under_flood () =
   let hwm = 16 in
@@ -147,8 +146,48 @@ let test_bound_under_flood () =
   for i = 1 to 40 do Outq.push q ~soft:max_int ~hwm ~on_coalesce:ignore ~on_drop (Outq.Msg (string_of_int i)) done;
   Alcotest.(check bool) "responses are kept past the bound" true (Outq.length q > hwm)
 
+(* A stalled session that receives only events, from three
+   subscriptions taking turns (so nothing coalesces): each subscription
+   keeps one drop marker however many of its events are dropped, the
+   queue stays within [hwm] plus the number of subscriptions, and the
+   markers and the frames left account for every event once. *)
+let test_stalled_round_robin () =
+  let hwm = 256 and subs = 3 and events = 1000 in
+  let q = Outq.create () in
+  for i = 0 to events - 1 do
+    let sub = i mod subs in
+    Outq.push q ~soft:64 ~hwm ~on_coalesce:ignore ~on_drop:(fun ~sub:_ ~count:_ -> ())
+      (Outq.Event { sub; first_seq = i / subs; count = 1; pieces_rev = []; trace = None; enq = 0. });
+    if Outq.length q > hwm + subs then
+      Alcotest.failf "after event %d: %d items, above %d + %d" i (Outq.length q) hwm subs
+  done;
+  let markers = Array.make subs 0 and next = Array.make subs 0 in
+  let rec drain () =
+    match Outq.pop q with
+    | None -> ()
+    | Some item ->
+      let sub, first, last =
+        match item with
+        | Outq.Dropped d -> markers.(d.sub) <- markers.(d.sub) + 1; (d.sub, d.from_seq, d.to_seq)
+        | Outq.Event e -> (e.sub, e.first_seq, e.first_seq + e.count - 1)
+        | Outq.Msg _ | Outq.Frame _ -> Alcotest.fail "only events were pushed"
+      in
+      Alcotest.(check int) (Printf.sprintf "sub %d continues" sub) next.(sub) first;
+      next.(sub) <- last + 1;
+      drain ()
+  in
+  drain ();
+  Array.iteri
+    (fun sub n ->
+      Alcotest.(check int) (Printf.sprintf "sub %d: one marker" sub) 1 n;
+      Alcotest.(check int) (Printf.sprintf "sub %d: every event" sub)
+        ((events + subs - 1 - sub) / subs) next.(sub))
+    markers
+
 let () =
   Alcotest.run "outq"
     [ ( "outq",
         [ Alcotest.test_case "same items as the list reference" `Quick test_against_reference;
-          Alcotest.test_case "bound under a flood" `Quick test_bound_under_flood ] ) ]
+          Alcotest.test_case "bound under a flood" `Quick test_bound_under_flood;
+          Alcotest.test_case "one marker per subscription when stalled" `Quick
+            test_stalled_round_robin ] ) ]
