@@ -145,13 +145,15 @@ module Make (B : Backend.S) = struct
     in
     let band = band_bound grid db gamma ~k ~lo ~hi in
     (* the separation test reads float enclosures first; a shard they
-       cannot place is tested exactly, so every skip is the exact one *)
+       cannot place has its exact box built and is tested exactly, so
+       every skip is the exact one *)
     let prune =
       match band, Grid.trajectory_box gamma ~lo ~hi with
       | Some band, Some gbox ->
         let genc = Grid.enclose gbox and band_enc = Moq_numeric.Fintval.of_rat band in
-        fun sbox enc -> Grid.separation_exceeds sbox enc gbox genc ~band ~band_enc
-      | _ -> fun _ _ -> false
+        fun (s : Grid.shard) ->
+          Grid.separation_exceeds s.Grid.box s.Grid.enc gbox genc ~band ~band_enc
+      | _ -> fun _ -> false
     in
     let shards = Grid.shards grid in
     let admitted = Hashtbl.create 64 in
@@ -176,12 +178,9 @@ module Make (B : Backend.S) = struct
     let shard_events = ref 0 in
     (Sink.time sink "moq_shard_sweep_seconds" @@ fun () ->
      Array.iter
-       (fun { Grid.members; box; enc; _ } ->
-         let skip =
-           match box with
-           | None -> true  (* no window presence: never in any answer *)
-           | Some sbox -> prune sbox enc
-         in
+       (fun ({ Grid.members; present; _ } as s) ->
+         (* no window presence: never in any answer *)
+         let skip = (not present) || prune s in
          if not skip then begin
            incr touched;
            let eng = sweep_shard ~sink ~admit ~k ~lo ~hi (entries_of members) in

@@ -5,18 +5,21 @@
     corner of the plane.  This driver makes per-event cost a function of
     {e local} activity instead:
 
-    + {b Index}: bucket every trajectory piece by its exact (x, y, t)
-      bounding box in a {!Moq_index.Grid}; each object gets a {e home
-      shard} (the cell under its window-entry position) carrying the exact
-      union box of its members' window motion.
+    + {b Index}: bucket every trajectory piece by its (x, y) bounding box
+      over its time span in a {!Moq_index.Grid}; each object gets a {e home
+      shard} (the cell under its window-entry position) carrying a float
+      enclosure of the union box of its members' window motion, and that
+      exact box on demand.
     + {b Band}: find k pilot objects near the query trajectory by ring
       search, compute each pilot's exact maximum squared distance over the
       window, and let B be the k-th smallest — at every instant of the
       window at least k objects sit within B, so nothing farther than B
       throughout the window can ever enter (or tie) the top-k band.
     + {b Prune}: skip every shard whose box separation from the query
-      trajectory's window box exceeds B.  No engine is built for a pruned
-      shard; its members' curves are never constructed.
+      trajectory's window box exceeds B (decided on the enclosures, and on
+      the exact boxes only when the enclosures cannot decide).  No engine
+      is built for a pruned shard; its members' curves are never
+      constructed.
     + {b Shard sweeps}: each surviving shard runs its own independent
       order-list/event-queue ({!Engine.Make}) over only its members, and
       emits its {e candidate frontier}: the shard-local k-NN answer of

@@ -2,28 +2,31 @@
 
     The production pruning layer behind the sharded sweep driver
     ({!Moq_core.Shard}): every trajectory piece of every object, clipped to a
-    query window [[lo, hi]], is bucketed by the integer cell(s) its exact
-    (x, y, t) bounding box overlaps.  Cell lists are kept sorted by piece
-    start time, so a reader can cut a cell's population at a time slab
-    without rescanning.
+    query window [[lo, hi]], is bucketed by the integer cell(s) its (x, y)
+    bounding box overlaps over the piece's time span.
 
     Two derived structures drive pruning:
 
     - {e home shards}: each object is assigned to exactly one shard — the
       cell under its position when it enters the window — and each shard
-      carries the exact rational bounding box of all its members' motion
-      over the window, with a float enclosure of it.  A shard whose box
-      provably stays farther from the query trajectory than the current
-      k-NN band can be skipped without touching any of its members'
-      curves.
+      carries a float enclosure of the union box of its members' motion
+      over the window.  A shard whose box provably stays farther from the
+      query trajectory than the current k-NN band can be skipped without
+      touching any of its members' curves.
     - {e ring search}: cells are enumerated outward from a center cell in
       Chebyshev rings, the grid flavour of the classic R-tree / R*-tree
       expanding-search protocol over (x, y, t) boxes.
 
-    Cell {e keying} uses floats (which cell a box lands in only affects
-    performance); all {e bounds} are exact rationals (what pruning decides
-    on affects answers, so it never rounds: a float enclosure settles a
-    separation test only when it proves the exact answer). *)
+    Floats decide; exact rationals are computed only when a float cannot.
+    Every key is the one [cell_of] gives on [Q.to_float] of the exact
+    coordinate: it is read off an outward-rounded enclosure of that
+    coordinate when both ends of the enclosure fall in one cell, and from
+    the exact coordinate otherwise.  A shard's exact box is computed the
+    first time {!separation_exceeds} finds its enclosure inconclusive, or
+    {!shard_box} asks for it; {!entries} derives exact piece boxes when it
+    is called.  So every key, member list and pruning decision is the one
+    exact arithmetic gives.  A grid is built and read by one thread (its
+    exact boxes are [Lazy]). *)
 
 module Q = Moq_numeric.Rat
 module Oid = Moq_mod.Oid
@@ -63,26 +66,39 @@ val population : t -> int
 (** Number of objects assigned to a home shard (= all objects in the DB). *)
 
 val entries : t -> int * int -> entry list
-(** The cell's piece list, ascending by [e_t0]; [[]] for an empty cell. *)
+(** The cell's piece list with exact boxes, ascending by [(e_t0, e_oid)];
+    [[]] for an empty cell.  Builds the boxes and sorts on every call. *)
 
-type enclosure
-(** Outward-rounded float enclosures of a box's four coordinates. *)
+type enclosure = private {
+  mutable x0l : float; mutable x0h : float;  (** [x0l <= x0 <= x0h] *)
+  mutable x1l : float; mutable x1h : float;
+  mutable y0l : float; mutable y0h : float;
+  mutable y1l : float; mutable y1h : float;
+}
+(** Outward-rounded float enclosures of a box's four coordinates (fields
+    are set only while {!build} runs). *)
 
 val enclose : box -> enclosure
 
 type shard = {
   key : int * int;
   members : Oid.t list;  (** ascending OID *)
-  box : box option;
-      (** the exact union box of the members' window motion; [None] when
-          no member has any presence in the window *)
+  present : bool;  (** some member has presence in the window *)
   enc : enclosure;
-      (** encloses [box]; when that is [None], bounds that decide nothing *)
+      (** encloses the exact union box of the members' window motion; when
+          no member is [present], bounds that decide nothing *)
+  box : box Lazy.t;
+      (** that exact box, computed when forced; forcing it raises
+          [Invalid_argument] when no member is [present] *)
 }
 
 val shards : t -> shard array
 (** Every home shard, ascending by key; built once by {!build}, so a
     reader pays nothing per call.  Do not mutate. *)
+
+val shard_box : shard -> box option
+(** The shard's exact union box, forcing it; [None] when no member has
+    any presence in the window. *)
 
 val shard_of : t -> Oid.t -> (int * int) option
 (** The home shard an object was assigned to. *)
@@ -110,8 +126,9 @@ val box_separation_sq : box -> box -> Q.t
     any [p] in [a] and [q] in [b] — the lower bound pruning decides on. *)
 
 val separation_exceeds :
-  box -> enclosure -> box -> enclosure -> band:Q.t -> band_enc:Moq_numeric.Fintval.t -> bool
+  box Lazy.t -> enclosure -> box -> enclosure -> band:Q.t ->
+  band_enc:Moq_numeric.Fintval.t -> bool
 (** [Q.compare (box_separation_sq a b) band > 0], decided from the float
     enclosures ([band_enc] must enclose [band]) when they are conclusive
     and in exact arithmetic otherwise, so the answer is always the exact
-    one. *)
+    one.  [a] is forced only in the exact case. *)

@@ -21,8 +21,19 @@ let point f = { lo = f; hi = f }
 let down f = if f = neg_infinity || Float.is_nan f then neg_infinity else Float.pred f
 let up f = if f = infinity || Float.is_nan f then infinity else Float.succ f
 
+(* Past the NaN test, [down] and [up] need only the infinity tests. *)
 let make_out l h =
-  if Float.is_nan l || Float.is_nan h then top else { lo = down l; hi = up h }
+  if Float.is_nan l || Float.is_nan h then top
+  else
+    { lo = (if l = neg_infinity then l else Float.pred l);
+      hi = (if h = infinity then h else Float.succ h) }
+
+(* [Float.min]/[Float.max] without their NaN and sign-bit tests: callers
+   have excluded NaN, and the one case they differ in, the sign of a zero
+   result, is erased by [make_out] ([Float.pred] and [Float.succ] of
+   either zero are the same). *)
+let fmin (a : float) b = if a < b then a else b
+let fmax (a : float) b = if a > b then a else b
 
 (* Encloses the real approximated by [f] to within one rounding (1/2 ulp),
    so widening one ulp each way is sound. *)
@@ -70,11 +81,7 @@ let mul a b =
   and x3 = a.hi *. b.lo
   and x4 = a.hi *. b.hi in
   if Float.is_nan x1 || Float.is_nan x2 || Float.is_nan x3 || Float.is_nan x4 then top
-  else begin
-    let mn = Float.min (Float.min x1 x2) (Float.min x3 x4) in
-    let mx = Float.max (Float.max x1 x2) (Float.max x3 x4) in
-    make_out mn mx
-  end
+  else make_out (fmin (fmin x1 x2) (fmin x3 x4)) (fmax (fmax x1 x2) (fmax x3 x4))
 
 (* Undefined (whole line) when the divisor straddles zero. *)
 let div a b =
@@ -85,11 +92,7 @@ let div a b =
     and x3 = a.hi /. b.lo
     and x4 = a.hi /. b.hi in
     if Float.is_nan x1 || Float.is_nan x2 || Float.is_nan x3 || Float.is_nan x4 then top
-    else begin
-      let mn = Float.min (Float.min x1 x2) (Float.min x3 x4) in
-      let mx = Float.max (Float.max x1 x2) (Float.max x3 x4) in
-      make_out mn mx
-    end
+    else make_out (fmin (fmin x1 x2) (fmin x3 x4)) (fmax (fmax x1 x2) (fmax x3 x4))
   end
 
 (* Square root of the non-negative part; caller must rule out an interval

@@ -71,6 +71,7 @@ EXTRAS = {
     "per_event_ns_by_n": Extra("s3", "table"),
     "per_event_growth": Extra("s3", "num", "> 0", gate=("max", 2.0),
                               better="lower"),
+    "index_build_ms_by_n": Extra("s3", "table"),
     "prune_rate": Extra("s3", "num", "in [0, 1]", gate=("min", 0.9),
                         better="higher"),
     "identical_to_exact": Extra("s3", "bool", required=True),

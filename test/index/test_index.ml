@@ -14,9 +14,10 @@ let qs = Q.to_string
 
 let vec2 x y = Qvec.of_list [ q x; q y ]
 
-(* Every home shard as (key, members, exact box). *)
+(* Every home shard as (key, members, exact box), forcing the boxes. *)
 let shard_list g =
-  Array.to_list (Array.map (fun s -> (s.Grid.key, s.Grid.members, s.Grid.box)) (Grid.shards g))
+  Array.to_list
+    (Array.map (fun s -> (s.Grid.key, s.Grid.members, Grid.shard_box s)) (Grid.shards g))
 
 let db_of specs =
   List.fold_left
@@ -133,7 +134,7 @@ let test_separation_exceeds () =
       (fun band ->
         let want = Q.compare sep band > 0 in
         let got =
-          Grid.separation_exceeds a (Grid.enclose a) b (Grid.enclose b) ~band
+          Grid.separation_exceeds (Lazy.from_val a) (Grid.enclose a) b (Grid.enclose b) ~band
             ~band_enc:(Moq_numeric.Fintval.of_rat band)
         in
         if got <> want then

@@ -72,6 +72,82 @@ let soundness_props =
         IV.contains_rat v lo && IV.contains_rat v hi);
   ]
 
+(* [mul], [div], [add] and [sub] as written with [Float.min]/[Float.max]
+   and the NaN-testing outward steps, on endpoint pairs: the current
+   operations must give the same bounds bit for bit. *)
+module Old = struct
+  let down f = if f = neg_infinity || Float.is_nan f then neg_infinity else Float.pred f
+  let up f = if f = infinity || Float.is_nan f then infinity else Float.succ f
+
+  let make_out l h =
+    if Float.is_nan l || Float.is_nan h then (neg_infinity, infinity) else (down l, up h)
+
+  let hull x1 x2 x3 x4 =
+    if Float.is_nan x1 || Float.is_nan x2 || Float.is_nan x3 || Float.is_nan x4 then
+      (neg_infinity, infinity)
+    else
+      make_out
+        (Float.min (Float.min x1 x2) (Float.min x3 x4))
+        (Float.max (Float.max x1 x2) (Float.max x3 x4))
+
+  let mul (al, ah) (bl, bh) = hull (al *. bl) (al *. bh) (ah *. bl) (ah *. bh)
+
+  let div (al, ah) (bl, bh) =
+    if bl <= 0.0 && 0.0 <= bh then (neg_infinity, infinity)
+    else hull (al /. bl) (al /. bh) (ah /. bl) (ah /. bh)
+
+  let add (al, ah) (bl, bh) = make_out (al +. bl) (ah +. bh)
+  let sub (al, ah) (bl, bh) = make_out (al -. bh) (ah -. bl)
+end
+
+(* Signed zeros, infinities, subnormals, the ends of the normal range, and
+   ordinary values. *)
+let specials =
+  [ 0.0; -0.0; infinity; neg_infinity; Float.succ 0.0; Float.pred 0.0; 1e-310; -3e-320;
+    Float.min_float; -.Float.min_float; Float.max_float; -.Float.max_float; 1.0; -1.0;
+    0.1; -2.5; 3.0; 1e300; -1e-300; nan ]
+
+(* Intervals through the public constructors only: points and one-rounding
+   enclosures of any float; exact finite bounds ([of_rat_bounds] is exact
+   on floats); their negations (which put -0 at an end); and half-infinite
+   ones from a quotient by an interval reaching the smallest subnormal. *)
+let gen_interval =
+  let open QCheck.Gen in
+  let f = frequency [ (3, oneofl specials); (2, float) ] in
+  let bounds a b =
+    if Float.is_finite a && Float.is_finite b then
+      IV.of_rat_bounds (Q.of_float (Float.min a b)) (Q.of_float (Float.max a b))
+    else IV.top
+  in
+  let above = IV.div (IV.point 1.0) (IV.of_rat_bounds (Q.of_float (Float.succ 0.0)) Q.one) in
+  frequency
+    [ (2, map IV.point f);
+      (1, map IV.of_float f);
+      (3, map2 bounds f f);
+      (2, map2 (fun a b -> IV.neg (bounds a b)) f f);
+      (1, map2 (fun a b -> IV.add (bounds a b) above) f f);
+      (1, map2 (fun a b -> IV.neg (IV.add (bounds a b) above)) f f);
+      (1, return IV.top) ]
+
+let arb_interval2 =
+  QCheck.make
+    ~print:(fun (a, b) -> Format.asprintf "%a %a" IV.pp a IV.pp b)
+    (QCheck.Gen.pair gen_interval gen_interval)
+
+let same_bits v (l, h) =
+  Int64.equal (Int64.bits_of_float (IV.lo v)) (Int64.bits_of_float l)
+  && Int64.equal (Int64.bits_of_float (IV.hi v)) (Int64.bits_of_float h)
+
+let ends v = (IV.lo v, IV.hi v)
+
+let bitwise_props =
+  let op name f old =
+    prop ~count:3000 (name ^ " = Float.min/max formula, bit for bit") arb_interval2
+      (fun (a, b) -> same_bits (f a b) (old (ends a) (ends b)))
+  in
+  [ op "mul" IV.mul Old.mul; op "div" IV.div Old.div; op "add" IV.add Old.add;
+    op "sub" IV.sub Old.sub ]
+
 let test_top_and_div_by_straddler () =
   Alcotest.(check bool) "top contains everything" true
     (IV.contains_rat IV.top (Q.of_ints 355 113));
@@ -97,6 +173,7 @@ let test_exact_point_arithmetic () =
 let () =
   Alcotest.run "fintval"
     [ ("soundness-props", soundness_props);
+      ("bitwise-props", bitwise_props);
       ( "units",
         [ Alcotest.test_case "top / div straddling zero" `Quick test_top_and_div_by_straddler;
           Alcotest.test_case "sqrt negative raises" `Quick test_sqrt_negative;
