@@ -1663,6 +1663,34 @@ let bechamel_suite () =
     let db = Gen.clustered_db ~seed:3 ~n:5000 () in
     fun () -> ignore (Grid.build ~cell:256.0 ~lo:(q 6) ~hi:(q 16) db)
   in
+  (* Kernel layer under a sweep: one Filtered k-NN past query of the
+     server's mixed-read shape -- two discs of 100 objects 10^4 apart,
+     40 time units of history with a chdir every fifth of a unit, k = 8
+     over a half-unit window. *)
+  let k7_filtered_knn_past =
+    let st = Moq_workload.Prng.create 3 in
+    let heading () =
+      let phi = Moq_workload.Prng.float st (2. *. Float.pi) in
+      let c x = q (Float.to_int (Float.round (5. *. x))) in
+      Qvec.of_list [ c (cos phi); c (sin phi) ]
+    in
+    let disc db ~first ~cx =
+      let db = ref db in
+      for j = 0 to 99 do
+        let r = 200. *. (float_of_int j +. 0.5) /. 100. in
+        let th = Moq_workload.Prng.float st (2. *. Float.pi) in
+        let at x = Float.to_int (Float.round (r *. x)) in
+        let b = Qvec.of_list [ q (cx + at (cos th)); q (at (sin th)) ] in
+        db := DB.add_initial !db (first + j) (T.linear ~start:(q 0) ~a:(heading ()) ~b)
+      done;
+      !db
+    in
+    let db = disc (disc (DB.empty ~dim:2 ~tau:(q 0)) ~first:1 ~cx:0) ~first:101 ~cx:10_000 in
+    let turn i = U.Chdir { oid = (i mod 200) + 1; tau = Q.of_ints (i + 1) 5; a = heading () } in
+    let db = DB.apply_all_exn db (List.init 200 turn) in
+    let gdist = Gdist.euclidean_sq ~gamma:(T.stationary ~start:(q 0) (Qvec.zero 2)) in
+    fun () -> ignore (KnnFl.run ~db ~gdist ~k:8 ~lo:(q 20) ~hi:(Q.of_ints 41 2))
+  in
   let tests =
     Test.make_grouped ~name:"moq" ~fmt:"%s:%s"
       [ Test.make ~name:"f3-example12-sweep" (Staged.stage knn_f3);
@@ -1679,6 +1707,7 @@ let bechamel_suite () =
         Test.make ~name:"k4-filtered-schedule-crossing" (Staged.stage k4_schedule);
         Test.make ~name:"k5-rat-to-float-small" (Staged.stage k5_to_float);
         Test.make ~name:"k6-grid-build" (Staged.stage k6_grid_build);
+        Test.make ~name:"k7-filtered-knn-past" (Staged.stage k7_filtered_knn_past);
       ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in

@@ -52,10 +52,28 @@ module type S = sig
   (** A scalar strictly greater than the instant (and at most [upto] when
       bounded; assumes the instant precedes [upto]). *)
 
+  type enclosure
+  (** A float enclosure of a polynomial's value at an instant. *)
+
+  val enclose : P.t -> instant -> enclosure
+  (** Encloses the value of the polynomial at the instant. *)
+
+  val order_enclosures : enclosure -> enclosure -> int option
+  (** [Some s] ([s] = ±1) only when the two enclosures are disjoint: [s]
+      is then the exact sign of the first enclosed value minus the second.
+      [None] when they overlap, and always on a backend without
+      enclosures: the caller decides exactly. *)
+
   val scalar_of_rat : Q.t -> P.F.t
   val curve_of_qpiece : Moq_poly.Piecewise.Qpiece.t -> PW.t
   val instant_to_float : instant -> float
+
+  val instant_to_string : instant -> string
+  (** The instant's text: for the exact backends, {!Moq_poly.Algnum.to_string}'s
+      canonical bytes. *)
+
   val pp_instant : Format.formatter -> instant -> unit
+  (** Prints {!instant_to_string}'s bytes. *)
 end
 
 module Exact :
@@ -96,6 +114,11 @@ struct
 
   let between a b = A.rational_between a b
 
+  type enclosure = unit
+
+  let enclose _ _ = ()
+  let order_enclosures () () = None
+
   let scalar_after i ~upto =
     match upto with
     | None -> A.rational_above i
@@ -104,6 +127,7 @@ struct
   let scalar_of_rat q = q
   let curve_of_qpiece c = c
   let instant_to_float = A.to_float
+  let instant_to_string = A.to_string
   let pp_instant = A.pp
 end
 
@@ -156,6 +180,11 @@ struct
   let all_roots = Moq_poly.Froots.real_roots
   let between a b = 0.5 *. (a +. b)
 
+  type enclosure = unit
+
+  let enclose _ _ = ()
+  let order_enclosures () () = None
+
   let scalar_after i ~upto =
     match upto with
     | None -> i +. 1.0
@@ -164,7 +193,8 @@ struct
   let scalar_of_rat = Q.to_float
   let curve_of_qpiece = Moq_poly.Piecewise.fpiece_of_qpiece
   let instant_to_float t = t
-  let pp_instant fmt t = Format.fprintf fmt "%g" t
+  let instant_to_string t = Printf.sprintf "%g" t
+  let pp_instant fmt t = Format.pp_print_string fmt (instant_to_string t)
 end
 
 (** Filtered exact backend.
@@ -379,6 +409,23 @@ end = struct
     in
     go p
 
+  type enclosure = IV.t
+
+  let enclose p i = Shadow.eval_at p i.iv
+
+  (* Disjoint enclosures prove the order; an overlap is left to the
+     caller's exact sign test, which counts its own decision. *)
+  let order_enclosures a b =
+    if IV.hi a < IV.lo b then begin
+      incr decisions;
+      Some (hit (-1))
+    end
+    else if IV.hi b < IV.lo a then begin
+      incr decisions;
+      Some (hit 1)
+    end
+    else None
+
   (* --- root filtering ------------------------------------------------- *)
 
   let linear_root p = Q.neg (Q.div (P.coeff p 0) (P.coeff p 1))
@@ -400,7 +447,8 @@ end = struct
     | Unsure  (** a double root, near-tangency, or an inconclusive discriminant *)
 
   let quad_roots p =
-    let a2 = Shadow.coeff p 2 and a1 = Shadow.coeff p 1 and a0 = Shadow.coeff p 0 in
+    let s = Shadow.of_qpoly p in
+    let a2 = s.(2) and a1 = s.(1) and a0 = s.(0) in
     let disc = IV.sub (IV.mul a1 a1) (IV.mul (IV.of_int 4) (IV.mul a2 a0)) in
     match IV.sign disc with
     | Some s when s < 0 -> No_real
@@ -536,7 +584,8 @@ end = struct
   let curve_of_qpiece c = c
   let instant_to_float i = A.to_float (exact i)
 
-  (* [A.pp]'s bytes depend only on the value, so a linear crossing held
-     as its [Rational] prints as Exact's root of the same line does. *)
-  let pp_instant fmt i = A.pp fmt (exact i)
+  (* [A.to_string]'s bytes depend only on the value, so a linear crossing
+     held as its [Rational] prints as Exact's root of the same line does. *)
+  let instant_to_string i = A.to_string (exact i)
+  let pp_instant fmt i = Format.pp_print_string fmt (instant_to_string i)
 end

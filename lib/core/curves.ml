@@ -33,22 +33,10 @@ module Make (B : Backend.S) = struct
       find (PW.pieces c)
     end
 
-  let value_sign_at (c : PW.t) (i : B.instant) : int =
-    B.sign_at_instant (fst (piece_at c i)) i
-
   (* Sign of (c1 - c2) at instant [i]; both curves must cover [i]. *)
   let diff_sign_at c1 c2 i =
     let p1, _ = piece_at c1 i and p2, _ = piece_at c2 i in
     B.sign_at_instant (P.sub p1 p2) i
-
-  (* Sign of (c1 - c2) immediately after [i] (the paper's τ' + ε ordering).
-     Note: the jet only sees the current pieces; by continuity this is the
-     correct one-sided sign whenever the difference is not identically zero
-     on the current piece.  A zero result means the curves coincide on a
-     neighbourhood to the right. *)
-  let diff_sign_after c1 c2 i =
-    let p1, _ = piece_at c1 i and p2, _ = piece_at c2 i in
-    B.sign_after_instant (P.sub p1 p2) i
 
   (* Do the curves have a polynomial in common anywhere?  Compares
      pieces only: no instant is looked at. *)
@@ -63,19 +51,23 @@ module Make (B : Backend.S) = struct
     let p1, _ = piece_at c1 i and p2, _ = piece_at c2 i in
     P.is_zero (P.sub p1 p2)
 
-  (* Merged piece boundaries of two curves restricted to their common
-     domain: returns [(start, poly_diff, stop_opt)] segments in order. *)
-  let diff_segments (c1 : PW.t) (c2 : PW.t) : (F.t * P.t * F.t option) list =
-    let ge a b = F.compare a b >= 0 in
-    let s = if ge (PW.start c1) (PW.start c2) then PW.start c1 else PW.start c2 in
+  (* The common domain of two curves: its start and its stop. *)
+  let common_domain (c1 : PW.t) (c2 : PW.t) : F.t * F.t option =
+    let s = if F.compare (PW.start c1) (PW.start c2) >= 0 then PW.start c1 else PW.start c2 in
     let stop =
       match PW.stop c1, PW.stop c2 with
       | None, x | x, None -> x
       | Some a, Some b -> Some (if F.compare a b <= 0 then a else b)
     in
     (match stop with
-     | Some e when F.compare s e > 0 -> invalid_arg "Curves.diff_segments: disjoint domains"
+     | Some e when F.compare s e > 0 -> invalid_arg "Curves: disjoint domains"
      | _ -> ());
+    (s, stop)
+
+  (* Merged piece boundaries of two curves restricted to their common
+     domain: returns [(start, poly_diff, stop_opt)] segments in order. *)
+  let diff_segments (c1 : PW.t) (c2 : PW.t) : (F.t * P.t * F.t option) list =
+    let s, stop = common_domain c1 c2 in
     let inside b =
       F.compare s b < 0 && (match stop with None -> true | Some e -> F.compare b e < 0)
     in
@@ -95,11 +87,6 @@ module Make (B : Backend.S) = struct
     in
     build starts
 
-  (* Earliest instant strictly after [after] (and at most [horizon], when
-     given) at which the two curves are equal.  Handles multi-piece curves
-     and segments where the curves coincide identically (the crossing is
-     then reported where they separate, via the root of the next segment's
-     difference at its boundary). *)
   (* Every instant in (after, horizon] at which the two curves are equal,
      ascending.  O(total roots) — the naive baseline's primitive. *)
   let all_crossings ~(after : B.instant) ?horizon (c1 : PW.t) (c2 : PW.t) : B.instant list =
@@ -123,45 +110,64 @@ module Make (B : Backend.S) = struct
       (diff_segments c1 c2)
     |> List.sort_uniq B.compare_instant
 
+  (* The pieces of a curve from the one in force at [a] on. *)
+  let rec pieces_from a = function
+    | _ :: ((b, _) :: _ as rest) when F.compare b a <= 0 -> pieces_from a rest
+    | l -> l
+
+  (* Earliest instant strictly after [after] (and at most [horizon], when
+     given) at which the two curves are equal.  Handles multi-piece curves
+     and segments where the curves coincide identically (the crossing is
+     then reported where they separate, via the root of the next segment's
+     difference at its boundary).  The merged breakpoints are walked one
+     segment at a time: a segment that ends before [after] is skipped
+     without building its difference, and the walk stops at the first
+     segment that holds a root. *)
   let first_crossing ~(after : B.instant) ?horizon (c1 : PW.t) (c2 : PW.t) : B.instant option =
-    let le_scalar a b = F.compare a b <= 0 in
-    let within_horizon (i : B.instant) =
-      match horizon with None -> true | Some h -> B.compare_instant_scalar i h <= 0
-    in
-    let segments = diff_segments c1 c2 in
-    let rec scan = function
-      | [] -> None
-      | (s, d, e) :: rest ->
-        (* skip segments entirely before [after] *)
-        let seg_relevant =
-          match e with
-          | Some e' -> B.compare_instant_scalar after e' < 0
-          | None -> true
-        in
-        let seg_started_past_horizon =
-          match horizon with Some h -> not (le_scalar s h) | None -> false
-        in
-        if seg_started_past_horizon then None
-        else if not seg_relevant then scan rest
-        else if P.is_zero d then begin
-          (* curves identical on this segment: they remain equal, no order
-             change here; a separation shows up as a root at the next
-             segment's start *)
-          scan rest
-        end
+    let s, stop = common_domain c1 c2 in
+    let next_start = function _ :: (b, _) :: _ -> Some b | _ -> None in
+    (* [l1] and [l2] start with the pieces in force on the segment that
+       starts at [a] *)
+    let rec scan a l1 l2 =
+      (* the next breakpoint inside the common domain, if any *)
+      let inner =
+        match next_start l1, next_start l2 with
+        | None, x | x, None -> x
+        | Some x, Some y -> Some (if F.compare x y <= 0 then x else y)
+      in
+      let inner =
+        match inner, stop with
+        | Some b, Some e when F.compare b e >= 0 -> None
+        | b, _ -> b
+      in
+      let e = match inner with Some _ -> inner | None -> stop in
+      let continue () =
+        match inner with
+        | Some b -> scan b (pieces_from b l1) (pieces_from b l2)
+        | None -> None
+      in
+      if (match horizon with Some h -> F.compare a h > 0 | None -> false) then None
+      else if (match e with Some e' -> B.compare_instant_scalar after e' >= 0 | None -> false)
+      then continue () (* the segment ends at or before [after] *)
+      else begin
+        let d = P.sub (snd (List.hd l1)) (snd (List.hd l2)) in
+        (* where the curves coincide identically the order does not
+           change; a separation shows up as a root at the next segment's
+           start *)
+        if P.is_zero d then continue ()
         else begin
           let candidate =
-            if B.compare_instant_scalar after s < 0 then B.first_root_at_or_after d s
+            if B.compare_instant_scalar after a < 0 then B.first_root_at_or_after d a
             else B.first_root_after d after
           in
           match candidate with
-          | Some r
-            when (match e with
-                  | Some e' -> B.compare_instant_scalar r e' <= 0
-                  | None -> true) ->
-            if within_horizon r then Some r else None
-          | _ -> scan rest
+          | Some r when (match e with Some e' -> B.compare_instant_scalar r e' <= 0 | None -> true) ->
+            (match horizon with
+             | Some h when B.compare_instant_scalar r h > 0 -> None
+             | _ -> Some r)
+          | _ -> continue ()
         end
+      end
     in
-    scan segments
+    scan s (pieces_from s (PW.pieces c1)) (pieces_from s (PW.pieces c2))
 end

@@ -25,9 +25,16 @@ module Make (B : Backend.S) = struct
     | Obj (o, k) -> Format.fprintf fmt "%a#%d" Oid.pp o k
     | Cst c -> Format.fprintf fmt "const(%a)" Q.pp c
 
+  (* The piece of an entry's curve in force at one instant and an
+     enclosure of its value there, keyed on that instant by physical
+     equality.  A sort or a bubble pass compares each entry with several
+     others at one instant; the memo finds and evaluates its piece once. *)
+  type memo = { at : B.instant; piece : B.P.t; enc : B.enclosure }
+
   type entry = {
     lbl : label;
-    mutable curve : PW.t;
+    mutable curve : PW.t;  (* assigned only through [set_curve] *)
+    mutable memo : memo option;
     mutable node : entry OL.handle option; (* Some iff currently on the sweep line *)
     mutable right_event : (B.instant, event_data) LH.handle option;
     mutable dead : bool; (* lifetime over (death processed or removed) *)
@@ -37,6 +44,29 @@ module Make (B : Backend.S) = struct
 
   let label e = e.lbl
   let curve e = e.curve
+
+  let new_entry lbl c = { lbl; curve = c; memo = None; node = None; right_event = None; dead = false }
+
+  let set_curve e c =
+    e.curve <- c;
+    e.memo <- None
+
+  let memo_at i e =
+    match e.memo with
+    | Some m when m.at == i -> m
+    | _ ->
+      let piece, _ = C.piece_at e.curve i in
+      let m = { at = i; piece; enc = B.enclose piece i } in
+      e.memo <- Some m;
+      m
+
+  (* Exact sign of [e1]'s value minus [e2]'s at [i]: from the memoised
+     enclosures when they are disjoint, else from the pieces' difference. *)
+  let value_sign_at i e1 e2 =
+    let m1 = memo_at i e1 and m2 = memo_at i e2 in
+    match B.order_enclosures m1.enc m2.enc with
+    | Some s -> s
+    | None -> B.sign_at_instant (B.P.sub m1.piece m2.piece) i
 
   include Sweep_cost
 
@@ -129,10 +159,12 @@ module Make (B : Backend.S) = struct
       note_cmp t e1;
       note_cmp t e2
     end;
-    let s = C.diff_sign_at e1.curve e2.curve i in
+    let s = value_sign_at i e1 e2 in
     if s <> 0 then s
     else begin
-      let s = C.diff_sign_after e1.curve e2.curve i in
+      (* the paper's τ' + ε order: the jet of the pieces in force, which
+         by continuity is the one-sided sign unless they coincide *)
+      let s = B.sign_after_instant (B.P.sub (memo_at i e1).piece (memo_at i e2).piece) i in
       if s <> 0 then s else compare_label e1.lbl e2.lbl
     end
 
@@ -248,7 +280,7 @@ module Make (B : Backend.S) = struct
     let entries =
       List.map
         (fun (lbl, c) ->
-          let e = { lbl; curve = c; node = None; right_event = None; dead = false } in
+          let e = new_entry lbl c in
           Hashtbl.replace t.by_label lbl e;
           e)
         curves
@@ -509,7 +541,7 @@ module Make (B : Backend.S) = struct
     if not (PW.defined_at c at) then invalid_arg "Engine.insert: curve not defined at insertion time"
     else begin
       move_clock t at;
-      let e = { lbl; curve = c; node = None; right_event = None; dead = false } in
+      let e = new_entry lbl c in
       Hashtbl.replace t.by_label lbl e;
       t.stats.births <- t.stats.births + 1;
       mount t t.now e;
@@ -540,7 +572,7 @@ module Make (B : Backend.S) = struct
     | None -> invalid_arg "Engine.replace_curve: no such live entry"
     | Some e ->
       move_clock t at;
-      e.curve <- c;
+      set_curve e c;
       (* the order at the current instant is unchanged (curves agree at the
          update time); only this entry's pending intersections move — but
          the new curve may leave the neighbourhood immediately (a crossing
@@ -558,7 +590,7 @@ module Make (B : Backend.S) = struct
     let entries = order t in
     List.iter
       (fun e ->
-        e.curve <- f e;
+        set_curve e (f e);
         e.right_event <- None)
       entries;
     let events = ref [] in
@@ -594,7 +626,7 @@ module Make (B : Backend.S) = struct
     Hashtbl.iter
       (fun _ e ->
         if e.node = None && not e.dead then begin
-          e.curve <- f e;
+          set_curve e (f e);
           let s = PW.start e.curve in
           if B.compare_instant_scalar t.now s < 0 then begin
             match t.horizon with

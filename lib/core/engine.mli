@@ -33,6 +33,13 @@ module Make (B : Backend.S) : sig
   val label : entry -> label
   val curve : entry -> B.PW.t
 
+  val value_sign_at : B.instant -> entry -> entry -> int
+  (** Exact sign of the first entry's curve value minus the second's at
+      the instant, which both curves must cover.  Reads the enclosures
+      and pieces each entry memoises per instant (the sweep's comparisons
+      fill the same memo) and computes exactly only when the enclosures
+      overlap.  Counts no comparison. *)
+
   type t
 
   include module type of struct include Sweep_cost end

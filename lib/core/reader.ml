@@ -53,10 +53,11 @@ module Make (B : Backend.S) = struct
      rest comparing the pieces in force decides it, evaluating nothing. *)
   let entries eng kind (step : E.step) : E.entry list =
     let tied a b =
-      let ca = E.curve a and cb = E.curve b in
       match step with
-      | E.Point i -> C.diff_sign_at ca cb i = 0
-      | E.Span _ -> C.share_piece ca cb && C.same_piece_at ca cb (sample step)
+      | E.Point i -> E.value_sign_at i a b = 0
+      | E.Span _ ->
+        let ca = E.curve a and cb = E.curve b in
+        C.share_piece ca cb && C.same_piece_at ca cb (sample step)
     in
     let rec run pivot j acc =
       match E.nth_entry eng j with

@@ -321,9 +321,9 @@ let root_of_enclosure p ~lo ~hi ~index =
 (* The printed form of a number is a wire token that peers byte-compare
    (resumed subscription streams, replica audits, the server against
    in-process Exact), but a [Root]'s live interval depends on the
-   comparisons it has been through.  So [pp] prints a canonical interval
-   that depends only on the polynomial and on which of its roots the
-   number is: it takes the Sturm cells of [r.p], picks the one whose
+   comparisons it has been through.  So [to_string] prints a canonical
+   interval that depends only on the polynomial and on which of its roots
+   the number is: it takes the Sturm cells of [r.p], picks the one whose
    isolating interval (or rational point) meets the number's interval —
    the exact [compare] runs only when several do — and bisects that
    starting interval to width below [canonical_width]
@@ -374,8 +374,11 @@ let canonical_text cell =
     (match rational_value c with
      | Some q -> Q.to_string q
      | None ->
-       Format.asprintf "root(%a) in (%a,%a) ~ %.6g" P.pp c.p Q.pp c.lo Q.pp c.hi
-         (Q.to_float (midpoint c.lo c.hi)))
+       let b = Buffer.create 128 in
+       List.iter (Buffer.add_string b)
+         [ "root("; P.to_string c.p; ") in ("; Q.to_string c.lo; ","; Q.to_string c.hi;
+           ") ~ "; Printf.sprintf "%.6g" (Q.to_float (midpoint c.lo c.hi)) ];
+       Buffer.contents b)
 
 (* The text memo: a squarefree polynomial's Sturm cells, each with its
    canonical text once some number has printed as it.  Direct-mapped and
@@ -409,21 +412,20 @@ let cell_text c =
     c.text <- Some s;
     s
 
-let pp fmt x =
+let to_string x =
   match x with
-  | Rational q -> Q.pp fmt q
+  | Rational q -> Q.to_string q
   | Root r ->
     let meets c =
       match c.iso with
       | Rational q -> Q.compare r.lo q < 0 && Q.compare q r.hi < 0
       | Root c -> Q.compare c.lo r.hi < 0 && Q.compare r.lo c.hi < 0
     in
-    let text =
-      match List.filter meets (Array.to_list (cells_of r.p)) with
-      | [ c ] -> cell_text c
-      | several ->
-        (match List.find_opt (fun c -> compare (copy c.iso) x = 0) several with
-         | Some c -> cell_text c
-         | None -> canonical_text (copy x) (* defensive: print our own copy *))
-    in
-    Format.pp_print_string fmt text
+    (match List.filter meets (Array.to_list (cells_of r.p)) with
+     | [ c ] -> cell_text c
+     | several ->
+       (match List.find_opt (fun c -> compare (copy c.iso) x = 0) several with
+        | Some c -> cell_text c
+        | None -> canonical_text (copy x) (* defensive: print our own copy *)))
+
+let pp fmt x = Format.pp_print_string fmt (to_string x)

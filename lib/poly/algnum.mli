@@ -93,7 +93,7 @@ val well_formed : t -> bool
     rational.  For tests. *)
 
 val text_memo_bound : int
-(** Polynomials whose Sturm cells and canonical texts {!pp} retains. *)
+(** Polynomials whose Sturm cells and canonical texts {!to_string} retains. *)
 
 val refine_until_width : t -> Q.t -> t
 (** [refine_until_width x w] bisects a root's isolating interval until it
@@ -103,9 +103,12 @@ val refine_until_width : t -> Q.t -> t
     returned unchanged.  Costs two exact sign tests unless a float
     estimate of the root misses, when the bisection runs step by step. *)
 
-val pp : Format.formatter -> t -> unit
+val to_string : t -> string
 (** Canonical bytes: they depend only on the number's value, never on its
     representation or on how far comparisons have refined its interval.
     A rational value prints as that rational, whether it is held as
     [of_rat q] or as a root of some polynomial; an irrational root prints
     as a canonical isolating cell of its defining polynomial. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}'s bytes. *)

@@ -19,6 +19,7 @@ module type ORDERED_FIELD = sig
   val is_zero : t -> bool
   val to_float : t -> float
   val of_float : float -> t
+  val to_string : t -> string
   val pp : Format.formatter -> t -> unit
 end
 
@@ -39,7 +40,8 @@ module Float_field : ORDERED_FIELD with type t = float = struct
   let is_zero x = x = 0.0
   let to_float x = x
   let of_float x = x
-  let pp fmt x = Format.fprintf fmt "%g" x
+  let to_string x = Printf.sprintf "%g" x
+  let pp fmt x = Format.pp_print_string fmt (to_string x)
 end
 
 (** Exact rationals as an [ORDERED_FIELD]. *)

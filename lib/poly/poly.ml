@@ -143,23 +143,29 @@ module Make (F : Field.ORDERED_FIELD) = struct
       F.add F.one !m
     end
 
-  let pp fmt p =
-    if is_zero p then Format.pp_print_string fmt "0"
+  let to_string p =
+    if is_zero p then "0"
     else begin
-      let first = ref true in
+      let b = Buffer.create 64 in
       for i = Array.length p - 1 downto 0 do
         if not (F.is_zero p.(i)) then begin
-          if not !first then Format.pp_print_string fmt " + ";
-          first := false;
-          if i = 0 then F.pp fmt p.(i)
+          if Buffer.length b > 0 then Buffer.add_string b " + ";
+          if i = 0 then Buffer.add_string b (F.to_string p.(i))
           else begin
-            if not (F.equal p.(i) F.one) then Format.fprintf fmt "%a*" F.pp p.(i);
-            if i = 1 then Format.pp_print_string fmt "t"
-            else Format.fprintf fmt "t^%d" i
+            if not (F.equal p.(i) F.one) then begin
+              Buffer.add_string b (F.to_string p.(i));
+              Buffer.add_char b '*'
+            end;
+            Buffer.add_char b 't';
+            if i > 1 then begin
+              Buffer.add_char b '^';
+              Buffer.add_string b (string_of_int i)
+            end
           end
         end
-      done
+      done;
+      Buffer.contents b
     end
 
-  let to_string p = Format.asprintf "%a" pp p
+  let pp fmt p = Format.pp_print_string fmt (to_string p)
 end

@@ -46,8 +46,3 @@ let retained () =
 
 (* Interval enclosure of p(x) for any real x in the interval. *)
 let eval_at (p : Qpoly.t) (x : IV.t) : IV.t = IV.eval (of_qpoly p) x
-
-(* Interval enclosure of the exact coefficient. *)
-let coeff (p : Qpoly.t) i : IV.t =
-  let s = of_qpoly p in
-  if i < Array.length s then s.(i) else IV.point 0.0

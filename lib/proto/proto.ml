@@ -9,16 +9,35 @@ let version = 1
 
 let must_escape c = c = '%' || c = ' ' || c = '\n' || c = '\t' || c = '\r'
 
+let hex = "0123456789ABCDEF"
+
+(* Each escaped byte becomes [%XX] (two upper-case hex digits): one pass
+   to size the result, one to fill it. *)
 let encode_token s =
-  if not (String.exists must_escape s) then s
+  let n = String.length s in
+  let escaped = ref 0 in
+  for i = 0 to n - 1 do
+    if must_escape s.[i] then incr escaped
+  done;
+  if !escaped = 0 then s
   else begin
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        if must_escape c then Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code c))
-        else Buffer.add_char b c)
-      s;
-    Buffer.contents b
+    let b = Bytes.create (n + (2 * !escaped)) in
+    let j = ref 0 in
+    for i = 0 to n - 1 do
+      let c = s.[i] in
+      if must_escape c then begin
+        let k = Char.code c in
+        Bytes.set b !j '%';
+        Bytes.set b (!j + 1) hex.[k lsr 4];
+        Bytes.set b (!j + 2) hex.[k land 15];
+        j := !j + 3
+      end
+      else begin
+        Bytes.set b !j c;
+        incr j
+      end
+    done;
+    Bytes.unsafe_to_string b
   end
 
 let decode_token s =

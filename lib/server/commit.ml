@@ -144,7 +144,7 @@ let wire_pieces pieces =
     match !last with
     | Some (j, w) when j == i -> w
     | _ ->
-      let w = Format.asprintf "%a" B.pp_instant i in
+      let w = B.instant_to_string i in
       last := Some (i, w);
       w
   in
@@ -547,10 +547,10 @@ let reset t ~emit db =
 (* Refresh the freshness gauges from a commit watermark: [head] is the
    primary's head seq as carried on the last repl frame.  Lag-in-updates
    is the watermark/applied delta; lag-in-ms is measured against the
-   local instant we first fell behind. *)
+   local instant we first fell behind, on the monotonic clock. *)
 let note_lag t ~head =
   let applied = match t.pos with Some (_, s) -> s | None -> 0 in
-  let now = Unix.gettimeofday () in
+  let now = Sink.monotonic () in
   if head > applied then begin
     if head > t.lag_target then begin
       if t.lag_target <= applied then t.lag_anchor <- now;

@@ -482,10 +482,10 @@ let writer_loop t sess =
                a.sa_bytes <- a.sa_bytes + String.length payload;
                a.sa_events <- a.sa_events + 1)
          | _ -> ());
+        let t_write = Sink.monotonic () in
         (match Frame.write sess.fd payload with
          | Ok () ->
-           Sink.observe t.sink "moq_stage_write_ns"
-             ((Unix.gettimeofday () -. now) *. 1e9);
+           Sink.observe t.sink "moq_stage_write_ns" ((Sink.monotonic () -. t_write) *. 1e9);
            if t.cfg.writer_delay > 0. then Thread.delay t.cfg.writer_delay;
            go ()
          | Error e ->

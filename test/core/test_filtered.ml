@@ -356,6 +356,310 @@ let test_deferred_crossing_prop =
          agree (BX.first_root_after p (A.of_rat s)) (BFl.first_root_after p (BFl.instant_of_scalar s))
          && agree (BX.first_root_at_or_after p s) (BFl.first_root_at_or_after p s)))
 
+(* ------------------------------------------------------------------ *)
+(* The engine's per-instant memo: Filtered = Exact step by step          *)
+(* ------------------------------------------------------------------ *)
+
+module DB = Moq_mod.Mobdb
+module U = Moq_mod.Update
+module QP = Moq_poly.Qpoly
+module Qpiece = Moq_poly.Piecewise.Qpiece
+
+(* One engine under an update stream, logged at every step the sweep
+   emits and after every update: the step with its instants as canonical
+   text, the 2-NN answer read there, the order and the comparison count.
+   The engine's invariants are checked after every update. *)
+module Drive (B : Core.Backend.S) = struct
+  module R = Core.Reader.Make (B)
+  module E = R.E
+
+  let labels eng = List.map (fun e -> Format.asprintf "%a" E.pp_label (E.label e)) (E.order eng)
+
+  let run ~db ~gdist ~lo ~hi ~updates =
+    let curve tr = B.curve_of_qpiece (Gdist.curve gdist tr) in
+    let s = B.scalar_of_rat in
+    let eng =
+      E.create ~start:(s lo) ~horizon:(s hi)
+        (List.map (fun (o, tr) -> (E.Obj (o, 0), curve tr)) (DB.objects db))
+    in
+    let log = ref [] in
+    let on_step step =
+      let what =
+        match step with
+        | E.Span (a, b) -> "span " ^ B.instant_to_string a ^ " " ^ B.instant_to_string b
+        | E.Point i -> "at " ^ B.instant_to_string i
+      in
+      let answer = Oid.Set.elements (R.answer eng (Core.Reader.Knn 2) step) in
+      log := (what, answer, labels eng, (E.stats eng).E.comparisons) :: !log
+    in
+    on_step (E.Point (E.now eng));
+    ignore
+      (List.fold_left
+         (fun db u ->
+           let tau = U.time u in
+           if Q.compare tau hi > 0 then db
+           else begin
+             E.advance eng ~upto:(s tau) ~emit:on_step;
+             let db = DB.apply_exn db u in
+             let lbl = E.Obj (U.oid u, 0) in
+             (match DB.find db (U.oid u), E.find eng lbl with
+              | Some tr, Some _ -> E.replace_curve eng ~at:(s tau) lbl (curve tr)
+              | Some tr, None when T.defined_at tr tau -> E.insert eng ~at:(s tau) lbl (curve tr)
+              | _ -> ());
+             E.check_invariants eng;
+             on_step (E.Point (E.now eng));
+             db
+           end)
+         db updates);
+    E.advance eng ~upto:(s hi) ~emit:on_step;
+    (List.rev !log, E.stats eng)
+end
+
+module DX = Drive (BX)
+module DFl = Drive (BFl)
+
+let same_drive name ~db ~gdist ~lo ~hi ~updates =
+  let lx, sx = DX.run ~db ~gdist ~lo ~hi ~updates
+  and lf, sf = DFl.run ~db ~gdist ~lo ~hi ~updates in
+  if List.length lx <> List.length lf then
+    QCheck.Test.fail_reportf "%s: %d steps on Exact, %d on Filtered" name (List.length lx)
+      (List.length lf);
+  List.iteri
+    (fun k ((wx, ax, ox, cx), (wf, af, off, cf)) ->
+      if wx <> wf || ax <> af || ox <> off || cx <> cf then
+        QCheck.Test.fail_reportf
+          "%s, step %d: Exact %s {%s} [%s] %d comparisons; Filtered %s {%s} [%s] %d" name k wx
+          (String.concat "," (List.map string_of_int ax)) (String.concat " " ox) cx wf
+          (String.concat "," (List.map string_of_int af)) (String.concat " " off) cf)
+    (List.combine lx lf);
+  if sx.DX.E.jumps <> sf.DFl.E.jumps || sx.DX.E.swaps <> sf.DFl.E.swaps then
+    QCheck.Test.fail_reportf "%s: jumps %d/%d, swaps %d/%d" name sx.DX.E.jumps sf.DFl.E.jumps
+      sx.DX.E.swaps sf.DFl.E.swaps;
+  sx
+
+(* Two objects of [db] again under fresh OIDs: identical curves, tied
+   on whole spans until an update separates them. *)
+let with_twins db =
+  List.fold_left
+    (fun db (o, tr) -> if o <= 2 then DB.add_initial db (o + 100) tr else db)
+    db (DB.objects db)
+
+(* Random databases and update streams: uniform with new/terminate/chdir,
+   engineered tangencies, a pencil whose common crossing falls on an
+   update instant, and twins. *)
+let test_memo_differential =
+  let gen = QCheck.Gen.(triple (int_bound 3) (int_range 1 10_000) (int_range 3 7)) in
+  let print (family, seed, n) = Printf.sprintf "family %d seed %d n %d" family seed n in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:80 ~name:"memoised comparisons: Filtered engine = Exact engine"
+       (QCheck.make ~print gen)
+       (fun (family, seed, n) ->
+         let name = print (family, seed, n) in
+         let lo = q 0 and hi = q 12 in
+         let db, gdist, updates =
+           match family with
+           | 0 ->
+             let db = Gen.uniform_db ~seed ~n ~dim:2 ~extent:20 ~speed:3 () in
+             (db, euclid_origin, Gen.mixed_stream ~seed ~db ~start:lo ~gap:(q 1) ~count:8 ~speed:3 ~extent:20 ())
+           | 1 ->
+             let db = Gen.tangency_db ~seed ~n:(2 * n) () in
+             (db, euclid_origin, Gen.chdir_stream ~seed ~db ~start:lo ~gap:(Q.of_ints 3 2) ~count:5 ())
+           | 2 ->
+             (* every pair crosses at 5, and the third update lands there *)
+             let db = Gen.pencil_db ~seed ~n ~at:(q 5) () in
+             (db, coord0, Gen.chdir_stream ~seed ~db ~start:(q 2) ~gap:(q 1) ~count:6 ())
+           | _ ->
+             let db = with_twins (Gen.uniform_db ~seed ~n ~dim:2 ~extent:20 ~speed:3 ()) in
+             (db, euclid_origin, Gen.chdir_stream ~seed ~db ~start:lo ~gap:(q 2) ~count:4 ~speed:3 ())
+         in
+         ignore (same_drive name ~db ~gdist ~lo ~hi ~updates);
+         true))
+
+(* A jump reposition: squared speed is piecewise constant, so every turn
+   in the history and every live chdir is a value discontinuity, which
+   re-inserts the entry at the jump instant. *)
+let test_memo_jumps () =
+  for seed = 1 to 15 do
+    let db0 = Gen.uniform_db ~seed ~n:6 ~dim:2 ~extent:20 ~speed:3 () in
+    let history = Gen.chdir_stream ~seed ~db:db0 ~start:(q 0) ~gap:(q 1) ~count:6 ~speed:3 () in
+    let db = DB.apply_all_exn db0 history in
+    let updates =
+      Gen.chdir_stream ~seed:(seed + 50) ~db ~start:(q 6) ~gap:(q 1) ~count:4 ~speed:3 ()
+    in
+    let s =
+      same_drive (Printf.sprintf "speed_sq seed %d" seed) ~db ~gdist:Gdist.speed_sq ~lo:(q 0)
+        ~hi:(q 12) ~updates
+    in
+    Alcotest.(check bool) "jumps repositioned entries" true (s.DX.E.jumps > 0)
+  done
+
+module EFl = DFl.E
+
+let line ~slope ~at0 = Qpiece.of_poly ~start:(q 0) (QP.of_list [ q at0; q slope ])
+
+(* Two lines at time 0, o1 below o2; [create]'s sort fills both memos at
+   the start instant [i0].  Removing o2 leaves o1 alone on the line, so
+   no later comparison refills its memo: only the curve assignment itself
+   can clear it. *)
+let lone_after_sort () =
+  let eng =
+    EFl.create ~start:(q 0) ~horizon:(q 10)
+      [ (EFl.Obj (1, 0), line ~slope:1 ~at0:0); (EFl.Obj (2, 0), line ~slope:(-1) ~at0:1) ]
+  in
+  let i0 = EFl.now eng in
+  let e1 = Option.get (EFl.find eng (EFl.Obj (1, 0)))
+  and e2 = Option.get (EFl.find eng (EFl.Obj (2, 0))) in
+  Alcotest.(check int) "o1 below o2 at the start" (-1) (EFl.value_sign_at i0 e1 e2);
+  EFl.remove eng ~at:(q 0) (EFl.Obj (2, 0));
+  (eng, i0, e1, e2)
+
+(* A curve replaced at an instant whose comparisons were just memoised
+   must not be read through the memo. *)
+let test_memo_replace_curve () =
+  let eng, i0, e1, e2 = lone_after_sort () in
+  EFl.replace_curve eng ~at:(q 0) (EFl.Obj (1, 0)) (line ~slope:0 ~at0:5);
+  Alcotest.(check int) "o1 above o2 once replaced" 1 (EFl.value_sign_at i0 e1 e2);
+  Alcotest.(check int) "the memo agrees with the curves"
+    (EFl.C.diff_sign_at (EFl.curve e1) (EFl.curve e2) i0)
+    (EFl.value_sign_at i0 e1 e2);
+  EFl.check_invariants eng
+
+(* Theorem 10's mass replacement clears every memo: through the monitor
+   (Filtered = Exact after a query chdir at an update instant), and
+   directly, with curves whose values move. *)
+module MonX = Core.Monitor.Make (BX)
+module MonFl = Core.Monitor.Make (BFl)
+
+let test_memo_chdir_query () =
+  for seed = 1 to 10 do
+    let db = Gen.uniform_db ~seed ~n:8 ~dim:2 ~extent:20 ~speed:3 () in
+    let updates = Gen.chdir_stream ~seed ~db ~start:(q 0) ~gap:(q 1) ~count:6 ~speed:3 () in
+    let query = Core.Fof.nearest_q ~interval:(Core.Fof.Interval.closed (q 0) (q 20)) in
+    let gamma = T.stationary ~start:(q 0) (Qvec.zero 2) in
+    let gdist' = Gdist.euclidean_sq ~gamma:(T.chdir gamma (q 3) (Qvec.of_list [ q 1; q 1 ])) in
+    let mx = MonX.create ~db ~gdist:(Gdist.euclidean_sq ~gamma) ~query ()
+    and mf = MonFl.create ~db ~gdist:(Gdist.euclidean_sq ~gamma) ~query () in
+    List.iteri
+      (fun k u ->
+        MonX.apply_update_exn mx u;
+        MonFl.apply_update_exn mf u;
+        if k = 2 then begin
+          MonX.chdir_query mx ~tau:(U.time u) ~gdist:gdist';
+          MonFl.chdir_query mf ~tau:(U.time u) ~gdist:gdist'
+        end)
+      updates;
+    Alcotest.(check string) (Printf.sprintf "seed %d: timelines" seed)
+      (Format.asprintf "%a" MonX.TL.pp (MonX.finalize mx))
+      (Format.asprintf "%a" MonFl.TL.pp (MonFl.finalize mf));
+    Alcotest.(check int) (Printf.sprintf "seed %d: comparisons" seed)
+      (MonX.stats mx).MonX.E.comparisons (MonFl.stats mf).MonFl.E.comparisons
+  done;
+  let eng, i0, e1, e2 = lone_after_sort () in
+  EFl.replace_all_curves eng ~at:(q 0) (fun e ->
+      if e == e1 then line ~slope:0 ~at0:5 else EFl.curve e);
+  Alcotest.(check int) "mass replacement: o1 above o2" 1 (EFl.value_sign_at i0 e1 e2);
+  EFl.check_invariants eng
+
+(* ------------------------------------------------------------------ *)
+(* Lazy crossing search = the eager segment scan                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The crossing search as it was before the lazy walk: build every
+   segment's difference, then scan them in order. *)
+module Eager (B : Core.Backend.S) = struct
+  module C = Core.Curves.Make (B)
+
+  let first_crossing ~after ?horizon c1 c2 =
+    let within_horizon i =
+      match horizon with None -> true | Some h -> B.compare_instant_scalar i h <= 0
+    in
+    let rec scan = function
+      | [] -> None
+      | (s, d, e) :: rest ->
+        let relevant =
+          match e with Some e' -> B.compare_instant_scalar after e' < 0 | None -> true
+        in
+        if (match horizon with Some h -> B.P.F.compare s h > 0 | None -> false) then None
+        else if (not relevant) || B.P.is_zero d then scan rest
+        else begin
+          let candidate =
+            if B.compare_instant_scalar after s < 0 then B.first_root_at_or_after d s
+            else B.first_root_after d after
+          in
+          match candidate with
+          | Some r
+            when (match e with Some e' -> B.compare_instant_scalar r e' <= 0 | None -> true) ->
+            if within_horizon r then Some r else None
+          | _ -> scan rest
+        end
+    in
+    scan (C.diff_segments c1 c2)
+end
+
+module EagerX = Eager (BX)
+module CX = Core.Curves.Make (BX)
+module CFl = Core.Curves.Make (BFl)
+
+(* Random piecewise quadratics with small integer coefficients on integer
+   breakpoints (so segments share polynomials, touch and cross at
+   breakpoints), searched from integer and irrational instants, with and
+   without a horizon; on Exact against the eager scan, and on Filtered
+   against Exact. *)
+let test_lazy_crossing_prop =
+  let open QCheck.Gen in
+  let poly = map QP.of_list (list_size (1 -- 3) (map q (-3 -- 3))) in
+  let curve =
+    map3
+      (fun start gaps polys ->
+        let starts =
+          List.rev (List.fold_left (fun acc g -> (List.hd acc + g) :: acc) [ start ] gaps)
+        in
+        let pieces = List.combine (List.map q starts) (List.filteri (fun i _ -> i <= List.length gaps) polys) in
+        (pieces, List.nth starts (List.length starts - 1)))
+      (-2 -- 2) (list_size (0 -- 3) (1 -- 3)) (list_repeat 4 poly)
+  in
+  let with_stop =
+    map2
+      (fun (pieces, last) stop ->
+        match stop with Some d -> Qpiece.make ~stop:(q (last + d)) pieces | None -> Qpiece.make pieces)
+      curve (opt (1 -- 4))
+  in
+  let gen = quad with_stop with_stop (-3 -- 8) (pair bool (opt (0 -- 12))) in
+  let print (c1, c2, a, (irr, h)) =
+    Format.asprintf "c1 = %a; c2 = %a; after %d%s; horizon %s" Qpiece.pp c1 Qpiece.pp c2 a
+      (if irr then " + sqrt 2 / 4" else "")
+      (match h with Some h -> string_of_int h | None -> "none")
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name:"lazy crossing search = eager segment scan"
+       (QCheck.make ~print gen)
+       (fun (c1, c2, a, (irr, h)) ->
+         let lo = Q.max (Qpiece.start c1) (Qpiece.start c2) in
+         let hi =
+           match Qpiece.stop c1, Qpiece.stop c2 with
+           | None, x | x, None -> x
+           | Some x, Some y -> Some (Q.min x y)
+         in
+         QCheck.assume (match hi with Some e -> Q.compare lo e <= 0 | None -> true);
+         let after =
+           if irr then
+             (* a + sqrt 2 / 4, the larger root of 8t^2 - 16at + 8a^2 - 1 *)
+             let a = q a in
+             List.nth (A.roots (QP.of_list [ Q.sub (Q.mul (q 8) (Q.mul a a)) Q.one; Q.mul (q (-16)) a; q 8 ])) 1
+           else A.of_rat (q a)
+         in
+         let horizon = Option.map q h in
+         let ex = CX.first_crossing ~after ?horizon c1 c2 in
+         let eager = EagerX.first_crossing ~after ?horizon c1 c2 in
+         let fl = CFl.first_crossing ~after:(BFl.of_algnum after) ?horizon c1 c2 in
+         let same a b =
+           match a, b with
+           | None, None -> true
+           | Some a, Some b -> A.compare a b = 0
+           | _ -> false
+         in
+         same ex eager && same ex (Option.map BFl.to_algnum fl)))
+
 let () =
   Alcotest.run "filtered-backend"
     [
@@ -371,5 +675,15 @@ let () =
           Alcotest.test_case "own-root successor of a quadratic" `Quick
             test_own_root_successor;
           test_deferred_crossing_prop;
+        ] );
+      ( "memo",
+        [
+          test_memo_differential;
+          Alcotest.test_case "jump repositions on speed_sq" `Quick test_memo_jumps;
+          Alcotest.test_case "replace_curve at a memoised instant" `Quick
+            test_memo_replace_curve;
+          Alcotest.test_case "chdir_query and replace_all_curves" `Quick
+            test_memo_chdir_query;
+          test_lazy_crossing_prop;
         ] );
     ]

@@ -32,8 +32,9 @@ let test_shadow_memo_bound () =
           [ Q.of_ints (i + 1) 7; Q.of_ints (-(i * i) - 1) 13; Q.add (q i) (Q.of_ints 1 3) ])
   in
   let encloses p =
-    let s = Array.init (QP.degree p + 1) (Shadow.coeff p) in
-    List.for_all2
+    let s = Shadow.of_qpoly p in
+    Array.length s = QP.degree p + 1
+    && List.for_all2
       (fun c iv ->
         Q.compare (Q.of_float (IV.lo iv)) c <= 0 && Q.compare c (Q.of_float (IV.hi iv)) <= 0)
       (QP.to_list p) (Array.to_list s)

@@ -120,6 +120,30 @@ let test_token_codec () =
   Alcotest.(check string) "percent and whitespace" tricky
     (Proto.decode_token (Proto.encode_token tricky))
 
+(* The escape formula [encode_token] had when it went through Printf. *)
+let encode_token_formula s =
+  let must_escape c = c = '%' || c = ' ' || c = '\n' || c = '\t' || c = '\r' in
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      if must_escape c then Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code c))
+      else Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+(* Arbitrary bytes, weighted towards the escaped ones. *)
+let arb_token_bytes =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      string_size (0 -- 40)
+        ~gen:(frequency [ (3, char); (2, oneofl [ '%'; ' '; '\n'; '\t'; '\r'; '2'; '0' ]) ]))
+
+let prop_token_formula =
+  QCheck.Test.make ~name:"encode_token = Printf formula, decode inverts it" ~count:1000
+    arb_token_bytes (fun s ->
+      let enc = Proto.encode_token s in
+      enc = encode_token_formula s && Proto.decode_token enc = s)
+
 let requests =
   [ Proto.Hello 1;
     Proto.Update (U.New { oid = 3; tau = q 7; a = vec [ 1; 0 ]; b = vec [ 5; 5 ] });
@@ -520,7 +544,8 @@ let () =
          Alcotest.test_case "piece roundtrip" `Quick test_piece_roundtrip;
          Alcotest.test_case "agg wire grammar" `Quick test_agg_wire;
          Alcotest.test_case "malformed requests" `Quick test_malformed_requests;
-         Alcotest.test_case "malformed server msgs" `Quick test_malformed_server_msgs ]);
+         Alcotest.test_case "malformed server msgs" `Quick test_malformed_server_msgs;
+         QCheck_alcotest.to_alcotest prop_token_formula ]);
       ("attrs",
        Alcotest.test_case "full roundtrip" `Quick test_attrs_roundtrip
        :: Alcotest.test_case "free text untouched" `Quick
