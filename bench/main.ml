@@ -1666,8 +1666,9 @@ let bechamel_suite () =
   (* Kernel layer under a sweep: one Filtered k-NN past query of the
      server's mixed-read shape -- two discs of 100 objects 10^4 apart,
      40 time units of history with a chdir every fifth of a unit, k = 8
-     over a half-unit window. *)
-  let k7_filtered_knn_past =
+     over a half-unit window.  k7 builds every curve (cold); k8 reads them
+     through a warm curve store, as the server's repeat queries do. *)
+  let k7_db, k7_gdist =
     let st = Moq_workload.Prng.create 3 in
     let heading () =
       let phi = Moq_workload.Prng.float st (2. *. Float.pi) in
@@ -1688,8 +1689,18 @@ let bechamel_suite () =
     let db = disc (disc (DB.empty ~dim:2 ~tau:(q 0)) ~first:1 ~cx:0) ~first:101 ~cx:10_000 in
     let turn i = U.Chdir { oid = (i mod 200) + 1; tau = Q.of_ints (i + 1) 5; a = heading () } in
     let db = DB.apply_all_exn db (List.init 200 turn) in
-    let gdist = Gdist.euclidean_sq ~gamma:(T.stationary ~start:(q 0) (Qvec.zero 2)) in
-    fun () -> ignore (KnnFl.run ~db ~gdist ~k:8 ~lo:(q 20) ~hi:(Q.of_ints 41 2))
+    (db, Gdist.euclidean_sq ~gamma:(T.stationary ~start:(q 0) (Qvec.zero 2)))
+  in
+  let k7_filtered_knn_past () =
+    ignore (KnnFl.run ~db:k7_db ~gdist:k7_gdist ~k:8 ~lo:(q 20) ~hi:(Q.of_ints 41 2))
+  in
+  let k8_knn_past_warm =
+    let store = Moq_core.Curve_store.create k7_gdist in
+    let run () =
+      KnnFl.run_store ~sink:Sink.noop ~store ~db:k7_db ~k:8 ~lo:(q 20) ~hi:(Q.of_ints 41 2)
+    in
+    ignore (run ());
+    fun () -> ignore (run ())
   in
   let tests =
     Test.make_grouped ~name:"moq" ~fmt:"%s:%s"
@@ -1708,6 +1719,7 @@ let bechamel_suite () =
         Test.make ~name:"k5-rat-to-float-small" (Staged.stage k5_to_float);
         Test.make ~name:"k6-grid-build" (Staged.stage k6_grid_build);
         Test.make ~name:"k7-filtered-knn-past" (Staged.stage k7_filtered_knn_past);
+        Test.make ~name:"k8-knn-past-warm" (Staged.stage k8_knn_past_warm);
       ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in

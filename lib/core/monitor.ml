@@ -58,10 +58,17 @@ module Make (B : Backend.S) = struct
     E.advance m.engine ~upto:(B.scalar_of_rat upto) ~emit
 
   (* Theorem 5(1): initialization, O(N log N). *)
-  let create ?(sink = Sink.noop) ?(attr = true) ?(materialize = true) ~(db : DB.t)
+  let create ?(sink = Sink.noop) ?(attr = true) ?(materialize = true) ?curves ~(db : DB.t)
       ~(gdist : Gdist.t) ~(query : Fof.query) () : t =
     let lo, hi = interval_bounds query in
-    let p = P.create ~db ~gdist ~query ~istart:lo in
+    let p =
+      match curves with
+      | None -> P.create ~db ~gdist ~query ~istart:lo
+      | Some store ->
+        if Curve_store.gdist store != gdist then
+          invalid_arg "Monitor.create: curve store of another g-distance";
+        P.create_stored ~store ~db ~query ~istart:lo
+    in
     let eng =
       E.create ~sink ~attr ~start:(B.scalar_of_rat lo) ~horizon:(B.scalar_of_rat hi)
         (P.entry_list p)
@@ -112,11 +119,17 @@ module Make (B : Backend.S) = struct
     end
 
   (* Theorem 5(2): one update, O(m log N) where m is the number of support
-     changes since the previous update. *)
-  let apply_update_raw m (u : U.t) : (unit, DB.error) result =
+     changes since the previous update.  [committed] is the MOD after [u]
+     when the caller already holds it (a server's store): the monitor
+     adopts it in place of its own copy, so monitors over one MOD hold the
+     same trajectories and share their curves through one {!Curve_store}.
+     It must equal the monitor's MOD with [u] applied, which is still
+     computed to validate [u]. *)
+  let apply_update_raw ?committed m (u : U.t) : (unit, DB.error) result =
     match DB.apply m.db u with
     | Error e -> Error e
     | Ok db' ->
+      let db' = Option.value committed ~default:db' in
       let tau = U.time u in
       let tau_eff = Q.min tau m.hi in
       if Q.compare m.clock tau_eff < 0 then advance_engine m tau_eff;
@@ -169,14 +182,14 @@ module Make (B : Backend.S) = struct
   (* Corollary 6 check: per-update latency and the support-change count m
      this update triggered (events processed while advancing to the update
      time, plus the update's own births/deaths). *)
-  let apply_update m (u : U.t) : (unit, DB.error) result =
-    if not (Sink.active m.sink) then apply_update_raw m u
+  let apply_update ?committed m (u : U.t) : (unit, DB.error) result =
+    if not (Sink.active m.sink) then apply_update_raw ?committed m u
     else begin
       Sink.count m.sink "moq_monitor_updates_total" 1;
       let s0 = E.support_changes (E.stats m.engine) in
       let r =
         Sink.time m.sink "moq_monitor_update_seconds" (fun () ->
-            apply_update_raw m u)
+            apply_update_raw ?committed m u)
       in
       (match r with
        | Ok () ->

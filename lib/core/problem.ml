@@ -14,6 +14,8 @@ module Make (B : Backend.S) = struct
 
   type t = {
     mutable gdist : Gdist.t;
+    mutable store : Curve_store.t option;
+        (** where the base curves of [gdist] are read; [None]: built afresh *)
     tts : Fof.time_term array;
     consts : Q.t list;
     query : Fof.query;
@@ -34,22 +36,24 @@ module Make (B : Backend.S) = struct
     in
     find 0
 
-  (* The curve of f(o, θ(t)), exact; [None] when the composed domain is
-     empty (e.g. a constant time term outside the object's lifetime). *)
-  let qcurve gdist (tr : T.t) (tt : Fof.time_term) ~(istart : Q.t) : Qpiece.t option =
-    let base = Gdist.curve gdist tr in
-    if Q.sign tt.Fof.scale > 0 then
+  (* The curve of f(o, θ(t)) from the base curve f(o, t), exact; [None]
+     when the composed domain is empty (e.g. a constant time term outside
+     the object's lifetime).  θ(t) = t leaves the base curve as it is. *)
+  let qcurve (base : Qpiece.t) (tt : Fof.time_term) ~(istart : Q.t) : Qpiece.t option =
+    if Q.equal tt.Fof.scale Q.one && Q.sign tt.Fof.offset = 0 then Some base
+    else if Q.sign tt.Fof.scale > 0 then
       Some (Qpiece.compose_affine base ~scale:tt.Fof.scale ~offset:tt.Fof.offset)
     else if Qpiece.defined_at base tt.Fof.offset then
       Some (Qpiece.constant ~start:istart (Qpiece.eval base tt.Fof.offset))
     else None
 
-  let curves_of p tr =
-    Array.map
-      (fun tt -> Option.map B.curve_of_qpiece (qcurve p.gdist tr tt ~istart:p.istart))
-      p.tts
+  let curves_of p base =
+    Array.map (fun tt -> Option.map B.curve_of_qpiece (qcurve base tt ~istart:p.istart)) p.tts
 
-  let create ~(db : DB.t) ~(gdist : Gdist.t) ~(query : Fof.query) ~(istart : Q.t) : t =
+  let base_curve p o tr =
+    match p.store with Some s -> Curve_store.curve s o tr | None -> Gdist.curve p.gdist tr
+
+  let make ~store ~(db : DB.t) ~(gdist : Gdist.t) ~(query : Fof.query) ~(istart : Q.t) : t =
     if not (Fof.free_ok query) then invalid_arg "Problem: ill-formed query";
     let tts =
       match Fof.time_terms query with
@@ -58,6 +62,7 @@ module Make (B : Backend.S) = struct
     in
     let p =
       { gdist;
+        store;
         tts;
         consts = Fof.constants query;
         query;
@@ -66,12 +71,22 @@ module Make (B : Backend.S) = struct
         curves = Oid.Map.empty;
       }
     in
+    let objs =
+      (match store with Some s -> Curve_store.curves s | None -> Curve_store.build gdist)
+        db (fun o tr base -> (o, tr, curves_of p base))
+    in
     List.iter
-      (fun (o, tr) ->
+      (fun (o, tr, arr) ->
         p.lifetimes <- Oid.Map.add o (T.birth tr, T.death tr) p.lifetimes;
-        p.curves <- Oid.Map.add o (curves_of p tr) p.curves)
-      (DB.objects db);
+        p.curves <- Oid.Map.add o arr p.curves)
+      objs;
     p
+
+  let create ~db ~gdist ~query ~istart = make ~store:None ~db ~gdist ~query ~istart
+
+  (* the base curves read through [store], and later updates' through it too *)
+  let create_stored ~store ~db ~query ~istart =
+    make ~store:(Some store) ~db ~gdist:(Curve_store.gdist store) ~query ~istart
 
   let entry_list p : (E.label * B.PW.t) list =
     let obj_entries =
@@ -115,18 +130,18 @@ module Make (B : Backend.S) = struct
 
   let add_object p o tr =
     p.lifetimes <- Oid.Map.add o (T.birth tr, T.death tr) p.lifetimes;
-    let arr = curves_of p tr in
+    let arr = curves_of p (base_curve p o tr) in
     p.curves <- Oid.Map.add o arr p.curves;
     arr
 
-  let update_object p o tr =
-    p.lifetimes <- Oid.Map.add o (T.birth tr, T.death tr) p.lifetimes;
-    let arr = curves_of p tr in
-    p.curves <- Oid.Map.add o arr p.curves;
-    arr
+  let update_object = add_object
 
+  (* a new g-distance: the store, which holds the old one's curves, is
+     left behind *)
   let set_gdist p gdist db =
     p.gdist <- gdist;
-    List.iter (fun (o, tr) -> p.curves <- Oid.Map.add o (curves_of p tr) p.curves)
-      (DB.objects db)
+    p.store <- None;
+    List.iter
+      (fun (o, arr) -> p.curves <- Oid.Map.add o arr p.curves)
+      (Curve_store.build gdist db (fun o _ base -> (o, curves_of p base)))
 end

@@ -17,14 +17,21 @@ module Make (B : Backend.S) = struct
     stats : E.stats;
   }
 
-  let run ~(db : DB.t) ~(gdist : Gdist.t) ~(bound : Q.t) ~(lo : Q.t) ~(hi : Q.t) : result =
+  let entry o _ c = (E.Obj (o, 0), B.curve_of_qpiece c)
+
+  let run_entries ~bound ~lo ~hi objs =
     let entries =
-      (E.Cst bound, B.PW.constant ~start:(B.scalar_of_rat lo) (B.scalar_of_rat bound))
-      :: List.map
-           (fun (o, tr) -> (E.Obj (o, 0), B.curve_of_qpiece (Gdist.curve gdist tr)))
-           (DB.objects db)
+      (E.Cst bound, B.PW.constant ~start:(B.scalar_of_rat lo) (B.scalar_of_rat bound)) :: objs
     in
     let eng = E.create ~start:(B.scalar_of_rat lo) ~horizon:(B.scalar_of_rat hi) entries in
     let timeline = R.timeline eng ~lo ~hi (R.answer eng (Reader.Within bound)) in
     { timeline; stats = E.stats eng }
+
+  let run ~(db : DB.t) ~(gdist : Gdist.t) ~(bound : Q.t) ~(lo : Q.t) ~(hi : Q.t) : result =
+    run_entries ~bound ~lo ~hi (Curve_store.build gdist db entry)
+
+  (* [run] with the curves read through a store of [gdist] *)
+  let run_store ~(store : Curve_store.t) ~(db : DB.t) ~(bound : Q.t) ~(lo : Q.t) ~(hi : Q.t)
+      : result =
+    run_entries ~bound ~lo ~hi (Curve_store.curves store db entry)
 end

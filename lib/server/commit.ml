@@ -30,6 +30,7 @@ module Knn = Moq_core.Knn.Make (B)
 module Range = Moq_core.Range_query.Make (B)
 module Fof = Moq_core.Fof
 module Gdist = Moq_core.Gdist
+module CS = Moq_core.Curve_store
 module TL = Mon.TL
 
 type output =
@@ -69,6 +70,8 @@ type t = {
   slow_query_ms : float;
   hot_objects : bool;
   dim : int;
+  euclid : CS.t;  (* squared distance to [origin_gamma dim] *)
+  speed : CS.t;  (* squared speed *)
   mutable store : Store.t;  (* replaced wholesale on a follower snapshot reset *)
   mutable san : Sanitize.t;
   mutable subs : sub list;  (* newest first *)
@@ -91,6 +94,10 @@ type t = {
   mutable divergence : int;
 }
 
+(* The reference trajectory for origin-relative distances must be alive
+   before any queried interval; a very early start covers every sane use. *)
+let origin_gamma dim = T.stationary ~start:(Q.of_int (-1_000_000_000)) (Qvec.zero dim)
+
 let fresh_epoch () = int_of_float (Unix.gettimeofday () *. 1e6) land max_int
 
 let create ~reg ~sink ~tracer ~recorder ~fsync ~checkpoint_every ~dir ~init_db
@@ -105,8 +112,11 @@ let create ~reg ~sink ~tracer ~recorder ~fsync ~checkpoint_every ~dir ~init_db
   in
   Result.map
     (fun store ->
+      let dim = Store.dim store in
       { reg; sink; tracer; recorder; fsync; checkpoint_every; dir; digest_every;
-        slow_query_ms; hot_objects; dim = Store.dim store; store;
+        slow_query_ms; hot_objects; dim;
+        euclid = CS.create (Gdist.euclidean_sq ~gamma:(origin_gamma dim));
+        speed = CS.create Gdist.speed_sq; store;
         san = Sanitize.create ~sink (); subs = []; next_sub = 1;
         epoch = fresh_epoch (); seq = 0; backlog = Queue.create (); since_digest = 0;
         followers = []; pos = None; lag_target = 0; lag_anchor = 0.; divergence = 0 })
@@ -165,20 +175,18 @@ let wire_row (r : Agg.row) =
 (* ---------------------------------------------------------------- *)
 (* Queries and subscriptions                                         *)
 
-(* The reference trajectory for origin-relative distances must be alive
-   before any queried interval; a very early start covers every sane use. *)
-let gamma_start = Q.of_int (-1_000_000_000)
+(* Every curve store of the core, one per g-distance it sweeps. *)
+let curve_stores t = [ t.euclid; t.speed ]
 
-let origin_gamma dim = T.stationary ~start:gamma_start (Qvec.zero dim)
-
-let gdist_of_kind ~dim = function
-  | Proto.Sub_knn _ | Proto.Sub_range _ | Proto.Sub_gdist (Proto.Euclidean_sq, _) ->
-    Gdist.euclidean_sq ~gamma:(origin_gamma dim)
-  | Proto.Sub_gdist (Proto.Speed_sq, _) -> Gdist.speed_sq
+let store_of_kind t = function
+  | Proto.Sub_knn _ | Proto.Sub_range _ | Proto.Sub_gdist (Proto.Euclidean_sq, _) -> t.euclid
+  | Proto.Sub_gdist (Proto.Speed_sq, _) -> t.speed
   | Proto.Sub_agg _ ->
     (* never monitored through a single g-distance: the subscribe path
        builds one monitor per POI inside Agg.Cont instead *)
     invalid_arg "agg subscriptions have no single g-distance"
+
+let gdist_of_kind t kind = CS.gdist (store_of_kind t kind)
 
 let query_of_kind kind ~lo ~hi =
   let interval = Fof.Interval.closed lo hi in
@@ -201,11 +209,10 @@ let affinity_shard_of_pos pos =
   Moq_index.Grid.cell_of ~cell:affinity_cell (x, y)
 
 (* The cell of the subscription's reference trajectory when the
-   subscription starts.  Speed-relative subscriptions have no spatial
-   anchor; they share the origin cell. *)
-let affinity_shard_of_sub t kind ~lo =
+   subscription starts.  Origin-relative subscriptions sit in the origin
+   cell; speed-relative ones have no spatial anchor and share it. *)
+let affinity_shard_of_sub t kind =
   match kind with
-  | Proto.Sub_gdist (Proto.Speed_sq, _) -> affinity_shard_of_pos (Qvec.zero t.dim)
   | Proto.Sub_agg { pois; _ } ->
     (* anchored at the first POI; a multi-POI subscription has no single
        home cell, but the first is as good a routing key as any *)
@@ -214,11 +221,8 @@ let affinity_shard_of_sub t kind ~lo =
        let y = match rest with y :: _ -> y | [] -> Q.zero in
        Moq_index.Grid.cell_of ~cell:affinity_cell (Q.to_float x, Q.to_float y)
      | _ -> affinity_shard_of_pos (Qvec.zero t.dim))
-  | Proto.Sub_knn _ | Proto.Sub_range _ | Proto.Sub_gdist (Proto.Euclidean_sq, _) ->
-    let gamma = origin_gamma t.dim in
-    let at = Q.max lo gamma_start in
-    if T.defined_at gamma at then affinity_shard_of_pos (T.position_exn gamma at)
-    else affinity_shard_of_pos (Qvec.zero t.dim)
+  | Proto.Sub_knn _ | Proto.Sub_range _ | Proto.Sub_gdist _ ->
+    affinity_shard_of_pos (Qvec.zero t.dim)
 
 (* The cell the updated object lands in, from the post-commit MOD.  None
    when the update leaves the object undefined at its own timestamp (a
@@ -299,7 +303,7 @@ let fanout t ~emit u =
       let t0 = Sink.monotonic () in
       (match
          match sub.body with
-         | S_mon mon -> Mon.apply_update mon u
+         | S_mon mon -> Mon.apply_update ~committed:(Store.db t.store) mon u
          | S_agg agg -> AggB.Cont.apply_update agg u
        with
        | Ok () -> ()
@@ -395,15 +399,17 @@ let subscribe t ~owner kind ~lo ~hi =
       Sink.count t.sink "moq_agg_subscriptions_total" 1;
       S_agg agg
     | _ ->
-      let gdist = gdist_of_kind ~dim:t.dim kind in
+      let curves = store_of_kind t kind in
       let query = query_of_kind kind ~lo ~hi in
-      S_mon (Mon.create ~sink:t.sink ~attr:t.hot_objects ~db ~gdist ~query ())
+      S_mon
+        (Mon.create ~sink:t.sink ~attr:t.hot_objects ~curves ~db ~gdist:(CS.gdist curves)
+           ~query ())
   with
   | exception (Invalid_argument m | Failure m) -> Error m
   | body ->
     let id = t.next_sub in
     t.next_sub <- t.next_sub + 1;
-    let shard = affinity_shard_of_sub t kind ~lo in
+    let shard = affinity_shard_of_sub t kind in
     t.subs <- { id; owner; hi; shard; body; next_seq = 0 } :: t.subs;
     Sink.count t.sink "moq_server_subscriptions_total" 1;
     (* distinct shards with a live subscription: the worker-pool size a
@@ -444,7 +450,6 @@ let publish_hot t =
   |> Sweep_cost.merge_hot |> Sweep_cost.publish_hot t.sink
 
 let query t db ~session kind ~lo ~hi =
-  let gdist = Gdist.euclidean_sq ~gamma:(origin_gamma t.dim) in
   let cval name = Option.value ~default:0 (Registry.counter_value t.reg name) in
   let ev0 = cval "moq_sweep_events_total" in
   let cmp0 = cval "moq_sweep_comparisons_total" in
@@ -455,10 +460,10 @@ let query t db ~session kind ~lo ~hi =
   let timeline, stats, hot, what =
     match kind with
     | Proto.Qk_knn k ->
-      let r = Knn.run_obs ~sink:t.sink ~db ~gdist ~k ~lo ~hi in
+      let r = Knn.run_store ~sink:t.sink ~store:t.euclid ~db ~k ~lo ~hi in
       (r.Knn.timeline, r.Knn.stats, Some r.Knn.hot, ("knn", Printf.sprintf "knn k=%d" k))
     | Proto.Qk_range b ->
-      let r = Range.run ~db ~gdist ~bound:b ~lo ~hi in
+      let r = Range.run_store ~store:t.euclid ~db ~bound:b ~lo ~hi in
       (r.Range.timeline, r.Range.stats, None, ("range", "range bound=" ^ Q.to_string b))
   in
   let dur_ms = (Sink.monotonic () -. t0) *. 1e3 in
@@ -532,6 +537,7 @@ let reset t ~emit db =
   t.store <-
     Store.init ~fsync:t.fsync ~checkpoint_every:t.checkpoint_every ~sink:t.sink ~dir:t.dir db;
   t.san <- Sanitize.create ~sink:t.sink ();
+  List.iter CS.clear (curve_stores t);
   t.epoch <- fresh_epoch ();
   t.seq <- 0;
   Queue.clear t.backlog;

@@ -59,8 +59,15 @@ val origin_gamma : int -> Moq_mod.Trajectory.t
 (** The stationary origin every origin-relative g-distance is taken
     against, alive long before any queried interval. *)
 
-val gdist_of_kind : dim:int -> Proto.sub_kind -> Moq_core.Gdist.t
-(** @raise Invalid_argument on [Sub_agg]. *)
+val gdist_of_kind : t -> Proto.sub_kind -> Moq_core.Gdist.t
+(** The g-distance a subscription of this kind sweeps, as this core holds
+    it: built once per core, not per call.
+    @raise Invalid_argument on [Sub_agg]. *)
+
+val curve_stores : t -> Moq_core.Curve_store.t list
+(** One store per g-distance the core sweeps (squared distance to
+    {!origin_gamma}, squared speed).  QUERY and subscription monitors
+    read their curves through them; a snapshot reset empties them. *)
 
 val query_of_kind : Proto.sub_kind -> lo:Q.t -> hi:Q.t -> Moq_core.Fof.query
 (** @raise Invalid_argument on [Sub_agg]. *)

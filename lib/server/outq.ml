@@ -18,8 +18,9 @@ type item =
       mutable pieces_rev : Moq_proto.Proto.piece list;
       mutable trace : (int * int) option;
       enq : float;
+      enq_mono : float;
     }
-  | Frame of { msg : string; trace : (int * int) option; enq : float }
+  | Frame of { msg : string; trace : (int * int) option; enq : float; enq_mono : float }
   | Dropped of { sub : int; from_seq : int; mutable to_seq : int }
 
 type t = {

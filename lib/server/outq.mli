@@ -20,6 +20,7 @@ type item =
       mutable pieces_rev : Moq_proto.Proto.piece list;  (** newest first *)
       mutable trace : (int * int) option;  (** latest contributing trace ctx *)
       enq : float;  (** queue-entry wall time: the queue-wait span start *)
+      enq_mono : float;  (** queue-entry {!Moq_obs.Sink.monotonic} time: its duration *)
     }
   | Frame of {
       msg : string;
@@ -27,6 +28,7 @@ type item =
               watermark at pop time; never dropped *)
       trace : (int * int) option;
       enq : float;
+      enq_mono : float;
     }
   | Dropped of { sub : int; from_seq : int; mutable to_seq : int }
       (** [EVENT-DROPPED]: the subscription's events [from_seq..to_seq]

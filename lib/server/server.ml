@@ -234,12 +234,13 @@ let emit ?trace ?(handoff = ref None) t out =
     let enq = Sink.wall () and t0 = Sink.monotonic () in
     enqueue t sess
       (Outq.Event { sub; first_seq; count = List.length pieces; pieces_rev = List.rev pieces;
-                 trace = traced enq; enq });
+                 trace = traced enq; enq; enq_mono = t0 });
     Sink.observe t.sink "moq_stage_enqueue_ns" ((Sink.monotonic () -. t0) *. 1e9)
   | Some sess, Commit.Complete { sub; _ } -> enqueue_msg t sess (Proto.E_complete { sub })
   | Some sess, Commit.Repl { msg; digest; _ } ->
-    let enq = Sink.wall () in
-    enqueue_repl t sess (Outq.Frame { msg; trace = (if digest then None else traced enq); enq })
+    let enq = Sink.wall () and enq_mono = Sink.monotonic () in
+    enqueue_repl t sess
+      (Outq.Frame { msg; trace = (if digest then None else traced enq); enq; enq_mono })
   | Some sess, Commit.Reset _ ->
     (* its subscriptions were built over the replaced history *)
     shut_session t sess ~reason:"repl-reset"
@@ -436,11 +437,14 @@ let writer_loop t sess =
         (try Unix.shutdown sess.fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
       | Some item ->
         Mutex.unlock sess.qm;
-        let now = Unix.gettimeofday () in
+        (* a queue span starts at its wall-clock enqueue, like the spans it
+           tiles with; its duration comes from the monotonic clock *)
+        let now = Unix.gettimeofday () and now_mono = Sink.monotonic () in
         let payload : string =
           match item with
           | Outq.Event e ->
-            Sink.observe t.sink "moq_stage_queue_ns" ((now -. e.enq) *. 1e9);
+            let dur = now_mono -. e.enq_mono in
+            Sink.observe t.sink "moq_stage_queue_ns" (dur *. 1e9);
             let msg =
               Proto.E_pieces
                 { sub = e.sub; first_seq = e.first_seq; pieces = List.rev e.pieces_rev }
@@ -448,20 +452,19 @@ let writer_loop t sess =
             (match e.trace with
              | Some c when t.cfg.trace ->
                ignore
-                 (Trace.record ~ctx:(tctx c) t.tracer ~name:"queue" ~start:e.enq
-                    ~dur:(now -. e.enq) ());
+                 (Trace.record ~ctx:(tctx c) t.tracer ~name:"queue" ~start:e.enq ~dur ());
                Proto.render_server_msg_attrs
                  { Proto.no_attrs with Proto.a_trace = Some c; a_ts = Some now }
                  msg
              | _ -> Proto.render_server_msg msg)
           | Outq.Frame f ->
-            Sink.observe t.sink "moq_stage_queue_ns" ((now -. f.enq) *. 1e9);
+            let dur = now_mono -. f.enq_mono in
+            Sink.observe t.sink "moq_stage_queue_ns" (dur *. 1e9);
             let trace = if t.cfg.trace then f.trace else None in
             (match trace with
              | Some c ->
                ignore
-                 (Trace.record ~ctx:(tctx c) t.tracer ~name:"queue" ~start:f.enq
-                    ~dur:(now -. f.enq) ())
+                 (Trace.record ~ctx:(tctx c) t.tracer ~name:"queue" ~start:f.enq ~dur ())
              | None -> ());
             (* unsynchronized read of the core's epoch and seq: both
                advance monotonically, so a momentarily stale watermark can

@@ -19,6 +19,7 @@ module SupX = Moq_core.Support.Make (BX)
 module Fof = Moq_core.Fof
 module Gdist = Moq_core.Gdist
 module Gen = Moq_workload.Gen
+module CS = Moq_core.Curve_store
 
 let q = Q.of_int
 let qs = Q.of_string
@@ -303,6 +304,70 @@ let test_monitor_on_past_interval () =
     (List.init 17 (fun j -> j))
 
 (* ------------------------------------------------------------------ *)
+(* Curve store                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* An entry is reused while the trajectory is physically the same, and
+   a changed trajectory gets the curve Gdist.curve builds. *)
+let test_curve_store_validity () =
+  let db = line_db [ (1, 1, 1); (2, 10, -1); (3, -4, 2) ] in
+  let s = CS.create origin in
+  let read db = CS.curves s db (fun o tr c -> (o, tr, c)) in
+  let first = read db in
+  Alcotest.(check int) "one entry per object" 3 (CS.size s);
+  List.iter2
+    (fun (o, _, c) (o', _, c') ->
+      Alcotest.(check bool) "warm read reuses the curve" true (o = o' && c == c'))
+    first (read db);
+  let db' = DB.apply_exn db (U.Chdir { oid = 2; tau = q 3; a = Qvec.of_list [ q 1 ] }) in
+  let second = read db' in
+  List.iter2
+    (fun (o, tr, c) (_, _, c') ->
+      Alcotest.(check bool) "= Gdist.curve" true (Qpiece.equal c (Gdist.curve origin tr));
+      Alcotest.(check bool) "rebuilt iff the trajectory changed" (o = 2) (c != c'))
+    second first;
+  let _, tr2, c2 = List.nth second 1 in
+  Alcotest.(check bool) "one-object read hits" true (CS.curve s 2 tr2 == c2);
+  (* a whole-MOD read of a smaller MOD trims the store to its objects *)
+  ignore (read (line_db [ (1, 1, 1) ]));
+  Alcotest.(check int) "trimmed to the MOD served" 1 (CS.size s);
+  CS.clear s;
+  Alcotest.(check int) "cleared" 0 (CS.size s)
+
+(* Monitors over one store and one committed MOD share an updated
+   object's curve, hand the identity time term the base curve itself,
+   and answer as a monitor without a store does. *)
+let test_curve_store_monitors () =
+  let db = line_db [ (1, 1, 1); (2, 10, -1); (3, -4, 2) ] in
+  let s = CS.create origin in
+  let query = Fof.nearest_q ~interval:(Fof.Interval.closed (q 0) (q 20)) in
+  let shared () = MonX.create ~curves:s ~db ~gdist:origin ~query () in
+  let m1 = shared () and m2 = shared () and plain = MonX.create ~db ~gdist:origin ~query () in
+  let base m o = Option.get (Oid.Map.find o m.MonX.problem.MonX.P.curves).(0) in
+  Alcotest.(check bool) "identity time term keeps the base curve" true
+    (base m1 1 == CS.curve s 1 (Option.get (DB.find db 1)));
+  let db = ref db in
+  List.iter
+    (fun u ->
+      db := DB.apply_exn !db u;
+      MonX.apply_update_exn plain u;
+      List.iter
+        (fun m ->
+          match MonX.apply_update ~committed:!db m u with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%a" DB.pp_error e)
+        [ m1; m2 ];
+      let o = U.oid u in
+      Alcotest.(check bool) "one curve for both monitors" true (base m1 o == base m2 o))
+    [ U.Chdir { oid = 2; tau = q 3; a = Qvec.of_list [ q 1 ] };
+      U.New { oid = 4; tau = q 5; a = Qvec.of_list [ q 0 ]; b = Qvec.of_list [ q 2 ] };
+      U.Terminate { oid = 1; tau = q 8 } ];
+  Alcotest.(check int) "one entry per object" 4 (CS.size s);
+  let want = MonX.finalize plain in
+  Alcotest.(check bool) "= monitor without a store" true
+    (MonX.finalize m1 = want && MonX.finalize m2 = want)
+
+(* ------------------------------------------------------------------ *)
 (* Discontinuous g-distances (the paper's Section 5 relaxation)         *)
 (* ------------------------------------------------------------------ *)
 
@@ -514,6 +579,10 @@ let () =
         Alcotest.test_case "update beyond horizon" `Quick test_update_beyond_horizon;
         Alcotest.test_case "update at event time" `Quick test_update_exactly_at_event_time;
         Alcotest.test_case "past interval" `Quick test_monitor_on_past_interval;
+      ]);
+      ("curve-store", [
+        Alcotest.test_case "validity, trim and clear" `Quick test_curve_store_validity;
+        Alcotest.test_case "monitors share curves" `Quick test_curve_store_monitors;
       ]);
       ("timeline", [
         Alcotest.test_case "simplify/membership/find" `Quick test_timeline_simplify;

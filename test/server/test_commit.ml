@@ -12,6 +12,9 @@ module Oid = Moq_mod.Oid
 module Gen = Moq_workload.Gen
 module BX = Moq_core.Backend.Exact
 module MonX = Moq_core.Monitor.Make (BX)
+module KnnX = Moq_core.Knn.Make (BX)
+module RangeX = Moq_core.Range_query.Make (BX)
+module CS = Moq_core.Curve_store
 module AggX = Moq_agg.Agg.Make (BX)
 module Proto = Moq_proto.Proto
 module Commit = Moq_server.Commit
@@ -82,7 +85,7 @@ type reference = {
   clock : unit -> Q.t;
 }
 
-let reference db kind ~lo ~hi =
+let reference c db kind ~lo ~hi =
   let ok = function Ok () -> () | Error e -> Alcotest.failf "reference: %a" DB.pp_error e in
   match kind with
   | Proto.Sub_agg { d; window; pois } ->
@@ -93,7 +96,7 @@ let reference db kind ~lo ~hi =
       clock = (fun () -> AggX.Cont.clock c) }
   | _ ->
     let m =
-      MonX.create ~db ~gdist:(Commit.gdist_of_kind ~dim:(DB.dim db) kind)
+      MonX.create ~db ~gdist:(Commit.gdist_of_kind c kind)
         ~query:(Commit.query_of_kind kind ~lo ~hi) ()
     in
     { kind; hi; feed = (fun u -> ok (MonX.apply_update m u));
@@ -125,7 +128,7 @@ let test_subscriptions_match_exact (family, db) () =
         match Commit.subscribe c ~owner:1 kind ~lo:(q 0) ~hi with
         | Ok id ->
           Commit.flush c ~emit id;
-          let r = reference db kind ~lo:(q 0) ~hi in
+          let r = reference c db kind ~lo:(q 0) ~hi in
           (id, r, ref (r.drain ()))
         | Error e -> Alcotest.fail e)
       kinds
@@ -178,6 +181,65 @@ let test_subscriptions_match_exact (family, db) () =
     subs;
   Alcotest.(check int) "completed subscriptions are retired"
     (List.length kinds - List.length !completed) (Commit.n_subs c)
+
+(* QUERY answers against in-process Exact runs over the same MOD, and
+   the curve stores against their bound: at most one entry per object of
+   the MOD they last served. *)
+let check_queries c ~what =
+  let db = Commit.db c in
+  let gdist = Commit.gdist_of_kind c (Proto.Sub_knn 1) in
+  let lo = q 0 and hi = Q.add (DB.last_update db) (q 4) in
+  List.iter
+    (fun kind ->
+      let got = Commit.query c db ~session:1 kind ~lo ~hi in
+      let want =
+        match kind with
+        | Proto.Qk_knn k -> (KnnX.run ~db ~gdist ~k ~lo ~hi).KnnX.timeline
+        | Proto.Qk_range bound -> (RangeX.run ~db ~gdist ~bound ~lo ~hi).RangeX.timeline
+      in
+      Alcotest.(check bool) (what ^ ": query = Exact") true (got = List.map wire_piece want))
+    [ Proto.Qk_knn 1; Proto.Qk_knn 3; Proto.Qk_range (q 400) ];
+  List.iter
+    (fun s ->
+      if CS.size s > DB.cardinal db then
+        Alcotest.failf "%s: %d stored curves for %d objects" what (CS.size s) (DB.cardinal db))
+    (Commit.curve_stores c)
+
+let store_sizes c = List.map CS.size (Commit.curve_stores c)
+
+let test_query_matches_exact () =
+  let db = Gen.uniform_db ~seed:11 ~n:12 ~extent:30 ~speed:4 () in
+  let c = core db in
+  check_queries c ~what:"cold";
+  let warm = store_sizes c in
+  Alcotest.(check (list int)) "one curve per object, squared speed unused"
+    [ DB.cardinal db; 0 ] warm;
+  check_queries c ~what:"warm";
+  check_queries c ~what:"warm again";
+  Alcotest.(check (list int)) "repeated queries do not grow the stores" warm (store_sizes c);
+  let updates = Gen.mixed_stream ~seed:12 ~db ~start:(q 1) ~gap:(q 1) ~count:12 () in
+  List.iteri
+    (fun i u ->
+      ignore (Commit.ingest c ~emit:ignore u);
+      (* right after the update, and every third one twice *)
+      check_queries c ~what:(Printf.sprintf "after update %d" i);
+      if i mod 3 = 0 then check_queries c ~what:(Printf.sprintf "again after update %d" i))
+    updates;
+  Alcotest.(check bool) "the stream creates and ends objects" true
+    (List.exists (function U.New _ -> true | _ -> false) updates
+     && List.exists (function U.Terminate _ -> true | _ -> false) updates);
+  (* a follower reset to the primary's snapshot answers from empty stores *)
+  let f = core (Gen.uniform_db ~seed:99 ~n:3 ()) in
+  check_queries f ~what:"follower before its reset";
+  match Commit.follow c ~owner:0 ~since:None with
+  | Proto.R_repl_hello { epoch; seq; snapshot = Some _ as snapshot; _ }, _ ->
+    Alcotest.(check bool) "bootstrap" true (Commit.bootstrap f ~emit:ignore ~epoch ~seq snapshot);
+    Alcotest.(check (list int)) "a snapshot reset empties the stores" [ 0; 0 ] (store_sizes f);
+    check_queries f ~what:"follower after its reset";
+    Alcotest.(check bool) "follower answers = primary's" true
+      (Commit.query f (Commit.db f) ~session:1 (Proto.Qk_knn 2) ~lo:(q 0) ~hi:(q 40)
+       = Commit.query c (Commit.db c) ~session:1 (Proto.Qk_knn 2) ~lo:(q 0) ~hi:(q 40))
+  | m, _ -> Alcotest.failf "unexpected reply %s" (Proto.render_server_msg m)
 
 (* A follower core fed the primary's frames holds the primary's bytes at
    every digest. *)
@@ -264,5 +326,6 @@ let () =
             Alcotest.test_case ("subscriptions = Exact, " ^ name) `Quick
               (test_subscriptions_match_exact (name, db)))
           families
-        @ [ Alcotest.test_case "follower tracks primary" `Quick test_follower_tracks_primary;
+        @ [ Alcotest.test_case "query = Exact, curve store bound" `Quick test_query_matches_exact;
+            Alcotest.test_case "follower tracks primary" `Quick test_follower_tracks_primary;
             Alcotest.test_case "backlog bound" `Quick test_backlog_bound ] ) ]

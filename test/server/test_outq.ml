@@ -93,7 +93,7 @@ let run ~seed ~soft ~hwm ~steps =
         if r = 3 then begin
           let s = Printf.sprintf "msg %d" step in
           if Random.State.bool st then (Outq.Msg s, M_msg s)
-          else (Outq.Frame { msg = s; trace = None; enq = 0. }, M_msg s)
+          else (Outq.Frame { msg = s; trace = None; enq = 0.; enq_mono = 0. }, M_msg s)
         end
         else begin
           let sub = 1 + Random.State.int st 3 and count = 1 + Random.State.int st 3 in
@@ -103,7 +103,7 @@ let run ~seed ~soft ~hwm ~steps =
           ( Outq.Event
               { sub; first_seq = first; count;
                 pieces_rev = List.map (fun k -> Proto.P_at (string_of_int k, [])) pieces;
-                trace = None; enq = 0. },
+                trace = None; enq = 0.; enq_mono = 0. },
             M_event { sub; first; count; pieces } )
         end
       in
@@ -139,7 +139,9 @@ let test_bound_under_flood () =
   let on_drop ~sub:_ ~count = drops := !drops + count in
   for i = 0 to 999 do
     Outq.push q ~soft:max_int ~hwm ~on_coalesce:ignore ~on_drop
-      (Outq.Event { sub = 1; first_seq = i; count = 1; pieces_rev = []; trace = None; enq = 0. });
+      (Outq.Event
+         { sub = 1; first_seq = i; count = 1; pieces_rev = []; trace = None; enq = 0.;
+           enq_mono = 0. });
     Alcotest.(check bool) "within the bound" true (Outq.length q <= hwm)
   done;
   Alcotest.(check int) "dropped under backpressure" (1000 - hwm + 1) !drops;
@@ -157,7 +159,9 @@ let test_stalled_round_robin () =
   for i = 0 to events - 1 do
     let sub = i mod subs in
     Outq.push q ~soft:64 ~hwm ~on_coalesce:ignore ~on_drop:(fun ~sub:_ ~count:_ -> ())
-      (Outq.Event { sub; first_seq = i / subs; count = 1; pieces_rev = []; trace = None; enq = 0. });
+      (Outq.Event
+         { sub; first_seq = i / subs; count = 1; pieces_rev = []; trace = None; enq = 0.;
+           enq_mono = 0. });
     if Outq.length q > hwm + subs then
       Alcotest.failf "after event %d: %d items, above %d + %d" i (Outq.length q) hwm subs
   done;
