@@ -1756,10 +1756,22 @@ let sharded_identical (tx : KnnX.TL.t) (ts : ShF.TL.t) =
          | _ -> false)
        tx ts
 
+(* Words [f] allocates: minor words (exact at every call) plus words
+   allocated straight in the major heap ([Gc.counters]' major and
+   promoted counts move together). *)
+let allocated_words f =
+  let count () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = count () in
+  ignore (Sys.opaque_identity (f ()));
+  count () -. w0
+
 let s3 () =
   header "S3" "Sharded index-pruned sweep: per-event cost stays local as N grows";
-  row "%8s %8s %8s %9s %8s %11s %12s %8s %11s\n" "N" "shards" "touched" "admitted"
-    "events" "sweep (s)" "ns/event" "prune" "build (ms)";
+  row "%8s %8s %8s %9s %8s %11s %12s %8s %11s %10s\n" "N" "shards" "touched" "admitted"
+    "events" "sweep (s)" "ns/event" "prune" "build (ms)" "words/obj";
   (* Spatially-local workload: the query sits in cluster 0 at the origin;
      growing N adds distant clusters (Gen.clustered_db keeps cluster size
      fixed at ~100), so the answer-relevant activity is constant in N and
@@ -1768,7 +1780,7 @@ let s3 () =
      linear pass, not per-event work). *)
   let k = 8 and lo = q 0 and hi = q 20 and cell = 256.0 in
   let gamma = T.stationary ~start:(q 0) (Qvec.zero 2) in
-  let per_event = ref [] and build_ms = ref [] in
+  let per_event = ref [] and build_ms = ref [] and build_words = ref [] in
   let prune_rate = ref 0.0 in
   let identical = ref false in
   let build_sum () =
@@ -1801,6 +1813,11 @@ let s3 () =
       let build = median (fun (_, b, _) -> b) in
       let _, _, r = List.hd runs in
       build_ms := (string_of_int n, Json.Float (build *. 1e3)) :: !build_ms;
+      (* a count, so it does not swing with the host's speed *)
+      let words =
+        allocated_words (fun () -> Grid.build ~cell ~lo ~hi db) /. float_of_int n
+      in
+      build_words := (string_of_int n, Json.Float words) :: !build_words;
       let st = r.ShF.stats in
       let events =
         max 1
@@ -1820,9 +1837,9 @@ let s3 () =
         if not !identical then
           failwith "S3: sharded timeline diverged from exact at N = 1000"
       end;
-      row "%8d %8d %8d %9d %8d %11.4f %12.0f %7.1f%% %11.2f\n" n sb.ShF.shards_total
+      row "%8d %8d %8d %9d %8d %11.4f %12.0f %7.1f%% %11.2f %10.1f\n" n sb.ShF.shards_total
         sb.ShF.shards_touched sb.ShF.admitted events sweep ns
-        (100.0 *. !prune_rate) (build *. 1e3))
+        (100.0 *. !prune_rate) (build *. 1e3) words)
     [ 1_000; 10_000; 100_000 ];
   let ns_of n =
     match List.assoc_opt (string_of_int n) !per_event with
@@ -1835,6 +1852,7 @@ let s3 () =
       ("per_event_ns_by_n", Json.Obj (List.rev !per_event));
       ("per_event_growth", Json.Float growth);
       ("index_build_ms_by_n", Json.Obj (List.rev !build_ms));
+      ("index_build_words_per_object_by_n", Json.Obj (List.rev !build_words));
       ("prune_rate", Json.Float !prune_rate);
       ("identical_to_exact", Json.Bool !identical);
     ];

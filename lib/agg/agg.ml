@@ -196,13 +196,15 @@ module Make (B : Moq_core.Backend.S) = struct
       let reach = min (Grid.max_ring grid ~center)
           (int_of_float (Float.ceil (d /. cell)) + 1)
       in
-      let acc = ref Oid.Set.empty in
-      for ring = 0 to reach do
-        List.iter
-          (fun o -> acc := Oid.Set.add o !acc)
-          (Grid.ring_candidates grid ~center ~ring)
-      done;
-      !acc
+      let rec collect ring acc =
+        match Grid.next_ring grid ~center ~ring with
+        | Some ring when ring <= reach ->
+          collect (ring + 1)
+            (List.fold_left (fun acc o -> Oid.Set.add o acc) acc
+               (Grid.ring_candidates grid ~center ~ring))
+        | _ -> acc
+      in
+      collect 0 Oid.Set.empty
 
     let query_of t =
       Fof.within_q ~bound:t.d2 ~interval:(Fof.Interval.closed t.lo t.hi)

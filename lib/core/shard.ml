@@ -79,6 +79,12 @@ module Make (B : Backend.S) = struct
          be distinct or k copies of one nearby object fake a tight band *)
       let seen = Hashtbl.create 16 in
       let rec collect ring extra acc count =
+        (* short of k pilots, an empty ring changes nothing: go straight
+           to the next non-empty one *)
+        let ring =
+          if count >= k then ring
+          else Option.value ~default:(last + 1) (Grid.next_ring grid ~center ~ring)
+        in
         if ring > last || extra < 0 then acc
         else begin
           let fresh =
@@ -183,7 +189,9 @@ module Make (B : Backend.S) = struct
          let skip = (not present) || prune s in
          if not skip then begin
            incr touched;
-           let eng = sweep_shard ~sink ~admit ~k ~lo ~hi (entries_of members) in
+           let eng =
+             sweep_shard ~sink ~admit ~k ~lo ~hi (entries_of (Lazy.force members))
+           in
            let s = E.stats eng in
            shard_events := !shard_events + events_of s;
            E.accumulate stats s;

@@ -17,16 +17,35 @@
       Chebyshev rings, the grid flavour of the classic R-tree / R*-tree
       expanding-search protocol over (x, y, t) boxes.
 
-    Floats decide; exact rationals are computed only when a float cannot.
-    Every key is the one [cell_of] gives on [Q.to_float] of the exact
-    coordinate: it is read off an outward-rounded enclosure of that
-    coordinate when both ends of the enclosure fall in one cell, and from
-    the exact coordinate otherwise.  A shard's exact box is computed the
-    first time {!separation_exceeds} finds its enclosure inconclusive, or
-    {!shard_box} asks for it; {!entries} derives exact piece boxes when it
-    is called.  So every key, member list and pruning decision is the one
-    exact arithmetic gives.  A grid is built and read by one thread (its
-    exact boxes are [Lazy]). *)
+    The index is one float pass over the MOD that writes flat arrays: per
+    object its OID, its place in its home shard's member chain and its
+    first piece; per clipped piece the integer cell rectangle its box
+    overlaps; and per distinct home key one accumulator, the float
+    enclosure of the shard's union box, whose NaN ends mark a shard with
+    no window presence.  The pass encloses coefficients and piece ends in
+    floats without allocating (a rational whose numerator and denominator
+    fit a double's significand converts by one division), and clips pieces
+    to the window by comparing those enclosures before any rational
+    comparison.  Every key is the one [cell_of] gives on [Q.to_float] of
+    the exact coordinate: it is read off an outward-rounded enclosure of
+    that coordinate when both ends of the enclosure fall in one cell, and
+    from the exact coordinate otherwise; every clip is the exact one.
+
+    Nothing else is built until a reader asks.  A shard's member list and
+    its exact box are [Lazy]: the sharded driver forces them for the
+    shards it sweeps, and the box also when {!separation_exceeds} finds
+    the enclosures inconclusive.  Pruning reads only the enclosure and the
+    presence flag, which the pass computes for every shard, so the shards,
+    their keys and every pruning decision are the ones exact arithmetic
+    gives.  The ring readers bucket pieces by Chebyshev ring around a
+    center when first asked about a ring there (a piece's rectangle meets
+    a contiguous range of rings), out to a radius that doubles as rings
+    farther out are asked for; they reach the pieces through the shards
+    whose enclosures come within the radius, so a ring walk costs the
+    shards plus the pieces near the center, and {!next_ring} skips the
+    empty rings.  {!entries} scans the pieces and derives exact boxes when
+    it is called.  A grid is built and read by one thread (its members,
+    exact boxes and ring buckets are built on demand). *)
 
 module Q = Moq_numeric.Rat
 module Oid = Moq_mod.Oid
@@ -67,7 +86,8 @@ val population : t -> int
 
 val entries : t -> int * int -> entry list
 (** The cell's piece list with exact boxes, ascending by [(e_t0, e_oid)];
-    [[]] for an empty cell.  Builds the boxes and sorts on every call. *)
+    [[]] for an empty cell.  Scans every piece, builds the boxes and sorts
+    on every call. *)
 
 type enclosure = private {
   mutable x0l : float; mutable x0h : float;  (** [x0l <= x0 <= x0h] *)
@@ -82,7 +102,7 @@ val enclose : box -> enclosure
 
 type shard = {
   key : int * int;
-  members : Oid.t list;  (** ascending OID *)
+  members : Oid.t list Lazy.t;  (** ascending OID, built when forced *)
   present : bool;  (** some member has presence in the window *)
   enc : enclosure;
       (** encloses the exact union box of the members' window motion; when
@@ -101,11 +121,7 @@ val shard_box : shard -> box option
     any presence in the window. *)
 
 val shard_of : t -> Oid.t -> (int * int) option
-(** The home shard an object was assigned to. *)
-
-val ring_cells : t -> center:int * int -> ring:int -> (int * int) list
-(** The cells at Chebyshev distance exactly [ring] from [center] that are
-    non-empty in the piece index. *)
+(** The home shard an object was assigned to; walks the member chains. *)
 
 val max_ring : t -> center:int * int -> int
 (** The largest ring around [center] that can contain a non-empty cell
@@ -114,7 +130,12 @@ val max_ring : t -> center:int * int -> int
 
 val ring_candidates : t -> center:int * int -> ring:int -> Oid.t list
 (** Distinct OIDs with at least one piece bucketed in a cell of the given
-    ring, ascending. *)
+    ring (the cells at Chebyshev distance exactly [ring] from [center]),
+    ascending. *)
+
+val next_ring : t -> center:int * int -> ring:int -> int option
+(** The least ring [>= ring] around [center] that holds a piece, if any:
+    {!ring_candidates} is [[]] on every ring it skips. *)
 
 val trajectory_box : Moq_mod.Trajectory.t -> lo:Q.t -> hi:Q.t -> box option
 (** Exact union box of a trajectory's motion over the window; [None] when

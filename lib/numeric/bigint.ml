@@ -85,10 +85,9 @@ let of_int n = Small n
 (* Canonical form: a [Big] never fits an [int]. *)
 let to_int = function Small n -> Some n | Big _ -> None
 
-let to_int_exn x =
-  match to_int x with
-  | Some n -> n
-  | None -> invalid_arg "Bigint.to_int_exn: overflow"
+let to_int_exn = function
+  | Small n -> n
+  | Big _ -> invalid_arg "Bigint.to_int_exn: overflow"
 
 (* Bit length of |n| ([min_int] included; 0 for 0): a fixed binary
    search over the 62 magnitude bits, no loop per bit. *)

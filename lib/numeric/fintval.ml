@@ -66,6 +66,25 @@ let of_rat q =
   let f = Rat.to_float q in
   if Float.is_finite f && exactly_representable q then point f else of_float f
 
+(* [of_rat] into a flat pair.  When the numerator and denominator fit a
+   double's significand, [Rat.to_float] is the one division below, and a
+   power-of-two denominator makes the rational that double exactly
+   ([exactly_representable]); so the pair is [of_rat]'s, with no float
+   boxed and no record built. *)
+let of_rat_into (a : float array) i q =
+  let n = Rat.num q and d = Rat.den q in
+  if Bigint.fits_mantissa n && Bigint.fits_mantissa d then begin
+    let dv = Bigint.to_int_exn d in
+    let f = float_of_int (Bigint.to_int_exn n) /. float_of_int dv in
+    if dv land (dv - 1) = 0 then begin a.(i) <- f; a.(i + 1) <- f end
+    else begin a.(i) <- Float.pred f; a.(i + 1) <- Float.succ f end
+  end
+  else begin
+    let e = of_rat q in
+    a.(i) <- e.lo;
+    a.(i + 1) <- e.hi
+  end
+
 (* Enclosure of the exact interval [lo, hi] given as rationals. *)
 let of_rat_bounds qlo qhi =
   let l = (of_rat qlo).lo and h = (of_rat qhi).hi in
@@ -82,6 +101,31 @@ let mul a b =
   and x4 = a.hi *. b.hi in
   if Float.is_nan x1 || Float.is_nan x2 || Float.is_nan x3 || Float.is_nan x4 then top
   else make_out (fmin (fmin x1 x2) (fmin x3 x4)) (fmax (fmax x1 x2) (fmax x3 x4))
+
+(* [add (mul a t) b] on flat pairs, the same float operations in the same
+   order: [mul]'s four products and NaN test, then [add]'s sums, each
+   widened by [make_out]. *)
+let affine_into (v : float array) dst ~a ~t ~b =
+  let al = v.(a) and ah = v.(a + 1) and tl = v.(t) and th = v.(t + 1) in
+  let x1 = al *. tl and x2 = al *. th and x3 = ah *. tl and x4 = ah *. th in
+  if Float.is_nan x1 || Float.is_nan x2 || Float.is_nan x3 || Float.is_nan x4 then begin
+    (* [top] plus any enclosure is [top] *)
+    v.(dst) <- neg_infinity;
+    v.(dst + 1) <- infinity
+  end
+  else begin
+    let l = fmin (fmin x1 x2) (fmin x3 x4) and h = fmax (fmax x1 x2) (fmax x3 x4) in
+    let l = (if l = neg_infinity then l else Float.pred l) +. v.(b)
+    and h = (if h = infinity then h else Float.succ h) +. v.(b + 1) in
+    if Float.is_nan l || Float.is_nan h then begin
+      v.(dst) <- neg_infinity;
+      v.(dst + 1) <- infinity
+    end
+    else begin
+      v.(dst) <- (if l = neg_infinity then l else Float.pred l);
+      v.(dst + 1) <- (if h = infinity then h else Float.succ h)
+    end
+  end
 
 (* Undefined (whole line) when the divisor straddles zero. *)
 let div a b =

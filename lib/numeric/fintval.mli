@@ -24,6 +24,11 @@ val of_float : float -> t
 val of_int : int -> t
 val of_rat : Rat.t -> t
 
+val of_rat_into : float array -> int -> Rat.t -> unit
+(** [of_rat_into a i q] stores [of_rat q]'s bounds in [a.(i)] and
+    [a.(i + 1)].  It allocates nothing when [q]'s numerator and
+    denominator have at most 53 bits. *)
+
 val of_rat_bounds : Rat.t -> Rat.t -> t
 (** [of_rat_bounds lo hi] encloses the exact interval [[lo, hi]]. *)
 
@@ -31,6 +36,12 @@ val neg : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
+
+val affine_into : float array -> int -> a:int -> t:int -> b:int -> unit
+(** [affine_into v dst ~a ~t ~b] stores in [v.(dst)], [v.(dst + 1)] the
+    bounds of [add (mul A T) B], where A, T and B are the intervals whose
+    bounds sit at [v.(a)], [v.(t)] and [v.(b)] and the slot after each.
+    Allocates nothing. *)
 
 val div : t -> t -> t
 (** [top] when the divisor straddles zero. *)

@@ -72,6 +72,7 @@ EXTRAS = {
     "per_event_growth": Extra("s3", "num", "> 0", gate=("max", 2.0),
                               better="lower"),
     "index_build_ms_by_n": Extra("s3", "table"),
+    "index_build_words_per_object_by_n": Extra("s3", "table"),
     "prune_rate": Extra("s3", "num", "in [0, 1]", gate=("min", 0.9),
                         better="higher"),
     "identical_to_exact": Extra("s3", "bool", required=True),

@@ -163,6 +163,32 @@ let test_cont_prunes () =
     Alcotest.failf "pruned rows diverge@.incremental:@.%s@.rescan:@.%s"
       (pp_rows inc_rows) (pp_rows scan_rows)
 
+(* A POI whose reach is 2 * 10^4 rings of a small cell: the watch-set
+   search visits only the non-empty rings within it, so opening the
+   subscription costs a few rings, not the 2 * 10^4 between. *)
+let test_cont_wide_reach () =
+  let still x = T.stationary ~start:(q 0) (Qvec.of_list [ q x; q 0 ]) in
+  let db =
+    List.fold_left
+      (fun db (o, x) -> DB.add_initial db o (still x))
+      (DB.empty ~dim:2 ~tau:(q 0))
+      [ (1, 5); (2, 15_000); (3, -19_999); (4, 100_000) ]
+  in
+  let pois = [ Qvec.of_list [ q 0; q 0 ] ] and d = q 20_000 in
+  let t0 = Sys.time () in
+  let cont =
+    AggX.Cont.create ~cell:1.0 ~db ~pois ~d ~window:(q 10) ~lo:(q 0) ~hi:(q 20) ()
+  in
+  let dt = Sys.time () -. t0 in
+  if dt >= 1.0 then Alcotest.failf "opening took %.2f s of CPU" dt;
+  Alcotest.(check int) "the three objects within d admitted" 3
+    (AggX.Cont.stats cont).Moq_agg.Agg.admitted;
+  let inc_rows = AggX.Cont.finalize cont in
+  let scan_rows = AggX.rescan ~db ~pois ~d ~window:(q 10) ~lo:(q 0) ~hi:(q 20) () in
+  if not (AggX.equal_rows inc_rows scan_rows) then
+    Alcotest.failf "wide-reach rows diverge@.incremental:@.%s@.rescan:@.%s"
+      (pp_rows inc_rows) (pp_rows scan_rows)
+
 (* ---- alibi ---- *)
 
 let random_traj st ~extent ~speed ~segments =
@@ -280,6 +306,8 @@ let () =
           Alcotest.test_case "no updates" `Quick test_cont_no_updates;
           Alcotest.test_case "ingested trace" `Quick test_cont_ingested_trace;
           Alcotest.test_case "grid pruning" `Quick test_cont_prunes;
+          Alcotest.test_case "wide reach, empty rings skipped" `Quick
+            test_cont_wide_reach;
           Alcotest.test_case "filtered rows equal exact" `Quick
             test_cont_filtered_equals_exact;
         ] );

@@ -222,6 +222,32 @@ let test_shard_counters () =
     (Some r.ShF.shard.ShF.frontier_merge_ops)
     (cval "moq_shard_frontier_merge_ops_total")
 
+(* Objects far apart under a small cell: the band's ring walk must reach
+   a ring 10^5 cells out, when pilots run out (k above the population) or
+   the k-th pilot is that far.  It goes straight to the non-empty rings,
+   so the query costs a few rings, not the 10^5 between. *)
+let test_far_apart () =
+  let still x = T.stationary ~start:(q 0) (Qvec.of_list [ q x; q 0 ]) in
+  let db_of xs =
+    List.fold_left
+      (fun db (o, x) -> DB.add_initial db o (still x))
+      (DB.empty ~dim:2 ~tau:(q 0)) xs
+  in
+  let t0 = Sys.time () in
+  let sh =
+    check_workload "two objects 10^5 cells apart" ~db:(db_of [ (1, 0); (2, 100_000) ])
+      ~gamma:(origin 2) ~k:3 ~lo:(q 0) ~hi:(q 10) ~cell:1.0
+  in
+  Alcotest.(check (option (float 0.0))) "pilots run out: no band" None sh.ShF.band;
+  let sh =
+    check_workload "third pilot 10^5 cells out"
+      ~db:(db_of [ (1, 0); (2, 1); (3, 100_000); (4, -200_000) ])
+      ~gamma:(origin 2) ~k:3 ~lo:(q 0) ~hi:(q 10) ~cell:1.0
+  in
+  Alcotest.(check bool) "band from the far pilot" true (sh.ShF.band <> None);
+  let dt = Sys.time () -. t0 in
+  if dt >= 1.0 then Alcotest.failf "far-apart queries took %.2f s of CPU" dt
+
 let test_invalid_k () =
   let db = Gen.uniform_db ~seed:1 ~n:3 ~dim:2 ~extent:10 ~speed:1 () in
   Alcotest.check_raises "k = 0 rejected"
@@ -238,6 +264,7 @@ let () =
           Alcotest.test_case "shard counters reach the sink" `Quick
             test_shard_counters;
           Alcotest.test_case "k <= 0 rejected" `Quick test_invalid_k;
+          Alcotest.test_case "ring walk skips empty rings" `Quick test_far_apart;
           Alcotest.test_case "frontier admits span ties" `Quick
             test_frontier_admits_span_ties;
         ] );

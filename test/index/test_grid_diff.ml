@@ -1,17 +1,21 @@
-(* Differential test of the float-first grid build against the exact one
-   it replaced.
+(* Differential test of the flat, float-first grid build against the
+   exact one it replaced.
 
    [Oracle] is the exact build: every piece box, home position and key
    in rational arithmetic, keys from [Q.to_float] of the exact corners,
-   cell lists sorted by (start, OID).  On random databases the float-first
-   [Grid.build] must give the same shard keys, members, presence and
-   (forced) exact boxes, the same home shards, the same non-empty cells
-   and ring candidates on every ring, and the same [entries], boxes and
-   order included; every shard enclosure must enclose its exact box.  The
-   databases put positions on and a hair off cell boundaries (where a
-   float enclosure straddles the boundary and the exact key decides),
-   in negative cells, at thirds and sevenths no float holds, in 1-d, and
-   include objects dead before the window or born after it. *)
+   every cell a piece's box overlaps materialised in a table keyed by
+   (i, j), cell lists sorted by (start, OID).  On random databases
+   [Grid.build] must give the same shard keys and presence, members and
+   exact boxes that are built only when forced, the same home shards,
+   the same ring candidates on every ring around several centers, and
+   the same [entries], boxes and order included; every shard enclosure
+   must enclose its exact box.  The databases put positions on and a
+   hair off cell boundaries (where a float enclosure straddles the
+   boundary and the exact key decides), in negative cells, at thirds and
+   sevenths no float holds, in 1-d, near 2^40 under small cells (cell
+   indices past 2^31, where keys packed into one int would alias), and
+   include objects dead before the window or born after it and fast
+   movers whose window box spans dozens of cells. *)
 
 module Q = Moq_numeric.Rat
 module Qvec = Moq_geom.Vec.Qvec
@@ -133,34 +137,25 @@ module Oracle = struct
       key_lo = (if empty then (0, 0) else !key_lo);
       key_hi = (if empty then (0, 0) else !key_hi) }
 
-  let mem t k = Hashtbl.mem t.cells k
-  let entries t k = Option.value ~default:[] (Hashtbl.find_opt t.cells k)
+  let chebyshev (ci, cj) (i, j) = max (abs (i - ci)) (abs (j - cj))
 
-  let ring_cells t ~center:(ci, cj) ~ring =
-    if ring = 0 then if mem t (ci, cj) then [ (ci, cj) ] else []
-    else begin
-      let acc = ref [] in
-      let consider i j = if mem t (i, j) then acc := (i, j) :: !acc in
-      for i = ci - ring to ci + ring do
-        consider i (cj - ring);
-        consider i (cj + ring)
-      done;
-      for j = cj - ring + 1 to cj + ring - 1 do
-        consider (ci - ring) j;
-        consider (ci + ring) j
-      done;
-      List.rev !acc
-    end
+  (* ring -> the OIDs with a piece in a cell of that ring around
+     [center], ascending; the non-empty rings only *)
+  let rings t ~center =
+    let by_ring = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun k es ->
+        let r = chebyshev center k in
+        Hashtbl.replace by_ring r
+          (List.map (fun (e : Grid.entry) -> e.e_oid) es
+          @ Option.value ~default:[] (Hashtbl.find_opt by_ring r)))
+      t.cells;
+    Hashtbl.filter_map_inplace (fun _ os -> Some (List.sort_uniq Oid.compare os)) by_ring;
+    by_ring
 
   let max_ring t ~center:(ci, cj) =
     let (li, lj) = t.key_lo and (hi, hj) = t.key_hi in
     max 0 (max (max (abs (ci - li)) (abs (hi - ci))) (max (abs (cj - lj)) (abs (hj - cj))))
-
-  let ring_candidates t ~center ~ring =
-    List.sort_uniq Oid.compare
-      (List.concat_map
-         (fun k -> List.map (fun (e : Grid.entry) -> e.e_oid) (entries t k))
-         (ring_cells t ~center ~ring))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -190,15 +185,21 @@ let check_same ~what ~cell ~lo ~hi db =
       (Q.to_string lo) (Q.to_string hi) in
   let g = Grid.build ~cell ~lo ~hi db and o = Oracle.build ~cell ~lo ~hi db in
   if Grid.population g <> DB.cardinal db then fail "population";
-  (* shards: keys, members, presence, forced boxes, enclosures *)
+  (* shards: keys, presence, enclosures, and the members and exact
+     boxes, which the build leaves unbuilt until they are forced *)
   let gs = Grid.shards g in
   if Array.length gs <> Array.length o.shards then
     fail "%d shards, oracle %d" (Array.length gs) (Array.length o.shards);
+  Array.iter
+    (fun (s : Grid.shard) ->
+      if Lazy.is_val s.members || Lazy.is_val s.box then
+        fail "shard %s built its members or box eagerly" (pp_key s.key))
+    gs;
   Array.iteri
     (fun i (s : Grid.shard) ->
       let os = o.shards.(i) in
       if s.key <> os.key then fail "shard %d key %s, oracle %s" i (pp_key s.key) (pp_key os.key);
-      if s.members <> os.members then fail "shard %s members" (pp_key s.key);
+      if Lazy.force s.members <> os.members then fail "shard %s members" (pp_key s.key);
       if s.present <> (os.box <> None) then fail "shard %s presence" (pp_key s.key);
       match os.box with
       | None -> ()
@@ -213,8 +214,13 @@ let check_same ~what ~cell ~lo ~hi db =
     (fun (oid, _) ->
       if Grid.shard_of g oid <> Hashtbl.find_opt o.home oid then fail "shard_of %d" oid)
     (DB.objects db);
-  (* rings around several centers, out to one past the last: the
-     non-empty cells and the candidates *)
+  if Grid.shard_of g (1 + List.fold_left (fun m (o, _) -> max m o) 0 (DB.objects db)) <> None
+  then fail "shard_of an unknown OID";
+  (* rings around several centers.  Where every ring from 0 to one past
+     the last is few, each is compared; otherwise the rings compared are
+     the oracle's non-empty ones and their neighbours, and [next_ring]
+     from each of those must name the oracle's next non-empty ring, so
+     the grid has no non-empty ring the oracle lacks *)
   let centers =
     [ (0, 0); o.key_lo; o.key_hi; (-3, 2) ]
     @ (if Array.length o.shards > 0 then [ o.shards.(0).key ] else [])
@@ -223,21 +229,37 @@ let check_same ~what ~cell ~lo ~hi db =
     (fun center ->
       let last = Oracle.max_ring o ~center in
       if Grid.max_ring g ~center <> last then fail "max_ring around %s" (pp_key center);
-      for ring = 0 to last + 1 do
-        let cells = Oracle.ring_cells o ~center ~ring in
-        if Grid.ring_cells g ~center ~ring <> cells then
-          fail "ring %d cells around %s" ring (pp_key center);
-        if Grid.ring_candidates g ~center ~ring <> Oracle.ring_candidates o ~center ~ring then
-          fail "ring %d candidates around %s" ring (pp_key center)
-      done)
+      let by_ring = Oracle.rings o ~center in
+      let nonempty = List.sort Int.compare (Hashtbl.fold (fun r _ acc -> r :: acc) by_ring []) in
+      let rings =
+        if last < 400 then List.init (last + 2) Fun.id
+        else
+          List.sort_uniq Int.compare
+            ([ 0; last; last + 1 ]
+            @ List.concat_map (fun r -> List.filter (( <= ) 0) [ r - 1; r; r + 1 ]) nonempty)
+      in
+      List.iter
+        (fun ring ->
+          if Grid.ring_candidates g ~center ~ring
+             <> Option.value ~default:[] (Hashtbl.find_opt by_ring ring)
+          then
+            fail "ring %d candidates around %s" ring (pp_key center);
+          if Grid.next_ring g ~center ~ring <> List.find_opt (fun r -> r >= ring) nonempty then
+            fail "next ring from %d around %s" ring (pp_key center))
+        rings)
     centers;
-  (* every cell: the rings above saw the same non-empty cells *)
+  (* every non-empty cell's entries *)
   Hashtbl.iter
     (fun k oes ->
       let es = Grid.entries g k in
       if not (List.length es = List.length oes && List.for_all2 entry_equal es oes)
       then fail "entries of cell %s" (pp_key k))
-    o.cells
+    o.cells;
+  List.iter
+    (fun k ->
+      if (not (Hashtbl.mem o.cells k)) && Grid.entries g k <> [] then
+        fail "entries of the empty cell %s" (pp_key k))
+    [ (max_int, 0); (0, min_int); (-3, 2) ]
 
 (* ------------------------------------------------------------------ *)
 (* Databases                                                           *)
@@ -344,6 +366,66 @@ let test_clustered () =
     (fun cell -> check_same ~what:"clustered" ~cell ~lo:(q 6) ~hi:(q 16) db)
     [ 256.0; 64.0 ]
 
+(* Cell indices past 2^31: positions near ±2^40 under small cells, and
+   cells whose indices differ by exactly 2^32 in one coordinate, or swap
+   coordinates, so any packing of (i, j) into one int would alias two
+   keys.  Speeds of a few cells per time unit, fractions included. *)
+let test_far_cells () =
+  let st = Random.State.make [| 40 |] in
+  let big = Q.of_bigint (Moq_numeric.Bigint.shift_left Moq_numeric.Bigint.one 40) in
+  let wrap = Q.of_bigint (Moq_numeric.Bigint.shift_left Moq_numeric.Bigint.one 32) in
+  List.iter
+    (fun cell ->
+      let lo = q 2 and hi = q 10 in
+      let qc = Q.of_float cell in
+      let anchors =
+        [ (big, Q.zero); (Q.neg big, big); (Q.zero, Q.neg big);
+          (Q.zero, Q.zero); (Q.mul wrap qc, Q.zero); (Q.zero, Q.mul wrap qc);
+          (qc, Q.zero); (Q.zero, qc); (Q.neg (Q.mul wrap qc), Q.mul wrap qc) ]
+      in
+      let db = ref (DB.empty ~dim:2 ~tau:(q 0)) and o = ref 0 in
+      List.iter
+        (fun (ax, ay) ->
+          for _ = 1 to 6 do
+            incr o;
+            let off () = Q.add (coord st ~cell) (Q.of_ints (Random.State.int st 7) 3) in
+            let pos = Qvec.of_list [ Q.add ax (off ()); Q.add ay (off ()) ] in
+            let a = Qvec.of_list [ Q.mul (rat st 3) (Q.of_float (cell /. 4.0));
+                                   Q.mul (rat st 3) (Q.of_float (cell /. 4.0)) ] in
+            db := DB.add_initial !db !o (T.linear ~start:(q 0) ~a ~b:pos)
+          done)
+        anchors;
+      check_same ~what:"cells past 2^31" ~cell ~lo ~hi !db)
+    [ 1.0; 0.75; 1.0 /. 1024.0 ]
+
+(* Fast movers: window boxes 50 to 200 cells across, turning, some dying
+   inside the window, beside slow objects. *)
+let test_fast_movers () =
+  let st = Random.State.make [| 50 |] in
+  for round = 1 to 6 do
+    let cell = List.nth [ 1.0; 2.5; 0.75 ] (round mod 3) in
+    let lo = q 2 and hi = q 10 in
+    let db = ref (random_db st ~dim:2 ~n:20 ~cell ~lo ~hi) in
+    let cells_per_unit k = Q.mul (q k) (Q.of_float cell) in
+    for o = 21 to 26 do
+      (* mostly along x, up to 25 cells per time unit; one diagonal at 8 *)
+      let a () =
+        if o = 21 then Qvec.of_list [ cells_per_unit 8; cells_per_unit (-8) ]
+        else
+          Qvec.of_list
+            [ cells_per_unit (7 + Random.State.int st 19); Q.mul (rat st 3) (Q.of_float cell) ]
+      in
+      let tr = T.linear ~start:(q 1) ~a:(a ()) ~b:(Qvec.of_list [ rat st 20; rat st 20 ]) in
+      let tr = T.chdir tr (Q.of_ints 17 3) (a ()) in
+      let tr = if o mod 3 = 0 then T.terminate tr (Q.of_ints 25 3) else tr in
+      db := DB.add_initial !db o tr
+    done;
+    (match Grid.trajectory_box (Option.get (DB.find !db 22)) ~lo ~hi with
+     | Some b when Q.compare (Q.sub b.x1 b.x0) (Q.mul (q 50) (Q.of_float cell)) >= 0 -> ()
+     | _ -> Alcotest.fail "a fast mover's window box spans fewer than 50 cells");
+    check_same ~what:(Printf.sprintf "fast movers round %d" round) ~cell ~lo ~hi !db
+  done
+
 let () =
   Alcotest.run "grid-diff"
     [ ("float-first = exact build", [
@@ -351,5 +433,7 @@ let () =
         Alcotest.test_case "random 1-d databases" `Quick test_random_1d;
         Alcotest.test_case "integer grids on cell boundaries" `Quick test_uniform;
         Alcotest.test_case "clustered with chdirs" `Quick test_clustered;
+        Alcotest.test_case "cell indices past 2^31" `Quick test_far_cells;
+        Alcotest.test_case "fast movers across many cells" `Quick test_fast_movers;
       ]);
     ]

@@ -17,7 +17,9 @@ let vec2 x y = Qvec.of_list [ q x; q y ]
 (* Every home shard as (key, members, exact box), forcing the boxes. *)
 let shard_list g =
   Array.to_list
-    (Array.map (fun s -> (s.Grid.key, s.Grid.members, Grid.shard_box s)) (Grid.shards g))
+    (Array.map
+       (fun s -> (s.Grid.key, Lazy.force s.Grid.members, Grid.shard_box s))
+       (Grid.shards g))
 
 let db_of specs =
   List.fold_left
@@ -104,7 +106,11 @@ let test_ring_search () =
   Alcotest.(check (list int)) "ring 2" [ 2 ] (at 2);
   Alcotest.(check (list int)) "ring 5" [ 3 ] (at 5);
   Alcotest.(check bool) "max_ring reaches the far cell" true
-    (Grid.max_ring g ~center:(0, 0) >= 5)
+    (Grid.max_ring g ~center:(0, 0) >= 5);
+  let next ring = Grid.next_ring g ~center:(0, 0) ~ring in
+  Alcotest.(check (option int)) "next from 1 skips the empty ring" (Some 2) (next 1);
+  Alcotest.(check (option int)) "next from 3" (Some 5) (next 3);
+  Alcotest.(check (option int)) "none past the last" None (next 6)
 
 let test_box_separation () =
   let box x0 x1 y0 y1 =
@@ -166,6 +172,50 @@ let test_trajectory_box () =
        ~lo:(q 0) ~hi:(q 10)
      = None)
 
+(* Words [Grid.build] allocates per object on clustered MODs of scan's
+   shape, after a warm-up build: all of them (minor words plus the flat
+   columns, which are big enough to go straight to the major heap), and
+   the minor words alone.  The build allocates its columns per object
+   and per piece, and small blocks only per shard and where a coordinate
+   needs its exact value.  The cluster spacing is a multiple of the cell,
+   so every cluster sits on the grid the same way and the shards per
+   object do not change with N: the check sees N alone. *)
+let build_words_per_object n =
+  let db = Gen.clustered_db ~seed:3 ~n ~spacing:10_240 () in
+  let updates = Gen.chdir_stream ~seed:4 ~db ~start:(q 0) ~gap:(Q.of_ints 1 7) ~count:100 () in
+  let db = DB.apply_all_exn db updates in
+  let build () = Grid.build ~cell:256.0 ~lo:(q 6) ~hi:(q 16) db in
+  ignore (Sys.opaque_identity (build ()));
+  let allocated () =
+    (* [Gc.minor_words] is exact at every call, [Gc.counters]' minor count
+       may lag to the last minor collection; its major and promoted counts
+       move together *)
+    let minor = Gc.minor_words () and _, promoted, major = Gc.counters () in
+    (minor +. major -. promoted, minor)
+  in
+  let all0, minor0 = allocated () in
+  ignore (Sys.opaque_identity (build ()));
+  let all1, minor1 = allocated () in
+  let per x = x /. float_of_int n in
+  (per (all1 -. all0), per (minor1 -. minor0))
+
+(* The build reads about 11.4 words per object here, 2 of them minor;
+   the hash-table build it replaced allocated about 258 minor words per
+   object. *)
+let build_words_budget = 20.0
+let build_minor_words_budget = 6.0
+
+let test_build_allocation () =
+  let all1, minor1 = build_words_per_object 1_000 and all8, minor8 = build_words_per_object 8_000 in
+  if all1 > build_words_budget || all8 > build_words_budget then
+    Alcotest.failf "%.1f and %.1f words per object at N = 1000 and 8000, budget %.0f" all1 all8
+      build_words_budget;
+  if minor1 > build_minor_words_budget || minor8 > build_minor_words_budget then
+    Alcotest.failf "%.1f and %.1f minor words per object at N = 1000 and 8000, budget %.0f"
+      minor1 minor8 build_minor_words_budget;
+  if Float.abs (all8 -. all1) > 0.1 *. all1 then
+    Alcotest.failf "%.2f words per object at N = 8000, %.2f at N = 1000: not flat" all8 all1
+
 let () =
   Alcotest.run "index"
     [ ("grid", [
@@ -179,5 +229,6 @@ let () =
         Alcotest.test_case "separation test on enclosures = exact" `Quick test_separation_exceeds;
         Alcotest.test_case "shard array sorted by key" `Quick test_shard_array;
         Alcotest.test_case "trajectory window box" `Quick test_trajectory_box;
+        Alcotest.test_case "build allocation per object, flat in N" `Quick test_build_allocation;
       ]);
     ]

@@ -134,6 +134,25 @@ let arb_interval2 =
     ~print:(fun (a, b) -> Format.asprintf "%a %a" IV.pp a IV.pp b)
     (QCheck.Gen.pair gen_interval gen_interval)
 
+let arb_interval3 =
+  QCheck.make
+    ~print:(fun (a, b, c) -> Format.asprintf "%a %a %a" IV.pp a IV.pp b IV.pp c)
+    (QCheck.Gen.triple gen_interval gen_interval gen_interval)
+
+(* Small integers and dyadics (exact doubles), thirds and other ratios
+   of small integers, and numerators or denominators past 2^53. *)
+let arb_any_rat =
+  let open QCheck.Gen in
+  let small = int_range (-1_000_000) 1_000_000 in
+  let big = map (fun k -> Q.of_bigint (Moq_numeric.Bigint.shift_left Moq_numeric.Bigint.one k)) (int_range 53 80) in
+  QCheck.make ~print:Q.to_string
+    (frequency
+       [ (2, map Q.of_int small);
+         (2, map2 (fun p k -> Q.of_ints p (1 lsl k)) small (int_range 0 30));
+         (3, map2 (fun p d -> Q.of_ints p (1 + abs d)) small small);
+         (1, map2 (fun b p -> Q.add b (Q.of_int p)) big small);
+         (1, map2 (fun b p -> Q.div (Q.of_int (1 + abs p)) (Q.add b Q.one)) big small) ])
+
 let same_bits v (l, h) =
   Int64.equal (Int64.bits_of_float (IV.lo v)) (Int64.bits_of_float l)
   && Int64.equal (Int64.bits_of_float (IV.hi v)) (Int64.bits_of_float h)
@@ -147,6 +166,15 @@ let bitwise_props =
   in
   [ op "mul" IV.mul Old.mul; op "div" IV.div Old.div; op "add" IV.add Old.add;
     op "sub" IV.sub Old.sub ]
+  @ [ prop ~count:3000 "of_rat_into = of_rat, bit for bit" arb_any_rat (fun q ->
+          let v = Array.make 3 nan in
+          IV.of_rat_into v 1 q;
+          same_bits (IV.of_rat q) (v.(1), v.(2)));
+      prop ~count:3000 "affine_into = add (mul a t) b, bit for bit" arb_interval3 (fun (a, t, b) ->
+          let v = [| IV.lo a; IV.hi a; IV.lo t; IV.hi t; IV.lo b; IV.hi b; nan; nan |] in
+          IV.affine_into v 6 ~a:0 ~t:2 ~b:4;
+          same_bits (IV.add (IV.mul a t) b) (v.(6), v.(7)));
+    ]
 
 let test_top_and_div_by_straddler () =
   Alcotest.(check bool) "top contains everything" true
