@@ -12,9 +12,57 @@
     signs and comparisons from the intervals when they are conclusive, and
     falls back to the exact machinery only when an interval straddles zero —
     bit-identical answers to {!Exact} at a fraction of the cost (experiment
-    A3 measures the hit rate and speedup). *)
+    A3 measures the hit rate and speedup).
+
+    The sweep reads curves through piece operations on their views
+    ({!S.locate}, {!S.diff_root_after}, ...), not through prebuilt
+    difference polynomials: Exact and Approx form the difference and
+    answer as before; Filtered answers from the views' float shadows and
+    forms it only on an exact path. *)
 
 module Q = Moq_numeric.Rat
+
+(* The piece operations of {!S} by way of the exact difference: Exact's
+   and Approx's, and Filtered's fallback when its shadows cannot
+   decide. *)
+module Via_difference (X : sig
+  module P : Moq_poly.Poly_intf.S
+  module PW : Moq_poly.Piecewise_intf.S with type P.t = P.t and type P.F.t = P.F.t
+
+  type instant
+
+  val compare_instant_scalar : instant -> P.F.t -> int
+  val sign_at_instant : P.t -> instant -> int
+  val sign_after_instant : P.t -> instant -> int
+  val first_root_after : P.t -> instant -> instant option
+  val first_root_at_or_after : P.t -> P.F.t -> instant option
+end) =
+struct
+  open X
+
+  let diff (v1 : PW.view) k1 (v2 : PW.view) k2 = P.sub v1.polys.(k1) v2.polys.(k2)
+  let compare_instant_knot i (v : PW.view) j = compare_instant_scalar i v.starts.(j)
+
+  let rec find_piece cmp (v : PW.view) i k =
+    if k + 1 < v.count && cmp i v (k + 1) >= 0 then find_piece cmp v i (k + 1) else k
+
+  (* The same comparisons, in the same order, as a walk down the piece
+     list: the start, the stop, then each next start until one lies
+     beyond the instant. *)
+  let locate_with cmp (v : PW.view) i =
+    if cmp i v 0 < 0 then invalid_arg "Curves.piece_at: before curve start";
+    if Array.length v.starts > v.count && cmp i v v.count > 0 then
+      invalid_arg "Curves.piece_at: after curve stop";
+    find_piece cmp v i 0
+
+  let locate v i = locate_with compare_instant_knot v i
+  let diff_sign_at v1 k1 v2 k2 i = sign_at_instant (diff v1 k1 v2 k2) i
+  let diff_sign_after v1 k1 v2 k2 i = sign_after_instant (diff v1 k1 v2 k2) i
+  let diff_root_after v1 k1 v2 k2 i = first_root_after (diff v1 k1 v2 k2) i
+
+  let diff_root_from v1 k1 v2 k2 (v : PW.view) j =
+    first_root_at_or_after (diff v1 k1 v2 k2) v.starts.(j)
+end
 
 module type S = sig
   val name : string
@@ -52,17 +100,49 @@ module type S = sig
   (** A scalar strictly greater than the instant (and at most [upto] when
       bounded; assumes the instant precedes [upto]). *)
 
-  type enclosure
-  (** A float enclosure of a polynomial's value at an instant. *)
+  (** {2 Pieces of curves}
 
-  val enclose : P.t -> instant -> enclosure
-  (** Encloses the value of the polynomial at the instant. *)
+      The sweep reads a curve through its {!PW.view} and a piece by its
+      index there.  Each operation below decides what the one named in
+      its doc decides, on the exact difference of the two pieces; a
+      backend with float shadows answers from the view's enclosures when
+      they settle it, and builds the difference only when they do not. *)
+
+  val compare_instant_knot : instant -> PW.view -> int -> int
+  (** [compare_instant_knot i v j] is [compare_instant_scalar i v.starts.(j)]. *)
+
+  val locate : PW.view -> instant -> int
+  (** The index of the piece in force at the instant (the last piece
+      starting at or before it; the last piece at the stop).
+      @raise Invalid_argument outside the curve's domain. *)
+
+  type enclosure
+  (** A float enclosure of a piece's value at an instant. *)
+
+  val enclose : PW.view -> int -> instant -> enclosure
+  (** [enclose v k i] encloses the value of piece [k] at the instant. *)
 
   val order_enclosures : enclosure -> enclosure -> int option
   (** [Some s] ([s] = ±1) only when the two enclosures are disjoint: [s]
       is then the exact sign of the first enclosed value minus the second.
       [None] when they overlap, and always on a backend without
       enclosures: the caller decides exactly. *)
+
+  val diff_sign_at : PW.view -> int -> PW.view -> int -> instant -> int
+  (** [diff_sign_at v1 k1 v2 k2 i] is [sign_at_instant (P.sub p1 p2) i],
+      with [p1] piece [k1] of [v1] and [p2] piece [k2] of [v2]. *)
+
+  val diff_sign_after : PW.view -> int -> PW.view -> int -> instant -> int
+  (** [sign_after_instant (P.sub p1 p2) i], likewise. *)
+
+  val diff_root_after : PW.view -> int -> PW.view -> int -> instant -> instant option
+  (** [first_root_after (P.sub p1 p2) i], likewise; the pieces differ. *)
+
+  val diff_root_from :
+    PW.view -> int -> PW.view -> int -> PW.view -> int -> instant option
+  (** [diff_root_from v1 k1 v2 k2 v j] is
+      [first_root_at_or_after (P.sub p1 p2) v.starts.(j)]; the pieces
+      differ. *)
 
   val scalar_of_rat : Q.t -> P.F.t
   val curve_of_qpiece : Moq_poly.Piecewise.Qpiece.t -> PW.t
@@ -114,9 +194,22 @@ struct
 
   let between a b = A.rational_between a b
 
+  include Via_difference (struct
+    module P = P
+    module PW = PW
+
+    type nonrec instant = instant
+
+    let compare_instant_scalar = compare_instant_scalar
+    let sign_at_instant = sign_at_instant
+    let sign_after_instant = sign_after_instant
+    let first_root_after = first_root_after
+    let first_root_at_or_after = first_root_at_or_after
+  end)
+
   type enclosure = unit
 
-  let enclose _ _ = ()
+  let enclose _ _ _ = ()
   let order_enclosures () () = None
 
   let scalar_after i ~upto =
@@ -180,9 +273,22 @@ struct
   let all_roots = Moq_poly.Froots.real_roots
   let between a b = 0.5 *. (a +. b)
 
+  include Via_difference (struct
+    module P = P
+    module PW = PW
+
+    type nonrec instant = instant
+
+    let compare_instant_scalar = compare_instant_scalar
+    let sign_at_instant = sign_at_instant
+    let sign_after_instant = sign_after_instant
+    let first_root_after = first_root_after
+    let first_root_at_or_after = first_root_at_or_after
+  end)
+
   type enclosure = unit
 
-  let enclose _ _ = ()
+  let enclose _ _ _ = ()
   let order_enclosures () () = None
 
   let scalar_after i ~upto =
@@ -202,8 +308,14 @@ end
     Every [instant] is an exact algebraic number shadowed by an
     outward-rounded float interval ({!Moq_numeric.Fintval}); a crossing
     the intervals alone proved builds its exact number only when first
-    read.  Polynomial coefficients get memoized interval shadows
-    ({!Moq_poly.Shadow}).  Each
+    read.  Curves are read through their views, which hold an enclosure
+    of every knot and coefficient: locating a piece, enclosing its value,
+    finding the next root of two pieces' difference (from the
+    difference's enclosures, formed coefficient by coefficient) and the
+    sign at and just after a crossing of the same two pieces all run on
+    floats, and the exact difference of two pieces is built only when
+    they cannot decide.  Prebuilt polynomials get memoized interval
+    shadows ({!Moq_poly.Shadow}).  Each
     predicate first tries to decide from the intervals — a {e hit} — and
     only when the interval answer is inconclusive runs the exact
     Sturm/Algnum machinery — a {e miss}, whose wall time is accumulated so
@@ -218,6 +330,8 @@ module Filtered : sig
       with type P.t = Moq_poly.Qpoly.t
        and type P.F.t = Q.t
        and type PW.t = Moq_poly.Piecewise.Qpiece.t
+       and type PW.view = Moq_poly.Piecewise.Qpiece.view
+       and type enclosure = Moq_numeric.Fintval.t
 
   type filter_stats = {
     hits : int;  (** decisions settled by intervals alone *)
@@ -243,6 +357,12 @@ module Filtered : sig
   (** The exact value, for cross-backend comparison in tests/benchmarks. *)
 
   val of_algnum : Moq_poly.Algnum.t -> instant
+
+  val diff_shadow : PW.view -> int -> PW.view -> int -> Moq_numeric.Fintval.t array
+  (** [diff_shadow v1 k1 v2 k2]: enclosures of the coefficients of piece
+      [k1] of [v1] minus piece [k2] of [v2], lowest degree first, up to
+      the larger of the two degrees, as the root search forms them from
+      the views (for the enclosure properties in the tests). *)
 end = struct
   let name = "filtered"
 
@@ -253,32 +373,55 @@ end = struct
   module Shadow = Moq_poly.Shadow
   module Sink = Moq_obs.Sink
 
-  (* The exact value, built on first exact read.  A crossing the float
-     filter proved ([Two]'s disjoint enclosures) is scheduled as
-     [Deferred]: its polynomial, its enclosure and which root it is.  Most
-     are discarded when their pair stops being adjacent, so the exact
-     certificate ({!A.root_of_enclosure}) runs only for the few that a
-     decision or an output reads. *)
-  type exact =
-    | Known of A.t
-    | Deferred of { p : P.t; enc : IV.t; index : int }
+  (* A crossing found on two pieces' shadows: root [index] (ascending) of
+     [p1 - p2], whose degree is [deg] (1 or 2) and whose sign just after
+     the root is [after].  [diff] is [p1 - p2] once an exact read has
+     built it, [P.zero] before; like [exact] below, the write is
+     idempotent, so racing threads agree. *)
+  type pair = { p1 : P.t; p2 : P.t; deg : int; index : int; after : int; mutable diff : P.t }
 
-  (* [zero_of]: a polynomial this instant is known to be an exact root of
-     (set when the instant was produced as a root).  Lets [sign_at_instant]
-     certify the zero sign structurally — intervals alone can never prove a
-     sign of exactly zero at a non-dyadic point. *)
-  type instant = { mutable ex : exact; mutable iv : IV.t; zero_of : P.t option }
+  (* What an instant is known to be an exact root of: nothing, a
+     polynomial (a root searched on a prebuilt polynomial), or the
+     difference of two pieces.  Lets [sign_at_instant] certify the zero
+     sign structurally — intervals alone can never prove a sign of exactly
+     zero at a non-dyadic point. *)
+  type root = Unrooted | Root_of of P.t | Root_of_pair of pair
+
+  (* The exact value, built on first exact read.  A crossing the float
+     filter proved is scheduled as [Deferred]: its enclosure and which
+     root of its [root] polynomial it is.  Most are discarded when their
+     pair stops being adjacent, so the exact certificate
+     ({!A.root_of_enclosure}) runs only for the few that a decision or an
+     output reads. *)
+  type exact = Known of A.t | Deferred of { enc : IV.t; index : int }
+
+  type instant = { mutable ex : exact; mutable iv : IV.t; root : root }
+
+  let pair_diff r =
+    if P.is_zero r.diff then r.diff <- P.sub r.p1 r.p2;
+    r.diff
+
+  let root_poly i =
+    match i.root with
+    | Root_of p -> p
+    | Root_of_pair r -> pair_diff r
+    | Unrooted -> invalid_arg "Backend.Filtered: not a root"
+
+  let linear_root p = Q.neg (Q.div (P.coeff p 0) (P.coeff p 1))
 
   (* Force the exact value.  The write is idempotent rather than [Lazy]:
      query threads and the commit thread print the same instants, and two
      threads that race here each build an equal number from the same
-     enclosure; whichever write lands, later reads agree. *)
+     enclosure; whichever write lands, later reads agree.  A linear root
+     is its rational, as Exact builds it. *)
   let exact i =
     match i.ex with
     | Known x -> x
-    | Deferred { p; enc; index } ->
+    | Deferred { enc; index } ->
+      let p = root_poly i in
       let x =
-        A.root_of_enclosure p ~lo:(Q.of_float (IV.lo enc)) ~hi:(Q.of_float (IV.hi enc)) ~index
+        if P.degree p = 1 then A.of_rat (linear_root p)
+        else A.root_of_enclosure p ~lo:(Q.of_float enc.IV.lo) ~hi:(Q.of_float enc.IV.hi) ~index
       in
       i.ex <- Known x;
       x
@@ -315,7 +458,7 @@ end = struct
   let note_straddle (iv : IV.t) =
     incr straddle_count;
     if !straddle_count <= straddle_cap then
-      straddles := (0.5 *. (IV.lo iv +. IV.hi iv)) :: !straddles
+      straddles := (0.5 *. (iv.IV.lo +. iv.IV.hi)) :: !straddles
 
   let publish sink =
     Sink.count sink "moq_filter_hit" !hits;
@@ -342,18 +485,34 @@ end = struct
 
   let of_algnum x =
     let lo, hi = A.bounds x in
-    { ex = Known x; iv = IV.of_rat_bounds lo hi; zero_of = None }
+    { ex = Known x; iv = IV.of_rat_bounds lo hi; root = Unrooted }
 
   let to_algnum = exact
-  let instant_of_scalar s = { ex = Known (A.of_rat s); iv = IV.of_rat s; zero_of = None }
+  let instant_of_scalar s = { ex = Known (A.of_rat s); iv = IV.of_rat s; root = Unrooted }
 
-  (* Is [p] the stored root polynomial, up to sign?  (The engine recomputes
-     difference polynomials on the fly, so [p1 - p2] and [p2 - p1] both
-     occur for the same crossing.) *)
+  (* Is [p] the polynomial the instant is a root of, up to sign?  (The
+     engine recomputes difference polynomials on the fly, so [p1 - p2]
+     and [p2 - p1] both occur for the same crossing.) *)
   let is_zero_of i p =
-    match i.zero_of with
-    | Some p0 -> P.equal p p0 || P.equal p (P.neg p0)
-    | None -> false
+    match i.root with
+    | Unrooted -> false
+    | _ ->
+      let p0 = root_poly i in
+      P.equal p p0 || P.equal p (P.neg p0)
+
+  (* Are [q1] and [q2] physically the pieces the crossing [r] was found
+     on, in either order? *)
+  let same_pieces r q1 q2 = (r.p1 == q1 && r.p2 == q2) || (r.p1 == q2 && r.p2 == q1)
+
+  (* Are both instants the unique root of one linear polynomial? *)
+  let same_linear_root a b =
+    match a.root, b.root with
+    | Unrooted, _ | _, Unrooted -> false
+    | Root_of_pair x, Root_of_pair y when x.deg = 1 && y.deg = 1 && same_pieces x y.p1 y.p2 -> true
+    | Root_of_pair { deg = 2; _ }, _ | _, Root_of_pair { deg = 2; _ } -> false
+    | _ ->
+      let pa = root_poly a and pb = root_poly b in
+      P.degree pa = 1 && (P.equal pa pb || P.equal pa (P.neg pb))
 
   let compare_instant a b =
     if a == b then 0
@@ -361,12 +520,7 @@ end = struct
       incr decisions;
       match IV.compare_certain a.iv b.iv with
       | Some c -> hit c
-      | None when
-          (match a.zero_of, b.zero_of with
-           | Some pa, Some pb ->
-             P.degree pa = 1 && (P.equal pa pb || P.equal pa (P.neg pb))
-           | _ -> false) ->
-        hit 0 (* both are the unique root of the same linear polynomial *)
+      | None when same_linear_root a b -> hit 0
       | None ->
         miss ~at:a.iv (fun () ->
           let c = A.compare (exact a) (exact b) in
@@ -411,33 +565,32 @@ end = struct
 
   type enclosure = IV.t
 
-  let enclose p i = Shadow.eval_at p i.iv
+  let below = Some (-1)
+  let above = Some 1
 
   (* Disjoint enclosures prove the order; an overlap is left to the
      caller's exact sign test, which counts its own decision. *)
   let order_enclosures a b =
-    if IV.hi a < IV.lo b then begin
+    if a.IV.hi < b.IV.lo then begin
       incr decisions;
-      Some (hit (-1))
+      hit below
     end
-    else if IV.hi b < IV.lo a then begin
+    else if b.IV.hi < a.IV.lo then begin
       incr decisions;
-      Some (hit 1)
+      hit above
     end
     else None
 
   (* --- root filtering ------------------------------------------------- *)
 
-  let linear_root p = Q.neg (Q.div (P.coeff p 0) (P.coeff p 1))
-
-  (* Schedule root [index] of [p] from [rc], one of [Two]'s enclosures:
-     [p] is a squarefree quadratic and [rc] holds that root and no other.
+  (* Schedule root [index] of a polynomial from [rc], an enclosure that
+     holds that root and no other; [root index] is what it is a root of.
      Nothing exact runs here; {!exact} finishes the certificate when the
      instant is first read.  An infinite or single-point enclosure is left
      to the caller's exact fallback. *)
-  let deferred_root p (rc : IV.t) index : instant option =
-    if IV.is_finite rc && IV.lo rc < IV.hi rc then
-      Some { ex = Deferred { p; enc = rc; index }; iv = rc; zero_of = Some p }
+  let deferred_root root (rc : IV.t) index : instant option =
+    if IV.is_finite rc && rc.IV.lo < rc.IV.hi then
+      Some { ex = Deferred { enc = rc; index }; iv = rc; root = root index }
     else None
 
   (* The real roots of a quadratic, as far as float intervals can tell. *)
@@ -446,37 +599,44 @@ end = struct
     | Two of IV.t * IV.t  (** disjoint enclosures of the two roots, ascending *)
     | Unsure  (** a double root, near-tangency, or an inconclusive discriminant *)
 
-  let quad_roots p =
-    let s = Shadow.of_qpoly p in
-    let a2 = s.(2) and a1 = s.(1) and a0 = s.(0) in
-    let disc = IV.sub (IV.mul a1 a1) (IV.mul (IV.of_int 4) (IV.mul a2 a0)) in
+  let iv_two = IV.of_int 2
+  let iv_four = IV.of_int 4
+
+  (* From enclosures of the coefficients [a2 t^2 + a1 t + a0].  [Two]
+     implies [a2] excludes zero: otherwise the division spans the line. *)
+  let quad_roots_of a2 a1 a0 =
+    let disc = IV.sub (IV.mul a1 a1) (IV.mul iv_four (IV.mul a2 a0)) in
     match IV.sign disc with
     | Some s when s < 0 -> No_real
     | Some s when s > 0 ->
       let sq = IV.sqrt disc in
-      let two_a2 = IV.mul (IV.of_int 2) a2 in
+      let two_a2 = IV.mul iv_two a2 in
       let r1 = IV.div (IV.sub (IV.neg a1) sq) two_a2 in
       let r2 = IV.div (IV.add (IV.neg a1) sq) two_a2 in
-      if IV.hi r1 < IV.lo r2 then Two (r1, r2)
-      else if IV.hi r2 < IV.lo r1 then Two (r2, r1)
+      if r1.IV.hi < r2.IV.lo then Two (r1, r2)
+      else if r2.IV.hi < r1.IV.lo then Two (r2, r1)
       else Unsure
     | _ -> Unsure
 
+  let quad_roots p =
+    let s = Shadow.of_qpoly p in
+    quad_roots_of s.(2) s.(1) s.(0)
+
   (* Interval prefilter for the first root of a quadratic at-or-beyond a
-     threshold enclosed by [tv].  Outer [None] = inconclusive (exact
-     fallback); [Some ans] = certain answer.  A root exactly at the
-     threshold is never certified, so the same filter serves both the
-     strict ("after") and weak ("at or after") variants — they only differ
-     on that always-fallback case. *)
-  let quad_first_root p roots (tv : IV.t) : instant option option =
+     threshold enclosed by [tv]; [root j] is what root [j] is a root of.
+     Outer [None] = inconclusive (exact fallback); [Some ans] = certain
+     answer.  A root exactly at the threshold is never certified, so the
+     same filter serves both the strict ("after") and weak ("at or after")
+     variants — they only differ on that always-fallback case. *)
+  let quad_first_root root roots (tv : IV.t) : instant option option =
     match roots with
     | No_real -> Some None
     | Unsure -> None
     | Two (rmin, rmax) ->
-      if IV.hi rmax < IV.lo tv then Some None (* both roots certainly before *)
-      else if IV.lo rmin > IV.hi tv then Option.map Option.some (deferred_root p rmin 0)
-      else if IV.hi rmin < IV.lo tv && IV.lo rmax > IV.hi tv then
-        Option.map Option.some (deferred_root p rmax 1)
+      if rmax.IV.hi < tv.IV.lo then Some None (* both roots certainly before *)
+      else if rmin.IV.lo > tv.IV.hi then Option.map Option.some (deferred_root root rmin 0)
+      else if rmin.IV.hi < tv.IV.lo && rmax.IV.lo > tv.IV.hi then
+        Option.map Option.some (deferred_root root rmax 1)
       else None
 
   (* The next crossing of two curves that have just crossed: [i] is itself
@@ -488,8 +648,9 @@ end = struct
   let own_root_successor p roots i : instant option option =
     match roots with
     | Two (rmin, rmax) when is_zero_of i p ->
-      if IV.hi i.iv < IV.lo rmax then Option.map Option.some (deferred_root p rmax 1)
-      else if IV.lo i.iv > IV.hi rmin then Some None
+      if i.iv.IV.hi < rmax.IV.lo then
+        Option.map Option.some (deferred_root (fun _ -> Root_of p) rmax 1)
+      else if i.iv.IV.lo > rmin.IV.hi then Some None
       else None
     | _ -> None
 
@@ -501,7 +662,7 @@ end = struct
       if d = 1 then begin
         let r = linear_root p in
         let rv = IV.of_rat r in
-        let root () = Some { ex = Known (A.of_rat r); iv = rv; zero_of = Some p } in
+        let root () = Some { ex = Known (A.of_rat r); iv = rv; root = Root_of p } in
         match IV.compare_certain rv i.iv with
         | Some c -> hit (if c > 0 then root () else None)
         | None ->
@@ -513,7 +674,7 @@ end = struct
       end
       else if d = 2 then begin
         let roots = quad_roots p in
-        match quad_first_root p roots i.iv with
+        match quad_first_root (fun _ -> Root_of p) roots i.iv with
         | Some ans -> hit ans
         | None ->
           (match own_root_successor p roots i with
@@ -532,7 +693,7 @@ end = struct
       if d = 1 then begin
         let r = linear_root p in
         let rv = IV.of_rat r in
-        let root () = Some { ex = Known (A.of_rat r); iv = rv; zero_of = Some p } in
+        let root () = Some { ex = Known (A.of_rat r); iv = rv; root = Root_of p } in
         match IV.compare_certain rv (IV.of_rat s) with
         | Some c -> hit (if c >= 0 then root () else None)
         | None ->
@@ -540,7 +701,7 @@ end = struct
             if Q.compare r s >= 0 then root () else None)
       end
       else if d = 2 then begin
-        match quad_first_root p (quad_roots p) (IV.of_rat s) with
+        match quad_first_root (fun _ -> Root_of p) (quad_roots p) (IV.of_rat s) with
         | Some ans -> hit ans
         | None ->
           miss ~at:(IV.of_rat s)
@@ -553,6 +714,150 @@ end = struct
 
   let all_roots p = List.map of_algnum (A.roots p)
 
+  (* --- pieces, from the curves' shadows ------------------------------ *)
+
+  module D = Via_difference (struct
+    module P = P
+    module PW = PW
+
+    type nonrec instant = instant
+
+    let compare_instant_scalar = compare_instant_scalar
+    let sign_at_instant = sign_at_instant
+    let sign_after_instant = sign_after_instant
+    let first_root_after = first_root_after
+    let first_root_at_or_after = first_root_at_or_after
+  end)
+
+  (* [compare_instant_scalar] against a knot's stored enclosure. *)
+  let compare_instant_knot i (v : PW.view) j =
+    incr decisions;
+    let lo = v.bounds.(2 * j) and hi = v.bounds.((2 * j) + 1) in
+    if i.iv.IV.hi < lo then hit (-1)
+    else if hi < i.iv.IV.lo then hit 1
+    else if i.iv.IV.lo = i.iv.IV.hi && lo = hi && i.iv.IV.lo = lo then hit 0
+    else
+      miss ~at:i.iv (fun () ->
+        let c = A.compare (exact i) (A.of_rat v.starts.(j)) in
+        refresh i;
+        c)
+
+  let locate v i = D.locate_with compare_instant_knot v i
+
+  (* [Shadow.eval_at] of the piece, from the view's coefficients *)
+  let enclose (v : PW.view) k i =
+    let at = v.coef_at.(k) in
+    IV.horner v.coefs at ((v.coef_at.(k + 1) - at) / 2) i.iv
+
+  (* The two pieces are the ones [i] is a crossing of: the difference is
+     zero there. *)
+  let diff_sign_at (v1 : PW.view) k1 (v2 : PW.view) k2 i =
+    let q1 = v1.polys.(k1) and q2 = v2.polys.(k2) in
+    if q1 == q2 then 0
+    else
+      match i.root with
+      | Root_of_pair r when same_pieces r q1 q2 ->
+        incr decisions;
+        hit 0
+      | _ -> D.diff_sign_at v1 k1 v2 k2 i
+
+  (* Just after root [index] of a polynomial with two simple roots or
+     one, the sign is [pair.after]; the two decisions are the jet's two
+     sign tests, of the value and of the derivative. *)
+  let diff_sign_after (v1 : PW.view) k1 (v2 : PW.view) k2 i =
+    let q1 = v1.polys.(k1) and q2 = v2.polys.(k2) in
+    if q1 == q2 then 0
+    else
+      match i.root with
+      | Root_of_pair r when same_pieces r q1 q2 ->
+        decisions := !decisions + 2;
+        hits := !hits + 2;
+        if r.p1 == q1 then r.after else - r.after
+      | _ -> D.diff_sign_after v1 k1 v2 k2 i
+
+  (* The exact degree of [q1 - q2], read off the coefficients. *)
+  let diff_degree q1 q2 =
+    let rec go d = if d >= 0 && Q.equal (P.coeff q1 d) (P.coeff q2 d) then go (d - 1) else d in
+    go (Int.max (P.degree q1) (P.degree q2))
+
+  let zero_pair = [| 0.0; 0.0 |]
+
+  (* An enclosure of coefficient [j] of [q1 - q2], from the shadows *)
+  let coef_diff (v1 : PW.view) k1 (v2 : PW.view) k2 j =
+    let c1 = v1.coef_at.(k1) + (2 * j) and c2 = v2.coef_at.(k2) + (2 * j) in
+    let in1 = c1 < v1.coef_at.(k1 + 1) and in2 = c2 < v2.coef_at.(k2 + 1) in
+    IV.sub_pairs
+      (if in1 then v1.coefs else zero_pair)
+      (if in1 then c1 else 0)
+      (if in2 then v2.coefs else zero_pair)
+      (if in2 then c2 else 0)
+
+  let diff_shadow (v1 : PW.view) k1 (v2 : PW.view) k2 =
+    Array.init
+      (Int.max (P.degree v1.polys.(k1)) (P.degree v2.polys.(k2)) + 1)
+      (coef_diff v1 k1 v2 k2)
+
+  (* The first root of [q1 - q2] beyond the threshold [tv] (strictly
+     after it when [strict]), from the difference's shadow, which is
+     formed coefficient by coefficient.  [own] is the threshold
+     instant's root: when it is a crossing of these two pieces, its index
+     names the next root.  Outer [None]: the shadows cannot settle it (a
+     degree other than 1 or 2, an [Unsure] discriminant, a root enclosure
+     meeting the threshold). *)
+  let shadow_root (v1 : PW.view) k1 (v2 : PW.view) k2 d (tv : IV.t) ~strict own :
+      instant option option =
+    let q1 = v1.polys.(k1) and q2 = v2.polys.(k2) in
+    let own = match own with Root_of_pair r when strict && same_pieces r q1 q2 -> Some r | _ -> None in
+    (* [a] encloses the difference's leading coefficient, which the
+       divisions below have proved nonzero; the sign just after a root is
+       [-s] after the smaller root of a quadratic and [s] otherwise *)
+    let pair (a : IV.t) index =
+      let s = if a.IV.lo > 0.0 then 1 else -1 in
+      let after = if d = 2 && index = 0 then - s else s in
+      Root_of_pair { p1 = q1; p2 = q2; deg = d; index; after; diff = P.zero }
+    in
+    if d = 1 then begin
+      let a1 = coef_diff v1 k1 v2 k2 1 in
+      let rv = IV.div (IV.neg (coef_diff v1 k1 v2 k2 0)) a1 in
+      if not (IV.is_finite rv) then None
+      else
+        match IV.compare_certain rv tv with
+        | Some c ->
+          if c > 0 || (c = 0 && not strict) then Option.map Option.some (deferred_root (pair a1) rv 0)
+          else Some None
+        | None -> if own <> None then Some None else None
+    end
+    else if d = 2 then begin
+      let a2 = coef_diff v1 k1 v2 k2 2 in
+      let roots = quad_roots_of a2 (coef_diff v1 k1 v2 k2 1) (coef_diff v1 k1 v2 k2 0) in
+      match quad_first_root (pair a2) roots tv, roots, own with
+      | (Some _ as ans), _, _ -> ans
+      | None, Two (_, rmax), Some r ->
+        if r.index = 0 then Option.map Option.some (deferred_root (pair a2) rmax 1) else Some None
+      | None, _, _ -> None
+    end
+    else None
+
+  let diff_root_after (v1 : PW.view) k1 (v2 : PW.view) k2 i =
+    let d = diff_degree v1.polys.(k1) v2.polys.(k2) in
+    if d <= 0 then None
+    else
+      match shadow_root v1 k1 v2 k2 d i.iv ~strict:true i.root with
+      | Some ans ->
+        incr decisions;
+        hit ans
+      | None -> D.diff_root_after v1 k1 v2 k2 i
+
+  let diff_root_from (v1 : PW.view) k1 (v2 : PW.view) k2 (v : PW.view) j =
+    let d = diff_degree v1.polys.(k1) v2.polys.(k2) in
+    if d <= 0 then None
+    else
+      match shadow_root v1 k1 v2 k2 d (IV.get v.bounds (2 * j)) ~strict:false Unrooted with
+      | Some ans ->
+        incr decisions;
+        hit ans
+      | None -> D.diff_root_from v1 k1 v2 k2 v j
+
   (* A float strictly inside the open gap (l, h), if one exists. *)
   let gap_mid l h =
     let m = 0.5 *. (l +. h) in
@@ -561,8 +866,8 @@ end = struct
   let between a b =
     incr decisions;
     let fast =
-      if IV.hi a.iv < IV.lo b.iv then gap_mid (IV.hi a.iv) (IV.lo b.iv)
-      else if IV.hi b.iv < IV.lo a.iv then gap_mid (IV.hi b.iv) (IV.lo a.iv)
+      if a.iv.IV.hi < b.iv.IV.lo then gap_mid a.iv.IV.hi b.iv.IV.lo
+      else if b.iv.IV.hi < a.iv.IV.lo then gap_mid b.iv.IV.hi a.iv.IV.lo
       else None
     in
     match fast with
@@ -575,7 +880,7 @@ end = struct
     | Some u ->
       incr decisions;
       let uv = IV.of_rat u in
-      let fast = if IV.hi i.iv < IV.lo uv then gap_mid (IV.hi i.iv) (IV.lo uv) else None in
+      let fast = if i.iv.IV.hi < uv.IV.lo then gap_mid i.iv.IV.hi uv.IV.lo else None in
       (match fast with
        | Some m -> hit (Q.of_float m)
        | None -> miss ~at:i.iv (fun () -> A.rational_between (exact i) (A.of_rat u)))

@@ -1,42 +1,40 @@
 (** Backend-generic operations on g-distance curves: comparing two curves at
     or just after an instant, and finding their next crossing — the
-    intersection computation the sweep schedules events with. *)
+    intersection computation the sweep schedules events with.
+
+    Curves are read through their views ({!Moq_poly.Piecewise_intf.S.view}):
+    knots and pieces by index, each knot and coefficient with a float
+    enclosure built once per curve.  The backend's piece operations
+    ({!Backend.S.locate}, {!Backend.S.diff_root_after}, ...) take the
+    pieces themselves, so a backend with shadows decides from them and
+    builds a difference polynomial only when they cannot settle a
+    question. *)
 
 module Make (B : Backend.S) = struct
   module P = B.P
   module PW = B.PW
   module F = B.P.F
 
+  let has_stop (v : PW.view) = Array.length v.starts > v.count
+
   (* Does the curve's domain contain the instant? *)
   let covers (c : PW.t) (i : B.instant) : bool =
-    B.compare_instant_scalar i (PW.start c) >= 0
-    && (match PW.stop c with
-        | Some s -> B.compare_instant_scalar i s <= 0
-        | None -> true)
+    let v = PW.view c in
+    B.compare_instant_knot i v 0 >= 0
+    && ((not (has_stop v)) || B.compare_instant_knot i v v.count <= 0)
 
   (* The polynomial piece of [c] in force at [i], with the end of its
      validity.  @raise Invalid_argument if [i] is outside the domain. *)
   let piece_at (c : PW.t) (i : B.instant) : P.t * F.t option =
-    if B.compare_instant_scalar i (PW.start c) < 0 then
-      invalid_arg "Curves.piece_at: before curve start"
-    else begin
-      (match PW.stop c with
-       | Some s when B.compare_instant_scalar i s > 0 ->
-         invalid_arg "Curves.piece_at: after curve stop"
-       | _ -> ());
-      let rec find = function
-        | (_, p) :: ((b, _) :: _ as rest) ->
-          if B.compare_instant_scalar i b < 0 then (p, Some b) else find rest
-        | [ (_, p) ] -> (p, PW.stop c)
-        | [] -> assert false
-      in
-      find (PW.pieces c)
-    end
+    let v = PW.view c in
+    let k = B.locate v i in
+    (v.polys.(k), if k + 1 < Array.length v.starts then Some v.starts.(k + 1) else None)
 
   (* Sign of (c1 - c2) at instant [i]; both curves must cover [i]. *)
   let diff_sign_at c1 c2 i =
-    let p1, _ = piece_at c1 i and p2, _ = piece_at c2 i in
-    B.sign_at_instant (P.sub p1 p2) i
+    let v1 = PW.view c1 and v2 = PW.view c2 in
+    let k1 = B.locate v1 i in
+    B.diff_sign_at v1 k1 v2 (B.locate v2 i) i
 
   (* Do the curves have a polynomial in common anywhere?  Compares
      pieces only: no instant is looked at. *)
@@ -49,7 +47,7 @@ module Make (B : Backend.S) = struct
      force there; no evaluation. *)
   let same_piece_at c1 c2 i =
     let p1, _ = piece_at c1 i and p2, _ = piece_at c2 i in
-    P.is_zero (P.sub p1 p2)
+    P.equal p1 p2
 
   (* The common domain of two curves: its start and its stop. *)
   let common_domain (c1 : PW.t) (c2 : PW.t) : F.t * F.t option =
@@ -110,64 +108,76 @@ module Make (B : Backend.S) = struct
       (diff_segments c1 c2)
     |> List.sort_uniq B.compare_instant
 
-  (* The pieces of a curve from the one in force at [a] on. *)
-  let rec pieces_from a = function
-    | _ :: ((b, _) :: _ as rest) when F.compare b a <= 0 -> pieces_from a rest
-    | l -> l
+  (* The piece of [v] in force from [a] on, searching from piece [k]. *)
+  let rec piece_from (v : PW.view) k a =
+    if k + 1 < v.count && F.compare v.starts.(k + 1) a <= 0 then piece_from v (k + 1) a else k
+
+  (* [first_crossing]'s walk over the segment that starts at knot [ja] of
+     [va], on pieces [k1] of [v1] and [k2] of [v2]; knot [ej] of [ev] is
+     the common stop ([ej] = -1 when there is none). *)
+  let rec scan ~after horizon (v1 : PW.view) (v2 : PW.view) (ev : PW.view) ej (va : PW.view) ja
+      k1 k2 =
+    (* the next knot inside the common domain, if any: knot [ji] of [vi],
+       [ji] = -1 when there is none (a knot both curves have is [v1]'s) *)
+    let by2 =
+      k2 + 1 < v2.count
+      && ((not (k1 + 1 < v1.count)) || F.compare v2.starts.(k2 + 1) v1.starts.(k1 + 1) < 0)
+    in
+    let vi = if by2 then v2 else v1 in
+    let ji = if by2 then k2 + 1 else if k1 + 1 < v1.count then k1 + 1 else -1 in
+    let ji = if ji >= 0 && ej >= 0 && F.compare vi.starts.(ji) ev.starts.(ej) >= 0 then -1 else ji in
+    (* the segment's end: that knot, else the stop *)
+    let ve = if ji >= 0 then vi else ev and je = if ji >= 0 then ji else ej in
+    if (match horizon with Some h -> F.compare va.starts.(ja) h > 0 | None -> false) then None
+    else if je >= 0 && B.compare_instant_knot after ve je >= 0 then
+      next ~after horizon v1 v2 ev ej vi ji k1 k2
+    else begin
+      let p1 = v1.polys.(k1) and p2 = v2.polys.(k2) in
+      (* where the curves coincide identically the order does not change;
+         a separation shows up as a root at the next segment's start *)
+      if p1 == p2 || P.equal p1 p2 then next ~after horizon v1 v2 ev ej vi ji k1 k2
+      else begin
+        let candidate =
+          if B.compare_instant_knot after va ja < 0 then B.diff_root_from v1 k1 v2 k2 va ja
+          else B.diff_root_after v1 k1 v2 k2 after
+        in
+        match candidate with
+        | Some r when je < 0 || B.compare_instant_knot r ve je <= 0 ->
+          (match horizon with
+           | Some h when B.compare_instant_scalar r h > 0 -> None
+           | _ -> candidate)
+        | _ -> next ~after horizon v1 v2 ev ej vi ji k1 k2
+      end
+    end
+
+  and next ~after horizon v1 v2 ev ej (vi : PW.view) ji k1 k2 =
+    if ji < 0 then None
+    else begin
+      let b = vi.starts.(ji) in
+      scan ~after horizon v1 v2 ev ej vi ji (piece_from v1 k1 b) (piece_from v2 k2 b)
+    end
 
   (* Earliest instant strictly after [after] (and at most [horizon], when
      given) at which the two curves are equal.  Handles multi-piece curves
      and segments where the curves coincide identically (the crossing is
      then reported where they separate, via the root of the next segment's
-     difference at its boundary).  The merged breakpoints are walked one
-     segment at a time: a segment that ends before [after] is skipped
-     without building its difference, and the walk stops at the first
-     segment that holds a root. *)
+     difference at its boundary).  The merged knots are walked one segment
+     at a time: a segment that ends before [after] is skipped without
+     looking at its pieces, and the walk stops at the first segment that
+     holds a root. *)
   let first_crossing ~(after : B.instant) ?horizon (c1 : PW.t) (c2 : PW.t) : B.instant option =
-    let s, stop = common_domain c1 c2 in
-    let next_start = function _ :: (b, _) :: _ -> Some b | _ -> None in
-    (* [l1] and [l2] start with the pieces in force on the segment that
-       starts at [a] *)
-    let rec scan a l1 l2 =
-      (* the next breakpoint inside the common domain, if any *)
-      let inner =
-        match next_start l1, next_start l2 with
-        | None, x | x, None -> x
-        | Some x, Some y -> Some (if F.compare x y <= 0 then x else y)
-      in
-      let inner =
-        match inner, stop with
-        | Some b, Some e when F.compare b e >= 0 -> None
-        | b, _ -> b
-      in
-      let e = match inner with Some _ -> inner | None -> stop in
-      let continue () =
-        match inner with
-        | Some b -> scan b (pieces_from b l1) (pieces_from b l2)
-        | None -> None
-      in
-      if (match horizon with Some h -> F.compare a h > 0 | None -> false) then None
-      else if (match e with Some e' -> B.compare_instant_scalar after e' >= 0 | None -> false)
-      then continue () (* the segment ends at or before [after] *)
-      else begin
-        let d = P.sub (snd (List.hd l1)) (snd (List.hd l2)) in
-        (* where the curves coincide identically the order does not
-           change; a separation shows up as a root at the next segment's
-           start *)
-        if P.is_zero d then continue ()
-        else begin
-          let candidate =
-            if B.compare_instant_scalar after a < 0 then B.first_root_at_or_after d a
-            else B.first_root_after d after
-          in
-          match candidate with
-          | Some r when (match e with Some e' -> B.compare_instant_scalar r e' <= 0 | None -> true) ->
-            (match horizon with
-             | Some h when B.compare_instant_scalar r h > 0 -> None
-             | _ -> Some r)
-          | _ -> continue ()
-        end
-      end
+    let v1 = PW.view c1 and v2 = PW.view c2 in
+    (* the common domain starts at the later start and stops at the
+       earlier stop *)
+    let sv = if F.compare v1.starts.(0) v2.starts.(0) >= 0 then v1 else v2 in
+    let by2 =
+      has_stop v2
+      && ((not (has_stop v1)) || F.compare v2.starts.(v2.count) v1.starts.(v1.count) < 0)
     in
-    scan s (pieces_from s (PW.pieces c1)) (pieces_from s (PW.pieces c2))
+    let ev = if by2 then v2 else v1 in
+    let ej = if by2 || has_stop v1 then ev.count else -1 in
+    if ej >= 0 && F.compare sv.starts.(0) ev.starts.(ej) > 0 then
+      invalid_arg "Curves: disjoint domains";
+    let s = sv.starts.(0) in
+    scan ~after horizon v1 v2 ev ej sv 0 (piece_from v1 0 s) (piece_from v2 0 s)
 end

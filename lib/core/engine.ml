@@ -25,11 +25,12 @@ module Make (B : Backend.S) = struct
     | Obj (o, k) -> Format.fprintf fmt "%a#%d" Oid.pp o k
     | Cst c -> Format.fprintf fmt "const(%a)" Q.pp c
 
-  (* The piece of an entry's curve in force at one instant and an
-     enclosure of its value there, keyed on that instant by physical
-     equality.  A sort or a bubble pass compares each entry with several
-     others at one instant; the memo finds and evaluates its piece once. *)
-  type memo = { at : B.instant; piece : B.P.t; enc : B.enclosure }
+  (* The piece of an entry's curve in force at one instant (its index in
+     the curve's view) and an enclosure of its value there, keyed on that
+     instant by physical equality.  A sort or a bubble pass compares each
+     entry with several others at one instant; the memo finds and
+     evaluates its piece once. *)
+  type memo = { at : B.instant; view : PW.view; k : int; enc : B.enclosure }
 
   type entry = {
     lbl : label;
@@ -55,18 +56,19 @@ module Make (B : Backend.S) = struct
     match e.memo with
     | Some m when m.at == i -> m
     | _ ->
-      let piece, _ = C.piece_at e.curve i in
-      let m = { at = i; piece; enc = B.enclose piece i } in
+      let view = PW.view e.curve in
+      let k = B.locate view i in
+      let m = { at = i; view; k; enc = B.enclose view k i } in
       e.memo <- Some m;
       m
 
   (* Exact sign of [e1]'s value minus [e2]'s at [i]: from the memoised
-     enclosures when they are disjoint, else from the pieces' difference. *)
+     enclosures when they are disjoint, else from the pieces. *)
   let value_sign_at i e1 e2 =
     let m1 = memo_at i e1 and m2 = memo_at i e2 in
     match B.order_enclosures m1.enc m2.enc with
     | Some s -> s
-    | None -> B.sign_at_instant (B.P.sub m1.piece m2.piece) i
+    | None -> B.diff_sign_at m1.view m1.k m2.view m2.k i
 
   include Sweep_cost
 
@@ -123,9 +125,9 @@ module Make (B : Backend.S) = struct
   (* Ordering of two live entries at instant [i]: value, then one-sided jet,
      then stable label order. *)
   let attr_cell h oid =
-    match Hashtbl.find_opt h oid with
-    | Some c -> c
-    | None ->
+    match Hashtbl.find h oid with
+    | c -> c
+    | exception Not_found ->
       let c = { a_cmp = 0; a_swap = 0 } in
       Hashtbl.add h oid c;
       c
@@ -164,7 +166,8 @@ module Make (B : Backend.S) = struct
     else begin
       (* the paper's τ' + ε order: the jet of the pieces in force, which
          by continuity is the one-sided sign unless they coincide *)
-      let s = B.sign_after_instant (B.P.sub (memo_at i e1).piece (memo_at i e2).piece) i in
+      let m1 = memo_at i e1 and m2 = memo_at i e2 in
+      let s = B.diff_sign_after m1.view m1.k m2.view m2.k i in
       if s <> 0 then s else compare_label e1.lbl e2.lbl
     end
 
@@ -214,21 +217,18 @@ module Make (B : Backend.S) = struct
      breakpoint within the horizon becomes a "jump" event that re-inserts
      the entry.  Curves are right-continuous at jumps (the piece starting at
      the breakpoint is in force there).  Jump events are not handle-tracked:
-     a stale one (after a chdir) costs one harmless repositioning. *)
+     a stale one (after a chdir) costs one harmless repositioning.  The
+     curve's view lists its jumps, found once per curve. *)
+  let future_jumps t e f =
+    List.iter
+      (fun b ->
+        if B.compare_instant_scalar t.now b < 0
+           && (match t.horizon with Some h -> F.compare b h <= 0 | None -> true)
+        then f b)
+      (PW.view e.curve).jumps
+
   let schedule_jumps t e =
-    let rec scan = function
-      | (_, p1) :: (((b, p2) :: _) as rest) ->
-        if not (F.equal (B.P.eval p1 b) (B.P.eval p2 b)) then begin
-          if B.compare_instant_scalar t.now b < 0 then begin
-            match t.horizon with
-            | Some h when F.compare b h > 0 -> ()
-            | _ -> ignore (LH.insert t.queue (B.instant_of_scalar b) (Jump e))
-          end
-        end;
-        scan rest
-      | _ -> ()
-    in
-    scan (PW.pieces e.curve)
+    future_jumps t e (fun b -> ignore (LH.insert t.queue (B.instant_of_scalar b) (Jump e)))
 
   (* Lifetimes are closed: a curve whose stop is the current instant is
      still on the line there, and its death, due now, removes it at the
@@ -611,16 +611,7 @@ module Make (B : Backend.S) = struct
             | Some h when F.compare s h > 0 -> ()
             | _ -> events := (`Plain, B.instant_of_scalar s, Death e) :: !events)
          | _ -> ());
-        let rec scan = function
-          | (_, p1) :: (((b, p2) :: _) as rest) ->
-            if (not (F.equal (B.P.eval p1 b) (B.P.eval p2 b)))
-               && B.compare_instant_scalar t.now b < 0
-               && (match t.horizon with Some h -> F.compare b h <= 0 | None -> true)
-            then events := (`Plain, B.instant_of_scalar b, Jump e) :: !events;
-            scan rest
-          | _ -> ()
-        in
-        scan (PW.pieces e.curve))
+        future_jumps t e (fun b -> events := (`Plain, B.instant_of_scalar b, Jump e) :: !events))
       entries;
     (* unborn entries keep their birth events *)
     Hashtbl.iter

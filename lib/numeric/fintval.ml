@@ -61,16 +61,24 @@ let exactly_representable q =
 (* Rat.to_float is correctly rounded, so the exact rational lies within
    1/2 ulp of the conversion — strictly inside [pred f, succ f].  (In the
    subnormal range the conversion may round twice; the error is still
-   below one ulp, so the same enclosure holds.) *)
+   below one ulp, so the same enclosure holds.)  When the numerator and
+   denominator fit a double's significand, the conversion is the one
+   division below, and a power-of-two denominator makes the rational that
+   double exactly ([exactly_representable]). *)
 let of_rat q =
-  let f = Rat.to_float q in
-  if Float.is_finite f && exactly_representable q then point f else of_float f
+  let n = Rat.num q and d = Rat.den q in
+  if Bigint.fits_mantissa n && Bigint.fits_mantissa d then begin
+    let dv = Bigint.to_int_exn d in
+    let f = float_of_int (Bigint.to_int_exn n) /. float_of_int dv in
+    if dv land (dv - 1) = 0 then point f else { lo = Float.pred f; hi = Float.succ f }
+  end
+  else begin
+    let f = Rat.to_float q in
+    if Float.is_finite f && exactly_representable q then point f else of_float f
+  end
 
-(* [of_rat] into a flat pair.  When the numerator and denominator fit a
-   double's significand, [Rat.to_float] is the one division below, and a
-   power-of-two denominator makes the rational that double exactly
-   ([exactly_representable]); so the pair is [of_rat]'s, with no float
-   boxed and no record built. *)
+(* [of_rat] into a flat pair, with no float boxed and no record built
+   when the numerator and denominator fit a double's significand. *)
 let of_rat_into (a : float array) i q =
   let n = Rat.num q and d = Rat.den q in
   if Bigint.fits_mantissa n && Bigint.fits_mantissa d then begin
@@ -85,6 +93,9 @@ let of_rat_into (a : float array) i q =
     a.(i + 1) <- e.hi
   end
 
+(* The enclosure stored as a flat pair at [a.(i)], [a.(i + 1)]. *)
+let get (a : float array) i = { lo = a.(i); hi = a.(i + 1) }
+
 (* Enclosure of the exact interval [lo, hi] given as rationals. *)
 let of_rat_bounds qlo qhi =
   let l = (of_rat qlo).lo and h = (of_rat qhi).hi in
@@ -93,6 +104,10 @@ let of_rat_bounds qlo qhi =
 let neg a = { lo = -.a.hi; hi = -.a.lo } (* negation is exact *)
 let add a b = make_out (a.lo +. b.lo) (a.hi +. b.hi)
 let sub a b = make_out (a.lo -. b.hi) (a.hi -. b.lo)
+
+(* [sub] of the flat pairs at [a.(i)] and [b.(j)]. *)
+let sub_pairs (a : float array) i (b : float array) j =
+  make_out (a.(i) -. b.(j + 1)) (a.(i + 1) -. b.(j))
 
 let mul a b =
   let x1 = a.lo *. b.lo
@@ -181,6 +196,39 @@ let eval (coeffs : t array) (x : t) =
       acc := add (mul !acc x) coeffs.(i)
     done;
     !acc
+  end
+
+(* [eval] over [n] coefficient enclosures stored as flat pairs from
+   [a.(off)], lowest degree first: each step is [affine_into]'s float
+   operations, so the result is [eval]'s bit for bit, and only the result
+   is allocated. *)
+let horner (a : float array) off n (x : t) =
+  if n = 0 then point 0.0
+  else begin
+    let top_i = off + (2 * (n - 1)) in
+    let l = ref a.(top_i) and h = ref a.(top_i + 1) in
+    for k = n - 2 downto 0 do
+      let bl = a.(off + (2 * k)) and bh = a.(off + (2 * k) + 1) in
+      let x1 = !l *. x.lo and x2 = !l *. x.hi and x3 = !h *. x.lo and x4 = !h *. x.hi in
+      if Float.is_nan x1 || Float.is_nan x2 || Float.is_nan x3 || Float.is_nan x4 then begin
+        l := neg_infinity;
+        h := infinity
+      end
+      else begin
+        let ml = fmin (fmin x1 x2) (fmin x3 x4) and mh = fmax (fmax x1 x2) (fmax x3 x4) in
+        let sl = (if ml = neg_infinity then ml else Float.pred ml) +. bl
+        and sh = (if mh = infinity then mh else Float.succ mh) +. bh in
+        if Float.is_nan sl || Float.is_nan sh then begin
+          l := neg_infinity;
+          h := infinity
+        end
+        else begin
+          l := (if sl = neg_infinity then sl else Float.pred sl);
+          h := (if sh = infinity then sh else Float.succ sh)
+        end
+      end
+    done;
+    { lo = !l; hi = !h }
   end
 
 (* Exact membership test (for soundness properties in tests). *)

@@ -29,6 +29,10 @@ val of_rat_into : float array -> int -> Rat.t -> unit
     [a.(i + 1)].  It allocates nothing when [q]'s numerator and
     denominator have at most 53 bits. *)
 
+val get : float array -> int -> t
+(** [get a i] is the enclosure stored as the flat pair [a.(i)],
+    [a.(i + 1)] (by {!of_rat_into}, for instance). *)
+
 val of_rat_bounds : Rat.t -> Rat.t -> t
 (** [of_rat_bounds lo hi] encloses the exact interval [[lo, hi]]. *)
 
@@ -36,6 +40,9 @@ val neg : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
+
+val sub_pairs : float array -> int -> float array -> int -> t
+(** [sub_pairs a i b j] is [sub (get a i) (get b j)]. *)
 
 val affine_into : float array -> int -> a:int -> t:int -> b:int -> unit
 (** [affine_into v dst ~a ~t ~b] stores in [v.(dst)], [v.(dst + 1)] the
@@ -64,6 +71,10 @@ val mid : t -> float
 
 val eval : t array -> t -> t
 (** Interval Horner; coefficients lowest degree first. *)
+
+val horner : float array -> int -> int -> t -> t
+(** [horner a off n x] is [eval] of the [n] coefficient enclosures stored
+    as flat pairs from [a.(off)], lowest degree first, bit for bit. *)
 
 val contains_rat : t -> Rat.t -> bool
 (** Exact membership (soundness oracle for the property tests). *)

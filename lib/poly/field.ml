@@ -19,6 +19,11 @@ module type ORDERED_FIELD = sig
   val is_zero : t -> bool
   val to_float : t -> float
   val of_float : float -> t
+
+  val enclose_into : float array -> int -> t -> unit
+  (** [enclose_into a i x] stores an outward-rounded float enclosure of
+      [x] in [a.(i)] (below) and [a.(i + 1)] (above). *)
+
   val to_string : t -> string
   val pp : Format.formatter -> t -> unit
 end
@@ -40,6 +45,11 @@ module Float_field : ORDERED_FIELD with type t = float = struct
   let is_zero x = x = 0.0
   let to_float x = x
   let of_float x = x
+
+  let enclose_into a i x =
+    a.(i) <- x;
+    a.(i + 1) <- x
+
   let to_string x = Printf.sprintf "%g" x
   let pp fmt x = Format.pp_print_string fmt (to_string x)
 end
@@ -47,4 +57,6 @@ end
 (** Exact rationals as an [ORDERED_FIELD]. *)
 module Rat_field : ORDERED_FIELD with type t = Moq_numeric.Rat.t = struct
   include Moq_numeric.Rat
+
+  let enclose_into = Moq_numeric.Fintval.of_rat_into
 end

@@ -2,9 +2,24 @@ module Make (P : Poly_intf.S) = struct
   module P = P
   module F = P.F
 
+  type view = {
+    count : int;
+    starts : F.t array;
+    polys : P.t array;
+    bounds : float array;
+    coefs : float array;
+    coef_at : int array;
+    jumps : F.t list;
+  }
+
   (* Invariants: [pieces] nonempty, strictly increasing start times; when
-     [stop = Some s], the last start precedes [s]. *)
-  type t = { pieces : (F.t * P.t) list; stop : F.t option }
+     [stop = Some s], the last start precedes [s].  [view] is the curve's
+     {!view}, built on first use and never changed after: a value is
+     immutable, so two threads that race to build it store equal views,
+     and whichever write lands, later reads agree. *)
+  type t = { pieces : (F.t * P.t) list; stop : F.t option; mutable view : view option }
+
+  let mk pieces stop = { pieces; stop; view = None }
 
   let lt a b = F.compare a b < 0
   let le a b = F.compare a b <= 0
@@ -23,12 +38,12 @@ module Make (P : Poly_intf.S) = struct
            let last_start = fst (List.nth pieces (List.length pieces - 1)) in
            if not (lt last_start s) then invalid_arg "Piecewise.make: stop before last piece"
          | None -> ());
-        { pieces; stop }
+        mk pieces stop
       end
     end
 
-  let constant ~start v = { pieces = [ (start, P.constant v) ]; stop = None }
-  let of_poly ~start p = { pieces = [ (start, p) ]; stop = None }
+  let constant ~start v = mk [ (start, P.constant v) ] None
+  let of_poly ~start p = mk [ (start, p) ] None
 
   let pieces c = c.pieces
 
@@ -63,7 +78,7 @@ module Make (P : Poly_intf.S) = struct
     | _ :: rest -> List.map fst rest
     | [] -> assert false
 
-  let map f c = { c with pieces = List.map (fun (a, p) -> (a, f p)) c.pieces }
+  let map f c = mk (List.map (fun (a, p) -> (a, f p)) c.pieces) c.stop
 
   let min_stop a b =
     match a, b with
@@ -89,7 +104,7 @@ module Make (P : Poly_intf.S) = struct
         (fun a -> (a, f (fst (piece_covering c1 a)) (fst (piece_covering c2 a))))
         starts
     in
-    { pieces; stop }
+    mk pieces stop
 
   let sub = combine P.sub
 
@@ -106,8 +121,7 @@ module Make (P : Poly_intf.S) = struct
          pieces with starts theta^{-1}(a) = (a - offset) / scale. *)
       let inv a = F.div (F.sub a offset) scale in
       let theta = P.of_list [ offset; scale ] in
-      { pieces = List.map (fun (a, p) -> (inv a, P.compose p theta)) c.pieces;
-        stop = Option.map inv c.stop }
+      mk (List.map (fun (a, p) -> (inv a, P.compose p theta)) c.pieces) (Option.map inv c.stop)
     end
 
   let clip c ~from_ ~until =
@@ -133,7 +147,7 @@ module Make (P : Poly_intf.S) = struct
            | _ -> (a, p) :: keep rest)
         | [] -> []
       in
-      { pieces = go c.pieces; stop }
+      mk (go c.pieces) stop
     end
 
   let extend_last_from c tau q ?stop () =
@@ -143,16 +157,42 @@ module Make (P : Poly_intf.S) = struct
         | (a, p) :: rest -> if lt a tau then (a, p) :: take rest else []
         | [] -> []
       in
-      { pieces = take c.pieces @ [ (tau, q) ]; stop }
+      mk (take c.pieces @ [ (tau, q) ]) stop
     end
 
-  let is_continuous c =
-    let rec go = function
-      | (_, p) :: (((b, p') :: _) as rest) ->
-        F.equal (P.eval p b) (P.eval p' b) && go rest
-      | _ -> true
+  (* The view: every start, polynomial and enclosure in arrays, and the
+     breakpoints where the two pieces' exact values differ. *)
+  let build_view c =
+    let count = List.length c.pieces in
+    let starts =
+      Array.of_list
+        (List.map fst c.pieces @ match c.stop with Some s -> [ s ] | None -> [])
     in
-    go c.pieces
+    let polys = Array.of_list (List.map snd c.pieces) in
+    let bounds = Array.make (2 * Array.length starts) 0.0 in
+    Array.iteri (fun j s -> F.enclose_into bounds (2 * j) s) starts;
+    let coef_at = Array.make (count + 1) 0 in
+    Array.iteri (fun k p -> coef_at.(k + 1) <- coef_at.(k) + (2 * (P.degree p + 1))) polys;
+    let coefs = Array.make coef_at.(count) 0.0 in
+    Array.iteri
+      (fun k p -> List.iteri (fun j x -> F.enclose_into coefs (coef_at.(k) + (2 * j)) x) (P.to_list p))
+      polys;
+    let jumps = ref [] in
+    for k = count - 1 downto 1 do
+      let b = starts.(k) in
+      if not (F.equal (P.eval polys.(k - 1) b) (P.eval polys.(k) b)) then jumps := b :: !jumps
+    done;
+    { count; starts; polys; bounds; coefs; coef_at; jumps = !jumps }
+
+  let view c =
+    match c.view with
+    | Some v -> v
+    | None ->
+      let v = build_view c in
+      c.view <- Some v;
+      v
+
+  let is_continuous c = (view c).jumps = []
 
   let equal c1 c2 =
     let stop_eq =

@@ -2,7 +2,10 @@
 
    The filtered backend evaluates signs on these outward-rounded interval
    coefficients first and only falls back to exact arithmetic when the
-   result straddles zero.  Shadows are memoized: the sweep evaluates the
+   result straddles zero.  The sweep's comparisons and crossing searches
+   read the curves' own shadows instead ({!Piecewise_intf.S.view}); these
+   serve polynomials built outside a curve: an exact path's difference
+   and its derivatives, and callers that pass their own polynomial.  Shadows are memoized: the sweep evaluates the
    same handful of difference curves at many instants, and Qpoly values are
    immutable with canonical (hence hashable) rational coefficients, so the
    polynomial itself is a sound memo key.

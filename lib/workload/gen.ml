@@ -156,19 +156,91 @@ let pencil_db ~seed ~n ~at () =
 
 let live_oids db t = List.map fst (DB.live db t)
 
+(* The objects of a fixed list live at a time, as their ranks in it: a
+   Fenwick tree of 0/1 counts, so that entering, leaving and finding the
+   k-th live object each take O(log N). *)
+module Live = struct
+  type t = { tree : int array; mutable size : int }
+
+  let create n = { tree = Array.make (n + 1) 0; size = 0 }
+
+  let update t rank d =
+    let i = ref (rank + 1) in
+    while !i < Array.length t.tree do
+      t.tree.(!i) <- t.tree.(!i) + d;
+      i := !i + (!i land - !i)
+    done;
+    t.size <- t.size + d
+
+  (* the rank of the [k]-th (from 0) live object *)
+  let nth t k =
+    let n = Array.length t.tree - 1 in
+    let step = ref 1 in
+    while 2 * !step <= n do step := 2 * !step done;
+    let pos = ref 0 and rest = ref k in
+    while !step > 0 do
+      let next = !pos + !step in
+      if next <= n && t.tree.(next) <= !rest then begin
+        pos := next;
+        rest := !rest - t.tree.(next)
+      end;
+      step := !step / 2
+    done;
+    !pos
+end
+
+(* The live set at each update's time follows [db]'s own lifetimes,
+   kept in OID order as [DB.live] lists them: objects enter at their
+   birth and leave after their death.  A chdir keeps the birth and
+   clears the death ([T.chdir]), so an object chdir'd before its death
+   never leaves. *)
 let chdir_stream ~seed ~db ~start ~gap ~count ?(speed = 10) () =
   let st = Prng.create seed in
   let dim = DB.dim db in
+  let objs = Array.of_list (DB.objects db) in
+  let n = Array.length objs in
+  let by f = List.sort (fun a b -> Q.compare (f a) (f b)) in
+  let births = Array.of_list (by (fun r -> T.birth (snd objs.(r))) (List.init n Fun.id)) in
+  let deaths =
+    Array.of_list
+      (by (fun r -> Option.get (T.death (snd objs.(r))))
+         (List.filter (fun r -> T.death (snd objs.(r)) <> None) (List.init n Fun.id)))
+  in
+  let live = ref (Live.create n) and born = ref 0 and dead = ref 0 and last = ref None in
+  let revived = Array.make n false in
+  let live_at tau =
+    (match !last with
+     | Some t when Q.compare tau t < 0 ->
+       live := Live.create n;
+       born := 0;
+       dead := 0
+     | _ -> ());
+    last := Some tau;
+    while !born < n && Q.compare (T.birth (snd objs.(births.(!born)))) tau <= 0 do
+      Live.update !live births.(!born) 1;
+      incr born
+    done;
+    while !dead < Array.length deaths
+          && Q.compare (Option.get (T.death (snd objs.(deaths.(!dead))))) tau < 0 do
+      (* born by now: its birth is no later than its death *)
+      if not revived.(deaths.(!dead)) then Live.update !live deaths.(!dead) (-1);
+      incr dead
+    done;
+    !live
+  in
   let rec go acc db i =
     if i > count then List.rev acc
     else begin
       let tau = Q.add start (Q.mul (q i) gap) in
-      match live_oids db tau with
-      | [] -> List.rev acc
-      | oids ->
-        let o = List.nth oids (Prng.int st (List.length oids)) in
+      let live = live_at tau in
+      if live.Live.size = 0 then List.rev acc
+      else begin
+        let rank = Live.nth live (Prng.int st live.Live.size) in
+        revived.(rank) <- true;
+        let o = fst objs.(rank) in
         let u = U.Chdir { oid = o; tau; a = rand_vec st dim speed } in
         go (u :: acc) (DB.apply_exn db u) (i + 1)
+      end
     end
   in
   go [] db 1

@@ -660,6 +660,368 @@ let test_lazy_crossing_prop =
          in
          same ex eager && same ex (Option.map BFl.to_algnum fl)))
 
+(* ------------------------------------------------------------------ *)
+(* Float-shadowed curves: the hit path reads only the curves' views     *)
+(* ------------------------------------------------------------------ *)
+
+(* Raw curves swept from [lo] to [hi], one engine per backend, logged at
+   every step: the step with its instants as canonical text, the order
+   and the comparison count. *)
+module Sweep_curves (B : Core.Backend.S) = struct
+  module E = Core.Engine.Make (B)
+
+  let run ~lo ~hi curves =
+    let s = B.scalar_of_rat in
+    let eng =
+      E.create ~start:(s lo) ~horizon:(s hi)
+        (List.mapi (fun j c -> (E.Obj (j + 1, 0), B.curve_of_qpiece c)) curves)
+    in
+    let log = ref [] in
+    let on_step step =
+      let what =
+        match step with
+        | E.Span (a, b) -> "span " ^ B.instant_to_string a ^ " " ^ B.instant_to_string b
+        | E.Point i -> "at " ^ B.instant_to_string i
+      in
+      let order = List.map (fun e -> Format.asprintf "%a" E.pp_label (E.label e)) (E.order eng) in
+      log := (what, String.concat " " order, (E.stats eng).E.comparisons) :: !log
+    in
+    on_step (E.Point (E.now eng));
+    E.advance eng ~upto:(s hi) ~emit:on_step;
+    E.check_invariants eng;
+    (List.rev !log, E.stats eng)
+end
+
+module SX = Sweep_curves (BX)
+module SFl = Sweep_curves (BFl)
+
+let same_sweep name ~lo ~hi curves =
+  let lx, sx = SX.run ~lo ~hi curves and lf, sf = SFl.run ~lo ~hi curves in
+  if List.length lx <> List.length lf then
+    QCheck.Test.fail_reportf "%s: %d steps on Exact, %d on Filtered" name (List.length lx)
+      (List.length lf);
+  List.iteri
+    (fun k ((wx, ox, cx), (wf, off, cf)) ->
+      if wx <> wf || ox <> off || cx <> cf then
+        QCheck.Test.fail_reportf "%s, step %d: Exact %s [%s] %d comparisons; Filtered %s [%s] %d"
+          name k wx ox cx wf off cf)
+    (List.combine lx lf);
+  if sx.SX.E.jumps <> sf.SFl.E.jumps || sx.SX.E.swaps <> sf.SFl.E.swaps
+     || sx.SX.E.crossings <> sf.SFl.E.crossings
+  then QCheck.Test.fail_reportf "%s: jumps, swaps or crossings differ" name;
+  true
+
+(* Past windows over long histories: every curve has several pieces and
+   the window spans many breakpoints; a few live chdirs follow. *)
+let test_multi_piece_prop =
+  let gen = QCheck.Gen.(triple (int_range 1 10_000) (int_range 3 7) (int_range 4 16)) in
+  let print (seed, n, hist) = Printf.sprintf "seed %d n %d history %d" seed n hist in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:60 ~name:"shadowed Filtered = Exact: multi-piece curves"
+       (QCheck.make ~print gen)
+       (fun (seed, n, hist) ->
+         let db0 = Gen.uniform_db ~seed ~n ~dim:2 ~extent:20 ~speed:3 () in
+         let history =
+           Gen.chdir_stream ~seed ~db:db0 ~start:(q 0) ~gap:(Q.of_ints 1 2) ~count:hist ~speed:3 ()
+         in
+         let db = DB.apply_all_exn db0 history in
+         let last = DB.last_update db in
+         let updates =
+           Gen.chdir_stream ~seed:(seed + 7) ~db ~start:last ~gap:(Q.of_ints 2 3) ~count:3 ~speed:3 ()
+         in
+         ignore
+           (same_drive (print (seed, n, hist)) ~db ~gdist:euclid_origin ~lo:(q 1)
+              ~hi:(Q.add last (q 3)) ~updates);
+         true))
+
+(* Every object passes through one point [p] at [at] and turns or stops
+   there (some also turn later), so every pair of distance curves meets
+   exactly at a breakpoint or the stop of both; equal velocities make
+   pairs that coincide up to [at] or after it. *)
+let test_breakpoint_crossing_prop =
+  let gen = QCheck.Gen.(triple (int_range 1 10_000) (int_range 3 7) (int_range 2 8)) in
+  let print (seed, n, at) = Printf.sprintf "seed %d n %d at %d" seed n at in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:80 ~name:"shadowed Filtered = Exact: crossings at breakpoints"
+       (QCheck.make ~print gen)
+       (fun (seed, n, at) ->
+         let st = Moq_workload.Prng.create seed in
+         let r lo hi = lo + Moq_workload.Prng.int st (hi - lo + 1) in
+         let at = q at in
+         let p = Qvec.of_list [ q (r (-5) 5); q (r (-5) 5) ] in
+         let vel () = Qvec.of_list [ q (r (-2) 2); q (r (-2) 2) ] in
+         (* the piece from [start] with velocity [a], at [x] at time [t] *)
+         let through ?start t x a =
+           { T.start = Option.value start ~default:t; a; b = Qvec.sub x (Qvec.scale t a) }
+         in
+         let db =
+           List.fold_left
+             (fun db o ->
+               let before = through ~start:(q 0) at p (vel ()) in
+               let v = vel () in
+               let after = through at p v in
+               let tr =
+                 match r 0 2 with
+                 | 0 -> T.of_pieces [ before; after ]
+                 | 1 -> T.of_pieces ~death:at [ before ]
+                 | _ ->
+                   let t2 = Q.add at (Q.of_ints (r 1 9) 3) in
+                   let x2 = Qvec.add (Qvec.scale t2 v) after.T.b in
+                   T.of_pieces [ before; after; through t2 x2 (vel ()) ]
+               in
+               DB.add_initial db o tr)
+             (DB.empty ~dim:2 ~tau:(q 0)) (List.init n (fun o -> o + 1))
+         in
+         let curves = List.map (fun (_, tr) -> Gdist.curve euclid_origin tr) (DB.objects db) in
+         same_sweep (print (seed, 0, 0)) ~lo:(q 0) ~hi:(q 12) curves))
+
+(* Twins and physically shared pieces: the same curve value under two
+   labels, equal curves built apart, and curves that share a prefix of
+   piece values ([extend_last_from]) and then part, with a jump or
+   continuously in opposite directions (the later label below, so the
+   parting is a crossing the sweep must find). *)
+let test_shared_pieces_prop =
+  let gen = QCheck.Gen.(triple (int_range 1 10_000) (int_range 2 5) (int_range 1 9)) in
+  let print (seed, n, tau) = Printf.sprintf "seed %d n %d tau %d" seed n tau in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:80 ~name:"shadowed Filtered = Exact: twins and shared pieces"
+       (QCheck.make ~print gen)
+       (fun (seed, n, tau) ->
+         let db0 = Gen.uniform_db ~seed ~n ~dim:2 ~extent:20 ~speed:3 () in
+         let db =
+           DB.apply_all_exn db0
+             (Gen.chdir_stream ~seed ~db:db0 ~start:(q 0) ~gap:(q 1) ~count:(2 * n) ~speed:3 ())
+         in
+         let curves = List.map (fun (_, tr) -> Gdist.curve euclid_origin tr) (DB.objects db) in
+         let c0 = List.hd curves in
+         let tau = Q.of_ints tau 2 in
+         let st = Moq_workload.Prng.create seed in
+         let coef () = Q.of_ints (Moq_workload.Prng.int st 41 - 20) (1 + Moq_workload.Prng.int st 3) in
+         let parted () = Qpiece.extend_last_from c0 tau (QP.of_list [ coef (); coef (); Q.one ]) () in
+         let continued slope =
+           (* parts from [c0] at [tau] without a jump *)
+           let p, _ = Qpiece.piece_covering c0 tau in
+           Qpiece.extend_last_from c0 tau (QP.add p (QP.scale slope (QP.of_list [ Q.neg tau; Q.one ]))) ()
+         in
+         let slope = Q.of_ints (1 + Moq_workload.Prng.int st 20) (1 + Moq_workload.Prng.int st 3) in
+         let twin = Gdist.curve euclid_origin (snd (List.hd (DB.objects db))) in
+         same_sweep (print (seed, n, 0)) ~lo:(q 0) ~hi:(q 12)
+           (curves @ [ c0; twin; parted (); parted (); continued slope; continued (Q.neg slope) ])))
+
+(* Tangencies and near-tangencies: parabolas touching a level and each
+   other at one rational instant (double roots: an [Unsure]
+   discriminant), and the same lifted or lowered by a tiny amount
+   (grazing passes and roots closer than a float can tell). *)
+let test_tangency_prop =
+  let gen = QCheck.Gen.(quad (int_range 1 10_000) (int_range (-50) 50) (int_range 1 97) (int_range 0 4)) in
+  let print (seed, rn, rd, e) = Printf.sprintf "seed %d r %d/%d eps %d" seed rn rd e in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:80 ~name:"shadowed Filtered = Exact: tangencies"
+       (QCheck.make ~print gen)
+       (fun (seed, rn, rd, e) ->
+         let st = Moq_workload.Prng.create seed in
+         let r = Q.of_ints (rn + (5 * rd)) rd (* in (0, 10] mostly *) in
+         let k = q (Moq_workload.Prng.int st 5) in
+         let eps = [| Q.zero; Q.of_ints 1 1_000_000; Q.of_ints (-1) 1_000_000;
+                      Q.div Q.one (Q.of_bigint (Moq_numeric.Bigint.shift_left Moq_numeric.Bigint.one 60));
+                      Q.of_ints (-1) 3 |].(e) in
+         let parabola a lift =
+           (* a (t - r)^2 + k + lift *)
+           QP.of_list [ Q.add (Q.add (Q.mul a (Q.mul r r)) k) lift; Q.mul (q (-2)) (Q.mul a r); a ]
+         in
+         let a () = Q.of_ints (1 + Moq_workload.Prng.int st 4) (1 + Moq_workload.Prng.int st 3) in
+         let curves =
+           List.map (Qpiece.of_poly ~start:(q 0))
+             [ QP.constant k; parabola (a ()) Q.zero; parabola (a ()) eps; parabola (a ()) (Q.neg eps);
+               QP.neg (parabola (a ()) (Q.neg (Q.mul (q 2) k))) ]
+         in
+         same_sweep (print (seed, rn, rd, e)) ~lo:(q 0) ~hi:(q 12) curves))
+
+(* speed_sq is piecewise constant: every turn is a jump, found once per
+   curve in its view. *)
+let test_jump_prop =
+  let gen = QCheck.Gen.(triple (int_range 1 10_000) (int_range 3 7) (int_range 2 8)) in
+  let print (seed, n, hist) = Printf.sprintf "seed %d n %d history %d" seed n hist in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:40 ~name:"shadowed Filtered = Exact: speed_sq jumps"
+       (QCheck.make ~print gen)
+       (fun (seed, n, hist) ->
+         let db0 = Gen.uniform_db ~seed ~n ~dim:2 ~extent:20 ~speed:3 () in
+         let history = Gen.chdir_stream ~seed ~db:db0 ~start:(q 0) ~gap:(q 1) ~count:hist ~speed:3 () in
+         let db = DB.apply_all_exn db0 history in
+         let updates =
+           Gen.chdir_stream ~seed:(seed + 50) ~db ~start:(q hist) ~gap:(q 1) ~count:3 ~speed:3 ()
+         in
+         ignore
+           (same_drive (print (seed, n, hist)) ~db ~gdist:Gdist.speed_sq ~lo:(q 0)
+              ~hi:(q (hist + 4)) ~updates);
+         true))
+
+(* Rationals that floats hold exactly (integers and dyadics) and ones
+   they cannot (denominators up to 10^6), some with numerators past
+   2^53: a difference of two exact floats need not be one. *)
+let hard_rat =
+  QCheck.Gen.(
+    map3
+      (fun n d big ->
+        let n = if big then Q.mul (q n) (Q.of_bigint (Moq_numeric.Bigint.shift_left Moq_numeric.Bigint.one 70)) else q n in
+        Q.div n (q d))
+      (int_range (-1_000_000) 1_000_000)
+      (frequency [ (1, return 1); (1, map (fun k -> 1 lsl k) (0 -- 20)); (1, 1 -- 1_000_000) ])
+      (map (fun k -> k = 0) (int_bound 3)))
+
+let hard_curve =
+  QCheck.Gen.(
+    map3
+      (fun start gaps polys ->
+        let starts = List.rev (List.fold_left (fun acc g -> Q.add (List.hd acc) g :: acc) [ start ] gaps) in
+        Qpiece.make (List.combine starts (List.filteri (fun i _ -> i <= List.length gaps) polys)))
+      hard_rat
+      (list_size (0 -- 3) (map (fun k -> Q.of_ints k 7) (1 -- 40)))
+      (list_repeat 4 (map QP.of_list (list_size (0 -- 3) hard_rat))))
+
+(* Every knot, coefficient, piece value and difference coefficient the
+   views hold encloses its exact value. *)
+let test_shadow_encloses_prop =
+  let print (c1, c2, s) =
+    Format.asprintf "c1 = %a; c2 = %a; s = %s" Qpiece.pp c1 Qpiece.pp c2 (Q.to_string s)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"view shadows enclose their exact values"
+       (QCheck.make ~print QCheck.Gen.(triple hard_curve hard_curve hard_rat))
+       (fun (c1, c2, s) ->
+         let module IV = Moq_numeric.Fintval in
+         let v1 = BFl.PW.view c1 and v2 = BFl.PW.view c2 in
+         let ok = ref true in
+         let check what enc x =
+           if not (IV.contains_rat enc x) then begin
+             ok := false;
+             Format.eprintf "%s: %a misses %s@." what IV.pp enc (Q.to_string x)
+           end
+         in
+         List.iter
+           (fun (v : BFl.PW.view) ->
+             Array.iteri (fun j x -> check "knot" (IV.get v.bounds (2 * j)) x) v.starts;
+             Array.iteri
+               (fun k p ->
+                 List.iteri (fun i x -> check "coefficient" (IV.get v.coefs (v.coef_at.(k) + (2 * i))) x) (QP.to_list p);
+                 check "piece value" (BFl.enclose v k (BFl.instant_of_scalar s)) (QP.eval p s))
+               v.polys)
+           [ v1; v2 ];
+         Array.iteri
+           (fun k1 p1 ->
+             Array.iteri
+               (fun k2 p2 ->
+                 let d = BFl.diff_shadow v1 k1 v2 k2 in
+                 Array.iteri (fun i enc -> check "difference coefficient" enc (QP.coeff (QP.sub p1 p2) i)) d)
+               v2.polys)
+           v1.polys;
+         (* the jumps are the breakpoints where the exact values differ *)
+         let jumps =
+           List.filteri (fun k _ -> k > 0)
+             (List.mapi
+                (fun k (b, p) -> if k = 0 then None else
+                  let prev = snd (List.nth (Qpiece.pieces c1) (k - 1)) in
+                  if Q.equal (QP.eval prev b) (QP.eval p b) then None else Some b)
+                (Qpiece.pieces c1))
+           |> List.filter_map Fun.id
+         in
+         !ok && List.length jumps = List.length v1.jumps && List.for_all2 Q.equal jumps v1.jumps))
+
+(* At a crossing the shadows found, the sign just after it is read off
+   the root's index and the difference's leading sign, for both orders
+   of the two pieces: Exact's jet of the exact difference. *)
+let test_sign_after_prop =
+  let gen =
+    QCheck.Gen.(
+      let coef = map2 (fun n d -> Q.of_ints n d) (int_range (-60) 60) (int_range 1 9) in
+      let poly = map QP.of_list (list_size (1 -- 3) coef) in
+      triple poly poly (map2 (fun n d -> Q.of_ints n d) (int_range (-40) 40) (int_range 1 5)))
+  in
+  let print (p1, p2, s) = Printf.sprintf "p1 = %s; p2 = %s; from %s" (QP.to_string p1) (QP.to_string p2) (Q.to_string s) in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"structural sign after a crossing = Exact's jet"
+       (QCheck.make ~print gen)
+       (fun (p1, p2, s) ->
+         QCheck.assume (not (QP.equal p1 p2));
+         let v1 = BFl.PW.view (Qpiece.of_poly ~start:(q (-100)) p1)
+         and v2 = BFl.PW.view (Qpiece.of_poly ~start:(q (-100)) p2)
+         and vs = BFl.PW.view (Qpiece.of_poly ~start:s QP.zero) in
+         let d = QP.sub p1 p2 in
+         let rec walk r n =
+           match r with
+           | None -> BX.first_root_after d (A.of_rat (q 1_000)) = None || n = 0
+           | Some r ->
+             let x = BFl.to_algnum r in
+             let at = BFl.diff_sign_at v1 0 v2 0 r = 0 && BFl.diff_sign_at v2 0 v1 0 r = 0 in
+             let after =
+               BFl.diff_sign_after v1 0 v2 0 r = BX.sign_after_instant d x
+               && BFl.diff_sign_after v2 0 v1 0 r = BX.sign_after_instant (QP.neg d) x
+             in
+             let next = BFl.diff_root_after v1 0 v2 0 r in
+             let same_next =
+               match BX.first_root_after d x, next with
+               | None, None -> true
+               | Some a, Some b -> A.compare a (BFl.to_algnum b) = 0
+               | _ -> false
+             in
+             at && after && same_next && walk next (n - 1)
+         in
+         let first = BFl.diff_root_from v1 0 v2 0 vs 0 in
+         let same_first =
+           match BX.first_root_at_or_after d s, first with
+           | None, None -> true
+           | Some a, Some b -> A.compare a (BFl.to_algnum b) = 0
+           | _ -> false
+         in
+         same_first && walk first 3))
+
+(* ------------------------------------------------------------------ *)
+(* Count gate: minor words per comparison on a mixed-shaped past query *)
+(* ------------------------------------------------------------------ *)
+
+(* perfbench mixed's read shape: two discs of 100 objects 10^4 apart, 40
+   time units of history with a chdir every fifth of a unit, a Filtered
+   knn 8 past query over a half-unit window through a warm curve store,
+   as the server's queries run.  Before the float-shadowed views the
+   query allocated 470,705 minor words over 3,060 comparisons: 153.8
+   words per comparison.  The gate is half of that. *)
+let words_per_comparison_before_views = 153.8
+
+let test_count_gate () =
+  let st = Moq_workload.Prng.create 3 in
+  let heading () =
+    let phi = Moq_workload.Prng.float st (2. *. Float.pi) in
+    let c x = q (Float.to_int (Float.round (5. *. x))) in
+    Qvec.of_list [ c (cos phi); c (sin phi) ]
+  in
+  let disc db ~first ~cx =
+    let db = ref db in
+    for j = 0 to 99 do
+      let r = 200. *. (float_of_int j +. 0.5) /. 100. in
+      let th = Moq_workload.Prng.float st (2. *. Float.pi) in
+      let at x = Float.to_int (Float.round (r *. x)) in
+      let b = Qvec.of_list [ q (cx + at (cos th)); q (at (sin th)) ] in
+      db := DB.add_initial !db (first + j) (T.linear ~start:(q 0) ~a:(heading ()) ~b)
+    done;
+    !db
+  in
+  let db = disc (disc (DB.empty ~dim:2 ~tau:(q 0)) ~first:1 ~cx:0) ~first:101 ~cx:10_000 in
+  let turn i = U.Chdir { oid = (i mod 200) + 1; tau = Q.of_ints (i + 1) 5; a = heading () } in
+  let db = DB.apply_all_exn db (List.init 200 turn) in
+  let store = Core.Curve_store.create (Gdist.euclidean_sq ~gamma:(T.stationary ~start:(q 0) (Qvec.zero 2))) in
+  let run () = KnnFl.run_store ~sink:Sink.noop ~store ~db ~k:8 ~lo:(q 20) ~hi:(Q.of_ints 41 2) in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let r = run () in
+  let words = Gc.minor_words () -. w0 in
+  let cmp = r.KnnFl.stats.KnnFl.E.comparisons in
+  Alcotest.(check int) "comparisons, as before the views" 3060 cmp;
+  let per = words /. float_of_int cmp in
+  if per > words_per_comparison_before_views /. 2.0 then
+    Alcotest.failf "%.1f minor words per comparison (%.0f words, %d comparisons); the gate is %.1f"
+      per words cmp (words_per_comparison_before_views /. 2.0)
+
 let () =
   Alcotest.run "filtered-backend"
     [
@@ -685,5 +1047,16 @@ let () =
           Alcotest.test_case "chdir_query and replace_all_curves" `Quick
             test_memo_chdir_query;
           test_lazy_crossing_prop;
+        ] );
+      ( "shadows",
+        [
+          test_multi_piece_prop;
+          test_breakpoint_crossing_prop;
+          test_shared_pieces_prop;
+          test_tangency_prop;
+          test_jump_prop;
+          test_shadow_encloses_prop;
+          test_sign_after_prop;
+          Alcotest.test_case "count gate: minor words per comparison" `Quick test_count_gate;
         ] );
     ]

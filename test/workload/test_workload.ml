@@ -65,6 +65,77 @@ let test_chdir_stream () =
   Alcotest.(check string) "clock" "40" (Q.to_string (DB.last_update final));
   List.iter (function U.Chdir _ -> () | _ -> Alcotest.fail "expected chdir") us
 
+(* [Gen.chdir_stream] as it was written first: the live OIDs listed
+   afresh and indexed with [List.nth] for every update. *)
+let chdir_stream_by_scan ~seed ~db ~start ~gap ~count ?(speed = 10) () =
+  let st = Moq_workload.Prng.create seed in
+  let dim = DB.dim db in
+  let rand_vec () =
+    Qvec.of_list (List.init dim (fun _ -> q (Moq_workload.Prng.int st ((2 * speed) + 1) - speed)))
+  in
+  let rec go acc db i =
+    if i > count then List.rev acc
+    else begin
+      let tau = Q.add start (Q.mul (q i) gap) in
+      match List.map fst (DB.live db tau) with
+      | [] -> List.rev acc
+      | oids ->
+        let o = List.nth oids (Moq_workload.Prng.int st (List.length oids)) in
+        let u = U.Chdir { oid = o; tau; a = rand_vec () } in
+        go (u :: acc) (DB.apply_exn db u) (i + 1)
+    end
+  in
+  go [] db 1
+
+(* A MOD whose objects are born late and die early: births spread over
+   [0, 30], about a third terminated within 20 units of birth (a chdir
+   before the death clears it). *)
+let lifetimes_db ~seed ~n =
+  let st = Moq_workload.Prng.create seed in
+  let r lo hi = lo + Moq_workload.Prng.int st (hi - lo + 1) in
+  let rec add db o =
+    if o > n then db
+    else begin
+      let birth = Q.of_ints (r 0 60) 2 in
+      let tr =
+        T.linear ~start:birth ~a:(Qvec.of_list [ q (r (-3) 3); q (r (-3) 3) ])
+          ~b:(Qvec.of_list [ q (r (-50) 50); q (r (-50) 50) ])
+      in
+      let tr = if r 0 2 = 0 then T.terminate tr (Q.add birth (Q.of_ints (r 1 40) 2)) else tr in
+      add (DB.add_initial db (o * 3) tr) (o + 1)
+    end
+  in
+  add (DB.empty ~dim:2 ~tau:(q 0)) 1
+
+(* The Fenwick-tree live set picks the same object as the list scan at
+   every update, on MODs with late births and terminations, with gaps
+   that land on births and deaths exactly, and with gaps that go back in
+   time (rejected by the MOD on both); output bytes compared. *)
+let prop_chdir_stream_by_scan =
+  prop ~count:200 "chdir stream = the list-scan reference"
+    QCheck.(quad (int_range 1 10_000) (int_range 0 40) (int_range (-3) 6) (int_range 1 60))
+    (fun (seed, n, gap2, count) ->
+      let db = lifetimes_db ~seed ~n in
+      let gap = Q.of_ints gap2 2 in
+      let start = if gap2 <= 0 then q 20 else q 0 in
+      let render f =
+        match f () with
+        | us -> Moq_mod.Mod_io.updates_to_string ~dim:2 us
+        | exception Invalid_argument m -> "rejected: " ^ m
+      in
+      render (fun () -> Gen.chdir_stream ~seed ~db ~start ~gap ~count ~speed:4 ())
+      = render (fun () -> chdir_stream_by_scan ~seed ~db ~start ~gap ~count ~speed:4 ()))
+
+(* O(log N) per update: 4,000 chdirs over 20,000 objects (the list scan
+   takes tens of seconds here). *)
+let test_chdir_stream_scale () =
+  let db = Gen.uniform_db ~seed:3 ~n:20_000 () in
+  let t0 = Sys.time () in
+  let us = Gen.chdir_stream ~seed:4 ~db ~start:(q 0) ~gap:(Q.of_ints 1 8) ~count:4_000 () in
+  let cpu = Sys.time () -. t0 in
+  Alcotest.(check int) "4,000 updates" 4_000 (List.length us);
+  if cpu > 2.0 then Alcotest.failf "4,000 chdirs over 20,000 objects took %.2f s of CPU" cpu
+
 let test_mixed_stream () =
   let db = Gen.uniform_db ~seed:1 ~n:10 () in
   let us = Gen.mixed_stream ~seed:3 ~db ~start:(q 0) ~gap:(q 2) ~count:40 () in
@@ -200,6 +271,8 @@ let () =
         Alcotest.test_case "inversions controlled" `Quick test_inversions_controlled;
         prop_inversions;
         Alcotest.test_case "chdir stream" `Quick test_chdir_stream;
+        prop_chdir_stream_by_scan;
+        Alcotest.test_case "chdir stream at 20,000 objects" `Quick test_chdir_stream_scale;
         Alcotest.test_case "mixed stream" `Quick test_mixed_stream;
       ]);
       ("scenario", [
