@@ -576,7 +576,7 @@ let a3 () =
   header "A3" "Filtered exact backend: float-interval fast path, rational fallback";
   row "%8s %8s %12s %14s %10s %10s %10s\n" "N" "m" "exact (s)" "filtered (s)" "speedup"
     "hit rate" "identical";
-  let final_speedup = ref 0.0 and final_hit_rate = ref 0.0 in
+  let final_speedup = ref 0.0 and final_hit_rate = ref 0.0 and final_misses = ref 0.0 in
   List.iter
     (fun n ->
       bench_n := max !bench_n n;
@@ -593,7 +593,9 @@ let a3 () =
       BFl.publish !bench_sink;
       if n = 1000 then begin
         final_speedup := t_x /. t_f;
-        final_hit_rate := hit_rate
+        final_hit_rate := hit_rate;
+        final_misses :=
+          float_of_int s.BFl.misses /. float_of_int (max 1 rf.KnnFl.stats.KnnFl.E.comparisons)
       end;
       row "%8d %8d %12.4f %14.4f %9.1fx %9.1f%% %10b\n" n rx.KnnX.stats.KnnX.E.swaps t_x t_f
         (t_x /. t_f) (100.0 *. hit_rate) same)
@@ -601,6 +603,7 @@ let a3 () =
   bench_extras :=
     [ ("backend", Json.Str "filtered");
       ("filter_hit_rate", Json.Float !final_hit_rate);
+      ("filter_misses_per_comparison", Json.Float !final_misses);
       ("speedup_vs_exact", Json.Float !final_speedup);
     ];
   row "the filter answers sign and ordering queries from outward-rounded float intervals\n";

@@ -150,7 +150,9 @@ module type S = sig
 
   val instant_to_string : instant -> string
   (** The instant's text: for the exact backends, {!Moq_poly.Algnum.to_string}'s
-      canonical bytes. *)
+      canonical bytes, which depend only on the instant's value.  A
+      filtered instant whose exact number is still deferred prints them
+      without building it. *)
 
   val pp_instant : Format.formatter -> instant -> unit
   (** Prints {!instant_to_string}'s bytes. *)
@@ -356,6 +358,13 @@ module Filtered : sig
   val to_algnum : instant -> Moq_poly.Algnum.t
   (** The exact value, for cross-backend comparison in tests/benchmarks. *)
 
+  val print_builds : unit -> int
+  (** Deferred quadratic instants whose exact number was built while a
+      thread was inside {!instant_to_string}, since start.  Printing names
+      them through {!Moq_poly.Algnum.root_to_string} and leaves them
+      deferred, so with one thread this counts the exact builds printing
+      caused, and stays 0. *)
+
   val of_algnum : Moq_poly.Algnum.t -> instant
 
   val diff_shadow : PW.view -> int -> PW.view -> int -> Moq_numeric.Fintval.t array
@@ -413,12 +422,18 @@ end = struct
      query threads and the commit thread print the same instants, and two
      threads that race here each build an equal number from the same
      enclosure; whichever write lands, later reads agree.  A linear root
-     is its rational, as Exact builds it. *)
+     is its rational, as Exact builds it.  [print_builds] counts the
+     quadratic ones built while some thread is inside [instant_to_string]
+     ([printing] > 0). *)
+  let printing = Atomic.make 0
+  let print_builds = Atomic.make 0
+
   let exact i =
     match i.ex with
     | Known x -> x
     | Deferred { enc; index } ->
       let p = root_poly i in
+      if P.degree p = 2 && Atomic.get printing > 0 then Atomic.incr print_builds;
       let x =
         if P.degree p = 1 then A.of_rat (linear_root p)
         else A.root_of_enclosure p ~lo:(Q.of_float enc.IV.lo) ~hi:(Q.of_float enc.IV.hi) ~index
@@ -890,7 +905,18 @@ end = struct
   let instant_to_float i = A.to_float (exact i)
 
   (* [A.to_string]'s bytes depend only on the value, so a linear crossing
-     held as its [Rational] prints as Exact's root of the same line does. *)
-  let instant_to_string i = A.to_string (exact i)
+     held as its [Rational] prints as Exact's root of the same line does.
+     A deferred quadratic crossing is root [index] of its difference's
+     monic form, which is the polynomial its exact number would hold, so
+     it prints from the text memo without building that number. *)
+  let instant_to_string i =
+    Atomic.incr printing;
+    Fun.protect ~finally:(fun () -> Atomic.decr printing) (fun () ->
+        match i.ex with
+        | Deferred { index; _ } when P.degree (root_poly i) = 2 ->
+          A.root_to_string (P.monic (root_poly i)) index
+        | _ -> A.to_string (exact i))
+
+  let print_builds () = Atomic.get print_builds
   let pp_instant fmt i = Format.pp_print_string fmt (instant_to_string i)
 end

@@ -450,6 +450,43 @@ let gcd a b =
     Small (gcd_int (Stdlib.abs x) (Stdlib.abs y))
   | _ -> gcd_aux (abs a) (abs b)
 
+(* Quadratic residues modulo 64 · 63 · 65 · 11: a square is a residue
+   modulo each factor, and about 99% of non-squares fail one of them. *)
+let residue_modulus = 64 * 63 * 65 * 11
+
+let residues m =
+  let a = Array.make m false in
+  for i = 0 to m - 1 do a.(i * i mod m) <- true done;
+  a
+
+let sq64 = residues 64 and sq63 = residues 63 and sq65 = residues 65 and sq11 = residues 11
+
+(* floor (sqrt n) for n >= 0: from the float root for an int (exact
+   after the two corrections, as (s + 1)^2 fits an int below 2^62), and
+   otherwise Newton's iteration from 2^ceil(bits / 2), which is above the
+   root and decreases to it. *)
+let isqrt n =
+  match n with
+  | Small k when k < 1 lsl 62 ->
+    let s = ref (int_of_float (Float.sqrt (float_of_int k))) in
+    while !s * !s > k do decr s done;
+    while (!s + 1) * (!s + 1) <= k do incr s done;
+    Small !s
+  | _ ->
+    let rec go x =
+      let y = shift_right (add x (div n x)) 1 in
+      if compare y x >= 0 then x else go y
+    in
+    go (shift_left one ((num_bits n + 1) / 2))
+
+let is_square n =
+  sign n >= 0
+  && begin
+    let r = match rem n (Small residue_modulus) with Small r -> r | Big _ -> assert false in
+    sq64.(r mod 64) && sq63.(r mod 63) && sq65.(r mod 65) && sq11.(r mod 11)
+    && (let s = isqrt n in equal (mul s s) n)
+  end
+
 let pow x k =
   if k < 0 then invalid_arg "Bigint.pow"
   else begin

@@ -44,6 +44,11 @@ val rem : t -> t -> t
 val gcd : t -> t -> t
 (** Greatest common divisor; always non-negative, [gcd zero zero = zero]. *)
 
+val is_square : t -> bool
+(** [n] is the square of an integer (false for negative [n]).  Residues
+    modulo a few small numbers reject most non-squares before an integer
+    square root runs. *)
+
 val mul_int : t -> int -> t
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t

@@ -55,13 +55,15 @@ let ceil x =
 
 let mediant a b = make (B.add a.n b.n) (B.add a.d b.d)
 
-let to_float x =
-  if B.fits_mantissa x.n && B.fits_mantissa x.d then
+(* The value of n/d, d > 0, correctly rounded; the fraction need not be
+   reduced. *)
+let float_of_ratio n d =
+  if B.fits_mantissa n && B.fits_mantissa d then
     (* Both exact as floats, so the one IEEE division rounds correctly
        (and cannot underflow: |n/d| > 2^-53, or n = 0). *)
-    B.to_float x.n /. B.to_float x.d
+    B.to_float n /. B.to_float d
   else begin
-    let bn = B.num_bits x.n and bd = B.num_bits x.d in
+    let bn = B.num_bits n and bd = B.num_bits d in
     (* Past 53 bits, [to_float num /. to_float den] rounds twice, or
        overflows when the denominator exceeds the float range (e.g.
        subnormal reconstructions), and scaling to an ~80-bit quotient
@@ -72,15 +74,17 @@ let to_float x =
        then exact away from the subnormal range. *)
     let k = 60 - (bn - bd) in
     let q, r =
-      if k >= 0 then B.divmod (B.shift_left x.n k) x.d
-      else B.divmod x.n (B.shift_left x.d (- k))
+      if k >= 0 then B.divmod (B.shift_left n k) d
+      else B.divmod n (B.shift_left d (- k))
     in
     (* |n/d| is in [2^(bn-bd-1), 2^(bn-bd+1)), so |q| is in [2^59, 2^61]. *)
     let m = Stdlib.abs (B.to_int_exn q) in
     let m = if not (B.is_zero r) && m land 1 = 0 then m lor 1 else m in
     let f = Float.ldexp (float_of_int m) (- k) in
-    if sign x < 0 then -.f else f
+    if B.sign n < 0 then -.f else f
   end
+
+let to_float x = float_of_ratio x.n x.d
 
 let of_float f =
   if not (Float.is_finite f) then invalid_arg "Rat.of_float: not finite"

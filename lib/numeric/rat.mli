@@ -52,6 +52,11 @@ val mediant : t -> t -> t
     sample points inside isolating intervals. *)
 
 val to_float : t -> float
+
+val float_of_ratio : Bigint.t -> Bigint.t -> float
+(** [float_of_ratio n d] is [to_float (make n d)] for [d > 0], without
+    reducing the fraction first. *)
+
 val of_float : float -> t
 (** Exact conversion of a finite float (binary expansion).
     @raise Invalid_argument on nan/infinite. *)

@@ -323,20 +323,23 @@ let root_of_enclosure p ~lo ~hi ~index =
    in-process Exact), but a [Root]'s live interval depends on the
    comparisons it has been through.  So [to_string] prints a canonical
    interval that depends only on the polynomial and on which of its roots
-   the number is: it takes the Sturm cells of [r.p], picks the one whose
-   isolating interval (or rational point) meets the number's interval —
-   the exact [compare] runs only when several do — and bisects that
-   starting interval to width below [canonical_width]
-   ({!refine_until_width} takes O(1) exact sign tests for this unless
-   its float estimate misses).  Cells and their texts are memoised per
-   polynomial (the text memo below), since many numbers of a sweep are
-   roots of one curve difference.  The result prints as [root(...)] with
-   that interval, or as a rational when the number is one: a [Root] whose
-   value is [q] prints exactly as [Rational q] does, so the bytes depend
-   only on the value.  An incremental monitor holds an update instant as a
-   rational and a crossing at that same instant as a root of a
-   g-distance difference; both must print alike for a resumed or replayed
-   stream to merge with what a subscriber already has. *)
+   the number is: the Sturm cell of that root (from [Sturm.isolate]'s
+   bisection of [-B, B], B the Cauchy bound) bisected to width below
+   [canonical_width].  The number's cell is the one whose isolating
+   interval (or rational point) meets the number's interval — the exact
+   [compare] runs only when several do.  Cells and their texts are
+   memoised per polynomial (the text memo below), since many numbers of
+   a sweep are roots of one curve difference.  A monic quadratic with
+   irrational roots gets its final cells in closed form
+   ([quadratic_cells]); every other polynomial is isolated and its cell
+   refined ({!refine_until_width} takes O(1) exact sign tests for this
+   unless its float estimate misses).  The result prints as [root(...)]
+   with that interval, or as a rational when the number is one: a [Root]
+   whose value is [q] prints exactly as [Rational q] does, so the bytes
+   depend only on the value.  An incremental monitor holds an update
+   instant as a rational and a crossing at that same instant as a root of
+   a g-distance difference; both must print alike for a resumed or
+   replayed stream to merge with what a subscriber already has. *)
 let canonical_width = Q.of_ints 1 1_099_511_627_776 (* 2^-40 *)
 
 let copy = function
@@ -365,6 +368,19 @@ let well_formed = function
     && P.sign_at r.p r.lo = r.slo
     && P.sign_at r.p r.hi = - r.slo
 
+(* The float nearest the midpoint of [lo, hi], with no gcd. *)
+let mid_float lo hi =
+  Q.float_of_ratio
+    (Z.add (Z.mul (Q.num lo) (Q.den hi)) (Z.mul (Q.num hi) (Q.den lo)))
+    (Z.shift_left (Z.mul (Q.den lo) (Q.den hi)) 1)
+
+let root_text p lo hi mid =
+  let b = Buffer.create 128 in
+  List.iter (Buffer.add_string b)
+    [ "root("; P.to_string p; ") in ("; Q.to_string lo; ","; Q.to_string hi; ") ~ ";
+      Printf.sprintf "%.6g" mid ];
+  Buffer.contents b
+
 (* The canonical text of a Sturm cell, computed on a copy so the cell
    itself is never refined. *)
 let canonical_text cell =
@@ -373,21 +389,107 @@ let canonical_text cell =
   | Root c ->
     (match rational_value c with
      | Some q -> Q.to_string q
-     | None ->
-       let b = Buffer.create 128 in
-       List.iter (Buffer.add_string b)
-         [ "root("; P.to_string c.p; ") in ("; Q.to_string c.lo; ","; Q.to_string c.hi;
-           ") ~ "; Printf.sprintf "%.6g" (Q.to_float (midpoint c.lo c.hi)) ];
-       Buffer.contents b)
+     | None -> root_text c.p c.lo c.hi (mid_float c.lo c.hi))
 
-(* The text memo: a squarefree polynomial's Sturm cells, each with its
-   canonical text once some number has printed as it.  Direct-mapped and
-   lock-free like [Shadow]'s: a slot write is one pointer store of a
-   complete entry, and so is a text write, so a racing reader sees an
-   entry either whole or not at all and a text either [None] or final
-   (two threads may both compute a text; they compute the same one).  No
-   [Lazy]: forcing one lazy value from two threads raises on OCaml 5. *)
-type cell = { iso : t; mutable text : string option }
+(* A cell of the text memo: a number that one root of the polynomial is,
+   and its canonical text once some number has printed as it.  A [final]
+   cell is already its root's canonical cell and the root is irrational,
+   so its text is printed from it as it stands. *)
+type cell = { iso : t; final : bool; mutable text : string option }
+
+(* Counts of the polynomials whose cells a print computed, and of those
+   that took Sturm isolation.  Atomic: query threads print too. *)
+let print_polys = Atomic.make 0
+let print_isolations = Atomic.make 0
+
+type print_stats = { polys : int; isolations : int }
+
+let print_stats () =
+  { polys = Atomic.get print_polys; isolations = Atomic.get print_isolations }
+
+let reset_print_stats () =
+  Atomic.set print_polys 0;
+  Atomic.set print_isolations 0
+
+let sturm_cells p = Array.of_list (List.map (fun iso -> { iso; final = false; text = None }) (roots p))
+
+(* The canonical cells of a monic quadratic's two irrational roots in
+   closed form.  [Sturm.isolate] bisects [-B, B], B the Cauchy bound, at
+   exact midpoints, none of which is an irrational root, and stops at the
+   first level where a cell holds one root; [refine_until_width] keeps
+   that dyadic grid down to the first width below 2^-40.  So when the
+   two roots lie in different cells of level L, the least level with
+   2B / 2^L < 2^-40, root i prints as the level-L cell of [-B, B] that
+   holds it, wherever isolation stopped.  With w = B / 2^(L-1) those
+   cells are (k w, (k + 1) w); a float estimate of the root names k, and
+   two exact signs certify the cell: a monic quadratic is positive left
+   of its smaller root, negative between its roots and positive right of
+   the larger, so (+, -) at the ends proves the cell holds root 0 and
+   only it, and (-, +) root 1.  An estimate one cell off steps toward
+   the root as the signs say.  [None] sends the polynomial to Sturm
+   isolation: rational roots (the discriminant is a square), both roots
+   in one level-L cell, |k| >= 2^53, no certificate after a step. *)
+let quadratic_cells p =
+  if P.degree p <> 2 || not (Q.equal (P.leading p) Q.one) then None
+  else begin
+    let b = P.coeff p 1 and c = P.coeff p 0 in
+    let nb = Q.num b and db = Q.den b and nc = Q.num c and dc = Q.den c in
+    (* b^2 - 4c = s / (db dc)^2 with s = (nb^2 dc - 4 nc db^2) dc, a
+       rational square exactly when the integer s is a square *)
+    let s = Z.mul (Z.sub (Z.mul (Z.mul nb nb) dc) (Z.mul_int (Z.mul nc (Z.mul db db)) 4)) dc in
+    if Z.sign s <= 0 || Z.is_square s then None
+    else begin
+      let bound = P.cauchy_bound p in
+      let nB = Q.num bound and dB = Q.den bound in
+      (* L is the bit length of floor(2B / 2^-40) *)
+      let m = Z.num_bits (Z.div (Z.shift_left nB 41) dB) - 1 in
+      let den = Z.shift_left dB m in
+      let at k = Q.make (Z.mul_int nB k) den in
+      let bf = Q.to_float b and cf = Q.to_float c in
+      let sq = Float.sqrt ((bf *. bf) -. (4.0 *. cf)) in
+      let qf = if bf >= 0.0 then -0.5 *. (bf +. sq) else -0.5 *. (bf -. sq) in
+      let r0 = Float.min qf (cf /. qf) and r1 = Float.max qf (cf /. qf) in
+      let mid = 0.5 *. (r0 +. r1) in
+      let inv_w = Float.ldexp (Z.to_float dB /. Z.to_float nB) m in
+      (* is the point [x] (float [xf], sign [sx]) left of root [i]? *)
+      let left_of i xf sx = if i = 0 then sx > 0 && xf < mid else sx < 0 || xf < mid in
+      let cell i est =
+        let kf = Float.floor (est *. inv_w) in
+        if not (Float.abs kf < 0x1p53 -. 2.0) then None
+        else begin
+          let want = if i = 0 then 1 else -1 in
+          let rec go k lo slo hi shi steps =
+            if slo = want && shi = - want then Some { iso = Root { p; lo; hi; slo }; final = true; text = None }
+            else if steps = 0 then None
+            else if not (left_of i (float_of_int k /. inv_w) slo) then begin
+              let lo' = at (k - 1) in
+              go (k - 1) lo' (P.sign_at p lo') lo slo (steps - 1)
+            end
+            else if left_of i (float_of_int (k + 1) /. inv_w) shi then begin
+              let hi' = at (k + 2) in
+              go (k + 1) hi shi hi' (P.sign_at p hi') (steps - 1)
+            end
+            else None
+          in
+          let k = int_of_float kf in
+          let lo = at k and hi = at (k + 1) in
+          go k lo (P.sign_at p lo) hi (P.sign_at p hi) 2
+        end
+      in
+      match cell 0 r0, cell 1 r1 with
+      | Some c0, Some c1 -> Some [| c0; c1 |]
+      | _ -> None
+    end
+  end
+
+(* The text memo: a squarefree polynomial's cells, from [quadratic_cells]
+   or else from Sturm isolation, each with its canonical text once some
+   number has printed as it.  Direct-mapped and lock-free like
+   [Shadow]'s: a slot write is one pointer store of a complete entry, and
+   so is a text write, so a racing reader sees an entry either whole or
+   not at all and a text either [None] or final (two threads may both
+   compute a text; they compute the same one).  No [Lazy]: forcing one
+   lazy value from two threads raises on OCaml 5. *)
 type entry = { key : P.t; cells : cell array }
 
 let text_memo_bound = 64
@@ -399,7 +501,14 @@ let cells_of (p : P.t) =
   let e = text_memo.(i) in
   if e.key == p || P.equal e.key p then e.cells
   else begin
-    let cells = Array.of_list (List.map (fun iso -> { iso; text = None }) (roots p)) in
+    Atomic.incr print_polys;
+    let cells =
+      match quadratic_cells p with
+      | Some cells -> cells
+      | None ->
+        Atomic.incr print_isolations;
+        sturm_cells p
+    in
     text_memo.(i) <- { key = p; cells };
     cells
   end
@@ -408,24 +517,43 @@ let cell_text c =
   match c.text with
   | Some s -> s
   | None ->
-    let s = canonical_text c.iso in
+    let s =
+      match c.iso with
+      | Root r when c.final -> root_text r.p r.lo r.hi (mid_float r.lo r.hi)
+      | iso -> canonical_text iso
+    in
     c.text <- Some s;
     s
+
+(* The text of the number [x], a root of [r.p], from [r.p]'s cells: the
+   one whose isolating interval (or rational point) meets [r]'s, with
+   the exact [compare] only when several do. *)
+let text_in cells x (r : root) =
+  let meets c =
+    match c.iso with
+    | Rational q -> Q.compare r.lo q < 0 && Q.compare q r.hi < 0
+    | Root c -> Q.compare c.lo r.hi < 0 && Q.compare r.lo c.hi < 0
+  in
+  match List.filter meets (Array.to_list cells) with
+  | [ c ] -> cell_text c
+  | several ->
+    (match List.find_opt (fun c -> compare (copy c.iso) x = 0) several with
+     | Some c -> cell_text c
+     | None -> canonical_text (copy x) (* defensive: print our own copy *))
 
 let to_string x =
   match x with
   | Rational q -> Q.to_string q
-  | Root r ->
-    let meets c =
-      match c.iso with
-      | Rational q -> Q.compare r.lo q < 0 && Q.compare q r.hi < 0
-      | Root c -> Q.compare c.lo r.hi < 0 && Q.compare r.lo c.hi < 0
-    in
-    (match List.filter meets (Array.to_list (cells_of r.p)) with
-     | [ c ] -> cell_text c
-     | several ->
-       (match List.find_opt (fun c -> compare (copy c.iso) x = 0) several with
-        | Some c -> cell_text c
-        | None -> canonical_text (copy x) (* defensive: print our own copy *)))
+  | Root r -> text_in (cells_of r.p) x r
+
+let sturm_to_string x =
+  match x with
+  | Rational q -> Q.to_string q
+  | Root r -> text_in (sturm_cells r.p) x r
+
+let root_to_string p index =
+  let cells = cells_of p in
+  if index < 0 || index >= Array.length cells then invalid_arg "Algnum.root_to_string: no such root"
+  else cell_text cells.(index)
 
 let pp fmt x = Format.pp_print_string fmt (to_string x)

@@ -93,7 +93,7 @@ val well_formed : t -> bool
     rational.  For tests. *)
 
 val text_memo_bound : int
-(** Polynomials whose Sturm cells and canonical texts {!to_string} retains. *)
+(** Polynomials whose cells and canonical texts {!to_string} retains. *)
 
 val refine_until_width : t -> Q.t -> t
 (** [refine_until_width x w] bisects a root's isolating interval until it
@@ -108,7 +108,31 @@ val to_string : t -> string
     representation or on how far comparisons have refined its interval.
     A rational value prints as that rational, whether it is held as
     [of_rat q] or as a root of some polynomial; an irrational root prints
-    as a canonical isolating cell of its defining polynomial. *)
+    as a canonical isolating cell of its defining polynomial: the cell of
+    width below 2^-40 on the dyadic grid of [[-B, B]], B the polynomial's
+    Cauchy bound, that Sturm isolation and bisection reach. *)
+
+val root_to_string : Qpoly.t -> int -> string
+(** [root_to_string p i] is {!to_string} of root [i] (0 for the least) of
+    the squarefree polynomial [p], through the same memo, without
+    building the number.  A monic quadratic with irrational roots gets its
+    cells in closed form.  For the filtered backend's deferred instants.
+    @raise Invalid_argument when [p] has no root [i]. *)
+
+val sturm_to_string : t -> string
+(** {!to_string}'s bytes by the general path alone: the number's cell
+    among its polynomial's Sturm cells, refined and tested for a rational
+    value, with no memo and no closed form.  The reference for tests. *)
+
+type print_stats = {
+  polys : int;  (** polynomials whose cells a print computed (memo misses) *)
+  isolations : int;  (** of those, the ones that took Sturm isolation *)
+}
+
+val print_stats : unit -> print_stats
+(** Counts since start or the last {!reset_print_stats}, over all threads. *)
+
+val reset_print_stats : unit -> unit
 
 val pp : Format.formatter -> t -> unit
 (** Prints {!to_string}'s bytes. *)

@@ -144,10 +144,12 @@ let stage_obs t ?trace ~name ~ns_metric f =
 (* ---------------------------------------------------------------- *)
 (* Timeline pieces -> wire                                           *)
 
-(* Printing an instant re-isolates its root, and a timeline names each
-   event instant up to three times in a row: as a span's end, as the [At]
-   at it, and as the next span's start.  So remember the last instant
-   printed and print each physically distinct one once per call. *)
+(* Printing an instant finds its polynomial in [Algnum]'s text memo (a
+   deferred crossing first forms its monic difference), and a timeline
+   names each event instant up to three times in a row: as a span's end,
+   as the [At] at it, and as the next span's start.  So remember the last
+   instant printed and print each physically distinct one once per
+   call. *)
 let wire_pieces pieces =
   let last = ref None in
   let wire i =

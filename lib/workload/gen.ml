@@ -154,8 +154,6 @@ let pencil_db ~seed ~n ~at () =
   in
   add db 1
 
-let live_oids db t = List.map fst (DB.live db t)
-
 (* The objects of a fixed list live at a time, as their ranks in it: a
    Fenwick tree of 0/1 counts, so that entering, leaving and finding the
    k-th live object each take O(log N). *)
@@ -294,26 +292,75 @@ let trace_like ~seed ~n ~steps ?(dt = Q.one) ?(extent = 1000) ?(speed = 10)
   done;
   List.rev !rows
 
+(* The live set follows [db]'s own lifetimes, as in [chdir_stream], and
+   the stream's own updates: a [new] enters at the next rank (its OID is
+   above every other), a [terminate] schedules the object's leaving, and
+   a chdir clears whatever death was scheduled.  [death.(r)] is the
+   object's death as the MOD holds it, so a scheduled leaving that a
+   later update moved or cleared is skipped. *)
 let mixed_stream ~seed ~db ~start ~gap ~count ?(speed = 10) ?(extent = 1000) () =
   let st = Prng.create seed in
   let dim = DB.dim db in
+  let objs = Array.of_list (DB.objects db) in
+  let n0 = Array.length objs in
+  let n = n0 + max count 0 in
+  let oid = Array.make n 0 and death = Array.make n None and in_set = Array.make n false in
+  Array.iteri (fun r (o, tr) -> oid.(r) <- o; death.(r) <- T.death tr) objs;
+  let by f = List.sort (fun a b -> Q.compare (f a) (f b)) in
+  let births = Array.of_list (by (fun r -> T.birth (snd objs.(r))) (List.init n0 Fun.id)) in
+  let deaths =
+    Array.of_list
+      (by fst (List.filter_map (fun r -> Option.map (fun d -> (d, r)) death.(r)) (List.init n0 Fun.id)))
+  in
+  let terminated = Queue.create () in
+  let live = Live.create n and born = ref 0 and dead = ref 0 and added = ref 0 in
+  let enter r = if not in_set.(r) then (in_set.(r) <- true; Live.update live r 1) in
+  let leave (d, r) =
+    match death.(r) with
+    | Some d' when d' == d && in_set.(r) -> in_set.(r) <- false; Live.update live r (-1)
+    | _ -> ()
+  in
+  let live_at tau =
+    while !born < n0 && Q.compare (T.birth (snd objs.(births.(!born)))) tau <= 0 do
+      enter births.(!born);
+      incr born
+    done;
+    while !dead < Array.length deaths && Q.compare (fst deaths.(!dead)) tau < 0 do
+      leave deaths.(!dead);
+      incr dead
+    done;
+    while (not (Queue.is_empty terminated)) && Q.compare (fst (Queue.peek terminated)) tau < 0 do
+      leave (Queue.pop terminated)
+    done
+  in
   let next_oid = ref (1 + List.fold_left max 0 (DB.oids db)) in
   let rec go acc db i =
     if i > count then List.rev acc
     else begin
       let tau = Q.add start (Q.mul (q i) gap) in
+      live_at tau;
       let roll = Prng.int st 10 in
       let u =
-        if roll < 2 || live_oids db tau = [] then begin
+        if roll < 2 || live.Live.size = 0 then begin
           let o = !next_oid in
           incr next_oid;
+          let r = n0 + !added in
+          incr added;
+          oid.(r) <- o;
+          enter r;
           U.New { oid = o; tau; a = rand_vec st dim speed; b = rand_vec st dim extent }
         end
         else begin
-          let oids = live_oids db tau in
-          let o = List.nth oids (Prng.int st (List.length oids)) in
-          if roll = 2 && List.length oids > 1 then U.Terminate { oid = o; tau }
-          else U.Chdir { oid = o; tau; a = rand_vec st dim speed }
+          let r = Live.nth live (Prng.int st live.Live.size) in
+          if roll = 2 && live.Live.size > 1 then begin
+            death.(r) <- Some tau;
+            Queue.push (tau, r) terminated;
+            U.Terminate { oid = oid.(r); tau }
+          end
+          else begin
+            death.(r) <- None;
+            U.Chdir { oid = oid.(r); tau; a = rand_vec st dim speed }
+          end
         end
       in
       go (u :: acc) (DB.apply_exn db u) (i + 1)

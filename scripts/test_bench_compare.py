@@ -86,7 +86,8 @@ class CompareTest(unittest.TestCase):
             "hot_coverage_pct", "prune_rate", "agg_speedup_vs_rescan"]))
         self.assertEqual(lower, sorted([
             "p50_ms", "p99_ms", "primary_p99_ms", "e2e_p50_ms",
-            "e2e_p99_ms", "per_event_growth"]))
+            "e2e_p99_ms", "per_event_growth",
+            "filter_misses_per_comparison"]))
 
     def test_missing_extra_in_fresh_fails(self):
         fresh = dict(BASE)

@@ -33,6 +33,12 @@ EXTRAS = {
     # a3: filtered vs exact backend
     "backend": Extra("a3 s3", "str"),
     "filter_hit_rate": Extra("a3", "num", "in [0, 1]", gate=("min", 0.9)),
+    # misses / the Filtered run's E.comparisons at N = 1000: 0.8473 at
+    # seed 1000 (56,388 / 66,549, deterministic counts), gated 5% above.
+    # Unlike the hit rate it does not fall when redundant hits go.
+    "filter_misses_per_comparison": Extra("a3", "num", ">= 0",
+                                          gate=("max", 0.89),
+                                          better="lower"),
     "speedup_vs_exact": Extra("a3", "num", "> 0", better="higher"),
     # s1: moq serve under load, kill + recover
     "connections": Extra("s1", "int", "> 0"),

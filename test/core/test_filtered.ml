@@ -222,7 +222,49 @@ let test_pp_instant_bytes () =
   List.iter
     (fun s ->
       check ("scalar " ^ Q.to_string s) (BX.instant_of_scalar s) (BFl.instant_of_scalar s))
-    [ q 0; q (-3); qs 133 300; qs 1 2; qs (-7) 1024 ]
+    [ q 0; q (-3); qs 133 300; qs 1 2; qs (-7) 1024 ];
+  (* Deferred quadratic crossings print before anything reads them
+     exactly, and print without building their exact numbers: seeded
+     quadratics with irrational roots (monic, scaled by positive and
+     negative rationals and by floats, float-dyadic coefficients) and
+     with rational roots.  Both roots: the first from below them, the
+     second as the first one's successor on its own polynomial. *)
+  let st = Random.State.make [| 27 |] in
+  let int a b = a + Random.State.int st (b - a + 1) in
+  let builds = BFl.print_builds () and deferred = ref 0 in
+  for i = 0 to 199 do
+    let base =
+      match i mod 5 with
+      | 4 ->
+        (* (t - r)(t - r - k) *)
+        let r = qs (int (-500) 500) (int 1 20) and k = q (int 1 9) in
+        poly [ Q.mul r (Q.add r k); Q.neg (Q.add (Q.add r r) k); q 1 ]
+      | 3 -> poly [ Q.of_float (-. Random.State.float st 1e4 -. 1.); Q.of_float (Random.State.float st 200. -. 100.); q 1 ]
+      | _ -> poly [ qs (- int 1 50_000) (int 1 40); qs (int (-400) 400) (int 1 30); q 1 ]
+    in
+    let a =
+      match i mod 4 with
+      | 0 -> q 1
+      | 1 -> qs (int 1 40) (int 1 9)
+      | 2 -> qs (- int 1 40) (int 1 9)
+      | _ -> Q.of_float (Random.State.float st 10. +. 0.1)
+    in
+    let p = Moq_poly.Qpoly.scale a base in
+    let what = Printf.sprintf "deferred roots of %s" (Moq_poly.Qpoly.to_string p) in
+    let s = Q.sub (A.rational_below (List.hd (A.roots p))) Q.one in
+    BFl.reset_filter_stats ();
+    let fl0 = Option.get (BFl.first_root_after p (BFl.instant_of_scalar s)) in
+    let fl1 = Option.get (BFl.first_root_after p fl0) in
+    if (BFl.filter_stats ()).BFl.misses = 0 then incr deferred;
+    let got = List.map BFl.instant_to_string [ fl0; fl1 ] in
+    let ex0 = Option.get (BX.first_root_after p (BX.instant_of_scalar s)) in
+    let ex1 = Option.get (BX.first_root_after p ex0) in
+    Alcotest.(check (list string)) what (List.map BX.instant_to_string [ ex0; ex1 ]) got;
+    check (what ^ ", read") ex0 fl0;
+    check (what ^ ", read") ex1 fl1
+  done;
+  Alcotest.(check bool) "most crossings deferred" true (!deferred >= 150);
+  Alcotest.(check int) "exact builds caused by printing" builds (BFl.print_builds ())
 
 (* The next crossing of two curves that have just crossed: [first_root_after]
    of a quadratic at one of its own roots.  With the two roots' float

@@ -121,6 +121,16 @@ let bigint_props =
         B.is_zero (B.rem a g) && B.is_zero (B.rem b g));
     prop "compare antisym" (QCheck.pair arb_big arb_big) (fun (a, b) ->
         B.compare a b = - (B.compare b a));
+    (* squares of one-, two- and four-limb roots and their neighbours,
+       around the int / big boundary too *)
+    prop "is_square on squares and neighbours" (QCheck.pair arb_big (QCheck.int_range 0 3))
+      (fun (a, k) ->
+        let r = if k = 3 then B.mul a a else if k = 2 then B.add (B.shift_left B.one 31) (B.abs a) else a in
+        let sq = B.mul r r in
+        B.is_square sq
+        && (B.is_zero r || not (B.is_square (B.add sq B.one)))
+        && (B.is_zero r || not (B.is_square (B.sub sq B.one)) || B.equal sq B.one)
+        && (B.is_zero r || not (B.is_square (B.neg sq))));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -808,6 +808,115 @@ let test_pp_two_threads () =
   List.iter Thread.join ts;
   Alcotest.(check (option string)) "no failure" None !failure
 
+(* ------------------------------------------------------------------ *)
+(* Closed-form cells of quadratic roots against the Sturm path         *)
+(* ------------------------------------------------------------------ *)
+
+let pow2 n = Q.of_bigint (Z.shift_left Z.one n)
+
+(* Seeded quadratics by family.  [closed] families have irrational roots
+   in distinct cells of the canonical level, which the closed form
+   should mostly certify; the others must all go to Sturm isolation. *)
+let quadratic_families () =
+  let st = Random.State.make [| 20261019 |] in
+  let int a b = a + Random.State.int st (b - a + 1) in
+  let rq num den = Q.of_ints (int (- num) num) (int 1 den) in
+  let neg_q num den = Q.of_ints (- (int 1 num)) (int 1 den) in
+  let monic = List.init 120 (fun _ -> QP.of_list [ neg_q 5000 40; rq 400 30; Q.one ]) in
+  let non_monic =
+    List.init 80 (fun _ ->
+        let a = Q.of_ints (int 1 50 * if Random.State.bool st then 1 else -1) (int 1 9) in
+        QP.scale a (QP.of_list [ neg_q 5000 40; rq 400 30; Q.one ]))
+  in
+  (* denominators far past one limb: float dyadics and large primes *)
+  let big_dens =
+    List.init 60 (fun i ->
+        let c =
+          if i mod 2 = 0 then Q.of_float (-. Random.State.float st 1e4 -. 1e-3)
+          else Q.div (q (- int 1 1_000_000)) (Q.of_string "1000000000000000000000000000057")
+        in
+        let b =
+          if i mod 3 = 0 then Q.of_float (Random.State.float st 200. -. 100.)
+          else Q.div (q (int (-1_000_000) 1_000_000)) (q 999_999_937)
+        in
+        QP.of_list [ c; b; Q.one ])
+  in
+  (* (t + R)^2 - e: both roots near -R, with R up to 10^9, so B ~ R^2
+     and the cell index outgrows a float's integers *)
+  let far_negative =
+    List.init 60 (fun i ->
+        let r = q (int 10 1000 * (if i mod 2 = 0 then 1 else 1_000_000)) in
+        let e = q ((2 * int 1 500) + 1) in
+        let e = if Z.is_square (Q.num e) then Q.add e Q.one else e in
+        QP.of_list [ Q.sub (Q.mul r r) e; Q.mul (q 2) r; Q.one ])
+  in
+  (* a root within far less than an ulp of a canonical cell boundary k w,
+     w = B / 2^(L-1): |c| < |b| pins B = 1 + |b|, so c is chosen last, to
+     put p(g) = +-delta at a grid point g near 0.3; the root near g is the
+     smaller for b < 0 and the larger for b > 0 *)
+  let boundary =
+    List.init 80 (fun i ->
+        let b = q (int 4 40 * if i mod 2 = 0 then -1 else 1) in
+        let bound = Q.add Q.one (Q.abs b) in
+        let l = Z.num_bits (Q.floor (Q.mul bound (pow2 41))) in
+        let w = Q.div bound (pow2 (l - 1)) in
+        let k = Q.floor (Q.div (Q.of_ints (int 50 600) 1000) w) in
+        let g = Q.mul (Q.of_bigint k) w in
+        let delta = Q.div (q (((2 * int 0 1000) + 1) * if i mod 4 < 2 then 1 else -1)) (pow2 (int 70 100)) in
+        QP.of_list [ Q.add (Q.neg (Q.add (Q.mul g g) (Q.mul b g))) delta; b; Q.one ])
+  in
+  let rational =
+    List.init 40 (fun _ ->
+        let r = rq 500 20 in
+        QP.scale (Q.of_ints (int 1 9) (int 1 5)) (quad_of_roots r (Q.add r (Q.of_ints (int 1 99) (int 1 7)))))
+  in
+  (* (t - r)^2 - e with e = odd / 2^odd below 2^-86: two irrational
+     roots within 2^-43 of each other, kept when isolation had to go
+     below 2^-40 to part them (no grid point of the canonical level lies
+     between them) *)
+  let near_double =
+    List.init 60 (fun _ ->
+        let r = rq 100 9 in
+        let e = Q.div (q ((2 * int 0 500) + 1)) (pow2 ((2 * int 48 60) + 1)) in
+        QP.of_list [ Q.sub (Q.mul r r) e; Q.mul (q (-2)) r; Q.one ])
+    |> List.filter (fun p ->
+           let lo, hi = Alg.bounds (List.hd (Alg.roots p)) in
+           Q.compare (Q.sub hi lo) w40 < 0)
+  in
+  [ ("monic", true, monic); ("non-monic", true, non_monic); ("large denominators", true, big_dens);
+    ("negative, large B", false, far_negative); ("cell boundary", true, boundary);
+    ("rational roots", false, rational); ("near-double roots", false, near_double) ]
+
+(* Both roots of every family member print as the Sturm path prints
+   them, as numbers and by (polynomial, index); the closed form covers
+   at least 9 in 10 polynomials of the [closed] families, and no
+   polynomial with rational or near-double roots. *)
+let test_closed_form_texts () =
+  List.iter
+    (fun (family, closed, ps) ->
+      Alg.reset_print_stats ();
+      List.iter
+        (fun p ->
+          let sf = QP.squarefree p in
+          let want = List.map Alg.sturm_to_string (Alg.roots p) in
+          let by_index = List.mapi (fun i _ -> Alg.root_to_string sf i) want in
+          let by_number = List.map Alg.to_string (Alg.roots p) in
+          if by_index <> want || by_number <> want then
+            Alcotest.failf "%s: roots of %s print as [%s] by index and [%s] as numbers, not [%s]"
+              family (QP.to_string p) (String.concat "; " by_index)
+              (String.concat "; " by_number) (String.concat "; " want))
+        ps;
+      let s = Alg.print_stats () in
+      Printf.printf "%s: %d polynomials, %d isolated\n" family s.Alg.polys s.Alg.isolations;
+      Alcotest.(check bool) (family ^ ": polynomials printed") true (s.Alg.polys >= 20);
+      if closed then begin
+        if 10 * s.Alg.isolations > s.Alg.polys then
+          Alcotest.failf "%s: %d of %d polynomials isolated" family s.Alg.isolations s.Alg.polys
+      end
+      else if family <> "negative, large B" then
+        Alcotest.(check int) (family ^ ": every polynomial isolated") s.Alg.polys s.Alg.isolations)
+    (quadratic_families ())
+
 let () =
   Alcotest.run "poly"
     [ ("ring", [
@@ -855,6 +964,7 @@ let () =
         Alcotest.test_case "stored sign at lo stays true" `Quick test_stored_sign_invariant;
         Alcotest.test_case "pp memo = reference across eviction" `Quick test_pp_memo_evicts;
         Alcotest.test_case "pp from two threads" `Quick test_pp_two_threads;
+        Alcotest.test_case "closed-form text = Sturm text" `Quick test_closed_form_texts;
       ]);
       ("algnum-props", alg_props);
       ("shadow", [

@@ -34,12 +34,12 @@ let tmp_dir () =
   else Unix.mkdir d 0o700;
   d
 
-let core ?(digest_every = 64) db =
+let core ?(digest_every = 64) ?(dir = tmp_dir ()) db =
   let reg = Moq_obs.Registry.create () in
   match
     Commit.create ~reg ~sink:(Moq_obs.Sink.of_registry reg) ~tracer:(Moq_obs.Trace.create ())
       ~recorder:(Moq_obs.Recorder.create ()) ~fsync:false ~checkpoint_every:16
-      ~dir:(tmp_dir ()) ~init_db:(Some db) ~digest_every ~slow_query_ms:0.
+      ~dir ~init_db:(Some db) ~digest_every ~slow_query_ms:0.
       ~hot_objects:true
   with
   | Ok c -> c
@@ -314,6 +314,89 @@ let test_backlog_bound () =
   Alcotest.(check bool) "another epoch gets a snapshot" true
     (match reply with Proto.R_repl_hello { snapshot = Some _; _ } -> true | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Work counts of printing on watch-shaped inputs                         *)
+(* ------------------------------------------------------------------ *)
+
+module Prng = Moq_workload.Prng
+module T = Moq_mod.Trajectory
+module BF = Moq_core.Backend.Filtered
+module A = Moq_poly.Algnum
+
+(* The shape of the repository benchmark's watch workload, drawn the way
+   its driver draws it: parts with hashed-apart sub-seeds, each 32
+   objects at speed 6 on a disc of radius 100, the 6 range, [knn 1] and
+   agg subscriptions over [0, 10.5], and one chdir half a unit in. *)
+let sub_seed seed k =
+  Int64.to_int (Int64.shift_right_logical (Prng.next64 (Prng.create ((seed * 1_000_003) + k))) 2)
+
+let heading st speed =
+  let phi = Prng.float st (2. *. Float.pi) in
+  let c x = q (Float.to_int (Float.round (speed *. x))) in
+  Qvec.of_list [ c (cos phi); c (sin phi) ]
+
+let watch_part seed =
+  let st = Prng.create seed in
+  let db = ref (DB.empty ~dim:2 ~tau:(q 0)) in
+  for j = 0 to 31 do
+    let r = 100. *. (float_of_int j +. 0.5) /. 32. in
+    let th = Prng.float st (2. *. Float.pi) in
+    let at x = q (Float.to_int (Float.round (r *. x))) in
+    let b = Qvec.of_list [ at (cos th); at (sin th) ] in
+    db := DB.add_initial !db (1 + j) (T.linear ~start:(q 0) ~a:(heading st 6.) ~b)
+  done;
+  let turn = Prng.create (sub_seed seed 1) in
+  let u = U.Chdir { oid = 1; tau = Q.of_ints 1 2; a = heading turn 6. } in
+  let range r = Proto.Sub_range (q (r * r)) in
+  let kinds =
+    List.map range [ 20; 30; 40; 50; 60; 80 ]
+    @ [ Proto.Sub_knn 1;
+        Proto.Sub_agg
+          { d = q 25; window = q 8; pois = [ [ q 0; q 0 ]; [ q 40; q (-20) ]; [ q (-30); q 30 ] ] } ]
+  in
+  (!db, kinds, u)
+
+let rm_dir d =
+  Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+  Unix.rmdir d
+
+(* Printing a piece names its instants by canonical text.  A quadratic
+   root's text comes in closed form from its dyadic cell; Sturm isolation
+   is the fallback, and a deferred Filtered crossing prints without
+   building its exact number.  Gates: at most one isolation per 10
+   polynomials printed, and no exact build caused by printing a deferred
+   quadratic instant. *)
+let test_watch_print_counts () =
+  A.reset_print_stats ();
+  let builds0 = BF.print_builds () in
+  let pieces = ref 0 in
+  for j = 0 to 29 do
+    let db, kinds, u = watch_part (sub_seed 3 (100 + j)) in
+    let dir = tmp_dir () in
+    let c = core ~dir db in
+    let emit = function
+      | Commit.Pieces { pieces = ps; _ } ->
+        pieces := !pieces + List.length ps;
+      | _ -> ()
+    in
+    List.iter
+      (fun kind ->
+        match Commit.subscribe c ~owner:1 kind ~lo:(q 0) ~hi:(Q.of_ints 21 2) with
+        | Ok id -> Commit.flush c ~emit id
+        | Error e -> Alcotest.fail e)
+      kinds;
+    ignore (Commit.ingest c ~emit u);
+    Commit.close c ~checkpoint:false;
+    rm_dir dir
+  done;
+  let st = A.print_stats () in
+  Printf.printf "watch seed 3, 30 parts: %d pieces, %d polynomials printed, %d isolations\n"
+    !pieces st.A.polys st.A.isolations;
+  Alcotest.(check bool) "pieces were printed" true (!pieces > 0 && st.A.polys > 100);
+  if 10 * st.A.isolations > st.A.polys then
+    Alcotest.failf "%d Sturm isolations for %d polynomials printed" st.A.isolations st.A.polys;
+  Alcotest.(check int) "exact builds caused by printing" 0 (BF.print_builds () - builds0)
+
 let () =
   let families =
     [ ("uniform", Gen.uniform_db ~seed:7 ~n:12 ~extent:30 ~speed:4 ());
@@ -328,4 +411,5 @@ let () =
           families
         @ [ Alcotest.test_case "query = Exact, curve store bound" `Quick test_query_matches_exact;
             Alcotest.test_case "follower tracks primary" `Quick test_follower_tracks_primary;
-            Alcotest.test_case "backlog bound" `Quick test_backlog_bound ] ) ]
+            Alcotest.test_case "backlog bound" `Quick test_backlog_bound;
+            Alcotest.test_case "watch printing counts" `Quick test_watch_print_counts ] ) ]
