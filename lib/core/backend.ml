@@ -5,9 +5,10 @@
     computes with rational coefficients and real algebraic event times —
     every comparison the sweep makes is decided exactly, standing in for the
     real-closed-field oracle the paper assumes.  The {!Approx} backend uses
-    floats and numeric root finding; it is the fast configuration used by
-    the benchmarks (experiment A2 compares the two).  The {!Filtered}
-    backend is the exact-geometric-computation middle ground: it carries an
+    floats and numeric root finding, with no exactness guarantee
+    (experiment A2 compares the two).  The {!Filtered} backend, which the
+    server and the sharded scan sweep on, is the exact-geometric-computation
+    middle ground: it carries an
     outward-rounded float interval alongside every exact value, decides
     signs and comparisons from the intervals when they are conclusive, and
     falls back to the exact machinery only when an interval straddles zero —
@@ -17,13 +18,13 @@
     The sweep reads curves through piece operations on their views
     ({!S.locate}, {!S.diff_root_after}, ...), not through prebuilt
     difference polynomials: Exact and Approx form the difference and
-    answer as before; Filtered answers from the views' float shadows and
-    forms it only on an exact path. *)
+    answer on it; Filtered answers from the views' float enclosures and
+    forms it only when they cannot decide. *)
 
 module Q = Moq_numeric.Rat
 
 (* The piece operations of {!S} by way of the exact difference: Exact's
-   and Approx's, and Filtered's fallback when its shadows cannot
+   and Approx's, and Filtered's fallback when the views' enclosures cannot
    decide. *)
 module Via_difference (X : sig
   module P : Moq_poly.Poly_intf.S
@@ -34,8 +35,13 @@ module Via_difference (X : sig
   val compare_instant_scalar : instant -> P.F.t -> int
   val sign_at_instant : P.t -> instant -> int
   val sign_after_instant : P.t -> instant -> int
-  val first_root_after : P.t -> instant -> instant option
-  val first_root_at_or_after : P.t -> P.F.t -> instant option
+
+  val root_after : P.t -> P.t -> instant -> instant option
+  (** [root_after q1 q2 i] is [first_root_after (P.sub q1 q2) i]; a
+      backend may tag the root with its two pieces. *)
+
+  val root_at_or_after : P.t -> P.t -> P.F.t -> instant option
+  (** [first_root_at_or_after (P.sub q1 q2) s], likewise. *)
 end) =
 struct
   open X
@@ -58,10 +64,10 @@ struct
   let locate v i = locate_with compare_instant_knot v i
   let diff_sign_at v1 k1 v2 k2 i = sign_at_instant (diff v1 k1 v2 k2) i
   let diff_sign_after v1 k1 v2 k2 i = sign_after_instant (diff v1 k1 v2 k2) i
-  let diff_root_after v1 k1 v2 k2 i = first_root_after (diff v1 k1 v2 k2) i
+  let diff_root_after (v1 : PW.view) k1 (v2 : PW.view) k2 i = root_after v1.polys.(k1) v2.polys.(k2) i
 
-  let diff_root_from v1 k1 v2 k2 (v : PW.view) j =
-    first_root_at_or_after (diff v1 k1 v2 k2) v.starts.(j)
+  let diff_root_from (v1 : PW.view) k1 (v2 : PW.view) k2 (v : PW.view) j =
+    root_at_or_after v1.polys.(k1) v2.polys.(k2) v.starts.(j)
 end
 
 module type S = sig
@@ -205,8 +211,8 @@ struct
     let compare_instant_scalar = compare_instant_scalar
     let sign_at_instant = sign_at_instant
     let sign_after_instant = sign_after_instant
-    let first_root_after = first_root_after
-    let first_root_at_or_after = first_root_at_or_after
+    let root_after q1 q2 i = first_root_after (P.sub q1 q2) i
+    let root_at_or_after q1 q2 s = first_root_at_or_after (P.sub q1 q2) s
   end)
 
   type enclosure = unit
@@ -284,8 +290,8 @@ struct
     let compare_instant_scalar = compare_instant_scalar
     let sign_at_instant = sign_at_instant
     let sign_after_instant = sign_after_instant
-    let first_root_after = first_root_after
-    let first_root_at_or_after = first_root_at_or_after
+    let root_after q1 q2 i = first_root_after (P.sub q1 q2) i
+    let root_at_or_after q1 q2 s = first_root_at_or_after (P.sub q1 q2) s
   end)
 
   type enclosure = unit
@@ -316,8 +322,11 @@ end
     difference's enclosures, formed coefficient by coefficient) and the
     sign at and just after a crossing of the same two pieces all run on
     floats, and the exact difference of two pieces is built only when
-    they cannot decide.  Prebuilt polynomials get memoized interval
-    shadows ({!Moq_poly.Shadow}).  Each
+    they cannot decide.  A prebuilt polynomial's coefficients are
+    enclosed afresh on each call, in the same flat layout, and one root
+    filter serves both: every root it finds is tagged with its two
+    pieces (or its polynomial), its degree, its index and the sign just
+    after it.  Each
     predicate first tries to decide from the intervals — a {e hit} — and
     only when the interval answer is inconclusive runs the exact
     Sturm/Algnum machinery — a {e miss}, whose wall time is accumulated so
@@ -367,11 +376,12 @@ module Filtered : sig
 
   val of_algnum : Moq_poly.Algnum.t -> instant
 
-  val diff_shadow : PW.view -> int -> PW.view -> int -> Moq_numeric.Fintval.t array
+  val diff_shadow : PW.view -> int -> PW.view -> int -> float array
   (** [diff_shadow v1 k1 v2 k2]: enclosures of the coefficients of piece
-      [k1] of [v1] minus piece [k2] of [v2], lowest degree first, up to
-      the larger of the two degrees, as the root search forms them from
-      the views (for the enclosure properties in the tests). *)
+      [k1] of [v1] minus piece [k2] of [v2] as flat pairs (coefficient [j]
+      is [Fintval.get d (2 * j)]), lowest degree first, up to the larger
+      of the two degrees, as the root search forms them from the views
+      (for the enclosure properties in the tests). *)
 end = struct
   let name = "filtered"
 
@@ -379,22 +389,21 @@ end = struct
   module PW = Moq_poly.Piecewise.Qpiece
   module A = Moq_poly.Algnum
   module IV = Moq_numeric.Fintval
-  module Shadow = Moq_poly.Shadow
   module Sink = Moq_obs.Sink
 
-  (* A crossing found on two pieces' shadows: root [index] (ascending) of
-     [p1 - p2], whose degree is [deg] (1 or 2) and whose sign just after
-     the root is [after].  [diff] is [p1 - p2] once an exact read has
-     built it, [P.zero] before; like [exact] below, the write is
-     idempotent, so racing threads agree. *)
+  (* A root the filter found: root [index] (ascending) of [p1 - p2],
+     whose degree is [deg] (1 or 2) and whose sign just after the root is
+     [after].  [p1] and [p2] are the two pieces of a crossing, or a
+     caller's polynomial and [P.zero].  [diff] is [p1 - p2] once built,
+     [P.zero] before; like [exact] below, the write is idempotent, so
+     racing threads agree. *)
   type pair = { p1 : P.t; p2 : P.t; deg : int; index : int; after : int; mutable diff : P.t }
 
-  (* What an instant is known to be an exact root of: nothing, a
-     polynomial (a root searched on a prebuilt polynomial), or the
-     difference of two pieces.  Lets [sign_at_instant] certify the zero
-     sign structurally — intervals alone can never prove a sign of exactly
-     zero at a non-dyadic point. *)
-  type root = Unrooted | Root_of of P.t | Root_of_pair of pair
+  (* What an instant is known to be an exact root of: nothing, or the
+     difference of two polynomials.  Lets [sign_at_instant] certify the
+     zero sign structurally — intervals alone can never prove a sign of
+     exactly zero at a non-dyadic point. *)
+  type root = Unrooted | Root_of_pair of pair
 
   (* The exact value, built on first exact read.  A crossing the float
      filter proved is scheduled as [Deferred]: its enclosure and which
@@ -412,7 +421,6 @@ end = struct
 
   let root_poly i =
     match i.root with
-    | Root_of p -> p
     | Root_of_pair r -> pair_diff r
     | Unrooted -> invalid_arg "Backend.Filtered: not a root"
 
@@ -522,12 +530,12 @@ end = struct
   (* Are both instants the unique root of one linear polynomial? *)
   let same_linear_root a b =
     match a.root, b.root with
-    | Unrooted, _ | _, Unrooted -> false
-    | Root_of_pair x, Root_of_pair y when x.deg = 1 && y.deg = 1 && same_pieces x y.p1 y.p2 -> true
-    | Root_of_pair { deg = 2; _ }, _ | _, Root_of_pair { deg = 2; _ } -> false
-    | _ ->
-      let pa = root_poly a and pb = root_poly b in
-      P.degree pa = 1 && (P.equal pa pb || P.equal pa (P.neg pb))
+    | Root_of_pair x, Root_of_pair y when x.deg = 1 && y.deg = 1 ->
+      same_pieces x y.p1 y.p2
+      ||
+      let pa = pair_diff x and pb = pair_diff y in
+      P.equal pa pb || P.equal pa (P.neg pb)
+    | _ -> false
 
   let compare_instant a b =
     if a == b then 0
@@ -558,7 +566,7 @@ end = struct
     if P.is_zero p then 0
     else begin
       incr decisions;
-      match IV.sign (Shadow.eval_at p i.iv) with
+      match IV.sign (IV.horner (P.enclose_coefs p) 0 (P.degree p + 1) i.iv) with
       | Some s -> hit s
       | None when is_zero_of i p -> hit 0
       | None ->
@@ -598,135 +606,129 @@ end = struct
 
   (* --- root filtering ------------------------------------------------- *)
 
-  (* Schedule root [index] of a polynomial from [rc], an enclosure that
-     holds that root and no other; [root index] is what it is a root of.
-     Nothing exact runs here; {!exact} finishes the certificate when the
-     instant is first read.  An infinite or single-point enclosure is left
-     to the caller's exact fallback. *)
-  let deferred_root root (rc : IV.t) index : instant option =
+  (* The tag of root [index] of [q1 - q2] of degree [d]: the sign just
+     after it is the leading coefficient's sign [s], or [-s] after the
+     smaller root of a quadratic.  The sign is [diff]'s when it is built;
+     otherwise the leading enclosure in [c], which the filter has proved
+     to exclude zero. *)
+  let tag q1 q2 diff (c : float array) d index =
+    let s = if not (P.is_zero diff) then Q.sign (P.coeff diff d) else if c.(2 * d) > 0.0 then 1 else -1 in
+    let after = if d = 2 && index = 0 then - s else s in
+    Root_of_pair { p1 = q1; p2 = q2; deg = d; index; after; diff }
+
+  (* Root [index] proved by its enclosure [rc] alone, or [None] (the
+     exact fallback) when [rc] is infinite or a single point. *)
+  let deferred q1 q2 diff c d (rc : IV.t) index =
     if IV.is_finite rc && rc.IV.lo < rc.IV.hi then
-      Some { ex = Deferred { enc = rc; index }; iv = rc; root = root index }
+      Some (Some { ex = Deferred { enc = rc; index }; iv = rc; root = tag q1 q2 diff c d index })
     else None
 
-  (* The real roots of a quadratic, as far as float intervals can tell. *)
-  type quad_roots =
-    | No_real  (** discriminant certainly negative *)
-    | Two of IV.t * IV.t  (** disjoint enclosures of the two roots, ascending *)
-    | Unsure  (** a double root, near-tangency, or an inconclusive discriminant *)
+  (* The threshold [th]'s index among the roots of [q1 - q2] when it is
+     one of them: read off the pieces it was found on when the difference
+     [diff] is not built, by comparing polynomials when it is. *)
+  let own_index q1 q2 diff th =
+    match th.root with
+    | Root_of_pair r when if P.is_zero diff then same_pieces r q1 q2 else is_zero_of th diff ->
+      Some r.index
+    | _ -> None
+
+  (* The threshold of a search for roots at or after a scalar, which is
+     no root. *)
+  let scalar_threshold = instant_of_scalar Q.zero
 
   let iv_two = IV.of_int 2
   let iv_four = IV.of_int 4
 
-  (* From enclosures of the coefficients [a2 t^2 + a1 t + a0].  [Two]
-     implies [a2] excludes zero: otherwise the division spans the line. *)
-  let quad_roots_of a2 a1 a0 =
-    let disc = IV.sub (IV.mul a1 a1) (IV.mul iv_four (IV.mul a2 a0)) in
-    match IV.sign disc with
-    | Some s when s < 0 -> No_real
-    | Some s when s > 0 ->
-      let sq = IV.sqrt disc in
-      let two_a2 = IV.mul iv_two a2 in
-      let r1 = IV.div (IV.sub (IV.neg a1) sq) two_a2 in
-      let r2 = IV.div (IV.add (IV.neg a1) sq) two_a2 in
-      if r1.IV.hi < r2.IV.lo then Two (r1, r2)
-      else if r2.IV.hi < r1.IV.lo then Two (r2, r1)
-      else Unsure
-    | _ -> Unsure
+  (* The kernel's one root filter: the first root of [q1 - q2], of degree
+     [d], beyond the threshold enclosed by [tv] (strictly after it when
+     [strict]), from enclosures of the difference's coefficients, flat
+     pairs in [c], lowest degree first.  [diff] is the difference when it
+     is built (a search on a polynomial), whose linear root is then its
+     exact rational; [P.zero] when it is not (a search on two views'
+     pieces).  [th] is the threshold instant of a strict search
+     ([scalar_threshold] otherwise): when it is itself a root of the
+     difference ([own_index]), just after root 0 of two the next is root
+     1, and after the last there is none.  A root proved by enclosures
+     alone is [Deferred]: nothing exact runs here, and {!exact} finishes
+     the certificate when the instant is first read.  Outer [None]: the enclosures cannot settle it (a degree other than 1
+     or 2, an inconclusive discriminant, a root enclosure meeting the
+     threshold, an infinite or single-point root enclosure), and the
+     caller decides exactly. *)
+  let root_filter q1 q2 diff (c : float array) d (tv : IV.t) ~strict th : instant option option =
+    if d = 1 then begin
+      let r = if P.is_zero diff then None else Some (linear_root diff) in
+      let rv = match r with Some r -> IV.of_rat r | None -> IV.div (IV.neg (IV.get c 0)) (IV.get c 2) in
+      match IV.compare_certain rv tv with
+      | Some o when o > 0 || (o = 0 && not strict) -> (
+        match r with
+        | Some r -> Some (Some { ex = Known (A.of_rat r); iv = rv; root = tag q1 q2 diff c 1 0 })
+        | None -> deferred q1 q2 diff c d rv 0)
+      | Some _ -> Some None
+      | None -> if own_index q1 q2 diff th = None then None else Some None
+    end
+    else if d = 2 then begin
+      let a2 = IV.get c 4 and a1 = IV.get c 2 in
+      let disc = IV.sub (IV.mul a1 a1) (IV.mul iv_four (IV.mul a2 (IV.get c 0))) in
+      match IV.sign disc with
+      | Some s when s < 0 -> Some None
+      | Some s when s > 0 ->
+        (* [a2] excludes zero when the two root enclosures are disjoint:
+           otherwise the divisions span the line *)
+        let sq = IV.sqrt disc and two_a2 = IV.mul iv_two a2 in
+        let r1 = IV.div (IV.sub (IV.neg a1) sq) two_a2 and r2 = IV.div (IV.add (IV.neg a1) sq) two_a2 in
+        let rmin, rmax = if r1.IV.hi < r2.IV.lo then (r1, r2) else (r2, r1) in
+        if not (rmin.IV.hi < rmax.IV.lo) then None (* a double root or a near-tangency *)
+        else if rmax.IV.hi < tv.IV.lo then Some None (* both roots certainly before *)
+        else if rmin.IV.lo > tv.IV.hi then deferred q1 q2 diff c d rmin 0
+        else if rmin.IV.hi < tv.IV.lo && rmax.IV.lo > tv.IV.hi then deferred q1 q2 diff c d rmax 1
+        else (
+          match own_index q1 q2 diff th with
+          | Some 0 -> deferred q1 q2 diff c d rmax 1
+          | Some _ -> Some None
+          | None -> None)
+      | _ -> None
+    end
+    else None
 
-  let quad_roots p =
-    let s = Shadow.of_qpoly p in
-    quad_roots_of s.(2) s.(1) s.(0)
+  (* A root search on the built polynomial [p], which is [q1 - q2]: the
+     filter on the enclosures of its exact coefficients, then the exact
+     answer, one decision either way.  The threshold is an instant (roots
+     strictly after it) or a scalar (roots at or after it). *)
+  type threshold = After of instant | From of Q.t
 
-  (* Interval prefilter for the first root of a quadratic at-or-beyond a
-     threshold enclosed by [tv]; [root j] is what root [j] is a root of.
-     Outer [None] = inconclusive (exact fallback); [Some ans] = certain
-     answer.  A root exactly at the threshold is never certified, so the
-     same filter serves both the strict ("after") and weak ("at or after")
-     variants — they only differ on that always-fallback case. *)
-  let quad_first_root root roots (tv : IV.t) : instant option option =
-    match roots with
-    | No_real -> Some None
-    | Unsure -> None
-    | Two (rmin, rmax) ->
-      if rmax.IV.hi < tv.IV.lo then Some None (* both roots certainly before *)
-      else if rmin.IV.lo > tv.IV.hi then Option.map Option.some (deferred_root root rmin 0)
-      else if rmin.IV.hi < tv.IV.lo && rmax.IV.lo > tv.IV.hi then
-        Option.map Option.some (deferred_root root rmax 1)
-      else None
-
-  (* The next crossing of two curves that have just crossed: [i] is itself
-     a root of the quadratic [p], so its enclosure meets one of the two
-     root enclosures and the threshold filter above cannot decide.  Being
-     a root, [i] is the smaller one when it lies wholly below the larger
-     one's enclosure (the answer is the larger root), and the larger one
-     when it lies wholly above the smaller one's (no root follows). *)
-  let own_root_successor p roots i : instant option option =
-    match roots with
-    | Two (rmin, rmax) when is_zero_of i p ->
-      if i.iv.IV.hi < rmax.IV.lo then
-        Option.map Option.some (deferred_root (fun _ -> Root_of p) rmax 1)
-      else if i.iv.IV.lo > rmin.IV.hi then Some None
-      else None
-    | _ -> None
-
-  let first_root_after p i =
+  let poly_root q1 q2 p th =
     let d = P.degree p in
     if d <= 0 then None
     else begin
       incr decisions;
-      if d = 1 then begin
+      let c = P.enclose_coefs p in
+      let ans =
+        match th with
+        | After i -> root_filter q1 q2 p c d i.iv ~strict:true i
+        | From s -> root_filter q1 q2 p c d (IV.of_rat s) ~strict:false scalar_threshold
+      in
+      match ans with
+      | Some ans -> hit ans
+      | None when d = 1 ->
         let r = linear_root p in
-        let rv = IV.of_rat r in
-        let root () = Some { ex = Known (A.of_rat r); iv = rv; root = Root_of p } in
-        match IV.compare_certain rv i.iv with
-        | Some c -> hit (if c > 0 then root () else None)
-        | None ->
-          (* [i] the unique root of [p] itself: no root strictly after *)
-          if is_zero_of i p then hit None
-          else
-            miss ~at:rv (fun () ->
-              if A.compare (A.of_rat r) (exact i) > 0 then root () else None)
-      end
-      else if d = 2 then begin
-        let roots = quad_roots p in
-        match quad_first_root (fun _ -> Root_of p) roots i.iv with
-        | Some ans -> hit ans
-        | None ->
-          (match own_root_successor p roots i with
-           | Some ans -> hit ans
-           | None ->
-             miss ~at:i.iv (fun () -> Option.map of_algnum (A.first_root_after p (exact i))))
-      end
-      else miss ~at:i.iv (fun () -> Option.map of_algnum (A.first_root_after p (exact i)))
+        miss ~at:(IV.of_rat r) (fun () ->
+          let beyond =
+            match th with
+            | After i -> A.compare (A.of_rat r) (exact i) > 0
+            | From s -> Q.compare r s >= 0
+          in
+          if beyond then Some { ex = Known (A.of_rat r); iv = IV.of_rat r; root = tag q1 q2 p c 1 0 }
+          else None)
+      | None -> (
+        match th with
+        | After i -> miss ~at:i.iv (fun () -> Option.map of_algnum (A.first_root_after p (exact i)))
+        | From s ->
+          miss ~at:(IV.of_rat s) (fun () ->
+            Option.map of_algnum (A.first_root_at_or_after p (A.of_rat s))))
     end
 
-  let first_root_at_or_after p s =
-    let d = P.degree p in
-    if d <= 0 then None
-    else begin
-      incr decisions;
-      if d = 1 then begin
-        let r = linear_root p in
-        let rv = IV.of_rat r in
-        let root () = Some { ex = Known (A.of_rat r); iv = rv; root = Root_of p } in
-        match IV.compare_certain rv (IV.of_rat s) with
-        | Some c -> hit (if c >= 0 then root () else None)
-        | None ->
-          miss ~at:rv (fun () ->
-            if Q.compare r s >= 0 then root () else None)
-      end
-      else if d = 2 then begin
-        match quad_first_root (fun _ -> Root_of p) (quad_roots p) (IV.of_rat s) with
-        | Some ans -> hit ans
-        | None ->
-          miss ~at:(IV.of_rat s)
-            (fun () -> Option.map of_algnum (A.first_root_at_or_after p (A.of_rat s)))
-      end
-      else
-        miss ~at:(IV.of_rat s)
-          (fun () -> Option.map of_algnum (A.first_root_at_or_after p (A.of_rat s)))
-    end
-
+  let first_root_after p i = poly_root p P.zero p (After i)
+  let first_root_at_or_after p s = poly_root p P.zero p (From s)
   let all_roots p = List.map of_algnum (A.roots p)
 
   (* --- pieces, from the curves' shadows ------------------------------ *)
@@ -740,8 +742,8 @@ end = struct
     let compare_instant_scalar = compare_instant_scalar
     let sign_at_instant = sign_at_instant
     let sign_after_instant = sign_after_instant
-    let first_root_after = first_root_after
-    let first_root_at_or_after = first_root_at_or_after
+    let root_after q1 q2 i = poly_root q1 q2 (P.sub q1 q2) (After i)
+    let root_at_or_after q1 q2 s = poly_root q1 q2 (P.sub q1 q2) (From s)
   end)
 
   (* [compare_instant_scalar] against a knot's stored enclosure. *)
@@ -759,7 +761,8 @@ end = struct
 
   let locate v i = D.locate_with compare_instant_knot v i
 
-  (* [Shadow.eval_at] of the piece, from the view's coefficients *)
+  (* [sign_at_instant]'s enclosure of the piece's value, from the view's
+     coefficients *)
   let enclose (v : PW.view) k i =
     let at = v.coef_at.(k) in
     IV.horner v.coefs at ((v.coef_at.(k + 1) - at) / 2) i.iv
@@ -797,77 +800,45 @@ end = struct
 
   let zero_pair = [| 0.0; 0.0 |]
 
-  (* An enclosure of coefficient [j] of [q1 - q2], from the shadows *)
-  let coef_diff (v1 : PW.view) k1 (v2 : PW.view) k2 j =
-    let c1 = v1.coef_at.(k1) + (2 * j) and c2 = v2.coef_at.(k2) + (2 * j) in
-    let in1 = c1 < v1.coef_at.(k1 + 1) and in2 = c2 < v2.coef_at.(k2 + 1) in
-    IV.sub_pairs
-      (if in1 then v1.coefs else zero_pair)
-      (if in1 then c1 else 0)
-      (if in2 then v2.coefs else zero_pair)
-      (if in2 then c2 else 0)
-
   let diff_shadow (v1 : PW.view) k1 (v2 : PW.view) k2 =
-    Array.init
-      (Int.max (P.degree v1.polys.(k1)) (P.degree v2.polys.(k2)) + 1)
-      (coef_diff v1 k1 v2 k2)
+    let n = Int.max (P.degree v1.polys.(k1)) (P.degree v2.polys.(k2)) + 1 in
+    let c = Array.create_float (2 * n) in
+    for j = 0 to n - 1 do
+      let c1 = v1.coef_at.(k1) + (2 * j) and c2 = v2.coef_at.(k2) + (2 * j) in
+      let in1 = c1 < v1.coef_at.(k1 + 1) and in2 = c2 < v2.coef_at.(k2 + 1) in
+      let e =
+        IV.sub_pairs
+          (if in1 then v1.coefs else zero_pair)
+          (if in1 then c1 else 0)
+          (if in2 then v2.coefs else zero_pair)
+          (if in2 then c2 else 0)
+      in
+      c.(2 * j) <- e.IV.lo;
+      c.((2 * j) + 1) <- e.IV.hi
+    done;
+    c
 
-  (* The first root of [q1 - q2] beyond the threshold [tv] (strictly
-     after it when [strict]), from the difference's shadow, which is
-     formed coefficient by coefficient.  [own] is the threshold
-     instant's root: when it is a crossing of these two pieces, its index
-     names the next root.  Outer [None]: the shadows cannot settle it (a
-     degree other than 1 or 2, an [Unsure] discriminant, a root enclosure
-     meeting the threshold). *)
-  let shadow_root (v1 : PW.view) k1 (v2 : PW.view) k2 d (tv : IV.t) ~strict own :
-      instant option option =
-    let q1 = v1.polys.(k1) and q2 = v2.polys.(k2) in
-    let own = match own with Root_of_pair r when strict && same_pieces r q1 q2 -> Some r | _ -> None in
-    (* [a] encloses the difference's leading coefficient, which the
-       divisions below have proved nonzero; the sign just after a root is
-       [-s] after the smaller root of a quadratic and [s] otherwise *)
-    let pair (a : IV.t) index =
-      let s = if a.IV.lo > 0.0 then 1 else -1 in
-      let after = if d = 2 && index = 0 then - s else s in
-      Root_of_pair { p1 = q1; p2 = q2; deg = d; index; after; diff = P.zero }
-    in
-    if d = 1 then begin
-      let a1 = coef_diff v1 k1 v2 k2 1 in
-      let rv = IV.div (IV.neg (coef_diff v1 k1 v2 k2 0)) a1 in
-      if not (IV.is_finite rv) then None
-      else
-        match IV.compare_certain rv tv with
-        | Some c ->
-          if c > 0 || (c = 0 && not strict) then Option.map Option.some (deferred_root (pair a1) rv 0)
-          else Some None
-        | None -> if own <> None then Some None else None
-    end
-    else if d = 2 then begin
-      let a2 = coef_diff v1 k1 v2 k2 2 in
-      let roots = quad_roots_of a2 (coef_diff v1 k1 v2 k2 1) (coef_diff v1 k1 v2 k2 0) in
-      match quad_first_root (pair a2) roots tv, roots, own with
-      | (Some _ as ans), _, _ -> ans
-      | None, Two (_, rmax), Some r ->
-        if r.index = 0 then Option.map Option.some (deferred_root (pair a2) rmax 1) else Some None
-      | None, _, _ -> None
-    end
-    else None
-
+  (* The filter on the views' enclosures of the difference, which is
+     formed only when they cannot decide: then [D] forms it and runs the
+     filter again on its exact coefficients. *)
   let diff_root_after (v1 : PW.view) k1 (v2 : PW.view) k2 i =
-    let d = diff_degree v1.polys.(k1) v2.polys.(k2) in
+    let q1 = v1.polys.(k1) and q2 = v2.polys.(k2) in
+    let d = diff_degree q1 q2 in
     if d <= 0 then None
     else
-      match shadow_root v1 k1 v2 k2 d i.iv ~strict:true i.root with
+      match root_filter q1 q2 P.zero (diff_shadow v1 k1 v2 k2) d i.iv ~strict:true i with
       | Some ans ->
         incr decisions;
         hit ans
       | None -> D.diff_root_after v1 k1 v2 k2 i
 
   let diff_root_from (v1 : PW.view) k1 (v2 : PW.view) k2 (v : PW.view) j =
-    let d = diff_degree v1.polys.(k1) v2.polys.(k2) in
+    let q1 = v1.polys.(k1) and q2 = v2.polys.(k2) in
+    let d = diff_degree q1 q2 in
     if d <= 0 then None
     else
-      match shadow_root v1 k1 v2 k2 d (IV.get v.bounds (2 * j)) ~strict:false Unrooted with
+      let tv = IV.get v.bounds (2 * j) in
+      match root_filter q1 q2 P.zero (diff_shadow v1 k1 v2 k2) d tv ~strict:false scalar_threshold with
       | Some ans ->
         incr decisions;
         hit ans

@@ -263,6 +263,38 @@ module Make (B : Backend.S) = struct
     | Some p, Some _ -> schedule_around t p
     | _ -> ()
 
+  (* Mount [alive] on the empty sweep line at instant [i] (the initial
+     sort: the O(N log N) of Theorem 5(1)), schedule one event per
+     adjacent pair, then each mounted entry's death and jumps, in sweep
+     order when [by_sweep] and in [alive]'s order otherwise; then queue
+     the birth of each [future] entry within the horizon, or mark it dead
+     when [starts_after] says its lifetime does not start after [i]. *)
+  let mount_all t i alive ~by_sweep ~future ~starts_after =
+    let sorted = List.sort (cmp_entries_at t i) alive in
+    List.iter (fun e -> e.node <- Some (OL.insert_sorted ~cmp:(cmp_entries_at t i) t.order e)) sorted;
+    let rec pairs = function
+      | a :: (b :: _ as rest) ->
+        schedule_pair t a b;
+        pairs rest
+      | _ -> ()
+    in
+    pairs (order t);
+    List.iter
+      (fun e ->
+        schedule_death t e;
+        schedule_jumps t e)
+      (if by_sweep then sorted else alive);
+    List.iter
+      (fun e ->
+        let s = PW.start e.curve in
+        if starts_after s then begin
+          match t.horizon with
+          | Some h when F.compare s h > 0 -> ()
+          | _ -> ignore (LH.insert t.queue (B.instant_of_scalar s) (Birth e))
+        end
+        else e.dead <- true (* whole lifetime behind the sweep *))
+      future
+
   let create ?(sink = Sink.noop) ?(attr = true) ~start ?horizon curves =
     let start_i = B.instant_of_scalar start in
     let t =
@@ -271,8 +303,7 @@ module Make (B : Backend.S) = struct
         now = start_i;
         horizon;
         by_label = Hashtbl.create 64;
-        stats = { crossings = 0; swaps = 0; births = 0; deaths = 0; batches = 0; jumps = 0; comparisons = 0; audit_failures = 0; rebuilds = 0;
-                  audit_structure = 0; audit_order = 0; audit_event = 0; audit_dead = 0; audit_clock = 0 };
+        stats = zero_stats ();
         sink;
         attr = (if attr then Some (Hashtbl.create 64) else None);
       }
@@ -292,37 +323,7 @@ module Make (B : Backend.S) = struct
           && (match PW.stop e.curve with None -> true | Some s -> F.compare start s <= 0))
         entries
     in
-    (* initial sort: the O(N log N) of Theorem 5(1) *)
-    let sorted = List.sort (cmp_entries_at t start_i) alive in
-    List.iter
-      (fun e ->
-        let handle = OL.insert_sorted ~cmp:(cmp_entries_at t start_i) t.order e in
-        e.node <- Some handle)
-      sorted;
-    (* one event per adjacent pair *)
-    let rec pairs = function
-      | a :: (b :: _ as rest) ->
-        schedule_pair t a b;
-        pairs rest
-      | _ -> ()
-    in
-    pairs (order t);
-    List.iter
-      (fun e ->
-        schedule_death t e;
-        schedule_jumps t e)
-      alive;
-    (* future births within the horizon *)
-    List.iter
-      (fun e ->
-        let s = PW.start e.curve in
-        if F.compare s start > 0 then begin
-          match horizon with
-          | Some h when F.compare s h > 0 -> ()
-          | _ -> ignore (LH.insert t.queue (B.instant_of_scalar s) (Birth e))
-        end
-        else e.dead <- true (* whole lifetime before the sweep *))
-      rest;
+    mount_all t start_i alive ~by_sweep:false ~future:rest ~starts_after:(fun s -> F.compare s start > 0);
     t
 
   (* Local bubble pass with the "just after i" comparator, starting from the
@@ -759,33 +760,8 @@ module Make (B : Backend.S) = struct
         candidates
     in
     t.queue <- LH.create ~cmp:B.compare_instant;
-    let sorted = List.sort (cmp_entries_at t t.now) alive in
-    List.iter
-      (fun e ->
-        e.node <- Some (OL.insert_sorted ~cmp:(cmp_entries_at t t.now) t.order e))
-      sorted;
-    let rec pairs = function
-      | a :: (b :: _ as rest) ->
-        schedule_pair t a b;
-        pairs rest
-      | _ -> ()
-    in
-    pairs sorted;
-    List.iter
-      (fun e ->
-        schedule_death t e;
-        schedule_jumps t e)
-      sorted;
-    List.iter
-      (fun e ->
-        let s = PW.start e.curve in
-        if B.compare_instant_scalar t.now s < 0 then begin
-          match t.horizon with
-          | Some h when F.compare s h > 0 -> ()
-          | _ -> ignore (LH.insert t.queue (B.instant_of_scalar s) (Birth e))
-        end
-        else e.dead <- true (* lifetime entirely behind the clock *))
-      future
+    mount_all t t.now alive ~by_sweep:true ~future ~starts_after:(fun s ->
+        B.compare_instant_scalar t.now s < 0)
 
   let audit_and_heal t =
     Sink.count t.sink "moq_engine_audits_total" 1;

@@ -185,23 +185,9 @@ let is_finite a = Float.is_finite a.lo && Float.is_finite a.hi
 let width a = a.hi -. a.lo
 let mid a = 0.5 *. (a.lo +. a.hi)
 
-(* Interval Horner over interval coefficients, lowest degree first (the
-   layout of [Poly.Make]). *)
-let eval (coeffs : t array) (x : t) =
-  let n = Array.length coeffs in
-  if n = 0 then point 0.0
-  else begin
-    let acc = ref coeffs.(n - 1) in
-    for i = n - 2 downto 0 do
-      acc := add (mul !acc x) coeffs.(i)
-    done;
-    !acc
-  end
-
-(* [eval] over [n] coefficient enclosures stored as flat pairs from
-   [a.(off)], lowest degree first: each step is [affine_into]'s float
-   operations, so the result is [eval]'s bit for bit, and only the result
-   is allocated. *)
+(* Interval Horner over [n] coefficient enclosures stored as flat pairs
+   from [a.(off)], lowest degree first: each step is [affine_into]'s float
+   operations ([add (mul acc x) c]), and only the result is allocated. *)
 let horner (a : float array) off n (x : t) =
   if n = 0 then point 0.0
   else begin

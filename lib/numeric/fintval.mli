@@ -69,12 +69,11 @@ val is_finite : t -> bool
 val width : t -> float
 val mid : t -> float
 
-val eval : t array -> t -> t
-(** Interval Horner; coefficients lowest degree first. *)
-
 val horner : float array -> int -> int -> t -> t
-(** [horner a off n x] is [eval] of the [n] coefficient enclosures stored
-    as flat pairs from [a.(off)], lowest degree first, bit for bit. *)
+(** [horner a off n x]: interval Horner over the [n] coefficient
+    enclosures stored as flat pairs from [a.(off)], lowest degree first;
+    each step is [add (mul acc x) c]'s float operations, so the result
+    encloses the polynomial's value at every real in [x]. *)
 
 val contains_rat : t -> Rat.t -> bool
 (** Exact membership (soundness oracle for the property tests). *)

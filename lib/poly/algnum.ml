@@ -484,11 +484,11 @@ let quadratic_cells p =
 
 (* The text memo: a squarefree polynomial's cells, from [quadratic_cells]
    or else from Sturm isolation, each with its canonical text once some
-   number has printed as it.  Direct-mapped and lock-free like
-   [Shadow]'s: a slot write is one pointer store of a complete entry, and
-   so is a text write, so a racing reader sees an entry either whole or
-   not at all and a text either [None] or final (two threads may both
-   compute a text; they compute the same one).  No [Lazy]: forcing one
+   number has printed as it.  Direct-mapped and lock-free: a slot write
+   is one pointer store of a complete entry, and so is a text write, so
+   a racing reader sees an entry either whole or not at all and a text
+   either [None] or final (two threads may both compute a text; they
+   compute the same one).  No [Lazy]: forcing one
    lazy value from two threads raises on OCaml 5. *)
 type entry = { key : P.t; cells : cell array }
 

@@ -30,6 +30,14 @@ module Make (F : Field.ORDERED_FIELD) = struct
   let equal p q =
     Array.length p = Array.length q && Array.for_all2 F.equal p q
 
+  (* [enclose_into] of every coefficient, in order *)
+  let enclose_coefs p =
+    let c = Array.create_float (2 * Array.length p) in
+    for j = 0 to Array.length p - 1 do
+      F.enclose_into c (2 * j) p.(j)
+    done;
+    c
+
   let eval p x =
     (* Horner *)
     let acc = ref F.zero in

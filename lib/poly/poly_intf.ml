@@ -18,6 +18,13 @@ module type S = sig
   val leading : t -> F.t
   val is_zero : t -> bool
   val equal : t -> t -> bool
+
+  val enclose_coefs : t -> float array
+  (** Outward-rounded enclosures of the coefficients as flat pairs,
+      lowest degree first: coefficient [j]'s bounds are at [2 j] and
+      [2 j + 1] ({!Field.ORDERED_FIELD.enclose_into}), the layout of a
+      curve view's [coefs]. *)
+
   val eval : t -> F.t -> F.t
   val add : t -> t -> t
   val sub : t -> t -> t

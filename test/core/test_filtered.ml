@@ -395,8 +395,32 @@ let test_deferred_crossing_prop =
              List.for_all (fun r -> r ()) rot
            | _ -> false
          in
-         agree (BX.first_root_after p (A.of_rat s)) (BFl.first_root_after p (BFl.instant_of_scalar s))
-         && agree (BX.first_root_at_or_after p s) (BFl.first_root_at_or_after p s)))
+         (* A root found through a polynomial entry point is tagged with
+            its polynomial: read through the piece operations on views of
+            [p] and zero, both ways round, before any exact read of it *)
+         let curve p = BFl.PW.view (Moq_poly.Piecewise.Qpiece.of_poly ~start:(q 0) p) in
+         let vp = curve p and vz = curve Moq_poly.Qpoly.zero in
+         let on_pieces ex fl =
+           match ex, fl with
+           | Some ex, Some fl ->
+             List.for_all
+               (fun (va, vb, d) ->
+                 BFl.diff_sign_at va 0 vb 0 fl = BX.sign_at_instant d ex
+                 && BFl.diff_sign_after va 0 vb 0 fl = BX.sign_after_instant d ex
+                 &&
+                 match BX.first_root_after d ex, BFl.diff_root_after va 0 vb 0 fl with
+                 | None, None -> true
+                 | Some a, Some b -> A.compare a (BFl.to_algnum b) = 0
+                 | _ -> false)
+               [ (vp, vz, p); (vz, vp, Moq_poly.Qpoly.neg p) ]
+           | _ -> true
+         in
+         let ex_after = BX.first_root_after p (A.of_rat s)
+         and fl_after = BFl.first_root_after p (BFl.instant_of_scalar s)
+         and ex_from = BX.first_root_at_or_after p s
+         and fl_from = BFl.first_root_at_or_after p s in
+         on_pieces ex_after fl_after && on_pieces ex_from fl_from
+         && agree ex_after fl_after && agree ex_from fl_from))
 
 (* ------------------------------------------------------------------ *)
 (* The engine's per-instant memo: Filtered = Exact step by step          *)
@@ -955,7 +979,9 @@ let test_shadow_encloses_prop =
              Array.iteri
                (fun k2 p2 ->
                  let d = BFl.diff_shadow v1 k1 v2 k2 in
-                 Array.iteri (fun i enc -> check "difference coefficient" enc (QP.coeff (QP.sub p1 p2) i)) d)
+                 for i = 0 to (Array.length d / 2) - 1 do
+                   check "difference coefficient" (IV.get d (2 * i)) (QP.coeff (QP.sub p1 p2) i)
+                 done)
                v2.polys)
            v1.polys;
          (* the jumps are the breakpoints where the exact values differ *)

@@ -65,7 +65,9 @@ let soundness_props =
         let exact =
           List.fold_right (fun c acc -> Q.add c (Q.mul x acc)) cs Q.zero
         in
-        IV.contains_rat (IV.eval (Array.of_list (List.map iv cs)) (iv x)) exact);
+        let flat = Array.make (2 * List.length cs) 0.0 in
+        List.iteri (fun j c -> IV.of_rat_into flat (2 * j) c) cs;
+        IV.contains_rat (IV.horner flat 0 (List.length cs) (iv x)) exact);
     prop "of_rat_bounds contains both" arb_rat2 (fun (a, b) ->
         let lo = Q.min a b and hi = Q.max a b in
         let v = IV.of_rat_bounds lo hi in

@@ -17,35 +17,30 @@ let prop ?(count = 300) name arb f =
 (* Interval shadows                                                     *)
 (* ------------------------------------------------------------------ *)
 
-module Shadow = Moq_poly.Shadow
 module IV = Moq_numeric.Fintval
 
-(* Ten times the memo's bound of distinct polynomials, with coefficients
-   no float represents exactly: the memo keeps at most its bound, and
-   whatever a lookup returns (fresh, memoized, or after its slot was
-   taken over) encloses that polynomial's own coefficients. *)
-let test_shadow_memo_bound () =
-  let n = 10 * Shadow.bound in
+(* Many distinct polynomials, with coefficients no float represents
+   exactly: each one's coefficient enclosures, as the Filtered kernel
+   forms them for its sign tests and root filter, enclose that
+   polynomial's own coefficients. *)
+let test_coefficient_enclosures () =
   let ps =
-    List.init n (fun i ->
+    List.init 640 (fun i ->
         QP.of_list
           [ Q.of_ints (i + 1) 7; Q.of_ints (-(i * i) - 1) 13; Q.add (q i) (Q.of_ints 1 3) ])
   in
   let encloses p =
-    let s = Shadow.of_qpoly p in
-    Array.length s = QP.degree p + 1
+    let s = QP.enclose_coefs p in
+    Array.length s = 2 * (QP.degree p + 1)
     && List.for_all2
-      (fun c iv ->
+      (fun c j ->
+        let iv = IV.get s (2 * j) in
         Q.compare (Q.of_float (IV.lo iv)) c <= 0 && Q.compare c (Q.of_float (IV.hi iv)) <= 0)
-      (QP.to_list p) (Array.to_list s)
+      (QP.to_list p) (List.init (QP.degree p + 1) Fun.id)
   in
   List.iteri
-    (fun i p ->
-      if not (encloses p) then Alcotest.failf "shadow %d does not enclose its polynomial" i;
-      Alcotest.(check bool) "retained within the bound" true (Shadow.retained () <= Shadow.bound))
-    ps;
-  Alcotest.(check bool) "every earlier shadow still encloses" true (List.for_all encloses ps);
-  Alcotest.(check bool) "the memo is in use" true (Shadow.retained () > 0)
+    (fun i p -> if not (encloses p) then Alcotest.failf "enclosure %d does not enclose its polynomial" i)
+    ps
 
 (* ------------------------------------------------------------------ *)
 (* Polynomial ring                                                      *)
@@ -968,7 +963,7 @@ let () =
       ]);
       ("algnum-props", alg_props);
       ("shadow", [
-        Alcotest.test_case "memo bound" `Quick test_shadow_memo_bound;
+        Alcotest.test_case "coefficient enclosures" `Quick test_coefficient_enclosures;
       ]);
       ("froots", [
         Alcotest.test_case "quadratic" `Quick test_froots_quadratic;

@@ -21,25 +21,46 @@ module Commit = Moq_server.Commit
 
 let q = Q.of_int
 
+(* Every core's store directory, [moq_commit_<pid>_<n>] under the temp
+   dir; each test case removes the ones it made when it ends ([case]). *)
 let tmp_ctr = ref 0
+let tmp_prefix = Printf.sprintf "moq_commit_%d_" (Unix.getpid ())
+let made = ref []
+
+let rm_dir d =
+  Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+  Unix.rmdir d
 
 let tmp_dir () =
   incr tmp_ctr;
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "moq_commit_%d_%d" (Unix.getpid ()) !tmp_ctr)
-  in
+  let d = Filename.concat (Filename.get_temp_dir_name ()) (tmp_prefix ^ string_of_int !tmp_ctr) in
   if Sys.file_exists d then
     Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d)
   else Unix.mkdir d 0o700;
+  made := d :: !made;
   d
 
-let core ?(digest_every = 64) ?(dir = tmp_dir ()) db =
+let case name f =
+  Alcotest.test_case name `Quick (fun () ->
+      Fun.protect f ~finally:(fun () ->
+          List.iter (fun d -> if Sys.file_exists d then rm_dir d) !made;
+          made := []))
+
+(* Run last: no case left a store directory behind. *)
+let test_no_dir_left () =
+  let left =
+    List.filter
+      (fun f -> String.starts_with ~prefix:tmp_prefix f)
+      (Array.to_list (Sys.readdir (Filename.get_temp_dir_name ())))
+  in
+  Alcotest.(check (list string)) "store directories left" [] left
+
+let core ?(digest_every = 64) db =
   let reg = Moq_obs.Registry.create () in
   match
     Commit.create ~reg ~sink:(Moq_obs.Sink.of_registry reg) ~tracer:(Moq_obs.Trace.create ())
       ~recorder:(Moq_obs.Recorder.create ()) ~fsync:false ~checkpoint_every:16
-      ~dir ~init_db:(Some db) ~digest_every ~slow_query_ms:0.
+      ~dir:(tmp_dir ()) ~init_db:(Some db) ~digest_every ~slow_query_ms:0.
       ~hot_objects:true
   with
   | Ok c -> c
@@ -356,10 +377,6 @@ let watch_part seed =
   in
   (!db, kinds, u)
 
-let rm_dir d =
-  Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-  Unix.rmdir d
-
 (* Printing a piece names its instants by canonical text.  A quadratic
    root's text comes in closed form from its dyadic cell; Sturm isolation
    is the fallback, and a deferred Filtered crossing prints without
@@ -372,8 +389,7 @@ let test_watch_print_counts () =
   let pieces = ref 0 in
   for j = 0 to 29 do
     let db, kinds, u = watch_part (sub_seed 3 (100 + j)) in
-    let dir = tmp_dir () in
-    let c = core ~dir db in
+    let c = core db in
     let emit = function
       | Commit.Pieces { pieces = ps; _ } ->
         pieces := !pieces + List.length ps;
@@ -386,8 +402,7 @@ let test_watch_print_counts () =
         | Error e -> Alcotest.fail e)
       kinds;
     ignore (Commit.ingest c ~emit u);
-    Commit.close c ~checkpoint:false;
-    rm_dir dir
+    Commit.close c ~checkpoint:false
   done;
   let st = A.print_stats () in
   Printf.printf "watch seed 3, 30 parts: %d pieces, %d polynomials printed, %d isolations\n"
@@ -406,10 +421,10 @@ let () =
     [ ( "core",
         List.map
           (fun (name, db) ->
-            Alcotest.test_case ("subscriptions = Exact, " ^ name) `Quick
-              (test_subscriptions_match_exact (name, db)))
+            case ("subscriptions = Exact, " ^ name) (test_subscriptions_match_exact (name, db)))
           families
-        @ [ Alcotest.test_case "query = Exact, curve store bound" `Quick test_query_matches_exact;
-            Alcotest.test_case "follower tracks primary" `Quick test_follower_tracks_primary;
-            Alcotest.test_case "backlog bound" `Quick test_backlog_bound;
-            Alcotest.test_case "watch printing counts" `Quick test_watch_print_counts ] ) ]
+        @ [ case "query = Exact, curve store bound" test_query_matches_exact;
+            case "follower tracks primary" test_follower_tracks_primary;
+            case "backlog bound" test_backlog_bound;
+            case "watch printing counts" test_watch_print_counts;
+            Alcotest.test_case "no store directory left" `Quick test_no_dir_left ] ) ]
