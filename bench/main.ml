@@ -577,6 +577,7 @@ let a3 () =
   row "%8s %8s %12s %14s %10s %10s %10s\n" "N" "m" "exact (s)" "filtered (s)" "speedup"
     "hit rate" "identical";
   let final_speedup = ref 0.0 and final_hit_rate = ref 0.0 and final_misses = ref 0.0 in
+  let final_searches = ref 0.0 in
   List.iter
     (fun n ->
       bench_n := max !bench_n n;
@@ -595,7 +596,12 @@ let a3 () =
         final_speedup := t_x /. t_f;
         final_hit_rate := hit_rate;
         final_misses :=
-          float_of_int s.BFl.misses /. float_of_int (max 1 rf.KnnFl.stats.KnnFl.E.comparisons)
+          float_of_int s.BFl.misses /. float_of_int (max 1 rf.KnnFl.stats.KnnFl.E.comparisons);
+        let st = rf.KnnFl.stats in
+        final_searches :=
+          float_of_int st.KnnFl.E.searches
+          /. float_of_int
+               (max 1 (st.KnnFl.E.crossings + st.KnnFl.E.births + st.KnnFl.E.deaths + st.KnnFl.E.jumps))
       end;
       row "%8d %8d %12.4f %14.4f %9.1fx %9.1f%% %10b\n" n rx.KnnX.stats.KnnX.E.swaps t_x t_f
         (t_x /. t_f) (100.0 *. hit_rate) same)
@@ -604,6 +610,7 @@ let a3 () =
     [ ("backend", Json.Str "filtered");
       ("filter_hit_rate", Json.Float !final_hit_rate);
       ("filter_misses_per_comparison", Json.Float !final_misses);
+      ("searches_per_event", Json.Float !final_searches);
       ("speedup_vs_exact", Json.Float !final_speedup);
     ];
   row "the filter answers sign and ordering queries from outward-rounded float intervals\n";

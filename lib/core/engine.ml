@@ -32,6 +32,13 @@ module Make (B : Backend.S) = struct
      evaluates its piece once. *)
   type memo = { at : B.instant; view : PW.view; k : int; enc : B.enclosure }
 
+  (* An entry's crossing certificate is its last right-pair search: the
+     partner [cert_r] (the entry itself when there is none), both curves
+     as searched, and the result [cert_at], the first crossing strictly
+     after the clock of that search, up to the horizon.  The clock only
+     moves forward and the horizon is fixed, so while both curves are
+     physically the same the result is still the first crossing after
+     the current clock, unless it is at or before that clock. *)
   type entry = {
     lbl : label;
     mutable curve : PW.t;  (* assigned only through [set_curve] *)
@@ -39,14 +46,28 @@ module Make (B : Backend.S) = struct
     mutable node : entry OL.handle option; (* Some iff currently on the sweep line *)
     mutable right_event : (B.instant, event_data) LH.handle option;
     mutable dead : bool; (* lifetime over (death processed or removed) *)
+    mutable cert_r : entry;
+    mutable cert_lc : PW.t;
+    mutable cert_rc : PW.t;
+    mutable cert_at : B.instant option;
+    mutable n_cmp : int;  (* comparisons this label took part in *)
+    mutable n_swap : int; (* adjacent transpositions it took part in *)
+    mutable stamp : int;  (* the last rescheduling pass that did it *)
   }
 
   and event_data = Cross of entry * entry | Birth of entry | Death of entry | Jump of entry
 
   let label e = e.lbl
   let curve e = e.curve
+  let participations e = (e.n_cmp, e.n_swap)
 
-  let new_entry lbl c = { lbl; curve = c; memo = None; node = None; right_event = None; dead = false }
+  let new_entry lbl c =
+    let rec e =
+      { lbl; curve = c; memo = None; node = None; right_event = None; dead = false;
+        cert_r = e; cert_lc = c; cert_rc = c; cert_at = None; n_cmp = 0; n_swap = 0;
+        stamp = 0 }
+    in
+    e
 
   let set_curve e c =
     e.curve <- c;
@@ -81,13 +102,9 @@ module Make (B : Backend.S) = struct
     | V_dead -> "dead"
     | V_clock -> "clock"
 
-  (* Per-object cost attribution: one mutable cell per OID seen on the
-     sweep, bumped on each comparison/swap the object participates in.  The
-     table is bounded by the number of distinct objects, and the hot-path
-     cost is a hashtable probe — [None] (attribution off) skips even
-     that. *)
-  type attr_cell = { mutable a_cmp : int; mutable a_swap : int }
-
+  (* Per-object cost attribution lives in the entries: each comparison
+     and swap bumps its two participants' counters, and [hot_objects]
+     folds them per OID.  [attr] only decides whether they are reported. *)
   type t = {
     order : entry OL.t;
     mutable queue : (B.instant, event_data) LH.t;
@@ -96,7 +113,8 @@ module Make (B : Backend.S) = struct
     by_label : (label, entry) Hashtbl.t;
     stats : stats;
     sink : Sink.t;
-    attr : (Moq_mod.Oid.t, attr_cell) Hashtbl.t option;
+    attr : bool;
+    mutable batch : int;  (* stamp of the current rescheduling pass *)
   }
 
   let now t = t.now
@@ -122,45 +140,42 @@ module Make (B : Backend.S) = struct
     | Some e when e.node <> None -> Some e
     | _ -> None
 
+  (* Record [e] as its label's entry.  An entry it displaces (the label
+     inserted again) hands over its counts. *)
+  let register t e =
+    (match Hashtbl.find_opt t.by_label e.lbl with
+     | Some old ->
+       e.n_cmp <- e.n_cmp + old.n_cmp;
+       e.n_swap <- e.n_swap + old.n_swap
+     | None -> ());
+    Hashtbl.replace t.by_label e.lbl e
+
+  (* Every OID whose entries took part in a comparison (a swap follows
+     one), with their counts summed over its time terms. *)
+  let hot_objects t =
+    if not t.attr then []
+    else begin
+      let per_oid = Hashtbl.create (Hashtbl.length t.by_label) in
+      Hashtbl.iter
+        (fun _ e ->
+          match e.lbl with
+          | Obj (oid, _) when e.n_cmp > 0 ->
+            let c, s = Option.value ~default:(0, 0) (Hashtbl.find_opt per_oid oid) in
+            Hashtbl.replace per_oid oid (c + e.n_cmp, s + e.n_swap)
+          | _ -> ())
+        t.by_label;
+      Hashtbl.fold
+        (fun oid (c, s) acc -> { h_oid = oid; h_comparisons = c; h_swaps = s } :: acc)
+        per_oid []
+      |> rank_hot
+    end
+
   (* Ordering of two live entries at instant [i]: value, then one-sided jet,
      then stable label order. *)
-  let attr_cell h oid =
-    match Hashtbl.find h oid with
-    | c -> c
-    | exception Not_found ->
-      let c = { a_cmp = 0; a_swap = 0 } in
-      Hashtbl.add h oid c;
-      c
-
-  let note_cmp t e =
-    match t.attr, e.lbl with
-    | Some h, Obj (oid, _) ->
-      let c = attr_cell h oid in
-      c.a_cmp <- c.a_cmp + 1
-    | _ -> ()
-
-  let note_swap t e =
-    match t.attr, e.lbl with
-    | Some h, Obj (oid, _) ->
-      let c = attr_cell h oid in
-      c.a_swap <- c.a_swap + 1
-    | _ -> ()
-
-  let hot_objects t =
-    match t.attr with
-    | None -> []
-    | Some h ->
-      Hashtbl.fold
-        (fun oid c acc -> { h_oid = oid; h_comparisons = c.a_cmp; h_swaps = c.a_swap } :: acc)
-        h []
-      |> rank_hot
-
   let cmp_entries_at t i e1 e2 =
     t.stats.comparisons <- t.stats.comparisons + 1;
-    if t.attr <> None then begin
-      note_cmp t e1;
-      note_cmp t e2
-    end;
+    e1.n_cmp <- e1.n_cmp + 1;
+    e2.n_cmp <- e2.n_cmp + 1;
     let s = value_sign_at i e1 e2 in
     if s <> 0 then s
     else begin
@@ -187,6 +202,27 @@ module Make (B : Backend.S) = struct
       e.right_event <- None
     | None -> ()
 
+  let pending_crossing e = Option.map LH.key e.right_event
+
+  (* The first crossing of [l] and [r] strictly after the clock, up to the
+     horizon: [l]'s certificate when it still holds, else a search, which
+     becomes the certificate. *)
+  let crossing t l r =
+    if l.cert_r == r && l.cert_lc == l.curve && l.cert_rc == r.curve
+       && (match l.cert_at with
+           | None -> true
+           | Some i -> i != t.now && B.compare_instant i t.now > 0)
+    then l.cert_at
+    else begin
+      t.stats.searches <- t.stats.searches + 1;
+      let found = C.first_crossing ~after:t.now ?horizon:t.horizon l.curve r.curve in
+      l.cert_r <- r;
+      l.cert_lc <- l.curve;
+      l.cert_rc <- r.curve;
+      l.cert_at <- found;
+      found
+    end
+
   (* Re-examine the pair (l, r), which must be adjacent: replace l's pending
      event with the pair's earliest future crossing (Lemma 9: one event per
      adjacent pair). *)
@@ -194,7 +230,7 @@ module Make (B : Backend.S) = struct
 
   let schedule_pair t l r =
     drop_right_event t l;
-    match C.first_crossing ~after:t.now ?horizon:t.horizon l.curve r.curve with
+    match crossing t l r with
     | Some i ->
       if debug then
         Format.eprintf "sched (%a,%a) at %a (now %a)@." pp_label l.lbl pp_label r.lbl
@@ -305,14 +341,15 @@ module Make (B : Backend.S) = struct
         by_label = Hashtbl.create 64;
         stats = zero_stats ();
         sink;
-        attr = (if attr then Some (Hashtbl.create 64) else None);
+        attr;
+        batch = 0;
       }
     in
     let entries =
       List.map
         (fun (lbl, c) ->
           let e = new_entry lbl c in
-          Hashtbl.replace t.by_label lbl e;
+          register t e;
           e)
         curves
     in
@@ -355,10 +392,8 @@ module Make (B : Backend.S) = struct
            e.node <- Some nn;
            n.node <- Some en;
            t.stats.swaps <- t.stats.swaps + 1;
-           if t.attr <> None then begin
-             note_swap t e;
-             note_swap t n
-           end;
+           e.n_swap <- e.n_swap + 1;
+           n.n_swap <- n.n_swap + 1;
            (* stale events around the swapped pair *)
            drop_right_event t e;
            drop_right_event t n;
@@ -377,6 +412,18 @@ module Make (B : Backend.S) = struct
       end
     done
 
+  (* Re-establish both pair events of each live entry in [disturbed],
+     once per entry: the pass's stamp marks the entries it has done. *)
+  let reschedule t disturbed =
+    t.batch <- t.batch + 1;
+    List.iter
+      (fun e ->
+        if (not e.dead) && e.node <> None && e.stamp <> t.batch then begin
+          e.stamp <- t.batch;
+          schedule_around t e
+        end)
+      disturbed
+
   (* Restore the just-after-now order and the one-event-per-pair invariant
      around [touched].  Needed after updates as well as events: a curve
      introduced or replaced at the update instant may cross a neighbour
@@ -387,14 +434,7 @@ module Make (B : Backend.S) = struct
        bubble actually moved need their events re-established *)
     let disturbed = ref [] in
     bubble t t.now touched ~note:(fun e -> disturbed := e :: !disturbed);
-    let seen = Hashtbl.create 16 in
-    List.iter
-      (fun e ->
-        if (not e.dead) && e.node <> None && not (Hashtbl.mem seen e.lbl) then begin
-          Hashtbl.replace seen e.lbl ();
-          schedule_around t e
-        end)
-      !disturbed
+    reschedule t !disturbed
 
   (* Re-insert a mounted entry at instant [i] (a value discontinuity moved
      it).  Neighbour events are repaired through the caller's touched set. *)
@@ -471,14 +511,7 @@ module Make (B : Backend.S) = struct
         end)
       !deaths;
     (* restore the one-event-per-pair invariant around everything we moved *)
-    let seen = Hashtbl.create 16 in
-    List.iter
-      (fun e ->
-        if (not e.dead) && e.node <> None && not (Hashtbl.mem seen e.lbl) then begin
-          Hashtbl.replace seen e.lbl ();
-          schedule_around t e
-        end)
-      !disturbed;
+    reschedule t !disturbed;
     if Sink.active t.sink then begin
       (* per-event telemetry: the paper's m (support changes) and Lemma 9's
          O(log N) order-list work per event, as comparisons per event *)
@@ -543,7 +576,7 @@ module Make (B : Backend.S) = struct
     else begin
       move_clock t at;
       let e = new_entry lbl c in
-      Hashtbl.replace t.by_label lbl e;
+      register t e;
       t.stats.births <- t.stats.births + 1;
       mount t t.now e;
       settle t [ e ];
@@ -597,7 +630,7 @@ module Make (B : Backend.S) = struct
     let events = ref [] in
     let rec pairs = function
       | l :: (r :: _ as rest) ->
-        (match C.first_crossing ~after:t.now ?horizon:t.horizon l.curve r.curve with
+        (match crossing t l r with
          | Some i -> events := (`Pair l, i, Cross (l, r)) :: !events
          | None -> ());
         pairs rest

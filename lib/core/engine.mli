@@ -33,6 +33,16 @@ module Make (B : Backend.S) : sig
   val label : entry -> label
   val curve : entry -> B.PW.t
 
+  val participations : entry -> int * int
+  (** The comparisons and the adjacent transpositions the entry took part
+      in, including those of the entry its label displaced when it was
+      inserted again.  Counted whatever [attr] is. *)
+
+  val pending_crossing : entry -> B.instant option
+  (** The instant of the entry's crossing event with its right neighbour:
+      queued, or popped with the batch being processed (as when a [Span]
+      that ends at that batch is emitted). *)
+
   val value_sign_at : B.instant -> entry -> entry -> int
   (** Exact sign of the first entry's curve value minus the second's at
       the instant, which both curves must cover.  Reads the enclosures
@@ -60,9 +70,10 @@ module Make (B : Backend.S) : sig
       sorted into the object list (O(N log N), Theorem 5(1)); curves whose
       domain begins later are scheduled as birth events.  Curves ending
       before [start] are ignored.  Events after [horizon] are never
-      scheduled.  [attr] (default [true]) keeps per-object comparison/swap
-      attribution ({!hot_objects}); pass [false] to shave the per-comparison
-      table probe off the hot path. *)
+      scheduled.  [attr] (default [true]) reports per-object
+      comparison/swap attribution through {!hot_objects}.  The counts
+      live in the entries (two integer increments per comparison) and
+      are kept either way; with [false], {!hot_objects} answers [[]]. *)
 
   val hot_objects : t -> hot list
   (** Every attributed object, ranked by {!Sweep_cost.rank_hot}; [[]] when

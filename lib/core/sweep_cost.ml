@@ -18,7 +18,10 @@ type stats = {
           g-distance relaxation) *)
   mutable comparisons : int;
       (** curve-order comparisons — the cost unit of the paper's analysis,
-          which explicitly excludes intersection computation *)
+          which counts intersection computation apart *)
+  mutable searches : int;
+      (** intersection computations run: crossing searches for a pair,
+          not counting those a crossing certificate answered *)
   mutable audit_failures : int;
       (** audit passes that found a violated invariant *)
   mutable rebuilds : int;  (** self-healing O(N log N) rebuilds performed *)
@@ -33,10 +36,11 @@ type stats = {
 
 let zero_stats () =
   { crossings = 0; swaps = 0; births = 0; deaths = 0; batches = 0; jumps = 0;
-    comparisons = 0; audit_failures = 0; rebuilds = 0; audit_structure = 0;
-    audit_order = 0; audit_event = 0; audit_dead = 0; audit_clock = 0 }
+    comparisons = 0; searches = 0; audit_failures = 0; rebuilds = 0;
+    audit_structure = 0; audit_order = 0; audit_event = 0; audit_dead = 0;
+    audit_clock = 0 }
 
-(** Add a sweep's event and comparison counts into [acc] (the audit
+(** Add a sweep's event, comparison and search counts into [acc] (the audit
     breakdown is not summed). *)
 let accumulate acc s =
   acc.crossings <- acc.crossings + s.crossings;
@@ -46,6 +50,7 @@ let accumulate acc s =
   acc.batches <- acc.batches + s.batches;
   acc.jumps <- acc.jumps + s.jumps;
   acc.comparisons <- acc.comparisons + s.comparisons;
+  acc.searches <- acc.searches + s.searches;
   acc.audit_failures <- acc.audit_failures + s.audit_failures;
   acc.rebuilds <- acc.rebuilds + s.rebuilds
 
@@ -54,8 +59,8 @@ let support_changes s = s.crossings + s.births + s.deaths
 
 (** Per-object attribution: the comparisons and adjacent transpositions an
     object took part in.  A comparison bumps both participants, so the sum
-    over objects is up to 2× [stats.comparisons] (constant curves from query
-    terms carry the rest). *)
+    over objects is 2× [stats.comparisons] less the participations of the
+    constant curves from query terms; likewise for swaps. *)
 type hot = {
   h_oid : Moq_mod.Oid.t;
   h_comparisons : int;

@@ -87,7 +87,7 @@ class CompareTest(unittest.TestCase):
         self.assertEqual(lower, sorted([
             "p50_ms", "p99_ms", "primary_p99_ms", "e2e_p50_ms",
             "e2e_p99_ms", "per_event_growth",
-            "filter_misses_per_comparison"]))
+            "filter_misses_per_comparison", "searches_per_event"]))
 
     def test_missing_extra_in_fresh_fails(self):
         fresh = dict(BASE)

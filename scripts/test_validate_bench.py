@@ -25,6 +25,7 @@ BASELINES = os.path.join(HERE, os.pardir, "bench", "baselines")
 GATES = {
     ("a3", "filter_hit_rate"): ("min", 0.9, 0.8999),
     ("a3", "filter_misses_per_comparison"): ("max", 0.89, 0.8901),
+    ("a3", "searches_per_event"): ("max", 3.51, 3.5101),
     ("o1", "trace_overhead_pct"): ("max", 5, 5.001),
     ("o2", "explain_overhead_pct"): ("max", 5, 5.001),
     ("o2", "hot_coverage_pct"): ("min", 80, 79.999),

@@ -1045,6 +1045,251 @@ let test_sign_after_prop =
          same_first && walk first 3))
 
 (* ------------------------------------------------------------------ *)
+(* Crossing certificates and per-entry attribution                       *)
+(* ------------------------------------------------------------------ *)
+
+(* An entry reuses its last right-pair search while its partner and both
+   curves are physically the same and the result still lies after the
+   clock.  Whatever the engine reused, each adjacent pair's pending
+   crossing must be the one a fresh search finds: checked after every
+   batch (at the next [Span], when the batch is fully processed), every
+   update, every rebuild and every Theorem 10 mass replacement. *)
+module Cert (B : Core.Backend.S) = struct
+  module E = Core.Engine.Make (B)
+  module Mon = Core.Monitor.Make (B)
+
+  let show = function None -> "none" | Some i -> B.instant_to_string i
+
+  (* A pending crossing exactly at the clock is legal only where the clock
+     was moved to an update time ([~at_update]): an unrelated pair may
+     cross there, and its event waits for the next advance.  Right after
+     a batch every event at the clock has been popped. *)
+  let check ~what ~at_update ~horizon eng =
+    let now = E.now eng in
+    let rec go = function
+      | l :: (r :: _ as rest) ->
+        let pending = E.pending_crossing l in
+        let fresh = E.C.first_crossing ~after:now ~horizon (E.curve l) (E.curve r) in
+        let same =
+          match pending, fresh with
+          | None, None -> true
+          | Some a, Some b -> B.compare_instant a b = 0
+          | _ -> false
+        in
+        let due_now =
+          at_update
+          && match pending with Some a -> B.compare_instant a now = 0 | None -> false
+        in
+        if not (same || due_now) then
+          QCheck.Test.fail_reportf "%s, clock %s: pair (%a, %a) pending %s, a fresh search %s"
+            what (B.instant_to_string now) E.pp_label (E.label l) E.pp_label (E.label r)
+            (show pending) (show fresh);
+        go rest
+      | _ -> ()
+    in
+    go (E.order eng)
+
+  (* A sweep that stops making progress (an event re-served at the clock
+     would be popped again and again) fails instead of hanging. *)
+  let step_limit = 100_000
+
+  (* The engine alone under [updates] (insert, remove, replace_curve), with
+     a rebuild after every third update. *)
+  let drive name ~db ~gdist ~lo ~hi ~updates =
+    let curve tr = B.curve_of_qpiece (Gdist.curve gdist tr) in
+    let s = B.scalar_of_rat in
+    let horizon = s hi in
+    let eng =
+      E.create ~start:(s lo) ~horizon
+        (List.map (fun (o, tr) -> (E.Obj (o, 0), curve tr)) (DB.objects db))
+    in
+    let steps = ref 0 in
+    let on_step step =
+      incr steps;
+      if !steps > step_limit then QCheck.Test.fail_reportf "%s: no progress" name;
+      match step with
+      | E.Span _ -> check ~what:(name ^ ", after a batch") ~at_update:false ~horizon eng
+      | E.Point _ -> ()
+    in
+    check ~what:(name ^ ", created") ~at_update:false ~horizon eng;
+    ignore
+      (List.fold_left
+         (fun (db, k) u ->
+           let tau = U.time u in
+           if Q.compare tau hi > 0 then (db, k)
+           else begin
+             E.advance eng ~upto:(s tau) ~emit:on_step;
+             let db = DB.apply_exn db u in
+             let lbl = E.Obj (U.oid u, 0) in
+             (match DB.find db (U.oid u), E.find eng lbl with
+              | Some tr, Some _ -> E.replace_curve eng ~at:(s tau) lbl (curve tr)
+              | Some tr, None when T.defined_at tr tau -> E.insert eng ~at:(s tau) lbl (curve tr)
+              | _ -> ());
+             let what = Printf.sprintf "%s, update %d" name k in
+             check ~what ~at_update:true ~horizon eng;
+             if k mod 3 = 2 then begin
+               E.rebuild eng;
+               check ~what:(what ^ ", rebuilt") ~at_update:true ~horizon eng
+             end;
+             (db, k + 1)
+           end)
+         (db, 0) updates);
+    E.advance eng ~upto:horizon ~emit:on_step;
+    check ~what:(name ^ ", at the end") ~at_update:false ~horizon eng
+
+  (* A nearest-neighbour monitor under [updates], with Theorem 10's query
+     chdir at the third update when [chdir_query]. *)
+  let monitor name ~db ~gamma ~lo ~hi ~updates ~chdir_query =
+    let horizon = B.scalar_of_rat hi in
+    let query = Core.Fof.nearest_q ~interval:(Core.Fof.Interval.closed lo hi) in
+    let m = Mon.create ~db ~gdist:(Gdist.euclidean_sq ~gamma) ~query () in
+    let eng = Mon.engine m in
+    List.iteri
+      (fun k u ->
+        Mon.apply_update_exn m u;
+        let what = Printf.sprintf "%s, monitor update %d" name k in
+        check ~what ~at_update:true ~horizon eng;
+        if chdir_query && k = 2 then begin
+          let tau = U.time u in
+          Mon.chdir_query m ~tau ~gdist:(Gdist.euclidean_sq ~gamma:(T.chdir gamma tau (Qvec.of_list [ q 1; q (-1) ])));
+          check ~what:(what ^ ", query chdir") ~at_update:true ~horizon eng
+        end)
+      updates;
+    ignore (Mon.finalize m);
+    check ~what:(name ^ ", monitor finalized") ~at_update:false ~horizon eng
+end
+
+module CertX = Cert (BX)
+module CertFl = Cert (BFl)
+
+let test_certificate_prop =
+  let gen = QCheck.Gen.(triple (int_bound 3) (int_range 1 10_000) (int_range 3 7)) in
+  let print (family, seed, n) = Printf.sprintf "family %d seed %d n %d" family seed n in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:60 ~name:"pending crossings = fresh searches"
+       (QCheck.make ~print gen)
+       (fun (family, seed, n) ->
+         let name = print (family, seed, n) in
+         let lo = q 0 and hi = q 12 in
+         let gamma = T.stationary ~start:(q 0) (Qvec.zero 2) in
+         let db, gdist, updates =
+           match family with
+           | 0 ->
+             let db = Gen.uniform_db ~seed ~n ~dim:2 ~extent:20 ~speed:3 () in
+             (db, euclid_origin,
+              Gen.mixed_stream ~seed ~db ~start:lo ~gap:(q 1) ~count:8 ~speed:3 ~extent:20 ())
+           | 1 ->
+             let db = Gen.tangency_db ~seed ~n:(2 * n) () in
+             (db, euclid_origin, Gen.chdir_stream ~seed ~db ~start:lo ~gap:(Q.of_ints 3 2) ~count:5 ())
+           | 2 ->
+             (* every pair crosses at 5, and the third update lands there *)
+             let db = Gen.pencil_db ~seed ~n ~at:(q 5) () in
+             (db, coord0, Gen.chdir_stream ~seed ~db ~start:(q 2) ~gap:(q 1) ~count:6 ())
+           | _ ->
+             (* speed_sq jumps at every turn of a history and every chdir *)
+             let db0 = Gen.uniform_db ~seed ~n ~dim:2 ~extent:20 ~speed:3 () in
+             let db =
+               DB.apply_all_exn db0
+                 (Gen.chdir_stream ~seed ~db:db0 ~start:(q 0) ~gap:(q 1) ~count:6 ~speed:3 ())
+             in
+             (db, Gdist.speed_sq,
+              Gen.chdir_stream ~seed:(seed + 50) ~db ~start:(q 6) ~gap:(q 1) ~count:4 ~speed:3 ())
+         in
+         CertX.drive name ~db ~gdist ~lo ~hi ~updates;
+         CertFl.drive name ~db ~gdist ~lo ~hi ~updates;
+         if family <= 1 then begin
+           CertX.monitor name ~db ~gamma ~lo ~hi ~updates ~chdir_query:true;
+           CertFl.monitor name ~db ~gamma ~lo ~hi ~updates ~chdir_query:true
+         end;
+         true))
+
+(* Attribution is conserved: each comparison bumps both participants and
+   each swap both swapped entries, so the per-object sums are twice the
+   engine's counts less what constant curves took part in. *)
+module Attr (B : Core.Backend.S) = struct
+  module E = Core.Engine.Make (B)
+  module Mon = Core.Monitor.Make (B)
+  module Knn = Core.Knn.Make (B)
+  module Shard = Core.Shard.Make (B)
+
+  let sums hot =
+    List.fold_left (fun (c, s) h -> (c + h.E.h_comparisons, s + h.E.h_swaps)) (0, 0) hot
+
+  let conserved what ?(cst = (0, 0)) (st : E.stats) hot =
+    let hc, hs = sums hot and cc, cs = cst in
+    Alcotest.(check (pair int int)) (what ^ ": attributed comparisons and swaps")
+      ((2 * st.E.comparisons) - cc, (2 * st.E.swaps) - cs)
+      (hc, hs)
+
+  (* the participations of the constant curves on the line *)
+  let cst_participations eng =
+    List.fold_left
+      (fun (c, s) e ->
+        match E.label e with
+        | E.Cst _ ->
+          let c', s' = E.participations e in
+          (c + c', s + s')
+        | E.Obj _ -> (c, s))
+      (0, 0) (E.order eng)
+
+  let run seed =
+    let what = Printf.sprintf "%s seed %d" B.name seed in
+    let lo = q 0 and hi = q 12 in
+    let db = Gen.uniform_db ~seed ~n:8 ~dim:2 ~extent:20 ~speed:3 () in
+    let r = Knn.run ~db ~gdist:euclid_origin ~k:2 ~lo ~hi in
+    conserved (what ^ ", knn") r.Knn.stats r.Knn.hot;
+    let sh = Shard.run ~db ~gamma:(origin 2) ~k:2 ~lo ~hi ~cell:8. () in
+    conserved (what ^ ", sharded") sh.Shard.stats sh.Shard.hot;
+    (* a within monitor (constant curves) under new, terminate and chdir *)
+    let updates = Gen.mixed_stream ~seed ~db ~start:lo ~gap:(q 1) ~count:8 ~speed:3 ~extent:20 () in
+    let query = Core.Fof.within_q ~bound:(q 100) ~interval:(Core.Fof.Interval.closed lo hi) in
+    let m = Mon.create ~db ~gdist:euclid_origin ~query () in
+    List.iter (Mon.apply_update_exn m) updates;
+    ignore (Mon.finalize m);
+    let cst = cst_participations (Mon.engine m) in
+    Alcotest.(check bool) (what ^ ": the bound's curve was compared") true (fst cst > 0);
+    conserved (what ^ ", within monitor") ~cst (Mon.stats m) (Mon.hot_objects m)
+
+  (* A label removed and inserted again keeps what it was charged before. *)
+  let reinserted () =
+    let line ~slope ~at0 =
+      B.curve_of_qpiece (Qpiece.of_poly ~start:(q 0) (QP.of_list [ q at0; q slope ]))
+    in
+    let eng =
+      E.create ~start:(q 0 |> B.scalar_of_rat) ~horizon:(B.scalar_of_rat (q 20))
+        (List.init 5 (fun j -> (E.Obj (j + 1, 0), line ~slope:(2 - j) ~at0:(3 * j))))
+    in
+    let s = B.scalar_of_rat in
+    let ignore_step _ = () in
+    E.advance eng ~upto:(s (q 2)) ~emit:ignore_step;
+    let before = E.participations (Option.get (E.find eng (E.Obj (3, 0)))) in
+    E.remove eng ~at:(s (q 2)) (E.Obj (3, 0));
+    E.advance eng ~upto:(s (q 4)) ~emit:ignore_step;
+    E.insert eng ~at:(s (q 4)) (E.Obj (3, 0)) (line ~slope:(-1) ~at0:8);
+    E.replace_curve eng ~at:(s (q 4)) (E.Obj (1, 0)) (line ~slope:3 ~at0:(-4));
+    E.advance eng ~upto:(s (q 20)) ~emit:ignore_step;
+    let h3 = List.find (fun h -> h.E.h_oid = 3) (E.hot_objects eng) in
+    let after = E.participations (Option.get (E.find eng (E.Obj (3, 0)))) in
+    Alcotest.(check bool) (B.name ^ ": the first life was charged") true (fst before > 0);
+    Alcotest.(check (pair int int)) (B.name ^ ": oid 3 = its entry, both lives")
+      after (h3.E.h_comparisons, h3.E.h_swaps);
+    Alcotest.(check bool) (B.name ^ ": the second life added to the first") true
+      (fst after > fst before);
+    conserved (B.name ^ ", re-inserted label") (E.stats eng) (E.hot_objects eng)
+end
+
+module AttrX = Attr (BX)
+module AttrFl = Attr (BFl)
+
+let test_attribution_conserved () =
+  for seed = 1 to 8 do
+    AttrX.run seed;
+    AttrFl.run seed
+  done;
+  AttrX.reinserted ();
+  AttrFl.reinserted ()
+
+(* ------------------------------------------------------------------ *)
 (* Count gate: minor words per comparison on a mixed-shaped past query *)
 (* ------------------------------------------------------------------ *)
 
@@ -1055,7 +1300,14 @@ let test_sign_after_prop =
    query allocated 470,705 minor words over 3,060 comparisons: 153.8
    words per comparison.  The gate is half of that.  The comparison
    count is pinned because the ratio means nothing if it moves: a change
-   that moves it measures the words before the change again. *)
+   that moves it measures the words before the change again.
+
+   The same query gates its crossing searches (Lemma 9: one intersection
+   computation per pair that becomes adjacent): at most N - 1 for the
+   initial order, 3 per crossing (the pairs a swap makes), 2 per birth
+   or jump and 1 per death.  Searching around every disturbed entry made
+   604 searches
+   (bound 352); crossing certificates make 351. *)
 let words_per_comparison_before_views = 153.8
 
 let test_count_gate () =
@@ -1085,8 +1337,15 @@ let test_count_gate () =
   let w0 = Gc.minor_words () in
   let r = run () in
   let words = Gc.minor_words () -. w0 in
-  let cmp = r.KnnFl.stats.KnnFl.E.comparisons in
+  let st = r.KnnFl.stats in
+  let cmp = st.KnnFl.E.comparisons in
   Alcotest.(check int) "comparisons, as before the views" 3060 cmp;
+  let bound =
+    199 + (3 * st.KnnFl.E.crossings) + (2 * (st.KnnFl.E.births + st.KnnFl.E.jumps))
+    + st.KnnFl.E.deaths
+  in
+  if st.KnnFl.E.searches > bound then
+    Alcotest.failf "%d crossing searches; the gate is %d" st.KnnFl.E.searches bound;
   let per = words /. float_of_int cmp in
   if per > words_per_comparison_before_views /. 2.0 then
     Alcotest.failf "%.1f minor words per comparison (%.0f words, %d comparisons); the gate is %.1f"
@@ -1128,5 +1387,10 @@ let () =
           test_shadow_encloses_prop;
           test_sign_after_prop;
           Alcotest.test_case "count gate: minor words per comparison" `Quick test_count_gate;
+        ] );
+      ( "certificates",
+        [
+          test_certificate_prop;
+          Alcotest.test_case "attribution conserved" `Quick test_attribution_conserved;
         ] );
     ]

@@ -3,8 +3,8 @@
    - bench a3's k-NN sweeps (Knn on the Filtered backend over
      [Gen.inversions_db ~seed:n ~n ~inversions:(2 n) ~horizon:1000], the
      first coordinate as g-distance, k = 2, window [0, 1000]) at n = 128
-     and 256: the engine's comparisons, swaps and events, and the filter's
-     decisions, hits and misses;
+     and 256: the engine's comparisons, swaps, events and crossing
+     searches, and the filter's decisions, hits and misses;
    - bench w1's 200 alibi cases (two objects of [Gen.uniform_db ~seed:(9000
      + i) ~n:2 ~extent:60 ~speed:6], distance 1 + i mod 40, window
      [0, 30]) on the Filtered backend: the verdict, the witness's text and
@@ -28,16 +28,16 @@ let filter_counts () =
   Printf.sprintf "%d %d %d" s.BFl.decisions s.BFl.hits s.BFl.misses
 
 let () =
-  Printf.printf "knn n comparisons swaps events decisions hits misses\n";
+  Printf.printf "knn n comparisons swaps events searches decisions hits misses\n";
   List.iter
     (fun n ->
       let db = Gen.inversions_db ~seed:n ~n ~inversions:(2 * n) ~horizon:(q 1000) in
       BFl.reset_filter_stats ();
       let r = KnnFl.run ~db ~gdist:(Gdist.coordinate 0) ~k:2 ~lo:(q 0) ~hi:(q 1000) in
       let s = r.KnnFl.stats in
-      Printf.printf "knn %d %d %d %d %s\n" n s.KnnFl.E.comparisons s.KnnFl.E.swaps
+      Printf.printf "knn %d %d %d %d %d %s\n" n s.KnnFl.E.comparisons s.KnnFl.E.swaps
         (s.KnnFl.E.crossings + s.KnnFl.E.births + s.KnnFl.E.deaths + s.KnnFl.E.jumps)
-        (filter_counts ()))
+        s.KnnFl.E.searches (filter_counts ()))
     [ 128; 256 ];
   Printf.printf "alibi i verdict decisions hits misses\n";
   for i = 1 to 200 do
