@@ -1053,10 +1053,14 @@ let test_sign_after_prop =
    clock.  Whatever the engine reused, each adjacent pair's pending
    crossing must be the one a fresh search finds: checked after every
    batch (at the next [Span], when the batch is fully processed), every
-   update, every rebuild and every Theorem 10 mass replacement. *)
+   update, every rebuild and every Theorem 10 mass replacement.  The
+   comparison and swap counts the entries keep for attribution are
+   checked here too. *)
 module Cert (B : Core.Backend.S) = struct
   module E = Core.Engine.Make (B)
   module Mon = Core.Monitor.Make (B)
+  module Knn = Core.Knn.Make (B)
+  module Shard = Core.Shard.Make (B)
 
   let show = function None -> "none" | Some i -> B.instant_to_string i
 
@@ -1138,8 +1142,8 @@ module Cert (B : Core.Backend.S) = struct
     check ~what:(name ^ ", at the end") ~at_update:false ~horizon eng
 
   (* A nearest-neighbour monitor under [updates], with Theorem 10's query
-     chdir at the third update when [chdir_query]. *)
-  let monitor name ~db ~gamma ~lo ~hi ~updates ~chdir_query =
+     chdir at the third update. *)
+  let monitor name ~db ~gamma ~lo ~hi ~updates =
     let horizon = B.scalar_of_rat hi in
     let query = Core.Fof.nearest_q ~interval:(Core.Fof.Interval.closed lo hi) in
     let m = Mon.create ~db ~gdist:(Gdist.euclidean_sq ~gamma) ~query () in
@@ -1149,14 +1153,83 @@ module Cert (B : Core.Backend.S) = struct
         Mon.apply_update_exn m u;
         let what = Printf.sprintf "%s, monitor update %d" name k in
         check ~what ~at_update:true ~horizon eng;
-        if chdir_query && k = 2 then begin
+        if k = 2 then begin
           let tau = U.time u in
-          Mon.chdir_query m ~tau ~gdist:(Gdist.euclidean_sq ~gamma:(T.chdir gamma tau (Qvec.of_list [ q 1; q (-1) ])));
+          let gamma' = T.chdir gamma tau (Qvec.of_list [ q 1; q (-1) ]) in
+          Mon.chdir_query m ~tau ~gdist:(Gdist.euclidean_sq ~gamma:gamma');
           check ~what:(what ^ ", query chdir") ~at_update:true ~horizon eng
         end)
       updates;
     ignore (Mon.finalize m);
     check ~what:(name ^ ", monitor finalized") ~at_update:false ~horizon eng
+
+  (* Attribution is conserved: each comparison bumps both participants
+     and each swap both swapped entries, so the per-object sums are twice
+     the engine's counts less what constant curves took part in. *)
+  let sums hot =
+    List.fold_left (fun (c, s) h -> (c + h.E.h_comparisons, s + h.E.h_swaps)) (0, 0) hot
+
+  let conserved what ?(cst = (0, 0)) (st : E.stats) hot =
+    let hc, hs = sums hot and cc, cs = cst in
+    Alcotest.(check (pair int int)) (what ^ ": attributed comparisons and swaps")
+      ((2 * st.E.comparisons) - cc, (2 * st.E.swaps) - cs)
+      (hc, hs)
+
+  (* the participations of the constant curves on the line *)
+  let cst_participations eng =
+    List.fold_left
+      (fun (c, s) e ->
+        match E.label e with
+        | E.Cst _ ->
+          let c', s' = E.participations e in
+          (c + c', s + s')
+        | E.Obj _ -> (c, s))
+      (0, 0) (E.order eng)
+
+  let attribution seed =
+    let what = Printf.sprintf "%s seed %d" B.name seed in
+    let lo = q 0 and hi = q 12 in
+    let db = Gen.uniform_db ~seed ~n:8 ~dim:2 ~extent:20 ~speed:3 () in
+    let r = Knn.run ~db ~gdist:euclid_origin ~k:2 ~lo ~hi in
+    conserved (what ^ ", knn") r.Knn.stats r.Knn.hot;
+    let sh = Shard.run ~db ~gamma:(origin 2) ~k:2 ~lo ~hi ~cell:8. () in
+    conserved (what ^ ", sharded") sh.Shard.stats sh.Shard.hot;
+    (* a within monitor (constant curves) under new, terminate and chdir *)
+    let updates = Gen.mixed_stream ~seed ~db ~start:lo ~gap:(q 1) ~count:8 ~speed:3 ~extent:20 () in
+    let query = Core.Fof.within_q ~bound:(q 100) ~interval:(Core.Fof.Interval.closed lo hi) in
+    let m = Mon.create ~db ~gdist:euclid_origin ~query () in
+    List.iter (Mon.apply_update_exn m) updates;
+    ignore (Mon.finalize m);
+    let cst = cst_participations (Mon.engine m) in
+    Alcotest.(check bool) (what ^ ": the bound's curve was compared") true (fst cst > 0);
+    conserved (what ^ ", within monitor") ~cst (Mon.stats m) (Mon.hot_objects m)
+
+  (* A label removed and inserted again keeps what it was charged before. *)
+  let reinserted () =
+    let line ~slope ~at0 =
+      B.curve_of_qpiece (Qpiece.of_poly ~start:(q 0) (QP.of_list [ q at0; q slope ]))
+    in
+    let s = B.scalar_of_rat in
+    let eng =
+      E.create ~start:(s (q 0)) ~horizon:(s (q 20))
+        (List.init 5 (fun j -> (E.Obj (j + 1, 0), line ~slope:(2 - j) ~at0:(3 * j))))
+    in
+    let ignore_step _ = () in
+    E.advance eng ~upto:(s (q 2)) ~emit:ignore_step;
+    let before = E.participations (Option.get (E.find eng (E.Obj (3, 0)))) in
+    E.remove eng ~at:(s (q 2)) (E.Obj (3, 0));
+    E.advance eng ~upto:(s (q 4)) ~emit:ignore_step;
+    E.insert eng ~at:(s (q 4)) (E.Obj (3, 0)) (line ~slope:(-1) ~at0:8);
+    E.replace_curve eng ~at:(s (q 4)) (E.Obj (1, 0)) (line ~slope:3 ~at0:(-4));
+    E.advance eng ~upto:(s (q 20)) ~emit:ignore_step;
+    let h3 = List.find (fun h -> h.E.h_oid = 3) (E.hot_objects eng) in
+    let after = E.participations (Option.get (E.find eng (E.Obj (3, 0)))) in
+    Alcotest.(check bool) (B.name ^ ": the first life was charged") true (fst before > 0);
+    Alcotest.(check (pair int int)) (B.name ^ ": oid 3 = its entry, both lives")
+      after (h3.E.h_comparisons, h3.E.h_swaps);
+    Alcotest.(check bool) (B.name ^ ": the second life added to the first") true
+      (fst after > fst before);
+    conserved (B.name ^ ", re-inserted label") (E.stats eng) (E.hot_objects eng)
 end
 
 module CertX = Cert (BX)
@@ -1198,96 +1271,18 @@ let test_certificate_prop =
          CertX.drive name ~db ~gdist ~lo ~hi ~updates;
          CertFl.drive name ~db ~gdist ~lo ~hi ~updates;
          if family <= 1 then begin
-           CertX.monitor name ~db ~gamma ~lo ~hi ~updates ~chdir_query:true;
-           CertFl.monitor name ~db ~gamma ~lo ~hi ~updates ~chdir_query:true
+           CertX.monitor name ~db ~gamma ~lo ~hi ~updates;
+           CertFl.monitor name ~db ~gamma ~lo ~hi ~updates
          end;
          true))
 
-(* Attribution is conserved: each comparison bumps both participants and
-   each swap both swapped entries, so the per-object sums are twice the
-   engine's counts less what constant curves took part in. *)
-module Attr (B : Core.Backend.S) = struct
-  module E = Core.Engine.Make (B)
-  module Mon = Core.Monitor.Make (B)
-  module Knn = Core.Knn.Make (B)
-  module Shard = Core.Shard.Make (B)
-
-  let sums hot =
-    List.fold_left (fun (c, s) h -> (c + h.E.h_comparisons, s + h.E.h_swaps)) (0, 0) hot
-
-  let conserved what ?(cst = (0, 0)) (st : E.stats) hot =
-    let hc, hs = sums hot and cc, cs = cst in
-    Alcotest.(check (pair int int)) (what ^ ": attributed comparisons and swaps")
-      ((2 * st.E.comparisons) - cc, (2 * st.E.swaps) - cs)
-      (hc, hs)
-
-  (* the participations of the constant curves on the line *)
-  let cst_participations eng =
-    List.fold_left
-      (fun (c, s) e ->
-        match E.label e with
-        | E.Cst _ ->
-          let c', s' = E.participations e in
-          (c + c', s + s')
-        | E.Obj _ -> (c, s))
-      (0, 0) (E.order eng)
-
-  let run seed =
-    let what = Printf.sprintf "%s seed %d" B.name seed in
-    let lo = q 0 and hi = q 12 in
-    let db = Gen.uniform_db ~seed ~n:8 ~dim:2 ~extent:20 ~speed:3 () in
-    let r = Knn.run ~db ~gdist:euclid_origin ~k:2 ~lo ~hi in
-    conserved (what ^ ", knn") r.Knn.stats r.Knn.hot;
-    let sh = Shard.run ~db ~gamma:(origin 2) ~k:2 ~lo ~hi ~cell:8. () in
-    conserved (what ^ ", sharded") sh.Shard.stats sh.Shard.hot;
-    (* a within monitor (constant curves) under new, terminate and chdir *)
-    let updates = Gen.mixed_stream ~seed ~db ~start:lo ~gap:(q 1) ~count:8 ~speed:3 ~extent:20 () in
-    let query = Core.Fof.within_q ~bound:(q 100) ~interval:(Core.Fof.Interval.closed lo hi) in
-    let m = Mon.create ~db ~gdist:euclid_origin ~query () in
-    List.iter (Mon.apply_update_exn m) updates;
-    ignore (Mon.finalize m);
-    let cst = cst_participations (Mon.engine m) in
-    Alcotest.(check bool) (what ^ ": the bound's curve was compared") true (fst cst > 0);
-    conserved (what ^ ", within monitor") ~cst (Mon.stats m) (Mon.hot_objects m)
-
-  (* A label removed and inserted again keeps what it was charged before. *)
-  let reinserted () =
-    let line ~slope ~at0 =
-      B.curve_of_qpiece (Qpiece.of_poly ~start:(q 0) (QP.of_list [ q at0; q slope ]))
-    in
-    let eng =
-      E.create ~start:(q 0 |> B.scalar_of_rat) ~horizon:(B.scalar_of_rat (q 20))
-        (List.init 5 (fun j -> (E.Obj (j + 1, 0), line ~slope:(2 - j) ~at0:(3 * j))))
-    in
-    let s = B.scalar_of_rat in
-    let ignore_step _ = () in
-    E.advance eng ~upto:(s (q 2)) ~emit:ignore_step;
-    let before = E.participations (Option.get (E.find eng (E.Obj (3, 0)))) in
-    E.remove eng ~at:(s (q 2)) (E.Obj (3, 0));
-    E.advance eng ~upto:(s (q 4)) ~emit:ignore_step;
-    E.insert eng ~at:(s (q 4)) (E.Obj (3, 0)) (line ~slope:(-1) ~at0:8);
-    E.replace_curve eng ~at:(s (q 4)) (E.Obj (1, 0)) (line ~slope:3 ~at0:(-4));
-    E.advance eng ~upto:(s (q 20)) ~emit:ignore_step;
-    let h3 = List.find (fun h -> h.E.h_oid = 3) (E.hot_objects eng) in
-    let after = E.participations (Option.get (E.find eng (E.Obj (3, 0)))) in
-    Alcotest.(check bool) (B.name ^ ": the first life was charged") true (fst before > 0);
-    Alcotest.(check (pair int int)) (B.name ^ ": oid 3 = its entry, both lives")
-      after (h3.E.h_comparisons, h3.E.h_swaps);
-    Alcotest.(check bool) (B.name ^ ": the second life added to the first") true
-      (fst after > fst before);
-    conserved (B.name ^ ", re-inserted label") (E.stats eng) (E.hot_objects eng)
-end
-
-module AttrX = Attr (BX)
-module AttrFl = Attr (BFl)
-
 let test_attribution_conserved () =
   for seed = 1 to 8 do
-    AttrX.run seed;
-    AttrFl.run seed
+    CertX.attribution seed;
+    CertFl.attribution seed
   done;
-  AttrX.reinserted ();
-  AttrFl.reinserted ()
+  CertX.reinserted ();
+  CertFl.reinserted ()
 
 (* ------------------------------------------------------------------ *)
 (* Count gate: minor words per comparison on a mixed-shaped past query *)
