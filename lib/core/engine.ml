@@ -121,7 +121,6 @@ module Make (B : Backend.S) = struct
   let stats t = t.stats
   let order t = OL.to_list t.order
   let size t = OL.length t.order
-  let queue_length t = LH.length t.queue
 
   let first_n t n =
     let rec go acc k handle =
@@ -226,26 +225,22 @@ module Make (B : Backend.S) = struct
   (* Re-examine the pair (l, r), which must be adjacent: replace l's pending
      event with the pair's earliest future crossing (Lemma 9: one event per
      adjacent pair). *)
-  let debug = Sys.getenv_opt "MOQ_DEBUG" <> None
-
   let schedule_pair t l r =
     drop_right_event t l;
     match crossing t l r with
-    | Some i ->
-      if debug then
-        Format.eprintf "sched (%a,%a) at %a (now %a)@." pp_label l.lbl pp_label r.lbl
-          B.pp_instant i B.pp_instant t.now;
-      l.right_event <- Some (LH.insert t.queue i (Cross (l, r)))
-    | None ->
-      if debug then
-        Format.eprintf "sched (%a,%a): none (now %a)@." pp_label l.lbl pp_label r.lbl
-          B.pp_instant t.now
+    | Some i -> l.right_event <- Some (LH.insert t.queue i (Cross (l, r)))
+    | None -> ()
 
   let schedule_around t e =
     (match prev_entry t e with Some p -> schedule_pair t p e | None -> ());
     match next_entry t e with
     | Some n -> schedule_pair t e n
     | None -> drop_right_event t e
+
+  (* [s] lies within the horizon. *)
+  let within t s = match t.horizon with Some h -> F.compare s h <= 0 | None -> true
+
+  let queue t i d = ignore (LH.insert t.queue i d)
 
   (* The paper's Section 5 remark relaxes continuity to finitely many
      continuous pieces: at a value discontinuity the entry's position in the
@@ -255,27 +250,38 @@ module Make (B : Backend.S) = struct
      the breakpoint is in force there).  Jump events are not handle-tracked:
      a stale one (after a chdir) costs one harmless repositioning.  The
      curve's view lists its jumps, found once per curve. *)
-  let future_jumps t e f =
+  let future_jumps t e add =
     List.iter
       (fun b ->
-        if B.compare_instant_scalar t.now b < 0
-           && (match t.horizon with Some h -> F.compare b h <= 0 | None -> true)
-        then f b)
+        if B.compare_instant_scalar t.now b < 0 && within t b then
+          add (B.instant_of_scalar b) (Jump e))
       (PW.view e.curve).jumps
 
-  let schedule_jumps t e =
-    future_jumps t e (fun b -> ignore (LH.insert t.queue (B.instant_of_scalar b) (Jump e)))
+  (* The lifetime event an entry still awaits, passed to [add] when it lies
+     within the horizon.  Lifetimes are closed: a mounted entry's death is
+     due at or after the clock (a curve whose stop is the current instant
+     is still on the line there, and its death, due now, removes it at the
+     next advance), an unmounted entry's birth strictly after it.  An
+     unmounted entry whose birth is not due is dead: its whole lifetime
+     lies behind the sweep.  [clock s] compares the clock with [s]. *)
+  let lifetime_event ?clock t e add =
+    let clock = match clock with Some c -> c | None -> B.compare_instant_scalar t.now in
+    if e.node <> None then begin
+      match PW.stop e.curve with
+      | Some s when clock s <= 0 -> if within t s then add (B.instant_of_scalar s) (Death e)
+      | _ -> ()
+    end
+    else begin
+      let s = PW.start e.curve in
+      if clock s >= 0 then e.dead <- true
+      else if within t s then add (B.instant_of_scalar s) (Birth e)
+    end
 
-  (* Lifetimes are closed: a curve whose stop is the current instant is
-     still on the line there, and its death, due now, removes it at the
-     next advance. *)
-  let schedule_death t e =
-    match PW.stop e.curve with
-    | Some s when B.compare_instant_scalar t.now s <= 0 ->
-      (match t.horizon with
-       | Some h when F.compare s h > 0 -> ()
-       | _ -> ignore (LH.insert t.queue (B.instant_of_scalar s) (Death e)))
-    | _ -> ()
+  (* The events a mounted entry's own curve sets: its death, then its
+     jumps. *)
+  let own_events t e add =
+    lifetime_event t e add;
+    future_jumps t e add
 
   (* Put a live entry on the sweep line at instant [i] and fix its
      neighbourhood's events. *)
@@ -285,8 +291,7 @@ module Make (B : Backend.S) = struct
     (* the previous neighbour's event (if any) is now stale *)
     (match prev_entry t e with Some p -> drop_right_event t p | None -> ());
     schedule_around t e;
-    schedule_death t e;
-    schedule_jumps t e
+    own_events t e (queue t)
 
   let unmount t e =
     let p = prev_entry t e and n = next_entry t e in
@@ -302,10 +307,9 @@ module Make (B : Backend.S) = struct
   (* Mount [alive] on the empty sweep line at instant [i] (the initial
      sort: the O(N log N) of Theorem 5(1)), schedule one event per
      adjacent pair, then each mounted entry's death and jumps, in sweep
-     order when [by_sweep] and in [alive]'s order otherwise; then queue
-     the birth of each [future] entry within the horizon, or mark it dead
-     when [starts_after] says its lifetime does not start after [i]. *)
-  let mount_all t i alive ~by_sweep ~future ~starts_after =
+     order when [by_sweep] and in [alive]'s order otherwise; then each
+     [future] entry's birth ({!lifetime_event}, [clock] as there). *)
+  let mount_all ?clock t i alive ~by_sweep ~future =
     let sorted = List.sort (cmp_entries_at t i) alive in
     List.iter (fun e -> e.node <- Some (OL.insert_sorted ~cmp:(cmp_entries_at t i) t.order e)) sorted;
     let rec pairs = function
@@ -315,21 +319,8 @@ module Make (B : Backend.S) = struct
       | _ -> ()
     in
     pairs (order t);
-    List.iter
-      (fun e ->
-        schedule_death t e;
-        schedule_jumps t e)
-      (if by_sweep then sorted else alive);
-    List.iter
-      (fun e ->
-        let s = PW.start e.curve in
-        if starts_after s then begin
-          match t.horizon with
-          | Some h when F.compare s h > 0 -> ()
-          | _ -> ignore (LH.insert t.queue (B.instant_of_scalar s) (Birth e))
-        end
-        else e.dead <- true (* whole lifetime behind the sweep *))
-      future
+    List.iter (fun e -> own_events t e (queue t)) (if by_sweep then sorted else alive);
+    List.iter (fun e -> lifetime_event ?clock t e (queue t)) future
 
   let create ?(sink = Sink.noop) ?(attr = true) ~start ?horizon curves =
     let start_i = B.instant_of_scalar start in
@@ -360,7 +351,7 @@ module Make (B : Backend.S) = struct
           && (match PW.stop e.curve with None -> true | Some s -> F.compare start s <= 0))
         entries
     in
-    mount_all t start_i alive ~by_sweep:false ~future:rest ~starts_after:(fun s -> F.compare s start > 0);
+    mount_all ~clock:(F.compare start) t start_i alive ~by_sweep:false ~future:rest;
     t
 
   (* Local bubble pass with the "just after i" comparator, starting from the
@@ -452,32 +443,19 @@ module Make (B : Backend.S) = struct
 
   type step = Span of B.instant * B.instant | Point of B.instant
 
-  let pop_batch t =
-    match LH.find_min t.queue with
-    | None -> None
-    | Some (i, _) ->
-      let rec pop acc =
-        match LH.find_min t.queue with
-        | Some (j, _) when B.compare_instant j i = 0 ->
-          (match LH.pop_min t.queue with
-           | Some (_, d) -> pop (d :: acc)
-           | None -> acc)
-        | _ -> acc
-      in
-      Some (i, pop [])
+  (* Take every event at [i], the queue's first instant, off the queue. *)
+  let pop_batch t i =
+    let rec pop acc =
+      match LH.find_min t.queue with
+      | Some (j, _) when B.compare_instant j i = 0 ->
+        (match LH.pop_min t.queue with
+         | Some (_, d) -> pop (d :: acc)
+         | None -> acc)
+      | _ -> acc
+    in
+    pop []
 
   let process_batch t i events emit =
-    if debug then begin
-      Format.eprintf "batch at %a:" B.pp_instant i;
-      List.iter
-        (function
-          | Cross (l, r) -> Format.eprintf " cross(%a,%a)" pp_label l.lbl pp_label r.lbl
-          | Birth e -> Format.eprintf " birth(%a)" pp_label e.lbl
-          | Death e -> Format.eprintf " death(%a)" pp_label e.lbl
-          | Jump e -> Format.eprintf " jump(%a)" pp_label e.lbl)
-        events;
-      Format.eprintf "@."
-    end;
     t.stats.batches <- t.stats.batches + 1;
     let cmp0 = t.stats.comparisons in
     let swaps0 = t.stats.swaps in
@@ -541,40 +519,36 @@ module Make (B : Backend.S) = struct
       Sink.set t.sink "moq_sweep_queue_len" (float_of_int (LH.length t.queue))
     end
 
-  let advance t ~upto ~emit =
-    let continue_ = ref true in
-    while !continue_ do
-      match LH.find_min t.queue with
-      | Some (i, _) when B.compare_instant_scalar i upto < 0 ->
-        (match pop_batch t with
-         | Some (i, events) ->
-           let later = B.compare_instant t.now i < 0 in
-           if later then emit (Span (t.now, i));
-           (* move the clock first so rescheduling searches strictly after
-              this batch and never re-finds its own events *)
-           t.now <- i;
-           (* deaths due at the clock close lifetimes at an instant the
-              caller has already read: they emit no second Point *)
-           let closing = (not later) && List.for_all (function Death _ -> true | _ -> false) events in
-           process_batch t i events (if closing then ignore else emit)
-         | None -> continue_ := false)
-      | _ -> continue_ := false
-    done
+  let rec advance t ~upto ~emit =
+    match LH.find_min t.queue with
+    | Some (i, _) when B.compare_instant_scalar i upto < 0 ->
+      let later = B.compare_instant t.now i < 0 in
+      (* the span is read while its closing batch is still queued, so the
+         engine is whole during the callback *)
+      if later then emit (Span (t.now, i));
+      let events = pop_batch t i in
+      (* move the clock first so rescheduling searches strictly after
+         this batch and never re-finds its own events *)
+      t.now <- i;
+      (* deaths due at the clock close lifetimes at an instant the
+         caller has already read: they emit no second Point *)
+      let closing = (not later) && List.for_all (function Death _ -> true | _ -> false) events in
+      process_batch t i events (if closing then ignore else emit);
+      advance t ~upto ~emit
+    | _ -> ()
 
   (* Updates carry their own time (the paper's τ1 > current time); the
      caller advances past the preceding events first. *)
-  let move_clock t at =
+  let sync_clock t ~at =
     let i = B.instant_of_scalar at in
     if B.compare_instant t.now i > 0 then
       invalid_arg "Engine: update before the current sweep time"
     else t.now <- i
 
-  let sync_clock t ~at = move_clock t at
-
   let insert t ~at lbl c =
     if not (PW.defined_at c at) then invalid_arg "Engine.insert: curve not defined at insertion time"
     else begin
-      move_clock t at;
+      sync_clock t ~at;
       let e = new_entry lbl c in
       register t e;
       t.stats.births <- t.stats.births + 1;
@@ -590,7 +564,7 @@ module Make (B : Backend.S) = struct
     match find t lbl with
     | None -> invalid_arg "Engine.remove: no such live entry"
     | Some e ->
-      move_clock t at;
+      sync_clock t ~at;
       t.stats.deaths <- t.stats.deaths + 1;
       let p = prev_entry t e and n = next_entry t e in
       unmount t e;
@@ -605,7 +579,7 @@ module Make (B : Backend.S) = struct
     match find t lbl with
     | None -> invalid_arg "Engine.replace_curve: no such live entry"
     | Some e ->
-      move_clock t at;
+      sync_clock t ~at;
       set_curve e c;
       (* the order at the current instant is unchanged (curves agree at the
          update time); only this entry's pending intersections move — but
@@ -614,8 +588,7 @@ module Make (B : Backend.S) = struct
       (match prev_entry t e with Some p -> drop_right_event t p | None -> ());
       drop_right_event t e;
       schedule_around t e;
-      schedule_death t e;
-      schedule_jumps t e;
+      own_events t e (queue t);
       settle t [ e ];
       Sink.count t.sink "moq_engine_replaces_total" 1
 
@@ -637,28 +610,14 @@ module Make (B : Backend.S) = struct
       | _ -> ()
     in
     pairs entries;
-    List.iter
-      (fun e ->
-        (match PW.stop e.curve with
-         | Some s when B.compare_instant_scalar t.now s <= 0 ->
-           (match t.horizon with
-            | Some h when F.compare s h > 0 -> ()
-            | _ -> events := (`Plain, B.instant_of_scalar s, Death e) :: !events)
-         | _ -> ());
-        future_jumps t e (fun b -> events := (`Plain, B.instant_of_scalar b, Jump e) :: !events))
-      entries;
+    let add i d = events := (`Plain, i, d) :: !events in
+    List.iter (fun e -> own_events t e add) entries;
     (* unborn entries keep their birth events *)
     Hashtbl.iter
       (fun _ e ->
         if e.node = None && not e.dead then begin
           set_curve e (f e);
-          let s = PW.start e.curve in
-          if B.compare_instant_scalar t.now s < 0 then begin
-            match t.horizon with
-            | Some h when F.compare s h > 0 -> ()
-            | _ -> events := (`Plain, B.instant_of_scalar s, Birth e) :: !events
-          end
-          else e.dead <- true
+          lifetime_event t e add
         end)
       t.by_label;
     let heap, handles =
@@ -673,7 +632,7 @@ module Make (B : Backend.S) = struct
       !events handles
 
   let replace_all_curves t ~at f =
-    move_clock t at;
+    sync_clock t ~at;
     replace_all_curves_now t f;
     (* the wholesale curve change preserves values at [at] but may invert
        just-after-now jets anywhere: one O(N) settling pass *)
@@ -683,9 +642,9 @@ module Make (B : Backend.S) = struct
   (* ---------------------------------------------------------------- *)
   (* Invariant audit + self-healing rebuild.                           *)
 
-  (* Non-raising sweep audit: collect violations of the structural
-     invariants instead of asserting.  O(N) comparisons plus the order
-     list's structural check. *)
+  (* The one checker of the sweep invariant: collect its violations
+     without raising ([check_invariants] raises on them).  O(N)
+     comparisons plus the order list's structural check. *)
   let audit_kinds t =
     let violations = ref [] in
     let note kind fmt =
@@ -695,8 +654,10 @@ module Make (B : Backend.S) = struct
     (try OL.check_invariants t.order
      with e -> note V_structure "order list structure: %s" (Printexc.to_string e));
     let entries = order t in
-    (* 2. sorted w.r.t. just-after-now; an inversion is only legal when
-       backed by a pending crossing batched exactly at [now] *)
+    (* 2. sorted w.r.t. just-after-now — except that an update may land
+       exactly on a crossing instant of an unrelated pair, whose swap then
+       still sits in the queue as a batch at [now]; such an inversion must
+       be backed by that pending event *)
     let rec sorted = function
       | a :: (b :: _ as rest) ->
         if cmp_entries_at t t.now a b > 0 then begin
@@ -749,22 +710,10 @@ module Make (B : Backend.S) = struct
 
   let audit t = List.map snd (audit_kinds t)
 
-  (* Record audit findings in the per-kind stats fields and the sink —
-     shared with {!Monitor.audit_and_heal}, which adds its own
-     monitor-level violations. *)
-  let note_violations t violations =
-    List.iter
-      (fun (kind, _) ->
-        (match kind with
-         | V_structure -> t.stats.audit_structure <- t.stats.audit_structure + 1
-         | V_order -> t.stats.audit_order <- t.stats.audit_order + 1
-         | V_event -> t.stats.audit_event <- t.stats.audit_event + 1
-         | V_dead -> t.stats.audit_dead <- t.stats.audit_dead + 1
-         | V_clock -> t.stats.audit_clock <- t.stats.audit_clock + 1);
-        if Sink.active t.sink then
-          Sink.count t.sink
-            ("moq_engine_audit_violation_" ^ violation_kind_name kind ^ "_total") 1)
-      violations
+  let check_invariants t =
+    match audit t with
+    | [] -> ()
+    | found -> failwith ("Engine.check_invariants: " ^ String.concat "; " found)
 
   (* Theorem 10 fallback: discard the sweep structures and rebuild them
      from the entries' curves in O(N log N) — a graceful degradation when
@@ -793,55 +742,30 @@ module Make (B : Backend.S) = struct
         candidates
     in
     t.queue <- LH.create ~cmp:B.compare_instant;
-    mount_all t t.now alive ~by_sweep:true ~future ~starts_after:(fun s ->
-        B.compare_instant_scalar t.now s < 0)
+    mount_all t t.now alive ~by_sweep:true ~future
 
-  let audit_and_heal t =
+  (* One audit pass's findings: counted, per kind in the stats fields and
+     the sink, and healed by a rebuild when there are any. *)
+  let heal t violations =
     Sink.count t.sink "moq_engine_audits_total" 1;
-    match audit_kinds t with
-    | [] -> []
-    | violations ->
+    if violations <> [] then begin
       t.stats.audit_failures <- t.stats.audit_failures + 1;
       Sink.count t.sink "moq_engine_audit_failures_total" 1;
-      note_violations t violations;
-      rebuild t;
-      List.map snd violations
+      List.iter
+        (fun (kind, _) ->
+          (match kind with
+           | V_structure -> t.stats.audit_structure <- t.stats.audit_structure + 1
+           | V_order -> t.stats.audit_order <- t.stats.audit_order + 1
+           | V_event -> t.stats.audit_event <- t.stats.audit_event + 1
+           | V_dead -> t.stats.audit_dead <- t.stats.audit_dead + 1
+           | V_clock -> t.stats.audit_clock <- t.stats.audit_clock + 1);
+          if Sink.active t.sink then
+            Sink.count t.sink
+              ("moq_engine_audit_violation_" ^ violation_kind_name kind ^ "_total") 1)
+        violations;
+      rebuild t
+    end;
+    List.map snd violations
 
-  let check_invariants t =
-    OL.check_invariants t.order;
-    let entries = order t in
-    (* sorted w.r.t. just-after-now — except that an update may land exactly
-       on a crossing instant of an unrelated pair, whose swap then still
-       sits in the queue as a batch at [now]; such an inversion must be
-       backed by that pending event *)
-    let rec sorted = function
-      | a :: (b :: _ as rest) ->
-        if cmp_entries_at t t.now a b > 0 then begin
-          match a.right_event with
-          | Some h ->
-            assert (LH.mem h);
-            assert (B.compare_instant (LH.key h) t.now = 0)
-          | None -> assert false
-        end;
-        sorted rest
-      | _ -> ()
-    in
-    sorted entries;
-    (* each right_event is a live Cross event for a currently adjacent pair *)
-    let rec check_events = function
-      | l :: (r :: _ as rest) ->
-        (match l.right_event with
-         | Some h ->
-           assert (LH.mem h);
-           (match LH.value h with
-            | Cross (a, b) ->
-              assert (a == l);
-              assert (b == r)
-            | _ -> assert false)
-         | None -> ());
-        check_events rest
-      | [ e ] -> assert (e.right_event = None)
-      | [] -> ()
-    in
-    check_events entries
+  let audit_and_heal t = heal t (audit_kinds t)
 end

@@ -39,9 +39,8 @@ module Make (B : Backend.S) : sig
       inserted again.  Counted whatever [attr] is. *)
 
   val pending_crossing : entry -> B.instant option
-  (** The instant of the entry's crossing event with its right neighbour:
-      queued, or popped with the batch being processed (as when a [Span]
-      that ends at that batch is emitted). *)
+  (** The instant of the entry's queued crossing event with its right
+      neighbour. *)
 
   val value_sign_at : B.instant -> entry -> entry -> int
   (** Exact sign of the first entry's curve value minus the second's at
@@ -94,7 +93,6 @@ module Make (B : Backend.S) : sig
   (** Current 0-based rank of a mounted entry, O(log N). *)
 
   val size : t -> int
-  val queue_length : t -> int
 
   val find : t -> label -> entry option
   (** An entry currently in the sweep (born and not dead). *)
@@ -102,11 +100,12 @@ module Make (B : Backend.S) : sig
   type step =
     | Span of B.instant * B.instant
         (** the open interval between consecutive event instants, over which
-            the order (hence the support, by Lemma 8) was constant; the
-            engine state reflects this span's order when emitted *)
+            the order (hence the support, by Lemma 8) was constant; emitted
+            while the engine holds this span's order and before the batch
+            that closes it leaves the queue, so its {!audit} is clean *)
     | Point of B.instant
-        (** an event instant; emitted after crossings and births applied,
-            before deaths removed *)
+        (** an event instant; emitted after crossings and births applied
+            and the order settled, before deaths removed *)
 
   val advance : t -> upto:B.P.F.t -> emit:(step -> unit) -> unit
   (** Process all events with instant strictly before [upto].  [emit] is
@@ -148,20 +147,30 @@ module Make (B : Backend.S) : sig
       Rebuilds all pending events in O(N) heap construction without
       re-sorting the object list. *)
 
-  val audit : t -> string list
-  (** Non-raising invariant audit: order list sorted by curve value at the
-      current clock (modulo crossings batched exactly at [now]), heap and
-      adjacency consistency (one live event per adjacent pair, correctly
-      targeted), no dead entries mounted, and no pending event before the
-      clock (monotone batch times).  Returns human-readable violations,
-      [[]] when clean. *)
+  (** {2 Audit and heal}
+
+      One checker and one heal step.  {!audit_kinds} checks the sweep
+      invariant (Lemma 9) without raising: the order list's structure, the
+      order sorted just after the clock (an inversion only where a crossing
+      batched exactly at the clock backs it), one live event per adjacent
+      pair, correctly targeted, no dead entry mounted, and no pending event
+      before the clock.  {!audit}, {!check_invariants} and
+      {!audit_and_heal} are its three readings.  {!heal} counts one audit
+      pass's findings and, on any, falls back to {!rebuild}; a caller with
+      invariants of its own (the monitor's clock) passes them along with
+      the engine's.  The invariant holds whenever the caller has control:
+      between operations and inside both [step] callbacks of {!advance}. *)
 
   val audit_kinds : t -> (violation_kind * string) list
-  (** {!audit} with each violation tagged by the invariant kind it breaks. *)
+  (** The violations found, each tagged by the invariant it breaks;
+      [[]] when clean.  O(N) comparisons plus the order list's check. *)
 
-  val note_violations : t -> (violation_kind * string) list -> unit
-  (** Record audit findings in the per-kind {!stats} fields and the sink
-      (used by {!audit_and_heal} and the monitor's own heal path). *)
+  val audit : t -> string list
+  (** {!audit_kinds}, human-readable. *)
+
+  val check_invariants : t -> unit
+  (** {!audit} for tests.
+      @raise Failure listing the violations, if any. *)
 
   val rebuild : t -> unit
   (** The Theorem 10 fallback: discard the sweep structures and rebuild the
@@ -169,12 +178,11 @@ module Make (B : Backend.S) : sig
       clock, in O(N log N).  Also heals entries whose birth or death event
       was lost.  Semantics-preserving on a healthy engine. *)
 
-  val audit_and_heal : t -> string list
-  (** {!audit}; on any violation, count it in {!stats} and {!rebuild}.
-      Returns the violations found (empty = healthy, no rebuild). *)
+  val heal : t -> (violation_kind * string) list -> string list
+  (** Count one audit pass and, when it found violations, count them (per
+      kind in {!stats} and the sink) and {!rebuild}.  Returns the
+      violations' texts. *)
 
-  val check_invariants : t -> unit
-  (** Order list sorted w.r.t. "just after now", one event per adjacent
-      pair, no stale events (tests; raises on violation — production paths
-      use {!audit_and_heal}). *)
+  val audit_and_heal : t -> string list
+  (** [heal t (audit_kinds t)]. *)
 end

@@ -16,37 +16,30 @@ module Make (B : Backend.S) = struct
   module R = Reader.Make (B)
   module TL = R.TL
 
-  type result = {
+  type result = R.result = {
     timeline : TL.t;
     stats : E.stats;
     hot : E.hot list;  (** per-object cost attribution, hottest first *)
   }
 
-  let entry o _ c = (E.Obj (o, 0), B.curve_of_qpiece c)
-
-  let engine_of ~sink ~lo ~hi entries =
-    E.create ~sink ~start:(B.scalar_of_rat lo) ~horizon:(B.scalar_of_rat hi) entries
-
-  let engine ?(sink = Sink.noop) ~db ~gdist ~lo ~hi () =
-    engine_of ~sink ~lo ~hi (Curve_store.build gdist db entry)
+  let engine ?sink ~db ~gdist ~lo ~hi () =
+    R.engine ?sink ~lo ~hi (Curve_store.build gdist db R.entry)
 
   (* [entries] is a thunk so that building the curves is timed *)
   let run_entries ~sink ~k ~lo ~hi entries =
     if k <= 0 then invalid_arg "Knn.run: k must be positive";
     Sink.count sink "moq_query_knn_total" 1;
     Sink.time sink "moq_query_knn_seconds" @@ fun () ->
-    let eng = engine_of ~sink ~lo ~hi (entries ()) in
-    let timeline = R.timeline eng ~lo ~hi (R.answer eng (Reader.Knn k)) in
-    { timeline; stats = E.stats eng; hot = E.hot_objects eng }
+    R.run ~sink ~lo ~hi (entries ()) (fun eng -> R.answer eng (Reader.Knn k))
 
   let run_obs ~(sink : Sink.t) ~(db : DB.t) ~(gdist : Gdist.t) ~(k : int)
       ~(lo : Q.t) ~(hi : Q.t) : result =
-    run_entries ~sink ~k ~lo ~hi (fun () -> Curve_store.build gdist db entry)
+    run_entries ~sink ~k ~lo ~hi (fun () -> Curve_store.build gdist db R.entry)
 
   (* [run_obs] with the curves read through a store of [gdist] *)
   let run_store ~(sink : Sink.t) ~(store : Curve_store.t) ~(db : DB.t) ~(k : int)
       ~(lo : Q.t) ~(hi : Q.t) : result =
-    run_entries ~sink ~k ~lo ~hi (fun () -> Curve_store.curves store db entry)
+    run_entries ~sink ~k ~lo ~hi (fun () -> Curve_store.curves store db R.entry)
 
   let run ~db ~gdist ~k ~lo ~hi = run_obs ~sink:Sink.noop ~db ~gdist ~k ~lo ~hi
 end

@@ -42,25 +42,21 @@ module Make (B : Backend.S) = struct
     mutable clock : Q.t;  (** no update can arrive at or before this time *)
   }
 
-  let interval_bounds (q : Fof.query) =
-    match Fof.Interval.lo q.Fof.interval, Fof.Interval.hi q.Fof.interval with
-    | Some lo, Some hi -> (lo, hi)
-    | _ -> invalid_arg "Monitor: queries need a bounded interval"
-
   let record m piece =
     m.valid <- piece :: m.valid;
     m.n_valid <- m.n_valid + 1
 
-  let record_step m step = record m (R.piece step (m.read step))
+  (* Record one piece of the sweep, when the monitor materializes. *)
+  let emit m = if m.materialize then fun step -> record m (R.piece step (m.read step)) else ignore
 
-  let advance_engine m (upto : Q.t) =
-    let emit = if m.materialize then record_step m else fun _ -> () in
-    E.advance m.engine ~upto:(B.scalar_of_rat upto) ~emit
+  let advance_engine m (upto : Q.t) = E.advance m.engine ~upto:(B.scalar_of_rat upto) ~emit:(emit m)
+
+  let instant (tau : Q.t) = B.instant_of_scalar (B.scalar_of_rat tau)
 
   (* Theorem 5(1): initialization, O(N log N). *)
   let create ?(sink = Sink.noop) ?(attr = true) ?(materialize = true) ?curves ~(db : DB.t)
       ~(gdist : Gdist.t) ~(query : Fof.query) () : t =
-    let lo, hi = interval_bounds query in
+    let lo, hi = Reader.interval_bounds query in
     let p =
       match curves with
       | None -> P.create ~db ~gdist ~query ~istart:lo
@@ -69,10 +65,7 @@ module Make (B : Backend.S) = struct
           invalid_arg "Monitor.create: curve store of another g-distance";
         P.create_stored ~store ~db ~query ~istart:lo
     in
-    let eng =
-      E.create ~sink ~attr ~start:(B.scalar_of_rat lo) ~horizon:(B.scalar_of_rat hi)
-        (P.entry_list p)
-    in
+    let eng = R.engine ~sink ~attr ~lo ~hi (P.entry_list p) in
     if Sink.active sink then begin
       Sink.count sink "moq_monitor_created_total" 1;
       let kind =
@@ -87,36 +80,30 @@ module Make (B : Backend.S) = struct
       { db; problem = p; engine = eng; sink; query; read = Sw.reader p query eng; hi;
         materialize; valid = []; n_valid = 0; drained = 0; clock = lo }
     in
-    if materialize then record_step m (E.Point (B.instant_of_scalar (B.scalar_of_rat lo)));
+    emit m (E.Point (instant lo));
     (* the part of the interval already in the past is valid immediately *)
     let tau0 = DB.last_update db in
     if Q.compare lo tau0 < 0 then advance_engine m (Q.min tau0 hi);
     m.clock <- Q.max lo (Q.min tau0 hi);
     m
 
-  (* Emit the span between the engine's position and [tau] with the current
-     (pre-update) answers.  The engine clock itself is moved by the
-     subsequent update operation or sync. *)
-  let close_span_to m (tau : Q.t) =
-    if not m.materialize then ()
-    else
-    let now = E.now m.engine in
-    let tau_i = B.instant_of_scalar (B.scalar_of_rat tau) in
-    if B.compare_instant now tau_i < 0 then record_step m (E.Span (now, tau_i))
-
-  let emit_at m (tau : Q.t) =
-    if not m.materialize then ()
-    else
-    record_step m (E.Point (B.instant_of_scalar (B.scalar_of_rat tau)))
-
   (* Close the validated timeline up to [upto] (trailing span + endpoint). *)
-  let close_until m (upto : Q.t) =
-    let now = E.now m.engine in
-    let upto_i = B.instant_of_scalar (B.scalar_of_rat upto) in
-    if B.compare_instant now upto_i < 0 then begin
-      close_span_to m upto;
-      emit_at m upto
-    end
+  let close_until m (upto : Q.t) = R.close m.engine (instant upto) (emit m)
+
+  (* Bring the monitor to the update time [tau] around [f], which applies
+     the update to the engine: the events before [tau], the span into it
+     with the pre-update answers, the engine clock moved to [tau], [f],
+     then the point [tau], whose answer reflects the update. *)
+  let at_update m (tau : Q.t) f =
+    let tau_eff = Q.min tau m.hi in
+    if Q.compare m.clock tau_eff < 0 then advance_engine m tau_eff;
+    let now = E.now m.engine and upto = instant tau_eff in
+    let opened = B.compare_instant now upto < 0 in
+    if opened then emit m (E.Span (now, upto));
+    E.sync_clock m.engine ~at:(B.scalar_of_rat tau_eff);
+    f ();
+    if opened then emit m (E.Point upto);
+    if Q.compare m.clock tau_eff < 0 then m.clock <- tau_eff
 
   (* Theorem 5(2): one update, O(m log N) where m is the number of support
      changes since the previous update.  [committed] is the MOD after [u]
@@ -131,50 +118,42 @@ module Make (B : Backend.S) = struct
     | Ok db' ->
       let db' = Option.value committed ~default:db' in
       let tau = U.time u in
-      let tau_eff = Q.min tau m.hi in
-      if Q.compare m.clock tau_eff < 0 then advance_engine m tau_eff;
-      (* validate the span leading up to the update with pre-update state *)
-      let emitted_span = B.compare_instant (E.now m.engine) (B.instant_of_scalar (B.scalar_of_rat tau_eff)) < 0 in
-      if emitted_span then close_span_to m tau_eff;
-      E.sync_clock m.engine ~at:(B.scalar_of_rat tau_eff);
-      m.db <- db';
-      let o = U.oid u in
-      (* refresh problem-side curves *)
-      (match DB.find db' o with
-       | Some tr -> ignore (P.update_object m.problem o tr)
-       | None -> ());
-      (* engine-side, only when the update time is within the horizon *)
-      if Q.compare tau m.hi <= 0 then begin
-        let tau_s = B.scalar_of_rat tau in
-        let arr = Oid.Map.find o m.problem.P.curves in
-        (match u with
-         | U.New _ ->
-           Array.iteri
-             (fun k c ->
-               match c with
-               | Some c when B.PW.defined_at c tau_s -> E.insert m.engine ~at:tau_s (E.Obj (o, k)) c
-               | Some _ | None ->
-                 (* curve starting later (affine time term) is picked up as
-                    a birth event when the problem curves are rebuilt *)
-                 ())
-             arr
-         | U.Chdir _ | U.Terminate _ ->
-           (* a terminated curve stops at [tau]: lifetimes are closed, so
-              the entry stays for the answer at [tau] and its death, due
-              now, removes it at the next advance *)
-           Array.iteri
-             (fun k c ->
-               match c, E.find m.engine (E.Obj (o, k)) with
-               | Some c, Some _ -> E.replace_curve m.engine ~at:tau_s (E.Obj (o, k)) c
-               | Some c, None when B.PW.defined_at c tau_s ->
-                 E.insert m.engine ~at:tau_s (E.Obj (o, k)) c
-               | None, Some _ -> E.remove m.engine ~at:tau_s (E.Obj (o, k))
-               | _ -> ())
-             arr)
-      end;
-      (* the answer at the update instant reflects the update *)
-      if emitted_span then emit_at m tau_eff;
-      if Q.compare m.clock tau_eff < 0 then m.clock <- tau_eff;
+      at_update m tau (fun () ->
+          m.db <- db';
+          let o = U.oid u in
+          (* refresh problem-side curves *)
+          (match DB.find db' o with
+           | Some tr -> ignore (P.update_object m.problem o tr)
+           | None -> ());
+          (* engine-side, only when the update time is within the horizon *)
+          if Q.compare tau m.hi <= 0 then begin
+            let tau_s = B.scalar_of_rat tau in
+            let arr = Oid.Map.find o m.problem.P.curves in
+            match u with
+            | U.New _ ->
+              Array.iteri
+                (fun k c ->
+                  match c with
+                  | Some c when B.PW.defined_at c tau_s -> E.insert m.engine ~at:tau_s (E.Obj (o, k)) c
+                  | Some _ | None ->
+                    (* curve starting later (affine time term) is picked up as
+                       a birth event when the problem curves are rebuilt *)
+                    ())
+                arr
+            | U.Chdir _ | U.Terminate _ ->
+              (* a terminated curve stops at [tau]: lifetimes are closed, so
+                 the entry stays for the answer at [tau] and its death, due
+                 now, removes it at the next advance *)
+              Array.iteri
+                (fun k c ->
+                  match c, E.find m.engine (E.Obj (o, k)) with
+                  | Some c, Some _ -> E.replace_curve m.engine ~at:tau_s (E.Obj (o, k)) c
+                  | Some c, None when B.PW.defined_at c tau_s ->
+                    E.insert m.engine ~at:tau_s (E.Obj (o, k)) c
+                  | None, Some _ -> E.remove m.engine ~at:tau_s (E.Obj (o, k))
+                  | _ -> ())
+                arr
+          end);
       Ok ()
 
   let hot_objects m = E.hot_objects m.engine
@@ -219,25 +198,17 @@ module Make (B : Backend.S) = struct
      engine rebuilds all pending events in O(N) without re-sorting. *)
   let chdir_query m ~(tau : Q.t) ~(gdist : Gdist.t) =
     Sink.count m.sink "moq_monitor_query_chdirs_total" 1;
-    let tau_eff = Q.min tau m.hi in
-    if Q.compare m.clock tau_eff < 0 then advance_engine m tau_eff;
-    let emitted_span =
-      B.compare_instant (E.now m.engine) (B.instant_of_scalar (B.scalar_of_rat tau_eff)) < 0
-    in
-    if emitted_span then close_span_to m tau_eff;
-    E.sync_clock m.engine ~at:(B.scalar_of_rat tau_eff);
-    P.set_gdist m.problem gdist m.db;
-    if Q.compare tau m.hi <= 0 then
-      E.replace_all_curves m.engine ~at:(B.scalar_of_rat tau) (fun e ->
-          match E.label e with
-          | E.Obj (o, k) ->
-            (match Oid.Map.find_opt o m.problem.P.curves with
-             | Some arr when k < Array.length arr ->
-               (match arr.(k) with Some c -> c | None -> E.curve e)
-             | _ -> E.curve e)
-          | E.Cst _ -> E.curve e);
-    if emitted_span then emit_at m tau_eff;
-    if Q.compare m.clock tau_eff < 0 then m.clock <- tau_eff
+    at_update m tau (fun () ->
+        P.set_gdist m.problem gdist m.db;
+        if Q.compare tau m.hi <= 0 then
+          E.replace_all_curves m.engine ~at:(B.scalar_of_rat tau) (fun e ->
+              match E.label e with
+              | E.Obj (o, k) ->
+                (match Oid.Map.find_opt o m.problem.P.curves with
+                 | Some arr when k < Array.length arr ->
+                   (match arr.(k) with Some c -> c | None -> E.curve e)
+                 | _ -> E.curve e)
+              | E.Cst _ -> E.curve e))
 
   (* Incremental consumers (a live subscription's push path): the validated
      pieces produced since the previous drain, chronological.  Unlike
@@ -300,16 +271,9 @@ module Make (B : Backend.S) = struct
   let audit m = List.map snd (audit_kinds m)
 
   let audit_and_heal m =
-    Sink.count m.sink "moq_engine_audits_total" 1;
-    match audit_kinds m with
-    | [] -> []
-    | violations ->
-      (E.stats m.engine).E.audit_failures <- (E.stats m.engine).E.audit_failures + 1;
-      Sink.count m.sink "moq_engine_audit_failures_total" 1;
-      E.note_violations m.engine violations;
-      E.rebuild m.engine;
-      if Q.compare m.clock m.hi > 0 then m.clock <- m.hi;
-      List.map snd violations
+    let found = E.heal m.engine (audit_kinds m) in
+    if Q.compare m.clock m.hi > 0 then m.clock <- m.hi;
+    found
 
   let heal m = E.rebuild m.engine
 end

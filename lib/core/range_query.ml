@@ -12,26 +12,23 @@ module Make (B : Backend.S) = struct
   module R = Reader.Make (B)
   module TL = R.TL
 
-  type result = {
+  type result = R.result = {
     timeline : TL.t;
     stats : E.stats;
+    hot : E.hot list;
   }
-
-  let entry o _ c = (E.Obj (o, 0), B.curve_of_qpiece c)
 
   let run_entries ~bound ~lo ~hi objs =
     let entries =
       (E.Cst bound, B.PW.constant ~start:(B.scalar_of_rat lo) (B.scalar_of_rat bound)) :: objs
     in
-    let eng = E.create ~start:(B.scalar_of_rat lo) ~horizon:(B.scalar_of_rat hi) entries in
-    let timeline = R.timeline eng ~lo ~hi (R.answer eng (Reader.Within bound)) in
-    { timeline; stats = E.stats eng }
+    R.run ~lo ~hi entries (fun eng -> R.answer eng (Reader.Within bound))
 
   let run ~(db : DB.t) ~(gdist : Gdist.t) ~(bound : Q.t) ~(lo : Q.t) ~(hi : Q.t) : result =
-    run_entries ~bound ~lo ~hi (Curve_store.build gdist db entry)
+    run_entries ~bound ~lo ~hi (Curve_store.build gdist db R.entry)
 
   (* [run] with the curves read through a store of [gdist] *)
   let run_store ~(store : Curve_store.t) ~(db : DB.t) ~(bound : Q.t) ~(lo : Q.t) ~(hi : Q.t)
       : result =
-    run_entries ~bound ~lo ~hi (Curve_store.curves store db entry)
+    run_entries ~bound ~lo ~hi (Curve_store.curves store db R.entry)
 end

@@ -6,7 +6,11 @@
     prefix, plus the run of curves tied with its last element, costs
     O(log N + |answer| + ties) per piece, against O(N^q) for the reference
     FO(f) evaluator {!Snapshot} — which stays the answer path for every
-    other formula, and the oracle the readers are tested against. *)
+    other formula, and the oracle the readers are tested against.
+
+    The one past-sweep runner lives here too: an engine over [[lo, hi]],
+    its timeline, its stats and its hot objects ({!Make.run}), behind
+    {!Sweep}, {!Knn}, {!Range_query} and {!Shard}'s merge. *)
 
 module Oid = Moq_mod.Oid
 module Q = Moq_numeric.Rat
@@ -31,6 +35,12 @@ let of_query (q : Fof.query) : kind option =
   | Fof.Cmp (Fof.Le, _, Fof.Const bound) when built (Fof.within_q ~bound ~interval) ->
     Some (Within bound)
   | _ -> None
+
+(* The query's interval [lo, hi]; every swept query is bounded. *)
+let interval_bounds (q : Fof.query) =
+  match Fof.Interval.lo q.Fof.interval, Fof.Interval.hi q.Fof.interval with
+  | Some lo, Some hi -> (lo, hi)
+  | _ -> invalid_arg "Reader: queries need a bounded interval"
 
 module Make (B : Backend.S) = struct
   module E = Engine.Make (B)
@@ -85,6 +95,23 @@ module Make (B : Backend.S) = struct
   let piece step set =
     match step with E.Span (a, b) -> TL.Span (a, b, set) | E.Point i -> TL.At (i, set)
 
+  (* An engine over [lo, hi]: started at [lo], nothing scheduled past
+     [hi]. *)
+  let engine ?sink ?attr ~lo ~hi entries =
+    E.create ?sink ?attr ~start:(B.scalar_of_rat lo) ~horizon:(B.scalar_of_rat hi) entries
+
+  (* An object's entry, for {!Curve_store.build} and {!Curve_store.curves}. *)
+  let entry o _ c = (E.Obj (o, 0), B.curve_of_qpiece c)
+
+  (* Close a timeline at [upto]: the span from the engine's clock to it,
+     then the point itself, unless the clock is already there. *)
+  let close eng upto f =
+    let last = E.now eng in
+    if B.compare_instant last upto < 0 then begin
+      f (E.Span (last, upto));
+      f (E.Point upto)
+    end
+
   (* The past sweep over [lo, hi] (paper, Theorem 4): the point [lo], the
      engine's spans and event points, then the last span and the point
      [hi]. *)
@@ -93,11 +120,7 @@ module Make (B : Backend.S) = struct
     if Q.compare lo hi < 0 then begin
       let hi_s = B.scalar_of_rat hi in
       E.advance eng ~upto:hi_s ~emit:f;
-      let last = E.now eng and hi_i = B.instant_of_scalar hi_s in
-      if B.compare_instant last hi_i < 0 then begin
-        f (E.Span (last, hi_i));
-        f (E.Point hi_i)
-      end
+      close eng (B.instant_of_scalar hi_s) f
     end
 
   (* The simplified timeline of {!iter_steps}, each piece answered by
@@ -106,4 +129,17 @@ module Make (B : Backend.S) = struct
     let pieces = ref [] in
     iter_steps eng ~lo ~hi (fun step -> pieces := piece step (read step) :: !pieces);
     TL.simplify (List.rev !pieces)
+
+  type result = {
+    timeline : TL.t;
+    stats : E.stats;
+    hot : E.hot list;  (** per-object cost attribution, hottest first *)
+  }
+
+  (* A past query: sweep [entries] over [lo, hi], each piece answered by
+     [read] on the sweep's engine. *)
+  let run ?sink ~lo ~hi entries read : result =
+    let eng = engine ?sink ~lo ~hi entries in
+    let timeline = timeline eng ~lo ~hi (read eng) in
+    { timeline; stats = E.stats eng; hot = E.hot_objects eng }
 end

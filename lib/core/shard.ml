@@ -126,9 +126,7 @@ module Make (B : Backend.S) = struct
      guaranteed to contain every shard member that can ever appear in the
      global answer. *)
   let sweep_shard ~sink ~admit ~k ~lo ~hi entries =
-    let eng = E.create ~sink ~start:(B.scalar_of_rat lo)
-        ~horizon:(B.scalar_of_rat hi) entries
-    in
+    let eng = R.engine ~sink ~lo ~hi entries in
     R.iter_steps eng ~lo ~hi (fun step ->
         List.iter (fun e -> admit (E.label e)) (R.entries eng (Reader.Knn k) step));
     eng
@@ -173,9 +171,7 @@ module Make (B : Backend.S) = struct
     let entries_of oids =
       List.filter_map
         (fun o ->
-          Option.map
-            (fun tr -> (E.Obj (o, 0), B.curve_of_qpiece (Gdist.curve gdist tr)))
-            (DB.find db o))
+          Option.map (fun tr -> R.entry o tr (Gdist.curve gdist tr)) (DB.find db o))
         oids
     in
     let stats = E.zero_stats () in
@@ -203,11 +199,10 @@ module Make (B : Backend.S) = struct
     let admitted_oids =
       List.sort Oid.compare (Hashtbl.fold (fun o () acc -> o :: acc) admitted [])
     in
-    let eng = E.create ~sink ~start:(B.scalar_of_rat lo)
-        ~horizon:(B.scalar_of_rat hi) (entries_of admitted_oids)
+    let merged =
+      R.run ~sink ~lo ~hi (entries_of admitted_oids) (fun eng -> R.answer eng (Reader.Knn k))
     in
-    let timeline = R.timeline eng ~lo ~hi (R.answer eng (Reader.Knn k)) in
-    E.accumulate stats (E.stats eng);
+    E.accumulate stats merged.R.stats;
     let n_admitted = List.length admitted_oids in
     let shard =
       { shards_total = Array.length shards;
@@ -224,8 +219,7 @@ module Make (B : Backend.S) = struct
     Sink.count sink "moq_shard_prunes_total" shard.pruned;
     Sink.count sink "moq_shard_frontier_merge_ops_total" shard.frontier_merge_ops;
     Sink.count sink "moq_shard_events_total" shard.shard_events;
-    let hot = E.merge_hot (E.hot_objects eng :: !hots) in
-    { timeline; stats; shard; hot }
+    { timeline = merged.R.timeline; stats; shard; hot = E.merge_hot (merged.R.hot :: !hots) }
 
   let shards_block s =
     { Explain.s_total = s.shards_total; s_touched = s.shards_touched;

@@ -24,11 +24,6 @@ module Make (B : Backend.S) = struct
     hot : E.hot list;  (** per-object cost attribution, hottest first *)
   }
 
-  let interval_bounds (q : Fof.query) =
-    match Fof.Interval.lo q.Fof.interval, Fof.Interval.hi q.Fof.interval with
-    | Some lo, Some hi -> (lo, hi)
-    | _ -> invalid_arg "Sweep: past queries need a bounded interval"
-
   (* The answer on one piece of [eng]'s sweep: read off the order for
      k-NN and within queries ({!Reader}), evaluated by {!Snapshot} over
      [p]'s current objects for any other formula. *)
@@ -41,16 +36,11 @@ module Make (B : Backend.S) = struct
       ~(query : Fof.query) : result =
     Sink.count sink "moq_query_past_total" 1;
     Sink.time sink "moq_query_past_seconds" @@ fun () ->
-    let lo, hi = interval_bounds query in
+    let lo, hi = Reader.interval_bounds query in
     let p = P.create ~db ~gdist ~query ~istart:lo in
-    let eng =
-      E.create ~sink ~start:(B.scalar_of_rat lo)
-        ~horizon:(B.scalar_of_rat hi) (P.entry_list p)
-    in
-    let timeline = R.timeline eng ~lo ~hi (reader p query eng) in
-    let stats = E.stats eng in
-    { timeline; stats; support_changes = E.support_changes stats;
-      hot = E.hot_objects eng }
+    let r = R.run ~sink ~lo ~hi (P.entry_list p) (reader p query) in
+    { timeline = r.R.timeline; stats = r.R.stats;
+      support_changes = E.support_changes r.R.stats; hot = r.R.hot }
 
   let run ~db ~gdist ~query = run_obs ~sink:Sink.noop ~db ~gdist ~query
 end

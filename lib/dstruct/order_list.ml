@@ -31,10 +31,6 @@ let elt n =
   if not n.in_tree then invalid_arg "Order_list: handle deleted";
   n.elt
 
-let set_elt n v =
-  if not n.in_tree then invalid_arg "Order_list: handle deleted";
-  n.elt <- v
-
 (* Replace [parent]'s child [old_child] with [child]; [parent = None] means
    the root. *)
 let set_child t parent old_child child =

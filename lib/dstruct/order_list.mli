@@ -28,7 +28,6 @@ val delete : 'a t -> 'a handle -> unit
     moves).  O(log N).  @raise Invalid_argument if already deleted. *)
 
 val elt : 'a handle -> 'a
-val set_elt : 'a handle -> 'a -> unit
 
 val swap_adjacent : 'a t -> 'a handle -> 'a handle -> unit
 (** Exchange the payloads of two nodes that are immediate neighbours (first

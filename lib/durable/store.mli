@@ -54,7 +54,6 @@ val checkpoint_file : string -> string
 
 val checkpoint_prev_file : string -> string
 val wal_file : string -> string
-val wal_prev_file : string -> string
 
 type recovery = {
   db : DB.t;

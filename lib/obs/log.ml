@@ -1,5 +1,5 @@
-(* Leveled structured logger.  One process-global configuration (level,
-   format, destination) keeps call sites down to [Log.info "msg"] or
+(* Leveled structured logger to stderr.  One process-global configuration
+   (level, format) keeps call sites down to [Log.info "msg"] or
    [Log.warn ~fields:[...] "msg"]; a mutex serializes emission so lines
    from session/monitor/repl threads never interleave.  Text mode renders
    `TIMESTAMP LEVEL msg key=value ...`; JSON mode renders one JSON object
@@ -25,12 +25,10 @@ let level_of_string s =
 
 let cur_level = ref Info
 let json_mode = ref false
-let out = ref stderr
 let m = Mutex.create ()
 
 let set_level l = cur_level := l
 let set_json b = json_mode := b
-let set_out oc = out := oc
 let enabled l = level_rank l >= level_rank !cur_level
 
 let timestamp now =
@@ -87,9 +85,9 @@ let emit l ?(fields = []) msg =
     in
     Mutex.lock m;
     (try
-       output_string !out line;
-       output_char !out '\n';
-       flush !out
+       output_string stderr line;
+       output_char stderr '\n';
+       flush stderr
      with _ -> ());
     Mutex.unlock m
   end
@@ -98,8 +96,3 @@ let debug ?fields msg = emit Debug ?fields msg
 let info ?fields msg = emit Info ?fields msg
 let warn ?fields msg = emit Warn ?fields msg
 let error ?fields msg = emit Error ?fields msg
-
-let debugf ?fields fmt = Printf.ksprintf (debug ?fields) fmt
-let infof ?fields fmt = Printf.ksprintf (info ?fields) fmt
-let warnf ?fields fmt = Printf.ksprintf (warn ?fields) fmt
-let errorf ?fields fmt = Printf.ksprintf (error ?fields) fmt

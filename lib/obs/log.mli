@@ -1,4 +1,4 @@
-(** Leveled structured logger (JSON-lines or human text).
+(** Leveled structured logger to stderr (JSON-lines or human text).
 
     One process-global configuration; emission is mutex-serialized so lines
     from concurrent threads never interleave.  Fields are [Json.t] values:
@@ -8,7 +8,6 @@
 type level = Debug | Info | Warn | Error
 
 val level_of_string : string -> (level, string) result
-val level_name : level -> string
 
 val set_level : level -> unit
 (** Minimum level that is emitted (default [Info]). *)
@@ -17,17 +16,9 @@ val set_json : bool -> unit
 (** [true] renders one JSON object per line; [false] (default) renders
     [TIMESTAMP LEVEL msg key=value ...]. *)
 
-val set_out : out_channel -> unit
-(** Destination channel (default [stderr]). *)
-
 val enabled : level -> bool
 
 val debug : ?fields:(string * Json.t) list -> string -> unit
 val info : ?fields:(string * Json.t) list -> string -> unit
 val warn : ?fields:(string * Json.t) list -> string -> unit
 val error : ?fields:(string * Json.t) list -> string -> unit
-
-val debugf : ?fields:(string * Json.t) list -> ('a, unit, string, unit) format4 -> 'a
-val infof : ?fields:(string * Json.t) list -> ('a, unit, string, unit) format4 -> 'a
-val warnf : ?fields:(string * Json.t) list -> ('a, unit, string, unit) format4 -> 'a
-val errorf : ?fields:(string * Json.t) list -> ('a, unit, string, unit) format4 -> 'a

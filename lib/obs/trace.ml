@@ -18,17 +18,6 @@ type ctx = { trace_id : int; span_id : int }
 
 let ctx_to_string c = Printf.sprintf "%x/%x" c.trace_id c.span_id
 
-let ctx_of_string s =
-  match String.index_opt s '/' with
-  | None -> None
-  | Some i ->
-    let a = String.sub s 0 i in
-    let b = String.sub s (i + 1) (String.length s - i - 1) in
-    (match (int_of_string_opt ("0x" ^ a), int_of_string_opt ("0x" ^ b)) with
-     | Some trace_id, Some span_id when trace_id >= 0 && span_id >= 0 ->
-       Some { trace_id; span_id }
-     | _ -> None)
-
 (* Process-global id generator: a splitmix-style counter seeded from wall
    clock + pid, masked to 60 bits so ids stay positive on 64-bit OCaml and
    render compactly in hex. *)
@@ -49,7 +38,6 @@ let fresh_id () =
   (z lxor (z lsr 31)) land 0xFFF_FFFF_FFFF_FFF
 
 let new_ctx () = { trace_id = fresh_id (); span_id = fresh_id () }
-let child_ctx c = { c with span_id = fresh_id () }
 
 type span = {
   id : int;
@@ -73,7 +61,7 @@ type t = {
   mutable dropped : int;   (* finished spans evicted by the ring *)
   mutable stack : span list;
   mutable next_id : int;
-  mutable host : string;
+  host : string;
   epoch : float;           (* wall time at creation; offsets are relative *)
   m : Mutex.t;             (* spans are begun/ended/recorded from many threads *)
 }
@@ -89,7 +77,6 @@ let locked t f =
 
 let epoch t = t.epoch
 let host t = t.host
-let set_host t h = locked t @@ fun () -> t.host <- h
 let finished_count t = locked t @@ fun () -> t.finished
 let dropped_count t = locked t @@ fun () -> t.dropped
 let open_count t = locked t @@ fun () -> List.length t.stack
@@ -160,7 +147,6 @@ let span_depth s = s.depth
 let span_ctx (s : span) = s.ctx
 let span_host (s : span) = s.host
 let span_start (s : span) = s.wall_start
-let span_stop (s : span) = s.wall_stop
 
 let span_tag (s : span) =
   match (s.host, s.ctx) with

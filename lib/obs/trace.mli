@@ -18,13 +18,9 @@ type ctx = { trace_id : int; span_id : int }
 (** Cross-process correlation handle; ids are 60-bit non-negative. *)
 
 val new_ctx : unit -> ctx
-val child_ctx : ctx -> ctx
-(** Same trace id, fresh span id. *)
 
 val ctx_to_string : ctx -> string
 (** Wire form ["<trace_id>/<span_id>"], lowercase hex. *)
-
-val ctx_of_string : string -> ctx option
 
 val create : ?capacity:int -> ?host:string -> unit -> t
 (** Default capacity 512.  [host] labels every span recorded through this
@@ -32,7 +28,6 @@ val create : ?capacity:int -> ?host:string -> unit -> t
     non-positive. *)
 
 val host : t -> string
-val set_host : t -> string -> unit
 
 val begin_span : ?ctx:ctx -> t -> string -> span
 val end_span : t -> span -> unit
@@ -56,9 +51,6 @@ val spans : t -> span list
 val duration : span -> float
 (** Wall seconds. *)
 
-val cpu_duration : span -> float
-(** Process-CPU seconds. *)
-
 val events : span -> (float * string) list
 val span_name : span -> string
 val span_depth : span -> int
@@ -66,9 +58,6 @@ val span_ctx : span -> ctx option
 val span_host : span -> string
 val span_start : span -> float
 (** Absolute wall time of span start. *)
-
-val span_stop : span -> float
-(** Absolute wall time of span end (nan while open). *)
 
 val epoch : t -> float
 val finished_count : t -> int

@@ -13,9 +13,6 @@ val chain : Qpoly.t -> chain
 
 val poly : chain -> Qpoly.t
 
-val variations_at : chain -> Q.t -> int
-(** Number of sign variations of the chain evaluated at a point. *)
-
 val count_roots_between : chain -> Q.t -> Q.t -> int
 (** [count_roots_between c lo hi] is the number of distinct real roots in the
     half-open interval [(lo, hi]].  Requires [lo <= hi]. *)

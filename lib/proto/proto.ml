@@ -319,11 +319,6 @@ let parse_pieces lines =
 
 type verdict = V_accepted | V_rejected of string | V_quarantined of string
 
-let pp_verdict fmt = function
-  | V_accepted -> Format.pp_print_string fmt "accepted"
-  | V_rejected r -> Format.fprintf fmt "rejected %s" r
-  | V_quarantined r -> Format.fprintf fmt "quarantined %s" r
-
 type server_msg =
   | R_hello of { session : int; dim : int; clock : Q.t }
   | R_update of verdict

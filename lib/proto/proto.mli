@@ -115,8 +115,6 @@ val parse_piece : string -> (piece, string) result
 
 type verdict = V_accepted | V_rejected of string | V_quarantined of string
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 type server_msg =
   | R_hello of { session : int; dim : int; clock : Q.t }
   | R_update of verdict

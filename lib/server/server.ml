@@ -849,9 +849,7 @@ let db_snapshot t = with_lock t.lock (fun () -> Commit.db t.core)
 let clock t = with_lock t.lock (fun () -> Commit.clock t.core)
 let is_follower t = t.cfg.follow <> None
 let repl_connected t = with_lock t.lock (fun () -> t.repl_connected)
-let repl_position t = with_lock t.lock (fun () -> Commit.position t.core)
 let repl_divergence t = with_lock t.lock (fun () -> Commit.divergence t.core)
-let repl_seq t = with_lock t.lock (fun () -> Commit.seq t.core)
 
 let shutdown_repl_link t =
   match t.repl_fd with

@@ -139,14 +139,8 @@ val is_follower : t -> bool
 val repl_connected : t -> bool
 (** Follower: is the tail link to the primary currently up? *)
 
-val repl_position : t -> (int * int) option
-(** Follower: last applied primary [(epoch, seq)]. *)
-
 val repl_divergence : t -> int
 (** Follower: digest checks that did not match the primary's bytes. *)
-
-val repl_seq : t -> int
-(** Commits in this server's own epoch (what it serves to followers). *)
 
 val shutdown_repl_link : t -> unit
 (** Follower: cut the live tail connection to the primary (a fault

@@ -1053,7 +1053,8 @@ let test_sign_after_prop =
    clock.  Whatever the engine reused, each adjacent pair's pending
    crossing must be the one a fresh search finds: checked after every
    batch (at the next [Span], when the batch is fully processed), every
-   update, every rebuild and every Theorem 10 mass replacement.  The
+   update, every rebuild and every Theorem 10 mass replacement.  Inside
+   every [Span] and [Point] callback the engine's audit must be clean.  The
    comparison and swap counts the entries keep for attribution are
    checked here too. *)
 module Cert (B : Core.Backend.S) = struct
@@ -1111,6 +1112,13 @@ module Cert (B : Core.Backend.S) = struct
     let on_step step =
       incr steps;
       if !steps > step_limit then QCheck.Test.fail_reportf "%s: no progress" name;
+      (* the engine is whole inside both callbacks *)
+      (match E.audit eng with
+       | [] -> ()
+       | found ->
+         QCheck.Test.fail_reportf "%s, audit inside a %s callback at clock %s: %s" name
+           (match step with E.Span _ -> "span" | E.Point _ -> "point")
+           (B.instant_to_string (E.now eng)) (String.concat "; " found));
       match step with
       | E.Span _ -> check ~what:(name ^ ", after a batch") ~at_update:false ~horizon eng
       | E.Point _ -> ()

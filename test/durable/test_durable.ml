@@ -644,18 +644,34 @@ let test_audit_clean () =
   Alcotest.(check (list string)) "heal is a no-op when healthy" [] (EX.audit_and_heal eng);
   Alcotest.(check int) "no rebuilds" 0 (EX.stats eng).EX.rebuilds
 
+(* A buggy caller jumps the clock without advancing, past a pending
+   crossing, a pending death or a pending birth: monotone batch time is
+   violated.  The audit finds it, [check_invariants] (its raising
+   reading) raises, and the heal rebuilds a clean engine. *)
 let test_audit_detects_skipped_events_and_heals () =
-  (* a buggy caller jumps the clock past a pending crossing without
-     advancing: monotone batch time is violated *)
+  let flat ?stop ~start c =
+    Moq_poly.Piecewise.Qpiece.make ?stop [ (q start, Moq_poly.Qpoly.of_list [ q c ]) ]
+  in
+  let lone curve = EX.create ~start:(q 0) ~horizon:(q 100) [ (EX.Obj (1, 0), curve) ] in
+  let heals what eng =
+    EX.check_invariants eng;
+    EX.sync_clock eng ~at:(q 10);
+    Alcotest.(check bool) (what ^ ": violation found") true (EX.audit eng <> []);
+    (match EX.check_invariants eng with
+     | () -> Alcotest.failf "%s: check_invariants did not raise" what
+     | exception Failure _ -> ());
+    let healed = EX.audit_and_heal eng in
+    Alcotest.(check bool) (what ^ ": heal reports the violations") true (healed <> []);
+    Alcotest.(check int) (what ^ ": audit failure counted") 1 (EX.stats eng).EX.audit_failures;
+    Alcotest.(check int) (what ^ ": rebuild performed") 1 (EX.stats eng).EX.rebuilds;
+    Alcotest.(check (list string)) (what ^ ": clean after heal") [] (EX.audit eng);
+    EX.check_invariants eng
+  in
+  (* a lone curve is compared with nothing: only the clock check sees these *)
+  heals "clock past a pending death" (lone (flat ~stop:(q 5) ~start:0 1));
+  heals "clock past a pending birth" (lone (flat ~start:6 1));
   let eng = example_engine () in
-  EX.sync_clock eng ~at:(q 10);
-  let violations = EX.audit eng in
-  Alcotest.(check bool) "violation found" true (violations <> []);
-  let healed = EX.audit_and_heal eng in
-  Alcotest.(check bool) "heal reports the violations" true (healed <> []);
-  Alcotest.(check int) "audit failure counted" 1 (EX.stats eng).EX.audit_failures;
-  Alcotest.(check int) "rebuild performed" 1 (EX.stats eng).EX.rebuilds;
-  Alcotest.(check (list string)) "clean after heal" [] (EX.audit eng);
+  heals "clock past a pending crossing" eng;
   (* the rebuild re-sorted at now = 10, which is past the crossing at 8:
      the order reflects the post-crossing world *)
   (match List.map EX.label (EX.order eng) with
