@@ -18,20 +18,18 @@ module Oid = Moq_mod.Oid
 module A = Moq_poly.Algnum
 
 module BX = Moq_core.Backend.Exact
-module BF = Moq_core.Backend.Approx
 module BFl = Moq_core.Backend.Filtered
 module EX = Moq_core.Engine.Make (BX)
-module EF = Moq_core.Engine.Make (BF)
+module EFl = Moq_core.Engine.Make (BFl)
 module KnnX = Moq_core.Knn.Make (BX)
-module KnnF = Moq_core.Knn.Make (BF)
 module KnnFl = Moq_core.Knn.Make (BFl)
 module ShF = Moq_core.Shard.Make (BFl)
-module MonF = Moq_core.Monitor.Make (BF)
+module MonFl = Moq_core.Monitor.Make (BFl)
 module Fof = Moq_core.Fof
 module Gdist = Moq_core.Gdist
-module NaiveF = Moq_baseline.Naive.Make (BF)
+module NaiveFl = Moq_baseline.Naive.Make (BFl)
 module SR = Moq_baseline.Song_roussopoulos
-module LazyF = Moq_baseline.Lazy_eval.Make (BF)
+module LazyFl = Moq_baseline.Lazy_eval.Make (BFl)
 module LH = Moq_dstruct.Leftist_heap
 module BH = Moq_dstruct.Bin_heap
 module Gen = Moq_workload.Gen
@@ -95,14 +93,14 @@ let run_experiment (id, f) =
   bench_n := 0;
   bench_seed := 0;
   bench_extras := [];
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sink.monotonic () in
   f ();
-  write_bench_json id (Unix.gettimeofday () -. t0)
+  write_bench_json id (Sink.monotonic () -. t0)
 
 let time_once f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sink.monotonic () in
   let r = f () in
-  (Unix.gettimeofday () -. t0, r)
+  (Sink.monotonic () -. t0, r)
 
 (* median of [reps] timings, first result *)
 let timed ?(reps = 3) f =
@@ -256,14 +254,14 @@ let t4 () =
     bench_seed := n + inv;
     let db = Gen.inversions_db ~seed:(n + inv) ~n ~inversions:inv ~horizon:(q 1000) in
     timed (fun () ->
-        KnnF.run_obs ~sink:!bench_sink ~db ~gdist:(Gdist.coordinate 0) ~k:2
+        KnnFl.run_obs ~sink:!bench_sink ~db ~gdist:(Gdist.coordinate 0) ~k:2
           ~lo:(q 0) ~hi:(q 1000))
   in
   row "-- N sweep (m = 2N):\n%8s %8s %12s %20s\n" "N" "m" "time (s)" "us/((m+N)logN)";
   List.iter
     (fun n ->
       let t, r = run_inversions ~n ~inv:(2 * n) in
-      let m = r.KnnF.stats.KnnF.E.swaps in
+      let m = r.KnnFl.stats.KnnFl.E.swaps in
       row "%8d %8d %12.4f %20.4f\n" n m t
         (t /. (float_of_int (m + n) *. log (float_of_int n)) *. 1e6))
     [ 64; 128; 256; 512; 1024; 2048 ];
@@ -271,7 +269,7 @@ let t4 () =
   List.iter
     (fun inv ->
       let t, r = run_inversions ~n:512 ~inv in
-      let m = r.KnnF.stats.KnnF.E.swaps in
+      let m = r.KnnFl.stats.KnnFl.E.swaps in
       row "%8d %8d %12.4f %20.4f\n" 512 m t
         (t /. (float_of_int (m + 512) *. log 512.0) *. 1e6))
     [ 0; 512; 2048; 8192; 32768 ];
@@ -283,11 +281,11 @@ let t4 () =
 
 (* Support-maintenance-only monitor (materialize:false): Theorems 5 and 10
    bound the support maintenance, not the answer materialization. *)
-let nearest_monitor_f ?(sink = Sink.noop) db =
+let nearest_monitor ?(sink = Sink.noop) db =
   let gamma = T.stationary ~start:(q 0) (Qvec.zero 2) in
   let gdist = Gdist.euclidean_sq ~gamma in
   let query = Fof.nearest_q ~interval:(Fof.Interval.closed (q 0) (q 1000)) in
-  MonF.create ~sink ~materialize:false ~db ~gdist ~query ()
+  MonFl.create ~sink ~materialize:false ~db ~gdist ~query ()
 
 let t5a () =
   header "T5a" "Theorem 5(1): monitor initialization vs N -- O(N log N)";
@@ -297,7 +295,7 @@ let t5a () =
       bench_n := max !bench_n n;
       bench_seed := n;
       let db = Gen.uniform_db ~seed:n ~n () in
-      let t, _ = timed (fun () -> nearest_monitor_f ~sink:!bench_sink db) in
+      let t, _ = timed (fun () -> nearest_monitor ~sink:!bench_sink db) in
       row "%8d %12.4f %18.4f\n" n t (t /. (float_of_int n *. log (float_of_int n)) *. 1e6))
     [ 128; 256; 512; 1024; 2048; 4096 ];
   row "paper: normalized column flat => O(N log N) initialization\n"
@@ -330,23 +328,23 @@ let t5b () =
       bench_seed := n + 1;
       let gdist = Gdist.coordinate 0 in
       let query = Fof.nearest_q ~interval:(Fof.Interval.closed (q 0) (q 1000)) in
-      let m = MonF.create ~sink:!bench_sink ~materialize:false ~db ~gdist ~query () in
+      let m = MonFl.create ~sink:!bench_sink ~materialize:false ~db ~gdist ~query () in
       let updates = Gen.chdir_stream ~seed:(n + 1) ~db ~start:(q 0) ~gap:(q 5) ~count:100 ~speed:1 () in
-      let t, () = timed ~reps:1 (fun () -> List.iter (MonF.apply_update_exn m) updates) in
+      let t, () = timed ~reps:1 (fun () -> List.iter (MonFl.apply_update_exn m) updates) in
       let per = t /. 100.0 *. 1e6 in
       row "%8d %17.2f %12.2f %12d\n" n per
         (per /. log (float_of_int n))
-        (MonF.stats m).MonF.E.crossings)
+        (MonFl.stats m).MonFl.E.crossings)
     [ 128; 256; 512; 1024; 2048; 4096; 8192 ];
   row "-- gap sweep (N = 512, dense uniform workload; larger gap => more events per update):\n";
   row "%8s %17s %12s\n" "gap" "avg update (us)" "crossings";
   List.iter
     (fun gap ->
       let db = Gen.uniform_db ~seed:99 ~n:512 () in
-      let m = nearest_monitor_f ~sink:!bench_sink db in
+      let m = nearest_monitor ~sink:!bench_sink db in
       let updates = Gen.chdir_stream ~seed:100 ~db ~start:(q 0) ~gap:(q gap) ~count:50 () in
-      let t, () = timed ~reps:1 (fun () -> List.iter (MonF.apply_update_exn m) updates) in
-      row "%8d %17.2f %12d\n" gap (t /. 50.0 *. 1e6) (MonF.stats m).MonF.E.crossings)
+      let t, () = timed ~reps:1 (fun () -> List.iter (MonFl.apply_update_exn m) updates) in
+      row "%8d %17.2f %12d\n" gap (t /. 50.0 *. 1e6) (MonFl.stats m).MonFl.E.crossings)
     [ 1; 2; 4; 8; 16 ];
   row "paper: with bounded m the per-update cost grows only like log N (first table);\n";
   row "with growing gaps the cost tracks m, the events per update (second table)\n"
@@ -361,7 +359,7 @@ let t10 () =
      built curves, so curve construction (O(N) in both) is excluded; what
      remains is Theorem 10's claim -- rebuilding the pending events without
      re-sorting vs initializing with a sort. *)
-  let module E = EF in
+  let module E = EFl in
   row "%8s %15s %15s %12s %12s %12s\n" "N" "rebuild (us)" "re-init (us)" "cmp rebuild" "cmp re-init" "cmp ratio";
   List.iter
     (fun n ->
@@ -371,21 +369,21 @@ let t10 () =
       let curves g =
         List.map
           (fun (o, tr) ->
-            (E.Obj (o, 0), BF.curve_of_qpiece (Gdist.curve (Gdist.euclidean_sq ~gamma:g) tr)))
+            (E.Obj (o, 0), Gdist.curve (Gdist.euclidean_sq ~gamma:g) tr))
           (DB.objects db)
       in
       let c0 = curves gamma and c1 = curves gamma' in
       let tbl = Hashtbl.create (List.length c1) in
       List.iter (fun (lbl, c) -> Hashtbl.replace tbl lbl c) c1;
-      let eng = E.create ~start:0.0 ~horizon:1000.0 c0 in
+      let eng = E.create ~start:(q 0) ~horizon:(q 1000) c0 in
       let cmp_before = (E.stats eng).E.comparisons in
       let t_chdir, () =
         time_once (fun () ->
-            E.replace_all_curves eng ~at:0.0 (fun e ->
+            E.replace_all_curves eng ~at:(q 0) (fun e ->
                 Option.value ~default:(E.curve e) (Hashtbl.find_opt tbl (E.label e))))
       in
       let cmp_rebuild = (E.stats eng).E.comparisons - cmp_before in
-      let t_reinit, eng2 = timed (fun () -> E.create ~start:0.0 ~horizon:1000.0 c1) in
+      let t_reinit, eng2 = timed (fun () -> E.create ~start:(q 0) ~horizon:(q 1000) c1) in
       let cmp_reinit = (E.stats eng2).E.comparisons in
       row "%8d %15.2f %15.2f %12d %12d %12.2f\n" n (t_chdir *. 1e6) (t_reinit *. 1e6)
         cmp_rebuild cmp_reinit
@@ -406,9 +404,9 @@ let b1 () =
     (fun n ->
       let db = Gen.inversions_db ~seed:n ~n ~inversions:(2 * n) ~horizon:(q 1000) in
       let gdist = Gdist.coordinate 0 in
-      let t_sweep, _ = timed (fun () -> KnnF.run ~db ~gdist ~k:2 ~lo:(q 0) ~hi:(q 1000)) in
+      let t_sweep, _ = timed (fun () -> KnnFl.run ~db ~gdist ~k:2 ~lo:(q 0) ~hi:(q 1000)) in
       let t_naive, _ =
-        timed ~reps:1 (fun () -> NaiveF.knn_run ~db ~gdist ~k:2 ~lo:(q 0) ~hi:(q 1000))
+        timed ~reps:1 (fun () -> NaiveFl.knn_run ~db ~gdist ~k:2 ~lo:(q 0) ~hi:(q 1000))
       in
       row "%8d %12.4f %12.4f %9.1fx\n" n t_sweep t_naive (t_naive /. t_sweep))
     [ 32; 64; 128; 256; 512 ];
@@ -423,8 +421,8 @@ let b2 () =
   let db = Gen.uniform_db ~seed:4 ~n:64 ~extent:200 ~speed:8 () in
   let gamma = T.linear ~start:(q 0) ~a:(Qvec.of_list [ q 3; q 1 ]) ~b:(Qvec.zero 2) in
   let gdist = Gdist.euclidean_sq ~gamma in
-  let sweep = KnnF.run ~db ~gdist ~k:2 ~lo:(q 0) ~hi:(q 100) in
-  let truth t = KnnF.TL.find_at sweep.KnnF.timeline t in
+  let sweep = KnnFl.run ~db ~gdist ~k:2 ~lo:(q 0) ~hi:(q 100) in
+  let truth t = KnnFl.TL.find_at sweep.KnnFl.timeline (BFl.instant_of_scalar (Q.of_float t)) in
   row "%10s %22s\n" "period" "mismatch fraction";
   List.iter
     (fun period ->
@@ -455,18 +453,18 @@ let b3 () =
         Fof.within_q ~bound:(q 250000) ~interval:(Fof.Interval.closed (q 0) (q 200))
       in
       let updates = Gen.chdir_stream ~seed:(n + 1) ~db ~start:(q 0) ~gap:(q 2) ~count:80 () in
-      let eager = MonF.create ~db ~gdist ~query () in
-      let lazy_ = LazyF.create ~db ~gdist ~query in
+      let eager = MonFl.create ~db ~gdist ~query () in
+      let lazy_ = LazyFl.create ~db ~gdist ~query in
       let max_upd = ref 0.0 and total = ref 0.0 in
       List.iter
         (fun u ->
-          let t, () = time_once (fun () -> MonF.apply_update_exn eager u) in
-          LazyF.apply_update_exn lazy_ u;
+          let t, () = time_once (fun () -> MonFl.apply_update_exn eager u) in
+          LazyFl.apply_update_exn lazy_ u;
           total := !total +. t;
           if t > !max_upd then max_upd := t)
         updates;
-      let t_fin, _ = time_once (fun () -> MonF.finalize eager) in
-      let t_lazy, _ = timed ~reps:1 (fun () -> LazyF.answer lazy_) in
+      let t_fin, _ = time_once (fun () -> MonFl.finalize eager) in
+      let t_lazy, _ = timed ~reps:1 (fun () -> LazyFl.answer lazy_) in
       row "%8d %8d %16.4f %19.2f %15.4f\n" n (List.length updates) (!total +. t_fin)
         (!max_upd *. 1e6) t_lazy)
     [ 64; 128; 256 ];
@@ -533,24 +531,6 @@ let a1 () =
     [ 256; 1024; 4096 ];
   row "paper (Lemma 9): handle deletion keeps the queue at <= N events; the plain heap\n";
   row "accumulates stale entries and re-filters them on every pop\n"
-
-(* ------------------------------------------------------------------ *)
-(* A2: exact algebraic backend vs float backend                        *)
-(* ------------------------------------------------------------------ *)
-
-let a2 () =
-  header "A2" "Exact (rational/algebraic) backend vs float backend: the cost of exactness";
-  row "%8s %8s %14s %14s %10s %8s\n" "N" "m" "exact (s)" "float (s)" "slowdown" "same m?";
-  List.iter
-    (fun n ->
-      let db = Gen.inversions_db ~seed:n ~n ~inversions:(2 * n) ~horizon:(q 1000) in
-      let gdist = Gdist.coordinate 0 in
-      let t_x, rx = timed ~reps:1 (fun () -> KnnX.run ~db ~gdist ~k:2 ~lo:(q 0) ~hi:(q 1000)) in
-      let t_f, rf = timed (fun () -> KnnF.run ~db ~gdist ~k:2 ~lo:(q 0) ~hi:(q 1000)) in
-      let mx = rx.KnnX.stats.KnnX.E.swaps and mf = rf.KnnF.stats.KnnF.E.swaps in
-      row "%8d %8d %14.4f %14.4f %9.1fx %8b\n" n mx t_x t_f (t_x /. t_f) (mx = mf))
-    [ 32; 64; 128; 256 ];
-  row "both backends must agree on every event (same m); exactness costs a constant factor\n"
 
 (* ------------------------------------------------------------------ *)
 (* A3: filtered exact backend vs plain exact backend                   *)
@@ -1604,18 +1584,18 @@ let bechamel_suite () =
   in
   let t4_sweep () =
     let db = Gen.inversions_db ~seed:1 ~n:128 ~inversions:256 ~horizon:(q 1000) in
-    ignore (KnnF.run ~db ~gdist:(Gdist.coordinate 0) ~k:2 ~lo:(q 0) ~hi:(q 1000))
+    ignore (KnnFl.run ~db ~gdist:(Gdist.coordinate 0) ~k:2 ~lo:(q 0) ~hi:(q 1000))
   in
   let t5a_init =
     let db = Gen.uniform_db ~seed:2 ~n:256 () in
-    fun () -> ignore (nearest_monitor_f db)
+    fun () -> ignore (nearest_monitor db)
   in
   let t5b_updates =
     let db = Gen.uniform_db ~seed:3 ~n:128 () in
     let updates = Gen.chdir_stream ~seed:4 ~db ~start:(q 0) ~gap:(q 1) ~count:10 () in
     fun () ->
-      let m = nearest_monitor_f db in
-      List.iter (MonF.apply_update_exn m) updates
+      let m = nearest_monitor db in
+      List.iter (MonFl.apply_update_exn m) updates
   in
   let t10_chdir =
     let db = Gen.uniform_db ~seed:5 ~n:256 () in
@@ -1624,12 +1604,12 @@ let bechamel_suite () =
     let gdist' = Gdist.euclidean_sq ~gamma:(T.chdir gamma (q 10) (Qvec.of_list [ q 1; q 1 ])) in
     let query = Fof.nearest_q ~interval:(Fof.Interval.closed (q 0) (q 1000)) in
     fun () ->
-      let m = MonF.create ~materialize:false ~db ~gdist ~query () in
-      MonF.chdir_query m ~tau:(q 10) ~gdist:gdist'
+      let m = MonFl.create ~materialize:false ~db ~gdist ~query () in
+      MonFl.chdir_query m ~tau:(q 10) ~gdist:gdist'
   in
   let b1_naive () =
     let db = Gen.inversions_db ~seed:6 ~n:32 ~inversions:64 ~horizon:(q 1000) in
-    ignore (NaiveF.knn_run ~db ~gdist:(Gdist.coordinate 0) ~k:2 ~lo:(q 0) ~hi:(q 1000))
+    ignore (NaiveFl.knn_run ~db ~gdist:(Gdist.coordinate 0) ~k:2 ~lo:(q 0) ~hi:(q 1000))
   in
   let p1_cql () =
     let db = ref (DB.empty ~dim:2 ~tau:(q 0)) in
@@ -1874,7 +1854,7 @@ let s3 () =
 let experiments =
   [ ("f1", f1); ("f2", f2); ("f3", f3); ("p1", p1); ("t2", t2); ("t4", t4);
     ("t5a", t5a); ("t5b", t5b); ("t10", t10); ("b1", b1); ("b2", b2);
-    ("b3", b3); ("a1", a1); ("a2", a2); ("a3", a3); ("r1", r1); ("s1", s1);
+    ("b3", b3); ("a1", a1); ("a3", a3); ("r1", r1); ("s1", s1);
     ("s2", s2); ("s3", s3); ("o1", o1); ("o2", o2); ("w1", w1) ]
 
 let () =

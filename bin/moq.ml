@@ -215,8 +215,8 @@ let trace_pipeline as_json =
     | Ok s -> s
     | Error e -> die "follower: %s" e
   in
-  let deadline = Unix.gettimeofday () +. 10. in
-  while (not (Server.repl_connected follower)) && Unix.gettimeofday () < deadline do
+  let deadline = Sink.monotonic () +. 10. in
+  while (not (Server.repl_connected follower)) && Sink.monotonic () < deadline do
     Thread.delay 0.01
   done;
   if not (Server.repl_connected follower) then die "follower never connected";
@@ -256,7 +256,7 @@ let trace_pipeline as_json =
       | Error e -> die "update: %s" (Client.error_to_string e))
     warm;
   let ctx = Trace.new_ctx () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sink.monotonic () in
   (match
      Client.request_attrs c_up
        { Proto.no_attrs with Proto.a_trace = Some (ctx.Trace.trace_id, ctx.Trace.span_id) }
@@ -268,12 +268,12 @@ let trace_pipeline as_json =
   (* wait for an event caused by the traced update to reach the client
      through the follower *)
   let rec await deadline =
-    if Unix.gettimeofday () > deadline then die "no traced event within 10s"
+    if Sink.monotonic () > deadline then die "no traced event within 10s"
     else
       match Client.next_event_full ~timeout:0.5 c_sub with
       | Some (_, attrs, _) ->
         (match attrs.Proto.a_trace with
-         | Some (tid, _) when tid = ctx.Trace.trace_id -> Unix.gettimeofday ()
+         | Some (tid, _) when tid = ctx.Trace.trace_id -> Sink.monotonic ()
          | _ -> await deadline)
       | None -> await deadline
   in
@@ -412,8 +412,6 @@ type backend = {
 let backends =
   [ { id = "exact"; m = (module BX); sharded = false; filtered = false };
     { id = "filtered"; m = (module BFl); sharded = false; filtered = true };
-    { id = "approx"; m = (module Moq_core.Backend.Approx); sharded = false;
-      filtered = false };
     { id = "sharded-filtered"; m = (module BFl); sharded = true;
       filtered = true } ]
 
@@ -424,8 +422,8 @@ let backend_arg =
        & opt (enum (List.map (fun b -> (b.id, b)) backends)) exact_backend
        & info [ "backend" ]
            ~doc:"Numeric backend: $(b,exact) (rational/algebraic), $(b,filtered) \
-                 (float-interval fast path with exact fallback, same answers as exact), \
-                 $(b,approx) (plain floats), or $(b,sharded-filtered) \
+                 (float-interval fast path with exact fallback, same answers as exact) \
+                 or $(b,sharded-filtered) \
                  (filtered arithmetic under the spatially sharded, \
                  index-pruned sweep driver — same answers as exact)")
 
@@ -810,9 +808,9 @@ let explain_report kind seed n k lo hi dbfile backend =
   if hi < lo then die "explain: empty window [%d, %d]" lo hi;
   let reg = Registry.create () in
   let sink = Sink.of_registry reg in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sink.monotonic () in
   let db = load_or_gen dbfile seed n in
-  let t_load = Unix.gettimeofday () -. t0 in
+  let t_load = Sink.monotonic () -. t0 in
   let gamma = T.stationary ~start:(q 0) (Qvec.zero 2) in
   let gdist = Gdist.euclidean_sq ~gamma in
   let query = Fof.nearest_q ~interval:(Fof.Interval.closed (q lo) (q hi)) in
@@ -829,7 +827,7 @@ let explain_report kind seed n k lo hi dbfile backend =
     (Explain.sweep_of r.P.Sw.stats, r.P.Sw.hot, List.length r.P.Sw.timeline,
      None)
   in
-  let t1 = Unix.gettimeofday () in
+  let t1 = Sink.monotonic () in
   let agg_block = ref None in
   let kind_s, qdesc, classification, (sweep, hot, pieces, shards) =
     match kind with
@@ -894,7 +892,7 @@ let explain_report kind seed n k lo hi dbfile backend =
         classification,
         run )
   in
-  let t_run = Unix.gettimeofday () -. t1 in
+  let t_run = Sink.monotonic () -. t1 in
   let filter =
     if not backend.filtered then None
     else begin
@@ -1460,9 +1458,9 @@ let client_run connect script_file wait timeout connect_timeout log_level log_js
             List.iter print_msg (Client.drain_events c)
         end)
       lines;
-    let deadline = Unix.gettimeofday () +. wait in
+    let deadline = Sink.monotonic () +. wait in
     let rec drain () =
-      let left = deadline -. Unix.gettimeofday () in
+      let left = deadline -. Sink.monotonic () in
       if left > 0. && Client.is_open c then
         match Client.next_event ~timeout:left c with
         | Some m ->
@@ -1532,11 +1530,11 @@ let chaos_run upstream seed profile port duration log_level log_json =
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
   let deadline =
-    if duration > 0. then Some (Unix.gettimeofday () +. duration) else None
+    if duration > 0. then Some (Sink.monotonic () +. duration) else None
   in
   let expired () =
     match deadline with
-    | Some d -> Unix.gettimeofday () >= d
+    | Some d -> Sink.monotonic () >= d
     | None -> false
   in
   while not (!stopped || expired ()) do
@@ -1776,7 +1774,7 @@ let top_run endpoints interval once as_json timeout =
     let samples =
       List.map
         (fun (name, addr) ->
-          let at = Unix.gettimeofday () in
+          let at = Sink.monotonic () in
           (name, at, fetch_stats ~timeout addr))
         addrs
     in
@@ -1801,7 +1799,7 @@ let top_run endpoints interval once as_json timeout =
       print_endline
         (J.to_string
            (J.Obj
-              [ ("at", J.Float (Unix.gettimeofday ()));
+              [ ("at", J.Float (Sink.wall ()));
                 ("reachable", J.Int reachable);
                 ("endpoints",
                  J.List

@@ -60,7 +60,7 @@ let () =
       (fun (o, b, a, vmax) ->
         let tr = T.linear ~start:(q 0) ~a:(vec a) ~b:(vec b) in
         let g = Gdist.intercept_time_sq ~gamma:target ~target_speed:(q 5) ~speed:(q vmax) in
-        (Engine.Obj (o, 0), B.curve_of_qpiece (Gdist.curve g tr)))
+        (Engine.Obj (o, 0), Gdist.curve g tr))
       cars
   in
   let eng = Engine.create ~start:(q 0) ~horizon:(q 30) entries in

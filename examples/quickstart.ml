@@ -11,7 +11,8 @@ module U = Moq_mod.Update
 module DB = Moq_mod.Mobdb
 
 (* The exact backend decides every comparison with rational/algebraic
-   arithmetic; swap in Backend.Approx for floats. *)
+   arithmetic; Backend.Filtered gives the same answers faster, deciding
+   from float intervals first. *)
 module B = Moq_core.Backend.Exact
 module Sweep = Moq_core.Sweep.Make (B)
 module Monitor = Moq_core.Monitor.Make (B)

@@ -77,16 +77,13 @@ module Make (B : Moq_core.Backend.S) = struct
   module Sw = Moq_core.Sweep.Make (B)
   module TL = Moq_core.Timeline.Make (B)
 
-  let instant_of_q q = B.instant_of_scalar (B.scalar_of_rat q)
-  let cmp_iq i q = B.compare_instant_scalar i (B.scalar_of_rat q)
-
   (* One row from a window's canonical (simplified, boundary-closed)
      timeline.  Shared verbatim between the incremental and rescan paths so
      equal timelines give bit-identical rows — including the float density,
      summed in the same order over the same algebraic endpoints. *)
   let row_of_timeline ~poi ~widx ~w0 ~w1 (tl : TL.t) : row =
     let count =
-      match TL.find_at tl (instant_of_q w1) with
+      match TL.find_at tl (B.instant_of_scalar w1) with
       | Some s -> Oid.Set.cardinal s
       | None -> 0
     in
@@ -117,25 +114,27 @@ module Make (B : Moq_core.Backend.S) = struct
   let clip_window ~w0 ~w1 (pieces : TL.piece list) : TL.t =
     let set_at wq =
       let covers = function
-        | TL.At (i, _) -> cmp_iq i wq = 0
-        | TL.Span (a, b, _) -> cmp_iq a wq < 0 && cmp_iq b wq > 0
+        | TL.At (i, _) -> B.compare_instant_scalar i wq = 0
+        | TL.Span (a, b, _) ->
+          B.compare_instant_scalar a wq < 0 && B.compare_instant_scalar b wq > 0
       in
       match List.find_opt covers pieces with
       | Some p -> TL.set_of p
       | None -> Oid.Set.empty
     in
-    let w0i = instant_of_q w0 and w1i = instant_of_q w1 in
+    let w0i = B.instant_of_scalar w0 and w1i = B.instant_of_scalar w1 in
     let middle =
       List.filter_map
         (fun p ->
           match p with
           | TL.At (i, _) ->
-            if cmp_iq i w0 > 0 && cmp_iq i w1 < 0 then Some p else None
+            if B.compare_instant_scalar i w0 > 0 && B.compare_instant_scalar i w1 < 0 then Some p
+            else None
           | TL.Span (a, b, s) ->
-            if cmp_iq b w0 <= 0 || cmp_iq a w1 >= 0 then None
+            if B.compare_instant_scalar b w0 <= 0 || B.compare_instant_scalar a w1 >= 0 then None
             else begin
-              let a' = if cmp_iq a w0 < 0 then w0i else a in
-              let b' = if cmp_iq b w1 > 0 then w1i else b in
+              let a' = if B.compare_instant_scalar a w0 < 0 then w0i else a in
+              let b' = if B.compare_instant_scalar b w1 > 0 then w1i else b in
               if B.compare_instant a' b' < 0 then Some (TL.Span (a', b', s))
               else None
             end)
@@ -298,7 +297,7 @@ module Make (B : Moq_core.Backend.S) = struct
         p.p_covered <- Some (last_end (List.nth fresh (List.length fresh - 1)))
       end;
       let covered_through wq =
-        match p.p_covered with None -> false | Some i -> cmp_iq i wq >= 0
+        match p.p_covered with None -> false | Some i -> B.compare_instant_scalar i wq >= 0
       in
       let rec finalize_ready () =
         if p.p_next_w < t.nw then begin
@@ -318,8 +317,8 @@ module Make (B : Moq_core.Backend.S) = struct
               List.filter
                 (fun piece ->
                   match piece with
-                  | TL.At (i, _) -> cmp_iq i w1 >= 0
-                  | TL.Span (_, b, _) -> cmp_iq b w1 > 0)
+                  | TL.At (i, _) -> B.compare_instant_scalar i w1 >= 0
+                  | TL.Span (_, b, _) -> B.compare_instant_scalar b w1 > 0)
                 p.p_pending;
             finalize_ready ()
           end

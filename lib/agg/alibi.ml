@@ -62,13 +62,10 @@ module Make (B : Moq_core.Backend.S) = struct
     if Q.compare lo hi > 0 then No_meet (* window misses the common lifetime *)
     else begin
       let c =
-        B.curve_of_qpiece
-          (* half-open domains: keep one past [hi] when clipping, the closed
-             endpoint is checked on the covering polynomial below *)
-          (if Q.compare lo hi = 0 then q
-           else Qpiece.clip q ~from_:(Some lo) ~until:(Some hi))
+        (* half-open domains: keep one past [hi] when clipping, the closed
+           endpoint is checked on the covering polynomial below *)
+        if Q.compare lo hi = 0 then q else Qpiece.clip q ~from_:(Some lo) ~until:(Some hi)
       in
-      let hi_s = B.scalar_of_rat hi in
       let check_piece (s, e, p) =
         if B.sign_at_instant p (B.instant_of_scalar s) <= 0 then
           Some (B.instant_of_scalar s)
@@ -84,12 +81,12 @@ module Make (B : Moq_core.Backend.S) = struct
         let p =
           List.fold_left
             (fun acc (s, p) ->
-              if B.P.F.compare s hi_s <= 0 then Some p else acc)
+              if B.P.F.compare s hi <= 0 then Some p else acc)
             None (B.PW.pieces c)
         in
         match p with
-        | Some p when B.sign_at_instant p (B.instant_of_scalar hi_s) <= 0 ->
-          Meet (B.instant_of_scalar hi_s)
+        | Some p when B.sign_at_instant p (B.instant_of_scalar hi) <= 0 ->
+          Meet (B.instant_of_scalar hi)
         | _ -> No_meet
       end
       else begin

@@ -36,11 +36,8 @@ module Make (B : Moq_core.Backend.S) = struct
 
   let knn_run ~(db : DB.t) ~(gdist : Gdist.t) ~(k : int) ~(lo : Q.t) ~(hi : Q.t) :
       TL.t * stats =
-    let lo_s = B.scalar_of_rat lo and hi_s = B.scalar_of_rat hi in
-    let lo_i = B.instant_of_scalar lo_s and hi_i = B.instant_of_scalar hi_s in
-    let curves =
-      List.map (fun (o, tr) -> (o, B.curve_of_qpiece (Gdist.curve gdist tr))) (DB.objects db)
-    in
+    let lo_i = B.instant_of_scalar lo and hi_i = B.instant_of_scalar hi in
+    let curves = List.map (fun (o, tr) -> (o, Gdist.curve gdist tr)) (DB.objects db) in
     (* every pairwise crossing, plus every birth/death, in the window *)
     let pairs = ref 0 in
     let crossing_times =
@@ -49,7 +46,7 @@ module Make (B : Moq_core.Backend.S) = struct
           List.concat_map
             (fun (_, c2) ->
               incr pairs;
-              try C.all_crossings ~after:lo_i ~horizon:hi_s c1 c2
+              try C.all_crossings ~after:lo_i ~horizon:hi c1 c2
               with Invalid_argument _ -> [] (* disjoint lifetimes *))
             rest
           @ all rest
@@ -62,12 +59,12 @@ module Make (B : Moq_core.Backend.S) = struct
         (fun (_, c) ->
           let s = B.PW.start c in
           let birth =
-            if B.P.F.compare s lo_s > 0 && B.P.F.compare s hi_s < 0 then
+            if B.P.F.compare s lo > 0 && B.P.F.compare s hi < 0 then
               [ B.instant_of_scalar s ]
             else []
           in
           match B.PW.stop c with
-          | Some e when B.P.F.compare e lo_s > 0 && B.P.F.compare e hi_s < 0 ->
+          | Some e when B.P.F.compare e lo > 0 && B.P.F.compare e hi < 0 ->
             B.instant_of_scalar e :: birth
           | _ -> birth)
         curves

@@ -1,14 +1,13 @@
 (** Sweep backends.
 
     The plane-sweep engine is parametric in how it represents points on the
-    time axis and how it finds curve intersections.  The {!Exact} backend
-    computes with rational coefficients and real algebraic event times —
-    every comparison the sweep makes is decided exactly, standing in for the
-    real-closed-field oracle the paper assumes.  The {!Approx} backend uses
-    floats and numeric root finding, with no exactness guarantee
-    (experiment A2 compares the two).  The {!Filtered} backend, which the
-    server and the sharded scan sweep on, is the exact-geometric-computation
-    middle ground: it carries an
+    time axis and how it finds curve intersections.  Both backends are
+    exact: every comparison the sweep makes is decided exactly, standing in
+    for the real-closed-field oracle the paper assumes, and both read the
+    same rational curves.  The {!Exact} backend computes with rational
+    coefficients and real algebraic event times.  The {!Filtered} backend,
+    which the server, the sharded scan and the scaling benchmarks sweep
+    on, is the exact-geometric-computation fast path: it carries an
     outward-rounded float interval alongside every exact value, decides
     signs and comparisons from the intervals when they are conclusive, and
     falls back to the exact machinery only when an interval straddles zero —
@@ -17,15 +16,14 @@
 
     The sweep reads curves through piece operations on their views
     ({!S.locate}, {!S.diff_root_after}, ...), not through prebuilt
-    difference polynomials: Exact and Approx form the difference and
-    answer on it; Filtered answers from the views' float enclosures and
-    forms it only when they cannot decide. *)
+    difference polynomials: Exact forms the difference and answers on
+    it; Filtered answers from the views' float enclosures and forms it
+    only when they cannot decide. *)
 
 module Q = Moq_numeric.Rat
 
-(* The piece operations of {!S} by way of the exact difference: Exact's
-   and Approx's, and Filtered's fallback when the views' enclosures cannot
-   decide. *)
+(* The piece operations of {!S} by way of the exact difference: Exact's,
+   and Filtered's fallback when the views' enclosures cannot decide. *)
 module Via_difference (X : sig
   module P : Moq_poly.Poly_intf.S
   module PW : Moq_poly.Piecewise_intf.S with type P.t = P.t and type P.F.t = P.F.t
@@ -74,8 +72,15 @@ module type S = sig
   val name : string
   (** The backend's name as [moq explain] reports it. *)
 
-  module P : Moq_poly.Poly_intf.S
-  module PW : Moq_poly.Piecewise_intf.S with type P.t = P.t and type P.F.t = P.F.t
+  module P : Moq_poly.Poly_intf.S with type F.t = Q.t
+
+  module PW :
+    Moq_poly.Piecewise_intf.S
+      with type P.t = P.t
+       and type P.F.t = Q.t
+       and type t = Moq_poly.Piecewise.Qpiece.t
+  (** Curves are the rational curves {!Gdist} builds; every scalar is a
+      rational. *)
 
   (** A point on the sweep line (an event time). *)
   type instant
@@ -150,8 +155,6 @@ module type S = sig
       [first_root_at_or_after (P.sub p1 p2) v.starts.(j)]; the pieces
       differ. *)
 
-  val scalar_of_rat : Q.t -> P.F.t
-  val curve_of_qpiece : Moq_poly.Piecewise.Qpiece.t -> PW.t
   val instant_to_float : instant -> float
 
   val instant_to_string : instant -> string
@@ -164,12 +167,7 @@ module type S = sig
   (** Prints {!instant_to_string}'s bytes. *)
 end
 
-module Exact :
-  S
-    with type P.t = Moq_poly.Qpoly.t
-     and type P.F.t = Q.t
-     and type PW.t = Moq_poly.Piecewise.Qpiece.t
-     and type instant = Moq_poly.Algnum.t =
+module Exact : S with type P.t = Moq_poly.Qpoly.t and type instant = Moq_poly.Algnum.t =
 struct
   let name = "exact"
 
@@ -225,90 +223,9 @@ struct
     | None -> A.rational_above i
     | Some u -> A.rational_between i (A.of_rat u)
 
-  let scalar_of_rat q = q
-  let curve_of_qpiece c = c
   let instant_to_float = A.to_float
   let instant_to_string = A.to_string
   let pp_instant = A.pp
-end
-
-module Approx :
-  S
-    with type P.t = Moq_poly.Fpoly.t
-     and type P.F.t = float
-     and type PW.t = Moq_poly.Piecewise.Fpiece.t
-     and type instant = float =
-struct
-  let name = "approx"
-
-  module P = Moq_poly.Fpoly
-  module PW = Moq_poly.Piecewise.Fpiece
-
-  type instant = float
-
-  let instant_of_scalar t = t
-  let compare_instant = Float.compare
-  let compare_instant_scalar = Float.compare
-
-  (* Event instants are roots computed in floating point, so evaluating a
-     polynomial "at a crossing" yields a tiny nonzero residue.  Signs are
-     therefore taken relative to the polynomial's magnitude at the point —
-     the float analogue of the exact backend's algebraic zero test. *)
-  let sign_at_instant p t =
-    let v = P.eval p t in
-    let at = Float.abs t in
-    let scale =
-      List.fold_left
-        (fun (acc, pow) c -> (acc +. (Float.abs c *. pow), pow *. at))
-        (0.0, 1.0) (P.to_list p)
-      |> fst
-    in
-    (* Horner's rounding error is a small multiple of eps times the
-       magnitude sum; anything beyond that is a real sign. *)
-    if Float.abs v <= 32.0 *. epsilon_float *. (1.0 +. scale) then 0 else compare v 0.0
-
-  let sign_after_instant p t =
-    let rec go p =
-      if P.is_zero p then 0
-      else begin
-        let s = sign_at_instant p t in
-        if s <> 0 then s else go (P.derivative p)
-      end
-    in
-    go p
-  let first_root_after = Moq_poly.Froots.first_root_after
-  let first_root_at_or_after = Moq_poly.Froots.first_root_at_or_after
-  let all_roots = Moq_poly.Froots.real_roots
-  let between a b = 0.5 *. (a +. b)
-
-  include Via_difference (struct
-    module P = P
-    module PW = PW
-
-    type nonrec instant = instant
-
-    let compare_instant_scalar = compare_instant_scalar
-    let sign_at_instant = sign_at_instant
-    let sign_after_instant = sign_after_instant
-    let root_after q1 q2 i = first_root_after (P.sub q1 q2) i
-    let root_at_or_after q1 q2 s = first_root_at_or_after (P.sub q1 q2) s
-  end)
-
-  type enclosure = unit
-
-  let enclose _ _ _ = ()
-  let order_enclosures () () = None
-
-  let scalar_after i ~upto =
-    match upto with
-    | None -> i +. 1.0
-    | Some u -> 0.5 *. (i +. u)
-
-  let scalar_of_rat = Q.to_float
-  let curve_of_qpiece = Moq_poly.Piecewise.fpiece_of_qpiece
-  let instant_to_float t = t
-  let instant_to_string t = Printf.sprintf "%g" t
-  let pp_instant fmt t = Format.pp_print_string fmt (instant_to_string t)
 end
 
 (** Filtered exact backend.
@@ -339,8 +256,6 @@ module Filtered : sig
   include
     S
       with type P.t = Moq_poly.Qpoly.t
-       and type P.F.t = Q.t
-       and type PW.t = Moq_poly.Piecewise.Qpiece.t
        and type PW.view = Moq_poly.Piecewise.Qpiece.view
        and type enclosure = Moq_numeric.Fintval.t
 
@@ -871,8 +786,6 @@ end = struct
        | Some m -> hit (Q.of_float m)
        | None -> miss ~at:i.iv (fun () -> A.rational_between (exact i) (A.of_rat u)))
 
-  let scalar_of_rat q = q
-  let curve_of_qpiece c = c
   let instant_to_float i = A.to_float (exact i)
 
   (* [A.to_string]'s bytes depend only on the value, so a linear crossing

@@ -82,7 +82,7 @@ type t = {
           ["knn"] | ["range"] from the server's slow-query capture *)
   query : string;    (** human-readable description of what ran *)
   backend : string;
-      (** ["exact"] | ["filtered"] | ["approx"] | ["sharded-filtered"] *)
+      (** ["exact"] | ["filtered"] | ["sharded-filtered"] *)
   classification : string;
       (** Definition 5 classification of the query against the MOD clock:
           ["past"] | ["continuing"] | ["future"]; ["n/a"] when the run is

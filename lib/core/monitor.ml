@@ -49,9 +49,9 @@ module Make (B : Backend.S) = struct
   (* Record one piece of the sweep, when the monitor materializes. *)
   let emit m = if m.materialize then fun step -> record m (R.piece step (m.read step)) else ignore
 
-  let advance_engine m (upto : Q.t) = E.advance m.engine ~upto:(B.scalar_of_rat upto) ~emit:(emit m)
+  let advance_engine m (upto : Q.t) = E.advance m.engine ~upto ~emit:(emit m)
 
-  let instant (tau : Q.t) = B.instant_of_scalar (B.scalar_of_rat tau)
+  let instant (tau : Q.t) = B.instant_of_scalar tau
 
   (* Theorem 5(1): initialization, O(N log N). *)
   let create ?(sink = Sink.noop) ?(attr = true) ?(materialize = true) ?curves ~(db : DB.t)
@@ -100,7 +100,7 @@ module Make (B : Backend.S) = struct
     let now = E.now m.engine and upto = instant tau_eff in
     let opened = B.compare_instant now upto < 0 in
     if opened then emit m (E.Span (now, upto));
-    E.sync_clock m.engine ~at:(B.scalar_of_rat tau_eff);
+    E.sync_clock m.engine ~at:tau_eff;
     f ();
     if opened then emit m (E.Point upto);
     if Q.compare m.clock tau_eff < 0 then m.clock <- tau_eff
@@ -127,14 +127,13 @@ module Make (B : Backend.S) = struct
            | None -> ());
           (* engine-side, only when the update time is within the horizon *)
           if Q.compare tau m.hi <= 0 then begin
-            let tau_s = B.scalar_of_rat tau in
             let arr = Oid.Map.find o m.problem.P.curves in
             match u with
             | U.New _ ->
               Array.iteri
                 (fun k c ->
                   match c with
-                  | Some c when B.PW.defined_at c tau_s -> E.insert m.engine ~at:tau_s (E.Obj (o, k)) c
+                  | Some c when B.PW.defined_at c tau -> E.insert m.engine ~at:tau (E.Obj (o, k)) c
                   | Some _ | None ->
                     (* curve starting later (affine time term) is picked up as
                        a birth event when the problem curves are rebuilt *)
@@ -147,10 +146,10 @@ module Make (B : Backend.S) = struct
               Array.iteri
                 (fun k c ->
                   match c, E.find m.engine (E.Obj (o, k)) with
-                  | Some c, Some _ -> E.replace_curve m.engine ~at:tau_s (E.Obj (o, k)) c
-                  | Some c, None when B.PW.defined_at c tau_s ->
-                    E.insert m.engine ~at:tau_s (E.Obj (o, k)) c
-                  | None, Some _ -> E.remove m.engine ~at:tau_s (E.Obj (o, k))
+                  | Some c, Some _ -> E.replace_curve m.engine ~at:tau (E.Obj (o, k)) c
+                  | Some c, None when B.PW.defined_at c tau ->
+                    E.insert m.engine ~at:tau (E.Obj (o, k)) c
+                  | None, Some _ -> E.remove m.engine ~at:tau (E.Obj (o, k))
                   | _ -> ())
                 arr
           end);
@@ -201,7 +200,7 @@ module Make (B : Backend.S) = struct
     at_update m tau (fun () ->
         P.set_gdist m.problem gdist m.db;
         if Q.compare tau m.hi <= 0 then
-          E.replace_all_curves m.engine ~at:(B.scalar_of_rat tau) (fun e ->
+          E.replace_all_curves m.engine ~at:tau (fun e ->
               match E.label e with
               | E.Obj (o, k) ->
                 (match Oid.Map.find_opt o m.problem.P.curves with

@@ -48,7 +48,7 @@ module Make (B : Backend.S) = struct
     else None
 
   let curves_of p base =
-    Array.map (fun tt -> Option.map B.curve_of_qpiece (qcurve base tt ~istart:p.istart)) p.tts
+    Array.map (fun tt -> qcurve base tt ~istart:p.istart) p.tts
 
   let base_curve p o tr =
     match p.store with Some s -> Curve_store.curve s o tr | None -> Gdist.curve p.gdist tr
@@ -102,7 +102,7 @@ module Make (B : Backend.S) = struct
     let const_entries =
       List.map
         (fun c ->
-          (E.Cst c, B.PW.constant ~start:(B.scalar_of_rat p.istart) (B.scalar_of_rat c)))
+          (E.Cst c, B.PW.constant ~start:p.istart c))
         p.consts
     in
     obj_entries @ const_entries
@@ -114,10 +114,10 @@ module Make (B : Backend.S) = struct
           match Oid.Map.find_opt o p.lifetimes with
           | None -> false
           | Some (b, d) ->
-            B.compare_instant_scalar i (B.scalar_of_rat b) >= 0
+            B.compare_instant_scalar i b >= 0
             && (match d with
                 | None -> true
-                | Some d -> B.compare_instant_scalar i (B.scalar_of_rat d) <= 0));
+                | Some d -> B.compare_instant_scalar i d <= 0));
       curve =
         (fun o k ->
           match Oid.Map.find_opt o p.curves with

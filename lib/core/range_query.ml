@@ -19,9 +19,7 @@ module Make (B : Backend.S) = struct
   }
 
   let run_entries ~bound ~lo ~hi objs =
-    let entries =
-      (E.Cst bound, B.PW.constant ~start:(B.scalar_of_rat lo) (B.scalar_of_rat bound)) :: objs
-    in
+    let entries = (E.Cst bound, B.PW.constant ~start:lo bound) :: objs in
     R.run ~lo ~hi entries (fun eng -> R.answer eng (Reader.Within bound))
 
   let run ~(db : DB.t) ~(gdist : Gdist.t) ~(bound : Q.t) ~(lo : Q.t) ~(hi : Q.t) : result =

@@ -98,10 +98,10 @@ module Make (B : Backend.S) = struct
   (* An engine over [lo, hi]: started at [lo], nothing scheduled past
      [hi]. *)
   let engine ?sink ?attr ~lo ~hi entries =
-    E.create ?sink ?attr ~start:(B.scalar_of_rat lo) ~horizon:(B.scalar_of_rat hi) entries
+    E.create ?sink ?attr ~start:lo ~horizon:hi entries
 
   (* An object's entry, for {!Curve_store.build} and {!Curve_store.curves}. *)
-  let entry o _ c = (E.Obj (o, 0), B.curve_of_qpiece c)
+  let entry o _ c = (E.Obj (o, 0), c)
 
   (* Close a timeline at [upto]: the span from the engine's clock to it,
      then the point itself, unless the clock is already there. *)
@@ -116,11 +116,10 @@ module Make (B : Backend.S) = struct
      engine's spans and event points, then the last span and the point
      [hi]. *)
   let iter_steps eng ~lo ~hi f =
-    f (E.Point (B.instant_of_scalar (B.scalar_of_rat lo)));
+    f (E.Point (B.instant_of_scalar lo));
     if Q.compare lo hi < 0 then begin
-      let hi_s = B.scalar_of_rat hi in
-      E.advance eng ~upto:hi_s ~emit:f;
-      close eng (B.instant_of_scalar hi_s) f
+      E.advance eng ~upto:hi ~emit:f;
+      close eng (B.instant_of_scalar hi) f
     end
 
   (* The simplified timeline of {!iter_steps}, each piece answered by

@@ -48,13 +48,13 @@ module Make (B : Backend.S) = struct
       Option.map
         (fun cv ->
           let p, _ = C.piece_at cv i in
-          B.sign_at_instant (P.sub p (P.constant (B.scalar_of_rat c))) i)
+          B.sign_at_instant (P.sub p (P.constant c)) i)
         (curve_of y tt)
     | Fof.Const c, Fof.Dist (y, tt) ->
       Option.map
         (fun cv ->
           let p, _ = C.piece_at cv i in
-          B.sign_at_instant (P.sub (P.constant (B.scalar_of_rat c)) p) i)
+          B.sign_at_instant (P.sub (P.constant c) p) i)
         (curve_of y tt)
     | Fof.Dist (y1, tt1), Fof.Dist (y2, tt2) ->
       (match curve_of y1 tt1, curve_of y2 tt2 with

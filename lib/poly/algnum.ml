@@ -156,6 +156,23 @@ let to_rat = function
   | Rational q -> Some q
   | Root _ -> None
 
+(* A float root of [p] in [a, b], given that [p a] and [p b] have
+   opposite signs, by float bisection. *)
+let float_bisect p a b =
+  let sa = Float.compare (Fpoly.eval p a) 0.0 in
+  let rec go a b k =
+    if k = 0 then 0.5 *. (a +. b)
+    else begin
+      let m = 0.5 *. (a +. b) in
+      if m <= a || m >= b then m
+      else begin
+        let sm = Float.compare (Fpoly.eval p m) 0.0 in
+        if sm = 0 then m else if sm = sa then go m b (k - 1) else go a m (k - 1)
+      end
+    end
+  in
+  go a b 200
+
 (* The root bisected until its interval is narrower than [w]: either that
    interval (set on the root in place) or, when a bisection midpoint is
    the root itself, that rational.  The answer depends only on the
@@ -186,7 +203,7 @@ let refine_until_width (x : t) (w : Q.t) : t =
       let c = Q.div width (Q.of_bigint (Z.shift_left Z.one k)) in
       (* a float near the root: only a guess, since the float image of
          [r.p] can put it a few ulps off, so the cell's signs check it *)
-      let est = Froots.bisect (Fpoly.of_qpoly r.p) (Q.to_float r.lo) (Q.to_float r.hi) in
+      let est = float_bisect (Fpoly.of_qpoly r.p) (Q.to_float r.lo) (Q.to_float r.hi) in
       let j = Float.floor ((est -. Q.to_float r.lo) /. Q.to_float c) in
       if not (Float.is_finite j && j >= 0.0) then bisect ()
       else begin

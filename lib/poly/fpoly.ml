@@ -1,4 +1,5 @@
-(** Polynomials with float coefficients — the fast benchmark backend. *)
+(** Polynomials with float coefficients: float estimates of exact
+    polynomials (an [Algnum] root's starting guess). *)
 
 include Poly.Make (Field.Float_field)
 

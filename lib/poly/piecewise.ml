@@ -221,10 +221,3 @@ module Make (P : Poly_intf.S) = struct
 end
 
 module Qpiece = Make (Qpoly)
-module Fpiece = Make (Fpoly)
-
-let fpiece_of_qpiece c =
-  let f = Moq_numeric.Rat.to_float in
-  Fpiece.make
-    ?stop:(Option.map f (Qpiece.stop c))
-    (List.map (fun (a, p) -> (f a, Fpoly.of_qpoly p)) (Qpiece.pieces c))

@@ -7,12 +7,6 @@
     carrying one polynomial; pieces are stored in ascending order of start
     time.  Operations are documented in {!Piecewise_intf.S}. *)
 
-module Make (P : Poly_intf.S) : Piecewise_intf.S with module P = P
-
 module Qpiece :
   Piecewise_intf.S with type P.t = Qpoly.t and type P.F.t = Moq_numeric.Rat.t
 
-module Fpiece : Piecewise_intf.S with type P.t = Fpoly.t and type P.F.t = float
-
-val fpiece_of_qpiece : Qpiece.t -> Fpiece.t
-(** Lossy conversion of an exact curve to the float backend. *)

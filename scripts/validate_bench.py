@@ -110,7 +110,7 @@ METRIC_OK = set("abcdefghijklmnopqrstuvwxyz0123456789_")
 # the experiment registry in bench/main.ml — an id not listed here is a typo
 # or an experiment whose extras this validator does not know how to check
 KNOWN_EXPS = {"f1", "f2", "f3", "p1", "t2", "t4", "t5a", "t5b", "t10",
-              "b1", "b2", "b3", "a1", "a2", "a3", "r1", "s1", "s2", "s3",
+              "b1", "b2", "b3", "a1", "a3", "r1", "s1", "s2", "s3",
               "o1", "o2", "w1"}
 REQUIRED = {"exp", "n", "seed", "wall_s", "counters"}
 

@@ -5,7 +5,6 @@ module DB = Moq_mod.Mobdb
 module U = Moq_mod.Update
 module Oid = Moq_mod.Oid
 module BX = Moq_core.Backend.Exact
-module BF = Moq_core.Backend.Approx
 module KnnX = Moq_core.Knn.Make (BX)
 module MonX = Moq_core.Monitor.Make (BX)
 module Fof = Moq_core.Fof

@@ -9,14 +9,14 @@ module Oid = Moq_mod.Oid
 
 module Core = Moq_core
 module BX = Core.Backend.Exact
-module BF = Core.Backend.Approx
+module BFl = Core.Backend.Filtered
 module EX = Core.Engine.Make (BX)
 module SwX = Core.Sweep.Make (BX)
 module TLX = SwX.TL
 module KnnX = Core.Knn.Make (BX)
 module RangeX = Core.Range_query.Make (BX)
 module MonX = Core.Monitor.Make (BX)
-module KnnF = Core.Knn.Make (BF)
+module KnnFl = Core.Knn.Make (BFl)
 module Fof = Core.Fof
 module Gdist = Core.Gdist
 module Classify = Core.Classify
@@ -398,33 +398,19 @@ let knn_matches_brute (specs, k) =
          | false -> Oid.Set.equal answer brute))
     (List.init 41 (fun i -> i))
 
-let knn_exact_matches_float (specs, k) =
+let knn_exact_matches_filtered (specs, k) =
   let k = 1 + (abs k mod 3) in
   let db = specs_to_db specs in
   let rx = KnnX.run ~db ~gdist:(origin_gdist ()) ~k ~lo:(q 0) ~hi:(q 10) in
-  let rf = KnnF.run ~db ~gdist:(origin_gdist ()) ~k ~lo:(q 0) ~hi:(q 10) in
-  (* same number of support changes and same answers at integer times *)
-  rx.KnnX.stats.KnnX.E.crossings = rf.KnnF.stats.KnnF.E.crossings
-  && List.for_all
-       (fun i ->
-         let t = q i in
-         match
-           ( TLX.find_at rx.KnnX.timeline (BX.instant_of_scalar t),
-             KnnF.TL.find_at rf.KnnF.timeline (BF.instant_of_scalar (Q.to_float t)) )
-         with
-         | Some a, Some b -> Oid.Set.equal a b
-         | _ -> false)
-       (* avoid integer times where ties might resolve differently in float:
-          sample at thirds *)
-       []
-  |> fun base ->
-  base
+  let rf = KnnFl.run ~db ~gdist:(origin_gdist ()) ~k ~lo:(q 0) ~hi:(q 10) in
+  (* same number of support changes and same answers at thirds *)
+  rx.KnnX.stats.KnnX.E.crossings = rf.KnnFl.stats.KnnFl.E.crossings
   && List.for_all
        (fun i ->
          let t = Q.div (q (3 * i + 1)) (q 3) in
          match
            ( TLX.find_at rx.KnnX.timeline (BX.instant_of_scalar t),
-             KnnF.TL.find_at rf.KnnF.timeline (BF.instant_of_scalar (Q.to_float t)) )
+             KnnFl.TL.find_at rf.KnnFl.timeline (BFl.instant_of_scalar t) )
          with
          | Some a, Some b -> Oid.Set.equal a b
          | _ -> false)
@@ -627,8 +613,8 @@ let () =
       ("knn-props", [
         prop "knn matches brute force on grid" (QCheck.pair arb_specs QCheck.small_int)
           knn_matches_brute;
-        prop "exact and float backends agree" (QCheck.pair arb_specs QCheck.small_int)
-          knn_exact_matches_float;
+        prop "exact and filtered backends agree" (QCheck.pair arb_specs QCheck.small_int)
+          knn_exact_matches_filtered;
       ]);
       ("monitor", [
         Alcotest.test_case "basic" `Quick test_monitor_basic;

@@ -241,7 +241,7 @@ let test_support_relation () =
   let eng =
     EX.create ~start:(q 0) ~horizon:(q 10)
       (List.map
-         (fun (o, tr) -> (EX.Obj (o, 0), BX.curve_of_qpiece (Gdist.curve origin tr)))
+         (fun (o, tr) -> (EX.Obj (o, 0), Gdist.curve origin tr))
          (DB.objects db))
   in
   let s0 = SupX.current eng (BX.instant_of_scalar (q 0)) in
@@ -495,8 +495,8 @@ let test_time_scaled_gdist () =
   let tr o = Option.get (DB.find db o) in
   let eng =
     EX.create ~start:(q 0) ~horizon:(q 10)
-      [ (EX.Obj (1, 0), BX.curve_of_qpiece (Gdist.curve congested (tr 1)));
-        (EX.Obj (2, 0), BX.curve_of_qpiece (Gdist.curve base (tr 2)));
+      [ (EX.Obj (1, 0), Gdist.curve congested (tr 1));
+        (EX.Obj (2, 0), Gdist.curve base (tr 2));
       ]
   in
   let first () =

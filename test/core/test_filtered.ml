@@ -442,10 +442,9 @@ module Drive (B : Core.Backend.S) = struct
   let labels eng = List.map (fun e -> Format.asprintf "%a" E.pp_label (E.label e)) (E.order eng)
 
   let run ~db ~gdist ~lo ~hi ~updates =
-    let curve tr = B.curve_of_qpiece (Gdist.curve gdist tr) in
-    let s = B.scalar_of_rat in
+    let curve tr = Gdist.curve gdist tr in
     let eng =
-      E.create ~start:(s lo) ~horizon:(s hi)
+      E.create ~start:lo ~horizon:hi
         (List.map (fun (o, tr) -> (E.Obj (o, 0), curve tr)) (DB.objects db))
     in
     let log = ref [] in
@@ -465,19 +464,19 @@ module Drive (B : Core.Backend.S) = struct
            let tau = U.time u in
            if Q.compare tau hi > 0 then db
            else begin
-             E.advance eng ~upto:(s tau) ~emit:on_step;
+             E.advance eng ~upto:tau ~emit:on_step;
              let db = DB.apply_exn db u in
              let lbl = E.Obj (U.oid u, 0) in
              (match DB.find db (U.oid u), E.find eng lbl with
-              | Some tr, Some _ -> E.replace_curve eng ~at:(s tau) lbl (curve tr)
-              | Some tr, None when T.defined_at tr tau -> E.insert eng ~at:(s tau) lbl (curve tr)
+              | Some tr, Some _ -> E.replace_curve eng ~at:tau lbl (curve tr)
+              | Some tr, None when T.defined_at tr tau -> E.insert eng ~at:tau lbl (curve tr)
               | _ -> ());
              E.check_invariants eng;
              on_step (E.Point (E.now eng));
              db
            end)
          db updates);
-    E.advance eng ~upto:(s hi) ~emit:on_step;
+    E.advance eng ~upto:hi ~emit:on_step;
     (List.rev !log, E.stats eng)
 end
 
@@ -737,10 +736,9 @@ module Sweep_curves (B : Core.Backend.S) = struct
   module E = Core.Engine.Make (B)
 
   let run ~lo ~hi curves =
-    let s = B.scalar_of_rat in
     let eng =
-      E.create ~start:(s lo) ~horizon:(s hi)
-        (List.mapi (fun j c -> (E.Obj (j + 1, 0), B.curve_of_qpiece c)) curves)
+      E.create ~start:lo ~horizon:hi
+        (List.mapi (fun j c -> (E.Obj (j + 1, 0), c)) curves)
     in
     let log = ref [] in
     let on_step step =
@@ -753,7 +751,7 @@ module Sweep_curves (B : Core.Backend.S) = struct
       log := (what, String.concat " " order, (E.stats eng).E.comparisons) :: !log
     in
     on_step (E.Point (E.now eng));
-    E.advance eng ~upto:(s hi) ~emit:on_step;
+    E.advance eng ~upto:hi ~emit:on_step;
     E.check_invariants eng;
     (List.rev !log, E.stats eng)
 end
@@ -1101,11 +1099,10 @@ module Cert (B : Core.Backend.S) = struct
   (* The engine alone under [updates] (insert, remove, replace_curve), with
      a rebuild after every third update. *)
   let drive name ~db ~gdist ~lo ~hi ~updates =
-    let curve tr = B.curve_of_qpiece (Gdist.curve gdist tr) in
-    let s = B.scalar_of_rat in
-    let horizon = s hi in
+    let curve tr = Gdist.curve gdist tr in
+    let horizon = hi in
     let eng =
-      E.create ~start:(s lo) ~horizon
+      E.create ~start:lo ~horizon
         (List.map (fun (o, tr) -> (E.Obj (o, 0), curve tr)) (DB.objects db))
     in
     let steps = ref 0 in
@@ -1130,12 +1127,12 @@ module Cert (B : Core.Backend.S) = struct
            let tau = U.time u in
            if Q.compare tau hi > 0 then (db, k)
            else begin
-             E.advance eng ~upto:(s tau) ~emit:on_step;
+             E.advance eng ~upto:tau ~emit:on_step;
              let db = DB.apply_exn db u in
              let lbl = E.Obj (U.oid u, 0) in
              (match DB.find db (U.oid u), E.find eng lbl with
-              | Some tr, Some _ -> E.replace_curve eng ~at:(s tau) lbl (curve tr)
-              | Some tr, None when T.defined_at tr tau -> E.insert eng ~at:(s tau) lbl (curve tr)
+              | Some tr, Some _ -> E.replace_curve eng ~at:tau lbl (curve tr)
+              | Some tr, None when T.defined_at tr tau -> E.insert eng ~at:tau lbl (curve tr)
               | _ -> ());
              let what = Printf.sprintf "%s, update %d" name k in
              check ~what ~at_update:true ~horizon eng;
@@ -1152,7 +1149,7 @@ module Cert (B : Core.Backend.S) = struct
   (* A nearest-neighbour monitor under [updates], with Theorem 10's query
      chdir at the third update. *)
   let monitor name ~db ~gamma ~lo ~hi ~updates =
-    let horizon = B.scalar_of_rat hi in
+    let horizon = hi in
     let query = Core.Fof.nearest_q ~interval:(Core.Fof.Interval.closed lo hi) in
     let m = Mon.create ~db ~gdist:(Gdist.euclidean_sq ~gamma) ~query () in
     let eng = Mon.engine m in
@@ -1215,21 +1212,20 @@ module Cert (B : Core.Backend.S) = struct
   (* A label removed and inserted again keeps what it was charged before. *)
   let reinserted () =
     let line ~slope ~at0 =
-      B.curve_of_qpiece (Qpiece.of_poly ~start:(q 0) (QP.of_list [ q at0; q slope ]))
+      Qpiece.of_poly ~start:(q 0) (QP.of_list [ q at0; q slope ])
     in
-    let s = B.scalar_of_rat in
     let eng =
-      E.create ~start:(s (q 0)) ~horizon:(s (q 20))
+      E.create ~start:(q 0) ~horizon:(q 20)
         (List.init 5 (fun j -> (E.Obj (j + 1, 0), line ~slope:(2 - j) ~at0:(3 * j))))
     in
     let ignore_step _ = () in
-    E.advance eng ~upto:(s (q 2)) ~emit:ignore_step;
+    E.advance eng ~upto:(q 2) ~emit:ignore_step;
     let before = E.participations (Option.get (E.find eng (E.Obj (3, 0)))) in
-    E.remove eng ~at:(s (q 2)) (E.Obj (3, 0));
-    E.advance eng ~upto:(s (q 4)) ~emit:ignore_step;
-    E.insert eng ~at:(s (q 4)) (E.Obj (3, 0)) (line ~slope:(-1) ~at0:8);
-    E.replace_curve eng ~at:(s (q 4)) (E.Obj (1, 0)) (line ~slope:3 ~at0:(-4));
-    E.advance eng ~upto:(s (q 20)) ~emit:ignore_step;
+    E.remove eng ~at:(q 2) (E.Obj (3, 0));
+    E.advance eng ~upto:(q 4) ~emit:ignore_step;
+    E.insert eng ~at:(q 4) (E.Obj (3, 0)) (line ~slope:(-1) ~at0:8);
+    E.replace_curve eng ~at:(q 4) (E.Obj (1, 0)) (line ~slope:3 ~at0:(-4));
+    E.advance eng ~upto:(q 20) ~emit:ignore_step;
     let h3 = List.find (fun h -> h.E.h_oid = 3) (E.hot_objects eng) in
     let after = E.participations (Option.get (E.find eng (E.Obj (3, 0)))) in
     Alcotest.(check bool) (B.name ^ ": the first life was charged") true (fst before > 0);

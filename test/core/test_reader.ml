@@ -69,7 +69,7 @@ module Check (B : Core.Backend.S) = struct
 
   let naive_knn ~db ~gdist ~k =
     let curves =
-      List.map (fun (o, tr) -> (o, B.curve_of_qpiece (Gdist.curve gdist tr))) (DB.objects db)
+      List.map (fun (o, tr) -> (o, Gdist.curve gdist tr)) (DB.objects db)
     in
     Naive.knn_answer curves k
 

@@ -4,6 +4,7 @@ module T = Moq_mod.Trajectory
 module DB = Moq_mod.Mobdb
 module U = Moq_mod.Update
 module Ingest = Moq_ingest.Ingest
+module IO = Moq_mod.Mod_io
 
 let q = Q.of_int
 let qs = Q.of_string
@@ -264,6 +265,65 @@ let prop_roundtrip =
              | Some tr -> Qvec.equal pos (T.position_exn tr t))
            samples))
 
+(* ------------------------------------------------------------------ *)
+(* Byte mutations *)
+
+(* The files [moq] reads — a trace CSV, a [.mod] and an update stream —
+   are untrusted: each parser must answer [Ok] or [Error] on any bytes,
+   never raise.  The inputs are valid renderings of a sampled trace, and
+   of the MOD and updates segmented from it, with one to four bytes
+   overwritten (by an arbitrary byte or one of the grammars' own) and cut
+   short one time in four.  Seeded, so every run tries the same files. *)
+let mutant valid =
+  let open QCheck.Gen in
+  let* s = valid in
+  let n = String.length s in
+  let grammar = List.of_seq (String.to_seq " \n,#/-.0129e") in
+  let* edits =
+    list_size (int_range 1 4) (pair (int_bound (max 0 (n - 1))) (frequency [ (1, char); (2, oneofl grammar) ]))
+  in
+  let* cut = frequency [ (3, return n); (1, int_bound n) ] in
+  let b = Bytes.of_string s in
+  List.iter (fun (i, c) -> if i < n then Bytes.set b i c) edits;
+  return (Bytes.sub_string b 0 cut)
+
+let never_raises ~name render parse =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 37 |])
+    (QCheck.Test.make ~name ~count:1000
+       (QCheck.make ~print:String.escaped
+          (mutant
+             QCheck.Gen.(
+               map2
+                 (fun seed n -> render (Moq_workload.Gen.trace_like ~seed ~n ~steps:6 ()))
+                 (int_bound 1000) (int_range 1 3))))
+       (fun s -> match parse s with Ok () | Error _ -> true))
+
+let csv_of_rows rows =
+  String.concat ""
+    ("oid,t,x,y\n"
+    :: List.map
+         (fun (oid, t, pos) ->
+           String.concat "," (string_of_int oid :: List.map Q.to_string (t :: Qvec.to_list pos))
+           ^ "\n")
+         rows)
+
+let updates_of_rows rows =
+  Ingest.segment (List.map (fun (oid, t, pos) -> { Ingest.oid; t; pos }) rows)
+
+let prop_mutated_csv =
+  never_raises ~name:"mutated trace CSV: Ok or Error, never raise" csv_of_rows (fun s ->
+      Result.map ignore (Ingest.parse_csv s))
+
+let prop_mutated_mod =
+  never_raises ~name:"mutated .mod: Ok or Error, never raise"
+    (fun rows -> IO.db_to_string (apply (updates_of_rows rows)))
+    (fun s -> Result.map ignore (IO.db_of_string s))
+
+let prop_mutated_updates =
+  never_raises ~name:"mutated updates: Ok or Error, never raise"
+    (fun rows -> IO.updates_to_string ~dim:2 (updates_of_rows rows))
+    (fun s -> Result.map ignore (IO.updates_of_string s))
+
 let () =
   Alcotest.run "ingest"
     [ ("segment", [
@@ -287,4 +347,5 @@ let () =
           test_parse_csv_errors;
         Alcotest.test_case "csv -> updates roundtrip" `Quick test_csv_roundtrip;
       ]);
+      ("fuzz", [ prop_mutated_csv; prop_mutated_mod; prop_mutated_updates ]);
     ]

@@ -11,10 +11,8 @@ module Oid = Moq_mod.Oid
 module Cql = Moq_cql.Cql
 module Cql_ex = Moq_cql.Cql_examples
 module BX = Moq_core.Backend.Exact
-module BF = Moq_core.Backend.Approx
 module SwX = Moq_core.Sweep.Make (BX)
 module KnnX = Moq_core.Knn.Make (BX)
-module KnnF = Moq_core.Knn.Make (BF)
 module RangeX = Moq_core.Range_query.Make (BX)
 module MonX = Moq_core.Monitor.Make (BX)
 module Fof = Moq_core.Fof

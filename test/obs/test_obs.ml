@@ -287,10 +287,10 @@ let test_sweep_matches_naive () =
   let r = KnnX.run_obs ~sink ~db ~gdist ~k:1 ~lo:(q 0) ~hi:(q 100) in
   (* independent ground truth: all-pairs crossing enumeration *)
   let curves =
-    List.map (fun (_, tr) -> BX.curve_of_qpiece (Gdist.curve gdist tr)) (DB.objects db)
+    List.map (fun (_, tr) -> Gdist.curve gdist tr) (DB.objects db)
   in
-  let after = BX.instant_of_scalar (BX.scalar_of_rat (q 0)) in
-  let horizon = BX.scalar_of_rat (q 100) in
+  let after = BX.instant_of_scalar (q 0) in
+  let horizon = q 100 in
   let rec all_pairs = function
     | c1 :: rest ->
       List.fold_left

@@ -3,7 +3,6 @@ module QP = Moq_poly.Qpoly
 module FP = Moq_poly.Fpoly
 module Sturm = Moq_poly.Sturm
 module Alg = Moq_poly.Algnum
-module Froots = Moq_poly.Froots
 module Qpiece = Moq_poly.Piecewise.Qpiece
 
 let q = Q.of_int
@@ -274,52 +273,7 @@ let alg_props =
             (* evaluating the float poly at the float root is near zero *)
             Float.abs (FP.eval (FP.of_qpoly p) f) < 1e-5)
           (Alg.roots p));
-    prop ~count:150 "root count matches sign changes of floats" arb_cubic (fun p ->
-        (* roots of p = roots of float version up to tolerance *)
-        let exact = List.map Alg.to_float (Alg.roots p) in
-        let approx = Froots.real_roots (FP.of_qpoly p) in
-        List.length exact = List.length approx
-        && List.for_all2 (fun a b -> Float.abs (a -. b) < 1e-6) exact approx);
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Float roots                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let fpoly l = FP.of_list l
-
-let test_froots_quadratic () =
-  (* (t-1)(t-3) = 3 - 4t + t^2 *)
-  (match Froots.real_roots (fpoly [ 3.0; -4.0; 1.0 ]) with
-   | [ a; b ] ->
-     Alcotest.(check (float 1e-9)) "r1" 1.0 a;
-     Alcotest.(check (float 1e-9)) "r2" 3.0 b
-   | _ -> Alcotest.fail "expected 2 roots");
-  Alcotest.(check int) "no real roots" 0 (List.length (Froots.real_roots (fpoly [ 1.0; 0.0; 1.0 ])))
-
-let test_froots_cancellation () =
-  (* t^2 - 10^8 t + 1: classic catastrophic cancellation case *)
-  match Froots.real_roots (fpoly [ 1.0; -1e8; 1.0 ]) with
-  | [ a; b ] ->
-    Alcotest.(check bool) "small root accurate" true (Float.abs (a -. 1e-8) < 1e-15);
-    Alcotest.(check bool) "big root accurate" true (Float.abs (b -. 1e8) < 1.0)
-  | _ -> Alcotest.fail "expected 2 roots"
-
-let test_froots_quartic () =
-  (* (t^2-1)(t^2-4): roots -2 -1 1 2 *)
-  let p = FP.mul (fpoly [ -1.0; 0.0; 1.0 ]) (fpoly [ -4.0; 0.0; 1.0 ]) in
-  match Froots.real_roots p with
-  | [ a; b; c; d ] ->
-    List.iter2
-      (fun e g -> Alcotest.(check (float 1e-7)) "root" e g)
-      [ -2.0; -1.0; 1.0; 2.0 ] [ a; b; c; d ]
-  | l -> Alcotest.failf "expected 4 roots, got %d" (List.length l)
-
-let test_froots_first_after () =
-  let p = fpoly [ 3.0; -4.0; 1.0 ] in
-  Alcotest.(check (option (float 1e-9))) "after 0" (Some 1.0) (Froots.first_root_after p 0.0);
-  Alcotest.(check (option (float 1e-9))) "after 1" (Some 3.0) (Froots.first_root_after p 1.0);
-  Alcotest.(check (option (float 1e-9))) "after 3" None (Froots.first_root_after p 3.0)
 
 (* ------------------------------------------------------------------ *)
 (* Piecewise                                                            *)
@@ -964,12 +918,6 @@ let () =
       ("algnum-props", alg_props);
       ("shadow", [
         Alcotest.test_case "coefficient enclosures" `Quick test_coefficient_enclosures;
-      ]);
-      ("froots", [
-        Alcotest.test_case "quadratic" `Quick test_froots_quadratic;
-        Alcotest.test_case "cancellation-stable" `Quick test_froots_cancellation;
-        Alcotest.test_case "quartic" `Quick test_froots_quartic;
-        Alcotest.test_case "first after" `Quick test_froots_first_after;
       ]);
       ("piecewise", [
         Alcotest.test_case "eval" `Quick test_piecewise_eval;

@@ -462,6 +462,54 @@ let prop_attrs_read_moqp1_msg =
       = Ok (msg, Proto.no_attrs))
 
 (* ------------------------------------------------------------------ *)
+(* Byte mutations                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A peer's frame is untrusted: both parsers must answer [Ok] or [Error]
+   on any bytes, never raise.  The inputs are valid renderings (with and
+   without attributes) with one to four bytes overwritten, by an
+   arbitrary byte or one of the grammar's own, and cut short one time in
+   four.  Seeded, so every run tries the same frames. *)
+let mutant valid =
+  let open QCheck.Gen in
+  let* s = valid in
+  let n = String.length s in
+  let grammar = List.of_seq (String.to_seq " \n=/-.:,0129eT") in
+  let* edits =
+    list_size (int_range 1 4) (pair (int_bound (max 0 (n - 1))) (frequency [ (1, char); (2, oneofl grammar) ]))
+  in
+  let* cut = frequency [ (3, return n); (1, int_bound n) ] in
+  let b = Bytes.of_string s in
+  List.iter (fun (i, c) -> if i < n then Bytes.set b i c) edits;
+  return (Bytes.sub_string b 0 cut)
+
+let never_raises ~name ~count valid parse =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
+    (QCheck.Test.make ~name ~count
+       (QCheck.make ~print:String.escaped (mutant valid))
+       (fun s -> List.for_all (fun parse -> match parse s with Ok () | Error _ -> true) parse))
+
+let prop_mutated_requests =
+  never_raises ~name:"mutated requests: Ok or Error, never raise" ~count:2000
+    QCheck.Gen.(
+      oneof
+        [ map Proto.render_request (oneofl requests);
+          map (fun (a, r) -> Proto.render_request_attrs a r) (pair gen_attrs (oneofl attr_requests)) ])
+    [ (fun s -> Result.map ignore (Proto.parse_request ~dim:2 s));
+      (fun s -> Result.map ignore (Proto.parse_request_attrs ~dim:2 s)) ]
+
+let prop_mutated_server_msgs =
+  never_raises ~name:"mutated server msgs: Ok or Error, never raise" ~count:2000
+    QCheck.Gen.(
+      oneof
+        [ map Proto.render_server_msg (oneofl server_msgs);
+          map
+            (fun (a, m) -> Proto.render_server_msg_attrs a m)
+            (pair gen_attrs (oneofl attr_server_msgs)) ])
+    [ (fun s -> Result.map ignore (Proto.parse_server_msg s));
+      (fun s -> Result.map ignore (Proto.parse_server_msg_attrs s)) ]
+
+(* ------------------------------------------------------------------ *)
 (* Canonical piece streams                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -555,6 +603,7 @@ let () =
             [ prop_attrs_roundtrip_req; prop_attrs_roundtrip_msg;
               prop_moqp1_reads_attrs; prop_moqp1_reads_attrs_msg;
               prop_attrs_read_moqp1; prop_attrs_read_moqp1_msg ]);
+      ("fuzz", [ prop_mutated_requests; prop_mutated_server_msgs ]);
       ("canon",
        [ Alcotest.test_case "simplify idempotent" `Quick test_simplify_idempotent;
          Alcotest.test_case "canon = simplify" `Quick test_canon_matches_simplify;

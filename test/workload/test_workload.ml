@@ -247,23 +247,20 @@ let test_scenario_example12 () =
    then lost and the final order stayed wrong).  The inversions workload is
    dense in such clusters; both backends must end in the true final order. *)
 let test_coincident_cluster_final_order () =
-  let module EF = Moq_core.Engine.Make (Moq_core.Backend.Approx) in
-  let module BF = Moq_core.Backend.Approx in
+  let module EF = Moq_core.Engine.Make (Moq_core.Backend.Filtered) in
   let n = 64 in
   let db = Gen.inversions_db ~seed:n ~n ~inversions:(2 * n) ~horizon:(q 1000) in
   let gd = Gdist.coordinate 0 in
   let ex =
     EX.create ~start:(q 0) ~horizon:(q 1000)
-      (List.map (fun (o, tr) -> (EX.Obj (o, 0), BX.curve_of_qpiece (Gdist.curve gd tr)))
-         (DB.objects db))
+      (List.map (fun (o, tr) -> (EX.Obj (o, 0), Gdist.curve gd tr)) (DB.objects db))
   in
   let ef =
-    EF.create ~start:0.0 ~horizon:1000.0
-      (List.map (fun (o, tr) -> (EF.Obj (o, 0), BF.curve_of_qpiece (Gdist.curve gd tr)))
-         (DB.objects db))
+    EF.create ~start:(q 0) ~horizon:(q 1000)
+      (List.map (fun (o, tr) -> (EF.Obj (o, 0), Gdist.curve gd tr)) (DB.objects db))
   in
   EX.advance ex ~upto:(q 1000) ~emit:(fun _ -> ());
-  EF.advance ef ~upto:1000.0 ~emit:(fun _ -> ());
+  EF.advance ef ~upto:(q 1000) ~emit:(fun _ -> ());
   EX.check_invariants ex;
   EF.check_invariants ef;
   let ox = List.map (fun e -> match EX.label e with EX.Obj (o, _) -> o | _ -> -1) (EX.order ex) in
@@ -271,7 +268,7 @@ let test_coincident_cluster_final_order () =
   Alcotest.(check (list int)) "final orders identical" ox of_;
   Alcotest.(check int) "exact swaps = inversions" (2 * n) (EX.stats ex).EX.swaps;
   let sf = EF.stats ef in
-  Alcotest.(check int) "float swaps = inversions" (2 * n) sf.EF.swaps
+  Alcotest.(check int) "filtered swaps = inversions" (2 * n) sf.EF.swaps
 
 let test_scenario_figure2 () =
   let c1, c2 = Scenario.figure2_curves () in
