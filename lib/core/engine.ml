@@ -115,12 +115,15 @@ module Make (B : Backend.S) = struct
     sink : Sink.t;
     attr : bool;
     mutable batch : int;  (* stamp of the current rescheduling pass *)
+    mutable version : int;  (* insertions into and deletions from [order] *)
   }
 
   let now t = t.now
   let stats t = t.stats
   let order t = OL.to_list t.order
   let size t = OL.length t.order
+  let version t = t.version
+  let bump t = t.version <- t.version + 1
 
   let first_n t n =
     let rec go acc k handle =
@@ -131,8 +134,6 @@ module Make (B : Backend.S) = struct
         else go (OL.elt h :: acc) (k - 1) (OL.next t.order h)
     in
     go [] n (OL.first t.order)
-
-  let nth_entry t i = Option.map OL.elt (OL.nth t.order i)
 
   let find t lbl =
     match Hashtbl.find_opt t.by_label lbl with
@@ -288,6 +289,7 @@ module Make (B : Backend.S) = struct
   let mount t i e =
     let handle = OL.insert_sorted ~cmp:(cmp_entries_at t i) t.order e in
     e.node <- Some handle;
+    bump t;
     (* the previous neighbour's event (if any) is now stale *)
     (match prev_entry t e with Some p -> drop_right_event t p | None -> ());
     schedule_around t e;
@@ -300,6 +302,7 @@ module Make (B : Backend.S) = struct
     OL.delete t.order (node_of e);
     e.node <- None;
     e.dead <- true;
+    bump t;
     match p, n with
     | Some p, Some _ -> schedule_around t p
     | _ -> ()
@@ -312,6 +315,7 @@ module Make (B : Backend.S) = struct
   let mount_all ?clock t i alive ~by_sweep ~future =
     let sorted = List.sort (cmp_entries_at t i) alive in
     List.iter (fun e -> e.node <- Some (OL.insert_sorted ~cmp:(cmp_entries_at t i) t.order e)) sorted;
+    bump t;
     let rec pairs = function
       | a :: (b :: _ as rest) ->
         schedule_pair t a b;
@@ -334,6 +338,7 @@ module Make (B : Backend.S) = struct
         sink;
         attr;
         batch = 0;
+        version = 0;
       }
     in
     let entries =
@@ -437,6 +442,7 @@ module Make (B : Backend.S) = struct
     e.node <- None;
     let handle = OL.insert_sorted ~cmp:(cmp_entries_at t i) t.order e in
     e.node <- Some handle;
+    bump t;
     (match prev_entry t e with Some p' -> drop_right_event t p' | None -> ());
     t.stats.jumps <- t.stats.jumps + 1;
     touched := e :: (match p with Some p -> [ p ] | None -> []) @ (match n with Some n -> [ n ] | None -> []) @ !touched

@@ -86,8 +86,15 @@ module Make (B : Backend.S) : sig
   val first_n : t -> int -> entry list
   (** The [n] lowest entries (fewer if the list is shorter). *)
 
-  val nth_entry : t -> int -> entry option
-  (** Entry at 0-based rank, O(log N). *)
+  val next_entry : t -> entry -> entry option
+  (** The mounted entry's right neighbour in the order, O(log N). *)
+
+  val version : t -> int
+  (** Counts the insertions into and deletions from the order (mounts,
+      unmounts, repositionings, initial sorts and rebuilds).  Between two
+      reads with the same version, a mounted entry's rank moved only
+      through the adjacent transpositions it took part in, which
+      {!participations} counts. *)
 
   val rank_of : t -> entry -> int
   (** Current 0-based rank of a mounted entry, O(log N). *)

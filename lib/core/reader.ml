@@ -4,8 +4,9 @@
     answer to a k-NN or within query is a prefix of it: the k lowest
     curves, or the curves ranked below the query constant.  Reading that
     prefix, plus the run of curves tied with its last element, costs
-    O(log N + |answer| + ties) per piece, against O(N^q) for the reference
-    FO(f) evaluator {!Snapshot} — which stays the answer path for every
+    O(log N + |answer| + ties) on a piece where the prefix moved and
+    O(ties) on any other, against O(N^q) for the reference FO(f)
+    evaluator {!Snapshot} — which stays the answer path for every
     other formula, and the oracle the readers are tested against.
 
     The one past-sweep runner lives here too: an engine over [[lo, hi]],
@@ -53,44 +54,70 @@ module Make (B : Backend.S) = struct
     | E.Span (a, b) -> B.instant_of_scalar (B.between a b)
     | E.Point i -> i
 
-  (* The answer's entries on one piece of the sweep: the prefix [kind]
-     selects, then the run after it of entries tied with the pivot — the
-     k-th entry, or the bound.  The order sorts the curves by value at the
+  (* The answer on one piece of the sweep: the prefix [kind] selects,
+     then the run after it of entries tied with the pivot — the k-th
+     entry, or the bound.  The order sorts the curves by value at the
      read instant (ties broken by the jet just after, then by label), so no
      entry past that run can tie.  On a span, adjacent curves meet only at
      events, so a tie at the sample means the two curves run on one
      polynomial there: curves that share no piece never tie, and for the
-     rest comparing the pieces in force decides it, evaluating nothing. *)
-  let entries eng kind (step : E.step) : E.entry list =
-    let tied a b =
-      match step with
-      | E.Point i -> E.value_sign_at i a b = 0
-      | E.Span _ ->
-        let ca = E.curve a and cb = E.curve b in
-        C.share_piece ca cb && C.same_piece_at ca cb (sample step)
-    in
-    let rec run pivot j acc =
-      match E.nth_entry eng j with
-      | Some e when tied e pivot -> run pivot (j + 1) (e :: acc)
-      | _ -> acc
-    in
-    match kind with
-    | Knn k ->
-      let firsts = E.first_n eng k in
-      (match List.nth_opt firsts (k - 1) with
-       | None -> firsts
-       | Some kth -> run kth k firsts)
-    | Within b ->
-      (match E.find eng (E.Cst b) with
-       | None -> invalid_arg "Reader: bound curve missing"
-       | Some be ->
-         let r = E.rank_of eng be in
-         run be (r + 1) (E.first_n eng r))
+     rest comparing the pieces in force decides it, evaluating nothing.
 
-  let answer eng kind step : Oid.Set.t =
-    List.fold_left
-      (fun acc e -> match E.label e with E.Obj (o, _) -> Oid.Set.add o acc | E.Cst _ -> acc)
-      Oid.Set.empty (entries eng kind step)
+     [answer eng kind] keeps the prefix's set under its key: the pivot,
+     the engine's {!E.version} and the pivot's swap count.  A rank moves
+     only through an adjacent swap, which both entries count, or through
+     an insertion or a deletion, which the version counts; so while the
+     key holds, the pivot keeps its rank and the entries before it stay
+     one set (Lemma 8: the answer changes only at an event across its
+     cut).  A piece then costs its tie run, and with no tie it is the kept
+     set itself, physically. *)
+  type memo = { pivot : E.entry option; version : int; swaps : int; set : Oid.Set.t }
+
+  let add e set = match E.label e with E.Obj (o, _) -> Oid.Set.add o set | E.Cst _ -> set
+
+  let swaps = function Some e -> snd (E.participations e) | None -> 0
+
+  let prefix eng kind =
+    let pivot, firsts =
+      match kind with
+      | Knn k ->
+        let firsts = E.first_n eng k in
+        (List.nth_opt firsts (k - 1), firsts)
+      | Within b ->
+        (match E.find eng (E.Cst b) with
+         | None -> invalid_arg "Reader: bound curve missing"
+         | Some be -> (Some be, E.first_n eng (E.rank_of eng be)))
+    in
+    { pivot; version = E.version eng; swaps = swaps pivot;
+      set = List.fold_left (fun set e -> add e set) Oid.Set.empty firsts }
+
+  let answer eng kind =
+    let memo = ref None in
+    fun step ->
+      let m =
+        match !memo with
+        | Some m when m.version = E.version eng && m.swaps = swaps m.pivot -> m
+        | _ ->
+          let m = prefix eng kind in
+          memo := Some m;
+          m
+      in
+      match m.pivot with
+      | None -> m.set
+      | Some pivot ->
+        let tied e =
+          match step with
+          | E.Point i -> E.value_sign_at i e pivot = 0
+          | E.Span _ ->
+            let ce = E.curve e and cp = E.curve pivot in
+            C.share_piece ce cp && C.same_piece_at ce cp (sample step)
+        in
+        let rec run e set =
+          match E.next_entry eng e with
+          | Some e when tied e -> run e (add e set)
+          | _ -> set
+        in
+        run pivot m.set
 
   let piece step set =
     match step with E.Span (a, b) -> TL.Span (a, b, set) | E.Point i -> TL.At (i, set)

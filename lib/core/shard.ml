@@ -127,8 +127,8 @@ module Make (B : Backend.S) = struct
      global answer. *)
   let sweep_shard ~sink ~admit ~k ~lo ~hi entries =
     let eng = R.engine ~sink ~lo ~hi entries in
-    R.iter_steps eng ~lo ~hi (fun step ->
-        List.iter (fun e -> admit (E.label e)) (R.entries eng (Reader.Knn k) step));
+    let read = R.answer eng (Reader.Knn k) in
+    R.iter_steps eng ~lo ~hi (fun step -> admit (read step));
     eng
 
   (* ---------------------------------------------------------------- *)
@@ -162,11 +162,13 @@ module Make (B : Backend.S) = struct
     let shards = Grid.shards grid in
     let admitted = Hashtbl.create 64 in
     let merge_ops = ref 0 in
-    let admit = function
-      | E.Obj (o, _) ->
-        incr merge_ops;
-        if not (Hashtbl.mem admitted o) then Hashtbl.add admitted o ()
-      | E.Cst _ -> ()
+    (* shard entries carry one time term each: one op per answer OID *)
+    let admit set =
+      Oid.Set.iter
+        (fun o ->
+          incr merge_ops;
+          if not (Hashtbl.mem admitted o) then Hashtbl.add admitted o ())
+        set
     in
     let entries_of oids =
       List.filter_map

@@ -29,14 +29,17 @@ module Make (B : Backend.S) = struct
     | p :: rest -> List.fold_left (fun acc p -> Oid.Set.inter acc (set_of p)) (set_of p) rest
 
   (* Collapse maximal runs with equal sets into single spans: the minimal
-     finite representation of Q^s. *)
+     finite representation of Q^s.  A reader hands one set to the pieces
+     its answer holds over ({!Reader}), so most runs are equal
+     physically. *)
   let simplify (tl : t) : t =
+    let equal s1 s2 = s1 == s2 || Oid.Set.equal s1 s2 in
     let rec go = function
       | At (a, s1) :: At (b, s2) :: rest
-        when B.compare_instant a b = 0 && Oid.Set.equal s1 s2 ->
+        when B.compare_instant a b = 0 && equal s1 s2 ->
         go (At (a, s1) :: rest)
       | Span (a, _, s1) :: At (_, s2) :: Span (_, b, s3) :: rest
-        when Oid.Set.equal s1 s2 && Oid.Set.equal s2 s3 ->
+        when equal s1 s2 && equal s2 s3 ->
         go (Span (a, b, s1) :: rest)
       | p :: rest -> p :: go rest
       | [] -> []

@@ -262,17 +262,40 @@ type piece =
       distinct : int;
     }
 
-let render_piece = function
-  | P_at (i, oids) ->
-    (* the oid list may be empty, so no trailing-space juggling *)
-    String.concat " " ("at" :: encode_token i :: List.map string_of_int oids)
-  | P_span (a, b, oids) ->
-    String.concat " " ("span" :: encode_token a :: encode_token b :: List.map string_of_int oids)
+(* An OID list's text, each OID after a space: the list may be empty,
+   so no trailing-space juggling. *)
+let oids_text oids =
+  let b = Buffer.create (8 * List.length oids) in
+  List.iter
+    (fun o ->
+      Buffer.add_char b ' ';
+      Buffer.add_string b (string_of_int o))
+    oids;
+  Buffer.contents b
+
+(* Append one piece to [b], its instants' tokens given by [token] and
+   its OID list's text by [oids]. *)
+let add_piece b ~token ~oids = function
+  | P_at (i, l) ->
+    Buffer.add_string b "at ";
+    Buffer.add_string b (token i);
+    Buffer.add_string b (oids l)
+  | P_span (a, c, l) ->
+    Buffer.add_string b "span ";
+    Buffer.add_string b (token a);
+    Buffer.add_char b ' ';
+    Buffer.add_string b (token c);
+    Buffer.add_string b (oids l)
   | P_agg { poi; widx; w_lo; w_hi; count; density; distinct } ->
     (* %h is a lossless hex float literal, so peers compare rows
        bit-for-bit like they compare timeline instants *)
-    Printf.sprintf "agg %d %d %s %s %d %h %d" poi widx (encode_token w_lo)
+    Printf.bprintf b "agg %d %d %s %s %d %h %d" poi widx (encode_token w_lo)
       (encode_token w_hi) count density distinct
+
+let render_piece p =
+  let b = Buffer.create 64 in
+  add_piece b ~token:encode_token ~oids:oids_text p;
+  Buffer.contents b
 
 let parse_oids ws =
   List.fold_left
@@ -351,8 +374,33 @@ let is_event = function
   | R_hello _ | R_update _ | R_subscribe _ | R_unsubscribe _ | R_query _ | R_stats _
   | R_pong _ | R_bye | R_err _ | R_repl_hello _ -> false
 
+(* [f] remembering its last argument and result, keyed by physical
+   equality. *)
+let last_memo f init =
+  let last = ref (init, f init) in
+  fun x ->
+    match !last with
+    | x', y when x' == x -> y
+    | _ ->
+      let y = f x in
+      last := (x, y);
+      y
+
+(* The head, then one line per piece, in one buffer.  Consecutive pieces
+   often carry one OID list physically (the server shares it while an
+   answer stays) and name one instant by one string (a span's end, the
+   point at it, the next span's start), so the last list's text and the
+   last instant's token are reused while they are the same. *)
 let with_pieces head pieces =
-  String.concat "\n" (head :: List.map render_piece pieces)
+  let b = Buffer.create 256 in
+  Buffer.add_string b head;
+  let token = last_memo encode_token "" and oids = last_memo oids_text [] in
+  List.iter
+    (fun p ->
+      Buffer.add_char b '\n';
+      add_piece b ~token ~oids p)
+    pieces;
+  Buffer.contents b
 
 let render_server_msg = function
   | R_hello { session; dim; clock } ->

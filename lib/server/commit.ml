@@ -149,23 +149,27 @@ let stage_obs t ?trace ~name ~ns_metric f =
    names each event instant up to three times in a row: as a span's end,
    as the [At] at it, and as the next span's start.  So remember the last
    instant printed and print each physically distinct one once per
-   call. *)
+   call.  Likewise a monitor hands the same set to consecutive pieces
+   while its cut stays ({!Reader}), so the last set's OID list is reused
+   while the set is physically the same, and {!Proto} renders it once. *)
 let wire_pieces pieces =
-  let last = ref None in
-  let wire i =
-    match !last with
-    | Some (j, w) when j == i -> w
-    | _ ->
-      let w = B.instant_to_string i in
-      last := Some (i, w);
-      w
+  let last f =
+    let memo = ref None in
+    fun x ->
+      match !memo with
+      | Some (x', y) when x' == x -> y
+      | _ ->
+        let y = f x in
+        memo := Some (x, y);
+        y
   in
+  let wire = last B.instant_to_string and oids = last Oid.Set.elements in
   List.map
     (function
-      | TL.At (i, s) -> Proto.P_at (wire i, Oid.Set.elements s)
+      | TL.At (i, s) -> Proto.P_at (wire i, oids s)
       | TL.Span (a, b, s) ->
         let a = wire a in (* before [b]: arguments evaluate right to left *)
-        Proto.P_span (a, wire b, Oid.Set.elements s))
+        Proto.P_span (a, wire b, oids s))
     pieces
 
 let wire_row (r : Agg.row) =

@@ -278,16 +278,18 @@ let publish_hot t =
       end)
     subs
 
-let rpc_name = function
-  | Proto.Hello _ -> "hello"
-  | Proto.Update _ -> "update"
-  | Proto.Subscribe _ -> "subscribe"
-  | Proto.Unsubscribe _ -> "unsubscribe"
-  | Proto.Query _ -> "query"
-  | Proto.Stats _ -> "stats"
-  | Proto.Ping -> "ping"
-  | Proto.Bye -> "bye"
-  | Proto.Repl_hello _ -> "repl_hello"  (* snake_case: this names a metric *)
+(* The histogram each request kind is timed in, one constant per kind
+   so that a request builds no name. *)
+let rpc_metric = function
+  | Proto.Hello _ -> "moq_server_rpc_hello_seconds"
+  | Proto.Update _ -> "moq_server_rpc_update_seconds"
+  | Proto.Subscribe _ -> "moq_server_rpc_subscribe_seconds"
+  | Proto.Unsubscribe _ -> "moq_server_rpc_unsubscribe_seconds"
+  | Proto.Query _ -> "moq_server_rpc_query_seconds"
+  | Proto.Stats _ -> "moq_server_rpc_stats_seconds"
+  | Proto.Ping -> "moq_server_rpc_ping_seconds"
+  | Proto.Bye -> "moq_server_rpc_bye_seconds"
+  | Proto.Repl_hello _ -> "moq_server_rpc_repl_hello_seconds"
 
 (* The propagated trace ctx for a request, when tracing is on. *)
 let req_trace t (attrs : Proto.attrs) = if t.cfg.trace then attrs.Proto.a_trace else None
@@ -328,7 +330,7 @@ let bad_version t sess =
 (* Returns [false] when the session should close. *)
 let dispatch t sess (req : Proto.request) (attrs : Proto.attrs) ~arrival =
   Sink.count t.sink "moq_server_rpcs_total" 1;
-  Sink.time t.sink (Printf.sprintf "moq_server_rpc_%s_seconds" (rpc_name req))
+  Sink.time t.sink (rpc_metric req)
   @@ fun () ->
   match req with
   | Proto.Hello v when v <> Proto.version -> bad_version t sess

@@ -14,7 +14,15 @@
    chdir updates land on the sweep's own event instants; windows that open
    at a termination instant.  k-NN with k = 4 at N = 32 is out of
    Snapshot's reach and is checked against the naive baseline's full
-   re-sort instead. *)
+   re-sort instead.
+
+   A reader keeps its answer's prefix while the cut holds (the engine's
+   version and the pivot's swap count).  The "memo" group drives
+   monitors through every way the order can move under that key: value
+   jumps (Engine.reposition), a chdir of the query trajectory (Theorem
+   10's settling swaps), a rebuild forced by an audit, and k-NN with k at
+   or above the number of live objects; and it checks that pieces with no
+   event across the bound share one set physically. *)
 
 module Q = Moq_numeric.Rat
 module Qvec = Moq_geom.Vec.Qvec
@@ -37,6 +45,12 @@ let lo = q 0
 let hi = q 20
 let interval = Fof.Interval.closed lo hi
 let elts s = String.concat "," (List.map string_of_int (Oid.Set.elements s))
+
+(* One step of a driven monitor ({!Check.drive}). *)
+type step =
+  | Update of U.t
+  | Chdir_query of Q.t * Gdist.t  (** the query trajectory's new g-distance at a time *)
+  | Skip_and_heal of Q.t  (** move the engine's clock there, then audit and heal *)
 
 module Check (B : Core.Backend.S) = struct
   module Mon = Core.Monitor.Make (B)
@@ -104,6 +118,31 @@ module Check (B : Core.Backend.S) = struct
     | Some (Reader.Within bound) ->
       check_pieces (name ^ ": range") truth (Range.run ~db ~gdist ~bound ~lo ~hi).Range.timeline
     | None -> Alcotest.failf "%s: not a reader query" name
+
+  (* A monitor driven through [steps], drained after each and after its
+     finalization; every raw piece is checked against [truth] over the
+     final database and [final_gdist] (default [gdist]).  Returns the
+     monitor and its pieces, chronological. *)
+  let drive ?final_gdist name ~db ~gdist ~query ~steps ~truth =
+    let m = Mon.create ~db ~gdist ~query () in
+    let drains = ref [ Mon.drain_valid m ] in
+    List.iter
+      (fun step ->
+        (match step with
+         | Update u -> Mon.apply_update_exn m u
+         | Chdir_query (tau, gdist) -> Mon.chdir_query m ~tau ~gdist
+         | Skip_and_heal tau ->
+           (* jump the engine's clock past pending events: the audit finds
+              them late and the heal rebuilds the order at [tau] *)
+           Mon.E.sync_clock (Mon.engine m) ~at:tau;
+           if Mon.audit_and_heal m = [] then Alcotest.failf "%s: no violation to heal" name);
+        drains := Mon.drain_valid m :: !drains)
+      steps;
+    ignore (Mon.finalize m);
+    let pieces = List.concat (List.rev (Mon.drain_valid m :: !drains)) in
+    let gdist = Option.value final_gdist ~default:gdist in
+    check_pieces (name ^ ": monitor") (truth ~db:(Mon.db m) ~gdist) pieces;
+    (m, pieces)
 end
 
 module CX = Check (BX)
@@ -289,6 +328,159 @@ let test_window_at_termination () =
         (List.length (List.filter (fun i -> BX.compare_instant i at = 0) points)))
     [ start; q 8; q 9 ]
 
+(* ------------------------------------------------------------------ *)
+(* The reader's memo                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let chdir oid tau v = U.Chdir { oid; tau; a = Qvec.of_list [ q v ] }
+
+let drive_both ?final_gdist name ~db ~gdist ~query ~steps =
+  let mx, px = CX.drive ?final_gdist name ~db ~gdist ~query ~steps ~truth:(CX.snapshot ~query) in
+  let mf, pf = CF.drive ?final_gdist name ~db ~gdist ~query ~steps ~truth:(CF.snapshot ~query) in
+  ((CX.Mon.stats mx, px), (CF.Mon.stats mf, pf))
+
+(* Squared speed jumps at every direction change, so the within monitor's
+   curves are discontinuous: the chdirs already in the database are jump
+   events its engine repositions at, those it is fed settle at their own
+   instant.  The past sweep and the range operator reposition too. *)
+let test_memo_jumps () =
+  let db = Gen.uniform_db ~seed:4 ~n:6 ~dim:1 ~extent:15 ~speed:2 () in
+  let db =
+    DB.apply_all_exn db
+      [ chdir 1 (q 2) 1; chdir 2 (q 3) 0; chdir 3 (q 4) 2; chdir 1 (q 5) (-1); chdir 4 (q 6) 1 ]
+  in
+  let steps =
+    [ Update (chdir 5 (q 8) 1); Update (chdir 2 (q 9) 2);
+      Update (U.Terminate { oid = 3; tau = q 10 });
+      Update (U.New { oid = 7; tau = q 11; a = Qvec.of_list [ q 1 ]; b = Qvec.of_list [ q 0 ] });
+      Update (chdir 7 (q 13) 0); Update (chdir 6 (q 14) (-1)) ]
+  in
+  let gdist = Gdist.speed_sq in
+  List.iter
+    (fun bound ->
+      let bound = q bound in
+      let query = Fof.within_q ~bound ~interval in
+      let name = Format.asprintf "speed_sq within %a" Q.pp bound in
+      let (sx, _), (sf, _) = drive_both name ~db ~gdist ~query ~steps in
+      if sx.CX.Mon.E.jumps = 0 || sf.CF.Mon.E.jumps = 0 then
+        Alcotest.failf "%s: no jump repositioned an entry" name;
+      let db =
+        DB.apply_all_exn db (List.filter_map (function Update u -> Some u | _ -> None) steps)
+      in
+      let truth = CX.snapshot ~query ~db ~gdist in
+      CX.check_pieces (name ^ ": sweep") truth (CX.Sw.run ~db ~gdist ~query).CX.Sw.timeline;
+      CX.check_pieces (name ^ ": range") truth
+        (CX.Range.run ~db ~gdist ~bound ~lo ~hi).CX.Range.timeline;
+      CF.check_pieces (name ^ ": range") (CF.snapshot ~query ~db ~gdist)
+        (CF.Range.run ~db ~gdist ~bound ~lo ~hi).CF.Range.timeline)
+    [ 0; 1; 4 ]
+
+(* A chdir of the query trajectory replaces every curve at once and
+   settles the order by swaps alone (Theorem 10), mid-stream between
+   object updates.  The final g-distance agrees with the first up to the
+   chdir, so it answers for the whole window. *)
+let test_memo_query_chdir () =
+  let db = Gen.uniform_db ~seed:7 ~n:6 ~dim:1 ~extent:12 ~speed:2 () in
+  let gamma = origin 1 in
+  let gamma' = T.chdir gamma (q 6) (Qvec.of_list [ q 2 ]) in
+  let gamma'' = T.chdir gamma' (q 11) (Qvec.of_list [ q (-3) ]) in
+  let steps =
+    [ Update (chdir 1 (q 3) 1); Chdir_query (q 6, Gdist.euclidean_sq ~gamma:gamma');
+      Update (chdir 2 (q 8) (-1)); Chdir_query (q 11, Gdist.euclidean_sq ~gamma:gamma'');
+      Update (U.Terminate { oid = 3; tau = q 13 }) ]
+  in
+  List.iter
+    (fun (qname, query) ->
+      ignore
+        (drive_both ~final_gdist:(Gdist.euclidean_sq ~gamma:gamma'')
+           ("query chdir " ^ qname) ~db ~gdist:(Gdist.euclidean_sq ~gamma) ~query ~steps))
+    [ ("nearest", Fof.nearest_q ~interval); ("knn 2", Fof.knn_q ~k:2 ~interval);
+      ("within 30", Fof.within_q ~bound:(q 30) ~interval) ]
+
+(* An audit that finds the engine's clock moved past pending events
+   rebuilds the order mid-stream, at that clock: entries move without a
+   swap.  Pieces from before the jump and after the rebuild are checked;
+   the skipped stretch has none. *)
+let test_memo_rebuild () =
+  let db =
+    List.fold_left
+      (fun db (o, x, v) ->
+        DB.add_initial db o (T.linear ~start:lo ~a:(Qvec.of_list [ q v ]) ~b:(Qvec.of_list [ q x ])))
+      (DB.empty ~dim:1 ~tau:lo)
+      (* 1 leaves |x| <= 5 at 5, 2 enters at 7, 3 stays in, 4 out; 5 and 6
+         trade places twice *)
+      [ (1, 0, 1); (2, 12, -1); (3, 3, 0); (4, 8, 0); (5, -6, 1); (6, 6, -1) ]
+  in
+  let steps =
+    [ Update (chdir 3 (q 1) 0); Update (chdir 4 (q 2) 0); Skip_and_heal (q 9);
+      Update (chdir 1 (q 10) 0); Update (chdir 2 (q 12) 1) ]
+  in
+  List.iter
+    (fun (qname, query) ->
+      let (sx, _), (sf, _) =
+        drive_both ("rebuild " ^ qname) ~db ~gdist:(Gdist.euclidean_sq ~gamma:(origin 1)) ~query
+          ~steps
+      in
+      Alcotest.(check (pair int int)) (qname ^ ": one rebuild each") (1, 1)
+        (sx.CX.Mon.E.rebuilds, sf.CF.Mon.E.rebuilds))
+    [ ("within 25", Fof.within_q ~bound:(q 25) ~interval);
+      ("knn 2", Fof.knn_q ~k:2 ~interval); ("knn 3", Fof.knn_q ~k:3 ~interval) ]
+
+(* k at or above the number of live objects: the answer is every live
+   object, no pivot, and it moves only when one is born or dies. *)
+let test_memo_k_large () =
+  let db = Gen.uniform_db ~seed:9 ~n:4 ~dim:1 ~extent:10 ~speed:2 () in
+  let gamma = origin 1 in
+  let steps =
+    [ Update (chdir 1 (q 2) 1); Update (U.Terminate { oid = 2; tau = q 4 });
+      Update (chdir 3 (q 6) (-2));
+      Update (U.New { oid = 9; tau = q 8; a = Qvec.of_list [ q 1 ]; b = Qvec.of_list [ q 1 ] });
+      Update (U.Terminate { oid = 4; tau = q 12 }) ]
+  in
+  List.iter
+    (fun k ->
+      let query = Fof.knn_q ~k ~interval in
+      let name = Printf.sprintf "knn %d of at most 4" k in
+      ignore (drive_both name ~db ~gdist:(Gdist.euclidean_sq ~gamma) ~query ~steps);
+      let db =
+        DB.apply_all_exn db (List.filter_map (function Update u -> Some u | _ -> None) steps)
+      in
+      CX.check name ~db ~gamma ~query ~updates:[] ~truth:(CX.snapshot ~query);
+      CF.check name ~db ~gamma ~query ~updates:[] ~truth:(CF.snapshot ~query))
+    [ 4; 5 ]
+
+(* No event crosses the bound: four objects stay below it and cross one
+   another, a fifth stays above, and the updates are chdirs that keep it
+   so.  Every piece the within monitor makes is one set, physically. *)
+let test_memo_shares_set () =
+  let db =
+    List.fold_left
+      (fun db (o, x, v) ->
+        DB.add_initial db o
+          (T.linear ~start:lo ~a:(Qvec.of_list [ Q.of_ints v 2 ]) ~b:(Qvec.of_list [ q x ])))
+      (DB.empty ~dim:1 ~tau:lo)
+      [ (1, 0, 1); (2, 10, -1); (3, 100, 0); (4, 4, 0); (5, 6, 0) ]
+  in
+  let steps = [ Update (chdir 1 (q 3) 1); Update (chdir 4 (q 9) (-1)) ] in
+  let query = Fof.within_q ~bound:(q 50) ~interval in
+  let shared what crossings pieces set_of =
+    if crossings < 3 then Alcotest.failf "%s: %d crossings, expected at least 3" what crossings;
+    match pieces with
+    | [] -> Alcotest.failf "%s: no pieces" what
+    | p :: rest ->
+      let s = set_of p in
+      Alcotest.(check string) (what ^ ": answer") "1,2,4,5" (elts s);
+      List.iteri
+        (fun j p ->
+          if set_of p != s then Alcotest.failf "%s: piece %d holds a set of its own" what (j + 1))
+        rest
+  in
+  let (sx, px), (sf, pf) =
+    drive_both "no event across the bound" ~db ~gdist:(Gdist.coordinate 0) ~query ~steps
+  in
+  shared "exact" sx.CX.Mon.E.crossings px CX.TL.set_of;
+  shared "filtered" sf.CF.Mon.E.crossings pf CF.TL.set_of
+
 (* The readers take exactly the formulas the constructors build. *)
 let test_of_query () =
   let kind = Alcotest.testable (fun fmt -> function
@@ -333,4 +525,11 @@ let () =
           Alcotest.test_case "within, snapped and plain bounds" `Quick test_within;
           Alcotest.test_case "window at a termination" `Quick test_window_at_termination ] );
       ( "reader-vs-naive",
-        [ Alcotest.test_case "knn 4, N = 32" `Quick test_knn4_vs_naive ] ) ]
+        [ Alcotest.test_case "knn 4, N = 32" `Quick test_knn4_vs_naive ] );
+      ( "memo",
+        [ Alcotest.test_case "within over speed_sq jumps" `Quick test_memo_jumps;
+          Alcotest.test_case "query chdir mid-stream" `Quick test_memo_query_chdir;
+          Alcotest.test_case "audit-forced rebuild mid-stream" `Quick test_memo_rebuild;
+          Alcotest.test_case "knn k >= live objects" `Quick test_memo_k_large;
+          Alcotest.test_case "no event across the bound: one set" `Quick
+            test_memo_shares_set ] ) ]

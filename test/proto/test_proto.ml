@@ -144,6 +144,65 @@ let prop_token_formula =
       let enc = Proto.encode_token s in
       enc = encode_token_formula s && Proto.decode_token enc = s)
 
+(* The piece frames as they were rendered before one buffer: each piece
+   the String.concat of its tokens, the frame its head and its pieces
+   joined by newlines.  It stays as the oracle of the one-buffer renderer,
+   which reuses a physically shared OID list's text. *)
+let render_piece_concat = function
+  | Proto.P_at (i, oids) ->
+    String.concat " " ("at" :: Proto.encode_token i :: List.map string_of_int oids)
+  | Proto.P_span (a, b, oids) ->
+    String.concat " "
+      ("span" :: Proto.encode_token a :: Proto.encode_token b :: List.map string_of_int oids)
+  | Proto.P_agg { poi; widx; w_lo; w_hi; count; density; distinct } ->
+    Printf.sprintf "agg %d %d %s %s %d %h %d" poi widx (Proto.encode_token w_lo)
+      (Proto.encode_token w_hi) count density distinct
+
+let render_pieces_concat msg =
+  let with_pieces head pieces = String.concat "\n" (head :: List.map render_piece_concat pieces) in
+  match msg with
+  | Proto.R_unsubscribe { sub; pieces } ->
+    with_pieces (Printf.sprintf "OK UNSUBSCRIBE %d %d" sub (List.length pieces)) pieces
+  | Proto.R_query pieces -> with_pieces (Printf.sprintf "OK QUERY %d" (List.length pieces)) pieces
+  | Proto.E_pieces { sub; first_seq; pieces } ->
+    with_pieces (Printf.sprintf "EVENT %d %d %d" sub first_seq (List.length pieces)) pieces
+  | m -> Proto.render_server_msg m
+
+(* Piece frames with escaped tokens, empty OID lists, tokens and lists
+   drawn from small pools (so consecutive pieces often hold one
+   physically) and fresh ones (equal, not shared), and agg rows. *)
+let gen_piece_msg =
+  let open QCheck.Gen in
+  let fresh_token =
+    string_size (0 -- 12)
+      ~gen:(frequency [ (3, printable); (2, oneofl [ '%'; ' '; '\n'; '\t'; '\r' ]) ])
+  in
+  let* tokens = list_size (1 -- 3) fresh_token in
+  let token = frequency [ (3, oneofl tokens); (1, fresh_token) ] in
+  let fresh = list_size (0 -- 5) small_signed_int in
+  let* pool = list_size (1 -- 3) fresh in
+  let oids = frequency [ (4, oneofl pool); (1, fresh); (1, return []) ] in
+  let agg =
+    let* poi = small_nat and* widx = small_nat and* w_lo = token and* w_hi = token
+    and* count = small_nat and* density = float and* distinct = small_nat in
+    return (Proto.P_agg { poi; widx; w_lo; w_hi; count; density; distinct })
+  in
+  let piece =
+    frequency
+      [ (3, map2 (fun i l -> Proto.P_at (i, l)) token oids);
+        (3, map3 (fun a b l -> Proto.P_span (a, b, l)) token token oids);
+        (1, agg) ]
+  in
+  let* pieces = list_size (0 -- 12) piece and* sub = small_nat and* first_seq = small_nat in
+  oneofl
+    [ Proto.E_pieces { sub; first_seq; pieces }; Proto.R_query pieces;
+      Proto.R_unsubscribe { sub; pieces } ]
+
+let prop_render_pieces =
+  QCheck.Test.make ~name:"piece frames render as the String.concat oracle" ~count:1000
+    (QCheck.make ~print:(fun m -> String.escaped (render_pieces_concat m)) gen_piece_msg)
+    (fun m -> Proto.render_server_msg m = render_pieces_concat m)
+
 let requests =
   [ Proto.Hello 1;
     Proto.Update (U.New { oid = 3; tau = q 7; a = vec [ 1; 0 ]; b = vec [ 5; 5 ] });
@@ -593,7 +652,8 @@ let () =
          Alcotest.test_case "agg wire grammar" `Quick test_agg_wire;
          Alcotest.test_case "malformed requests" `Quick test_malformed_requests;
          Alcotest.test_case "malformed server msgs" `Quick test_malformed_server_msgs;
-         QCheck_alcotest.to_alcotest prop_token_formula ]);
+         QCheck_alcotest.to_alcotest prop_token_formula;
+         QCheck_alcotest.to_alcotest prop_render_pieces ]);
       ("attrs",
        Alcotest.test_case "full roundtrip" `Quick test_attrs_roundtrip
        :: Alcotest.test_case "free text untouched" `Quick

@@ -116,6 +116,17 @@ let test_hello_ping_bye () =
          Alcotest.(check bool) "stats json" true
            (String.length body > 0 && body.[0] = '{')
        | m -> Alcotest.failf "expected STATS: %s" (Proto.render_server_msg m));
+      (* each request kind is timed under its own histogram name *)
+      (match req c (Proto.Stats `Prometheus) with
+       | Proto.R_stats text ->
+         List.iter
+           (fun name ->
+             let lines = String.split_on_char '\n' text in
+             if not (List.exists (String.starts_with ~prefix:(name ^ "_count")) lines) then
+               Alcotest.failf "%s missing from exporter output" name)
+           [ "moq_server_rpc_hello_seconds"; "moq_server_rpc_ping_seconds";
+             "moq_server_rpc_stats_seconds" ]
+       | m -> Alcotest.failf "expected STATS: %s" (Proto.render_server_msg m));
       (match req c Proto.Bye with
        | Proto.R_bye -> ()
        | m -> Alcotest.failf "expected BYE: %s" (Proto.render_server_msg m));
